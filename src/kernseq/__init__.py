@@ -3,8 +3,10 @@
 Given an equivalence relation over words presented as a letter-to-letter
 transducer, this package decides whether the relation is the kernel of a
 sequential (optionally letter-to-letter) transduction, and when it is,
-builds such a machine. Brute-force enumeration backs every structural
-decision at desk scale.
+builds such a machine, whose kernel is checked exactly against the
+relation. The brute-force enumeration in ``kernseq.oracle`` cross-checks
+the structural decisions in the tests, at desk scale; no decision
+enumerates words.
 """
 
 __version__ = "0.1.0"
@@ -41,6 +43,7 @@ from .errors import (
     FormatError,
     InternalInvariantError,
     KernseqError,
+    LagBoundError,
     NotEquivalenceError,
     NotFinerError,
     NotLetterToLetterError,
@@ -74,7 +77,9 @@ from .synthesis import (
     MatrixState,
     SuccessorPartition,
     eliminate_final_output,
+    kernel_counterexample,
     kernel_transducer,
+    length_collision,
     synthesize_mealy,
     synthesize_subsequential,
 )

@@ -3,7 +3,8 @@
 Subcommands: validate, analyze, decide ll, decide lp, closure, verify.
 Every report exists in a text and a ``--json`` form carrying the same
 fields. Exit codes: 0 yes/valid, 1 no, 2 unknown (closure cap), 3 input
-or format error, 4 internal invariant breach.
+or format error, 4 internal invariant breach, 5 resource exhausted (out
+of memory, or a synthesized machine above the state cap).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import sys
 
 from . import __version__
-from .automata import language_equal
 from .decision import (
     DEFAULT_CLOSURE_CAP,
     Outcome,
@@ -26,12 +26,13 @@ from .errors import (
     FormatError,
     InternalInvariantError,
     KernseqError,
+    LagBoundError,
 )
 from .fileformat import parse, render
 from .machines import SequentialTransducer, SubsequentialTransducer
 from .oracle import brute_kernel, default_bound, enumerate_relation
 from .relations import prefix_closure, transitive_closure, validate_relation
-from .synthesis import kernel_transducer
+from .synthesis import kernel_counterexample
 from .transducers import LetterTransducer
 
 SCHEMA_VERSION = 1
@@ -41,6 +42,7 @@ EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT_ERROR = 3
 EXIT_INTERNAL = 4
+EXIT_RESOURCE = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,11 +198,14 @@ def _cmd_closure(args) -> int:
 def _cmd_verify(args) -> int:
     relation = _load(args.relation, LetterTransducer)
     machine = _load(args.machine, (SequentialTransducer, SubsequentialTransducer))
-    exact = isinstance(machine, SubsequentialTransducer) or machine.is_letter_to_letter
-    if exact:
-        equal = language_equal(kernel_transducer(machine).nfa, relation.nfa)
+    base = machine.base if isinstance(machine, SubsequentialTransducer) else machine
+    # exact unless two runs on equal-length inputs lag further apart than
+    # this cap; then the kernel is enumerated up to a bound
+    longest = max((len(out) for out, _dst in base.transitions.values()), default=0)
+    try:
+        equal = kernel_counterexample(machine, relation, longest * len(base.states) ** 2) is None
         mode, bound = "exact", None
-    else:
+    except LagBoundError:
         bound = args.max_len if args.max_len is not None else default_bound(relation)
         equal = brute_kernel(machine, bound).pairs == enumerate_relation(relation, bound).pairs
         mode = "bounded"
@@ -278,9 +283,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InternalInvariantError, DimensionCapError) as exc:
+    except InternalInvariantError as exc:
         print(f"kernseq: internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except DimensionCapError as exc:
+        print(f"kernseq: resource exhausted: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("kernseq: resource exhausted: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except KernseqError as exc:
         print(f"kernseq: error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

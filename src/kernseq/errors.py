@@ -42,10 +42,13 @@ class PreconditionError(KernseqError):
 
 
 class DimensionCapError(KernseqError):
-    """Synthesis exceeded its matrix safety cap.
+    """Synthesis exceeded a size cap: the matrix dimension or state count.
 
-    This never fires when the synthesis preconditions hold; it signals a
-    bug in the index-finiteness decision, not a property of the input.
+    Valid input can exceed the caller's dimension cap: agreeing except in
+    the last k letters needs dimension 2^k. The decision procedures prove
+    the index finite first and then synthesize without a dimension cap,
+    so there this reports a witness beyond the fixed state-count cap, a
+    resource limit rather than a wrong answer.
     """
 
     code = "DIMENSION_CAP"
@@ -57,6 +60,13 @@ class BoundTooLargeError(KernseqError):
 
 class NotLetterToLetterError(KernseqError):
     code = "NOT_LETTER_TO_LETTER"
+
+
+class LagBoundError(NotLetterToLetterError):
+    """Two runs of a machine on equal-length inputs lag further apart in
+    output than the bound allows; lag 0 is the letter-to-letter case."""
+
+    code = "LAG_BOUND"
 
 
 class FormatError(KernseqError):

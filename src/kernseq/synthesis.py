@@ -20,18 +20,24 @@ Three public constructions live here:
 * ``eliminate_final_output``: folds the final outputs into repetition
   counts, trading letter-to-letter outputs for plain sequential ones
   while preserving the kernel.
+
+Their kernels are checked exactly by ``kernel_counterexample``, which
+squares a machine with a bounded pending-output buffer
+(``kernel_transducer``) and walks the product with the relation once.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-from .automata import Alphabet, Nfa, language_equal
+from .automata import Alphabet, Nfa, Word, language_equal
 from .errors import (
+    AlphabetMismatchError,
     BadClosureWitnessError,
     DimensionCapError,
     InternalInvariantError,
-    NotLetterToLetterError,
+    LagBoundError,
     PreconditionError,
 )
 from .machines import SequentialTransducer, SubsequentialTransducer
@@ -197,7 +203,7 @@ def _worklist(
             item = (mstate.row, a)
             ci = part.coarse_index(item)
             reps = part.minimal_reps[ci]
-            if len(reps) > dimension_cap:
+            if dimension_cap is not None and len(reps) > dimension_cap:
                 raise DimensionCapError(
                     f"successor matrix dimension {len(reps)} exceeds cap {dimension_cap}"
                 )
@@ -235,13 +241,18 @@ def _output_alphabet(l_max: int, inputs: Alphabet) -> tuple[Alphabet, dict]:
 
 
 def synthesize_mealy(
-    r: LetterTransducer, *, dimension_cap: int = DIMENSION_CAP_DEFAULT, precheck: bool = True
+    r: LetterTransducer,
+    *,
+    dimension_cap: int | None = DIMENSION_CAP_DEFAULT,
+    precheck: bool = True,
 ) -> SequentialTransducer:
     """Letter-to-letter sequential machine whose kernel is exactly r.
 
     Requires r to be a length-preserving equivalence, prefix-closed,
     with finitely many congruence classes inside each class of r. When
-    ``precheck`` is set those conditions are verified first.
+    ``precheck`` is set those conditions are verified first. A
+    ``dimension_cap`` of None leaves the matrix dimension uncapped; the
+    state count stays capped by ``STATE_CAP``.
     """
     if precheck:
         require_equivalence(r)
@@ -309,7 +320,7 @@ def synthesize_subsequential(
     r: LetterTransducer,
     pplus: LetterTransducer,
     *,
-    dimension_cap: int = DIMENSION_CAP_DEFAULT,
+    dimension_cap: int | None = DIMENSION_CAP_DEFAULT,
     precheck: bool = True,
 ) -> SubsequentialTransducer:
     """Subsequential letter-to-letter machine whose kernel is exactly r.
@@ -439,15 +450,48 @@ def eliminate_final_output(m: SubsequentialTransducer) -> SequentialTransducer:
     )
 
 
-def kernel_transducer(
-    f: SequentialTransducer | SubsequentialTransducer,
-) -> LetterTransducer:
-    """Self-join of a machine on equal outputs: realizes its kernel.
+def _balance(left: Word, right: Word):
+    """What two runs still disagree on after emitting ``left`` and ``right``.
 
-    Works for letter-to-letter sequential machines and subsequential
-    machines (where final outputs must also agree); the kernel of a
-    general sequential machine is not letter-to-letter and is left to
-    brute-force enumeration.
+    Returns (pending, side): the output one run has emitted beyond the
+    other, and which run that is (0 left, 1 right; 0 when nothing is
+    pending). None when neither output is a prefix of the other, so the
+    two runs can never end on equal outputs.
+    """
+    n = min(len(left), len(right))
+    if left[:n] != right[:n]:
+        return None
+    if len(left) >= len(right):
+        return left[n:], 0
+    return right[n:], 1
+
+
+def _ahead(pending: Word, side: int) -> list[Word]:
+    """The output each run has emitted beyond the other."""
+    extra = [(), ()]
+    extra[side] = pending
+    return extra
+
+
+def kernel_transducer(
+    f: SequentialTransducer | SubsequentialTransducer, lag: int = 0
+) -> LetterTransducer:
+    """Pairs of equal-length inputs on which a machine gives equal outputs.
+
+    The machine is squared (Béal, Carton, Prieur, Sakarovitch, *Squaring
+    transducers*, TCS 2003): a state is a pair of machine states plus the
+    output one run has emitted beyond the other, tagged with the run that
+    is ahead. A step on (a1, a2) appends both outputs and survives only
+    if one side stays a prefix of the other. A state accepts when nothing
+    is pending, both machine states are final and, for subsequential
+    machines, the final letters agree. The machine is input-deterministic,
+    so the result is deterministic over pair letters.
+
+    ``lag`` bounds the pending output: letter-to-letter and subsequential
+    machines never lag, word-output machines may, and a reachable state
+    lagging further raises ``LagBoundError``. The result is the whole
+    kernel when inputs of different lengths never share an output, which
+    ``length_collision`` decides.
     """
     if isinstance(f, SubsequentialTransducer):
         base = f.base
@@ -457,49 +501,200 @@ def kernel_transducer(
 
     else:
         base = f
-        if not base.is_letter_to_letter:
-            raise NotLetterToLetterError(
-                "kernel construction needs a letter-to-letter machine"
-            )
 
         def final_pair(p, q):
             return True
 
     inputs = base.input_alphabet
-    by_output: dict = {}
-    for (p, a), ((b,), q) in base.transitions.items():
-        by_output.setdefault((p, b), []).append((a, q))
-    start = (base.initial, base.initial)
+    start = (base.initial, base.initial, (), 0)
     ids = {start: 0}
     order = [start]
     transitions = []
     i = 0
     while i < len(order):
-        p, q = order[i]
+        p, q, pending, side = order[i]
+        extra = _ahead(pending, side)
+        src = i
         i += 1
         for a1 in inputs.letters:
             hop1 = base.transitions.get((p, a1))
             if hop1 is None:
                 continue
-            (b,), p2 = hop1
-            for a2, q2 in sorted(
-                by_output.get((q, b), ()), key=lambda it: (inputs.index(it[0]), it[1])
-            ):
-                dst = (p2, q2)
+            left = extra[0] + hop1[0]
+            for a2 in inputs.letters:
+                hop2 = base.transitions.get((q, a2))
+                if hop2 is None:
+                    continue
+                balance = _balance(left, extra[1] + hop2[0])
+                if balance is None:
+                    continue
+                if len(balance[0]) > lag:
+                    raise LagBoundError(
+                        f"two runs differ by {len(balance[0])} output letters, "
+                        f"above the lag bound {lag}"
+                    )
+                dst = (hop1[1], hop2[1]) + balance
                 if dst not in ids:
                     ids[dst] = len(order)
                     order.append(dst)
-                transitions.append((ids[(p, q)], (a1, a2), ids[dst]))
+                transitions.append((src, (a1, a2), ids[dst]))
     nfa = Nfa(
         alphabet=pair_alphabet(inputs, inputs),
         states=frozenset(range(len(order))),
         transitions=frozenset(transitions),
         initials=frozenset({0}),
         finals=frozenset(
-            ids[(p, q)]
-            for (p, q) in order
-            if p in base.finals and q in base.finals and final_pair(p, q)
+            ids[(p, q, pending, side)]
+            for (p, q, pending, side) in order
+            if not pending and p in base.finals and q in base.finals and final_pair(p, q)
         ),
-        origins={ids[pq]: str(pq) for pq in order},
+        origins={ids[node]: str(node) for node in order},
     )
     return LetterTransducer(inputs, inputs, nfa)
+
+
+def length_collision(m: SequentialTransducer) -> tuple[Word, Word] | None:
+    """Two inputs of different lengths with the same output, or None.
+
+    Both runs are explored asynchronously, always advancing the run whose
+    output is behind (either run when neither is), so the pending output
+    is a suffix of one step output and the exploration is finite. Every
+    pair of inputs with equal outputs is read along some accepting path.
+    A left move weighs +1 and a right move -1, so a collision is an
+    accepting path of nonzero weight. Potentials from the start, over the
+    states that reach acceptance, find one: either two paths to one state
+    differ in weight, and completing both to acceptance leaves one of
+    nonzero weight, or every path to a state weighs its potential and a
+    collision ends in an accepting state of nonzero potential.
+    """
+    letters = m.input_alphabet.letters
+    start = (m.initial, m.initial, (), 0)
+    moves: dict = {start: []}
+    todo = [start]
+    while todo:
+        node = todo.pop()
+        runs = (0, 1) if not node[2] else (1 - node[3],)
+        for run in runs:
+            for a in letters:
+                hop = m.transitions.get((node[run], a))
+                if hop is None:
+                    continue
+                extra = _ahead(node[2], node[3])
+                extra[run] += hop[0]
+                balance = _balance(*extra)
+                if balance is None:
+                    continue
+                states = [node[0], node[1]]
+                states[run] = hop[1]
+                nxt = tuple(states) + balance
+                moves[node].append(((run, a), nxt))
+                if nxt not in moves:
+                    moves[nxt] = []
+                    todo.append(nxt)
+
+    def accepting(node):
+        return not node[2] and node[0] in m.finals and node[1] in m.finals
+
+    back: dict = {}
+    for node, out in moves.items():
+        for move, nxt in out:
+            back.setdefault(nxt, []).append((node, move))
+    toward = {node: None for node in moves if accepting(node)}  # first move to acceptance
+    todo = list(toward)
+    while todo:
+        node = todo.pop()
+        for prev, move in back.get(node, ()):
+            if prev not in toward:
+                toward[prev] = (move, node)
+                todo.append(prev)
+    if start not in toward:
+        return None
+
+    def path_to(node):
+        path = []
+        while parent[node] is not None:
+            node, move = parent[node]
+            path.append(move)
+        return path[::-1]
+
+    def path_from(node):
+        path = []
+        while toward[node] is not None:
+            move, node = toward[node]
+            path.append(move)
+        return path
+
+    def spell(path):
+        return tuple(a for run, a in path if run == 0), tuple(a for run, a in path if run == 1)
+
+    potential = {start: 0}
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if accepting(node) and potential[node]:
+            return spell(path_to(node))
+        for move, nxt in moves[node]:
+            if nxt not in toward:
+                continue
+            weight = potential[node] + (1 if move[0] == 0 else -1)
+            if nxt not in potential:
+                potential[nxt] = weight
+                parent[nxt] = (node, move)
+                queue.append(nxt)
+            elif potential[nxt] != weight:
+                tail = path_from(nxt)
+                u, v = spell(path_to(node) + [move] + tail)
+                if len(u) == len(v):
+                    u, v = spell(path_to(nxt) + tail)
+                return u, v
+    return None
+
+
+def kernel_counterexample(
+    f: SequentialTransducer | SubsequentialTransducer,
+    r: LetterTransducer,
+    lag: int = 0,
+) -> tuple[Word, Word] | None:
+    """A pair of inputs on which the kernel of ``f`` and the relation ``r`` disagree.
+
+    None when the kernel equals r. Inputs of different lengths with one
+    output are looked for first, by ``length_collision``: r relates only
+    words of equal length, and letter-to-letter and subsequential
+    machines have no such pairs. Then one breadth-first walk over the
+    synchronous product of ``kernel_transducer(f, lag)`` with the pair
+    DFA of r stops at the first pair of states that disagree on
+    acceptance, which spells a shortest separating pair. Raises
+    ``LagBoundError`` as ``kernel_transducer`` does.
+    """
+    base = f.base if isinstance(f, SubsequentialTransducer) else f
+    if r.nfa.alphabet != pair_alphabet(base.input_alphabet, base.input_alphabet):
+        raise AlphabetMismatchError("machine inputs and relation letters differ")
+    if not base.is_letter_to_letter:
+        pair = length_collision(base)
+        if pair is not None:
+            return pair
+    kernel = kernel_transducer(f, lag).nfa
+    rdfa = pair_dfa(r).nfa
+    (k0,) = kernel.initials
+    (d0,) = rdfa.initials
+    start = (k0, d0)
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        k, d = node
+        if (k in kernel.finals) != (d in rdfa.finals):
+            letters = []
+            while parent[node] is not None:
+                node, letter = parent[node]
+                letters.append(letter)
+            letters.reverse()
+            return tuple(a for a, _b in letters), tuple(b for _a, b in letters)
+        for letter in rdfa.alphabet:
+            ks = kernel.successors(k, letter) if k is not None else ()
+            nxt = (next(iter(ks), None), rdfa.step(d, letter))
+            if nxt not in parent:
+                parent[nxt] = (node, letter)
+                queue.append(nxt)
+    return None

@@ -82,18 +82,47 @@ def build_c_singletons():
     )
 
 
-def build_agree_except_last():
+def build_agree_except_last(k=1):
     """Equivalent iff same length and equal everywhere except possibly the
-    final letter."""
+    final k letters. State 0: equal so far; state j: the first difference
+    was j letters ago."""
+    transitions = {(0, ("a", "a"), 0), (0, ("b", "b"), 0)}
+    transitions |= {(0, ("a", "b"), 1), (0, ("b", "a"), 1)}
+    transitions |= {(j, (x, y), j + 1) for j in range(1, k) for x in "ab" for y in "ab"}
     return LetterTransducer.build(
         AB, AB,
-        states={0, 1},
-        transitions={
-            (0, ("a", "a"), 0), (0, ("b", "b"), 0),
-            (0, ("a", "b"), 1), (0, ("b", "a"), 1),
-        },
-        initials={0}, finals={0, 1},
+        states=set(range(k + 1)),
+        transitions=transitions,
+        initials={0}, finals=set(range(k + 1)),
     )
+
+
+def build_mod_count(k):
+    """Equivalent iff same length and the same number of a's modulo k."""
+    transitions = set()
+    for d in range(k):
+        transitions |= {
+            (d, ("a", "a"), d), (d, ("b", "b"), d),
+            (d, ("a", "b"), (d + 1) % k), (d, ("b", "a"), (d - 1) % k),
+        }
+    return LetterTransducer.build(
+        AB, AB, states=set(range(k)), transitions=transitions, initials={0}, finals={0}
+    )
+
+
+def build_chain(k):
+    """Identity plus k two-letter classes linking k+1 letters in a path.
+
+    Class i is {x(i-1) s, x(i) s} with s = x(i mod 2), so the prefix
+    closure relates x(i-1) to x(i) and its transitive closure needs k
+    rounds to join the two ends.
+    """
+    xs = tuple("abcdefghijklmnopqrstuvwxyz"[: k + 1])
+    pairs = []
+    for i in range(1, k + 1):
+        u, v = (xs[i - 1], xs[i % 2]), (xs[i], xs[i % 2])
+        pairs += [(u, v), (v, u)]
+    return finite_relation(Alphabet(xs), pairs)
 
 
 def build_chained_classes():

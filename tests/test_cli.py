@@ -3,6 +3,7 @@ import json
 import pytest
 
 from kernseq.cli import main
+from kernseq.errors import DimensionCapError
 from kernseq.fileformat import parse, render
 
 from conftest import (
@@ -105,8 +106,26 @@ def test_decide_lp_witness_files_verify(files, capsys, tmp_path):
     assert parse(open(flat_path).read()).kind == "sequential"
     code, payload, _ = run_json(capsys, "verify", files["parity"], flat_path)
     assert code == 0
+    assert payload["mode"] == "exact"
+    assert payload["maxLen"] is None
+
+
+def test_verify_falls_back_to_bounded_mode_beyond_the_lag_cap(capsys, tmp_path):
+    # two runs on a^k and b^k emit x^k and x^2k, compatible but lagging
+    # without bound; neither is accepted, so the kernel is {(empty, empty)}
+    machine = tmp_path / "lagging.t"
+    machine.write_text(
+        "kind sequential\ninputs a b\noutputs x\nstates 0 1 2\ninitial 0\nfinals 0\n"
+        "0 a / x -> 1\n0 b / x x -> 2\n1 a / x -> 1\n2 b / x x -> 2\n"
+    )
+    relation = tmp_path / "empty-word.t"
+    relation.write_text(
+        "kind letter-transducer\ninputs a b\noutputs a b\nstates 0\ninitials 0\nfinals 0\n"
+    )
+    code, payload, _ = run_json(capsys, "verify", str(relation), str(machine), "--max-len", "4")
+    assert code == 0
     assert payload["mode"] == "bounded"
-    assert payload["maxLen"] >= 6
+    assert payload["maxLen"] == 4
 
 
 def test_verify_detects_wrong_machine(files, capsys, tmp_path):
@@ -215,3 +234,19 @@ def test_non_equivalence_input_to_decide_exits_three(files, capsys, tmp_path):
     code, _, err = run(capsys, "decide", "ll", str(bad))
     assert code == 3
     assert "NOT_EQUIVALENCE" in err
+
+
+@pytest.mark.parametrize(
+    "exc", [MemoryError(), DimensionCapError("matrix state count exceeds safety cap")]
+)
+def test_resource_exhaustion_exits_five_with_one_line(files, capsys, monkeypatch, exc):
+    import kernseq.cli
+
+    def exhaust(relation):
+        raise exc
+
+    monkeypatch.setattr(kernseq.cli, "decide_kerseq_ll", exhaust)
+    code, out, err = run(capsys, "decide", "ll", files["ident"])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("kernseq: resource exhausted") and err.count("\n") == 1

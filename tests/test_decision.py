@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kernseq.automata import Alphabet, language_equal
@@ -21,15 +23,17 @@ from kernseq.errors import (
 )
 from kernseq.oracle import (
     brute_index,
+    brute_kernel,
     default_suite,
     enumerate_relation,
+    random_equivalence,
     valuedness_profile,
 )
 from kernseq.relations import compose, min_lex_uniformizer, syntactic_congruence
 from kernseq.synthesis import kernel_transducer
 from kernseq.transducers import LetterTransducer
 
-from conftest import AB
+from conftest import AB, build_agree_except_last, build_chain
 
 
 
@@ -147,6 +151,14 @@ def test_decide_ll_agree_except_last_yes(agree_except_last):
     )
 
 
+def test_decide_ll_synthesizes_beyond_the_default_dimension_cap():
+    # agreeing except in the last 7 letters needs matrices of dimension 2^7,
+    # above the synthesis default of 64; the index is already proved finite
+    verdict = decide_kerseq_ll(build_agree_except_last(7))
+    assert verdict.outcome is Outcome.YES
+    assert len(verdict.witness.states) >= 128
+
+
 def test_decide_ll_rejects_non_equivalence():
     bare = LetterTransducer.build(AB, AB, {0, 1}, {(0, ("a", "b"), 1)}, {0}, {1})
     with pytest.raises(NotEquivalenceError):
@@ -210,6 +222,61 @@ def test_decide_lp_accepts_externally_supplied_closure(a_parity, full_ab):
 def test_decide_lp_rejects_bad_closure_witness(a_parity, ident_ab):
     with pytest.raises(BadClosureWitnessError):
         decide_kerseq_lp(a_parity, closure=ident_ab)
+
+
+def test_decide_lp_three_letter_full_relation_needs_no_enumeration():
+    # a 9-state presentation of the full same-length relation over three
+    # letters: a self-check enumerating every related pair up to the
+    # default bound ran out of memory after the answer was known
+    rng = random.Random(1)
+    r = [random_equivalence(rng, max_states=3, letters=("a", "b", "c")) for _ in range(3)][2]
+    verdict = decide_kerseq_lp(r)
+    assert verdict.outcome is Outcome.YES
+    reference = enumerate_relation(r, 5).pairs
+    assert brute_kernel(verdict.witness, 5).pairs == reference
+    assert brute_kernel(verdict.subsequential, 5).pairs == reference
+
+
+def test_decide_lp_four_link_chain_needs_no_enumeration():
+    # five letters: a self-check listing every word up to the default
+    # bound 10 ran out of memory after the answer was known
+    r = build_chain(4)
+    verdict = decide_kerseq_lp(r)
+    assert verdict.outcome is Outcome.YES
+    assert verdict.closure.exponent == 4
+    reference = enumerate_relation(r, 5).pairs
+    assert brute_kernel(verdict.witness, 5).pairs == reference
+    assert brute_kernel(verdict.subsequential, 5).pairs == reference
+
+
+def test_decide_lp_makes_no_oracle_call(monkeypatch, a_parity, chained_classes):
+    import kernseq.oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle was called on the decision path")
+
+    for name in ("brute_kernel", "enumerate_relation", "default_bound"):
+        monkeypatch.setattr(kernseq.oracle, name, refuse)
+    for r in (a_parity, chained_classes, build_chain(3)):
+        assert decide_kerseq_lp(r, cap=8).outcome is Outcome.YES
+
+
+def test_decide_lp_refuses_a_witness_with_the_wrong_kernel(monkeypatch, a_parity):
+    import kernseq.synthesis
+    from kernseq.errors import InternalInvariantError
+    from kernseq.machines import SequentialTransducer
+
+    constant = SequentialTransducer(
+        input_alphabet=AB,
+        output_alphabet=Alphabet(("x",)),
+        states={0},
+        transitions={(0, "a"): (("x",), 0), (0, "b"): (("x",), 0)},
+        initial=0,
+        finals={0},
+    )
+    monkeypatch.setattr(kernseq.synthesis, "eliminate_final_output", lambda sub: constant)
+    with pytest.raises(InternalInvariantError):
+        decide_kerseq_lp(a_parity)
 
 
 def test_ll_yes_implies_lp_yes(ident_ab, agree_except_last):

@@ -1,9 +1,16 @@
 import pytest
 
 from kernseq.automata import Alphabet, language_equal
-from kernseq.errors import NotLetterToLetterError, PreconditionError
+from kernseq.decision import decide_kerseq_lp
+from kernseq.errors import LagBoundError, NotLetterToLetterError, PreconditionError
 from kernseq.machines import SequentialTransducer, SubsequentialTransducer
-from kernseq.oracle import brute_index, brute_kernel, enumerate_relation
+from kernseq.oracle import (
+    accepts_pair_backward,
+    brute_index,
+    brute_kernel,
+    default_suite,
+    enumerate_relation,
+)
 from kernseq.relations import (
     prefix_closure,
     syntactic_congruence,
@@ -11,12 +18,14 @@ from kernseq.relations import (
 )
 from kernseq.synthesis import (
     eliminate_final_output,
+    kernel_counterexample,
     kernel_transducer,
+    length_collision,
     successor_partition,
     synthesize_mealy,
     synthesize_subsequential,
 )
-from conftest import AB, words
+from conftest import AB, build_mod_count, words
 
 
 def closure_of(r, cap=8):
@@ -213,6 +222,76 @@ def test_kernel_rejects_general_sequential_machines():
     m = eliminate_final_output(hand_machine())
     with pytest.raises(NotLetterToLetterError):
         kernel_transducer(m)
+
+
+def test_kernel_of_eliminated_machine_within_its_lag(a_parity):
+    flat = eliminate_final_output(hand_machine())  # two final-output classes
+    with pytest.raises(LagBoundError):
+        kernel_transducer(flat, lag=0)
+    assert language_equal(kernel_transducer(flat, lag=2).nfa, a_parity.nfa)
+    assert length_collision(flat) is None
+
+
+@pytest.mark.parametrize(
+    "states, transitions, finals",
+    [
+        # a loop: pumping it changes the length difference
+        ({0}, {(0, "a"): (("x",), 0), (0, "b"): (("x", "x"), 0)}, {0}),
+        # no loop: a and bb both give x
+        (
+            {0, 1, 2, 3},
+            {(0, "a"): (("x",), 1), (0, "b"): ((), 2), (2, "b"): (("x",), 3)},
+            {1, 3},
+        ),
+    ],
+    ids=["loop", "no-loop"],
+)
+def test_length_collision_finds_inputs_of_different_lengths(
+    full_ab, states, transitions, finals
+):
+    m = SequentialTransducer(
+        input_alphabet=AB,
+        output_alphabet=Alphabet(("x",)),
+        states=states,
+        transitions=transitions,
+        initial=0,
+        finals=finals,
+    )
+    u, v = length_collision(m)
+    assert len(u) != len(v) and m.run(u) == m.run(v)
+    # relations here relate words of equal length only, so the collision
+    # separates the kernel from every one of them
+    assert kernel_counterexample(m, full_ab, lag=4) == (u, v)
+
+
+def test_kernel_counterexample_rejects_mod_two_witness_against_mod_three():
+    mod3 = build_mod_count(3)
+    witness = decide_kerseq_lp(build_mod_count(2)).witness
+    u, v = kernel_counterexample(witness, mod3, lag=2)
+    assert len(u) == len(v)
+    assert (witness.run(u) == witness.run(v)) != accepts_pair_backward(mod3, u, v)
+
+
+def test_kernel_counterexample_agrees_with_enumeration_on_the_suite():
+    suite = default_suite(41)
+    bound = 7
+    enumerated = {}
+    for r, other in zip(suite, suite[1:]):
+        verdict = decide_kerseq_lp(r)
+        lag = len(set(verdict.subsequential.final_output.values()))
+        for machine in (verdict.subsequential, verdict.witness):
+            kernel = brute_kernel(machine, bound).pairs
+            for target in (r, other):
+                if id(target) not in enumerated:
+                    enumerated[id(target)] = enumerate_relation(target, bound).pairs
+                pair = kernel_counterexample(machine, target, lag)
+                short = pair is not None and len(pair[0]) <= bound
+                assert (kernel != enumerated[id(target)]) == short
+                if pair is not None:
+                    u, v = pair
+                    assert (machine.run(u) == machine.run(v)) != accepts_pair_backward(
+                        target, u, v
+                    )
 
 
 def test_kernel_of_subsequential_uses_final_outputs():
