@@ -43,7 +43,6 @@ from .errors import (
     FormatError,
     InternalInvariantError,
     KernseqError,
-    LagBoundError,
     NotEquivalenceError,
     NotFinerError,
     NotLetterToLetterError,

@@ -26,7 +26,7 @@ from .errors import (
     FormatError,
     InternalInvariantError,
     KernseqError,
-    LagBoundError,
+    NotLetterToLetterError,
 )
 from .fileformat import parse, render
 from .machines import SequentialTransducer, SubsequentialTransducer
@@ -199,13 +199,17 @@ def _cmd_verify(args) -> int:
     relation = _load(args.relation, LetterTransducer)
     machine = _load(args.machine, (SequentialTransducer, SubsequentialTransducer))
     base = machine.base if isinstance(machine, SubsequentialTransducer) else machine
-    # exact unless two runs on equal-length inputs lag further apart than
-    # this cap; then the kernel is enumerated up to a bound
+    # exact unless the squared machine, counting its states and the output
+    # letters they hold pending, outgrows the budget, as it does when two
+    # runs on equal-length inputs lag apart without bound; then the kernel
+    # is enumerated up to a bound. No state within the budget lags further
+    # than the budget itself, so it serves as the lag bound too.
     longest = max((len(out) for out, _dst in base.transitions.values()), default=0)
+    budget = (1 + longest) * len(base.states) ** 2
     try:
-        equal = kernel_counterexample(machine, relation, longest * len(base.states) ** 2) is None
-        mode, bound = "exact", None
-    except LagBoundError:
+        pair = kernel_counterexample(machine, relation, lag=budget, budget=budget)
+        equal, mode, bound = pair is None, "exact", None
+    except NotLetterToLetterError:
         bound = args.max_len if args.max_len is not None else default_bound(relation)
         equal = brute_kernel(machine, bound).pairs == enumerate_relation(relation, bound).pairs
         mode = "bounded"

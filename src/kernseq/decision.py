@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from .automata import Nfa, determinize, includes, minimize, trim
-from .errors import InternalInvariantError, LagBoundError, NotFinerError
+from .errors import InternalInvariantError, NotFinerError, NotLetterToLetterError
 from .machines import SequentialTransducer, SubsequentialTransducer
 from .relations import (
     ClosureResult,
@@ -210,7 +210,7 @@ def _certify(machine, r: LetterTransducer, lag: int, what: str) -> None:
 
     try:
         pair = kernel_counterexample(machine, r, lag)
-    except LagBoundError as exc:
+    except NotLetterToLetterError as exc:
         raise InternalInvariantError(f"{what}: {exc}") from exc
     if pair is not None:
         raise InternalInvariantError(f"{what} kernel differs from input on {pair}")
@@ -232,8 +232,7 @@ def decide_kerseq_ll(r: LetterTransducer) -> Verdict:
     s, _diag = syntactic_congruence(r)
     if not index_is_finite(s, r):
         return Verdict(Outcome.NO, reason=INFINITE_INDEX)
-    # the index is proved finite, so the witness needs no dimension cap
-    witness = synthesize_mealy(r, precheck=False, dimension_cap=None)
+    witness = synthesize_mealy(r, precheck=False)
     _certify(witness, r, 0, "synthesized machine")
     return Verdict(Outcome.YES, witness=witness)
 
@@ -280,8 +279,7 @@ def decide_kerseq_lp(
         pplus = closure_result.closure
     if not index_is_finite(s, pplus):
         return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=closure_result)
-    # the index is proved finite, so the witness needs no dimension cap
-    sub = synthesize_subsequential(r, pplus, precheck=False, dimension_cap=None)
+    sub = synthesize_subsequential(r, pplus, precheck=False)
     witness = eliminate_final_output(sub)
     lag = len(set(sub.final_output.values()))
     _certify(sub, r, lag, "subsequential witness")

@@ -42,13 +42,12 @@ class PreconditionError(KernseqError):
 
 
 class DimensionCapError(KernseqError):
-    """Synthesis exceeded a size cap: the matrix dimension or state count.
+    """Synthesis built more matrix states than its fixed state-count cap.
 
-    Valid input can exceed the caller's dimension cap: agreeing except in
-    the last k letters needs dimension 2^k. The decision procedures prove
-    the index finite first and then synthesize without a dimension cap,
-    so there this reports a witness beyond the fixed state-count cap, a
-    resource limit rather than a wrong answer.
+    The matrix dimension itself is not capped: a finite index bounds it,
+    although valid input can need large matrices (agreeing except in the
+    last k letters needs dimension 2^k). The state-count cap is a
+    resource limit, not a wrong answer.
     """
 
     code = "DIMENSION_CAP"
@@ -60,13 +59,6 @@ class BoundTooLargeError(KernseqError):
 
 class NotLetterToLetterError(KernseqError):
     code = "NOT_LETTER_TO_LETTER"
-
-
-class LagBoundError(NotLetterToLetterError):
-    """Two runs of a machine on equal-length inputs lag further apart in
-    output than the bound allows; lag 0 is the letter-to-letter case."""
-
-    code = "LAG_BOUND"
 
 
 class FormatError(KernseqError):

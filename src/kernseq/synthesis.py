@@ -37,7 +37,7 @@ from .errors import (
     BadClosureWitnessError,
     DimensionCapError,
     InternalInvariantError,
-    LagBoundError,
+    NotLetterToLetterError,
     PreconditionError,
 )
 from .machines import SequentialTransducer, SubsequentialTransducer
@@ -48,7 +48,6 @@ from .relations import (
 )
 from .transducers import LetterTransducer, diagonal_states, pair_alphabet, pair_dfa
 
-DIMENSION_CAP_DEFAULT = 64
 STATE_CAP = 100_000
 
 Item = tuple[int, object]  # (1-based row index, input letter)
@@ -166,7 +165,6 @@ def _worklist(
     coarse_final,
     fine_final,
     diag_ok,
-    dimension_cap,
 ):
     """Explore matrix states breadth-first from the 1-by-1 start matrix.
 
@@ -203,10 +201,6 @@ def _worklist(
             item = (mstate.row, a)
             ci = part.coarse_index(item)
             reps = part.minimal_reps[ci]
-            if dimension_cap is not None and len(reps) > dimension_cap:
-                raise DimensionCapError(
-                    f"successor matrix dimension {len(reps)} exceeds cap {dimension_cap}"
-                )
             new_matrix = tuple(
                 tuple(succ(x, y) for y in reps) for x in reps
             )
@@ -243,16 +237,15 @@ def _output_alphabet(l_max: int, inputs: Alphabet) -> tuple[Alphabet, dict]:
 def synthesize_mealy(
     r: LetterTransducer,
     *,
-    dimension_cap: int | None = DIMENSION_CAP_DEFAULT,
     precheck: bool = True,
 ) -> SequentialTransducer:
     """Letter-to-letter sequential machine whose kernel is exactly r.
 
     Requires r to be a length-preserving equivalence, prefix-closed,
     with finitely many congruence classes inside each class of r. When
-    ``precheck`` is set those conditions are verified first. A
-    ``dimension_cap`` of None leaves the matrix dimension uncapped; the
-    state count stays capped by ``STATE_CAP``.
+    ``precheck`` is set those conditions are verified first. The matrix
+    dimension is not capped, since a finite index bounds it; more than
+    ``STATE_CAP`` states raise ``DimensionCapError``.
     """
     if precheck:
         require_equivalence(r)
@@ -278,7 +271,6 @@ def synthesize_mealy(
         lambda q: q in finals,
         lambda q: q in diag,
         lambda q: q in diag,
-        dimension_cap,
     )
     out_alpha, encode = _output_alphabet(l_max, r.input_alphabet)
     return SequentialTransducer(
@@ -320,7 +312,6 @@ def synthesize_subsequential(
     r: LetterTransducer,
     pplus: LetterTransducer,
     *,
-    dimension_cap: int | None = DIMENSION_CAP_DEFAULT,
     precheck: bool = True,
 ) -> SubsequentialTransducer:
     """Subsequential letter-to-letter machine whose kernel is exactly r.
@@ -359,7 +350,6 @@ def synthesize_subsequential(
         lambda q: q[1] in p_finals,
         lambda q: q[0] in r_diag,
         lambda q: q[0] in r_diag and q[1] in p_diag,
-        dimension_cap,
     )
     out_alpha, encode = _output_alphabet(l_max, r.input_alphabet)
     final_letters = tuple(f"t{j}" for j in range(1, l_max + 1))
@@ -474,7 +464,9 @@ def _ahead(pending: Word, side: int) -> list[Word]:
 
 
 def kernel_transducer(
-    f: SequentialTransducer | SubsequentialTransducer, lag: int = 0
+    f: SequentialTransducer | SubsequentialTransducer,
+    lag: int = 0,
+    budget: int | None = None,
 ) -> LetterTransducer:
     """Pairs of equal-length inputs on which a machine gives equal outputs.
 
@@ -489,7 +481,11 @@ def kernel_transducer(
 
     ``lag`` bounds the pending output: letter-to-letter and subsequential
     machines never lag, word-output machines may, and a reachable state
-    lagging further raises ``LagBoundError``. The result is the whole
+    lagging further raises ``NotLetterToLetterError``. ``budget``, when
+    given, bounds the squared states counted together with the output
+    letters they hold, and going beyond it raises the same error; it stops
+    the squaring early on a machine whose lag grows without bound, where
+    the states and their buffers grow together. The result is the whole
     kernel when inputs of different lengths never share an output, which
     ``length_collision`` decides.
     """
@@ -510,6 +506,7 @@ def kernel_transducer(
     ids = {start: 0}
     order = [start]
     transitions = []
+    held = 1
     i = 0
     while i < len(order):
         p, q, pending, side = order[i]
@@ -529,7 +526,7 @@ def kernel_transducer(
                 if balance is None:
                     continue
                 if len(balance[0]) > lag:
-                    raise LagBoundError(
+                    raise NotLetterToLetterError(
                         f"two runs differ by {len(balance[0])} output letters, "
                         f"above the lag bound {lag}"
                     )
@@ -537,6 +534,12 @@ def kernel_transducer(
                 if dst not in ids:
                     ids[dst] = len(order)
                     order.append(dst)
+                    held += 1 + len(balance[0])
+                    if budget is not None and held > budget:
+                        raise NotLetterToLetterError(
+                            f"squared machine exceeds the budget of {budget} "
+                            "states and pending output letters"
+                        )
                 transitions.append((src, (a1, a2), ids[dst]))
     nfa = Nfa(
         alphabet=pair_alphabet(inputs, inputs),
@@ -655,6 +658,7 @@ def kernel_counterexample(
     f: SequentialTransducer | SubsequentialTransducer,
     r: LetterTransducer,
     lag: int = 0,
+    budget: int | None = None,
 ) -> tuple[Word, Word] | None:
     """A pair of inputs on which the kernel of ``f`` and the relation ``r`` disagree.
 
@@ -665,7 +669,8 @@ def kernel_counterexample(
     synchronous product of ``kernel_transducer(f, lag)`` with the pair
     DFA of r stops at the first pair of states that disagree on
     acceptance, which spells a shortest separating pair. Raises
-    ``LagBoundError`` as ``kernel_transducer`` does.
+    ``NotLetterToLetterError`` beyond ``lag`` or ``budget`` as
+    ``kernel_transducer`` does.
     """
     base = f.base if isinstance(f, SubsequentialTransducer) else f
     if r.nfa.alphabet != pair_alphabet(base.input_alphabet, base.input_alphabet):
@@ -674,7 +679,7 @@ def kernel_counterexample(
         pair = length_collision(base)
         if pair is not None:
             return pair
-    kernel = kernel_transducer(f, lag).nfa
+    kernel = kernel_transducer(f, lag, budget).nfa
     rdfa = pair_dfa(r).nfa
     (k0,) = kernel.initials
     (d0,) = rdfa.initials

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -110,7 +111,7 @@ def test_decide_lp_witness_files_verify(files, capsys, tmp_path):
     assert payload["maxLen"] is None
 
 
-def test_verify_falls_back_to_bounded_mode_beyond_the_lag_cap(capsys, tmp_path):
+def test_verify_falls_back_to_bounded_mode_beyond_the_budget(capsys, tmp_path):
     # two runs on a^k and b^k emit x^k and x^2k, compatible but lagging
     # without bound; neither is accepted, so the kernel is {(empty, empty)}
     machine = tmp_path / "lagging.t"
@@ -126,6 +127,34 @@ def test_verify_falls_back_to_bounded_mode_beyond_the_lag_cap(capsys, tmp_path):
     assert code == 0
     assert payload["mode"] == "bounded"
     assert payload["maxLen"] == 4
+
+
+def test_verify_stops_squaring_a_large_machine_with_growing_lag(capsys, tmp_path):
+    # a ring of 200 non-final states that a^k and b^k both enter, emitting
+    # x^k and x^2k: the lag grows without bound, and squaring the machine
+    # until some run lags 2 * 201^2 letters behind would not end in
+    # reasonable time or memory; the squaring budget stops it far sooner
+    n = 200
+    lines = [
+        "kind sequential", "inputs a b", "outputs x",
+        "states " + " ".join(str(i) for i in range(n + 1)),
+        "initial 0", "finals 0",
+    ]
+    for i in range(n + 1):
+        nxt = i % n + 1
+        lines += [f"{i} a / x -> {nxt}", f"{i} b / x x -> {nxt}"]
+    machine = tmp_path / "ring.t"
+    machine.write_text("\n".join(lines) + "\n")
+    relation = tmp_path / "empty-word.t"
+    relation.write_text(
+        "kind letter-transducer\ninputs a b\noutputs a b\nstates 0\ninitials 0\nfinals 0\n"
+    )
+    start = time.perf_counter()
+    code, payload, _ = run_json(capsys, "verify", str(relation), str(machine), "--max-len", "4")
+    assert time.perf_counter() - start < 30
+    assert code == 0
+    assert payload["mode"] == "bounded"
+    assert payload["kernelEqualsRelation"] is True
 
 
 def test_verify_detects_wrong_machine(files, capsys, tmp_path):

@@ -151,9 +151,9 @@ def test_decide_ll_agree_except_last_yes(agree_except_last):
     )
 
 
-def test_decide_ll_synthesizes_beyond_the_default_dimension_cap():
-    # agreeing except in the last 7 letters needs matrices of dimension 2^7,
-    # above the synthesis default of 64; the index is already proved finite
+def test_decide_ll_synthesizes_matrices_of_dimension_128():
+    # agreeing except in the last 7 letters needs matrices of dimension 2^7;
+    # the matrix dimension is not capped, since the index is proved finite
     verdict = decide_kerseq_ll(build_agree_except_last(7))
     assert verdict.outcome is Outcome.YES
     assert len(verdict.witness.states) >= 128

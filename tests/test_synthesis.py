@@ -2,7 +2,7 @@ import pytest
 
 from kernseq.automata import Alphabet, language_equal
 from kernseq.decision import decide_kerseq_lp
-from kernseq.errors import LagBoundError, NotLetterToLetterError, PreconditionError
+from kernseq.errors import NotLetterToLetterError, PreconditionError
 from kernseq.machines import SequentialTransducer, SubsequentialTransducer
 from kernseq.oracle import (
     accepts_pair_backward,
@@ -220,14 +220,26 @@ def test_kernel_of_constant_machine_is_full_relation(full_ab):
 
 def test_kernel_rejects_general_sequential_machines():
     m = eliminate_final_output(hand_machine())
-    with pytest.raises(NotLetterToLetterError):
+    with pytest.raises(NotLetterToLetterError, match="above the lag bound 0"):
         kernel_transducer(m)
+
+
+def test_kernel_stops_squaring_beyond_its_budget():
+    # runs on a^k and b^k emit x^k and x^2k: the lag grows without bound
+    m = SequentialTransducer(
+        input_alphabet=AB,
+        output_alphabet=Alphabet(("x",)),
+        states={0},
+        transitions={(0, "a"): (("x",), 0), (0, "b"): (("x", "x"), 0)},
+        initial=0,
+        finals={0},
+    )
+    with pytest.raises(NotLetterToLetterError, match="budget of 50"):
+        kernel_transducer(m, lag=1000, budget=50)
 
 
 def test_kernel_of_eliminated_machine_within_its_lag(a_parity):
     flat = eliminate_final_output(hand_machine())  # two final-output classes
-    with pytest.raises(LagBoundError):
-        kernel_transducer(flat, lag=0)
     assert language_equal(kernel_transducer(flat, lag=2).nfa, a_parity.nfa)
     assert length_collision(flat) is None
 
