@@ -132,10 +132,6 @@ class Nfa:
         return bool(frontier & self.finals)
 
 
-def _sorted_letters(alphabet: Alphabet):
-    return alphabet.letters
-
-
 def accessible_states(a: Nfa) -> frozenset[int]:
     seen = set(a.initials)
     todo = sorted(seen)

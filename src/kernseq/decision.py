@@ -1,10 +1,11 @@
 """Decision procedures and verdicts.
 
-Finite valuedness is decided structurally by a pattern search on the
-trimmed transducer; finite index reduces to it through the
-uniformizer; the class-membership deciders chain the necessary
-conditions and, on success, hand back a synthesized witness whose
-kernel has been checked exactly against the input by
+Finite valuedness is decided structurally by Weber's two pumping
+patterns, each found in one pass over the strongly connected components
+of a product of the trimmed transducer with itself; finite index reduces
+to it through the uniformizer; the class-membership deciders chain the
+necessary conditions and, on success, hand back a synthesized witness
+whose kernel has been checked exactly against the input by
 ``synthesis.kernel_counterexample``. No decision enumerates words.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .automata import Nfa, determinize, includes, minimize, trim
+from .automata import determinize, includes, minimize, trim
 from .errors import InternalInvariantError, NotFinerError, NotLetterToLetterError
 from .machines import SequentialTransducer, SubsequentialTransducer
 from .relations import (
@@ -30,7 +31,6 @@ from .relations import (
 )
 from .transducers import LetterTransducer
 
-NOT_LENGTH_PRESERVING = "NOT_LENGTH_PRESERVING"
 NOT_PREFIX_CLOSED = "NOT_PREFIX_CLOSED"
 INFINITE_INDEX = "INFINITE_INDEX"
 CLOSURE_CAP_EXHAUSTED = "CLOSURE_CAP_EXHAUSTED"
@@ -75,94 +75,82 @@ class AnalysisReport:
     index_wrt_closure: str | None
 
 
-def _outgoing_by_input(nfa: Nfa) -> dict:
-    table: dict = {}
-    for p, (a, b), q in nfa.transitions:
-        table.setdefault((p, a), []).append((b, q))
-    return table
+def _explore(starts, expand, bits: dict) -> tuple[dict, list[int], list[int]]:
+    """Strongly connected components of the graph that ``expand(node)``
+    spans from ``starts``, by an iterative Tarjan numbering nodes as found.
+
+    Returns the numbering, each number's component and, per component,
+    the union of ``bits`` (node -> int) over the nodes it reaches. A node
+    collects the unions of the completed components its edges meet and
+    hands what it holds to its parent in the search tree, so a component's
+    root holds the whole union when the component completes.
+    """
+    ids: dict = {}
+    low: list[int] = []  # a node's number is its Tarjan index
+    comp: list[int] = []
+    held: list[int] = []
+    reach: list[int] = []
+    stack: list[int] = []
+    work: list = []
+
+    def enter(node):
+        ids[node] = v = len(low)
+        low.append(v)
+        comp.append(-1)
+        held.append(bits.get(node, 0))
+        stack.append(v)
+        work.append((v, iter(expand(node))))
+
+    for root in starts:
+        if root not in ids:
+            enter(root)
+        while work:
+            v, edges = work[-1]
+            for nxt in edges:
+                w = ids.get(nxt)
+                if w is None:
+                    enter(nxt)
+                    break
+                if comp[w] >= 0:
+                    held[v] |= reach[comp[w]]
+                elif w < low[v]:  # w is still on the stack, in v's component
+                    low[v] = w
+            else:
+                work.pop()
+                if low[v] == v:  # v is the root of its component
+                    while comp[v] < 0:
+                        comp[stack.pop()] = len(reach)
+                    reach.append(held[v])
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    held[parent] |= held[v]
+    return ids, comp, reach
 
 
-def _has_same_state_divergent_loops(nfa: Nfa) -> bool:
-    """Some useful state carries two equal-input loops with different outputs."""
-    adjacency: dict = {}
-    by_letter: dict = {}
-    for p, (a, b), q in nfa.transitions:
-        by_letter.setdefault(a, []).append((p, b, q))
-    for items in by_letter.values():
-        for p1, b1, q1 in items:
-            for p2, b2, q2 in items:
-                adjacency.setdefault((p1, p2), []).append(((q1, q2), b1 != b2))
-    for q in sorted(nfa.states):
-        start = ((q, q), False)
-        target = ((q, q), True)
-        seen = {start}
-        todo = [start]
-        while todo:
-            pair, flag = todo.pop()
-            for nxt, diff in adjacency.get(pair, ()):
-                node = (nxt, flag or diff)
-                if node == target:
-                    return True
-                if node not in seen:
-                    seen.add(node)
-                    todo.append(node)
-    return False
-
-
-def _square_reach_from_diagonal(nfa: Nfa, adjacency: dict, p: int) -> set:
-    seen = {(p, p)}
-    todo = [(p, p)]
-    while todo:
-        pair = todo.pop()
-        for (nxt, _diff) in adjacency.get(pair, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return seen
-
-
-def _has_transfer_divergence(nfa: Nfa) -> bool:
+def _has_transfer_divergence(step: list[dict], linked: list[tuple[int, int]]) -> bool:
     """Loop at p, transfer p to q, loop at q, all on one input word, with
     the loop-transfer and transfer-loop outputs disagreeing somewhere.
 
     Since outputs here are always letter-per-letter, disagreement of the
     concatenations reduces to a letterwise difference along the triple.
     """
-    by_letter: dict = {}
-    for p, (a, b), q in nfa.transitions:
-        by_letter.setdefault(a, []).append((p, b, q))
-    square: dict = {}
-    for items in by_letter.values():
-        for p1, b1, q1 in items:
-            for p2, b2, q2 in items:
-                square.setdefault((p1, p2), []).append(((q1, q2), b1 != b2))
-    step: dict = {}
-    for p, (a, b), q in nfa.transitions:
-        step.setdefault((p, a), []).append((b, q))
-    letters = sorted({a for (_p, (a, _b), _q) in nfa.transitions}, key=repr)
+    n = len(step)
 
-    for p in sorted(nfa.states):
-        companions = _square_reach_from_diagonal(nfa, square, p)
-        for q in sorted(nfa.states):
-            if q == p or (p, q) not in companions:
-                continue
-            start = (p, p, q, False)
-            target = (p, q, q, True)
-            seen = {start}
-            todo = [start]
-            while todo:
-                x, y, z, flag = todo.pop()
-                for a in letters:
-                    for b1, x2 in step.get((x, a), ()):
-                        for b2, y2 in step.get((y, a), ()):
-                            for b3, z2 in step.get((z, a), ()):
-                                node = (x2, y2, z2, flag or b1 != b2 or b2 != b3)
-                                if node == target:
-                                    return True
-                                if node not in seen:
-                                    seen.add(node)
-                                    todo.append(node)
-    return False
+    def expand(node):
+        x, y, z, flag = node
+        return [
+            (x2, y2, z2, flag or b1 != b2 or b2 != b3)
+            for a, xs in step[x].items()
+            for b1, x2 in xs
+            for b2, y2 in step[y].get(a, ())
+            for b3, z2 in step[z].get(a, ())
+        ]
+
+    starts = [(p, p, q, False) for p, q in linked]
+    targets = {(p, q, q, True): 1 << (p * n + q) for p, q in linked}
+    ids, comp, reach = _explore(starts, expand, targets)
+    return any(reach[comp[ids[(p, p, q, False)]]] >> (p * n + q) & 1 for p, q in linked)
 
 
 def is_finitely_valued(t: LetterTransducer) -> bool:
@@ -170,19 +158,43 @@ def is_finitely_valued(t: LetterTransducer) -> bool:
 
     Infinite exactly when the trimmed machine shows one of the two
     pumpable patterns: a state with two equal-input loops of different
-    output, or a divergent loop-transfer-loop triple. Both searches run
-    on input-synchronized products.
+    output, or a divergent loop-transfer-loop triple. Each is found in
+    one Tarjan pass over an input-synchronized product: the loops are an
+    edge of different outputs inside the component of a diagonal pair
+    (q, q) of the square; the triple is (p, q, q, diverged) reached from
+    (p, p, q, not diverged) in the triple product, for p != q linked by
+    the square from (p, p). Both reachabilities are propagated over the
+    components as int bitsets, one bit per state pair.
     """
     nfa = trim(t.nfa)
     if len(nfa.states) > _CANONICALIZE_THRESHOLD:
         nfa = trim(minimize(determinize(nfa)))
-    if not nfa.states:
-        return True
-    if _has_same_state_divergent_loops(nfa):
+    n = len(nfa.states)  # trim numbers the states 0..n-1
+    step: list[dict] = [{} for _ in range(n)]  # state -> input -> [(output, next)]
+    for p, (a, b), q in nfa.transitions:
+        step[p].setdefault(a, []).append((b, q))
+    diverging = []  # square edges whose two outputs differ
+
+    def expand(pair):
+        out = []
+        for a, xs in step[pair[0]].items():
+            for b2, q2 in step[pair[1]].get(a, ()):
+                for b1, q1 in xs:
+                    out.append((q1, q2))
+                    if b1 != b2:
+                        diverging.append((pair, (q1, q2)))
+        return out
+
+    pairs = {(p, q): 1 << (p * n + q) for p in range(n) for q in range(n)}
+    ids, comp, reach = _explore([(p, p) for p in range(n)], expand, pairs)
+    diagonal = {comp[ids[(p, p)]] for p in range(n)}
+    if any(comp[ids[u]] == comp[ids[v]] and comp[ids[v]] in diagonal for u, v in diverging):
         return False
-    if _has_transfer_divergence(nfa):
-        return False
-    return True
+    linked = [
+        (p, q) for p in range(n) for q in range(n)
+        if q != p and reach[comp[ids[(p, p)]]] >> (p * n + q) & 1
+    ]
+    return not _has_transfer_divergence(step, linked)
 
 
 def index_is_finite(s: LetterTransducer, r: LetterTransducer) -> bool:
@@ -195,13 +207,6 @@ def index_is_finite(s: LetterTransducer, r: LetterTransducer) -> bool:
     f = min_lex_uniformizer(s)
     t = compose(f, r)
     return is_finitely_valued(t)
-
-
-def _letter_to_letter_consistent(r: LetterTransducer) -> bool:
-    return all(
-        isinstance(letter, tuple) and len(letter) == 2
-        for _p, letter, _q in r.nfa.transitions
-    )
 
 
 def _certify(machine, r: LetterTransducer, lag: int, what: str) -> None:
@@ -225,8 +230,6 @@ def decide_kerseq_ll(r: LetterTransducer) -> Verdict:
     from .synthesis import synthesize_mealy
 
     require_equivalence(r)
-    if not _letter_to_letter_consistent(r):
-        return Verdict(Outcome.NO, reason=NOT_LENGTH_PRESERVING)
     if not is_prefix_closed(r):
         return Verdict(Outcome.NO, reason=NOT_PREFIX_CLOSED)
     s, _diag = syntactic_congruence(r)
@@ -261,8 +264,6 @@ def decide_kerseq_lp(
     )
 
     require_equivalence(r)
-    if not _letter_to_letter_consistent(r):
-        return Verdict(Outcome.NO, reason=NOT_LENGTH_PRESERVING)
     s, _diag = syntactic_congruence(r)
     if not index_is_finite(s, r):
         return Verdict(Outcome.NO, reason=INFINITE_INDEX)

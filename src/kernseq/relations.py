@@ -28,6 +28,7 @@ from .transducers import (
     LetterTransducer,
     diagonal_states,
     identity,
+    pair_alphabet,
     pair_dfa,
 )
 
@@ -60,8 +61,6 @@ class ClosureResult:
 
 def inverse(r: LetterTransducer) -> LetterTransducer:
     """Swap the two tracks: realizes the pairs (v, u) for u related to v."""
-    from .transducers import pair_alphabet
-
     swapped = Nfa(
         alphabet=pair_alphabet(r.output_alphabet, r.input_alphabet),
         states=r.nfa.states,
@@ -71,6 +70,16 @@ def inverse(r: LetterTransducer) -> LetterTransducer:
         origins=r.nfa.origins,
     )
     return LetterTransducer(r.output_alphabet, r.input_alphabet, swapped)
+
+
+def _outgoing(nfa: Nfa) -> dict:
+    """Per state, its (letter, target) pairs in alphabet order, then by target."""
+    table: dict = {}
+    for src, letter, dst in nfa.transitions:
+        table.setdefault(src, []).append((letter, dst))
+    for src in table:
+        table[src].sort(key=lambda item: (nfa.alphabet.index(item[0]), item[1]))
+    return table
 
 
 def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
@@ -84,15 +93,7 @@ def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
             "composition needs the first-applied output alphabet to match "
             "the second relation's input alphabet"
         )
-    def outgoing(nfa):
-        table: dict = {}
-        for src, letter, dst in nfa.transitions:
-            table.setdefault(src, []).append((letter, dst))
-        for src in table:
-            table[src].sort(key=lambda item: (nfa.alphabet.index(item[0]), item[1]))
-        return table
-
-    s_out = outgoing(s.nfa)
+    s_out = _outgoing(s.nfa)
     by_middle: dict = {}
     for p2, (y, z), q2 in r.nfa.transitions:
         by_middle.setdefault((p2, y), []).append((z, q2))
@@ -116,8 +117,6 @@ def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
                     ids[dst] = len(order)
                     order.append(dst)
                 transitions.append((ids[(p1, p2)], (x, z), ids[dst]))
-    from .transducers import pair_alphabet
-
     nfa = Nfa(
         alphabet=pair_alphabet(s.input_alphabet, r.output_alphabet),
         states=frozenset(range(len(order))),
@@ -275,11 +274,7 @@ def min_lex_uniformizer(s: LetterTransducer) -> LetterTransducer:
     require_equivalence(s)
     base = trim(s.nfa)
     out_idx = s.output_alphabet.index
-    outgoing: dict = {}
-    for src, letter, dst in base.transitions:
-        outgoing.setdefault(src, []).append((letter, dst))
-    for src in outgoing:
-        outgoing[src].sort(key=lambda item: (base.alphabet.index(item[0]), item[1]))
+    outgoing = _outgoing(base)
 
     # States (real run, guessed smaller run, strictly-smaller-yet flag).
     ids: dict = {}

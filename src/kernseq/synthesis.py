@@ -570,6 +570,9 @@ def length_collision(m: SequentialTransducer) -> tuple[Word, Word] | None:
     nonzero weight, or every path to a state weighs its potential and a
     collision ends in an accepting state of nonzero potential.
     """
+    live = set(m.finals)  # states that can reach a final state; no others are explored
+    while more := {p for (p, _a), (_out, q) in m.transitions.items() if q in live} - live:
+        live |= more
     letters = m.input_alphabet.letters
     start = (m.initial, m.initial, (), 0)
     moves: dict = {start: []}
@@ -580,7 +583,7 @@ def length_collision(m: SequentialTransducer) -> tuple[Word, Word] | None:
         for run in runs:
             for a in letters:
                 hop = m.transitions.get((node[run], a))
-                if hop is None:
+                if hop is None or hop[1] not in live:
                     continue
                 extra = _ahead(node[2], node[3])
                 extra[run] += hop[0]

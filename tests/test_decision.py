@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kernseq.automata import Alphabet, language_equal
+from kernseq.automata import Alphabet, language_equal, trim
 from kernseq.decision import (
     CLOSURE_CAP_EXHAUSTED,
     INFINITE,
@@ -33,7 +33,7 @@ from kernseq.relations import compose, min_lex_uniformizer, syntactic_congruence
 from kernseq.synthesis import kernel_transducer
 from kernseq.transducers import LetterTransducer
 
-from conftest import AB, build_agree_except_last, build_chain
+from conftest import AB, build_agree_except_last, build_chain, build_mod_count
 
 
 
@@ -90,6 +90,131 @@ def test_valuedness_matches_growth_on_random_instances():
             assert profile[5] == profile[8]
         else:
             assert profile[8] > profile[4]
+
+
+def _reference_same_state_loops(nfa):
+    """One search per state q, from ((q, q), False) to ((q, q), True)."""
+    adjacency = {}
+    by_letter = {}
+    for p, (a, b), q in nfa.transitions:
+        by_letter.setdefault(a, []).append((p, b, q))
+    for items in by_letter.values():
+        for p1, b1, q1 in items:
+            for p2, b2, q2 in items:
+                adjacency.setdefault((p1, p2), []).append(((q1, q2), b1 != b2))
+    for q in sorted(nfa.states):
+        start, target = ((q, q), False), ((q, q), True)
+        seen, todo = {start}, [start]
+        while todo:
+            pair, flag = todo.pop()
+            for nxt, diff in adjacency.get(pair, ()):
+                node = (nxt, flag or diff)
+                if node == target:
+                    return True
+                if node not in seen:
+                    seen.add(node)
+                    todo.append(node)
+    return False
+
+
+def _reference_transfer(nfa):
+    """One triple-product search per pair (p, q) the square links."""
+    square = {}
+    step = {}
+    for p1, (a1, b1), q1 in nfa.transitions:
+        step.setdefault((p1, a1), []).append((b1, q1))
+        for p2, (a2, b2), q2 in nfa.transitions:
+            if a1 == a2:
+                square.setdefault((p1, p2), []).append((q1, q2))
+    letters = {a for _p, (a, _b), _q in nfa.transitions}
+    for p in nfa.states:
+        companions, todo = {(p, p)}, [(p, p)]
+        while todo:
+            for nxt in square.get(todo.pop(), ()):
+                if nxt not in companions:
+                    companions.add(nxt)
+                    todo.append(nxt)
+        for q in nfa.states:
+            if q == p or (p, q) not in companions:
+                continue
+            start, target = (p, p, q, False), (p, q, q, True)
+            seen, todo = {start}, [start]
+            while todo:
+                x, y, z, flag = todo.pop()
+                for a in letters:
+                    for b1, x2 in step.get((x, a), ()):
+                        for b2, y2 in step.get((y, a), ()):
+                            for b3, z2 in step.get((z, a), ()):
+                                node = (x2, y2, z2, flag or b1 != b2 or b2 != b3)
+                                if node == target:
+                                    return True
+                                if node not in seen:
+                                    seen.add(node)
+                                    todo.append(node)
+    return False
+
+
+def test_valuedness_matches_per_pair_searches_on_random_transducers():
+    rng = random.Random(2024)
+    seen = {"loops": set(), "transfer": set(), "transfer only": set()}
+    tried = 0
+    while tried < 2000:
+        n = rng.randint(1, 6)
+        transitions = {
+            (rng.randrange(n), (rng.choice("ab"), rng.choice("ab")), rng.randrange(n))
+            for _ in range(rng.randint(n, 3 * n))
+        }
+        finals = rng.sample(range(n), rng.randint(1, n))
+        nfa = trim(LetterTransducer.build(AB, AB, range(n), transitions, {0}, finals).nfa)
+        if not nfa.states:
+            continue
+        tried += 1
+        loops = _reference_same_state_loops(nfa)
+        transfer = _reference_transfer(nfa)
+        seen["loops"].add(loops)
+        seen["transfer"].add(transfer)
+        if not loops:
+            seen["transfer only"].add(transfer)
+        t = LetterTransducer(AB, AB, nfa)
+        assert is_finitely_valued(t) is not (loops or transfer), sorted(nfa.transitions)
+    assert all(found == {True, False} for found in seen.values()), seen
+
+
+def _one_letter_transducer(states, transitions, final):
+    return LetterTransducer.build(
+        Alphabet(("a",)), AB, states,
+        {(p, ("a", b), q) for p, b, q in transitions}, {0}, {final},
+    )
+
+
+def test_transfer_divergence_in_the_middle_of_a_word():
+    # loop at 0 on aaa writes aaa, transfer 0 to 3 on aaa writes aba, loop
+    # at 3 on aaa writes aba: on a^(3k) the k runs write k different words,
+    # while no state has two loops on one input
+    t = _one_letter_transducer(
+        range(8),
+        [(0, "a", 1), (1, "a", 2), (2, "a", 0),
+         (0, "a", 4), (4, "b", 5), (5, "a", 3),
+         (3, "a", 6), (6, "b", 7), (7, "a", 3)],
+        final=3,
+    )
+    assert not is_finitely_valued(t)
+    profile = valuedness_profile(t, 9)
+    assert profile[9] > profile[6] > profile[3]
+
+
+def test_linked_states_without_divergence_are_finitely_valued():
+    # the same loop, transfer and loop, all writing aba: the square links
+    # (0, 3), but every run on a^(3k) writes (aba)^k
+    t = _one_letter_transducer(
+        range(8),
+        [(0, "a", 1), (1, "b", 2), (2, "a", 0),
+         (0, "a", 4), (4, "b", 5), (5, "a", 3),
+         (3, "a", 6), (6, "b", 7), (7, "a", 3)],
+        final=3,
+    )
+    assert is_finitely_valued(t)
+    assert set(valuedness_profile(t, 9)) <= {0, 1}
 
 
 # ---------------------------------------------------------------- index
@@ -247,6 +372,13 @@ def test_decide_lp_four_link_chain_needs_no_enumeration():
     reference = enumerate_relation(r, 5).pairs
     assert brute_kernel(verdict.witness, 5).pairs == reference
     assert brute_kernel(verdict.subsequential, 5).pairs == reference
+
+
+def test_decide_lp_counting_modulo_8_is_yes():
+    # the closure-relative valuedness search here explores a triple
+    # product of about 48,000 nodes, each once
+    verdict = decide_kerseq_lp(build_mod_count(8))
+    assert verdict.outcome is Outcome.YES
 
 
 def test_decide_lp_makes_no_oracle_call(monkeypatch, a_parity, chained_classes):

@@ -276,6 +276,41 @@ def test_length_collision_finds_inputs_of_different_lengths(
     assert kernel_counterexample(m, full_ab, lag=4) == (u, v)
 
 
+@pytest.mark.parametrize(
+    "transitions, finals, dead, collides",
+    [
+        # x^k only on a^k; were state 9 final, b and aa would both give xx
+        ({(0, "a"): (("x",), 0)}, {0}, {(0, "b"): (("x", "x"), 9)}, False),
+        # a and bb both give x; were state 9 final, ab and a would too
+        (
+            {(0, "a"): (("x",), 1), (0, "b"): ((), 2), (2, "b"): (("x",), 3)},
+            {1, 3},
+            {(1, "b"): ((), 9)},
+            True,
+        ),
+    ],
+    ids=["none", "no-loop"],
+)
+def test_length_collision_ignores_a_branch_that_cannot_accept(
+    transitions, finals, dead, collides
+):
+    def machine(moves):
+        return SequentialTransducer(
+            input_alphabet=AB,
+            output_alphabet=Alphabet(("x",)),
+            states={0, 1, 2, 3, 9},
+            transitions=moves,
+            initial=0,
+            finals=finals,
+        )
+
+    pair = length_collision(machine(transitions))
+    assert (pair is not None) == collides
+    # state 9 loops on both letters without output and is never final
+    loops = {(9, "a"): ((), 9), (9, "b"): ((), 9)}
+    assert length_collision(machine({**transitions, **dead, **loops})) == pair
+
+
 def test_kernel_counterexample_rejects_mod_two_witness_against_mod_three():
     mod3 = build_mod_count(3)
     witness = decide_kerseq_lp(build_mod_count(2)).witness
