@@ -92,7 +92,6 @@ def _emit(report: dict, as_json: bool) -> None:
 
 def _validation_dict(v) -> dict:
     return {
-        "letterToLetter": v.is_letter_to_letter,
         "reflexive": v.is_reflexive,
         "symmetric": v.is_symmetric,
         "transitive": v.is_transitive,

@@ -7,6 +7,11 @@ to it through the uniformizer; the class-membership deciders chain the
 necessary conditions and, on success, hand back a synthesized witness
 whose kernel has been checked exactly against the input by
 ``synthesis.kernel_counterexample``. No decision enumerates words.
+
+Each entry point validates its relation once, through
+``relations.prepare``, and reads every stage from that ``Prepared``
+value: the pair DFA, prefix-closedness, the syntactic congruence and its
+uniformizer.
 """
 
 from __future__ import annotations
@@ -15,19 +20,17 @@ import enum
 from dataclasses import dataclass
 
 from .automata import determinize, includes, minimize, trim
-from .errors import InternalInvariantError, NotFinerError, NotLetterToLetterError
+from .errors import InternalInvariantError, NotEquivalenceError, NotFinerError, NotLetterToLetterError
 from .machines import SequentialTransducer, SubsequentialTransducer
 from .relations import (
     ClosureResult,
+    Prepared,
     RelationValidation,
     compose,
-    is_prefix_closed,
     min_lex_uniformizer,
     prefix_closure,
-    require_equivalence,
-    syntactic_congruence,
+    prepare,
     transitive_closure,
-    validate_relation,
 )
 from .transducers import LetterTransducer
 
@@ -204,17 +207,25 @@ def index_is_finite(s: LetterTransducer, r: LetterTransducer) -> bool:
     """
     if not includes(s.nfa, r.nfa):
         raise NotFinerError("first relation is not included in the second")
-    f = min_lex_uniformizer(s)
-    t = compose(f, r)
-    return is_finitely_valued(t)
+    return is_finitely_valued(compose(min_lex_uniformizer(s), r))
 
 
-def _certify(machine, r: LetterTransducer, lag: int, what: str) -> None:
-    """Raise unless the kernel of a synthesized machine is exactly r."""
+def _finite_index(prep: Prepared, target: LetterTransducer) -> bool:
+    """``index_is_finite(prep.congruence, target)`` without its checks.
+
+    On the decision path they hold by construction: the congruence
+    refines the relation, which lies inside its prefix closure and so
+    inside every closure fixpoint, and it is an equivalence.
+    """
+    return is_finitely_valued(compose(prep.uniformizer, target))
+
+
+def _certify(machine, prep: Prepared, lag: int, what: str) -> None:
+    """Raise unless the kernel of a synthesized machine is exactly the relation."""
     from .synthesis import kernel_counterexample
 
     try:
-        pair = kernel_counterexample(machine, r, lag)
+        pair = kernel_counterexample(machine, prep.det, lag)
     except NotLetterToLetterError as exc:
         raise InternalInvariantError(f"{what}: {exc}") from exc
     if pair is not None:
@@ -226,17 +237,17 @@ def decide_kerseq_ll(r: LetterTransducer) -> Verdict:
 
     NO verdicts carry the first failed necessary condition; YES verdicts
     carry a machine whose kernel has been checked equal to r exactly.
+    Raises ``NotEquivalenceError`` unless r is an equivalence.
     """
-    from .synthesis import synthesize_mealy
+    from .synthesis import mealy_machine
 
-    require_equivalence(r)
-    if not is_prefix_closed(r):
+    prep = prepare(r)
+    if not prep.prefix_closed:
         return Verdict(Outcome.NO, reason=NOT_PREFIX_CLOSED)
-    s, _diag = syntactic_congruence(r)
-    if not index_is_finite(s, r):
+    if not _finite_index(prep, r):
         return Verdict(Outcome.NO, reason=INFINITE_INDEX)
-    witness = synthesize_mealy(r, precheck=False)
-    _certify(witness, r, 0, "synthesized machine")
+    witness = mealy_machine(prep)
+    _certify(witness, prep, 0, "synthesized machine")
     return Verdict(Outcome.YES, witness=witness)
 
 
@@ -256,16 +267,16 @@ def decide_kerseq_lp(
     exactly against r. With n distinct final outputs, two runs of the
     eliminated machine on equal-length inputs differ in output length by
     the difference of two classes in 1..n, so lag bound n suffices.
+    Raises ``NotEquivalenceError`` unless r is an equivalence.
     """
     from .synthesis import (
         eliminate_final_output,
-        synthesize_subsequential,
+        subsequential_machine,
         validate_closure_witness,
     )
 
-    require_equivalence(r)
-    s, _diag = syntactic_congruence(r)
-    if not index_is_finite(s, r):
+    prep = prepare(r)
+    if not _finite_index(prep, r):
         return Verdict(Outcome.NO, reason=INFINITE_INDEX)
     closure_result = None
     if closure is not None:
@@ -278,13 +289,13 @@ def decide_kerseq_lp(
                 Outcome.UNKNOWN, reason=CLOSURE_CAP_EXHAUSTED, closure=closure_result
             )
         pplus = closure_result.closure
-    if not index_is_finite(s, pplus):
+    if not _finite_index(prep, pplus):
         return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=closure_result)
-    sub = synthesize_subsequential(r, pplus, precheck=False)
+    sub = subsequential_machine(prep, pplus)
     witness = eliminate_final_output(sub)
     lag = len(set(sub.final_output.values()))
-    _certify(sub, r, lag, "subsequential witness")
-    _certify(witness, r, lag, "witness after final-output elimination")
+    _certify(sub, prep, lag, "subsequential witness")
+    _certify(witness, prep, lag, "witness after final-output elimination")
     return Verdict(
         Outcome.YES, witness=witness, subsequential=sub, closure=closure_result
     )
@@ -299,16 +310,16 @@ def analyze(
 
     Fields past validation stay unset when the input is not an
     equivalence relation; the closure-relative index stays unset unless
-    a fixpoint was found or supplied.
+    a fixpoint was found or supplied. Like the deciders, it validates r
+    once and reads every stage from the prepared relation.
     """
     from .synthesis import validate_closure_witness
 
-    validation = validate_relation(r)
-    if not validation.is_equivalence:
-        return AnalysisReport(validation, validation.is_letter_to_letter, None, None, None, None)
-    prefix_closed = is_prefix_closed(r)
-    s, _diag = syntactic_congruence(r)
-    index_r = FINITE if index_is_finite(s, r) else INFINITE
+    try:
+        prep = prepare(r)
+    except NotEquivalenceError as exc:
+        return AnalysisReport(exc.validation, True, None, None, None, None)
+    index_r = FINITE if _finite_index(prep, r) else INFINITE
     closure_result = None
     target = None
     if pplus is not None:
@@ -320,11 +331,11 @@ def analyze(
             target = closure_result.closure
     index_closure = None
     if target is not None:
-        index_closure = FINITE if index_is_finite(s, target) else INFINITE
+        index_closure = FINITE if _finite_index(prep, target) else INFINITE
     return AnalysisReport(
-        validation=validation,
+        validation=prep.validation,
         length_preserving=True,
-        prefix_closed=prefix_closed,
+        prefix_closed=prep.prefix_closed,
         index_wrt_relation=index_r,
         closure=closure_result,
         index_wrt_closure=index_closure,

@@ -18,9 +18,16 @@ class AlphabetMismatchError(KernseqError):
 
 
 class NotEquivalenceError(KernseqError):
-    """The relation failed validation as an equivalence relation."""
+    """The relation failed validation as an equivalence relation.
+
+    ``validation`` holds the failed ``RelationValidation``.
+    """
 
     code = "NOT_EQUIVALENCE"
+
+    def __init__(self, message, validation=None):
+        super().__init__(message)
+        self.validation = validation
 
 
 class NotFinerError(KernseqError):

@@ -4,12 +4,14 @@ Everything a relation-level decision needs: validation as an equivalence
 relation, composition, inverse, the syntactic congruence, prefix
 closure, a capped transitive-closure fixpoint, and the minimum-lexicographic
 uniformizer that turns an equivalence into the graph of a canonical
-function.
+function. ``prepare`` validates a relation once and builds the pair DFA
+and diagonal states that all the stages of one decision share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .automata import (
     Nfa,
@@ -37,19 +39,13 @@ from .transducers import (
 class RelationValidation:
     """Outcome of checking a transducer against the equivalence axioms."""
 
-    is_letter_to_letter: bool
     is_reflexive: bool
     is_symmetric: bool
     is_transitive: bool
 
     @property
     def is_equivalence(self) -> bool:
-        return (
-            self.is_letter_to_letter
-            and self.is_reflexive
-            and self.is_symmetric
-            and self.is_transitive
-        )
+        return self.is_reflexive and self.is_symmetric and self.is_transitive
 
 
 @dataclass(frozen=True)
@@ -146,12 +142,12 @@ def validate_relation(r: LetterTransducer) -> RelationValidation:
     never satisfy any of the axioms.
     """
     if not r.same_alphabets():
-        return RelationValidation(True, False, False, False)
+        return RelationValidation(False, False, False)
     ident = identity(r.input_alphabet).nfa
     reflexive = includes(ident, r.nfa)
     symmetric = includes(inverse(r).nfa, r.nfa)
     transitive = includes(compose(r, r).nfa, r.nfa)
-    return RelationValidation(True, reflexive, symmetric, transitive)
+    return RelationValidation(reflexive, symmetric, transitive)
 
 
 def require_equivalence(r: LetterTransducer) -> RelationValidation:
@@ -167,9 +163,53 @@ def require_equivalence(r: LetterTransducer) -> RelationValidation:
                     ("not transitive", v.is_transitive),
                 ]
                 if not ok
-            )
+            ),
+            v,
         )
     return v
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """An equivalence relation with the groundwork its stages share.
+
+    ``det`` is the complete pair DFA of the relation and ``diagonal`` its
+    diagonal states. Built once per decision by ``prepare``, so no stage
+    validates or determinizes the relation again.
+    """
+
+    relation: LetterTransducer
+    validation: RelationValidation
+    det: LetterTransducer
+    diagonal: frozenset[int]
+
+    @property
+    def prefix_closed(self) -> bool:
+        """Every state of the trimmed pair DFA is final."""
+        d = trim(self.det.nfa)
+        return d.finals == d.states
+
+    @cached_property
+    def congruence(self) -> LetterTransducer:
+        """The syntactic congruence: the pair DFA with the diagonal states final."""
+        return self.det.with_nfa(replace(self.det.nfa, finals=self.diagonal))
+
+    @cached_property
+    def uniformizer(self) -> LetterTransducer:
+        """``min_lex_uniformizer`` of the congruence, which is an equivalence
+        whenever the relation is, so it is not validated again."""
+        return _uniformizer(self.congruence)
+
+
+def prepare(r: LetterTransducer) -> Prepared:
+    """Validate r once and build its pair DFA and diagonal states.
+
+    Raises ``NotEquivalenceError``, carrying the validation, unless r is
+    an equivalence relation.
+    """
+    validation = require_equivalence(r)
+    det = pair_dfa(r)
+    return Prepared(r, validation, det, diagonal_states(det))
 
 
 def syntactic_congruence(r: LetterTransducer) -> tuple[LetterTransducer, frozenset[int]]:
@@ -178,23 +218,11 @@ def syntactic_congruence(r: LetterTransducer) -> tuple[LetterTransducer, frozens
     Returns the relation "every common continuation stays related",
     realized by the pair-deterministic automaton of r with final states
     restricted to its diagonal states, together with that diagonal set.
-    The state identifiers agree with ``pair_dfa(r)`` so the set can be
-    reused by synthesis.
+    The state identifiers agree with ``pair_dfa(r)``. Validates r first;
+    the deciders read both from their ``Prepared`` value instead.
     """
-    require_equivalence(r)
-    det = pair_dfa(r)
-    diag = diagonal_states(det)
-    s = det.with_nfa(
-        Nfa(
-            alphabet=det.nfa.alphabet,
-            states=det.nfa.states,
-            transitions=det.nfa.transitions,
-            initials=det.nfa.initials,
-            finals=diag,
-            origins=det.nfa.origins,
-        )
-    )
-    return s, diag
+    prep = prepare(r)
+    return prep.congruence, prep.diagonal
 
 
 def prefix_closure(r: LetterTransducer) -> LetterTransducer:
@@ -203,27 +231,16 @@ def prefix_closure(r: LetterTransducer) -> LetterTransducer:
     The result relates u to v exactly when some equal-length suffixes
     extend them to a related pair.
     """
-    return r.with_nfa(
-        Nfa(
-            alphabet=r.nfa.alphabet,
-            states=r.nfa.states,
-            transitions=r.nfa.transitions,
-            initials=r.nfa.initials,
-            finals=coaccessible_states(r.nfa),
-            origins=r.nfa.origins,
-        )
-    )
+    return r.with_nfa(replace(r.nfa, finals=coaccessible_states(r.nfa)))
 
 
 def is_prefix_closed(r: LetterTransducer) -> bool:
     """True iff r equals its prefix closure.
 
     Decided structurally: every state of the trimmed pair-deterministic
-    automaton must be final.
+    automaton must be final. Validates r first.
     """
-    require_equivalence(r)
-    d = trim(pair_dfa(r).nfa)
-    return d.finals == d.states
+    return prepare(r).prefix_closed
 
 
 def _canonical(t: LetterTransducer, minimize_steps: bool) -> LetterTransducer:
@@ -269,9 +286,13 @@ def min_lex_uniformizer(s: LetterTransducer) -> LetterTransducer:
     order. Built by intersecting s with the complement of its "beaten"
     pairs: (u, v) is beaten when some strictly smaller v' of the same
     length is also related to u. The kernel of the resulting function is
-    s itself.
+    s itself. Validates s first.
     """
     require_equivalence(s)
+    return _uniformizer(s)
+
+
+def _uniformizer(s: LetterTransducer) -> LetterTransducer:
     base = trim(s.nfa)
     out_idx = s.output_alphabet.index
     outgoing = _outgoing(base)

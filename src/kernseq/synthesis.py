@@ -21,6 +21,9 @@ Three public constructions live here:
   counts, trading letter-to-letter outputs for plain sequential ones
   while preserving the kernel.
 
+The deciders, having established the preconditions, call the unchecked
+constructions ``mealy_machine`` and ``subsequential_machine`` directly.
+
 Their kernels are checked exactly by ``kernel_counterexample``, which
 squares a machine with a bounded pending-output buffer
 (``kernel_transducer``) and walks the product with the relation once.
@@ -41,11 +44,7 @@ from .errors import (
     PreconditionError,
 )
 from .machines import SequentialTransducer, SubsequentialTransducer
-from .relations import (
-    is_prefix_closed,
-    require_equivalence,
-    syntactic_congruence,
-)
+from .relations import Prepared, prepare
 from .transducers import LetterTransducer, diagonal_states, pair_alphabet, pair_dfa
 
 STATE_CAP = 100_000
@@ -234,32 +233,34 @@ def _output_alphabet(l_max: int, inputs: Alphabet) -> tuple[Alphabet, dict]:
     return Alphabet(tuple(names)), encode
 
 
-def synthesize_mealy(
-    r: LetterTransducer,
-    *,
-    precheck: bool = True,
-) -> SequentialTransducer:
+def synthesize_mealy(r: LetterTransducer) -> SequentialTransducer:
     """Letter-to-letter sequential machine whose kernel is exactly r.
 
     Requires r to be a length-preserving equivalence, prefix-closed,
-    with finitely many congruence classes inside each class of r. When
-    ``precheck`` is set those conditions are verified first. The matrix
+    with finitely many congruence classes inside each class of r; those
+    conditions are verified first, then ``mealy_machine`` builds it.
+    """
+    from .decision import index_is_finite
+
+    prep = prepare(r)
+    if not prep.prefix_closed:
+        raise PreconditionError("relation is not prefix-closed")
+    if not index_is_finite(prep.congruence, r):
+        raise PreconditionError(
+            "syntactic congruence has infinite index with respect to the relation"
+        )
+    return mealy_machine(prep)
+
+
+def mealy_machine(prep: Prepared) -> SequentialTransducer:
+    """The matrix construction of ``synthesize_mealy``, without its checks.
+
+    The relation must be prefix-closed with finite congruence index, as
+    ``decide_kerseq_ll`` establishes before calling it. The matrix
     dimension is not capped, since a finite index bounds it; more than
     ``STATE_CAP`` states raise ``DimensionCapError``.
     """
-    if precheck:
-        require_equivalence(r)
-        if not is_prefix_closed(r):
-            raise PreconditionError("relation is not prefix-closed")
-        from .decision import index_is_finite
-
-        s, _ = syntactic_congruence(r)
-        if not index_is_finite(s, r):
-            raise PreconditionError(
-                "syntactic congruence has infinite index with respect to the relation"
-            )
-    det = pair_dfa(r)
-    diag = diagonal_states(det)
+    r, det, diag = prep.relation, prep.det, prep.diagonal
     finals = det.nfa.finals
     (initial,) = det.nfa.initials
     step = det.nfa.step
@@ -309,32 +310,38 @@ def validate_closure_witness(r: LetterTransducer, closure: LetterTransducer) -> 
 
 
 def synthesize_subsequential(
-    r: LetterTransducer,
-    pplus: LetterTransducer,
-    *,
-    precheck: bool = True,
+    r: LetterTransducer, pplus: LetterTransducer
 ) -> SubsequentialTransducer:
     """Subsequential letter-to-letter machine whose kernel is exactly r.
 
     ``pplus`` must be the transitive closure of the prefix closure of r.
-    The machine body is the matrix construction over the product of both
-    pair automata: outputs follow the closure classes, rows follow the
-    congruence classes, and the final output separates closure-equal but
-    unrelated words by the least related row index.
+    That r is an equivalence, that ``pplus`` passes
+    ``validate_closure_witness`` and that the congruence index with
+    respect to it is finite are verified first, then
+    ``subsequential_machine`` builds it.
     """
-    if precheck:
-        require_equivalence(r)
-        validate_closure_witness(r, pplus)
-        from .decision import index_is_finite
+    from .decision import index_is_finite
 
-        s, _ = syntactic_congruence(r)
-        if not index_is_finite(s, pplus):
-            raise PreconditionError(
-                "syntactic congruence has infinite index with respect to the closure"
-            )
-    rdfa = pair_dfa(r)
+    prep = prepare(r)
+    validate_closure_witness(r, pplus)
+    if not index_is_finite(prep.congruence, pplus):
+        raise PreconditionError(
+            "syntactic congruence has infinite index with respect to the closure"
+        )
+    return subsequential_machine(prep, pplus)
+
+
+def subsequential_machine(prep: Prepared, pplus: LetterTransducer) -> SubsequentialTransducer:
+    """The matrix construction of ``synthesize_subsequential``, without its checks.
+
+    The body runs over the product of both pair automata: outputs follow
+    the closure classes, rows follow the congruence classes, and the
+    final output separates closure-equal but unrelated words by the least
+    related row index. ``decide_kerseq_lp`` establishes the conditions
+    before calling it.
+    """
+    r, rdfa, r_diag = prep.relation, prep.det, prep.diagonal
     pdfa = pair_dfa(pplus)
-    r_diag = diagonal_states(rdfa)
     p_diag = diagonal_states(pdfa)
     r_finals = rdfa.nfa.finals
     p_finals = pdfa.nfa.finals
@@ -671,7 +678,8 @@ def kernel_counterexample(
     machines have no such pairs. Then one breadth-first walk over the
     synchronous product of ``kernel_transducer(f, lag)`` with the pair
     DFA of r stops at the first pair of states that disagree on
-    acceptance, which spells a shortest separating pair. Raises
+    acceptance, which spells a shortest separating pair; r serves as
+    its own pair DFA when it is complete already. Raises
     ``NotLetterToLetterError`` beyond ``lag`` or ``budget`` as
     ``kernel_transducer`` does.
     """
@@ -683,7 +691,7 @@ def kernel_counterexample(
         if pair is not None:
             return pair
     kernel = kernel_transducer(f, lag, budget).nfa
-    rdfa = pair_dfa(r).nfa
+    rdfa = r.nfa if r.nfa.is_complete else pair_dfa(r).nfa
     (k0,) = kernel.initials
     (d0,) = rdfa.initials
     start = (k0, d0)

@@ -10,10 +10,9 @@ values of this type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .automata import Alphabet, Nfa, Word, determinize, includes, trim
-from .errors import AlphabetMismatchError
+from .automata import Alphabet, Nfa, determinize, trim
+from .errors import AlphabetMismatchError, PreconditionError
 
 
 def pair_alphabet(inputs: Alphabet, outputs: Alphabet) -> Alphabet:
@@ -52,15 +51,6 @@ class LetterTransducer:
 
     def with_nfa(self, nfa: Nfa) -> "LetterTransducer":
         return LetterTransducer(self.input_alphabet, self.output_alphabet, nfa)
-
-    @cached_property
-    def is_pair_deterministic(self) -> bool:
-        return self.nfa.is_deterministic
-
-    def accepts_pair(self, u: Word, v: Word) -> bool:
-        if len(u) != len(v):
-            return False
-        return self.nfa.accepts(tuple(zip(u, v)))
 
     def same_alphabets(self) -> bool:
         return self.input_alphabet == self.output_alphabet
@@ -102,25 +92,30 @@ def pair_dfa(t: LetterTransducer) -> LetterTransducer:
 def diagonal_states(t: LetterTransducer) -> frozenset[int]:
     """States from which the whole identity relation is accepted.
 
-    For a relation R given pair-deterministically, the state reached by
-    (u, v) is diagonal exactly when every common continuation keeps the
-    pair related, i.e. when u and v are syntactically congruent.
+    For a relation R given by its complete pair DFA (``pair_dfa``), the
+    state reached by (u, v) is diagonal exactly when every common
+    continuation keeps the pair related, i.e. when u and v are
+    syntactically congruent. That is the greatest set of final states
+    closed under the (a, a) edges, found as one fixpoint: every state
+    with an (a, a)-path to a non-final state is dropped.
     """
     if not t.same_alphabets():
         raise AlphabetMismatchError("diagonal states need equal input/output alphabets")
-    ident = identity(t.input_alphabet).nfa
-    members = set()
-    for p in sorted(t.nfa.states):
-        from_p = Nfa(
-            alphabet=t.nfa.alphabet,
-            states=t.nfa.states,
-            transitions=t.nfa.transitions,
-            initials=frozenset({p}),
-            finals=t.nfa.finals,
-        )
-        if includes(ident, from_p):
-            members.add(p)
-    return frozenset(members)
+    nfa = t.nfa
+    if not nfa.is_complete:
+        raise PreconditionError("diagonal states need a complete pair DFA")
+    back: dict = {}  # state -> its predecessors along (a, a) edges
+    for p in nfa.states:
+        for a in t.input_alphabet.letters:
+            back.setdefault(nfa.step(p, (a, a)), []).append(p)
+    dropped = set(nfa.states - nfa.finals)
+    todo = list(dropped)
+    while todo:
+        for p in back.get(todo.pop(), ()):
+            if p not in dropped:
+                dropped.add(p)
+                todo.append(p)
+    return nfa.states - dropped
 
 
 def trim_transducer(t: LetterTransducer) -> LetterTransducer:

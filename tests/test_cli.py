@@ -52,6 +52,13 @@ def test_validate_equivalence_exits_zero(files, capsys):
     assert payload["equivalence"] is True
 
 
+def test_validate_reports_the_three_axioms(files, capsys):
+    _code, payload, _ = run_json(capsys, "validate", files["parity"])
+    assert set(payload) == {
+        "schema", "command", "reflexive", "symmetric", "transitive", "equivalence"
+    }
+
+
 def test_validate_non_equivalence_exits_one(files, capsys, tmp_path):
     bad = tmp_path / "bad.t"
     bad.write_text(

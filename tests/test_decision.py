@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -29,11 +30,23 @@ from kernseq.oracle import (
     random_equivalence,
     valuedness_profile,
 )
-from kernseq.relations import compose, min_lex_uniformizer, syntactic_congruence
-from kernseq.synthesis import kernel_transducer
-from kernseq.transducers import LetterTransducer
+from kernseq.relations import (
+    compose,
+    is_prefix_closed,
+    min_lex_uniformizer,
+    syntactic_congruence,
+)
+from kernseq.synthesis import kernel_transducer, synthesize_mealy, synthesize_subsequential
+from kernseq.transducers import LetterTransducer, diagonal_states, identity, pair_dfa
 
-from conftest import AB, build_agree_except_last, build_chain, build_mod_count
+from conftest import (
+    AB,
+    build_a_parity,
+    build_agree_except_last,
+    build_chain,
+    build_last_a,
+    build_mod_count,
+)
 
 
 
@@ -290,6 +303,76 @@ def test_decide_ll_rejects_non_equivalence():
         decide_kerseq_ll(bare)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        decide_kerseq_lp,
+        is_prefix_closed,
+        synthesize_mealy,
+        lambda r: synthesize_subsequential(r, r),
+    ],
+    ids=["decide_kerseq_lp", "is_prefix_closed", "synthesize_mealy", "synthesize_subsequential"],
+)
+def test_entry_points_reject_non_equivalence(entry):
+    bare = LetterTransducer.build(AB, AB, {0, 1}, {(0, ("a", "b"), 1)}, {0}, {1})
+    with pytest.raises(NotEquivalenceError):
+        entry(bare)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` wherever a kernseq module binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("kernseq"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_each_entry_point_validates_its_relation_once(monkeypatch):
+    from kernseq import relations
+
+    calls = _count_calls(monkeypatch, relations, "validate_relation")
+    bare = LetterTransducer.build(AB, AB, {0, 1}, {(0, ("a", "b"), 1)}, {0}, {1})
+    yes_ll, npc, inf = build_agree_except_last(2), build_a_parity(), build_last_a()
+    runs = [
+        (decide_kerseq_ll, (yes_ll,), {}),
+        (decide_kerseq_ll, (npc,), {}),
+        (decide_kerseq_lp, (build_mod_count(3),), {}),
+        (decide_kerseq_lp, (inf,), {}),
+        (decide_kerseq_lp, (build_chain(3),), {"cap": 2}),
+        (decide_kerseq_lp, (identity(AB),), {"closure": identity(AB)}),
+        (analyze, (yes_ll,), {}),
+        (analyze, (npc,), {}),
+        (analyze, (identity(AB),), {"pplus": identity(AB)}),
+        (analyze, (bare,), {}),
+    ]
+    for entry, args, kwargs in runs:
+        calls.clear()
+        entry(*args, **kwargs)
+        assert calls == [args[:1]], entry.__name__
+    calls.clear()
+    with pytest.raises(NotEquivalenceError):
+        decide_kerseq_lp(bare)
+    assert calls == [(bare,)]
+
+
+def test_diagonal_states_run_no_inclusion(monkeypatch):
+    from kernseq import automata
+
+    calls = _count_calls(monkeypatch, automata, "includes")
+    for r in (build_last_a(), build_mod_count(4), build_agree_except_last(3)):
+        assert diagonal_states(pair_dfa(r))
+    assert calls == []
+
+
 # ---------------------------------------------------------------- decide lp
 
 def test_decide_lp_identity_yes_with_tiny_cap(ident_ab):
@@ -436,6 +519,14 @@ def test_analyze_c_singletons_report(c_singletons):
     assert report.index_wrt_closure == INFINITE
 
 
+def test_analyze_last_a_index_differs_between_relation_and_closure(last_a):
+    report = analyze(last_a)
+    assert report.index_wrt_relation == FINITE
+    assert report.closure.converged
+    assert report.index_wrt_closure == INFINITE
+    assert decide_kerseq_lp(last_a).reason == INFINITE_INDEX
+
+
 def test_analyze_chain_with_insufficient_cap(chained_classes):
     report = analyze(chained_classes, cap=1)
     assert report.closure is not None and not report.closure.converged
@@ -452,6 +543,7 @@ def test_analyze_non_equivalence_read_only_validation():
     bare = LetterTransducer.build(AB, AB, {0, 1}, {(0, ("a", "b"), 1)}, {0}, {1})
     report = analyze(bare)
     assert not report.validation.is_equivalence
+    assert report.length_preserving
     assert report.prefix_closed is None
     assert report.index_wrt_relation is None
     assert report.closure is None

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernseq.automata import language_equal, includes
+from kernseq.automata import Nfa, language_equal, includes
 from kernseq.errors import (
     AlphabetMismatchError,
     NotEquivalenceError,
@@ -13,6 +15,7 @@ from kernseq.oracle import (
     enumerate_relation,
     min_lex_map,
     prefix_pairs,
+    random_equivalence,
     syntactic_pairs,
 )
 from kernseq.relations import (
@@ -21,6 +24,7 @@ from kernseq.relations import (
     is_prefix_closed,
     min_lex_uniformizer,
     prefix_closure,
+    prepare,
     relation_union,
     syntactic_congruence,
     transitive_closure,
@@ -28,6 +32,7 @@ from kernseq.relations import (
 )
 from kernseq.transducers import (
     LetterTransducer,
+    diagonal_states,
     identity,
     pair_dfa,
     trim_transducer,
@@ -181,6 +186,82 @@ def test_congruence_matches_definitional_oracle(last_a):
     assert enumerate_relation(trim_transducer(s), 4).pairs == syntactic_pairs(
         last_a, 4, bound
     )
+
+
+def _diagonal_by_inclusion(t):
+    """Reference definition: p is diagonal when the identity is accepted from p."""
+    ident = identity(t.input_alphabet).nfa
+    members = set()
+    for p in sorted(t.nfa.states):
+        from_p = Nfa(
+            alphabet=t.nfa.alphabet,
+            states=t.nfa.states,
+            transitions=t.nfa.transitions,
+            initials=frozenset({p}),
+            finals=t.nfa.finals,
+        )
+        if includes(ident, from_p):
+            members.add(p)
+    return frozenset(members)
+
+
+def _random_transducer(rng, letters):
+    n = rng.randint(1, 4)
+    density = rng.choice((0.1, 0.25, 0.5))
+    transitions = {
+        (p, (a, b), q)
+        for p in range(n)
+        for a in letters
+        for b in letters
+        for q in range(n)
+        if rng.random() < density / n
+    }
+    initials = set(rng.sample(range(n), rng.randint(1, n)))
+    finals = {q for q in range(n) if rng.random() < 0.6}
+    return LetterTransducer.build(letters, letters, range(n), transitions, initials, finals)
+
+
+def test_diagonal_fixpoint_matches_the_inclusion_definition():
+    rng = random.Random(20191)
+    sizes = []
+    for i in range(1200):
+        letters = ("a", "b") if i % 2 else ("a", "b", "c")
+        if i % 5 == 0:
+            r = random_equivalence(rng, max_states=3, letters=letters)
+        else:
+            r = _random_transducer(rng, letters)
+        det = pair_dfa(r)
+        diag = diagonal_states(det)
+        assert diag == _diagonal_by_inclusion(det), i
+        sizes.append(len(diag))
+    assert 0 in sizes and any(sizes)
+
+
+def test_diagonal_states_need_a_complete_pair_dfa(ident_ab):
+    partial = LetterTransducer.build(AB, AB, {0}, {(0, ("a", "a"), 0)}, {0}, {0})
+    with pytest.raises(PreconditionError):
+        diagonal_states(partial)
+    with pytest.raises(PreconditionError):
+        diagonal_states(ident_ab)  # deterministic, but the non-diagonal letters are missing
+
+
+def test_prepared_relation_agrees_with_the_public_stages(last_a, a_parity, c_singletons):
+    for r in (last_a, a_parity, c_singletons):
+        prep = prepare(r)
+        s, diag = syntactic_congruence(r)
+        assert (prep.congruence, prep.diagonal) == (s, diag)
+        assert prep.prefix_closed == is_prefix_closed(r)
+        assert prep.uniformizer == min_lex_uniformizer(s)
+        assert prep.det == pair_dfa(r)
+        assert prep.validation == validate_relation(r)
+
+
+def test_prepare_rejects_non_equivalence_with_its_validation():
+    bare = LetterTransducer.build(AB, AB, {0, 1}, {(0, ("a", "b"), 1)}, {0}, {1})
+    with pytest.raises(NotEquivalenceError) as info:
+        prepare(bare)
+    assert info.value.validation == validate_relation(bare)
+    assert not info.value.validation.is_reflexive
 
 
 def test_syntactic_congruence_rejects_non_equivalence():
