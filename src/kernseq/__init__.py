@@ -17,6 +17,7 @@ from .automata import (
     complement,
     determinize,
     difference,
+    inclusion_counterexample,
     includes,
     intersect,
     is_empty,

@@ -7,6 +7,13 @@ with fresh contiguous identifiers and, where helpful, an ``origins``
 table mapping new ids to a short description of where they came from.
 The table is debugging metadata only: it is excluded from equality.
 
+Inclusion and difference run on the fly: one breadth-first walk over
+pairs (state of ``a``, subset of ``b``'s states) follows ``a``'s own
+transitions and never determinizes ``b`` in full. ``includes`` stops at
+the first pair reached by a word that ``a`` accepts and ``b`` rejects,
+``inclusion_counterexample`` returns that word, a shortest one, and
+``difference`` keeps the whole walk as an automaton.
+
 All values are immutable after construction and all operations are pure
 functions, so everything here can be shared freely.
 """
@@ -99,6 +106,18 @@ class Nfa:
         for src, letter, dst in self.transitions:
             table.setdefault((src, letter), set()).add(dst)
         return {k: frozenset(v) for k, v in table.items()}
+
+    @cached_property
+    def outgoing(self) -> dict:
+        """Per state, its (letter, target) pairs in alphabet order, then by target."""
+        table: dict = {}
+        for src, letter, dst in self.transitions:
+            table.setdefault(src, []).append((letter, dst))
+        index = self.alphabet.index
+        return {
+            src: tuple(sorted(edges, key=lambda e: (index(e[0]), e[1])))
+            for src, edges in table.items()
+        }
 
     def successors(self, state: int, letter) -> frozenset[int]:
         return self._step.get((state, letter), frozenset())
@@ -280,9 +299,105 @@ def union(a: Nfa, b: Nfa) -> Nfa:
     )
 
 
+_EMPTY: frozenset = frozenset()
+
+
+def _subset_walk(a: Nfa, b: Nfa, first_only: bool):
+    """Breadth-first walk over pairs (state of ``a``, subset of ``b``).
+
+    From each pair it follows ``a``'s own transitions, in alphabet
+    order, and steps the subset through ``b._step``; a subset's
+    successor on a letter is computed once per call. A pair accepts
+    when its ``a`` state is final and its subset holds no final state of
+    ``b``: the words reaching it lie in L(a) minus L(b). Numbering the
+    pairs in discovery order, returns each pair's parent pointer (parent
+    number, letter; None for an initial pair), the edges and the
+    accepting pair numbers. With ``first_only`` it records no edges and
+    stops at the first accepting pair found, whose parent pointers spell
+    a shortest word, and of those the first in alphabet order.
+    """
+    _check_alphabets(a, b)
+    out = a.outgoing
+    step = b._step
+    a_finals = a.finals
+    subsets = [frozenset(b.initials)]
+    numbers = {subsets[0]: 0}
+    missing = [not (subsets[0] & b.finals)]  # per subset: holds no final of b
+    moves: dict = {}  # (subset number, letter) -> subset number
+    ids: dict = {}
+    order: list = []
+    parent: list = []
+    edges_out: list = []
+    accepting: list = []
+
+    def visit(pair, via) -> int:
+        ids[pair] = n = len(order)
+        order.append(pair)
+        parent.append(via)
+        if pair[0] in a_finals and missing[pair[1]]:
+            accepting.append(n)
+        return n
+
+    for p in sorted(a.initials):
+        visit((p, 0), None)
+    i = 0
+    while i < len(order) and not (first_only and accepting):
+        p, s = order[i]
+        for letter, q in out.get(p, ()):
+            t = moves.get((s, letter))
+            if t is None:
+                succ = _EMPTY.union(*[step.get((x, letter), _EMPTY) for x in subsets[s]])
+                t = numbers.get(succ)
+                if t is None:
+                    numbers[succ] = t = len(subsets)
+                    subsets.append(succ)
+                    missing.append(not (succ & b.finals))
+                moves[(s, letter)] = t
+            dst = ids.get((q, t))
+            if dst is None:
+                dst = visit((q, t), (i, letter))
+                if first_only and accepting:
+                    break
+            if not first_only:
+                edges_out.append((i, letter, dst))
+        i += 1
+    return parent, edges_out, accepting
+
+
 def difference(a: Nfa, b: Nfa) -> Nfa:
-    """Language difference L(a) minus L(b)."""
-    return intersect(a, complement(determinize(b)))
+    """Language difference L(a) minus L(b), as the subset walk itself.
+
+    States are the reachable pairs (state of ``a``, subset of ``b``); a
+    pair is final when its ``a`` state is final and its subset misses
+    ``b``'s final states. Only ``a``'s transitions are followed, so
+    ``b`` is never determinized in full.
+    """
+    parent, edges, accepting = _subset_walk(a, b, first_only=False)
+    return Nfa(
+        alphabet=a.alphabet,
+        states=frozenset(range(len(parent))),
+        transitions=frozenset(edges),
+        initials=frozenset(n for n, via in enumerate(parent) if via is None),
+        finals=frozenset(accepting),
+    )
+
+
+def inclusion_counterexample(a: Nfa, b: Nfa) -> Word | None:
+    """A shortest word of L(a) minus L(b), or None when L(a) is within L(b).
+
+    Of the shortest such words it is the first in alphabet order. The
+    subset walk stops at the first pair that accepts.
+    """
+    parent, _edges, accepting = _subset_walk(a, b, first_only=True)
+    if not accepting:
+        return None
+    word = []
+    via = parent[accepting[0]]
+    while via is not None:
+        n, letter = via
+        word.append(letter)
+        via = parent[n]
+    return tuple(reversed(word))
 
 
 def is_empty(a: Nfa) -> bool:
@@ -291,7 +406,7 @@ def is_empty(a: Nfa) -> bool:
 
 def includes(a: Nfa, b: Nfa) -> bool:
     """True iff the language of ``a`` is included in the language of ``b``."""
-    return is_empty(intersect(a, complement(determinize(b))))
+    return inclusion_counterexample(a, b) is None
 
 
 def language_equal(a: Nfa, b: Nfa) -> bool:

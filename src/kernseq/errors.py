@@ -37,9 +37,16 @@ class NotFinerError(KernseqError):
 
 
 class BadClosureWitnessError(KernseqError):
-    """A supplied transitive-closure witness failed its consistency checks."""
+    """A supplied transitive-closure witness failed its consistency checks.
+
+    ``pair`` holds the offending pair of words (u, v).
+    """
 
     code = "BAD_CLOSURE_WITNESS"
+
+    def __init__(self, message, pair=None):
+        super().__init__(message)
+        self.pair = pair
 
 
 class PreconditionError(KernseqError):
@@ -54,7 +61,10 @@ class DimensionCapError(KernseqError):
     The matrix dimension itself is not capped: a finite index bounds it,
     although valid input can need large matrices (agreeing except in the
     last k letters needs dimension 2^k). The state-count cap is a
-    resource limit, not a wrong answer.
+    resource limit, not a wrong answer. It counts matrix states, not
+    memory: each state holds a whole matrix, so when a precondition is
+    broken (an infinite index, which the checked entry points rule out
+    first) memory can run out before the cap fires.
     """
 
     code = "DIMENSION_CAP"

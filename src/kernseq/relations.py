@@ -14,12 +14,12 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .automata import (
+    Alphabet,
     Nfa,
     determinize,
     coaccessible_states,
+    difference,
     includes,
-    intersect,
-    complement,
     language_equal,
     minimize,
     trim,
@@ -68,16 +68,6 @@ def inverse(r: LetterTransducer) -> LetterTransducer:
     return LetterTransducer(r.output_alphabet, r.input_alphabet, swapped)
 
 
-def _outgoing(nfa: Nfa) -> dict:
-    """Per state, its (letter, target) pairs in alphabet order, then by target."""
-    table: dict = {}
-    for src, letter, dst in nfa.transitions:
-        table.setdefault(src, []).append((letter, dst))
-    for src in table:
-        table[src].sort(key=lambda item: (nfa.alphabet.index(item[0]), item[1]))
-    return table
-
-
 def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
     """Relational composition: ``compose(r, s)`` applies ``s`` first.
 
@@ -89,7 +79,7 @@ def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
             "composition needs the first-applied output alphabet to match "
             "the second relation's input alphabet"
         )
-    s_out = _outgoing(s.nfa)
+    s_out = s.nfa.outgoing
     by_middle: dict = {}
     for p2, (y, z), q2 in r.nfa.transitions:
         by_middle.setdefault((p2, y), []).append((z, q2))
@@ -283,10 +273,10 @@ def min_lex_uniformizer(s: LetterTransducer) -> LetterTransducer:
     """Graph of the function mapping each word to the least element of its class.
 
     "Least" is lexicographic under the output alphabet's declaration
-    order. Built by intersecting s with the complement of its "beaten"
-    pairs: (u, v) is beaten when some strictly smaller v' of the same
-    length is also related to u. The kernel of the resulting function is
-    s itself. Validates s first.
+    order. Built as the difference of s and its "beaten" pairs, walked
+    on the fly: (u, v) is beaten when some strictly smaller v' of the
+    same length is also related to u. The kernel of the resulting
+    function is s itself. Validates s first.
     """
     require_equivalence(s)
     return _uniformizer(s)
@@ -294,8 +284,14 @@ def min_lex_uniformizer(s: LetterTransducer) -> LetterTransducer:
 
 def _uniformizer(s: LetterTransducer) -> LetterTransducer:
     base = trim(s.nfa)
-    out_idx = s.output_alphabet.index
-    outgoing = _outgoing(base)
+    return s.with_nfa(trim(difference(base, _beaten(base, s.output_alphabet))))
+
+
+def _beaten(base: Nfa, outputs: Alphabet) -> Nfa:
+    """The pairs (u, v) of ``base`` such that ``base`` also relates u to
+    a word of the same length that is lexicographically smaller than v."""
+    out_idx = outputs.index
+    outgoing = base.outgoing
 
     # States (real run, guessed smaller run, strictly-smaller-yet flag).
     ids: dict = {}
@@ -326,7 +322,7 @@ def _uniformizer(s: LetterTransducer) -> LetterTransducer:
                     ids[dst] = len(order)
                     order.append(dst)
                 transitions.append((ids[(p1, p2, mode)], (a, b), ids[dst]))
-    beaten = Nfa(
+    return Nfa(
         alphabet=base.alphabet,
         states=frozenset(range(len(order))),
         transitions=frozenset(transitions),
@@ -337,5 +333,3 @@ def _uniformizer(s: LetterTransducer) -> LetterTransducer:
             ids[t] for t in order if t[2] == 1 and t[0] in base.finals and t[1] in base.finals
         ),
     )
-    graph = trim(intersect(base, complement(determinize(beaten))))
-    return s.with_nfa(graph)

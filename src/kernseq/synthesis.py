@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Alphabet, Nfa, Word, language_equal
+from .automata import Alphabet, Nfa, Word, inclusion_counterexample
 from .errors import (
     AlphabetMismatchError,
     BadClosureWitnessError,
@@ -44,9 +44,14 @@ from .errors import (
     PreconditionError,
 )
 from .machines import SequentialTransducer, SubsequentialTransducer
-from .relations import Prepared, prepare
+from .relations import Prepared, compose, prefix_closure, prepare
 from .transducers import LetterTransducer, diagonal_states, pair_alphabet, pair_dfa
 
+# Largest number of matrix states a construction builds before it raises
+# ``DimensionCapError``. It counts states, not memory: each state holds a
+# matrix whose dimension is not capped, so on input that breaks the
+# preconditions (an infinite index) memory can run out before the cap is
+# reached.
 STATE_CAP = 100_000
 
 Item = tuple[int, object]  # (1-based row index, input letter)
@@ -258,7 +263,8 @@ def mealy_machine(prep: Prepared) -> SequentialTransducer:
     The relation must be prefix-closed with finite congruence index, as
     ``decide_kerseq_ll`` establishes before calling it. The matrix
     dimension is not capped, since a finite index bounds it; more than
-    ``STATE_CAP`` states raise ``DimensionCapError``.
+    ``STATE_CAP`` states raise ``DimensionCapError``. That cap counts
+    states, not memory, so it is no guard against a broken precondition.
     """
     r, det, diag = prep.relation, prep.det, prep.diagonal
     finals = det.nfa.finals
@@ -290,23 +296,23 @@ def mealy_machine(prep: Prepared) -> SequentialTransducer:
 def validate_closure_witness(r: LetterTransducer, closure: LetterTransducer) -> None:
     """Checks that a claimed transitive prefix-closure fixpoint is consistent.
 
-    Verifies containment of the prefix closure, transitivity, and the
-    fixpoint equation itself. These are the checkable necessary
-    conditions; minimality of the closure is taken on trust as part of
-    the input contract.
+    Verifies containment of the prefix closure and transitivity. The
+    fixpoint equation follows from the two: composing the witness with
+    the prefix closure stays inside the witness composed with itself.
+    These are the checkable necessary conditions; minimality of the
+    closure is taken on trust as part of the input contract. A failed
+    check raises ``BadClosureWitnessError`` naming a shortest offending
+    pair (u, v), also kept as its ``pair``.
     """
-    from .automata import includes
-    from .relations import compose, prefix_closure, relation_union
-
-    pc = prefix_closure(r)
-    if not includes(pc.nfa, closure.nfa):
-        raise BadClosureWitnessError("witness does not contain the prefix closure")
-    if not includes(compose(closure, closure).nfa, closure.nfa):
-        raise BadClosureWitnessError("witness is not transitive")
-    if not language_equal(
-        closure.nfa, relation_union(closure, compose(closure, pc)).nfa
-    ):
-        raise BadClosureWitnessError("witness is not a fixpoint of the closure step")
+    checks = [
+        (prefix_closure(r), "does not contain the prefix closure"),
+        (compose(closure, closure), "is not transitive"),
+    ]
+    for required, what in checks:
+        word = inclusion_counterexample(required.nfa, closure.nfa)
+        if word is not None:
+            pair = (tuple(x for x, _y in word), tuple(y for _x, y in word))
+            raise BadClosureWitnessError(f"witness {what}: it lacks the pair {pair}", pair)
 
 
 def synthesize_subsequential(

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -190,3 +191,20 @@ def words(letters, max_len):
 def nfa_language(nfa: Nfa, max_len: int) -> frozenset:
     """Word-by-word membership via direct frontier simulation."""
     return frozenset(w for w in words(nfa.alphabet.letters, max_len) if nfa.accepts(w))
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` wherever a kernseq module binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("kernseq"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls

@@ -7,6 +7,7 @@ from kernseq.automata import (
     complement,
     determinize,
     difference,
+    inclusion_counterexample,
     includes,
     intersect,
     is_empty,
@@ -17,7 +18,7 @@ from kernseq.automata import (
 )
 from kernseq.errors import AlphabetMismatchError, PreconditionError
 
-from conftest import nfa_language, words
+from conftest import count_calls, nfa_language, words
 
 AB = Alphabet(("a", "b"))
 
@@ -142,6 +143,10 @@ def test_boolean_ops_reject_mismatched_alphabets():
         intersect(two_state_dfa(), other)
     with pytest.raises(AlphabetMismatchError):
         union(two_state_dfa(), other)
+    with pytest.raises(AlphabetMismatchError):
+        difference(two_state_dfa(), other)
+    with pytest.raises(AlphabetMismatchError):
+        inclusion_counterexample(two_state_dfa(), other)
 
 
 def test_complement_requires_deterministic_complete():
@@ -180,6 +185,59 @@ def test_includes_is_a_partial_order_modulo_language(a, b, c):
         assert includes(a, c)
     if includes(a, b) and includes(b, a):
         assert language_equal(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_nfas(3), small_nfas(3))
+def test_inclusion_counterexample_is_a_shortest_separating_word(a, b):
+    bound = 8
+    missing = [w for w in words(AB.letters, bound) if a.accepts(w) and not b.accepts(w)]
+    word = inclusion_counterexample(a, b)
+    if word is None:
+        assert not missing  # inclusion holds up to the bound
+        return
+    assert a.accepts(word) and not b.accepts(word)
+    assert all(len(w) >= len(word) for w in missing)
+    # of the shortest separating words, the first in alphabet order
+    assert word == min((w for w in missing if len(w) == len(word)), key=AB.key, default=word)
+    assert not includes(a, b)
+
+
+def test_inclusion_counterexample_of_the_empty_word_and_of_a_long_word():
+    dfa = two_state_dfa()  # words ending in a
+    empty = Nfa(AB, set(), set(), set(), set())
+    assert inclusion_counterexample(dfa, empty) == ("a",)
+    assert inclusion_counterexample(complement(dfa), dfa) == ()
+    # the chain accepts a^5 and nothing else
+    chain = Nfa(AB, set(range(6)), {(i, "a", i + 1) for i in range(5)}, {0}, {5})
+    assert inclusion_counterexample(chain, empty) == ("a",) * 5
+    assert inclusion_counterexample(empty, dfa) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_nfas(4), small_nfas(4))
+def test_difference_keeps_its_language(a, b):
+    diff = difference(a, b)
+    assert nfa_language(diff, 7) == nfa_language(a, 7) - nfa_language(b, 7)
+    assert language_equal(diff, intersect(a, complement(determinize(b))))
+
+
+def test_inclusion_and_difference_never_determinize(monkeypatch):
+    from kernseq import automata
+
+    calls = [
+        count_calls(monkeypatch, automata, name)
+        for name in ("determinize", "complement", "intersect")
+    ]
+    ends_in_a = two_state_dfa()
+    guessed = Nfa(AB, {0, 1}, {(0, "a", 0), (0, "b", 0), (0, "a", 1)}, {0}, {1})
+    has_a = Nfa(AB, {0, 1}, {(0, "a", 1), (0, "b", 0), (1, "a", 1), (1, "b", 1)}, {0}, {1})
+    assert language_equal(ends_in_a, guessed)
+    assert includes(guessed, has_a) and not includes(has_a, guessed)
+    assert inclusion_counterexample(has_a, guessed) == ("a", "b")
+    assert not difference(guessed, ends_in_a).finals
+    assert difference(has_a, guessed).finals
+    assert calls == [[], [], []]
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 
@@ -46,6 +45,7 @@ from conftest import (
     build_chain,
     build_last_a,
     build_mod_count,
+    count_calls,
 )
 
 
@@ -319,27 +319,10 @@ def test_entry_points_reject_non_equivalence(entry):
         entry(bare)
 
 
-def _count_calls(monkeypatch, module, name):
-    """Count calls of ``module.name`` wherever a kernseq module binds it."""
-    original = getattr(module, name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("kernseq"):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counting)
-    return calls
-
-
 def test_each_entry_point_validates_its_relation_once(monkeypatch):
     from kernseq import relations
 
-    calls = _count_calls(monkeypatch, relations, "validate_relation")
+    calls = count_calls(monkeypatch, relations, "validate_relation")
     bare = LetterTransducer.build(AB, AB, {0, 1}, {(0, ("a", "b"), 1)}, {0}, {1})
     yes_ll, npc, inf = build_agree_except_last(2), build_a_parity(), build_last_a()
     runs = [
@@ -367,7 +350,7 @@ def test_each_entry_point_validates_its_relation_once(monkeypatch):
 def test_diagonal_states_run_no_inclusion(monkeypatch):
     from kernseq import automata
 
-    calls = _count_calls(monkeypatch, automata, "includes")
+    calls = count_calls(monkeypatch, automata, "includes")
     for r in (build_last_a(), build_mod_count(4), build_agree_except_last(3)):
         assert diagonal_states(pair_dfa(r))
     assert calls == []

@@ -399,6 +399,25 @@ def test_uniformizer_is_one_valued_and_kernel_restores_relation(a_parity):
     assert kernel == enumerate_relation(trim_transducer(s), 6).pairs
 
 
+def test_uniformizer_matches_the_complement_construction():
+    from kernseq.automata import complement, determinize, intersect, trim
+    from kernseq.relations import _beaten
+
+    rng = random.Random(5)
+    sizes = []
+    for i in range(60):
+        letters = ("a", "b") if i % 2 else ("a", "b", "c")
+        r = random_equivalence(rng, max_states=3, letters=letters)
+        for s in (r, prepare(r).congruence):
+            base = trim(s.nfa)
+            beaten = _beaten(base, s.output_alphabet)
+            reference = trim(intersect(base, complement(determinize(beaten))))
+            graph = min_lex_uniformizer(s).nfa
+            assert language_equal(graph, reference), i
+            sizes.append(len(graph.states))
+    assert min(sizes) < max(sizes)
+
+
 def test_uniformizer_rejects_non_equivalence():
     bare = LetterTransducer.build(AB, AB, {0, 1}, {(0, ("a", "b"), 1)}, {0}, {1})
     with pytest.raises(NotEquivalenceError):

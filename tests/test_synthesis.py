@@ -12,6 +12,7 @@ from kernseq.oracle import (
     enumerate_relation,
 )
 from kernseq.relations import (
+    compose,
     prefix_closure,
     syntactic_congruence,
     transitive_closure,
@@ -24,6 +25,7 @@ from kernseq.synthesis import (
     successor_partition,
     synthesize_mealy,
     synthesize_subsequential,
+    validate_closure_witness,
 )
 from conftest import AB, build_mod_count, words
 
@@ -136,6 +138,33 @@ def test_subsequential_validates_the_closure_witness(a_parity, ident_ab):
 
     with pytest.raises(BadClosureWitnessError):
         synthesize_subsequential(a_parity, ident_ab)
+
+
+def test_closure_witness_errors_name_a_shortest_offending_pair(
+    a_parity, chained_classes, ident_ab
+):
+    from kernseq.errors import BadClosureWitnessError
+
+    pc = prefix_closure(chained_classes)
+    cases = [
+        # the identity lacks the prefix closure of parity
+        (a_parity, ident_ab, prefix_closure(a_parity), "prefix closure"),
+        # the prefix closure of the chain links a to c and c to b, not a to b
+        (chained_classes, pc, compose(pc, pc), "not transitive"),
+    ]
+    for r, witness, required, what in cases:
+        with pytest.raises(BadClosureWitnessError, match=what) as info:
+            validate_closure_witness(r, witness)
+        u, v = info.value.pair
+        assert str((u, v)) in str(info.value)
+        assert accepts_pair_backward(required, u, v)
+        assert not accepts_pair_backward(witness, u, v)
+        shorter = len(u) - 1
+        assert enumerate_relation(required, shorter).pairs <= enumerate_relation(
+            witness, shorter
+        ).pairs
+    with pytest.raises(BadClosureWitnessError, match=r"\(\('a',\), \('b',\)\)"):
+        decide_kerseq_lp(a_parity, closure=ident_ab)
 
 
 def test_subsequential_body_outputs_track_the_closure(a_parity):
