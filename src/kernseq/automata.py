@@ -3,9 +3,10 @@
 Letters are any hashable values; in particular a letter may itself be a
 pair of letters, which is how transducers are represented elsewhere.
 State identifiers are opaque integers. Constructions return automata
-with fresh contiguous identifiers and, where helpful, an ``origins``
-table mapping new ids to a short description of where they came from.
-The table is debugging metadata only: it is excluded from equality.
+with fresh contiguous identifiers.
+
+Every product construction in the package numbers its states with
+``explore``, in breadth-first discovery order from its start states.
 
 Inclusion and difference run on the fly: one breadth-first walk over
 pairs (state of ``a``, subset of ``b``'s states) follows ``a``'s own
@@ -20,9 +21,9 @@ functions, so everything here can be shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Mapping
+from typing import Callable, Hashable, Iterable
 
 from .errors import AlphabetMismatchError, PreconditionError
 
@@ -83,7 +84,6 @@ class Nfa:
     transitions: frozenset[tuple[int, Letter, int]]
     initials: frozenset[int]
     finals: frozenset[int]
-    origins: Mapping[int, str] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", frozenset(self.states))
@@ -183,9 +183,6 @@ def trim(a: Nfa) -> Nfa:
     """Restrict to states lying on some accepting path; language unchanged."""
     useful = accessible_states(a) & coaccessible_states(a)
     renum = {q: i for i, q in enumerate(sorted(useful))}
-    origins = None
-    if a.origins:
-        origins = {renum[q]: a.origins[q] for q in useful if q in a.origins}
     return Nfa(
         alphabet=a.alphabet,
         states=frozenset(renum.values()),
@@ -196,8 +193,33 @@ def trim(a: Nfa) -> Nfa:
         ),
         initials=frozenset(renum[q] for q in a.initials if q in useful),
         finals=frozenset(renum[q] for q in a.finals if q in useful),
-        origins=origins,
     )
+
+
+def explore(starts: Iterable, successors: Callable) -> tuple[list, list]:
+    """Number the nodes reachable from ``starts`` in breadth-first discovery order.
+
+    ``successors(node)`` yields ``(label, next)`` pairs and is called
+    exactly once per node, in the order of the numbering. Returns the
+    nodes in that order, a repeated start numbered once, and the edges
+    as ``(source number, label, target number)`` triples in the order
+    ``successors`` yielded them.
+    """
+    ids: dict = {}
+    nodes: list = []
+    for node in starts:
+        if node not in ids:
+            ids[node] = len(nodes)
+            nodes.append(node)
+    edges = []
+    for src, node in enumerate(nodes):  # nodes grows while it is walked
+        for label, nxt in successors(node):
+            dst = ids.get(nxt)
+            if dst is None:
+                dst = ids[nxt] = len(nodes)
+                nodes.append(nxt)
+            edges.append((src, label, dst))
+    return nodes, edges
 
 
 def determinize(a: Nfa) -> Nfa:
@@ -207,28 +229,18 @@ def determinize(a: Nfa) -> Nfa:
     initial state and a total transition function, with the empty subset
     acting as the sink. Recognizes the same language.
     """
-    initial = frozenset(a.initials)
-    ids = {initial: 0}
-    order = [initial]
-    transitions = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        i += 1
+
+    def successors(subset):
         for letter in a.alphabet:
-            succ = frozenset(q for p in subset for q in a.successors(p, letter))
-            if succ not in ids:
-                ids[succ] = len(order)
-                order.append(succ)
-            transitions.append((ids[subset], letter, ids[succ]))
-    origins = {ids[s]: "{" + ",".join(map(str, sorted(s))) + "}" for s in order}
+            yield letter, frozenset(q for p in subset for q in a.successors(p, letter))
+
+    subsets, edges = explore([frozenset(a.initials)], successors)
     return Nfa(
         alphabet=a.alphabet,
-        states=frozenset(range(len(order))),
-        transitions=frozenset(transitions),
+        states=frozenset(range(len(subsets))),
+        transitions=frozenset(edges),
         initials=frozenset({0}),
-        finals=frozenset(ids[s] for s in order if s & a.finals),
-        origins=origins,
+        finals=frozenset(n for n, s in enumerate(subsets) if s & a.finals),
     )
 
 
@@ -242,7 +254,6 @@ def complement(a: Nfa) -> Nfa:
         transitions=a.transitions,
         initials=a.initials,
         finals=a.states - a.finals,
-        origins=a.origins,
     )
 
 
@@ -254,33 +265,24 @@ def _check_alphabets(a: Nfa, b: Nfa):
 def intersect(a: Nfa, b: Nfa) -> Nfa:
     """Product automaton restricted to reachable pairs."""
     _check_alphabets(a, b)
-    ids: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    for p in sorted(a.initials):
-        for q in sorted(b.initials):
-            ids[(p, q)] = len(order)
-            order.append((p, q))
-    transitions = []
-    i = 0
-    while i < len(order):
-        p, q = order[i]
-        i += 1
+    starts = [(p, q) for p in sorted(a.initials) for q in sorted(b.initials)]
+
+    def successors(pair):
+        p, q = pair
         for letter in a.alphabet:
             for p2 in sorted(a.successors(p, letter)):
                 for q2 in sorted(b.successors(q, letter)):
-                    if (p2, q2) not in ids:
-                        ids[(p2, q2)] = len(order)
-                        order.append((p2, q2))
-                    transitions.append((ids[(p, q)], letter, ids[(p2, q2)]))
+                    yield letter, (p2, q2)
+
+    pairs, edges = explore(starts, successors)
     return Nfa(
         alphabet=a.alphabet,
-        states=frozenset(range(len(order))),
-        transitions=frozenset(transitions),
-        initials=frozenset(ids[(p, q)] for p in a.initials for q in b.initials),
+        states=frozenset(range(len(pairs))),
+        transitions=frozenset(edges),
+        initials=frozenset(range(len(starts))),
         finals=frozenset(
-            ids[(p, q)] for (p, q) in order if p in a.finals and q in b.finals
+            n for n, (p, q) in enumerate(pairs) if p in a.finals and q in b.finals
         ),
-        origins={ids[pq]: str(pq) for pq in order},
     )
 
 
@@ -305,19 +307,23 @@ _EMPTY: frozenset = frozenset()
 def _subset_walk(a: Nfa, b: Nfa, first_only: bool):
     """Breadth-first walk over pairs (state of ``a``, subset of ``b``).
 
-    From each pair it follows ``a``'s own transitions, in alphabet
-    order, and steps the subset through ``b._step``; a subset's
-    successor on a letter is computed once per call. A pair accepts
-    when its ``a`` state is final and its subset holds no final state of
-    ``b``: the words reaching it lie in L(a) minus L(b). Numbering the
-    pairs in discovery order, returns each pair's parent pointer (parent
-    number, letter; None for an initial pair), the edges and the
-    accepting pair numbers. With ``first_only`` it records no edges and
-    stops at the first accepting pair found, whose parent pointers spell
-    a shortest word, and of those the first in alphabet order.
+    From each pair it follows ``a``'s own transitions and steps the
+    subset through ``b._step``; a subset's successor on a letter is
+    computed once per call. A pair accepts when its ``a`` state is final
+    and its subset holds no final state of ``b``: the words reaching it
+    lie in L(a) minus L(b). The pairs first reached by one word form a
+    group, numbered consecutively, and a group is expanded letter by
+    letter over all its pairs, so the pairs are numbered in the order of
+    the shortest words reaching them, and of those the first in alphabet
+    order. Returns each pair's parent pointer (parent number, letter;
+    None for an initial pair), the edges and the accepting pair numbers.
+    With ``first_only`` it records no edges and stops at the first
+    accepting pair found, whose parent pointers spell a shortest word,
+    and of those the first in alphabet order.
     """
     _check_alphabets(a, b)
     out = a.outgoing
+    index = a.alphabet.index
     step = b._step
     a_finals = a.finals
     subsets = [frozenset(b.initials)]
@@ -340,10 +346,18 @@ def _subset_walk(a: Nfa, b: Nfa, first_only: bool):
 
     for p in sorted(a.initials):
         visit((p, 0), None)
-    i = 0
-    while i < len(order) and not (first_only and accepting):
-        p, s = order[i]
-        for letter, q in out.get(p, ()):
+    # (first, end) numbers of the pairs that one word reaches first
+    groups = [(0, len(order))] if order else []
+    g = 0
+    while g < len(groups) and not (first_only and accepting):
+        lo, hi = groups[g]
+        g += 1
+        s = order[lo][1]  # one word, so one subset of b for the whole group
+        hops: dict = {}  # letter -> [(pair number, state of a)]
+        for i in range(lo, hi):
+            for letter, q in out.get(order[i][0], ()):
+                hops.setdefault(letter, []).append((i, q))
+        for letter in sorted(hops, key=index):
             t = moves.get((s, letter))
             if t is None:
                 succ = _EMPTY.union(*[step.get((x, letter), _EMPTY) for x in subsets[s]])
@@ -353,14 +367,17 @@ def _subset_walk(a: Nfa, b: Nfa, first_only: bool):
                     subsets.append(succ)
                     missing.append(not (succ & b.finals))
                 moves[(s, letter)] = t
-            dst = ids.get((q, t))
-            if dst is None:
-                dst = visit((q, t), (i, letter))
-                if first_only and accepting:
-                    break
-            if not first_only:
-                edges_out.append((i, letter, dst))
-        i += 1
+            first = len(order)
+            for i, q in hops[letter]:
+                dst = ids.get((q, t))
+                if dst is None:
+                    dst = visit((q, t), (i, letter))
+                    if first_only and accepting:
+                        return parent, edges_out, accepting
+                if not first_only:
+                    edges_out.append((i, letter, dst))
+            if len(order) > first:
+                groups.append((first, len(order)))
     return parent, edges_out, accepting
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .automata import determinize, includes, minimize, trim
+from .automata import includes, minimize, trim
 from .errors import InternalInvariantError, NotEquivalenceError, NotFinerError, NotLetterToLetterError
 from .machines import SequentialTransducer, SubsequentialTransducer
 from .relations import (
@@ -171,7 +171,7 @@ def is_finitely_valued(t: LetterTransducer) -> bool:
     """
     nfa = trim(t.nfa)
     if len(nfa.states) > _CANONICALIZE_THRESHOLD:
-        nfa = trim(minimize(determinize(nfa)))
+        nfa = trim(minimize(nfa))
     n = len(nfa.states)  # trim numbers the states 0..n-1
     step: list[dict] = [{} for _ in range(n)]  # state -> input -> [(output, next)]
     for p, (a, b), q in nfa.transitions:
@@ -283,7 +283,7 @@ def decide_kerseq_lp(
         validate_closure_witness(r, closure)
         pplus = closure
     else:
-        closure_result = transitive_closure(prefix_closure(r), cap, minimize_steps=True)
+        closure_result = transitive_closure(prefix_closure(r), cap)
         if not closure_result.converged:
             return Verdict(
                 Outcome.UNKNOWN, reason=CLOSURE_CAP_EXHAUSTED, closure=closure_result
@@ -326,7 +326,7 @@ def analyze(
         validate_closure_witness(r, pplus)
         target = pplus
     else:
-        closure_result = transitive_closure(prefix_closure(r), cap, minimize_steps=True)
+        closure_result = transitive_closure(prefix_closure(r), cap)
         if closure_result.converged:
             target = closure_result.closure
     index_closure = None

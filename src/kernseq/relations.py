@@ -16,9 +16,9 @@ from functools import cached_property
 from .automata import (
     Alphabet,
     Nfa,
-    determinize,
     coaccessible_states,
     difference,
+    explore,
     includes,
     language_equal,
     minimize,
@@ -63,7 +63,6 @@ def inverse(r: LetterTransducer) -> LetterTransducer:
         transitions=frozenset((p, (b, a), q) for p, (a, b), q in r.nfa.transitions),
         initials=r.nfa.initials,
         finals=r.nfa.finals,
-        origins=r.nfa.origins,
     )
     return LetterTransducer(r.output_alphabet, r.input_alphabet, swapped)
 
@@ -85,35 +84,25 @@ def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
         by_middle.setdefault((p2, y), []).append((z, q2))
     for key in by_middle:
         by_middle[key].sort(key=lambda item: (r.output_alphabet.index(item[0]), item[1]))
-    ids: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    for p1 in sorted(s.nfa.initials):
-        for p2 in sorted(r.nfa.initials):
-            ids[(p1, p2)] = len(order)
-            order.append((p1, p2))
-    transitions = []
-    i = 0
-    while i < len(order):
-        p1, p2 = order[i]
-        i += 1
+    starts = [(p1, p2) for p1 in sorted(s.nfa.initials) for p2 in sorted(r.nfa.initials)]
+
+    def successors(pair):
+        p1, p2 = pair
         for (x, y), q1 in s_out.get(p1, ()):
             for z, q2 in by_middle.get((p2, y), ()):
-                dst = (q1, q2)
-                if dst not in ids:
-                    ids[dst] = len(order)
-                    order.append(dst)
-                transitions.append((ids[(p1, p2)], (x, z), ids[dst]))
+                yield (x, z), (q1, q2)
+
+    pairs, edges = explore(starts, successors)
     nfa = Nfa(
         alphabet=pair_alphabet(s.input_alphabet, r.output_alphabet),
-        states=frozenset(range(len(order))),
-        transitions=frozenset(transitions),
-        initials=frozenset(
-            ids[(p1, p2)] for p1 in s.nfa.initials for p2 in r.nfa.initials
-        ),
+        states=frozenset(range(len(pairs))),
+        transitions=frozenset(edges),
+        initials=frozenset(range(len(starts))),
         finals=frozenset(
-            ids[pq] for pq in order if pq[0] in s.nfa.finals and pq[1] in r.nfa.finals
+            n
+            for n, (q1, q2) in enumerate(pairs)
+            if q1 in s.nfa.finals and q2 in r.nfa.finals
         ),
-        origins={ids[pq]: str(pq) for pq in order},
     )
     return LetterTransducer(s.input_alphabet, r.output_alphabet, nfa)
 
@@ -233,19 +222,15 @@ def is_prefix_closed(r: LetterTransducer) -> bool:
     return prepare(r).prefix_closed
 
 
-def _canonical(t: LetterTransducer, minimize_steps: bool) -> LetterTransducer:
-    nfa = trim(determinize(t.nfa))
-    if minimize_steps:
-        nfa = trim(minimize(determinize(nfa)))
-    return t.with_nfa(nfa)
+def _canonical(t: LetterTransducer) -> LetterTransducer:
+    return t.with_nfa(trim(minimize(t.nfa)))
 
 
-def transitive_closure(
-    p: LetterTransducer, cap: int, minimize_steps: bool = False
-) -> ClosureResult:
+def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     """Iterate q <- q union (q after p) until the language stabilizes.
 
-    Requires p reflexive and symmetric so every iterate is too. Stops
+    Requires p reflexive and symmetric so every iterate is too. Every
+    iterate is the trimmed minimal pair DFA of its language. Stops
     either at the first exponent k with equal consecutive iterates
     (converged, the closure realizes the full transitive closure) or
     after ``cap`` comparisons (not converged). Running out of cap is a
@@ -259,10 +244,10 @@ def transitive_closure(
         raise PreconditionError("transitive closure needs a reflexive relation")
     if not includes(inverse(p).nfa, p.nfa):
         raise PreconditionError("transitive closure needs a symmetric relation")
-    current = _canonical(p, minimize_steps)
+    current = _canonical(p)
     for k in range(1, cap + 1):
         stepped = relation_union(current, compose(current, p))
-        nxt = _canonical(stepped, minimize_steps)
+        nxt = _canonical(stepped)
         if language_equal(nxt.nfa, current.nfa):
             return ClosureResult(closure=current, exponent=k, converged=True)
         current = nxt
@@ -294,17 +279,10 @@ def _beaten(base: Nfa, outputs: Alphabet) -> Nfa:
     outgoing = base.outgoing
 
     # States (real run, guessed smaller run, strictly-smaller-yet flag).
-    ids: dict = {}
-    order = []
-    for p1 in sorted(base.initials):
-        for p2 in sorted(base.initials):
-            ids[(p1, p2, 0)] = len(order)
-            order.append((p1, p2, 0))
-    transitions = []
-    i = 0
-    while i < len(order):
-        p1, p2, mode = order[i]
-        i += 1
+    starts = [(p1, p2, 0) for p1 in sorted(base.initials) for p2 in sorted(base.initials)]
+
+    def successors(node):
+        p1, p2, mode = node
         for (a, b), q1 in outgoing.get(p1, ()):
             for (a2, b2), q2 in outgoing.get(p2, ()):
                 if a2 != a:
@@ -317,19 +295,16 @@ def _beaten(base: Nfa, outputs: Alphabet) -> Nfa:
                     nxt_mode = 0
                 else:
                     continue  # the guess went lexicographically above; unrecoverable
-                dst = (q1, q2, nxt_mode)
-                if dst not in ids:
-                    ids[dst] = len(order)
-                    order.append(dst)
-                transitions.append((ids[(p1, p2, mode)], (a, b), ids[dst]))
+                yield (a, b), (q1, q2, nxt_mode)
+
+    nodes, edges = explore(starts, successors)
     return Nfa(
         alphabet=base.alphabet,
-        states=frozenset(range(len(order))),
-        transitions=frozenset(transitions),
-        initials=frozenset(
-            ids[(p1, p2, 0)] for p1 in base.initials for p2 in base.initials
-        ),
+        states=frozenset(range(len(nodes))),
+        transitions=frozenset(edges),
+        initials=frozenset(range(len(starts))),
         finals=frozenset(
-            ids[t] for t in order if t[2] == 1 and t[0] in base.finals and t[1] in base.finals
+            n for n, (q1, q2, mode) in enumerate(nodes)
+            if mode == 1 and q1 in base.finals and q2 in base.finals
         ),
     )

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Alphabet, Nfa, Word, inclusion_counterexample
+from .automata import Alphabet, Nfa, Word, explore, inclusion_counterexample
 from .errors import (
     AlphabetMismatchError,
     BadClosureWitnessError,
@@ -176,20 +176,16 @@ def _worklist(
     input letter) valued ((output row, output letter), successor id),
     and the largest dimension reached.
     """
-    start = MatrixState(((initial_entry,),), 1)
-    _check_matrix(start.matrix, coarse_final, diag_ok)
-    ids = {start: 0}
-    order = [start]
-    transitions: dict = {}
     partitions: dict = {}
-    l_max = 1
-    i = 0
-    while i < len(order):
-        mstate = order[i]
-        sid = i
-        i += 1
-        matrix = mstate.matrix
+    expanded = 0
 
+    def successors(mstate):
+        nonlocal expanded
+        expanded += 1
+        if expanded > STATE_CAP:
+            raise DimensionCapError("matrix state count exceeds safety cap")
+        matrix = mstate.matrix
+        _check_matrix(matrix, coarse_final, diag_ok)
         if matrix not in partitions:
 
             def succ(x, y, matrix=matrix):
@@ -215,16 +211,11 @@ def _worklist(
                 raise InternalInvariantError(
                     "successor item matches none or several minimal representatives"
                 )
-            nxt = MatrixState(new_matrix, fine_hits[0])
-            if nxt not in ids:
-                _check_matrix(new_matrix, coarse_final, diag_ok)
-                ids[nxt] = len(order)
-                order.append(nxt)
-                l_max = max(l_max, nxt.dimension)
-                if len(order) > STATE_CAP:
-                    raise DimensionCapError("matrix state count exceeds safety cap")
-            transitions[(sid, a)] = (part.outputs[ci], ids[nxt])
-    return order, transitions, l_max
+            yield (a, part.outputs[ci]), MatrixState(new_matrix, fine_hits[0])
+
+    order, edges = explore([MatrixState(((initial_entry,),), 1)], successors)
+    transitions = {(sid, a): (out, dst) for sid, (a, out), dst in edges}
+    return order, transitions, max(m.dimension for m in order)
 
 
 def _output_alphabet(l_max: int, inputs: Alphabet) -> tuple[Alphabet, dict]:
@@ -421,35 +412,24 @@ def eliminate_final_output(m: SubsequentialTransducer) -> SequentialTransducer:
             return klass[m.final_output[state]]
         return n
 
-    b0 = base.output_alphabet.letters[0]
-    start = (base.initial, b0)
-    ids = {start: 0}
-    order = [start]
-    transitions = {}
-    i = 0
-    while i < len(order):
-        p, c = order[i]
-        sid = i
-        i += 1
+    def successors(node):
+        p, c = node
         for a in base.input_alphabet.letters:
             hop = base.transitions.get((p, a))
             if hop is None:
                 continue
             (b,), q = hop
-            out = (c,) * (n - class_of(p)) + (b,) * class_of(q)
-            nxt = (q, b)
-            if nxt not in ids:
-                ids[nxt] = len(order)
-                order.append(nxt)
-            transitions[(sid, a)] = (out, ids[nxt])
+            yield (a, (c,) * (n - class_of(p)) + (b,) * class_of(q)), (q, b)
+
+    order, edges = explore([(base.initial, base.output_alphabet.letters[0])], successors)
     return SequentialTransducer(
         input_alphabet=base.input_alphabet,
         output_alphabet=base.output_alphabet,
         states=frozenset(range(len(order))),
-        transitions=transitions,
+        transitions={(sid, a): (out, dst) for sid, (a, out), dst in edges},
         initial=0,
-        finals=frozenset(ids[(p, c)] for (p, c) in order if p in base.finals),
-        provenance={ids[pc]: str(pc) for pc in order},
+        finals=frozenset(sid for sid, (p, _c) in enumerate(order) if p in base.finals),
+        provenance={sid: str(pc) for sid, pc in enumerate(order)},
     )
 
 
@@ -515,17 +495,18 @@ def kernel_transducer(
             return True
 
     inputs = base.input_alphabet
-    start = (base.initial, base.initial, (), 0)
-    ids = {start: 0}
-    order = [start]
-    transitions = []
-    held = 1
-    i = 0
-    while i < len(order):
-        p, q, pending, side = order[i]
+    held = 0
+
+    def successors(node):
+        nonlocal held
+        p, q, pending, side = node
+        held += 1 + len(pending)
+        if budget is not None and held > budget:
+            raise NotLetterToLetterError(
+                f"squared machine exceeds the budget of {budget} "
+                "states and pending output letters"
+            )
         extra = _ahead(pending, side)
-        src = i
-        i += 1
         for a1 in inputs.letters:
             hop1 = base.transitions.get((p, a1))
             if hop1 is None:
@@ -543,28 +524,19 @@ def kernel_transducer(
                         f"two runs differ by {len(balance[0])} output letters, "
                         f"above the lag bound {lag}"
                     )
-                dst = (hop1[1], hop2[1]) + balance
-                if dst not in ids:
-                    ids[dst] = len(order)
-                    order.append(dst)
-                    held += 1 + len(balance[0])
-                    if budget is not None and held > budget:
-                        raise NotLetterToLetterError(
-                            f"squared machine exceeds the budget of {budget} "
-                            "states and pending output letters"
-                        )
-                transitions.append((src, (a1, a2), ids[dst]))
+                yield (a1, a2), (hop1[1], hop2[1]) + balance
+
+    order, edges = explore([(base.initial, base.initial, (), 0)], successors)
     nfa = Nfa(
         alphabet=pair_alphabet(inputs, inputs),
         states=frozenset(range(len(order))),
-        transitions=frozenset(transitions),
+        transitions=frozenset(edges),
         initials=frozenset({0}),
         finals=frozenset(
-            ids[(p, q, pending, side)]
-            for (p, q, pending, side) in order
+            n
+            for n, (p, q, pending, side) in enumerate(order)
             if not pending and p in base.finals and q in base.finals and final_pair(p, q)
         ),
-        origins={ids[node]: str(node) for node in order},
     )
     return LetterTransducer(inputs, inputs, nfa)
 

@@ -7,6 +7,7 @@ from kernseq.automata import (
     complement,
     determinize,
     difference,
+    explore,
     inclusion_counterexample,
     includes,
     intersect,
@@ -67,6 +68,27 @@ def two_state_dfa():
         {0},
         {1},
     )
+
+
+def test_explore_numbers_in_discovery_order():
+    graph = {
+        "s": [("x", "b"), ("y", "a")],
+        "a": [("z", "c"), ("w", "s")],
+        "b": [("v", "c")],
+        "c": [],
+    }
+    expanded = []
+
+    def successors(node):
+        expanded.append(node)
+        return graph[node]
+
+    nodes, edges = explore(["s", "s"], successors)
+    # the repeated start is numbered once; b precedes a because s yields it
+    # first, and c is numbered from b before a is expanded (breadth first)
+    assert nodes == ["s", "b", "a", "c"]
+    assert expanded == nodes
+    assert edges == [(0, "x", 1), (0, "y", 2), (1, "v", 3), (2, "z", 3), (2, "w", 0)]
 
 
 def test_determinize_idempotent_on_deterministic_input():
@@ -201,6 +223,19 @@ def test_inclusion_counterexample_is_a_shortest_separating_word(a, b):
     # of the shortest separating words, the first in alphabet order
     assert word == min((w for w in missing if len(w) == len(word)), key=AB.key, default=word)
     assert not includes(a, b)
+
+
+def test_inclusion_counterexample_is_first_in_alphabet_order_over_parallel_runs():
+    empty = Nfa(AB, set(), set(), set(), set())
+    # "ab" and "aa" run through different states reached by the same "a"
+    forked = Nfa(
+        AB, set(range(5)), {(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "a", 4)}, {0}, {3, 4}
+    )
+    assert inclusion_counterexample(forked, empty) == ("a", "a")
+    # "b" leaves the first initial state, "a" the second
+    two_starts = Nfa(AB, {0, 1, 2}, {(1, "a", 0), (0, "b", 0)}, {0, 1}, {0})
+    only_empty_word = Nfa(AB, {0}, set(), {0}, {0})
+    assert inclusion_counterexample(two_starts, only_empty_word) == ("a",)
 
 
 def test_inclusion_counterexample_of_the_empty_word_and_of_a_long_word():

@@ -9,6 +9,7 @@ from kernseq.fileformat import parse, render
 
 from conftest import (
     build_a_parity,
+    build_agree_except_last,
     build_c_singletons,
     build_chained_classes,
     build_last_a,
@@ -283,6 +284,20 @@ def test_resource_exhaustion_exits_five_with_one_line(files, capsys, monkeypatch
 
     monkeypatch.setattr(kernseq.cli, "decide_kerseq_ll", exhaust)
     code, out, err = run(capsys, "decide", "ll", files["ident"])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("kernseq: resource exhausted") and err.count("\n") == 1
+
+
+def test_state_cap_below_the_witness_exits_five(capsys, monkeypatch, tmp_path):
+    import kernseq.synthesis
+
+    path = tmp_path / "agree3.t"
+    path.write_text(render(build_agree_except_last(3)))  # witness: 15 states
+    monkeypatch.setattr(kernseq.synthesis, "STATE_CAP", 15)
+    assert run(capsys, "decide", "ll", str(path))[0] == 0
+    monkeypatch.setattr(kernseq.synthesis, "STATE_CAP", 14)
+    code, out, err = run(capsys, "decide", "ll", str(path))
     assert code == 5
     assert out == ""
     assert err.startswith("kernseq: resource exhausted") and err.count("\n") == 1

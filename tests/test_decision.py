@@ -18,6 +18,7 @@ from kernseq.decision import (
 )
 from kernseq.errors import (
     BadClosureWitnessError,
+    DimensionCapError,
     NotEquivalenceError,
     NotFinerError,
 )
@@ -287,6 +288,19 @@ def test_decide_ll_agree_except_last_yes(agree_except_last):
     assert language_equal(
         kernel_transducer(verdict.witness).nfa, agree_except_last.nfa
     )
+
+
+def test_state_cap_admits_exactly_the_witness_states(monkeypatch):
+    import kernseq.synthesis
+
+    relation = build_agree_except_last(3)
+    monkeypatch.setattr(kernseq.synthesis, "STATE_CAP", 15)
+    verdict = decide_kerseq_ll(relation)
+    assert verdict.outcome is Outcome.YES
+    assert len(verdict.witness.states) == 15
+    monkeypatch.setattr(kernseq.synthesis, "STATE_CAP", 14)
+    with pytest.raises(DimensionCapError):
+        decide_kerseq_ll(relation)
 
 
 def test_decide_ll_synthesizes_matrices_of_dimension_128():

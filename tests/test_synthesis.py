@@ -27,7 +27,7 @@ from kernseq.synthesis import (
     synthesize_subsequential,
     validate_closure_witness,
 )
-from conftest import AB, build_mod_count, words
+from conftest import AB, build_agree_except_last, build_mod_count, words
 
 
 def closure_of(r, cap=8):
@@ -265,6 +265,16 @@ def test_kernel_stops_squaring_beyond_its_budget():
     )
     with pytest.raises(NotLetterToLetterError, match="budget of 50"):
         kernel_transducer(m, lag=1000, budget=50)
+
+
+def test_kernel_budget_admits_exactly_the_squared_states():
+    from kernseq.decision import decide_kerseq_ll
+
+    # the squared agree-except-last-3 witness has 85 states, none pending
+    witness = decide_kerseq_ll(build_agree_except_last(3)).witness
+    assert len(kernel_transducer(witness, budget=85).nfa.states) == 85
+    with pytest.raises(NotLetterToLetterError, match="budget of 84"):
+        kernel_transducer(witness, budget=84)
 
 
 def test_kernel_of_eliminated_machine_within_its_lag(a_parity):
