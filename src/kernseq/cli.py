@@ -4,7 +4,8 @@ Subcommands: validate, analyze, decide ll, decide lp, closure, verify.
 Every report exists in a text and a ``--json`` form carrying the same
 fields. Exit codes: 0 yes/valid, 1 no, 2 unknown (closure cap), 3 input
 or format error, 4 internal invariant breach, 5 resource exhausted (out
-of memory, or a synthesized machine above the state cap).
+of memory, or a synthesized machine above the state cap or the budget of
+stored matrix entries).
 """
 
 from __future__ import annotations

@@ -56,15 +56,15 @@ class PreconditionError(KernseqError):
 
 
 class DimensionCapError(KernseqError):
-    """Synthesis built more matrix states than its fixed state-count cap.
+    """Synthesis went over its state-count cap or its matrix-entry budget.
 
     The matrix dimension itself is not capped: a finite index bounds it,
     although valid input can need large matrices (agreeing except in the
-    last k letters needs dimension 2^k). The state-count cap is a
-    resource limit, not a wrong answer. It counts matrix states, not
-    memory: each state holds a whole matrix, so when a precondition is
-    broken (an infinite index, which the checked entry points rule out
-    first) memory can run out before the cap fires.
+    last k letters needs dimension 2^k). Both limits are resource limits,
+    not wrong answers. The entry budget bounds the memory the distinct
+    matrices hold, so a broken precondition (an infinite index, which the
+    checked entry points rule out first) ends at it rather than in
+    running out of memory.
     """
 
     code = "DIMENSION_CAP"

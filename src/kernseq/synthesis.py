@@ -1,14 +1,17 @@
 """Witness construction.
 
 The central construction turns a suitable relation into an
-input-deterministic machine whose kernel is that relation. Machine
-states are square matrices of pair-automaton states: entry (i, j) is
-the state reached by reading the pair of the i-th and j-th class
-representatives, and the distinguished row says which representative
-the current input tracks. Successor states are computed from the matrix
-alone, so representatives never need to be materialized; the fixed
-order on (row index, input letter) pairs stands in for the
-lexicographic order of the representatives themselves.
+input-deterministic machine whose kernel is that relation. A machine
+state is a pair (matrix, row). The matrix is square, of pair-automaton
+states: entry (i, j) is the state reached by reading the pair of the
+i-th and j-th class representatives, and the row says which
+representative the current input tracks. Successors are computed from
+the matrix alone, so representatives never need to be materialized; the
+fixed order on (row index, input letter) pairs stands in for the
+lexicographic order of the representatives themselves. A successor
+matrix depends only on the matrix and the class of the item read, not
+on the row, so each distinct matrix is stored, checked and expanded
+once, and its table of moves serves every row.
 
 Three public constructions live here:
 
@@ -32,6 +35,7 @@ squares a machine with a bounded pending-output buffer
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .automata import Alphabet, Nfa, Word, explore, inclusion_counterexample
@@ -47,12 +51,20 @@ from .machines import SequentialTransducer, SubsequentialTransducer
 from .relations import Prepared, compose, prefix_closure, prepare
 from .transducers import LetterTransducer, diagonal_states, pair_alphabet, pair_dfa
 
-# Largest number of matrix states a construction builds before it raises
-# ``DimensionCapError``. It counts states, not memory: each state holds a
-# matrix whose dimension is not capped, so on input that breaks the
-# preconditions (an infinite index) memory can run out before the cap is
-# reached.
+# Largest number of matrix states a construction expands before it raises
+# ``DimensionCapError``. States share their matrices, so the states alone
+# hold little memory; ``ENTRY_CAP`` bounds what the matrices hold.
 STATE_CAP = 100_000
+
+# Largest sum of l * l over the distinct l-by-l matrices a construction
+# stores before it raises ``DimensionCapError``, counted as each matrix is
+# first reached. An entry of the subsequential product holds a fresh pair
+# of states, about 80 bytes with its slot, so the cap stands for about
+# 160 MB (a Mealy entry, a shared int, costs less). A finite index bounds
+# the matrices; when a precondition is broken (an infinite index) this
+# cap ends the construction before memory runs out. Agree-except-last-9
+# needs 349,525 entries.
+ENTRY_CAP = 2_000_000
 
 Item = tuple[int, object]  # (1-based row index, input letter)
 
@@ -170,52 +182,85 @@ def _worklist(
     fine_final,
     diag_ok,
 ):
-    """Explore matrix states breadth-first from the 1-by-1 start matrix.
+    """Explore (matrix, row) states breadth-first from the 1-by-1 start matrix.
 
-    Returns discovery-ordered states, transitions keyed by (state id,
+    Each distinct matrix is interned once, checked once and, on its
+    first expansion, given a table of moves for all of its rows. Returns
+    the matrices in the order they were interned, the discovery-ordered
+    states as (matrix index, row) pairs, transitions keyed by (state id,
     input letter) valued ((output row, output letter), successor id),
     and the largest dimension reached.
     """
-    partitions: dict = {}
+    index: dict = {}
+    matrices: list = []
+    tables: dict = {}
+    entries = 0
     expanded = 0
 
-    def successors(mstate):
+    def intern(matrix):
+        nonlocal entries
+        mi = index.get(matrix)
+        if mi is None:
+            entries += len(matrix) ** 2
+            if entries > ENTRY_CAP:
+                raise DimensionCapError("stored matrix entries exceed safety cap")
+            _check_matrix(matrix, coarse_final, diag_ok)
+            mi = index[matrix] = len(matrices)
+            matrices.append(matrix)
+        return mi
+
+    def moves(matrix):
+        def succ(x, y):
+            (xi, xa), (yj, yb) = x, y
+            return delta(matrix[xi - 1][yj - 1], (xa, yb))
+
+        part = successor_partition(matrix, letters, succ, coarse_final, fine_final)
+        # An item's successor row is the place of its fine-class minimum
+        # among the reps; the partition verified the fine grouping on all
+        # pairs and that it refines the coarse one, so there is exactly one.
+        fine_min = {x: cls[0] for cls in part.fine_classes for x in cls}
+        table = {}
+        for cls, reps, out in zip(part.coarse_classes, part.minimal_reps, part.outputs):
+            target = intern(tuple(tuple(succ(x, y) for y in reps) for x in reps))
+            row_of = {rep: m for m, rep in enumerate(reps, start=1)}
+            for item in cls:
+                table[item] = (out, (target, row_of[fine_min[item]]))
+        return table
+
+    def successors(node):
         nonlocal expanded
         expanded += 1
         if expanded > STATE_CAP:
             raise DimensionCapError("matrix state count exceeds safety cap")
-        matrix = mstate.matrix
-        _check_matrix(matrix, coarse_final, diag_ok)
-        if matrix not in partitions:
-
-            def succ(x, y, matrix=matrix):
-                (xi, xa), (yj, yb) = x, y
-                return delta(matrix[xi - 1][yj - 1], (xa, yb))
-
-            partitions[matrix] = (successor_partition(
-                matrix, letters, succ, coarse_final, fine_final
-            ), succ)
-        part, succ = partitions[matrix]
-
+        mi, row = node
+        if mi not in tables:
+            tables[mi] = moves(matrices[mi])
         for a in letters:
-            item = (mstate.row, a)
-            ci = part.coarse_index(item)
-            reps = part.minimal_reps[ci]
-            new_matrix = tuple(
-                tuple(succ(x, y) for y in reps) for x in reps
-            )
-            fine_hits = [
-                m for m, rep in enumerate(reps, start=1) if fine_final(succ(item, rep))
-            ]
-            if len(fine_hits) != 1:
-                raise InternalInvariantError(
-                    "successor item matches none or several minimal representatives"
-                )
-            yield (a, part.outputs[ci]), MatrixState(new_matrix, fine_hits[0])
+            out, nxt = tables[mi][(row, a)]
+            yield (a, out), nxt
 
-    order, edges = explore([MatrixState(((initial_entry,),), 1)], successors)
+    order, edges = explore([(intern(((initial_entry,),)), 1)], successors)
     transitions = {(sid, a): (out, dst) for sid, (a, out), dst in edges}
-    return order, transitions, max(m.dimension for m in order)
+    return matrices, order, transitions, max(map(len, matrices))
+
+
+class _Provenance(Mapping):
+    """State id to ``MatrixState.describe()``, rendered when it is read."""
+
+    def __init__(self, matrices, order):
+        self._matrices, self._order = matrices, order
+
+    def __getitem__(self, sid):
+        if sid not in range(len(self._order)):
+            raise KeyError(sid)
+        mi, row = self._order[sid]
+        return MatrixState(self._matrices[mi], row).describe()
+
+    def __len__(self):
+        return len(self._order)
+
+    def __iter__(self):
+        return iter(range(len(self._order)))
 
 
 def _output_alphabet(l_max: int, inputs: Alphabet) -> tuple[Alphabet, dict]:
@@ -254,15 +299,15 @@ def mealy_machine(prep: Prepared) -> SequentialTransducer:
     The relation must be prefix-closed with finite congruence index, as
     ``decide_kerseq_ll`` establishes before calling it. The matrix
     dimension is not capped, since a finite index bounds it; more than
-    ``STATE_CAP`` states raise ``DimensionCapError``. That cap counts
-    states, not memory, so it is no guard against a broken precondition.
+    ``STATE_CAP`` states or ``ENTRY_CAP`` stored matrix entries raise
+    ``DimensionCapError``, also when a precondition is broken.
     """
     r, det, diag = prep.relation, prep.det, prep.diagonal
     finals = det.nfa.finals
     (initial,) = det.nfa.initials
     step = det.nfa.step
 
-    order, transitions, l_max = _worklist(
+    matrices, order, transitions, l_max = _worklist(
         r.input_alphabet.letters,
         initial,
         lambda q, pair: step(q, pair),
@@ -280,7 +325,7 @@ def mealy_machine(prep: Prepared) -> SequentialTransducer:
         },
         initial=0,
         finals=frozenset(range(len(order))),
-        provenance={i: m.describe() for i, m in enumerate(order)},
+        provenance=_Provenance(matrices, order),
     )
 
 
@@ -347,7 +392,7 @@ def subsequential_machine(prep: Prepared, pplus: LetterTransducer) -> Subsequent
     r_step = rdfa.nfa.step
     p_step = pdfa.nfa.step
 
-    order, transitions, l_max = _worklist(
+    matrices, order, transitions, l_max = _worklist(
         r.input_alphabet.letters,
         (r0, p0),
         lambda q, pair: (r_step(q[0], pair), p_step(q[1], pair)),
@@ -360,12 +405,9 @@ def subsequential_machine(prep: Prepared, pplus: LetterTransducer) -> Subsequent
     full_alpha = Alphabet(out_alpha.letters + final_letters)
 
     final_output = {}
-    for sid, mstate in enumerate(order):
-        i = mstate.row
+    for sid, (mi, i) in enumerate(order):
         related = [
-            j
-            for j in range(1, mstate.dimension + 1)
-            if mstate.matrix[i - 1][j - 1][0] in r_finals
+            j for j, entry in enumerate(matrices[mi][i - 1], start=1) if entry[0] in r_finals
         ]
         if not related:
             raise InternalInvariantError("matrix row is not related to itself")
@@ -380,7 +422,7 @@ def subsequential_machine(prep: Prepared, pplus: LetterTransducer) -> Subsequent
         },
         initial=0,
         finals=frozenset(range(len(order))),
-        provenance={i: m.describe() for i, m in enumerate(order)},
+        provenance=_Provenance(matrices, order),
     )
     return SubsequentialTransducer(base=body, final_output=final_output)
 

@@ -301,3 +301,17 @@ def test_state_cap_below_the_witness_exits_five(capsys, monkeypatch, tmp_path):
     assert code == 5
     assert out == ""
     assert err.startswith("kernseq: resource exhausted") and err.count("\n") == 1
+
+
+def test_entry_cap_below_the_witness_exits_five(capsys, monkeypatch, tmp_path):
+    import kernseq.synthesis
+
+    path = tmp_path / "agree3.t"
+    path.write_text(render(build_agree_except_last(3)))  # matrices: 85 entries
+    monkeypatch.setattr(kernseq.synthesis, "ENTRY_CAP", 85)
+    assert run(capsys, "decide", "ll", str(path))[0] == 0
+    monkeypatch.setattr(kernseq.synthesis, "ENTRY_CAP", 84)
+    code, out, err = run(capsys, "decide", "ll", str(path))
+    assert code == 5
+    assert out == ""
+    assert err.startswith("kernseq: resource exhausted") and err.count("\n") == 1

@@ -303,6 +303,27 @@ def test_state_cap_admits_exactly_the_witness_states(monkeypatch):
         decide_kerseq_ll(relation)
 
 
+def test_entry_cap_admits_exactly_the_witness_matrices(monkeypatch):
+    import kernseq.synthesis
+
+    # the agree-except-last-3 witness stores matrices of dimension 1, 2, 4, 8
+    relation = build_agree_except_last(3)
+    monkeypatch.setattr(kernseq.synthesis, "ENTRY_CAP", 1 + 4 + 16 + 64)
+    assert decide_kerseq_ll(relation).outcome is Outcome.YES
+    monkeypatch.setattr(kernseq.synthesis, "ENTRY_CAP", 84)
+    with pytest.raises(DimensionCapError):
+        decide_kerseq_ll(relation)
+
+
+def test_each_distinct_matrix_is_checked_once(monkeypatch):
+    from kernseq import synthesis
+
+    calls = count_calls(monkeypatch, synthesis, "_check_matrix")
+    verdict = decide_kerseq_ll(build_agree_except_last(3))
+    assert len(verdict.witness.states) == 15
+    assert [len(matrix) for matrix, *_ in calls] == [1, 2, 4, 8]
+
+
 def test_decide_ll_synthesizes_matrices_of_dimension_128():
     # agreeing except in the last 7 letters needs matrices of dimension 2^7;
     # the matrix dimension is not capped, since the index is proved finite

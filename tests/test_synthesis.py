@@ -2,7 +2,7 @@ import pytest
 
 from kernseq.automata import Alphabet, language_equal
 from kernseq.decision import decide_kerseq_lp
-from kernseq.errors import NotLetterToLetterError, PreconditionError
+from kernseq.errors import DimensionCapError, NotLetterToLetterError, PreconditionError
 from kernseq.machines import SequentialTransducer, SubsequentialTransducer
 from kernseq.oracle import (
     accepts_pair_backward,
@@ -14,6 +14,7 @@ from kernseq.oracle import (
 from kernseq.relations import (
     compose,
     prefix_closure,
+    prepare,
     syntactic_congruence,
     transitive_closure,
 )
@@ -22,6 +23,7 @@ from kernseq.synthesis import (
     kernel_counterexample,
     kernel_transducer,
     length_collision,
+    subsequential_machine,
     successor_partition,
     synthesize_mealy,
     synthesize_subsequential,
@@ -98,6 +100,24 @@ def test_mealy_states_carry_provenance(agree_except_last):
     machine = synthesize_mealy(agree_except_last)
     assert machine.provenance is not None
     assert "row" in machine.provenance[0]
+
+
+def test_provenance_names_every_state_and_no_other(agree_except_last):
+    machine = synthesize_mealy(agree_except_last)
+    assert set(machine.provenance) == set(machine.states)
+    assert len(machine.provenance) == len(machine.states)
+    assert machine.provenance.get(len(machine.states)) is None
+    assert all(text.startswith("row ") for text in machine.provenance.values())
+
+
+def test_entry_cap_ends_a_construction_with_a_broken_precondition(monkeypatch, last_a):
+    import kernseq.synthesis
+
+    # the index of last_a is infinite with respect to its closure, so the
+    # matrices grow without bound
+    monkeypatch.setattr(kernseq.synthesis, "ENTRY_CAP", 10_000)
+    with pytest.raises(DimensionCapError):
+        subsequential_machine(prepare(last_a), closure_of(last_a))
 
 
 # ---------------------------------------------------------------- subsequential
