@@ -74,8 +74,6 @@ from .relations import (
     validate_relation,
 )
 from .synthesis import (
-    MatrixState,
-    SuccessorPartition,
     eliminate_final_output,
     kernel_counterexample,
     kernel_transducer,

@@ -148,20 +148,15 @@ def _cmd_decide(args) -> int:
     relation = _load(args.file, LetterTransducer)
     if args.variant == "ll":
         verdict = decide_kerseq_ll(relation)
-        written = None
-        if verdict.outcome is Outcome.YES and args.output:
-            _write_machine(args.output, verdict.witness)
-            written = args.output
+        machine = verdict.witness
     else:
         pplus = _load(args.pplus, LetterTransducer) if args.pplus else None
         verdict = decide_kerseq_lp(relation, closure=pplus, cap=args.closure_cap)
-        written = None
-        if verdict.outcome is Outcome.YES and args.output:
-            machine = (
-                verdict.witness if args.eliminate_final_output else verdict.subsequential
-            )
-            _write_machine(args.output, machine)
-            written = args.output
+        machine = verdict.witness if args.eliminate_final_output else verdict.subsequential
+    written = None
+    if verdict.outcome is Outcome.YES and args.output:
+        _write_machine(args.output, machine)
+        written = args.output
     _emit(
         {
             "command": "decide",
@@ -225,6 +220,12 @@ def _cmd_verify(args) -> int:
     return EXIT_YES if equal else EXIT_NO
 
 
+def _closure_options(p) -> None:
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--pplus", metavar="FILE", help="externally supplied closure fixpoint")
+    group.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP, metavar="N")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="kernseq",
@@ -243,27 +244,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full structural report for a relation")
     p.add_argument("file")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--pplus", metavar="FILE", help="externally supplied closure fixpoint")
-    group.add_argument(
-        "--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP, metavar="N"
-    )
+    _closure_options(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("decide", help="class membership with a synthesized witness")
-    p.add_argument("variant", choices=("ll", "lp"))
-    p.add_argument("file")
-    p.add_argument("--pplus", metavar="FILE")
-    p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP, metavar="N")
-    p.add_argument("-o", "--output", metavar="WITNESS")
-    p.add_argument(
+    p.set_defaults(func=_cmd_decide)
+    variants = p.add_subparsers(dest="variant", required=True)
+    v = variants.add_parser("ll", help="letter-to-letter sequential witness")
+    v.add_argument("file")
+    v.add_argument("-o", "--output", metavar="WITNESS")
+    v.add_argument("--json", action="store_true")
+    v = variants.add_parser("lp", help="subsequential witness")
+    v.add_argument("file")
+    _closure_options(v)
+    v.add_argument("-o", "--output", metavar="WITNESS")
+    v.add_argument(
         "--eliminate-final-output",
         action="store_true",
         help="write the final-output-free sequential witness instead",
     )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_decide)
+    v.add_argument("--json", action="store_true")
 
     p = sub.add_parser("closure", help="transitive closure of the prefix closure")
     p.add_argument("file")

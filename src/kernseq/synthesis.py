@@ -11,7 +11,14 @@ fixed order on (row index, input letter) pairs stands in for the
 lexicographic order of the representatives themselves. A successor
 matrix depends only on the matrix and the class of the item read, not
 on the row, so each distinct matrix is stored, checked and expanded
-once, and its table of moves serves every row.
+once, and its table of moves serves every row. The table is built from
+the items (row, letter). Two items share a coarse class when reading
+their pair from the entry of their rows reaches an accepting state (of
+the closure, in the subsequential construction), and a fine class when
+it reaches a diagonal state of the relation. Each coarse class outputs
+its least item and moves to the matrix whose rows are its fine-class
+minima, in order; an item moves to the row of its own fine-class
+minimum.
 
 Three public constructions live here:
 
@@ -36,7 +43,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .automata import Alphabet, Nfa, Word, explore, inclusion_counterexample
 from .errors import (
@@ -66,99 +72,26 @@ STATE_CAP = 100_000
 # needs 349,525 entries.
 ENTRY_CAP = 2_000_000
 
-Item = tuple[int, object]  # (1-based row index, input letter)
-
-
-@dataclass(frozen=True)
-class MatrixState:
-    """An l-by-l matrix of pair-automaton states plus a distinguished row."""
-
-    matrix: tuple[tuple[object, ...], ...]
-    row: int
-
-    @property
-    def dimension(self) -> int:
-        return len(self.matrix)
-
-    def describe(self) -> str:
-        return f"row {self.row} of {self.matrix!r}"
-
-
-@dataclass(frozen=True)
-class SuccessorPartition:
-    """How the successors of one matrix regroup into classes.
-
-    ``items`` lists the (row, letter) pairs in the fixed order;
-    ``coarse_classes`` groups them by whether the stepped pair state is
-    accepting, ``fine_classes`` by whether it is diagonal. Each coarse
-    class keeps the ordered minimal fine representatives that become the
-    rows of the successor matrix, and its least item, which becomes the
-    output letter.
-    """
-
-    items: tuple[Item, ...]
-    coarse_classes: tuple[tuple[Item, ...], ...]
-    fine_classes: tuple[tuple[Item, ...], ...]
-    minimal_reps: tuple[tuple[Item, ...], ...]
-    outputs: tuple[Item, ...]
-
-    def coarse_index(self, item: Item) -> int:
-        for ci, cls in enumerate(self.coarse_classes):
-            if item in cls:
-                return ci
-        raise KeyError(item)
-
-
 def _partition(items, related, what):
-    """Group items by a claimed equivalence; verify it really is one."""
-    classes: list[list] = []
+    """Each item's least class member under a claimed equivalence, verified.
+
+    Items come in the fixed order, so an item that relates to no earlier
+    class minimum starts a class and is its minimum.
+    """
+    minima: list = []
+    least = {}
     for x in items:
-        for cls in classes:
-            if related(x, cls[0]):
-                cls.append(x)
-                break
-        else:
-            classes.append([x])
-    member = {}
-    for ci, cls in enumerate(classes):
-        for x in cls:
-            member[x] = ci
+        least[x] = next((m for m in minima if related(x, m)), x)
+        if least[x] == x:
+            minima.append(x)
     for x in items:
         for y in items:
-            if related(x, y) != (member[x] == member[y]):
+            if related(x, y) != (least[x] == least[y]):
                 raise InternalInvariantError(
                     f"{what} is not an equivalence relation on successor items; "
                     "a synthesis precondition does not actually hold"
                 )
-    return tuple(tuple(cls) for cls in classes), member
-
-
-def successor_partition(
-    matrix, letters, succ, coarse_final, fine_final
-) -> SuccessorPartition:
-    l = len(matrix)
-    items = tuple((i, a) for i in range(1, l + 1) for a in letters)
-
-    def coarse(x, y):
-        return coarse_final(succ(x, y))
-
-    def fine(x, y):
-        return fine_final(succ(x, y))
-
-    coarse_classes, coarse_member = _partition(items, coarse, "coarse grouping")
-    fine_classes, fine_member = _partition(items, fine, "fine grouping")
-    for cls in fine_classes:
-        if len({coarse_member[x] for x in cls}) != 1:
-            raise InternalInvariantError("fine grouping does not refine coarse grouping")
-    first_of_fine = {}
-    for x in items:  # items are in the fixed order, so first seen = class minimum
-        first_of_fine.setdefault(fine_member[x], x)
-    minimal_reps = tuple(
-        tuple(x for x in cls if first_of_fine[fine_member[x]] == x)
-        for cls in coarse_classes
-    )
-    outputs = tuple(cls[0] for cls in coarse_classes)
-    return SuccessorPartition(items, coarse_classes, fine_classes, minimal_reps, outputs)
+    return least
 
 
 def _check_matrix(matrix, coarse_final, diag_ok):
@@ -185,8 +118,13 @@ def _worklist(
     """Explore (matrix, row) states breadth-first from the 1-by-1 start matrix.
 
     Each distinct matrix is interned once, checked once and, on its
-    first expansion, given a table of moves for all of its rows. Returns
-    the matrices in the order they were interned, the discovery-ordered
+    first expansion, given a table of moves for all of its rows. The
+    table groups the items (row, letter) twice by the entry reached on
+    reading the pair of two items: by ``coarse_final`` and, finer, by
+    ``fine_final``. Each coarse class outputs its least item and steps
+    to the matrix whose rows are its fine-class minima, in order; an
+    item moves to the row of its fine-class minimum. Returns the
+    matrices in the order they were interned, the discovery-ordered
     states as (matrix index, row) pairs, transitions keyed by (state id,
     input letter) valued ((output row, output letter), successor id),
     and the largest dimension reached.
@@ -214,18 +152,20 @@ def _worklist(
             (xi, xa), (yj, yb) = x, y
             return delta(matrix[xi - 1][yj - 1], (xa, yb))
 
-        part = successor_partition(matrix, letters, succ, coarse_final, fine_final)
-        # An item's successor row is the place of its fine-class minimum
-        # among the reps; the partition verified the fine grouping on all
-        # pairs and that it refines the coarse one, so there is exactly one.
-        fine_min = {x: cls[0] for cls in part.fine_classes for x in cls}
-        table = {}
-        for cls, reps, out in zip(part.coarse_classes, part.minimal_reps, part.outputs):
-            target = intern(tuple(tuple(succ(x, y) for y in reps) for x in reps))
-            row_of = {rep: m for m, rep in enumerate(reps, start=1)}
-            for item in cls:
-                table[item] = (out, (target, row_of[fine_min[item]]))
-        return table
+        items = [(i, a) for i in range(1, len(matrix) + 1) for a in letters]
+        coarse = _partition(items, lambda x, y: coarse_final(succ(x, y)), "coarse grouping")
+        fine = _partition(items, lambda x, y: fine_final(succ(x, y)), "fine grouping")
+        if any(coarse[fine[x]] != coarse[x] for x in items):
+            raise InternalInvariantError("fine grouping does not refine coarse grouping")
+        reps: dict = {}  # least item of each coarse class -> its fine-class minima
+        for x in items:
+            if fine[x] == x:
+                reps.setdefault(coarse[x], []).append(x)
+        step = {}  # fine-class minimum -> (successor matrix index, row)
+        for rows in reps.values():
+            target = intern(tuple(tuple(succ(x, y) for y in rows) for x in rows))
+            step.update((rep, (target, m)) for m, rep in enumerate(rows, start=1))
+        return {x: (coarse[x], step[fine[x]]) for x in items}
 
     def successors(node):
         nonlocal expanded
@@ -245,7 +185,7 @@ def _worklist(
 
 
 class _Provenance(Mapping):
-    """State id to ``MatrixState.describe()``, rendered when it is read."""
+    """State id to ``row <r> of <matrix>``, rendered when it is read."""
 
     def __init__(self, matrices, order):
         self._matrices, self._order = matrices, order
@@ -254,7 +194,7 @@ class _Provenance(Mapping):
         if sid not in range(len(self._order)):
             raise KeyError(sid)
         mi, row = self._order[sid]
-        return MatrixState(self._matrices[mi], row).describe()
+        return f"row {row} of {self._matrices[mi]!r}"
 
     def __len__(self):
         return len(self._order)
@@ -263,15 +203,24 @@ class _Provenance(Mapping):
         return iter(range(len(self._order)))
 
 
-def _output_alphabet(l_max: int, inputs: Alphabet) -> tuple[Alphabet, dict]:
-    names = []
-    encode = {}
-    for j in range(1, l_max + 1):
-        for a in inputs.letters:
-            name = f"o{j}_{a}"
-            names.append(name)
-            encode[(j, a)] = name
-    return Alphabet(tuple(names)), encode
+def _machine(inputs: Alphabet, found, extra_outputs=()) -> SequentialTransducer:
+    """The machine of a ``_worklist`` result, every state final.
+
+    The item (row j, letter a) is output as ``o<j>_<a>``; ``extra_outputs``
+    are appended to the output alphabet.
+    """
+    matrices, order, transitions, l_max = found
+    encode = {(j, a): f"o{j}_{a}" for j in range(1, l_max + 1) for a in inputs.letters}
+    states = frozenset(range(len(order)))
+    return SequentialTransducer(
+        input_alphabet=inputs,
+        output_alphabet=Alphabet(tuple(encode.values()) + tuple(extra_outputs)),
+        states=states,
+        transitions={key: ((encode[item],), dst) for key, (item, dst) in transitions.items()},
+        initial=0,
+        finals=states,
+        provenance=_Provenance(matrices, order),
+    )
 
 
 def synthesize_mealy(r: LetterTransducer) -> SequentialTransducer:
@@ -305,28 +254,16 @@ def mealy_machine(prep: Prepared) -> SequentialTransducer:
     r, det, diag = prep.relation, prep.det, prep.diagonal
     finals = det.nfa.finals
     (initial,) = det.nfa.initials
-    step = det.nfa.step
 
-    matrices, order, transitions, l_max = _worklist(
+    found = _worklist(
         r.input_alphabet.letters,
         initial,
-        lambda q, pair: step(q, pair),
+        det.nfa.step,
         lambda q: q in finals,
         lambda q: q in diag,
         lambda q: q in diag,
     )
-    out_alpha, encode = _output_alphabet(l_max, r.input_alphabet)
-    return SequentialTransducer(
-        input_alphabet=r.input_alphabet,
-        output_alphabet=out_alpha,
-        states=frozenset(range(len(order))),
-        transitions={
-            key: ((encode[item],), dst) for key, (item, dst) in transitions.items()
-        },
-        initial=0,
-        finals=frozenset(range(len(order))),
-        provenance=_Provenance(matrices, order),
-    )
+    return _machine(r.input_alphabet, found)
 
 
 def validate_closure_witness(r: LetterTransducer, closure: LetterTransducer) -> None:
@@ -392,7 +329,7 @@ def subsequential_machine(prep: Prepared, pplus: LetterTransducer) -> Subsequent
     r_step = rdfa.nfa.step
     p_step = pdfa.nfa.step
 
-    matrices, order, transitions, l_max = _worklist(
+    found = _worklist(
         r.input_alphabet.letters,
         (r0, p0),
         lambda q, pair: (r_step(q[0], pair), p_step(q[1], pair)),
@@ -400,10 +337,7 @@ def subsequential_machine(prep: Prepared, pplus: LetterTransducer) -> Subsequent
         lambda q: q[0] in r_diag,
         lambda q: q[0] in r_diag and q[1] in p_diag,
     )
-    out_alpha, encode = _output_alphabet(l_max, r.input_alphabet)
-    final_letters = tuple(f"t{j}" for j in range(1, l_max + 1))
-    full_alpha = Alphabet(out_alpha.letters + final_letters)
-
+    matrices, order, _transitions, l_max = found
     final_output = {}
     for sid, (mi, i) in enumerate(order):
         related = [
@@ -412,18 +346,7 @@ def subsequential_machine(prep: Prepared, pplus: LetterTransducer) -> Subsequent
         if not related:
             raise InternalInvariantError("matrix row is not related to itself")
         final_output[sid] = f"t{min(related)}"
-
-    body = SequentialTransducer(
-        input_alphabet=r.input_alphabet,
-        output_alphabet=full_alpha,
-        states=frozenset(range(len(order))),
-        transitions={
-            key: ((encode[item],), dst) for key, (item, dst) in transitions.items()
-        },
-        initial=0,
-        finals=frozenset(range(len(order))),
-        provenance=_Provenance(matrices, order),
-    )
+    body = _machine(r.input_alphabet, found, (f"t{j}" for j in range(1, l_max + 1)))
     return SubsequentialTransducer(base=body, final_output=final_output)
 
 

@@ -262,6 +262,25 @@ def test_usage_error_exits_three(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ll", "--pplus", "/nonexistent"], "unrecognized arguments: --pplus"),
+        (["ll", "--closure-cap", "0"], "unrecognized arguments: --closure-cap"),
+        (["ll", "--eliminate-final-output"], "unrecognized arguments: --eliminate"),
+        (["lp", "--pplus", "F", "--closure-cap", "3"], "not allowed with argument --pplus"),
+    ],
+    ids=["ll-pplus", "ll-closure-cap", "ll-eliminate", "lp-pplus-and-cap"],
+)
+def test_decide_rejects_options_it_would_ignore(files, capsys, argv, message):
+    variant, *options = argv
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", variant, files["ident"], *options])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err
+
+
 def test_non_equivalence_input_to_decide_exits_three(files, capsys, tmp_path):
     bad = tmp_path / "bad.t"
     bad.write_text(

@@ -2,7 +2,12 @@ import pytest
 
 from kernseq.automata import Alphabet, language_equal
 from kernseq.decision import decide_kerseq_lp
-from kernseq.errors import DimensionCapError, NotLetterToLetterError, PreconditionError
+from kernseq.errors import (
+    DimensionCapError,
+    InternalInvariantError,
+    NotLetterToLetterError,
+    PreconditionError,
+)
 from kernseq.machines import SequentialTransducer, SubsequentialTransducer
 from kernseq.oracle import (
     accepts_pair_backward,
@@ -19,12 +24,13 @@ from kernseq.relations import (
     transitive_closure,
 )
 from kernseq.synthesis import (
+    _worklist,
     eliminate_final_output,
     kernel_counterexample,
     kernel_transducer,
     length_collision,
+    mealy_machine,
     subsequential_machine,
-    successor_partition,
     synthesize_mealy,
     synthesize_subsequential,
     validate_closure_witness,
@@ -422,31 +428,51 @@ def test_eliminate_needs_at_least_one_final_state():
         eliminate_final_output(SubsequentialTransducer(base, {}))
 
 
-# ---------------------------------------------------------------- successor partition
+# ---------------------------------------------------------------- matrix construction
 
-def test_successor_partition_shapes():
-    # two abstract states: f is "accepting", d is "diagonal"
-    delta = {
-        ("d", ("a", "a")): "d",
-        ("d", ("a", "b")): "f",
-        ("d", ("b", "a")): "f",
-        ("d", ("b", "b")): "d",
+def test_mealy_witness_for_agree_except_last_1_is_exact():
+    # one coarse class per matrix: its least item is the output, and the
+    # fine-class minima (1, a) and (1, b) become the rows of the successor
+    m = mealy_machine(prepare(build_agree_except_last(1)))
+    assert m.transitions == {
+        (0, "a"): (("o1_a",), 1),
+        (0, "b"): (("o1_a",), 2),
+        (1, "a"): (("o1_a",), 1),
+        (1, "b"): (("o1_a",), 2),
+        (2, "a"): (("o2_a",), 1),
+        (2, "b"): (("o2_a",), 2),
+    }
+    assert dict(m.provenance) == {
+        0: "row 1 of ((0,),)",
+        1: "row 1 of ((0, 1), (1, 0))",
+        2: "row 2 of ((0, 1), (1, 0))",
     }
 
-    def succ(x, y):
-        (_, xa), (_, yb) = x, y
-        return delta[("d", (xa, yb))]
 
-    part = successor_partition(
-        ((("d",),)),
-        ("a", "b"),
-        succ,
-        coarse_final=lambda q: q in ("f", "d"),
-        fine_final=lambda q: q == "d",
-    )
-    assert part.items == ((1, "a"), (1, "b"))
-    assert part.coarse_classes == (((1, "a"), (1, "b")),)
-    assert part.fine_classes == (((1, "a"),), ((1, "b"),))
-    assert part.minimal_reps == (((1, "a"), (1, "b")),)
-    assert part.outputs == ((1, "a"),)
-    assert part.coarse_index((1, "b")) == 0
+# one abstract pair state "d": equal letters stay on it, unequal ones leave
+_STAY = {
+    ("d", ("a", "a")): "d",
+    ("d", ("a", "b")): "x",
+    ("d", ("b", "a")): "x",
+    ("d", ("b", "b")): "d",
+}
+_SPLIT = {**_STAY, ("d", ("a", "b")): "p", ("d", ("b", "a")): "q"}
+
+
+@pytest.mark.parametrize(
+    "delta, coarse, fine, diag, message",
+    [
+        (_STAY, lambda q: q == "d", lambda q: True, lambda q: q == "d",
+         "fine grouping does not refine coarse grouping"),
+        (_SPLIT, lambda q: True, lambda q: q in ("d", "p"), lambda q: q == "d",
+         "fine grouping is not an equivalence relation"),
+        (_STAY, lambda q: q == "d", lambda q: True, lambda q: False,
+         "non-diagonal entry on its diagonal"),
+        (_STAY, lambda q: False, lambda q: True, lambda q: q == "d",
+         "non-accepting entry"),
+    ],
+    ids=["not-refining", "not-equivalence", "off-diagonal", "non-accepting"],
+)
+def test_worklist_raises_on_a_broken_invariant(delta, coarse, fine, diag, message):
+    with pytest.raises(InternalInvariantError, match=message):
+        _worklist(("a", "b"), "d", lambda q, p: delta[(q, p)], coarse, fine, diag)

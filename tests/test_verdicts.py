@@ -1,20 +1,26 @@
-"""Verdict-equality gate: decisions must match the recorded snapshot.
+"""Verdict-equality gates: decisions must match the recorded snapshots.
 
 ``tests/data/verdicts_seed7.json`` records, for the conftest fixtures
 and the seeded 200-instance suite, what ``decide_kerseq_ll``,
 ``decide_kerseq_lp`` and ``analyze`` answer: outcome, reason, closure
-(converged, exponent), witness state counts and every report field. A
-change that only reorganizes the constructions must reproduce it
-exactly. Regenerate it, deliberately, with::
+(converged, exponent), witness state counts and every report field.
+``tests/data/witnesses_seed7.json`` records, for the same relations, one
+SHA-256 over the ``decide ll`` witness, the ``decide lp`` witness and its
+subsequential machine: transitions, finals, initial state, output
+alphabet, final outputs and every provenance string. A change that only
+reorganizes the constructions must reproduce both exactly. Regenerate
+them, deliberately, with::
 
     PYTHONPATH=src:tests python tests/test_verdicts.py
 """
 
+import hashlib
 import json
 import pathlib
 
 from kernseq.decision import analyze, decide_kerseq_ll, decide_kerseq_lp
 from kernseq.errors import KernseqError
+from kernseq.machines import SubsequentialTransducer
 from kernseq.oracle import default_suite
 from kernseq.transducers import LetterTransducer, full_same_length, identity
 
@@ -30,6 +36,7 @@ from conftest import (
 )
 
 SNAPSHOT = pathlib.Path(__file__).parent / "data" / "verdicts_seed7.json"
+WITNESSES = SNAPSHOT.with_name("witnesses_seed7.json")
 
 
 def _relations():
@@ -94,6 +101,37 @@ def snapshot() -> dict:
     }
 
 
+def _machine(m):
+    if m is None:
+        return None
+    final_output = {}
+    if isinstance(m, SubsequentialTransducer):
+        m, final_output = m.base, m.final_output
+    provenance = m.provenance or {}
+    return [
+        sorted(map(repr, m.transitions.items())),
+        sorted(m.finals),
+        m.initial,
+        list(m.output_alphabet.letters),
+        sorted(map(repr, final_output.items())),
+        [provenance.get(q) for q in sorted(m.states)],
+    ]
+
+
+def _witnesses(r):
+    ll = _guard(lambda r: _machine(decide_kerseq_ll(r).witness), r)
+    lp = _guard(decide_kerseq_lp, r)
+    if isinstance(lp, dict):
+        machines = [ll, lp]
+    else:
+        machines = [ll, _machine(lp.witness), _machine(lp.subsequential)]
+    return hashlib.sha256(repr(machines).encode()).hexdigest()
+
+
+def witness_digests() -> dict:
+    return {name: _witnesses(r) for name, r in _relations()}
+
+
 def test_verdicts_match_the_recorded_snapshot():
     recorded = json.loads(SNAPSHOT.read_text())
     current = json.loads(json.dumps(snapshot()))
@@ -102,6 +140,15 @@ def test_verdicts_match_the_recorded_snapshot():
         assert current[name] == recorded[name], name
 
 
+def test_witnesses_match_the_recorded_digests():
+    recorded = json.loads(WITNESSES.read_text())
+    current = witness_digests()
+    assert current.keys() == recorded.keys()
+    for name in recorded:
+        assert current[name] == recorded[name], name
+
+
 if __name__ == "__main__":
     SNAPSHOT.parent.mkdir(exist_ok=True)
     SNAPSHOT.write_text(json.dumps(snapshot(), indent=1, sort_keys=True) + "\n")
+    WITNESSES.write_text(json.dumps(witness_digests(), indent=1, sort_keys=True) + "\n")
