@@ -434,8 +434,8 @@ def minimize(a: Nfa) -> Nfa:
     """Minimal deterministic complete automaton for the same language.
 
     Moore partition refinement over the reachable part of a
-    deterministic complete input. Used as an optional size optimization;
-    semantics never depend on it.
+    deterministic complete input. The valuedness search relies on the
+    result being deterministic, not only on its language.
     """
     if not a.is_complete:
         a = determinize(a)

@@ -11,6 +11,7 @@ stored matrix entries).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -226,6 +227,7 @@ def _closure_options(p) -> None:
     group.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP, metavar="N")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="kernseq",

@@ -2,8 +2,10 @@
 
 Finite valuedness is decided structurally by Weber's two pumping
 patterns, each found in one pass over the strongly connected components
-of a product of the trimmed transducer with itself; finite index reduces
-to it through the uniformizer; the class-membership deciders chain the
+of a product of the transducer's minimal pair DFA with itself; there,
+runs that part on one input must write different outputs, so no search
+tracks whether outputs have diverged. Finite index reduces to it
+through the uniformizer; the class-membership deciders chain the
 necessary conditions and, on success, hand back a synthesized witness
 whose kernel has been checked exactly against the input by
 ``synthesis.kernel_counterexample``. No decision enumerates words.
@@ -42,11 +44,6 @@ FINITE = "FINITE"
 INFINITE = "INFINITE"
 
 DEFAULT_CLOSURE_CAP = 16
-
-# Above this size the transducer is first replaced by the minimal
-# pair-deterministic machine for the same relation before the pattern
-# search; valuedness only depends on the relation, so this is safe.
-_CANONICALIZE_THRESHOLD = 40
 
 
 class Outcome(enum.Enum):
@@ -131,47 +128,44 @@ def _explore(starts, expand, bits: dict) -> tuple[dict, list[int], list[int]]:
     return ids, comp, reach
 
 
-def _has_transfer_divergence(step: list[dict], linked: list[tuple[int, int]]) -> bool:
-    """Loop at p, transfer p to q, loop at q, all on one input word, with
-    the loop-transfer and transfer-loop outputs disagreeing somewhere.
-
-    Since outputs here are always letter-per-letter, disagreement of the
-    concatenations reduces to a letterwise difference along the triple.
+def _has_transfer(step: list[dict], linked: list[tuple[int, int]]) -> bool:
+    """Loop at p, transfer p to q, loop at q, all on one input word, on a
+    pair-deterministic ``step``: (p, q, q) reached from (p, p, q).
     """
     n = len(step)
 
     def expand(node):
-        x, y, z, flag = node
+        x, y, z = node
         return [
-            (x2, y2, z2, flag or b1 != b2 or b2 != b3)
+            (x2, y2, z2)
             for a, xs in step[x].items()
-            for b1, x2 in xs
-            for b2, y2 in step[y].get(a, ())
-            for b3, z2 in step[z].get(a, ())
+            for _, x2 in xs
+            for _, y2 in step[y].get(a, ())
+            for _, z2 in step[z].get(a, ())
         ]
 
-    starts = [(p, p, q, False) for p, q in linked]
-    targets = {(p, q, q, True): 1 << (p * n + q) for p, q in linked}
-    ids, comp, reach = _explore(starts, expand, targets)
-    return any(reach[comp[ids[(p, p, q, False)]]] >> (p * n + q) & 1 for p, q in linked)
+    targets = {(p, q, q): 1 << (p * n + q) for p, q in linked}
+    ids, comp, reach = _explore([(p, p, q) for p, q in linked], expand, targets)
+    return any(reach[comp[ids[(p, p, q)]]] >> (p * n + q) & 1 for p, q in linked)
 
 
 def is_finitely_valued(t: LetterTransducer) -> bool:
     """Structural finite-valuedness of the realized transduction.
 
-    Infinite exactly when the trimmed machine shows one of the two
-    pumpable patterns: a state with two equal-input loops of different
-    output, or a divergent loop-transfer-loop triple. Each is found in
+    Valuedness depends only on the relation, so the search runs on its
+    minimal pair DFA, trimmed. Infinite exactly when that machine shows
+    one of the two pumpable patterns: a state with two equal-input loops
+    of different output, or a loop-transfer-loop triple. Each is found in
     one Tarjan pass over an input-synchronized product: the loops are an
     edge of different outputs inside the component of a diagonal pair
-    (q, q) of the square; the triple is (p, q, q, diverged) reached from
-    (p, p, q, not diverged) in the triple product, for p != q linked by
-    the square from (p, p). Both reachabilities are propagated over the
-    components as int bitsets, one bit per state pair.
+    (q, q) of the square; the triple is (p, q, q) reached from (p, p, q)
+    in the triple product, for p != q linked by the square from (p, p).
+    The triple needs no divergence flag: the loop and the transfer leave
+    p on one input and end in different states, which in a pair DFA they
+    can only do by writing different outputs. Both reachabilities are
+    propagated over the components as int bitsets, one bit per state pair.
     """
-    nfa = trim(t.nfa)
-    if len(nfa.states) > _CANONICALIZE_THRESHOLD:
-        nfa = trim(minimize(nfa))
+    nfa = trim(minimize(trim(t.nfa)))
     n = len(nfa.states)  # trim numbers the states 0..n-1
     step: list[dict] = [{} for _ in range(n)]  # state -> input -> [(output, next)]
     for p, (a, b), q in nfa.transitions:
@@ -197,7 +191,7 @@ def is_finitely_valued(t: LetterTransducer) -> bool:
         (p, q) for p in range(n) for q in range(n)
         if q != p and reach[comp[ids[(p, p)]]] >> (p * n + q) & 1
     ]
-    return not _has_transfer_divergence(step, linked)
+    return not _has_transfer(step, linked)
 
 
 def index_is_finite(s: LetterTransducer, r: LetterTransducer) -> bool:

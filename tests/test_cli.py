@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from kernseq.cli import main
+from kernseq.cli import build_parser, main
 from kernseq.errors import DimensionCapError
 from kernseq.fileformat import parse, render
 
@@ -182,6 +182,23 @@ def test_closure_cap_exhaustion_exits_two_and_writes_nothing(files, capsys, tmp_
     assert code == 2
     assert payload["converged"] is False
     assert not out.exists()
+
+
+def test_closure_of_a_non_symmetric_relation_exits_three(capsys, tmp_path):
+    one_way = tmp_path / "one-way.t"
+    one_way.write_text(
+        "kind letter-transducer\ninputs a b\noutputs a b\nstates 0 1\n"
+        "initials 0\nfinals 0 1\n0 a / a -> 0\n0 b / b -> 0\n0 a / b -> 1\n"
+    )
+    out = tmp_path / "p.t"
+    code, _, err = run(capsys, "closure", str(one_way), "--cap", "4", "-o", str(out))
+    assert code == 3
+    assert "error [PRECONDITION_VIOLATED]" in err
+    assert not out.exists()
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_closure_writes_usable_fixpoint(files, capsys, tmp_path):

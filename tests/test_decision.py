@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kernseq.automata import Alphabet, language_equal, trim
+from kernseq.automata import Alphabet, language_equal, minimize, trim
 from kernseq.decision import (
     CLOSURE_CAP_EXHAUSTED,
     INFINITE,
@@ -10,6 +10,7 @@ from kernseq.decision import (
     INFINITE_INDEX,
     NOT_PREFIX_CLOSED,
     Outcome,
+    _explore,
     analyze,
     decide_kerseq_ll,
     decide_kerseq_lp,
@@ -22,6 +23,7 @@ from kernseq.errors import (
     NotEquivalenceError,
     NotFinerError,
 )
+from kernseq.fileformat import render
 from kernseq.oracle import (
     brute_index,
     brute_kernel,
@@ -34,7 +36,10 @@ from kernseq.relations import (
     compose,
     is_prefix_closed,
     min_lex_uniformizer,
+    prefix_closure,
+    prepare,
     syntactic_congruence,
+    transitive_closure,
 )
 from kernseq.synthesis import kernel_transducer, synthesize_mealy, synthesize_subsequential
 from kernseq.transducers import LetterTransducer, diagonal_states, identity, pair_dfa
@@ -43,7 +48,9 @@ from conftest import (
     AB,
     build_a_parity,
     build_agree_except_last,
+    build_c_singletons,
     build_chain,
+    build_chained_classes,
     build_last_a,
     build_mod_count,
     count_calls,
@@ -229,6 +236,77 @@ def test_linked_states_without_divergence_are_finitely_valued():
     )
     assert is_finitely_valued(t)
     assert set(valuedness_profile(t, 9)) <= {0, 1}
+
+
+def _reference_has_transfer_divergence(step, linked):
+    """The flagged triple search, as it ran on the trimmed input."""
+    n = len(step)
+
+    def expand(node):
+        x, y, z, flag = node
+        return [
+            (x2, y2, z2, flag or b1 != b2 or b2 != b3)
+            for a, xs in step[x].items()
+            for b1, x2 in xs
+            for b2, y2 in step[y].get(a, ())
+            for b3, z2 in step[z].get(a, ())
+        ]
+
+    starts = [(p, p, q, False) for p, q in linked]
+    targets = {(p, q, q, True): 1 << (p * n + q) for p, q in linked}
+    ids, comp, reach = _explore(starts, expand, targets)
+    return any(reach[comp[ids[(p, p, q, False)]]] >> (p * n + q) & 1 for p, q in linked)
+
+
+def _reference_is_finitely_valued(t):
+    """The search on the trimmed input, minimized only above 40 states."""
+    nfa = trim(t.nfa)
+    if len(nfa.states) > 40:
+        nfa = trim(minimize(nfa))
+    n = len(nfa.states)  # trim numbers the states 0..n-1
+    step = [{} for _ in range(n)]  # state -> input -> [(output, next)]
+    for p, (a, b), q in nfa.transitions:
+        step[p].setdefault(a, []).append((b, q))
+    diverging = []  # square edges whose two outputs differ
+
+    def expand(pair):
+        out = []
+        for a, xs in step[pair[0]].items():
+            for b2, q2 in step[pair[1]].get(a, ()):
+                for b1, q1 in xs:
+                    out.append((q1, q2))
+                    if b1 != b2:
+                        diverging.append((pair, (q1, q2)))
+        return out
+
+    pairs = {(p, q): 1 << (p * n + q) for p in range(n) for q in range(n)}
+    ids, comp, reach = _explore([(p, p) for p in range(n)], expand, pairs)
+    diagonal = {comp[ids[(p, p)]] for p in range(n)}
+    if any(comp[ids[u]] == comp[ids[v]] and comp[ids[v]] in diagonal for u, v in diverging):
+        return False
+    linked = [
+        (p, q) for p in range(n) for q in range(n)
+        if q != p and reach[comp[ids[(p, p)]]] >> (p * n + q) & 1
+    ]
+    return not _reference_has_transfer_divergence(step, linked)
+
+
+def test_valuedness_matches_the_flagged_search_on_every_index_input():
+    rng = random.Random(7)
+    relations = [build_last_a(), build_c_singletons(), build_chained_classes()]
+    relations += default_suite(200, seed=7)
+    relations += [random_equivalence(rng, letters=("a", "b", "c")) for _ in range(100)]
+    answers = set()
+    for r in relations:
+        uniformizer = prepare(r).uniformizer
+        closure = transitive_closure(prefix_closure(r), 16)
+        targets = [r, closure.closure] if closure.converged else [r]
+        for target in targets:
+            t = compose(uniformizer, target)
+            answer = is_finitely_valued(t)
+            assert answer is _reference_is_finitely_valued(t), render(r)
+            answers.add(answer)
+    assert answers == {True, False}
 
 
 # ---------------------------------------------------------------- index

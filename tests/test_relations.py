@@ -358,6 +358,13 @@ def test_closure_requires_reflexive_symmetric_input():
     )
     with pytest.raises(PreconditionError):
         transitive_closure(bare, cap=2)
+    one_way = LetterTransducer.build(
+        AB, AB, {0, 1},
+        {(0, ("a", "a"), 0), (0, ("b", "b"), 0), (0, ("a", "b"), 1)},
+        {0}, {0, 1},
+    )
+    with pytest.raises(PreconditionError, match="symmetric"):
+        transitive_closure(one_way, cap=2)
 
 
 # ---------------------------------------------------------------- min-lex uniformizer
