@@ -16,7 +16,6 @@ from .automata import (
     Nfa,
     complement,
     determinize,
-    difference,
     inclusion_counterexample,
     includes,
     intersect,

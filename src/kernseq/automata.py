@@ -8,12 +8,12 @@ with fresh contiguous identifiers.
 Every product construction in the package numbers its states with
 ``explore``, in breadth-first discovery order from its start states.
 
-Inclusion and difference run on the fly: one breadth-first walk over
-pairs (state of ``a``, subset of ``b``'s states) follows ``a``'s own
-transitions and never determinizes ``b`` in full. ``includes`` stops at
-the first pair reached by a word that ``a`` accepts and ``b`` rejects,
-``inclusion_counterexample`` returns that word, a shortest one, and
-``difference`` keeps the whole walk as an automaton.
+Inclusion runs on the fly: one breadth-first walk over pairs (state of
+``a``, subset of ``b``'s states) follows ``a``'s own transitions and
+never determinizes ``b`` in full. It stops at the first pair reached by
+a word that ``a`` accepts and ``b`` rejects; ``inclusion_counterexample``
+returns that word, a shortest one, and ``includes`` whether there is
+none.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here can be shared freely.
@@ -304,22 +304,20 @@ def union(a: Nfa, b: Nfa) -> Nfa:
 _EMPTY: frozenset = frozenset()
 
 
-def _subset_walk(a: Nfa, b: Nfa, first_only: bool):
-    """Breadth-first walk over pairs (state of ``a``, subset of ``b``).
+def inclusion_counterexample(a: Nfa, b: Nfa) -> Word | None:
+    """A shortest word of L(a) minus L(b), or None when L(a) is within L(b).
 
-    From each pair it follows ``a``'s own transitions and steps the
-    subset through ``b._step``; a subset's successor on a letter is
-    computed once per call. A pair accepts when its ``a`` state is final
-    and its subset holds no final state of ``b``: the words reaching it
-    lie in L(a) minus L(b). The pairs first reached by one word form a
+    Of the shortest such words it is the first in alphabet order. A
+    breadth-first walk over pairs (state of ``a``, subset of ``b``)
+    follows ``a``'s own transitions and steps the subset through
+    ``b._step``, so ``b`` is never determinized in full; a subset's
+    successor on a letter is computed once per call. The walk stops at
+    the first pair whose ``a`` state is final and whose subset holds no
+    final state of ``b``. The pairs first reached by one word form a
     group, numbered consecutively, and a group is expanded letter by
     letter over all its pairs, so the pairs are numbered in the order of
     the shortest words reaching them, and of those the first in alphabet
-    order. Returns each pair's parent pointer (parent number, letter;
-    None for an initial pair), the edges and the accepting pair numbers.
-    With ``first_only`` it records no edges and stops at the first
-    accepting pair found, whose parent pointers spell a shortest word,
-    and of those the first in alphabet order.
+    order; the parent pointers of the first such pair spell the word.
     """
     _check_alphabets(a, b)
     out = a.outgoing
@@ -330,28 +328,23 @@ def _subset_walk(a: Nfa, b: Nfa, first_only: bool):
     numbers = {subsets[0]: 0}
     missing = [not (subsets[0] & b.finals)]  # per subset: holds no final of b
     moves: dict = {}  # (subset number, letter) -> subset number
-    ids: dict = {}
+    seen: set = set()
     order: list = []
-    parent: list = []
-    edges_out: list = []
-    accepting: list = []
+    parent: list = []  # per pair: (parent number, letter), None if initial
 
-    def visit(pair, via) -> int:
-        ids[pair] = n = len(order)
+    def separates(pair, via) -> bool:
+        """Number a new pair; true when the words reaching it are in L(a) only."""
+        seen.add(pair)
         order.append(pair)
         parent.append(via)
-        if pair[0] in a_finals and missing[pair[1]]:
-            accepting.append(n)
-        return n
+        return pair[0] in a_finals and missing[pair[1]]
 
     for p in sorted(a.initials):
-        visit((p, 0), None)
+        if separates((p, 0), None):
+            return ()
     # (first, end) numbers of the pairs that one word reaches first
     groups = [(0, len(order))] if order else []
-    g = 0
-    while g < len(groups) and not (first_only and accepting):
-        lo, hi = groups[g]
-        g += 1
+    for lo, hi in groups:  # groups grows while it is walked
         s = order[lo][1]  # one word, so one subset of b for the whole group
         hops: dict = {}  # letter -> [(pair number, state of a)]
         for i in range(lo, hi):
@@ -369,52 +362,17 @@ def _subset_walk(a: Nfa, b: Nfa, first_only: bool):
                 moves[(s, letter)] = t
             first = len(order)
             for i, q in hops[letter]:
-                dst = ids.get((q, t))
-                if dst is None:
-                    dst = visit((q, t), (i, letter))
-                    if first_only and accepting:
-                        return parent, edges_out, accepting
-                if not first_only:
-                    edges_out.append((i, letter, dst))
+                if (q, t) not in seen and separates((q, t), (i, letter)):
+                    word = []
+                    via = parent[-1]
+                    while via is not None:
+                        n, label = via
+                        word.append(label)
+                        via = parent[n]
+                    return tuple(reversed(word))
             if len(order) > first:
                 groups.append((first, len(order)))
-    return parent, edges_out, accepting
-
-
-def difference(a: Nfa, b: Nfa) -> Nfa:
-    """Language difference L(a) minus L(b), as the subset walk itself.
-
-    States are the reachable pairs (state of ``a``, subset of ``b``); a
-    pair is final when its ``a`` state is final and its subset misses
-    ``b``'s final states. Only ``a``'s transitions are followed, so
-    ``b`` is never determinized in full.
-    """
-    parent, edges, accepting = _subset_walk(a, b, first_only=False)
-    return Nfa(
-        alphabet=a.alphabet,
-        states=frozenset(range(len(parent))),
-        transitions=frozenset(edges),
-        initials=frozenset(n for n, via in enumerate(parent) if via is None),
-        finals=frozenset(accepting),
-    )
-
-
-def inclusion_counterexample(a: Nfa, b: Nfa) -> Word | None:
-    """A shortest word of L(a) minus L(b), or None when L(a) is within L(b).
-
-    Of the shortest such words it is the first in alphabet order. The
-    subset walk stops at the first pair that accepts.
-    """
-    parent, _edges, accepting = _subset_walk(a, b, first_only=True)
-    if not accepting:
-        return None
-    word = []
-    via = parent[accepting[0]]
-    while via is not None:
-        n, letter = via
-        word.append(letter)
-        via = parent[n]
-    return tuple(reversed(word))
+    return None
 
 
 def is_empty(a: Nfa) -> bool:

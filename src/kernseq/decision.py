@@ -209,7 +209,9 @@ def _finite_index(prep: Prepared, target: LetterTransducer) -> bool:
 
     On the decision path they hold by construction: the congruence
     refines the relation, which lies inside its prefix closure and so
-    inside every closure fixpoint, and it is an equivalence.
+    inside every closure fixpoint, and it is an equivalence. A supplied
+    closure passes ``validate_closure_witness`` first, so it contains
+    the prefix closure too.
     """
     return is_finitely_valued(compose(prep.uniformizer, target))
 

@@ -14,13 +14,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .automata import (
-    Alphabet,
     Nfa,
     coaccessible_states,
-    difference,
     explore,
     includes,
-    language_equal,
     minimize,
     trim,
     union,
@@ -227,15 +224,18 @@ def _canonical(t: LetterTransducer) -> LetterTransducer:
 
 
 def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
-    """Iterate q <- q union (q after p) until the language stabilizes.
+    """Iterate q <- q after p until the language stabilizes.
 
-    Requires p reflexive and symmetric so every iterate is too. Every
-    iterate is the trimmed minimal pair DFA of its language. Stops
-    either at the first exponent k with equal consecutive iterates
-    (converged, the closure realizes the full transitive closure) or
-    after ``cap`` comparisons (not converged). Running out of cap is a
-    reportable outcome, not an error: in general the fixpoint exponent
-    is not computable, so the iteration must not pretend otherwise.
+    Requires p reflexive and symmetric so every iterate is too. Since p
+    is reflexive, q after p contains q, so it is the union of the two
+    and a single inclusion of the next iterate in the current one says
+    they are equal. Every iterate is the trimmed minimal pair DFA of its
+    language. Stops either at the first exponent k with equal
+    consecutive iterates (converged, the closure realizes the full
+    transitive closure) or after ``cap`` comparisons (not converged).
+    Running out of cap is a reportable outcome, not an error: in general
+    the fixpoint exponent is not computable, so the iteration must not
+    pretend otherwise.
     """
     if cap < 1:
         raise PreconditionError("closure cap must be at least 1")
@@ -246,9 +246,8 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
         raise PreconditionError("transitive closure needs a symmetric relation")
     current = _canonical(p)
     for k in range(1, cap + 1):
-        stepped = relation_union(current, compose(current, p))
-        nxt = _canonical(stepped)
-        if language_equal(nxt.nfa, current.nfa):
+        nxt = _canonical(compose(current, p))
+        if includes(nxt.nfa, current.nfa):
             return ClosureResult(closure=current, exponent=k, converged=True)
         current = nxt
     return ClosureResult(closure=current, exponent=cap, converged=False)
@@ -258,10 +257,16 @@ def min_lex_uniformizer(s: LetterTransducer) -> LetterTransducer:
     """Graph of the function mapping each word to the least element of its class.
 
     "Least" is lexicographic under the output alphabet's declaration
-    order. Built as the difference of s and its "beaten" pairs, walked
-    on the fly: (u, v) is beaten when some strictly smaller v' of the
-    same length is also related to u. The kernel of the resulting
-    function is s itself. Validates s first.
+    order. Built by one deterministic walk over nodes (equal, smaller):
+    after the pair (u, v), ``equal`` holds the states of ``trim(s.nfa)``
+    that read (u, v) and ``smaller`` those that read (u, v') for some v'
+    of the same length below v. A word below v b is v' b'' with v' below
+    v, or v b' with b' below b, so on input letter a the output letters
+    b are walked in order, each adding the moves of ``equal`` on (a, b)
+    to ``smaller`` for the letters after it. A node accepts when
+    ``equal`` holds a final state and ``smaller`` none: s relates u to v
+    and to no smaller word. The kernel of the resulting function is s
+    itself. Validates s first.
     """
     require_equivalence(s)
     return _uniformizer(s)
@@ -269,42 +274,31 @@ def min_lex_uniformizer(s: LetterTransducer) -> LetterTransducer:
 
 def _uniformizer(s: LetterTransducer) -> LetterTransducer:
     base = trim(s.nfa)
-    return s.with_nfa(trim(difference(base, _beaten(base, s.output_alphabet))))
+    rows = [[(a, b) for b in s.output_alphabet] for a in s.input_alphabet]
 
-
-def _beaten(base: Nfa, outputs: Alphabet) -> Nfa:
-    """The pairs (u, v) of ``base`` such that ``base`` also relates u to
-    a word of the same length that is lexicographically smaller than v."""
-    out_idx = outputs.index
-    outgoing = base.outgoing
-
-    # States (real run, guessed smaller run, strictly-smaller-yet flag).
-    starts = [(p1, p2, 0) for p1 in sorted(base.initials) for p2 in sorted(base.initials)]
+    def moves(subset, letter) -> frozenset:
+        return frozenset(q for p in subset for q in base.successors(p, letter))
 
     def successors(node):
-        p1, p2, mode = node
-        for (a, b), q1 in outgoing.get(p1, ()):
-            for (a2, b2), q2 in outgoing.get(p2, ()):
-                if a2 != a:
-                    continue
-                if mode == 1:
-                    nxt_mode = 1
-                elif out_idx(b2) < out_idx(b):
-                    nxt_mode = 1
-                elif out_idx(b2) == out_idx(b):
-                    nxt_mode = 0
-                else:
-                    continue  # the guess went lexicographically above; unrecoverable
-                yield (a, b), (q1, q2, nxt_mode)
+        equal, smaller = node
+        for row in rows:
+            below = frozenset().union(*[moves(smaller, letter) for letter in row])
+            for letter in row:
+                reached = moves(equal, letter)
+                if reached:
+                    yield letter, (reached, below)
+                    below |= reached
 
-    nodes, edges = explore(starts, successors)
-    return Nfa(
+    nodes, edges = explore([(frozenset(base.initials), frozenset())], successors)
+    graph = Nfa(
         alphabet=base.alphabet,
         states=frozenset(range(len(nodes))),
         transitions=frozenset(edges),
-        initials=frozenset(range(len(starts))),
+        initials=frozenset({0}),
         finals=frozenset(
-            n for n, (q1, q2, mode) in enumerate(nodes)
-            if mode == 1 and q1 in base.finals and q2 in base.finals
+            n
+            for n, (equal, smaller) in enumerate(nodes)
+            if equal & base.finals and not smaller & base.finals
         ),
     )
+    return s.with_nfa(trim(graph))

@@ -230,12 +230,12 @@ def synthesize_mealy(r: LetterTransducer) -> SequentialTransducer:
     with finitely many congruence classes inside each class of r; those
     conditions are verified first, then ``mealy_machine`` builds it.
     """
-    from .decision import index_is_finite
+    from .decision import _finite_index
 
     prep = prepare(r)
     if not prep.prefix_closed:
         raise PreconditionError("relation is not prefix-closed")
-    if not index_is_finite(prep.congruence, r):
+    if not _finite_index(prep, r):
         raise PreconditionError(
             "syntactic congruence has infinite index with respect to the relation"
         )
@@ -299,11 +299,11 @@ def synthesize_subsequential(
     respect to it is finite are verified first, then
     ``subsequential_machine`` builds it.
     """
-    from .decision import index_is_finite
+    from .decision import _finite_index
 
     prep = prepare(r)
     validate_closure_witness(r, pplus)
-    if not index_is_finite(prep.congruence, pplus):
+    if not _finite_index(prep, pplus):
         raise PreconditionError(
             "syntactic congruence has infinite index with respect to the closure"
         )

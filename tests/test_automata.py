@@ -6,7 +6,6 @@ from kernseq.automata import (
     Nfa,
     complement,
     determinize,
-    difference,
     explore,
     inclusion_counterexample,
     includes,
@@ -156,7 +155,6 @@ def test_boolean_ops_match_set_semantics(a, b):
     la, lb = nfa_language(a, 5), nfa_language(b, 5)
     assert nfa_language(union(a, b), 5) == la | lb
     assert nfa_language(intersect(a, b), 5) == la & lb
-    assert nfa_language(difference(a, b), 5) == la - lb
 
 
 def test_boolean_ops_reject_mismatched_alphabets():
@@ -165,8 +163,6 @@ def test_boolean_ops_reject_mismatched_alphabets():
         intersect(two_state_dfa(), other)
     with pytest.raises(AlphabetMismatchError):
         union(two_state_dfa(), other)
-    with pytest.raises(AlphabetMismatchError):
-        difference(two_state_dfa(), other)
     with pytest.raises(AlphabetMismatchError):
         inclusion_counterexample(two_state_dfa(), other)
 
@@ -249,15 +245,7 @@ def test_inclusion_counterexample_of_the_empty_word_and_of_a_long_word():
     assert inclusion_counterexample(empty, dfa) is None
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_nfas(4), small_nfas(4))
-def test_difference_keeps_its_language(a, b):
-    diff = difference(a, b)
-    assert nfa_language(diff, 7) == nfa_language(a, 7) - nfa_language(b, 7)
-    assert language_equal(diff, intersect(a, complement(determinize(b))))
-
-
-def test_inclusion_and_difference_never_determinize(monkeypatch):
+def test_inclusion_never_determinizes(monkeypatch):
     from kernseq import automata
 
     calls = [
@@ -270,8 +258,6 @@ def test_inclusion_and_difference_never_determinize(monkeypatch):
     assert language_equal(ends_in_a, guessed)
     assert includes(guessed, has_a) and not includes(has_a, guessed)
     assert inclusion_counterexample(has_a, guessed) == ("a", "b")
-    assert not difference(guessed, ends_in_a).finals
-    assert difference(has_a, guessed).finals
     assert calls == [[], [], []]
 
 

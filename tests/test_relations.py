@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernseq.automata import Nfa, language_equal, includes
+from kernseq.automata import Nfa, explore, language_equal, includes
+from kernseq.decision import is_finitely_valued
 from kernseq.errors import (
     AlphabetMismatchError,
     NotEquivalenceError,
@@ -38,7 +39,15 @@ from kernseq.transducers import (
     trim_transducer,
 )
 
-from conftest import AB, ABC, finite_relation
+from conftest import (
+    AB,
+    ABC,
+    build_c_singletons,
+    build_chain,
+    build_chained_classes,
+    build_last_a,
+    finite_relation,
+)
 
 W = lambda s: tuple(s)  # word literal from a plain string
 
@@ -406,23 +415,85 @@ def test_uniformizer_is_one_valued_and_kernel_restores_relation(a_parity):
     assert kernel == enumerate_relation(trim_transducer(s), 6).pairs
 
 
+def _beaten(base: Nfa, outputs) -> Nfa:
+    """The pairs (u, v) of ``base`` such that ``base`` also relates u to
+    a word of the same length that is lexicographically smaller than v.
+
+    A reference for ``min_lex_uniformizer``, independent of its walk:
+    the guessed product of a run, a smaller run and a strictly-smaller-yet
+    flag. Its complement within ``base`` is the uniformizer.
+    """
+    out_idx = outputs.index
+    outgoing = base.outgoing
+    starts = [(p1, p2, 0) for p1 in sorted(base.initials) for p2 in sorted(base.initials)]
+
+    def successors(node):
+        p1, p2, mode = node
+        for (a, b), q1 in outgoing.get(p1, ()):
+            for (a2, b2), q2 in outgoing.get(p2, ()):
+                if a2 != a:
+                    continue
+                if mode == 1:
+                    nxt_mode = 1
+                elif out_idx(b2) < out_idx(b):
+                    nxt_mode = 1
+                elif out_idx(b2) == out_idx(b):
+                    nxt_mode = 0
+                else:
+                    continue  # the guess went lexicographically above; unrecoverable
+                yield (a, b), (q1, q2, nxt_mode)
+
+    nodes, edges = explore(starts, successors)
+    return Nfa(
+        alphabet=base.alphabet,
+        states=frozenset(range(len(nodes))),
+        transitions=frozenset(edges),
+        initials=frozenset(range(len(starts))),
+        finals=frozenset(
+            n for n, (q1, q2, mode) in enumerate(nodes)
+            if mode == 1 and q1 in base.finals and q2 in base.finals
+        ),
+    )
+
+
 def test_uniformizer_matches_the_complement_construction():
     from kernseq.automata import complement, determinize, intersect, trim
-    from kernseq.relations import _beaten
 
     rng = random.Random(5)
+    relations = [
+        random_equivalence(rng, max_states=3, letters=("a", "b") if i % 2 else ("a", "b", "c"))
+        for i in range(60)
+    ]
+    # nondeterministic, multi-initial inputs and two with an infinite index
+    relations += [build_chain(3), build_chained_classes(), build_last_a(), build_c_singletons()]
+    assert any(len(r.nfa.initials) > 1 and not r.nfa.is_deterministic for r in relations)
     sizes = []
-    for i in range(60):
-        letters = ("a", "b") if i % 2 else ("a", "b", "c")
-        r = random_equivalence(rng, max_states=3, letters=letters)
+    infinite = 0
+    for i, r in enumerate(relations):
         for s in (r, prepare(r).congruence):
             base = trim(s.nfa)
             beaten = _beaten(base, s.output_alphabet)
             reference = trim(intersect(base, complement(determinize(beaten))))
-            graph = min_lex_uniformizer(s).nfa
-            assert language_equal(graph, reference), i
-            sizes.append(len(graph.states))
+            graph = min_lex_uniformizer(s)
+            assert language_equal(graph.nfa, reference), i
+            sizes.append(len(graph.nfa.states))
+            infinite += not is_finitely_valued(compose(graph, r))
     assert min(sizes) < max(sizes)
+    assert infinite > 0
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["last_a", "a_parity", "c_singletons", "agree_except_last", "chained_classes",
+     "ident_ab", "full_ab"],
+)
+def test_uniformizer_maps_each_word_to_its_least_relative(name, request):
+    r = request.getfixturevalue(name)
+    for s in (r, prepare(r).congruence):
+        graph = enumerate_relation(min_lex_uniformizer(s), 6).pairs
+        got = dict(graph)
+        assert len(got) == len(graph), name  # functional on these words
+        assert got == min_lex_map(enumerate_relation(s, 6), s.output_alphabet), name
 
 
 def test_uniformizer_rejects_non_equivalence():

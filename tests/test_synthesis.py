@@ -35,7 +35,7 @@ from kernseq.synthesis import (
     synthesize_subsequential,
     validate_closure_witness,
 )
-from conftest import AB, build_agree_except_last, build_mod_count, words
+from conftest import AB, build_agree_except_last, build_mod_count, count_calls, words
 
 
 def closure_of(r, cap=8):
@@ -100,6 +100,32 @@ def test_mealy_rejects_non_prefix_closed(a_parity):
 def test_mealy_rejects_infinite_index(c_singletons):
     with pytest.raises(PreconditionError):
         synthesize_mealy(c_singletons)
+
+
+def test_each_synthesizer_validates_its_relation_once(monkeypatch, a_parity, c_singletons):
+    from kernseq import relations
+
+    yes = build_agree_except_last(2)
+    yes_plus, parity_plus, singletons_plus = map(closure_of, (yes, a_parity, c_singletons))
+    calls = count_calls(monkeypatch, relations, "validate_relation")
+    runs = [
+        (synthesize_mealy, (yes,)),
+        (synthesize_subsequential, (yes, yes_plus)),
+        (synthesize_subsequential, (a_parity, parity_plus)),
+    ]
+    for entry, args in runs:
+        calls.clear()
+        entry(*args)
+        assert calls == [args[:1]], entry.__name__
+    # the index checks read the prepared uniformizer, so a refusal validates once too
+    for entry, args, what in [
+        (synthesize_mealy, (c_singletons,), "relation"),
+        (synthesize_subsequential, (c_singletons, singletons_plus), "closure"),
+    ]:
+        calls.clear()
+        with pytest.raises(PreconditionError, match=f"infinite index with respect to the {what}"):
+            entry(*args)
+        assert calls == [(c_singletons,)], entry.__name__
 
 
 def test_mealy_states_carry_provenance(agree_except_last):
