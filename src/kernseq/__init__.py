@@ -14,16 +14,13 @@ __version__ = "0.1.0"
 from .automata import (
     Alphabet,
     Nfa,
-    complement,
     determinize,
     inclusion_counterexample,
     includes,
     intersect,
-    is_empty,
     language_equal,
     minimize,
     trim,
-    union,
 )
 from .decision import (
     AnalysisReport,

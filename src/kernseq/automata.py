@@ -5,8 +5,12 @@ pair of letters, which is how transducers are represented elsewhere.
 State identifiers are opaque integers. Constructions return automata
 with fresh contiguous identifiers.
 
-Every product construction in the package numbers its states with
-``explore``, in breadth-first discovery order from its start states.
+Every product construction in the package is built by ``explored``,
+which numbers its states with ``explore`` in breadth-first discovery
+order from its start states. ``Nfa(...)`` checks its parts where they
+enter from outside. The automata the package builds itself are right by
+construction, and all of them are assembled through one unchecked path
+in this module.
 
 Inclusion runs on the fly: one breadth-first walk over pairs (state of
 ``a``, subset of ``b``'s states) follows ``a``'s own transitions and
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable
 
-from .errors import AlphabetMismatchError, PreconditionError
+from .errors import AlphabetMismatchError
 
 Letter = Hashable
 Word = tuple
@@ -76,7 +80,10 @@ class Nfa:
 
     ``transitions`` is a set of ``(source, letter, target)`` triples.
     Every endpoint must be a declared state and every letter must belong
-    to the alphabet. The state set may be empty (empty language).
+    to the alphabet. The state set may be empty (empty language). The
+    constructor checks this where parts enter from outside: here, in
+    ``LetterTransducer.build`` and in ``fileformat.parse``. The package's
+    own constructions skip the check.
     """
 
     alphabet: Alphabet
@@ -86,10 +93,7 @@ class Nfa:
     finals: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
-        object.__setattr__(self, "initials", frozenset(self.initials))
-        object.__setattr__(self, "finals", frozenset(self.finals))
+        _freeze(self, self.states, self.transitions, self.initials, self.finals)
         if not self.initials <= self.states:
             raise ValueError("initial states must be declared states")
         if not self.finals <= self.states:
@@ -151,6 +155,21 @@ class Nfa:
         return bool(frontier & self.finals)
 
 
+def _freeze(a: Nfa, states, transitions, initials, finals) -> None:
+    object.__setattr__(a, "states", frozenset(states))
+    object.__setattr__(a, "transitions", frozenset(transitions))
+    object.__setattr__(a, "initials", frozenset(initials))
+    object.__setattr__(a, "finals", frozenset(finals))
+
+
+def _unchecked(alphabet: Alphabet, states, transitions, initials, finals) -> Nfa:
+    """An ``Nfa`` from parts that are right by construction, not checked again."""
+    a = object.__new__(Nfa)
+    object.__setattr__(a, "alphabet", alphabet)
+    _freeze(a, states, transitions, initials, finals)
+    return a
+
+
 def accessible_states(a: Nfa) -> frozenset[int]:
     seen = set(a.initials)
     todo = sorted(seen)
@@ -183,16 +202,16 @@ def trim(a: Nfa) -> Nfa:
     """Restrict to states lying on some accepting path; language unchanged."""
     useful = accessible_states(a) & coaccessible_states(a)
     renum = {q: i for i, q in enumerate(sorted(useful))}
-    return Nfa(
-        alphabet=a.alphabet,
-        states=frozenset(renum.values()),
-        transitions=frozenset(
+    return _unchecked(
+        a.alphabet,
+        renum.values(),
+        (
             (renum[p], letter, renum[q])
             for p, letter, q in a.transitions
             if p in useful and q in useful
         ),
-        initials=frozenset(renum[q] for q in a.initials if q in useful),
-        finals=frozenset(renum[q] for q in a.finals if q in useful),
+        (renum[q] for q in a.initials if q in useful),
+        (renum[q] for q in a.finals if q in useful),
     )
 
 
@@ -222,6 +241,26 @@ def explore(starts: Iterable, successors: Callable) -> tuple[list, list]:
     return nodes, edges
 
 
+def explored(
+    alphabet: Alphabet, starts: Iterable, successors: Callable, accepting: Callable
+) -> Nfa:
+    """The automaton of the nodes ``explore`` reaches from ``starts``.
+
+    States are numbered in discovery order, the distinct starts are
+    initial, and the nodes that satisfy ``accepting`` are final.
+    ``successors(node)`` yields ``(letter, next)`` pairs.
+    """
+    starts = list(starts)
+    nodes, edges = explore(starts, successors)
+    return _unchecked(
+        alphabet,
+        range(len(nodes)),
+        edges,
+        range(len(set(starts))),
+        (n for n, node in enumerate(nodes) if accepting(node)),
+    )
+
+
 def determinize(a: Nfa) -> Nfa:
     """Subset construction.
 
@@ -234,26 +273,8 @@ def determinize(a: Nfa) -> Nfa:
         for letter in a.alphabet:
             yield letter, frozenset(q for p in subset for q in a.successors(p, letter))
 
-    subsets, edges = explore([frozenset(a.initials)], successors)
-    return Nfa(
-        alphabet=a.alphabet,
-        states=frozenset(range(len(subsets))),
-        transitions=frozenset(edges),
-        initials=frozenset({0}),
-        finals=frozenset(n for n, s in enumerate(subsets) if s & a.finals),
-    )
-
-
-def complement(a: Nfa) -> Nfa:
-    """Complement of a deterministic complete automaton."""
-    if not a.is_complete:
-        raise PreconditionError("complement requires a deterministic complete automaton")
-    return Nfa(
-        alphabet=a.alphabet,
-        states=a.states,
-        transitions=a.transitions,
-        initials=a.initials,
-        finals=a.states - a.finals,
+    return explored(
+        a.alphabet, [frozenset(a.initials)], successors, lambda s: bool(s & a.finals)
     )
 
 
@@ -274,30 +295,11 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
                 for q2 in sorted(b.successors(q, letter)):
                     yield letter, (p2, q2)
 
-    pairs, edges = explore(starts, successors)
-    return Nfa(
-        alphabet=a.alphabet,
-        states=frozenset(range(len(pairs))),
-        transitions=frozenset(edges),
-        initials=frozenset(range(len(starts))),
-        finals=frozenset(
-            n for n, (p, q) in enumerate(pairs) if p in a.finals and q in b.finals
-        ),
-    )
-
-
-def union(a: Nfa, b: Nfa) -> Nfa:
-    """Disjoint union; recognizes the union of both languages."""
-    _check_alphabets(a, b)
-    off = (max(a.states) + 1) if a.states else 0
-    renum = {q: off + i for i, q in enumerate(sorted(b.states))}
-    return Nfa(
-        alphabet=a.alphabet,
-        states=a.states | frozenset(renum.values()),
-        transitions=a.transitions
-        | frozenset((renum[p], letter, renum[q]) for p, letter, q in b.transitions),
-        initials=a.initials | frozenset(renum[q] for q in b.initials),
-        finals=a.finals | frozenset(renum[q] for q in b.finals),
+    return explored(
+        a.alphabet,
+        starts,
+        successors,
+        lambda pair: pair[0] in a.finals and pair[1] in b.finals,
     )
 
 
@@ -375,10 +377,6 @@ def inclusion_counterexample(a: Nfa, b: Nfa) -> Word | None:
     return None
 
 
-def is_empty(a: Nfa) -> bool:
-    return not (accessible_states(a) & a.finals)
-
-
 def includes(a: Nfa, b: Nfa) -> bool:
     """True iff the language of ``a`` is included in the language of ``b``."""
     return inclusion_counterexample(a, b) is None
@@ -391,36 +389,32 @@ def language_equal(a: Nfa, b: Nfa) -> bool:
 def minimize(a: Nfa) -> Nfa:
     """Minimal deterministic complete automaton for the same language.
 
-    Moore partition refinement over the reachable part of a
-    deterministic complete input. The valuedness search relies on the
-    result being deterministic, not only on its language.
+    Moore partition refinement over the subset construction of the
+    input, whose states are all reachable and numbered breadth first.
+    Blocks are numbered in the order of their first states. The
+    valuedness search relies on the result being deterministic, not only
+    on its language.
     """
-    if not a.is_complete:
-        a = determinize(a)
-    reach = sorted(accessible_states(a))
-    block = {q: (q in a.finals) for q in reach}
+    a = determinize(a)
+    states = range(len(a.states))  # determinize numbers its states 0..n-1
+    block = {q: (q in a.finals) for q in states}
     while True:
         signature = {
             q: (block[q], tuple(block[a.step(q, letter)] for letter in a.alphabet))
-            for q in reach
+            for q in states
         }
         fresh: dict = {}
-        for q in reach:
+        for q in states:
             fresh.setdefault(signature[q], len(fresh))
-        new_block = {q: fresh[signature[q]] for q in reach}
+        new_block = {q: fresh[signature[q]] for q in states}
         if len(set(new_block.values())) == len(set(block.values())):
             block = new_block
             break
         block = new_block
-    (initial,) = a.initials
-    return Nfa(
-        alphabet=a.alphabet,
-        states=frozenset(block.values()),
-        transitions=frozenset(
-            (block[q], letter, block[a.step(q, letter)])
-            for q in reach
-            for letter in a.alphabet
-        ),
-        initials=frozenset({block[initial]}),
-        finals=frozenset(block[q] for q in reach if q in a.finals),
+    return _unchecked(
+        a.alphabet,
+        block.values(),
+        ((block[q], letter, block[a.step(q, letter)]) for q in states for letter in a.alphabet),
+        {block[0]},
+        (block[q] for q in a.finals),
     )

@@ -194,16 +194,12 @@ def _cmd_closure(args) -> int:
 def _cmd_verify(args) -> int:
     relation = _load(args.relation, LetterTransducer)
     machine = _load(args.machine, (SequentialTransducer, SubsequentialTransducer))
-    base = machine.base if isinstance(machine, SubsequentialTransducer) else machine
-    # exact unless the squared machine, counting its states and the output
-    # letters they hold pending, outgrows the budget, as it does when two
-    # runs on equal-length inputs lag apart without bound; then the kernel
-    # is enumerated up to a bound. No state within the budget lags further
-    # than the budget itself, so it serves as the lag bound too.
-    longest = max((len(out) for out, _dst in base.transitions.values()), default=0)
-    budget = (1 + longest) * len(base.states) ** 2
+    # exact unless the squared machine outgrows the budget that
+    # kernel_transducer sizes from the machine, as it does when two runs
+    # on equal-length inputs lag apart without bound; then the kernel is
+    # enumerated up to a bound.
     try:
-        pair = kernel_counterexample(machine, relation, lag=budget, budget=budget)
+        pair = kernel_counterexample(machine, relation)
         equal, mode, bound = pair is None, "exact", None
     except NotLetterToLetterError:
         bound = args.max_len if args.max_len is not None else default_bound(relation)

@@ -216,12 +216,12 @@ def _finite_index(prep: Prepared, target: LetterTransducer) -> bool:
     return is_finitely_valued(compose(prep.uniformizer, target))
 
 
-def _certify(machine, prep: Prepared, lag: int, what: str) -> None:
+def _certify(machine, prep: Prepared, what: str) -> None:
     """Raise unless the kernel of a synthesized machine is exactly the relation."""
     from .synthesis import kernel_counterexample
 
     try:
-        pair = kernel_counterexample(machine, prep.det, lag)
+        pair = kernel_counterexample(machine, prep.det)
     except NotLetterToLetterError as exc:
         raise InternalInvariantError(f"{what}: {exc}") from exc
     if pair is not None:
@@ -243,7 +243,7 @@ def decide_kerseq_ll(r: LetterTransducer) -> Verdict:
     if not _finite_index(prep, r):
         return Verdict(Outcome.NO, reason=INFINITE_INDEX)
     witness = mealy_machine(prep)
-    _certify(witness, prep, 0, "synthesized machine")
+    _certify(witness, prep, "synthesized machine")
     return Verdict(Outcome.YES, witness=witness)
 
 
@@ -260,10 +260,8 @@ def decide_kerseq_lp(
     or searched up to ``cap``; running out yields UNKNOWN, never a wrong
     answer. YES verdicts carry the final-output-free witness, with the
     subsequential stage attached; the kernels of both are checked
-    exactly against r. With n distinct final outputs, two runs of the
-    eliminated machine on equal-length inputs differ in output length by
-    the difference of two classes in 1..n, so lag bound n suffices.
-    Raises ``NotEquivalenceError`` unless r is an equivalence.
+    exactly against r. Raises ``NotEquivalenceError`` unless r is an
+    equivalence.
     """
     from .synthesis import (
         eliminate_final_output,
@@ -289,9 +287,8 @@ def decide_kerseq_lp(
         return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=closure_result)
     sub = subsequential_machine(prep, pplus)
     witness = eliminate_final_output(sub)
-    lag = len(set(sub.final_output.values()))
-    _certify(sub, prep, lag, "subsequential witness")
-    _certify(witness, prep, lag, "witness after final-output elimination")
+    _certify(sub, prep, "subsequential witness")
+    _certify(witness, prep, "witness after final-output elimination")
     return Verdict(
         Outcome.YES, witness=witness, subsequential=sub, closure=closure_result
     )

@@ -10,18 +10,10 @@ and diagonal states that all the stages of one decision share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
-from .automata import (
-    Nfa,
-    coaccessible_states,
-    explore,
-    includes,
-    minimize,
-    trim,
-    union,
-)
+from .automata import _unchecked, coaccessible_states, explored, includes, minimize, trim
 from .errors import AlphabetMismatchError, NotEquivalenceError, PreconditionError
 from .transducers import (
     LetterTransducer,
@@ -54,12 +46,12 @@ class ClosureResult:
 
 def inverse(r: LetterTransducer) -> LetterTransducer:
     """Swap the two tracks: realizes the pairs (v, u) for u related to v."""
-    swapped = Nfa(
-        alphabet=pair_alphabet(r.output_alphabet, r.input_alphabet),
-        states=r.nfa.states,
-        transitions=frozenset((p, (b, a), q) for p, (a, b), q in r.nfa.transitions),
-        initials=r.nfa.initials,
-        finals=r.nfa.finals,
+    swapped = _unchecked(
+        pair_alphabet(r.output_alphabet, r.input_alphabet),
+        r.nfa.states,
+        ((p, (b, a), q) for p, (a, b), q in r.nfa.transitions),
+        r.nfa.initials,
+        r.nfa.finals,
     )
     return LetterTransducer(r.output_alphabet, r.input_alphabet, swapped)
 
@@ -89,25 +81,13 @@ def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
             for z, q2 in by_middle.get((p2, y), ()):
                 yield (x, z), (q1, q2)
 
-    pairs, edges = explore(starts, successors)
-    nfa = Nfa(
-        alphabet=pair_alphabet(s.input_alphabet, r.output_alphabet),
-        states=frozenset(range(len(pairs))),
-        transitions=frozenset(edges),
-        initials=frozenset(range(len(starts))),
-        finals=frozenset(
-            n
-            for n, (q1, q2) in enumerate(pairs)
-            if q1 in s.nfa.finals and q2 in r.nfa.finals
-        ),
+    nfa = explored(
+        pair_alphabet(s.input_alphabet, r.output_alphabet),
+        starts,
+        successors,
+        lambda pair: pair[0] in s.nfa.finals and pair[1] in r.nfa.finals,
     )
     return LetterTransducer(s.input_alphabet, r.output_alphabet, nfa)
-
-
-def relation_union(a: LetterTransducer, b: LetterTransducer) -> LetterTransducer:
-    if a.input_alphabet != b.input_alphabet or a.output_alphabet != b.output_alphabet:
-        raise AlphabetMismatchError("union needs identical alphabets")
-    return a.with_nfa(union(a.nfa, b.nfa))
 
 
 def validate_relation(r: LetterTransducer) -> RelationValidation:
@@ -168,7 +148,10 @@ class Prepared:
     @cached_property
     def congruence(self) -> LetterTransducer:
         """The syntactic congruence: the pair DFA with the diagonal states final."""
-        return self.det.with_nfa(replace(self.det.nfa, finals=self.diagonal))
+        d = self.det.nfa
+        return self.det.with_nfa(
+            _unchecked(d.alphabet, d.states, d.transitions, d.initials, self.diagonal)
+        )
 
     @cached_property
     def uniformizer(self) -> LetterTransducer:
@@ -207,7 +190,10 @@ def prefix_closure(r: LetterTransducer) -> LetterTransducer:
     The result relates u to v exactly when some equal-length suffixes
     extend them to a related pair.
     """
-    return r.with_nfa(replace(r.nfa, finals=coaccessible_states(r.nfa)))
+    a = r.nfa
+    return r.with_nfa(
+        _unchecked(a.alphabet, a.states, a.transitions, a.initials, coaccessible_states(a))
+    )
 
 
 def is_prefix_closed(r: LetterTransducer) -> bool:
@@ -289,16 +275,10 @@ def _uniformizer(s: LetterTransducer) -> LetterTransducer:
                     yield letter, (reached, below)
                     below |= reached
 
-    nodes, edges = explore([(frozenset(base.initials), frozenset())], successors)
-    graph = Nfa(
-        alphabet=base.alphabet,
-        states=frozenset(range(len(nodes))),
-        transitions=frozenset(edges),
-        initials=frozenset({0}),
-        finals=frozenset(
-            n
-            for n, (equal, smaller) in enumerate(nodes)
-            if equal & base.finals and not smaller & base.finals
-        ),
+    graph = explored(
+        base.alphabet,
+        [(frozenset(base.initials), frozenset())],
+        successors,
+        lambda node: bool(node[0] & base.finals) and not node[1] & base.finals,
     )
     return s.with_nfa(trim(graph))

@@ -35,7 +35,7 @@ The deciders, having established the preconditions, call the unchecked
 constructions ``mealy_machine`` and ``subsequential_machine`` directly.
 
 Their kernels are checked exactly by ``kernel_counterexample``, which
-squares a machine with a bounded pending-output buffer
+squares a machine within a budget sized from the machine
 (``kernel_transducer``) and walks the product with the relation once.
 """
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 
-from .automata import Alphabet, Nfa, Word, explore, inclusion_counterexample
+from .automata import Alphabet, Word, explore, explored, inclusion_counterexample
 from .errors import (
     AlphabetMismatchError,
     BadClosureWitnessError,
@@ -421,11 +421,7 @@ def _ahead(pending: Word, side: int) -> list[Word]:
     return extra
 
 
-def kernel_transducer(
-    f: SequentialTransducer | SubsequentialTransducer,
-    lag: int = 0,
-    budget: int | None = None,
-) -> LetterTransducer:
+def kernel_transducer(f: SequentialTransducer | SubsequentialTransducer) -> LetterTransducer:
     """Pairs of equal-length inputs on which a machine gives equal outputs.
 
     The machine is squared (Béal, Carton, Prieur, Sakarovitch, *Squaring
@@ -437,14 +433,17 @@ def kernel_transducer(
     machines, the final letters agree. The machine is input-deterministic,
     so the result is deterministic over pair letters.
 
-    ``lag`` bounds the pending output: letter-to-letter and subsequential
-    machines never lag, word-output machines may, and a reachable state
-    lagging further raises ``NotLetterToLetterError``. ``budget``, when
-    given, bounds the squared states counted together with the output
-    letters they hold, and going beyond it raises the same error; it stops
+    The squared states, counted together with the output letters they
+    hold, may number at most (1 + longest step output) × (machine
+    states)²; going beyond raises ``NotLetterToLetterError``. That stops
     the squaring early on a machine whose lag grows without bound, where
-    the states and their buffers grow together. The result is the whole
-    kernel when inputs of different lengths never share an output, which
+    the states and their buffers grow together, and a state lagging by
+    more than the budget goes beyond it alone. Letter-to-letter and
+    subsequential machines never lag. The witnesses of
+    ``eliminate_final_output`` fit too: with n final-output classes, runs
+    on inputs of one length lag by fewer than n letters, and the pending
+    word is fixed by the pair of states. The result is the whole kernel
+    when inputs of different lengths never share an output, which
     ``length_collision`` decides.
     """
     if isinstance(f, SubsequentialTransducer):
@@ -460,13 +459,15 @@ def kernel_transducer(
             return True
 
     inputs = base.input_alphabet
+    longest = max((len(out) for out, _dst in base.transitions.values()), default=0)
+    budget = (1 + longest) * len(base.states) ** 2
     held = 0
 
     def successors(node):
         nonlocal held
         p, q, pending, side = node
         held += 1 + len(pending)
-        if budget is not None and held > budget:
+        if held > budget:
             raise NotLetterToLetterError(
                 f"squared machine exceeds the budget of {budget} "
                 "states and pending output letters"
@@ -482,27 +483,15 @@ def kernel_transducer(
                 if hop2 is None:
                     continue
                 balance = _balance(left, extra[1] + hop2[0])
-                if balance is None:
-                    continue
-                if len(balance[0]) > lag:
-                    raise NotLetterToLetterError(
-                        f"two runs differ by {len(balance[0])} output letters, "
-                        f"above the lag bound {lag}"
-                    )
-                yield (a1, a2), (hop1[1], hop2[1]) + balance
+                if balance is not None:
+                    yield (a1, a2), (hop1[1], hop2[1]) + balance
 
-    order, edges = explore([(base.initial, base.initial, (), 0)], successors)
-    nfa = Nfa(
-        alphabet=pair_alphabet(inputs, inputs),
-        states=frozenset(range(len(order))),
-        transitions=frozenset(edges),
-        initials=frozenset({0}),
-        finals=frozenset(
-            n
-            for n, (p, q, pending, side) in enumerate(order)
-            if not pending and p in base.finals and q in base.finals and final_pair(p, q)
-        ),
-    )
+    def accepting(node):
+        p, q, pending, _side = node
+        return not pending and p in base.finals and q in base.finals and final_pair(p, q)
+
+    start = (base.initial, base.initial, (), 0)
+    nfa = explored(pair_alphabet(inputs, inputs), [start], successors, accepting)
     return LetterTransducer(inputs, inputs, nfa)
 
 
@@ -608,10 +597,7 @@ def length_collision(m: SequentialTransducer) -> tuple[Word, Word] | None:
 
 
 def kernel_counterexample(
-    f: SequentialTransducer | SubsequentialTransducer,
-    r: LetterTransducer,
-    lag: int = 0,
-    budget: int | None = None,
+    f: SequentialTransducer | SubsequentialTransducer, r: LetterTransducer
 ) -> tuple[Word, Word] | None:
     """A pair of inputs on which the kernel of ``f`` and the relation ``r`` disagree.
 
@@ -619,12 +605,11 @@ def kernel_counterexample(
     output are looked for first, by ``length_collision``: r relates only
     words of equal length, and letter-to-letter and subsequential
     machines have no such pairs. Then one breadth-first walk over the
-    synchronous product of ``kernel_transducer(f, lag)`` with the pair
-    DFA of r stops at the first pair of states that disagree on
-    acceptance, which spells a shortest separating pair; r serves as
-    its own pair DFA when it is complete already. Raises
-    ``NotLetterToLetterError`` beyond ``lag`` or ``budget`` as
-    ``kernel_transducer`` does.
+    synchronous product of ``kernel_transducer(f)`` with the pair DFA
+    of r stops at the first pair of states that disagree on acceptance,
+    which spells a shortest separating pair; r serves as its own pair
+    DFA when it is complete already. Raises ``NotLetterToLetterError``
+    beyond the budget of ``kernel_transducer``.
     """
     base = f.base if isinstance(f, SubsequentialTransducer) else f
     if r.nfa.alphabet != pair_alphabet(base.input_alphabet, base.input_alphabet):
@@ -633,7 +618,7 @@ def kernel_counterexample(
         pair = length_collision(base)
         if pair is not None:
             return pair
-    kernel = kernel_transducer(f, lag, budget).nfa
+    kernel = kernel_transducer(f).nfa
     rdfa = r.nfa if r.nfa.is_complete else pair_dfa(r).nfa
     (k0,) = kernel.initials
     (d0,) = rdfa.initials

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Alphabet, Nfa, determinize, trim
+from .automata import Alphabet, Nfa, determinize
 from .errors import AlphabetMismatchError, PreconditionError
 
 
@@ -116,7 +116,3 @@ def diagonal_states(t: LetterTransducer) -> frozenset[int]:
                 dropped.add(p)
                 todo.append(p)
     return nfa.states - dropped
-
-
-def trim_transducer(t: LetterTransducer) -> LetterTransducer:
-    return t.with_nfa(trim(t.nfa))

@@ -35,7 +35,6 @@ from kernseq.relations import (
     compose,
     min_lex_uniformizer,
     prefix_closure,
-    relation_union,
     syntactic_congruence,
 )
 from kernseq.synthesis import (
@@ -45,6 +44,7 @@ from kernseq.synthesis import (
 )
 from kernseq.transducers import identity
 
+from boolean_ops import relation_union
 from conftest import (
     AB,
     build_a_parity,

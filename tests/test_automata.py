@@ -4,20 +4,19 @@ from hypothesis import given, settings, strategies as st
 from kernseq.automata import (
     Alphabet,
     Nfa,
-    complement,
     determinize,
     explore,
     inclusion_counterexample,
     includes,
     intersect,
-    is_empty,
     language_equal,
     minimize,
     trim,
-    union,
 )
 from kernseq.errors import AlphabetMismatchError, PreconditionError
+from kernseq.transducers import LetterTransducer
 
+from boolean_ops import complement, is_empty, union
 from conftest import count_calls, nfa_language, words
 
 AB = Alphabet(("a", "b"))
@@ -51,12 +50,19 @@ def test_alphabet_order_is_declaration_order():
 
 
 def test_nfa_rejects_undeclared_parts():
-    with pytest.raises(ValueError):
-        Nfa(AB, {0}, {(0, ("a"), 1)}, {0}, {0})
-    with pytest.raises(ValueError):
-        Nfa(AB, {0}, {(0, "c", 0)}, {0}, {0})
-    with pytest.raises(ValueError):
-        Nfa(AB, {0}, set(), {1}, set())
+    malformed = [
+        ({0}, {(0, "a", 1)}, {0}, {0}),
+        ({0}, {(0, "c", 0)}, {0}, {0}),
+        ({0}, set(), {1}, set()),
+        ({0}, set(), {0}, {1}),
+    ]
+    for states, transitions, initials, finals in malformed:
+        with pytest.raises(ValueError):
+            Nfa(AB, states, transitions, initials, finals)
+        # the same parts over the pair alphabet, as a transducer
+        pairs = {(p, (a, a), q) for p, a, q in transitions}
+        with pytest.raises(ValueError):
+            LetterTransducer.build(AB, AB, states, pairs, initials, finals)
 
 
 def two_state_dfa():
@@ -250,7 +256,7 @@ def test_inclusion_never_determinizes(monkeypatch):
 
     calls = [
         count_calls(monkeypatch, automata, name)
-        for name in ("determinize", "complement", "intersect")
+        for name in ("determinize", "intersect")
     ]
     ends_in_a = two_state_dfa()
     guessed = Nfa(AB, {0, 1}, {(0, "a", 0), (0, "b", 0), (0, "a", 1)}, {0}, {1})
@@ -258,7 +264,7 @@ def test_inclusion_never_determinizes(monkeypatch):
     assert language_equal(ends_in_a, guessed)
     assert includes(guessed, has_a) and not includes(has_a, guessed)
     assert inclusion_counterexample(has_a, guessed) == ("a", "b")
-    assert calls == [[], [], []]
+    assert calls == [[], []]
 
 
 @settings(max_examples=40, deadline=None)
@@ -267,6 +273,23 @@ def test_minimize_preserves_language(nfa):
     small = minimize(determinize(nfa))
     assert language_equal(small, nfa)
     assert small.is_complete
+
+
+def test_minimize_numbers_the_reachable_part_breadth_first():
+    # complete, ids not in breadth-first order, states 0 and 2 unreachable;
+    # from the initial state 3 it accepts the words ending in a
+    dfa = Nfa(
+        AB,
+        {0, 1, 2, 3},
+        {
+            (3, "a", 1), (3, "b", 3), (1, "a", 1), (1, "b", 3),
+            (0, "a", 2), (0, "b", 2), (2, "a", 0), (2, "b", 0),
+        },
+        {3},
+        {1, 2},
+    )
+    assert dfa.is_complete
+    assert minimize(dfa) == two_state_dfa()
 
 
 def test_words_helper_counts():

@@ -26,7 +26,6 @@ from kernseq.relations import (
     min_lex_uniformizer,
     prefix_closure,
     prepare,
-    relation_union,
     syntactic_congruence,
     transitive_closure,
     validate_relation,
@@ -36,9 +35,9 @@ from kernseq.transducers import (
     diagonal_states,
     identity,
     pair_dfa,
-    trim_transducer,
 )
 
+from boolean_ops import complement, relation_union, trim_transducer
 from conftest import (
     AB,
     ABC,
@@ -457,7 +456,7 @@ def _beaten(base: Nfa, outputs) -> Nfa:
 
 
 def test_uniformizer_matches_the_complement_construction():
-    from kernseq.automata import complement, determinize, intersect, trim
+    from kernseq.automata import determinize, intersect, trim
 
     rng = random.Random(5)
     relations = [

@@ -299,14 +299,9 @@ def test_kernel_of_constant_machine_is_full_relation(full_ab):
     assert language_equal(kernel_transducer(machine).nfa, full_ab.nfa)
 
 
-def test_kernel_rejects_general_sequential_machines():
-    m = eliminate_final_output(hand_machine())
-    with pytest.raises(NotLetterToLetterError, match="above the lag bound 0"):
-        kernel_transducer(m)
-
-
 def test_kernel_stops_squaring_beyond_its_budget():
-    # runs on a^k and b^k emit x^k and x^2k: the lag grows without bound
+    # runs on a^k and b^k emit x^k and x^2k: the lag grows without bound,
+    # and the budget is (1 + 2) * 1**2
     m = SequentialTransducer(
         input_alphabet=AB,
         output_alphabet=Alphabet(("x",)),
@@ -315,23 +310,22 @@ def test_kernel_stops_squaring_beyond_its_budget():
         initial=0,
         finals={0},
     )
-    with pytest.raises(NotLetterToLetterError, match="budget of 50"):
-        kernel_transducer(m, lag=1000, budget=50)
+    with pytest.raises(NotLetterToLetterError, match="budget of 3 "):
+        kernel_transducer(m)
 
 
 def test_kernel_budget_admits_exactly_the_squared_states():
     from kernseq.decision import decide_kerseq_ll
 
-    # the squared agree-except-last-3 witness has 85 states, none pending
+    # the squared agree-except-last-3 witness has 85 states, none pending,
+    # and the budget sized from the machine builds it in full
     witness = decide_kerseq_ll(build_agree_except_last(3)).witness
-    assert len(kernel_transducer(witness, budget=85).nfa.states) == 85
-    with pytest.raises(NotLetterToLetterError, match="budget of 84"):
-        kernel_transducer(witness, budget=84)
+    assert len(kernel_transducer(witness).nfa.states) == 85
 
 
 def test_kernel_of_eliminated_machine_within_its_lag(a_parity):
     flat = eliminate_final_output(hand_machine())  # two final-output classes
-    assert language_equal(kernel_transducer(flat, lag=2).nfa, a_parity.nfa)
+    assert language_equal(kernel_transducer(flat).nfa, a_parity.nfa)
     assert length_collision(flat) is None
 
 
@@ -364,7 +358,7 @@ def test_length_collision_finds_inputs_of_different_lengths(
     assert len(u) != len(v) and m.run(u) == m.run(v)
     # relations here relate words of equal length only, so the collision
     # separates the kernel from every one of them
-    assert kernel_counterexample(m, full_ab, lag=4) == (u, v)
+    assert kernel_counterexample(m, full_ab) == (u, v)
 
 
 @pytest.mark.parametrize(
@@ -405,7 +399,7 @@ def test_length_collision_ignores_a_branch_that_cannot_accept(
 def test_kernel_counterexample_rejects_mod_two_witness_against_mod_three():
     mod3 = build_mod_count(3)
     witness = decide_kerseq_lp(build_mod_count(2)).witness
-    u, v = kernel_counterexample(witness, mod3, lag=2)
+    u, v = kernel_counterexample(witness, mod3)
     assert len(u) == len(v)
     assert (witness.run(u) == witness.run(v)) != accepts_pair_backward(mod3, u, v)
 
@@ -416,13 +410,12 @@ def test_kernel_counterexample_agrees_with_enumeration_on_the_suite():
     enumerated = {}
     for r, other in zip(suite, suite[1:]):
         verdict = decide_kerseq_lp(r)
-        lag = len(set(verdict.subsequential.final_output.values()))
         for machine in (verdict.subsequential, verdict.witness):
             kernel = brute_kernel(machine, bound).pairs
             for target in (r, other):
                 if id(target) not in enumerated:
                     enumerated[id(target)] = enumerate_relation(target, bound).pairs
-                pair = kernel_counterexample(machine, target, lag)
+                pair = kernel_counterexample(machine, target)
                 short = pair is not None and len(pair[0]) <= bound
                 assert (kernel != enumerated[id(target)]) == short
                 if pair is not None:
