@@ -6,22 +6,34 @@ closure, a capped transitive-closure fixpoint, and the minimum-lexicographic
 uniformizer that turns an equivalence into the graph of a canonical
 function. ``prepare`` validates a relation once and builds the pair DFA
 and diagonal states that all the stages of one decision share.
+
+The equivalence axioms are read off a complete pair DFA of the relation
+by three deterministic walks over its self-products, one per axiom, each
+looking for a reachable counterexample. Validation determinizes the
+relation for them, and the closure reads its reflexive and symmetric
+preconditions off the minimal DFA that is its first iterate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from typing import Callable, Iterator
 
-from .automata import _unchecked, coaccessible_states, explored, includes, minimize, trim
-from .errors import AlphabetMismatchError, NotEquivalenceError, PreconditionError
-from .transducers import (
-    LetterTransducer,
-    diagonal_states,
-    identity,
-    pair_alphabet,
-    pair_dfa,
+from .automata import (
+    Alphabet,
+    Nfa,
+    _unchecked,
+    coaccessible_states,
+    determinize,
+    explored,
+    includes,
+    minimize,
+    trim,
 )
+from .errors import AlphabetMismatchError, NotEquivalenceError, PreconditionError
+from .transducers import LetterTransducer, diagonal_states, pair_alphabet, pair_dfa
 
 
 @dataclass(frozen=True)
@@ -91,19 +103,89 @@ def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
 
 
 def validate_relation(r: LetterTransducer) -> RelationValidation:
-    """Check the equivalence axioms by automata inclusion.
+    """Check the equivalence axioms on the complete pair DFA of r.
 
-    An empty relation is reported non-reflexive: the identity over a
-    nonempty alphabet is nonempty. Mismatched input/output alphabets can
-    never satisfy any of the axioms.
+    One deterministic walk per axiom over a self-product of the pair
+    DFA; see ``_axioms``. An empty relation is reported non-reflexive:
+    the identity over a nonempty alphabet is nonempty. Mismatched
+    input/output alphabets can never satisfy any of the axioms.
     """
     if not r.same_alphabets():
         return RelationValidation(False, False, False)
-    ident = identity(r.input_alphabet).nfa
-    reflexive = includes(ident, r.nfa)
-    symmetric = includes(inverse(r).nfa, r.nfa)
-    transitive = includes(compose(r, r).nfa, r.nfa)
-    return RelationValidation(reflexive, symmetric, transitive)
+    return RelationValidation(*_axioms(determinize(r.nfa), r.input_alphabet))
+
+
+def _axioms(d: Nfa, alphabet: Alphabet) -> Iterator[bool]:
+    """Whether the relation of the complete pair DFA ``d`` over ``alphabet``
+    is reflexive, symmetric and transitive, each walked when it is asked for.
+
+    With δ(u, v) the state ``d`` reaches on a pair of equal-length words,
+    each axiom fails exactly when a walk from the initial state reaches
+    a counterexample:
+
+    - reflexive: a non-final δ(u, u), walking by the letters (a, a);
+    - symmetric: a pair (δ(u, v), δ(v, u)) with the first state final
+      and the second not, moving by (a, b) and (b, a);
+    - transitive: a triple (δ(u, v), δ(v, w), δ(u, w)) with the first
+      two states final and the third not, moving on (a, b, c) by (a, b),
+      (b, c) and (a, c).
+
+    A state that cannot reach a final state never turns final, so the
+    symmetric and transitive walks follow only moves into live states on
+    the tracks that a counterexample needs final.
+    """
+    live = coaccessible_states(d)
+    index = {a: i for i, a in enumerate(alphabet.letters)}
+    width = range(len(alphabet))
+    go = {q: [[None] * len(alphabet) for _ in width] for q in d.states}  # [q][a][b]: δ(q, (a, b))
+    ahead = {q: [[] for _ in width] for q in d.states}  # [q][a]: its (b, go[q][a][b]) that are live
+    for p, (a, b), q in d.transitions:
+        go[p][index[a]][index[b]] = q
+        if q in live:
+            ahead[p][index[a]].append((index[b], q))
+    finals = d.finals
+    (start,) = d.initials
+
+    def diagonal(p):
+        return [go[p][a][a] for a in width]
+
+    def mirrored(pair):
+        p, q = pair
+        return [(p2, go[q][b][a]) for a in width for b, p2 in ahead[p][a]]
+
+    def chained(triple):
+        p, q, s = triple
+        return [
+            (p2, q2, go[s][a][c])
+            for a in width
+            for b, p2 in ahead[p][a]
+            for c, q2 in ahead[q][b]
+        ]
+
+    yield _never(start, diagonal, lambda p: p not in finals)
+    yield _never(
+        (start, start), mirrored, lambda n: n[0] in finals and n[1] not in finals
+    )
+    yield _never(
+        (start, start, start),
+        chained,
+        lambda n: n[0] in finals and n[1] in finals and n[2] not in finals,
+    )
+
+
+def _never(start, successors: Callable, bad: Callable) -> bool:
+    """True iff no node reachable from ``start`` is ``bad``."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        node = todo.pop()
+        if bad(node):
+            return False
+        for nxt in successors(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return True
 
 
 def require_equivalence(r: LetterTransducer) -> RelationValidation:
@@ -212,10 +294,12 @@ def _canonical(t: LetterTransducer) -> LetterTransducer:
 def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     """Iterate q <- q after p until the language stabilizes.
 
-    Requires p reflexive and symmetric so every iterate is too. Since p
-    is reflexive, q after p contains q, so it is the union of the two
-    and a single inclusion of the next iterate in the current one says
-    they are equal. Every iterate is the trimmed minimal pair DFA of its
+    Requires p reflexive and symmetric so every iterate is too; both are
+    read off the minimal pair DFA of p by the walks of ``_axioms``, and
+    that DFA, trimmed, is the first iterate. Since p is reflexive, q
+    after p contains q, so it is the union of the two and a single
+    inclusion of the next iterate in the current one says they are
+    equal. Every iterate is the trimmed minimal pair DFA of its
     language. Stops either at the first exponent k with equal
     consecutive iterates (converged, the closure realizes the full
     transitive closure) or after ``cap`` comparisons (not converged).
@@ -225,12 +309,15 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     """
     if cap < 1:
         raise PreconditionError("closure cap must be at least 1")
-    ident = identity(p.input_alphabet).nfa if p.same_alphabets() else None
-    if ident is None or not includes(ident, p.nfa):
+    minimal = minimize(p.nfa)
+    reflexive, symmetric = (
+        islice(_axioms(minimal, p.input_alphabet), 2) if p.same_alphabets() else (False, False)
+    )
+    if not reflexive:
         raise PreconditionError("transitive closure needs a reflexive relation")
-    if not includes(inverse(p).nfa, p.nfa):
+    if not symmetric:
         raise PreconditionError("transitive closure needs a symmetric relation")
-    current = _canonical(p)
+    current = p.with_nfa(trim(minimal))
     for k in range(1, cap + 1):
         nxt = _canonical(compose(current, p))
         if includes(nxt.nfa, current.nfa):

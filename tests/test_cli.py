@@ -325,6 +325,19 @@ def test_resource_exhaustion_exits_five_with_one_line(files, capsys, monkeypatch
     assert err.startswith("kernseq: resource exhausted") and err.count("\n") == 1
 
 
+def test_validate_out_of_memory_in_the_pair_dfa_exits_five(files, capsys, monkeypatch):
+    import kernseq.relations
+
+    def exhaust(nfa):
+        raise MemoryError()
+
+    monkeypatch.setattr(kernseq.relations, "determinize", exhaust)
+    code, out, err = run(capsys, "validate", files["ident"])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("kernseq: resource exhausted") and err.count("\n") == 1
+
+
 def test_state_cap_below_the_witness_exits_five(capsys, monkeypatch, tmp_path):
     import kernseq.synthesis
 

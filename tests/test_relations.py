@@ -20,6 +20,7 @@ from kernseq.oracle import (
     syntactic_pairs,
 )
 from kernseq.relations import (
+    RelationValidation,
     compose,
     inverse,
     is_prefix_closed,
@@ -45,6 +46,7 @@ from conftest import (
     build_chain,
     build_chained_classes,
     build_last_a,
+    count_calls,
     finite_relation,
 )
 
@@ -110,6 +112,62 @@ def test_mismatched_alphabets_cannot_validate():
     )
     v = validate_relation(r)
     assert not v.is_equivalence
+
+
+def _axioms_by_inclusion(r):
+    """Reference: the equivalence axioms as three inclusions into r."""
+    if not r.same_alphabets():
+        return RelationValidation(False, False, False)
+    return RelationValidation(
+        includes(identity(r.input_alphabet).nfa, r.nfa),
+        includes(inverse(r).nfa, r.nfa),
+        includes(compose(r, r).nfa, r.nfa),
+    )
+
+
+def test_validation_walks_agree_with_the_inclusion_definition():
+    rng = random.Random(4409)
+    relations = [
+        LetterTransducer.build(AB, AB, set(), set(), set(), set()),
+        LetterTransducer.build(ABC, ABC, {0}, set(), {0}, set()),
+    ]
+    for i in range(2400):
+        letters = ("a", "b") if i % 2 else ("a", "b", "c")
+        outputs = ("a", "b", "c") if i % 40 == 1 else letters
+        a = _random_transducer(rng, letters, outputs, max_states=5).nfa
+        transitions = set(a.transitions)
+        if rng.random() < 0.5:  # the identity on state 0
+            transitions |= {(0, (x, x), 0) for x in letters if x in outputs}
+        if rng.random() < 0.5:  # every pair also read backwards
+            transitions |= {
+                (p, (y, x), q) for p, (x, y), q in transitions if y in letters and x in outputs
+            }
+        finals = a.finals | ({0} if rng.random() < 0.5 else set())
+        relations.append(
+            LetterTransducer.build(letters, outputs, a.states, transitions, a.initials, finals)
+        )
+    seen = set()
+    for i, r in enumerate(relations):
+        v = validate_relation(r)
+        assert v == _axioms_by_inclusion(r), i
+        seen.add((v.is_reflexive, v.is_symmetric, v.is_transitive))
+    assert len(seen) == 8
+
+
+def test_validation_runs_no_inclusion_composition_or_inverse(monkeypatch, last_a, a_parity):
+    from kernseq import automata, relations
+
+    calls = [
+        count_calls(monkeypatch, automata, "includes"),
+        count_calls(monkeypatch, relations, "compose"),
+        count_calls(monkeypatch, relations, "inverse"),
+    ]
+    bare = LetterTransducer.build(AB, AB, {0, 1}, {(0, ("a", "b"), 1)}, {0}, {1})
+    for r in (last_a, a_parity, build_c_singletons(), build_chain(3), bare):
+        validate_relation(r)
+    for r in (last_a, a_parity, build_chain(3)):
+        prepare(r)
+    assert calls == [[], [], []]
 
 
 # ---------------------------------------------------------------- compose / inverse
@@ -213,20 +271,21 @@ def _diagonal_by_inclusion(t):
     return frozenset(members)
 
 
-def _random_transducer(rng, letters):
-    n = rng.randint(1, 4)
+def _random_transducer(rng, letters, outputs=None, max_states=4):
+    outputs = outputs or letters
+    n = rng.randint(1, max_states)
     density = rng.choice((0.1, 0.25, 0.5))
     transitions = {
         (p, (a, b), q)
         for p in range(n)
         for a in letters
-        for b in letters
+        for b in outputs
         for q in range(n)
         if rng.random() < density / n
     }
     initials = set(rng.sample(range(n), rng.randint(1, n)))
     finals = {q for q in range(n) if rng.random() < 0.6}
-    return LetterTransducer.build(letters, letters, range(n), transitions, initials, finals)
+    return LetterTransducer.build(letters, outputs, range(n), transitions, initials, finals)
 
 
 def test_diagonal_fixpoint_matches_the_inclusion_definition():
@@ -364,8 +423,13 @@ def test_closure_requires_reflexive_symmetric_input():
     bare = LetterTransducer.build(
         AB, AB, {0, 1}, {(0, ("a", "b"), 1)}, {0}, {1}
     )
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="reflexive"):
         transitive_closure(bare, cap=2)
+    mismatched = LetterTransducer.build(
+        AB, ABC, {0}, {(0, ("a", "a"), 0), (0, ("b", "b"), 0)}, {0}, {0}
+    )
+    with pytest.raises(PreconditionError, match="reflexive"):
+        transitive_closure(mismatched, cap=2)
     one_way = LetterTransducer.build(
         AB, AB, {0, 1},
         {(0, ("a", "a"), 0), (0, ("b", "b"), 0), (0, ("a", "b"), 1)},
@@ -373,6 +437,24 @@ def test_closure_requires_reflexive_symmetric_input():
     )
     with pytest.raises(PreconditionError, match="symmetric"):
         transitive_closure(one_way, cap=2)
+
+
+def test_closure_runs_one_inclusion_per_round(monkeypatch, ident_ab, chained_classes):
+    from kernseq import automata
+
+    calls = count_calls(monkeypatch, automata, "includes")
+    pc = prefix_closure(chained_classes)
+    for p, cap, rounds in ((ident_ab, 3, 1), (pc, 1, 1), (pc, 8, 2)):
+        calls.clear()
+        result = transitive_closure(p, cap)
+        assert len(calls) == result.exponent == rounds
+    one_way = LetterTransducer.build(
+        AB, AB, {0, 1}, {(0, ("a", "a"), 0), (0, ("b", "b"), 0), (0, ("a", "b"), 1)}, {0}, {0, 1}
+    )
+    calls.clear()
+    with pytest.raises(PreconditionError):
+        transitive_closure(one_way, cap=2)
+    assert calls == []
 
 
 # ---------------------------------------------------------------- min-lex uniformizer
