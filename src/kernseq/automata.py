@@ -10,7 +10,10 @@ which numbers its states with ``explore`` in breadth-first discovery
 order from its start states. ``Nfa(...)`` checks its parts where they
 enter from outside. The automata the package builds itself are right by
 construction, and all of them are assembled through one unchecked path
-in this module.
+in this module. An automaton indexes its transitions once, on first use,
+in one table: per state, per letter position, its targets ascending.
+Every walk here and in the products elsewhere reads that table by
+letter position; ``successors``, ``step`` and ``outgoing`` are views of it.
 
 Inclusion runs on the fly: one breadth-first walk over pairs (state of
 ``a``, subset of ``b``'s states) follows ``a``'s own transitions and
@@ -25,14 +28,18 @@ functions, so everything here can be shared freely.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable
 
 from .errors import AlphabetMismatchError
 
 Letter = Hashable
 Word = tuple
+
+_EMPTY: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -105,45 +112,43 @@ class Nfa:
                 raise ValueError(f"transition letter not in alphabet: {letter!r}")
 
     @cached_property
-    def _step(self) -> dict:
-        table: dict = {}
-        for src, letter, dst in self.transitions:
-            table.setdefault((src, letter), set()).add(dst)
-        return {k: frozenset(v) for k, v in table.items()}
+    def _table(self) -> dict:
+        """Per state, per letter position, its targets ascending: read by every walk."""
+        index = self.alphabet._index
+        table = {q: [[] for _ in index] for q in self.states}
+        for src, letter, dst in sorted(self.transitions, key=itemgetter(2)):
+            table[src][index[letter]].append(dst)
+        return table
 
     @cached_property
     def outgoing(self) -> dict:
         """Per state, its (letter, target) pairs in alphabet order, then by target."""
-        table: dict = {}
-        for src, letter, dst in self.transitions:
-            table.setdefault(src, []).append((letter, dst))
-        index = self.alphabet.index
+        letters = self.alphabet.letters
         return {
-            src: tuple(sorted(edges, key=lambda e: (index(e[0]), e[1])))
-            for src, edges in table.items()
+            q: edges
+            for q, row in self._table.items()
+            if (edges := tuple((a, t) for a, targets in zip(letters, row) for t in targets))
         }
 
     def successors(self, state: int, letter) -> frozenset[int]:
-        return self._step.get((state, letter), frozenset())
+        row = self._table.get(state)
+        i = self.alphabet._index.get(letter)
+        return _EMPTY if row is None or i is None else frozenset(row[i])
 
     @cached_property
     def is_deterministic(self) -> bool:
-        if len(self.initials) > 1:
-            return False
-        return all(len(v) <= 1 for v in self._step.values())
+        rows = self._table.values()
+        return len(self.initials) <= 1 and all(len(t) <= 1 for row in rows for t in row)
 
     @cached_property
     def is_complete(self) -> bool:
         """Deterministic with a total transition function and one initial state."""
-        if len(self.initials) != 1:
-            return False
-        return all(
-            len(self._step.get((q, a), ())) == 1 for q in self.states for a in self.alphabet
-        )
+        rows = self._table.values()
+        return len(self.initials) == 1 and all(len(t) == 1 for row in rows for t in row)
 
     def step(self, state: int, letter) -> int:
         """Single successor; only meaningful on deterministic complete automata."""
-        (dst,) = self._step[(state, letter)]
+        (dst,) = self._table[state][self.alphabet.index(letter)]
         return dst
 
     def accepts(self, word: Word) -> bool:
@@ -170,37 +175,35 @@ def _unchecked(alphabet: Alphabet, states, transitions, initials, finals) -> Nfa
     return a
 
 
-def accessible_states(a: Nfa) -> frozenset[int]:
-    seen = set(a.initials)
-    todo = sorted(seen)
+def _reach(starts, edges) -> frozenset[int]:
+    """The states reachable from ``starts`` along ``(from, to)`` edges."""
+    nxt = defaultdict(list)
+    for p, q in edges:
+        nxt[p].append(q)
+    seen = set(starts)
+    todo = list(seen)
     while todo:
-        p = todo.pop()
-        for letter in a.alphabet:
-            for q in a.successors(p, letter):
-                if q not in seen:
-                    seen.add(q)
-                    todo.append(q)
+        for q in nxt[todo.pop()]:
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
     return frozenset(seen)
+
+
+def accessible_states(a: Nfa) -> frozenset[int]:
+    return _reach(a.initials, map(itemgetter(0, 2), a.transitions))
 
 
 def coaccessible_states(a: Nfa) -> frozenset[int]:
-    back: dict[int, set[int]] = {q: set() for q in a.states}
-    for src, _letter, dst in a.transitions:
-        back[dst].add(src)
-    seen = set(a.finals)
-    todo = sorted(seen)
-    while todo:
-        q = todo.pop()
-        for p in back[q]:
-            if p not in seen:
-                seen.add(p)
-                todo.append(p)
-    return frozenset(seen)
+    return _reach(a.finals, map(itemgetter(2, 0), a.transitions))
 
 
 def trim(a: Nfa) -> Nfa:
-    """Restrict to states lying on some accepting path; language unchanged."""
+    """Restrict to states lying on some accepting path, renumbered 0..n-1
+    in their order; language unchanged. Returns a trim input so numbered."""
     useful = accessible_states(a) & coaccessible_states(a)
+    if useful == a.states == frozenset(range(len(useful))):
+        return a
     renum = {q: i for i, q in enumerate(sorted(useful))}
     return _unchecked(
         a.alphabet,
@@ -266,12 +269,16 @@ def determinize(a: Nfa) -> Nfa:
 
     The result is deterministic and complete: there is exactly one
     initial state and a total transition function, with the empty subset
-    acting as the sink. Recognizes the same language.
+    acting as the sink. Recognizes the same language. A subset's
+    successors are the unions, letter position by letter position, of
+    its states' rows in ``a``'s table.
     """
+    table = a._table
+    sink = [()] * len(a.alphabet)  # the row of the empty subset
 
     def successors(subset):
-        for letter in a.alphabet:
-            yield letter, frozenset(q for p in subset for q in a.successors(p, letter))
+        rows = [table[p] for p in subset] or [sink]
+        return zip(a.alphabet.letters, map(_EMPTY.union, *rows))
 
     return explored(
         a.alphabet, [frozenset(a.initials)], successors, lambda s: bool(s & a.finals)
@@ -290,9 +297,9 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
 
     def successors(pair):
         p, q = pair
-        for letter in a.alphabet:
-            for p2 in sorted(a.successors(p, letter)):
-                for q2 in sorted(b.successors(q, letter)):
+        for letter, p2s, q2s in zip(a.alphabet.letters, a._table[p], b._table[q]):
+            for p2 in p2s:
+                for q2 in q2s:
                     yield letter, (p2, q2)
 
     return explored(
@@ -303,33 +310,29 @@ def intersect(a: Nfa, b: Nfa) -> Nfa:
     )
 
 
-_EMPTY: frozenset = frozenset()
-
-
 def inclusion_counterexample(a: Nfa, b: Nfa) -> Word | None:
     """A shortest word of L(a) minus L(b), or None when L(a) is within L(b).
 
     Of the shortest such words it is the first in alphabet order. A
     breadth-first walk over pairs (state of ``a``, subset of ``b``)
-    follows ``a``'s own transitions and steps the subset through
-    ``b._step``, so ``b`` is never determinized in full; a subset's
-    successor on a letter is computed once per call. The walk stops at
-    the first pair whose ``a`` state is final and whose subset holds no
-    final state of ``b``. The pairs first reached by one word form a
-    group, numbered consecutively, and a group is expanded letter by
-    letter over all its pairs, so the pairs are numbered in the order of
-    the shortest words reaching them, and of those the first in alphabet
+    follows ``a``'s own transitions and steps the subset through ``b``'s
+    table, so ``b`` is never determinized in full; a subset's successor
+    on a letter is computed once per call. The walk stops at the first
+    pair whose ``a`` state is final and whose subset holds no final
+    state of ``b``. The pairs first reached by one word form a group,
+    numbered consecutively, and a group is expanded letter by letter
+    over all its pairs, so the pairs are numbered in the order of the
+    shortest words reaching them, and of those the first in alphabet
     order; the parent pointers of the first such pair spell the word.
     """
     _check_alphabets(a, b)
-    out = a.outgoing
-    index = a.alphabet.index
-    step = b._step
+    a_table, b_table = a._table, b._table
+    letters = a.alphabet.letters
     a_finals = a.finals
     subsets = [frozenset(b.initials)]
     numbers = {subsets[0]: 0}
     missing = [not (subsets[0] & b.finals)]  # per subset: holds no final of b
-    moves: dict = {}  # (subset number, letter) -> subset number
+    moves = [[None] * len(letters)]  # per subset and letter position: the successor's number
     seen: set = set()
     order: list = []
     parent: list = []  # per pair: (parent number, letter), None if initial
@@ -348,23 +351,24 @@ def inclusion_counterexample(a: Nfa, b: Nfa) -> Word | None:
     groups = [(0, len(order))] if order else []
     for lo, hi in groups:  # groups grows while it is walked
         s = order[lo][1]  # one word, so one subset of b for the whole group
-        hops: dict = {}  # letter -> [(pair number, state of a)]
-        for i in range(lo, hi):
-            for letter, q in out.get(order[i][0], ()):
-                hops.setdefault(letter, []).append((i, q))
-        for letter in sorted(hops, key=index):
-            t = moves.get((s, letter))
+        rows = [(n, a_table[order[n][0]]) for n in range(lo, hi)]
+        for i, letter in enumerate(letters):
+            hops = [(n, q) for n, row in rows for q in row[i]]
+            if not hops:
+                continue
+            t = moves[s][i]
             if t is None:
-                succ = _EMPTY.union(*[step.get((x, letter), _EMPTY) for x in subsets[s]])
+                succ = _EMPTY.union(*[b_table[x][i] for x in subsets[s]])
                 t = numbers.get(succ)
                 if t is None:
                     numbers[succ] = t = len(subsets)
                     subsets.append(succ)
                     missing.append(not (succ & b.finals))
-                moves[(s, letter)] = t
+                    moves.append([None] * len(letters))
+                moves[s][i] = t
             first = len(order)
-            for i, q in hops[letter]:
-                if (q, t) not in seen and separates((q, t), (i, letter)):
+            for n, q in hops:
+                if (q, t) not in seen and separates((q, t), (n, letter)):
                     word = []
                     via = parent[-1]
                     while via is not None:
@@ -391,30 +395,36 @@ def minimize(a: Nfa) -> Nfa:
 
     Moore partition refinement over the subset construction of the
     input, whose states are all reachable and numbered breadth first.
+    Its transitions are read once into a dense table, ``delta[q][i]``
+    the target of state q on the letter at position i, and each round
+    gives every state the signature (its block, its targets' blocks).
     Blocks are numbered in the order of their first states. The
     valuedness search relies on the result being deterministic, not only
     on its language.
     """
-    a = determinize(a)
-    states = range(len(a.states))  # determinize numbers its states 0..n-1
-    block = {q: (q in a.finals) for q in states}
+    d = determinize(a)
+    index = d.alphabet._index
+    delta = [[0] * len(index) for _ in d.states]  # determinize numbers its states 0..n-1
+    for p, letter, q in d.transitions:
+        delta[p][index[letter]] = q
+    fresh: dict = {}
+    block = [fresh.setdefault(q in d.finals, len(fresh)) for q in range(len(delta))]
     while True:
-        signature = {
-            q: (block[q], tuple(block[a.step(q, letter)] for letter in a.alphabet))
-            for q in states
-        }
-        fresh: dict = {}
-        for q in states:
-            fresh.setdefault(signature[q], len(fresh))
-        new_block = {q: fresh[signature[q]] for q in states}
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
+        count = len(fresh)
+        old = block.__getitem__
+        fresh = {}
+        block = [
+            fresh.setdefault((old(q), *map(old, row)), len(fresh))
+            for q, row in enumerate(delta)
+        ]
+        if len(fresh) == count:
             break
-        block = new_block
+    # the last round split no block, so it numbered the blocks as the one
+    # before it did, and each signature is a block and its targets' blocks
     return _unchecked(
-        a.alphabet,
-        block.values(),
-        ((block[q], letter, block[a.step(q, letter)]) for q in states for letter in a.alphabet),
+        d.alphabet,
+        range(count),
+        ((b, letter, t) for b, *ts in fresh for letter, t in zip(d.alphabet.letters, ts)),
         {block[0]},
-        (block[q] for q in a.finals),
+        (block[q] for q in d.finals),
     )

@@ -80,17 +80,23 @@ def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
             "the second relation's input alphabet"
         )
     s_out = s.nfa.outgoing
-    by_middle: dict = {}
-    for p2, (y, z), q2 in r.nfa.transitions:
-        by_middle.setdefault((p2, y), []).append((z, q2))
-    for key in by_middle:
-        by_middle[key].sort(key=lambda item: (r.output_alphabet.index(item[0]), item[1]))
+    zs = r.output_alphabet.letters
+    width = len(zs)
+    # per state of r and middle letter y: its (z, target) pairs, in order
+    by_middle = {
+        p2: {
+            y: [(z, q2) for z, q2s in zip(zs, row[i * width : (i + 1) * width]) for q2 in q2s]
+            for i, y in enumerate(r.input_alphabet.letters)
+        }
+        for p2, row in r.nfa._table.items()
+    }
     starts = [(p1, p2) for p1 in sorted(s.nfa.initials) for p2 in sorted(r.nfa.initials)]
 
     def successors(pair):
         p1, p2 = pair
+        middle = by_middle[p2]
         for (x, y), q1 in s_out.get(p1, ()):
-            for z, q2 in by_middle.get((p2, y), ()):
+            for z, q2 in middle[y]:
                 yield (x, z), (q1, q2)
 
     nfa = explored(
@@ -347,19 +353,19 @@ def min_lex_uniformizer(s: LetterTransducer) -> LetterTransducer:
 
 def _uniformizer(s: LetterTransducer) -> LetterTransducer:
     base = trim(s.nfa)
-    rows = [[(a, b) for b in s.output_alphabet] for a in s.input_alphabet]
-
-    def moves(subset, letter) -> frozenset:
-        return frozenset(q for p in subset for q in base.successors(p, letter))
+    table = base._table
+    letters = base.alphabet.letters
+    width = len(s.output_alphabet)
+    rows = [range(i, i + width) for i in range(0, len(letters), width)]  # per input letter
 
     def successors(node):
         equal, smaller = node
         for row in rows:
-            below = frozenset().union(*[moves(smaller, letter) for letter in row])
-            for letter in row:
-                reached = moves(equal, letter)
+            below = frozenset().union(*[table[p][i] for p in smaller for i in row])
+            for i in row:
+                reached = frozenset().union(*[table[p][i] for p in equal])
                 if reached:
-                    yield letter, (reached, below)
+                    yield letters[i], (reached, below)
                     below |= reached
 
     graph = explored(

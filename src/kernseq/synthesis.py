@@ -620,6 +620,8 @@ def kernel_counterexample(
             return pair
     kernel = kernel_transducer(f).nfa
     rdfa = r.nfa if r.nfa.is_complete else pair_dfa(r).nfa
+    k_table, d_table = kernel._table, rdfa._table
+    stuck = [()] * len(rdfa.alphabet)  # the row of the kernel's missing state
     (k0,) = kernel.initials
     (d0,) = rdfa.initials
     start = (k0, d0)
@@ -635,9 +637,9 @@ def kernel_counterexample(
                 letters.append(letter)
             letters.reverse()
             return tuple(a for a, _b in letters), tuple(b for _a, b in letters)
-        for letter in rdfa.alphabet:
-            ks = kernel.successors(k, letter) if k is not None else ()
-            nxt = (next(iter(ks), None), rdfa.step(d, letter))
+        k_row = stuck if k is None else k_table[k]
+        for letter, ks, (d2,) in zip(rdfa.alphabet.letters, k_row, d_table[d]):
+            nxt = (ks[0] if ks else None, d2)
             if nxt not in parent:
                 parent[nxt] = (node, letter)
                 queue.append(nxt)

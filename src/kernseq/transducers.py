@@ -10,6 +10,7 @@ values of this type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .automata import Alphabet, Nfa, determinize
 from .errors import AlphabetMismatchError, PreconditionError
@@ -21,7 +22,7 @@ def pair_alphabet(inputs: Alphabet, outputs: Alphabet) -> Alphabet:
     Ordered input-major so the order is determined by the two
     declaration orders.
     """
-    return Alphabet(tuple((a, b) for a in inputs.letters for b in outputs.letters))
+    return Alphabet(tuple(product(inputs.letters, outputs.letters)))
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,8 @@ class LetterTransducer:
     nfa: Nfa
 
     def __post_init__(self):
-        expected = pair_alphabet(self.input_alphabet, self.output_alphabet)
-        if self.nfa.alphabet != expected:
+        pairs = product(self.input_alphabet.letters, self.output_alphabet.letters)
+        if self.nfa.alphabet.letters != tuple(pairs):
             raise ValueError("underlying automaton must use the full pair alphabet")
 
     @classmethod
@@ -105,9 +106,9 @@ def diagonal_states(t: LetterTransducer) -> frozenset[int]:
     if not nfa.is_complete:
         raise PreconditionError("diagonal states need a complete pair DFA")
     back: dict = {}  # state -> its predecessors along (a, a) edges
-    for p in nfa.states:
-        for a in t.input_alphabet.letters:
-            back.setdefault(nfa.step(p, (a, a)), []).append(p)
+    for p, row in nfa._table.items():
+        for (q,) in row[:: len(t.input_alphabet) + 1]:  # the positions of the (a, a)
+            back.setdefault(q, []).append(p)
     dropped = set(nfa.states - nfa.finals)
     todo = list(dropped)
     while todo:

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kernseq.automata import (
     Alphabet,
     Nfa,
+    _unchecked,
     determinize,
     explore,
     inclusion_counterexample,
@@ -294,3 +297,151 @@ def test_minimize_numbers_the_reachable_part_breadth_first():
 
 def test_words_helper_counts():
     assert len(words(AB.letters, 3)) == 1 + 2 + 4 + 8
+
+
+# ------------------------------------------- the transition table, cross-checked
+#
+# Reference copies of the per-letter constructions: subsets stepped letter
+# by letter through a (state, letter) lookup, Moore signatures through the
+# single successor, and trim by a letter-by-letter forward walk. The
+# library reads one dense table instead; both must give equal automata,
+# state numbers included.
+
+
+def _lookup(a):
+    """(state, letter) -> its targets, straight from the transitions."""
+    step = {}
+    for p, letter, q in a.transitions:
+        step.setdefault((p, letter), set()).add(q)
+    return {key: frozenset(targets) for key, targets in step.items()}
+
+
+def _reference_determinize(a):
+    step = _lookup(a)
+
+    def successors(subset):
+        for letter in a.alphabet:
+            yield letter, frozenset(q for p in subset for q in step.get((p, letter), ()))
+
+    nodes, edges = explore([frozenset(a.initials)], successors)
+    finals = {n for n, subset in enumerate(nodes) if subset & a.finals}
+    return Nfa(a.alphabet, range(len(nodes)), edges, {0}, finals)
+
+
+def _reference_minimize(a):
+    a = _reference_determinize(a)
+    step = _lookup(a)
+    states = range(len(a.states))
+    block = {q: (q in a.finals) for q in states}
+    while True:
+        signature = {
+            q: (block[q], tuple(block[next(iter(step[(q, x)]))] for x in a.alphabet))
+            for q in states
+        }
+        fresh: dict = {}
+        for q in states:
+            fresh.setdefault(signature[q], len(fresh))
+        new_block = {q: fresh[signature[q]] for q in states}
+        done = len(set(new_block.values())) == len(set(block.values()))
+        block = new_block
+        if done:
+            break
+    return Nfa(
+        a.alphabet,
+        block.values(),
+        {(block[q], x, block[next(iter(step[(q, x)]))]) for q in states for x in a.alphabet},
+        {block[0]},
+        {block[q] for q in a.finals},
+    )
+
+
+def _reference_trim(a):
+    step = _lookup(a)
+    seen = set(a.initials)
+    todo = sorted(seen)
+    while todo:
+        p = todo.pop()
+        for x in a.alphabet:
+            for q in step.get((p, x), ()):
+                if q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+    live = set(a.finals)
+    changed = True
+    while changed:
+        more = {p for p, _x, q in a.transitions if q in live} - live
+        live |= more
+        changed = bool(more)
+    useful = seen & live
+    renum = {q: i for i, q in enumerate(sorted(useful))}
+    return Nfa(
+        a.alphabet,
+        renum.values(),
+        {(renum[p], x, renum[q]) for p, x, q in a.transitions if p in useful and q in useful},
+        {renum[q] for q in a.initials if q in useful},
+        {renum[q] for q in a.finals if q in useful},
+    )
+
+
+_ALPHABETS = [
+    AB,
+    Alphabet(("c", "a", "b")),  # declaration order differs from the letters' own
+    Alphabet(tuple((x, y) for x in "ab" for y in "ab")),
+    Alphabet(tuple((x, y) for x in "ba" for y in "abc")),
+]
+
+
+def _random_parts(rng):
+    """Parts of a random automaton: ids scattered, not contiguous, some
+    negative; zero, one or several initial states; unreachable and dead
+    states arise from the sparse random transitions."""
+    alphabet = rng.choice(_ALPHABETS)
+    ids = rng.sample(range(-6, 30), rng.randint(0, 7))
+    transitions = {
+        (rng.choice(ids), rng.choice(alphabet.letters), rng.choice(ids))
+        for _ in range(rng.randint(0, 3 * len(ids) * len(alphabet)) if ids else 0)
+    }
+    initials = rng.sample(ids, min(len(ids), rng.choice([0, 1, 1, 1, 2, 3])))
+    finals = rng.sample(ids, rng.randint(0, len(ids)))
+    return alphabet, ids, transitions, initials, finals
+
+
+def test_constructions_number_their_states_as_the_per_letter_references():
+    rng = random.Random(20240613)
+    for _ in range(2000):
+        a = Nfa(*_random_parts(rng))
+        det = determinize(a)
+        assert det == _reference_determinize(a)
+        assert minimize(a) == _reference_minimize(a)
+        # trim on the raw input, on a complete DFA (a dead sink, if any) and
+        # on inputs already trim and numbered 0..n-1
+        for b in (a, det, minimize(a), trim(a)):
+            assert trim(b) == _reference_trim(b)
+
+
+def test_table_views_agree_with_the_transitions():
+    rng = random.Random(7)
+    for _ in range(600):
+        alphabet, ids, transitions, initials, finals = _random_parts(rng)
+        public = Nfa(alphabet, ids, transitions, initials, finals)
+        internal = _unchecked(alphabet, ids, transitions, initials, finals)
+        for a in (public, internal, determinize(public), minimize(internal)):
+            index = a.alphabet.index
+            step = _lookup(a)
+            for q in a.states:
+                for x in a.alphabet:
+                    assert a.successors(q, x) == step.get((q, x), frozenset())
+            assert a.successors(max(a.states, default=0) + 1, a.alphabet.letters[0]) == set()
+            outgoing = {}
+            for p, x, q in a.transitions:
+                outgoing.setdefault(p, []).append((x, q))
+            assert a.outgoing == {
+                p: tuple(sorted(edges, key=lambda e: (index(e[0]), e[1])))
+                for p, edges in outgoing.items()
+            }
+            cells = [len(step.get((q, x), ())) for q in a.states for x in a.alphabet]
+            assert a.is_deterministic == (len(a.initials) <= 1 and all(c <= 1 for c in cells))
+            assert a.is_complete == (len(a.initials) == 1 and all(c == 1 for c in cells))
+            if a.is_complete:
+                for (q, x), (target,) in step.items():
+                    assert a.step(q, x) == target

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -476,6 +477,41 @@ def test_only_automata_built_from_input_are_checked(monkeypatch):
     # the input was checked when it was built; every automaton derived
     # from it, validation and the closure's preconditions included, is not
     assert checked == []
+
+
+def test_subset_refinement_and_trim_read_the_table_not_the_per_letter_lookups(monkeypatch):
+    from kernseq import automata
+
+    r = build_chain(3)
+    hot = {automata.determinize.__code__, automata.minimize.__code__, automata.trim.__code__}
+    lookups = []  # (method, the hot construction it was called under)
+
+    def counting(name):
+        original = getattr(Nfa, name)
+
+        def wrapped(self, *args):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code in hot:
+                    lookups.append((name, frame.f_code.co_name))
+                frame = frame.f_back
+            return original(self, *args)
+
+        monkeypatch.setattr(Nfa, name, wrapped)
+
+    counting("successors")
+    counting("step")
+    assert decide_kerseq_lp(r).outcome is Outcome.YES
+    assert decide_kerseq_ll(r).outcome is Outcome.NO
+    assert analyze(r).index_wrt_closure == FINITE
+    assert lookups == []
+
+    def probe():  # a lookup under a watched construction is seen
+        return r.nfa.successors(min(r.nfa.initials), r.nfa.alphabet.letters[0])
+
+    hot.add(probe.__code__)
+    probe()
+    assert lookups == [("successors", "probe")]
 
 
 def test_diagonal_states_run_no_inclusion(monkeypatch):
