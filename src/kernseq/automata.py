@@ -5,15 +5,17 @@ pair of letters, which is how transducers are represented elsewhere.
 State identifiers are opaque integers. Constructions return automata
 with fresh contiguous identifiers.
 
-Every product construction in the package is built by ``explored``,
-which numbers its states with ``explore`` in breadth-first discovery
-order from its start states. ``Nfa(...)`` checks its parts where they
-enter from outside. The automata the package builds itself are right by
-construction, and all of them are assembled through one unchecked path
-in this module. An automaton indexes its transitions once, on first use,
-in one table: per state, per letter position, its targets ascending.
-Every walk here and in the products elsewhere reads that table by
-letter position; ``successors``, ``step`` and ``outgoing`` are views of it.
+Every product construction in the package numbers its states with
+``explore`` in breadth-first discovery order from its start states, and
+all but the subset construction are built by ``explored``; the subset
+construction also reads its own table off the exploration. ``Nfa(...)``
+checks its parts where they enter from outside. The automata the
+package builds itself are right by construction, and all of them are
+assembled through one unchecked path in this module. An automaton
+indexes its transitions once, on first use, in one table: per state,
+per letter position, its targets ascending. Every walk here and in the
+products elsewhere reads that table by letter position; ``successors``,
+``step`` and ``outgoing`` are views of it.
 
 Inclusion runs on the fly: one breadth-first walk over pairs (state of
 ``a``, subset of ``b``'s states) follows ``a``'s own transitions and
@@ -271,18 +273,31 @@ def determinize(a: Nfa) -> Nfa:
     initial state and a total transition function, with the empty subset
     acting as the sink. Recognizes the same language. A subset's
     successors are the unions, letter position by letter position, of
-    its states' rows in ``a``'s table.
+    its states' rows in ``a``'s table. ``explore`` lists each subset's
+    edges together, one per letter position in order, so the result's
+    own table is read off that list, with no sort.
     """
     table = a._table
-    sink = [()] * len(a.alphabet)  # the row of the empty subset
+    width = len(a.alphabet)
+    sink = [()] * width  # the row of the empty subset
 
     def successors(subset):
         rows = [table[p] for p in subset] or [sink]
         return zip(a.alphabet.letters, map(_EMPTY.union, *rows))
 
-    return explored(
-        a.alphabet, [frozenset(a.initials)], successors, lambda s: bool(s & a.finals)
+    nodes, edges = explore([frozenset(a.initials)], successors)
+    d = _unchecked(
+        a.alphabet,
+        range(len(nodes)),
+        edges,
+        {0},
+        (n for n, subset in enumerate(nodes) if subset & a.finals),
     )
+    targets = [[t] for _p, _letter, t in edges]
+    object.__setattr__(
+        d, "_table", {q: targets[q * width : (q + 1) * width] for q in range(len(nodes))}
+    )
+    return d
 
 
 def _check_alphabets(a: Nfa, b: Nfa):
@@ -390,25 +405,20 @@ def language_equal(a: Nfa, b: Nfa) -> bool:
     return includes(a, b) and includes(b, a)
 
 
-def minimize(a: Nfa) -> Nfa:
-    """Minimal deterministic complete automaton for the same language.
+def refine(labels: list, delta: list) -> tuple[list[int], dict]:
+    """Moore partition refinement of the states 0..n-1 of a complete machine.
 
-    Moore partition refinement over the subset construction of the
-    input, whose states are all reachable and numbered breadth first.
-    Its transitions are read once into a dense table, ``delta[q][i]``
-    the target of state q on the letter at position i, and each round
-    gives every state the signature (its block, its targets' blocks).
-    Blocks are numbered in the order of their first states. The
-    valuedness search relies on the result being deterministic, not only
-    on its language.
+    ``labels[q]`` is state q's starting signature and ``delta[q]`` its
+    targets, one per letter position. Each round gives every state the
+    signature (its block, its targets' blocks), until a round splits no
+    block. Blocks are numbered in the order of their first states.
+    Returns each state's block and, per signature of that last round,
+    its block; the last round split no block, so it numbered the blocks
+    as the one before it did, and each such signature is a block and its
+    targets' blocks.
     """
-    d = determinize(a)
-    index = d.alphabet._index
-    delta = [[0] * len(index) for _ in d.states]  # determinize numbers its states 0..n-1
-    for p, letter, q in d.transitions:
-        delta[p][index[letter]] = q
     fresh: dict = {}
-    block = [fresh.setdefault(q in d.finals, len(fresh)) for q in range(len(delta))]
+    block = [fresh.setdefault(label, len(fresh)) for label in labels]
     while True:
         count = len(fresh)
         old = block.__getitem__
@@ -418,12 +428,25 @@ def minimize(a: Nfa) -> Nfa:
             for q, row in enumerate(delta)
         ]
         if len(fresh) == count:
-            break
-    # the last round split no block, so it numbered the blocks as the one
-    # before it did, and each signature is a block and its targets' blocks
+            return block, fresh
+
+
+def minimize(a: Nfa) -> Nfa:
+    """Minimal deterministic complete automaton for the same language.
+
+    Moore partition refinement (``refine``) over the subset construction
+    of the input, whose states are all reachable and numbered breadth
+    first, starting from finality. Its table is read once into a dense
+    list, ``delta[q][i]`` the target of state q on the letter at
+    position i. The valuedness search relies on the result being
+    deterministic, not only on its language.
+    """
+    d = determinize(a)
+    delta = [[t for (t,) in d._table[q]] for q in range(len(d.states))]
+    block, fresh = refine([q in d.finals for q in range(len(delta))], delta)
     return _unchecked(
         d.alphabet,
-        range(count),
+        range(len(fresh)),
         ((b, letter, t) for b, *ts in fresh for letter, t in zip(d.alphabet.letters, ts)),
         {block[0]},
         (block[q] for q in d.finals),

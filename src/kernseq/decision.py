@@ -235,14 +235,14 @@ def decide_kerseq_ll(r: LetterTransducer) -> Verdict:
     carry a machine whose kernel has been checked equal to r exactly.
     Raises ``NotEquivalenceError`` unless r is an equivalence.
     """
-    from .synthesis import mealy_machine
+    from .synthesis import mealy_machine, minimal_machine
 
     prep = prepare(r)
     if not prep.prefix_closed:
         return Verdict(Outcome.NO, reason=NOT_PREFIX_CLOSED)
     if not _finite_index(prep, r):
         return Verdict(Outcome.NO, reason=INFINITE_INDEX)
-    witness = mealy_machine(prep)
+    witness = minimal_machine(mealy_machine(prep))
     _certify(witness, prep, "synthesized machine")
     return Verdict(Outcome.YES, witness=witness)
 
@@ -265,6 +265,7 @@ def decide_kerseq_lp(
     """
     from .synthesis import (
         eliminate_final_output,
+        minimal_machine,
         subsequential_machine,
         validate_closure_witness,
     )
@@ -285,7 +286,7 @@ def decide_kerseq_lp(
         pplus = closure_result.closure
     if not _finite_index(prep, pplus):
         return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=closure_result)
-    sub = subsequential_machine(prep, pplus)
+    sub = minimal_machine(subsequential_machine(prep, pplus))
     witness = eliminate_final_output(sub)
     _certify(sub, prep, "subsequential witness")
     _certify(witness, prep, "witness after final-output elimination")

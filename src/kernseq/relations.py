@@ -141,31 +141,37 @@ def _axioms(d: Nfa, alphabet: Alphabet) -> Iterator[bool]:
     the tracks that a counterexample needs final.
     """
     live = coaccessible_states(d)
-    index = {a: i for i, a in enumerate(alphabet.letters)}
-    width = range(len(alphabet))
-    go = {q: [[None] * len(alphabet) for _ in width] for q in d.states}  # [q][a][b]: δ(q, (a, b))
-    ahead = {q: [[] for _ in width] for q in d.states}  # [q][a]: its (b, go[q][a][b]) that are live
-    for p, (a, b), q in d.transitions:
-        go[p][index[a]][index[b]] = q
-        if q in live:
-            ahead[p][index[a]].append((index[b], q))
+    table = d._table  # [q][a * w + b]: [δ(q, (a, b))]
+    w = len(alphabet)
+    width = range(w)
     finals = d.finals
     (start,) = d.initials
 
+    # per state q and input letter a: the (b, δ(q, (a, b))) that are live
+    ahead = {
+        q: [
+            [(b, t) for b, (t,) in enumerate(row[a * w : (a + 1) * w]) if t in live]
+            for a in width
+        ]
+        for q, row in table.items()
+    }
+
     def diagonal(p):
-        return [go[p][a][a] for a in width]
+        return [q for (q,) in table[p][:: w + 1]]
 
     def mirrored(pair):
         p, q = pair
-        return [(p2, go[q][b][a]) for a in width for b, p2 in ahead[p][a]]
+        back = table[q]
+        return [(p2, back[b * w + a][0]) for a, hops in enumerate(ahead[p]) for b, p2 in hops]
 
     def chained(triple):
         p, q, s = triple
+        row_s, from_q = table[s], ahead[q]
         return [
-            (p2, q2, go[s][a][c])
-            for a in width
-            for b, p2 in ahead[p][a]
-            for c, q2 in ahead[q][b]
+            (p2, q2, row_s[a * w + c][0])
+            for a, hops in enumerate(ahead[p])
+            for b, p2 in hops
+            for c, q2 in from_q[b]
         ]
 
     yield _never(start, diagonal, lambda p: p not in finals)

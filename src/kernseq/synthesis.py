@@ -33,10 +33,17 @@ Three public constructions live here:
 
 The deciders, having established the preconditions, call the unchecked
 constructions ``mealy_machine`` and ``subsequential_machine`` directly.
+Every witness leaves the package Moore-minimal: the deciders and the
+``synthesize_*`` functions pass what the constructions build through
+``minimal_machine``, which merges the states that give the same output
+on every input, before any final-output elimination. The constructions
+themselves keep one state per (matrix, row).
 
-Their kernels are checked exactly by ``kernel_counterexample``, which
-squares a machine within a budget sized from the machine
-(``kernel_transducer``) and walks the product with the relation once.
+The kernels are checked exactly by ``kernel_counterexample``: one
+breadth-first walk over the product of the squared machine
+(``kernel_transducer``) with the relation's pair DFA, squaring each
+state once, when the walk first expands it, within a budget sized from
+the machine. The squared machine is never built as an automaton.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 
-from .automata import Alphabet, Word, explore, explored, inclusion_counterexample
+from .automata import Alphabet, Word, explore, explored, inclusion_counterexample, refine
 from .errors import (
     AlphabetMismatchError,
     BadClosureWitnessError,
@@ -72,25 +79,26 @@ STATE_CAP = 100_000
 # needs 349,525 entries.
 ENTRY_CAP = 2_000_000
 
-def _partition(items, related, what):
+def _partition(related, what):
     """Each item's least class member under a claimed equivalence, verified.
 
-    Items come in the fixed order, so an item that relates to no earlier
-    class minimum starts a class and is its minimum.
+    Items are numbered in the fixed order and ``related[x][y]`` is the
+    claim for items x and y, so an item that relates to no earlier class
+    minimum starts a class and is its minimum.
     """
     minima: list = []
-    least = {}
-    for x in items:
-        least[x] = next((m for m in minima if related(x, m)), x)
-        if least[x] == x:
+    least: list = []
+    for x, rx in enumerate(related):
+        m = next((m for m in minima if rx[m]), x)
+        least.append(m)
+        if m == x:
             minima.append(x)
-    for x in items:
-        for y in items:
-            if related(x, y) != (least[x] == least[y]):
-                raise InternalInvariantError(
-                    f"{what} is not an equivalence relation on successor items; "
-                    "a synthesis precondition does not actually hold"
-                )
+    for x, rx in enumerate(related):
+        if rx != [least[x] == m for m in least]:
+            raise InternalInvariantError(
+                f"{what} is not an equivalence relation on successor items; "
+                "a synthesis precondition does not actually hold"
+            )
     return least
 
 
@@ -110,28 +118,34 @@ def _check_matrix(matrix, coarse_final, diag_ok):
 def _worklist(
     letters,
     initial_entry,
-    delta,
+    targets,
     coarse_final,
     fine_final,
     diag_ok,
 ):
     """Explore (matrix, row) states breadth-first from the 1-by-1 start matrix.
 
+    ``targets(entry)`` lists the entries reached from ``entry`` by pair
+    letter, the pair (a, b) at position a * len(letters) + b, as in the
+    rows of a pair DFA's table; it is called once per distinct entry.
     Each distinct matrix is interned once, checked once and, on its
     first expansion, given a table of moves for all of its rows. The
-    table groups the items (row, letter) twice by the entry reached on
-    reading the pair of two items: by ``coarse_final`` and, finer, by
-    ``fine_final``. Each coarse class outputs its least item and steps
-    to the matrix whose rows are its fine-class minima, in order; an
-    item moves to the row of its fine-class minimum. Returns the
-    matrices in the order they were interned, the discovery-ordered
-    states as (matrix index, row) pairs, transitions keyed by (state id,
-    input letter) valued ((output row, output letter), successor id),
-    and the largest dimension reached.
+    table is built from one table of the entries reached on reading the
+    pair of two items (row, letter), read by both groupings and by the
+    successor matrices. The items are grouped twice by that entry: by
+    ``coarse_final`` and, finer, by ``fine_final``. Each coarse class
+    outputs its least item and steps to the matrix whose rows are its
+    fine-class minima, in order; an item moves to the row of its
+    fine-class minimum. Returns the matrices in the order they were
+    interned, the discovery-ordered states as (matrix index, row) pairs,
+    transitions keyed by (state id, input letter) valued ((output row,
+    output letter), successor id), and the largest dimension reached.
     """
+    width = len(letters)
     index: dict = {}
     matrices: list = []
     tables: dict = {}
+    rows: dict = {}  # entry -> targets(entry)
     entries = 0
     expanded = 0
 
@@ -148,24 +162,35 @@ def _worklist(
         return mi
 
     def moves(matrix):
-        def succ(x, y):
-            (xi, xa), (yj, yb) = x, y
-            return delta(matrix[xi - 1][yj - 1], (xa, yb))
-
-        items = [(i, a) for i in range(1, len(matrix) + 1) for a in letters]
-        coarse = _partition(items, lambda x, y: coarse_final(succ(x, y)), "coarse grouping")
-        fine = _partition(items, lambda x, y: fine_final(succ(x, y)), "fine grouping")
-        if any(coarse[fine[x]] != coarse[x] for x in items):
+        # item (row i, letter a) is number (i - 1) * width + a; succ[x][y]
+        # is the entry reached on reading the pair of items x and y
+        n = len(matrix) * width
+        succ = [[None] * n for _ in range(n)]
+        for i, matrix_row in enumerate(matrix):
+            for j, entry in enumerate(matrix_row):
+                row = rows.get(entry)
+                if row is None:
+                    row = rows[entry] = targets(entry)
+                for a in range(width):
+                    succ[i * width + a][j * width : (j + 1) * width] = row[
+                        a * width : (a + 1) * width
+                    ]
+        coarse = _partition(
+            [[coarse_final(q) for q in line] for line in succ], "coarse grouping"
+        )
+        fine = _partition([[fine_final(q) for q in line] for line in succ], "fine grouping")
+        if any(coarse[fine[x]] != coarse[x] for x in range(n)):
             raise InternalInvariantError("fine grouping does not refine coarse grouping")
         reps: dict = {}  # least item of each coarse class -> its fine-class minima
-        for x in items:
+        for x in range(n):
             if fine[x] == x:
                 reps.setdefault(coarse[x], []).append(x)
         step = {}  # fine-class minimum -> (successor matrix index, row)
-        for rows in reps.values():
-            target = intern(tuple(tuple(succ(x, y) for y in rows) for x in rows))
-            step.update((rep, (target, m)) for m, rep in enumerate(rows, start=1))
-        return {x: (coarse[x], step[fine[x]]) for x in items}
+        for minima in reps.values():
+            target = intern(tuple(tuple(succ[x][y] for y in minima) for x in minima))
+            step.update((rep, (target, m)) for m, rep in enumerate(minima, start=1))
+        item = [(x // width + 1, letters[x % width]) for x in range(n)]
+        return [(item[coarse[x]], step[fine[x]]) for x in range(n)]
 
     def successors(node):
         nonlocal expanded
@@ -175,43 +200,55 @@ def _worklist(
         mi, row = node
         if mi not in tables:
             tables[mi] = moves(matrices[mi])
-        for a in letters:
-            out, nxt = tables[mi][(row, a)]
-            yield (a, out), nxt
+        table = tables[mi]
+        for a, letter in enumerate(letters):
+            out, nxt = table[(row - 1) * width + a]
+            yield (letter, out), nxt
 
     order, edges = explore([(intern(((initial_entry,),)), 1)], successors)
     transitions = {(sid, a): (out, dst) for sid, (a, out), dst in edges}
     return matrices, order, transitions, max(map(len, matrices))
 
 
-class _Provenance(Mapping):
-    """State id to ``row <r> of <matrix>``, rendered when it is read."""
+def _targets(nfa):
+    """Per state of a complete DFA, its successors by letter position."""
+    table = nfa._table
+    return lambda q: [t for (t,) in table[q]]
 
-    def __init__(self, matrices, order):
-        self._matrices, self._order = matrices, order
+
+class _Provenance(Mapping):
+    """State id to its provenance string, rendered when it is read."""
+
+    def __init__(self, render, count):
+        self._render, self._count = render, count
 
     def __getitem__(self, sid):
-        if sid not in range(len(self._order)):
+        if sid not in range(self._count):
             raise KeyError(sid)
-        mi, row = self._order[sid]
-        return f"row {row} of {self._matrices[mi]!r}"
+        return self._render(sid)
 
     def __len__(self):
-        return len(self._order)
+        return self._count
 
     def __iter__(self):
-        return iter(range(len(self._order)))
+        return iter(range(self._count))
 
 
 def _machine(inputs: Alphabet, found, extra_outputs=()) -> SequentialTransducer:
     """The machine of a ``_worklist`` result, every state final.
 
     The item (row j, letter a) is output as ``o<j>_<a>``; ``extra_outputs``
-    are appended to the output alphabet.
+    are appended to the output alphabet. State ``sid`` has the provenance
+    ``row <r> of <matrix>``.
     """
     matrices, order, transitions, l_max = found
     encode = {(j, a): f"o{j}_{a}" for j in range(1, l_max + 1) for a in inputs.letters}
     states = frozenset(range(len(order)))
+
+    def render(sid):
+        mi, row = order[sid]
+        return f"row {row} of {matrices[mi]!r}"
+
     return SequentialTransducer(
         input_alphabet=inputs,
         output_alphabet=Alphabet(tuple(encode.values()) + tuple(extra_outputs)),
@@ -219,7 +256,65 @@ def _machine(inputs: Alphabet, found, extra_outputs=()) -> SequentialTransducer:
         transitions={key: ((encode[item],), dst) for key, (item, dst) in transitions.items()},
         initial=0,
         finals=states,
-        provenance=_Provenance(matrices, order),
+        provenance=_Provenance(render, len(order)),
+    )
+
+
+def minimal_machine(m):
+    """The Moore-minimal machine with the outputs of a synthesized machine.
+
+    ``m`` is a ``SequentialTransducer`` or a ``SubsequentialTransducer``
+    with a move on every state and input letter, as every machine of
+    ``_worklist`` has. Two states merge when every input gives the same
+    output from both, ends in both or in neither, and (subsequential
+    machines) with the same final output. The refinement is
+    ``automata.refine``, started from each state's finality, final
+    output and output per input letter. A merged state keeps the
+    provenance of its least member, and the states are renumbered
+    breadth first from the initial state. The result gives the same
+    output as ``m`` on every input, so it has the same kernel.
+    """
+    sub = isinstance(m, SubsequentialTransducer)
+    base = m.base if sub else m
+    final_output = m.final_output if sub else {}
+    letters = base.input_alphabet.letters
+    states = sorted(base.states)
+    number = {q: n for n, q in enumerate(states)}
+    hops = [[base.transitions[(q, a)] for a in letters] for q in states]
+    block, _ = refine(
+        [
+            (q in base.finals, final_output.get(q), *(out for out, _dst in row))
+            for q, row in zip(states, hops)
+        ],
+        [[number[dst] for _out, dst in row] for row in hops],
+    )
+    least: dict = {}  # block -> its least member, by number
+    for n, b in enumerate(block):
+        least.setdefault(b, n)
+
+    def successors(b):
+        for a, (out, dst) in zip(letters, hops[least[b]]):
+            yield (a, out), block[number[dst]]
+
+    order, edges = explore([block[number[base.initial]]], successors)
+    kept = [states[least[b]] for b in order]  # per new state, the state it keeps
+    provenance = base.provenance
+    minimal = SequentialTransducer(
+        input_alphabet=base.input_alphabet,
+        output_alphabet=base.output_alphabet,
+        states=frozenset(range(len(kept))),
+        transitions={(sid, a): (out, dst) for sid, (a, out), dst in edges},
+        initial=0,
+        finals=frozenset(sid for sid, q in enumerate(kept) if q in base.finals),
+        provenance=None
+        if provenance is None
+        else _Provenance(lambda sid: provenance[kept[sid]], len(kept)),
+    )
+    if not sub:
+        return minimal
+    return SubsequentialTransducer(
+        base=minimal,
+        final_output={sid: final_output[q] for sid, q in enumerate(kept) if q in base.finals},
     )
 
 
@@ -239,7 +334,7 @@ def synthesize_mealy(r: LetterTransducer) -> SequentialTransducer:
         raise PreconditionError(
             "syntactic congruence has infinite index with respect to the relation"
         )
-    return mealy_machine(prep)
+    return minimal_machine(mealy_machine(prep))
 
 
 def mealy_machine(prep: Prepared) -> SequentialTransducer:
@@ -258,7 +353,7 @@ def mealy_machine(prep: Prepared) -> SequentialTransducer:
     found = _worklist(
         r.input_alphabet.letters,
         initial,
-        det.nfa.step,
+        _targets(det.nfa),
         lambda q: q in finals,
         lambda q: q in diag,
         lambda q: q in diag,
@@ -307,7 +402,7 @@ def synthesize_subsequential(
         raise PreconditionError(
             "syntactic congruence has infinite index with respect to the closure"
         )
-    return subsequential_machine(prep, pplus)
+    return minimal_machine(subsequential_machine(prep, pplus))
 
 
 def subsequential_machine(prep: Prepared, pplus: LetterTransducer) -> SubsequentialTransducer:
@@ -326,13 +421,13 @@ def subsequential_machine(prep: Prepared, pplus: LetterTransducer) -> Subsequent
     p_finals = pdfa.nfa.finals
     (r0,) = rdfa.nfa.initials
     (p0,) = pdfa.nfa.initials
-    r_step = rdfa.nfa.step
-    p_step = pdfa.nfa.step
+    r_targets = _targets(rdfa.nfa)
+    p_targets = _targets(pdfa.nfa)
 
     found = _worklist(
         r.input_alphabet.letters,
         (r0, p0),
-        lambda q, pair: (r_step(q[0], pair), p_step(q[1], pair)),
+        lambda q: list(zip(r_targets(q[0]), p_targets(q[1]))),
         lambda q: q[1] in p_finals,
         lambda q: q[0] in r_diag,
         lambda q: q[0] in r_diag and q[1] in p_diag,
@@ -421,6 +516,64 @@ def _ahead(pending: Word, side: int) -> list[Word]:
     return extra
 
 
+def _squaring(f: SequentialTransducer | SubsequentialTransducer):
+    """The squared machine of ``kernel_transducer``, as a start node, a
+    successor function and an acceptance test over its nodes.
+
+    ``successors(node)`` yields ``((a1, a2), next)`` in the order of the
+    pair alphabet and charges the node to the budget; callers call it at
+    most once per node, so the budget counts the expanded states and the
+    output letters they hold.
+    """
+    if isinstance(f, SubsequentialTransducer):
+        base = f.base
+
+        def final_pair(p, q):
+            return f.final_output[p] == f.final_output[q]
+
+    else:
+        base = f
+
+        def final_pair(p, q):
+            return True
+
+    longest = max((len(out) for out, _dst in base.transitions.values()), default=0)
+    budget = (1 + longest) * len(base.states) ** 2
+    held = 0
+    moves, letters = base.transitions, base.input_alphabet.letters
+    hops = {  # state -> its (letter, output, next), in letter order
+        q: [(a, *moves[(q, a)]) for a in letters if (q, a) in moves] for q in base.states
+    }
+
+    def successors(node):
+        nonlocal held
+        p, q, pending, side = node
+        held += 1 + len(pending)
+        if held > budget:
+            raise NotLetterToLetterError(
+                f"squared machine exceeds the budget of {budget} "
+                "states and pending output letters"
+            )
+        extra = _ahead(pending, side)
+        rights = [(a2, extra[1] + out2, q2) for a2, out2, q2 in hops[q]]
+        for a1, out1, p2 in hops[p]:
+            left = extra[0] + out1
+            for a2, right, q2 in rights:
+                if len(left) == len(right):  # always so without a lag
+                    if left == right:
+                        yield (a1, a2), (p2, q2, (), 0)
+                    continue
+                balance = _balance(left, right)
+                if balance is not None:
+                    yield (a1, a2), (p2, q2) + balance
+
+    def accepting(node):
+        p, q, pending, _side = node
+        return not pending and p in base.finals and q in base.finals and final_pair(p, q)
+
+    return (base.initial, base.initial, (), 0), successors, accepting
+
+
 def kernel_transducer(f: SequentialTransducer | SubsequentialTransducer) -> LetterTransducer:
     """Pairs of equal-length inputs on which a machine gives equal outputs.
 
@@ -445,52 +598,14 @@ def kernel_transducer(f: SequentialTransducer | SubsequentialTransducer) -> Lett
     word is fixed by the pair of states. The result is the whole kernel
     when inputs of different lengths never share an output, which
     ``length_collision`` decides.
+
+    This builds the whole squared machine as an automaton, numbered by
+    ``explored``; ``kernel_counterexample`` walks the same squaring
+    without building it.
     """
-    if isinstance(f, SubsequentialTransducer):
-        base = f.base
-
-        def final_pair(p, q):
-            return f.final_output[p] == f.final_output[q]
-
-    else:
-        base = f
-
-        def final_pair(p, q):
-            return True
-
+    base = f.base if isinstance(f, SubsequentialTransducer) else f
     inputs = base.input_alphabet
-    longest = max((len(out) for out, _dst in base.transitions.values()), default=0)
-    budget = (1 + longest) * len(base.states) ** 2
-    held = 0
-
-    def successors(node):
-        nonlocal held
-        p, q, pending, side = node
-        held += 1 + len(pending)
-        if held > budget:
-            raise NotLetterToLetterError(
-                f"squared machine exceeds the budget of {budget} "
-                "states and pending output letters"
-            )
-        extra = _ahead(pending, side)
-        for a1 in inputs.letters:
-            hop1 = base.transitions.get((p, a1))
-            if hop1 is None:
-                continue
-            left = extra[0] + hop1[0]
-            for a2 in inputs.letters:
-                hop2 = base.transitions.get((q, a2))
-                if hop2 is None:
-                    continue
-                balance = _balance(left, extra[1] + hop2[0])
-                if balance is not None:
-                    yield (a1, a2), (hop1[1], hop2[1]) + balance
-
-    def accepting(node):
-        p, q, pending, _side = node
-        return not pending and p in base.finals and q in base.finals and final_pair(p, q)
-
-    start = (base.initial, base.initial, (), 0)
+    start, successors, accepting = _squaring(f)
     nfa = explored(pair_alphabet(inputs, inputs), [start], successors, accepting)
     return LetterTransducer(inputs, inputs, nfa)
 
@@ -605,11 +720,20 @@ def kernel_counterexample(
     output are looked for first, by ``length_collision``: r relates only
     words of equal length, and letter-to-letter and subsequential
     machines have no such pairs. Then one breadth-first walk over the
-    synchronous product of ``kernel_transducer(f)`` with the pair DFA
-    of r stops at the first pair of states that disagree on acceptance,
-    which spells a shortest separating pair; r serves as its own pair
-    DFA when it is complete already. Raises ``NotLetterToLetterError``
-    beyond the budget of ``kernel_transducer``.
+    synchronous product of the squared machine of ``kernel_transducer``
+    with the pair DFA of r stops at the first pair of states that
+    disagree on acceptance, which spells a shortest separating pair; r
+    serves as its own pair DFA when it is complete already.
+
+    The squared machine is never built: each squared state is numbered
+    when the walk first reaches it, and its successors are computed
+    once, when the walk first expands it, with the budget of
+    ``kernel_transducer`` charged then. The walk visits the product in
+    the order it would over the built squared machine, so it returns
+    the same pair. When the kernel equals r the walk expands every
+    reachable squared state and raises ``NotLetterToLetterError``
+    exactly when ``kernel_transducer`` would; when they differ, it may
+    find the pair before the budget runs out, and returns it.
     """
     base = f.base if isinstance(f, SubsequentialTransducer) else f
     if r.nfa.alphabet != pair_alphabet(base.input_alphabet, base.input_alphabet):
@@ -618,28 +742,49 @@ def kernel_counterexample(
         pair = length_collision(base)
         if pair is not None:
             return pair
-    kernel = kernel_transducer(f).nfa
     rdfa = r.nfa if r.nfa.is_complete else pair_dfa(r).nfa
-    k_table, d_table = kernel._table, rdfa._table
-    stuck = [()] * len(rdfa.alphabet)  # the row of the kernel's missing state
-    (k0,) = kernel.initials
+    start, successors, accepting = _squaring(f)
+    position = rdfa.alphabet._index
+    width = len(rdfa.alphabet)
+    ids = {start: 0}  # squared state -> its number, in the order first reached
+    nodes = [start]
+    rows: list = [None]  # per squared state: its successor numbers by pair letter, once expanded
+    finals = [accepting(start)]
+    stuck = [None] * width  # the row of the missing squared state
+
+    def row(k):
+        if k is None:
+            return stuck
+        found = rows[k]
+        if found is None:
+            found = rows[k] = [None] * width
+            for letter, nxt in successors(nodes[k]):
+                n = ids.get(nxt)
+                if n is None:
+                    n = ids[nxt] = len(nodes)
+                    nodes.append(nxt)
+                    rows.append(None)
+                    finals.append(accepting(nxt))
+                found[position[letter]] = n
+        return found
+
+    d_table, d_finals = rdfa._table, rdfa.finals
     (d0,) = rdfa.initials
-    start = (k0, d0)
-    parent = {start: None}
-    queue = deque([start])
+    node = (0, d0)
+    parent = {node: None}
+    queue = deque([node])
     while queue:
         node = queue.popleft()
         k, d = node
-        if (k in kernel.finals) != (d in rdfa.finals):
+        if (k is not None and finals[k]) != (d in d_finals):
             letters = []
             while parent[node] is not None:
                 node, letter = parent[node]
                 letters.append(letter)
             letters.reverse()
             return tuple(a for a, _b in letters), tuple(b for _a, b in letters)
-        k_row = stuck if k is None else k_table[k]
-        for letter, ks, (d2,) in zip(rdfa.alphabet.letters, k_row, d_table[d]):
-            nxt = (ks[0] if ks else None, d2)
+        for letter, k2, (d2,) in zip(rdfa.alphabet.letters, row(k), d_table[d]):
+            nxt = (k2, d2)
             if nxt not in parent:
                 parent[nxt] = (node, letter)
                 queue.append(nxt)

@@ -1,0 +1,284 @@
+"""The exact kernel check and the minimal witnesses it certifies.
+
+``kernel_counterexample`` walks the product of the squared machine with
+the relation's pair DFA without building the squared machine. Here it
+is compared with a reference copy of the two-phase check it replaced:
+build the whole ``kernel_transducer``, then walk its product with the
+pair DFA. Both must return the same pair, or None, on every witness of
+the snapshot relations, on wrong pairings of witness and relation and on
+random small sequential machines. The witnesses that leave the package
+are Moore-minimal: no further refinement splits them, and each gives
+the same output as the unminimized construction it came from.
+"""
+
+import random
+from collections import deque
+
+import pytest
+
+from kernseq import synthesis
+from kernseq.automata import Alphabet, refine
+from kernseq.decision import Outcome, decide_kerseq_ll, decide_kerseq_lp
+from kernseq.errors import NotEquivalenceError, NotLetterToLetterError
+from kernseq.fileformat import parse
+from kernseq.machines import SequentialTransducer, SubsequentialTransducer
+from kernseq.oracle import accepts_pair_backward
+from kernseq.relations import prepare
+from kernseq.synthesis import (
+    kernel_counterexample,
+    kernel_transducer,
+    length_collision,
+    mealy_machine,
+    minimal_machine,
+    subsequential_machine,
+    synthesize_mealy,
+    synthesize_subsequential,
+)
+from kernseq.transducers import pair_dfa
+
+from conftest import AB, build_agree_except_last, build_mod_count, words
+from test_verdicts import _relations
+
+
+def reference_counterexample(f, r):
+    """The two-phase check: the whole squared machine, then one product walk."""
+    base = f.base if isinstance(f, SubsequentialTransducer) else f
+    if not base.is_letter_to_letter:
+        pair = length_collision(base)
+        if pair is not None:
+            return pair
+    kernel = kernel_transducer(f).nfa
+    rdfa = r.nfa if r.nfa.is_complete else pair_dfa(r).nfa
+    k_table, d_table = kernel._table, rdfa._table
+    stuck = [()] * len(rdfa.alphabet)
+    (k0,) = kernel.initials
+    (d0,) = rdfa.initials
+    start = (k0, d0)
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        k, d = node
+        if (k in kernel.finals) != (d in rdfa.finals):
+            letters = []
+            while parent[node] is not None:
+                node, letter = parent[node]
+                letters.append(letter)
+            letters.reverse()
+            return tuple(a for a, _b in letters), tuple(b for _a, b in letters)
+        k_row = stuck if k is None else k_table[k]
+        for letter, ks, (d2,) in zip(rdfa.alphabet.letters, k_row, d_table[d]):
+            nxt = (ks[0] if ks else None, d2)
+            if nxt not in parent:
+                parent[nxt] = (node, letter)
+                queue.append(nxt)
+    return None
+
+
+def outcome(check, f, r):
+    try:
+        return check(f, r)
+    except NotLetterToLetterError:
+        return NotLetterToLetterError
+
+
+def assert_same_check(f, r):
+    """The product walk answers as the two-phase check, or finds a true
+    disagreement where the two-phase check runs out of budget first."""
+    expected = outcome(reference_counterexample, f, r)
+    got = outcome(kernel_counterexample, f, r)
+    if expected is NotLetterToLetterError and got is not NotLetterToLetterError:
+        u, v = got
+        in_kernel = f.run(u) is not None and f.run(u) == f.run(v)
+        assert in_kernel != accepts_pair_backward(r, u, v)
+    else:
+        assert got == expected
+    return got
+
+
+def handed_out(ll, lp):
+    """Every witness that the two decisions hand out."""
+    machines = [ll.witness] if ll.outcome is Outcome.YES else []
+    if lp.outcome is Outcome.YES:
+        machines += [lp.subsequential, lp.witness]
+    return machines
+
+
+@pytest.fixture(scope="module")
+def snapshot_witnesses():
+    """Per snapshot equivalence: its name, the relation, and its
+    ``decide ll`` and ``decide lp`` verdicts."""
+    found = []
+    for name, r in _relations():
+        try:
+            found.append((name, r, decide_kerseq_ll(r), decide_kerseq_lp(r)))
+        except NotEquivalenceError:
+            continue
+    return found
+
+
+# ---------------------------------------------------------------- product walk
+
+def test_product_walk_matches_the_two_phase_check_on_every_witness(snapshot_witnesses):
+    checked = 0
+    for name, r, ll, lp in snapshot_witnesses:
+        for m in handed_out(ll, lp):
+            assert kernel_counterexample(m, r) is None, name
+            assert reference_counterexample(m, r) is None, name
+            checked += 1
+    assert checked > 400
+
+
+def test_product_walk_matches_the_two_phase_check_on_wrong_pairings(snapshot_witnesses):
+    # each witness against the next relation of the same alphabet
+    differing = 0
+    for (_n, _r, ll, lp), (_name, other, _ll, _lp) in zip(
+        snapshot_witnesses, snapshot_witnesses[1:]
+    ):
+        for m in handed_out(ll, lp):
+            if other.input_alphabet != m.input_alphabet:
+                continue
+            differing += assert_same_check(m, other) is not None
+    assert differing > 100
+
+
+def test_mod_two_witnesses_against_mod_three_give_the_same_pair():
+    mod3 = build_mod_count(3)
+    verdict = decide_kerseq_lp(build_mod_count(2))
+    for m in (verdict.subsequential, verdict.witness):
+        pair = assert_same_check(m, mod3)
+        assert pair is not None
+
+
+def random_machine(rng, letter_to_letter):
+    states = range(rng.randint(1, 4))
+    transitions = {}
+    for q in states:
+        for a in AB.letters:
+            if rng.random() < 0.85:
+                size = 1 if letter_to_letter else rng.choice((0, 1, 1, 2))
+                out = tuple(rng.choice("xy") for _ in range(size))
+                transitions[(q, a)] = (out, rng.choice(states))
+    return SequentialTransducer(
+        input_alphabet=AB,
+        output_alphabet=Alphabet(("x", "y")),
+        states=set(states),
+        transitions=transitions,
+        initial=0,
+        finals={q for q in states if rng.random() < 0.6},
+    )
+
+
+def test_product_walk_matches_the_two_phase_check_on_random_machines(snapshot_witnesses):
+    rng = random.Random(2003)
+    targets = [r for _n, r, _ll, _lp in snapshot_witnesses if r.input_alphabet == AB]
+    answers = set()
+    for i in range(400):
+        m = random_machine(rng, letter_to_letter=i % 2 == 0)
+        got = assert_same_check(m, rng.choice(targets))
+        answers.add("raise" if got is NotLetterToLetterError else got is None)
+    assert answers == {True, False, "raise"}
+
+
+def test_product_walk_stops_on_the_lagging_machine():
+    # a^k and b^k give x^k and x^2k and end in non-final states, so the
+    # kernel is {(empty, empty)}, equal to the relation, and the lag grows
+    # without bound: both checks run out of the squaring budget
+    machine = parse(
+        "kind sequential\ninputs a b\noutputs x\nstates 0 1 2\ninitial 0\nfinals 0\n"
+        "0 a / x -> 1\n0 b / x x -> 2\n1 a / x -> 1\n2 b / x x -> 2\n"
+    ).machine
+    relation = parse(
+        "kind letter-transducer\ninputs a b\noutputs a b\nstates 0\ninitials 0\nfinals 0\n"
+    ).machine
+    for check in (kernel_counterexample, reference_counterexample):
+        with pytest.raises(NotLetterToLetterError):
+            check(machine, relation)
+
+
+def test_product_walk_builds_no_squared_machine(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the squared machine is built")
+
+    verdict = decide_kerseq_lp(build_agree_except_last(3))
+    wrong = build_mod_count(3)
+    monkeypatch.setattr(synthesis, "explored", forbidden)
+    monkeypatch.setattr(synthesis, "kernel_transducer", forbidden)
+    for m in (verdict.subsequential, verdict.witness):
+        assert kernel_counterexample(m, build_agree_except_last(3)) is None
+        assert kernel_counterexample(m, wrong) is not None
+
+
+# ---------------------------------------------------------------- minimal witnesses
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_agree_except_last_k_witnesses_have_two_to_the_k_states(k):
+    r = build_agree_except_last(k)
+    assert len(decide_kerseq_ll(r).witness.states) == 2**k
+    assert len(decide_kerseq_lp(r).subsequential.base.states) == 2**k
+
+
+def splits(m) -> bool:
+    """Whether one more Moore refinement of a machine splits a block."""
+    final_output = m.final_output if isinstance(m, SubsequentialTransducer) else {}
+    base = m.base if isinstance(m, SubsequentialTransducer) else m
+    letters = base.input_alphabet.letters
+    hops = [[base.transitions[(q, a)] for a in letters] for q in range(len(base.states))]
+    block, _ = refine(
+        [
+            (q in base.finals, final_output.get(q), *(out for out, _dst in row))
+            for q, row in enumerate(hops)
+        ],
+        [[dst for _out, dst in row] for row in hops],
+    )
+    return len(set(block)) != len(hops)
+
+
+def test_no_returned_witness_splits_further(snapshot_witnesses):
+    checked = 0
+    for name, r, ll, lp in snapshot_witnesses:
+        minimal = []
+        if ll.outcome is Outcome.YES:
+            minimal += [ll.witness, synthesize_mealy(r)]
+        if lp.outcome is Outcome.YES:
+            minimal += [lp.subsequential, synthesize_subsequential(r, lp.closure.closure)]
+        for m in minimal:
+            assert not splits(m), name
+            checked += 1
+    assert checked > 400
+
+
+def test_minimal_witnesses_give_the_outputs_of_their_constructions(snapshot_witnesses):
+    compared = 0
+    for name, r, ll, lp in snapshot_witnesses:
+        if not name.startswith("suite7_"):
+            continue
+        prep = prepare(r)
+        pairs = []
+        if ll.outcome is Outcome.YES:
+            pairs.append((ll.witness, mealy_machine(prep)))
+        if lp.outcome is Outcome.YES:
+            pairs.append((lp.subsequential, subsequential_machine(prep, lp.closure.closure)))
+        for minimal, built in pairs:
+            for w in words(r.input_alphabet.letters, 6):
+                assert minimal.run(w) == built.run(w), (name, w)
+            compared += 1
+    assert compared > 200
+
+
+def test_minimal_machine_keeps_the_provenance_of_least_members():
+    built = mealy_machine(prepare(build_agree_except_last(1)))
+    minimal = minimal_machine(built)
+    # the 3 matrix states: the start state and row 1 of the 2-by-2 matrix
+    # give the same output on every input, so the start state is kept
+    assert len(built.states) == 3 and len(minimal.states) == 2
+    assert dict(minimal.provenance) == {0: built.provenance[0], 1: built.provenance[2]}
+    for w in words(AB.letters, 5):
+        assert minimal.run(w) == built.run(w)
+
+
+def test_eliminated_witness_of_agree_except_last_7_doubles_the_minimal_one():
+    verdict = decide_kerseq_lp(build_agree_except_last(7))
+    assert len(verdict.subsequential.base.states) == 128
+    assert len(verdict.witness.states) == 256
+    assert len(decide_kerseq_ll(build_agree_except_last(7)).witness.states) == 128

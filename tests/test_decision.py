@@ -42,7 +42,12 @@ from kernseq.relations import (
     syntactic_congruence,
     transitive_closure,
 )
-from kernseq.synthesis import kernel_transducer, synthesize_mealy, synthesize_subsequential
+from kernseq.synthesis import (
+    kernel_transducer,
+    mealy_machine,
+    synthesize_mealy,
+    synthesize_subsequential,
+)
 from kernseq.transducers import LetterTransducer, diagonal_states, identity, pair_dfa
 
 from conftest import (
@@ -372,11 +377,14 @@ def test_decide_ll_agree_except_last_yes(agree_except_last):
 def test_state_cap_admits_exactly_the_witness_states(monkeypatch):
     import kernseq.synthesis
 
+    # the construction expands 15 matrix states; the witness is their
+    # Moore quotient, 8 states
     relation = build_agree_except_last(3)
     monkeypatch.setattr(kernseq.synthesis, "STATE_CAP", 15)
+    assert len(mealy_machine(prepare(relation)).states) == 15
     verdict = decide_kerseq_ll(relation)
     assert verdict.outcome is Outcome.YES
-    assert len(verdict.witness.states) == 15
+    assert len(verdict.witness.states) == 8
     monkeypatch.setattr(kernseq.synthesis, "STATE_CAP", 14)
     with pytest.raises(DimensionCapError):
         decide_kerseq_ll(relation)
@@ -399,7 +407,7 @@ def test_each_distinct_matrix_is_checked_once(monkeypatch):
 
     calls = count_calls(monkeypatch, synthesis, "_check_matrix")
     verdict = decide_kerseq_ll(build_agree_except_last(3))
-    assert len(verdict.witness.states) == 15
+    assert len(verdict.witness.states) == 8  # 15 matrix states, minimized
     assert [len(matrix) for matrix, *_ in calls] == [1, 2, 4, 8]
 
 

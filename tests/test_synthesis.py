@@ -317,10 +317,12 @@ def test_kernel_stops_squaring_beyond_its_budget():
 def test_kernel_budget_admits_exactly_the_squared_states():
     from kernseq.decision import decide_kerseq_ll
 
-    # the squared agree-except-last-3 witness has 85 states, none pending,
-    # and the budget sized from the machine builds it in full
+    # the minimal agree-except-last-3 witness has 8 states, and its square
+    # all 64 pairs of them, none pending; the budget sized from the
+    # machine builds it in full
     witness = decide_kerseq_ll(build_agree_except_last(3)).witness
-    assert len(kernel_transducer(witness).nfa.states) == 85
+    assert len(witness.states) == 8
+    assert len(kernel_transducer(witness).nfa.states) == 64
 
 
 def test_kernel_of_eliminated_machine_within_its_lag(a_parity):
@@ -476,6 +478,7 @@ _STAY = {
     ("d", ("b", "b")): "d",
 }
 _SPLIT = {**_STAY, ("d", ("a", "b")): "p", ("d", ("b", "a")): "q"}
+_PAIRS = [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]  # by pair letter position
 
 
 @pytest.mark.parametrize(
@@ -494,4 +497,4 @@ _SPLIT = {**_STAY, ("d", ("a", "b")): "p", ("d", ("b", "a")): "q"}
 )
 def test_worklist_raises_on_a_broken_invariant(delta, coarse, fine, diag, message):
     with pytest.raises(InternalInvariantError, match=message):
-        _worklist(("a", "b"), "d", lambda q, p: delta[(q, p)], coarse, fine, diag)
+        _worklist(("a", "b"), "d", lambda q: [delta[(q, p)] for p in _PAIRS], coarse, fine, diag)
