@@ -220,6 +220,35 @@ def trim(a: Nfa) -> Nfa:
     )
 
 
+def drop_sink(a: Nfa) -> Nfa:
+    """``trim(a)`` for a minimal complete DFA ``a``, such as ``minimize`` returns.
+
+    Every state of ``a`` is reachable and at most one is dead: the sink,
+    a non-final state whose every move loops back to it. Dropping it and
+    shifting the states above it down by one numbers the rest as
+    ``trim`` does, with no reachability walk. When the sink is the
+    initial state the language is empty and so is the result.
+    """
+    moving = {p for p, _letter, q in a.transitions if p != q}
+    dead = a.states - a.finals - moving
+    if not dead:
+        return a
+    (sink,) = dead
+    if sink in a.initials:
+        return _unchecked(a.alphabet, (), (), (), ())
+    return _unchecked(
+        a.alphabet,
+        range(len(a.states) - 1),
+        (
+            (p - (p > sink), letter, q - (q > sink))
+            for p, letter, q in a.transitions
+            if q != sink and p != sink
+        ),
+        (q - (q > sink) for q in a.initials),
+        (q - (q > sink) for q in a.finals),
+    )
+
+
 def explore(starts: Iterable, successors: Callable) -> tuple[list, list]:
     """Number the nodes reachable from ``starts`` in breadth-first discovery order.
 

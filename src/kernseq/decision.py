@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .automata import includes, minimize, trim
+from .automata import drop_sink, includes, minimize
 from .errors import InternalInvariantError, NotEquivalenceError, NotFinerError, NotLetterToLetterError
 from .machines import SequentialTransducer, SubsequentialTransducer
 from .relations import (
@@ -153,9 +153,12 @@ def is_finitely_valued(t: LetterTransducer) -> bool:
     """Structural finite-valuedness of the realized transduction.
 
     Valuedness depends only on the relation, so the search runs on its
-    minimal pair DFA, trimmed. Infinite exactly when that machine shows
-    one of the two pumpable patterns: a state with two equal-input loops
-    of different output, or a loop-transfer-loop triple. Each is found in
+    minimal pair DFA without the sink (``drop_sink``, which trims it).
+    ``minimize`` numbers its blocks by the shortlex-least words reaching
+    them, so its result depends only on the language and needs no
+    trimmed input. Infinite exactly when that machine shows one of the
+    two pumpable patterns: a state with two equal-input loops of
+    different output, or a loop-transfer-loop triple. Each is found in
     one Tarjan pass over an input-synchronized product: the loops are an
     edge of different outputs inside the component of a diagonal pair
     (q, q) of the square; the triple is (p, q, q) reached from (p, p, q)
@@ -165,8 +168,8 @@ def is_finitely_valued(t: LetterTransducer) -> bool:
     can only do by writing different outputs. Both reachabilities are
     propagated over the components as int bitsets, one bit per state pair.
     """
-    nfa = trim(minimize(trim(t.nfa)))
-    n = len(nfa.states)  # trim numbers the states 0..n-1
+    nfa = drop_sink(minimize(t.nfa))
+    n = len(nfa.states)  # numbered 0..n-1
     step: list[dict] = [{} for _ in range(n)]  # state -> input -> [(output, next)]
     for p, (a, b), q in nfa.transitions:
         step[p].setdefault(a, []).append((b, q))
@@ -258,10 +261,10 @@ def decide_kerseq_lp(
     work, so relations that already fail it are decided without
     iterating. The closure fixpoint is either validated from the caller
     or searched up to ``cap``; running out yields UNKNOWN, never a wrong
-    answer. YES verdicts carry the final-output-free witness, with the
-    subsequential stage attached; the kernels of both are checked
-    exactly against r. Raises ``NotEquivalenceError`` unless r is an
-    equivalence.
+    answer. YES verdicts carry the final-output-free witness, made
+    Moore-minimal by ``minimal_machine``, with the subsequential stage
+    attached; the kernels of both are checked exactly against r. Raises
+    ``NotEquivalenceError`` unless r is an equivalence.
     """
     from .synthesis import (
         eliminate_final_output,
@@ -287,7 +290,7 @@ def decide_kerseq_lp(
     if not _finite_index(prep, pplus):
         return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=closure_result)
     sub = minimal_machine(subsequential_machine(prep, pplus))
-    witness = eliminate_final_output(sub)
+    witness = minimal_machine(eliminate_final_output(sub))
     _certify(sub, prep, "subsequential witness")
     _certify(witness, prep, "witness after final-output elimination")
     return Verdict(
@@ -306,6 +309,11 @@ def analyze(
     equivalence relation; the closure-relative index stays unset unless
     a fixpoint was found or supplied. Like the deciders, it validates r
     once and reads every stage from the prepared relation.
+
+    The closure and its index come first. r lies inside the closure, so
+    each r-image lies inside a closure image and meets no more
+    congruence classes: a finite index against the closure is a finite
+    index against r, and only otherwise is the index against r checked.
     """
     from .synthesis import validate_closure_witness
 
@@ -313,7 +321,6 @@ def analyze(
         prep = prepare(r)
     except NotEquivalenceError as exc:
         return AnalysisReport(exc.validation, True, None, None, None, None)
-    index_r = FINITE if _finite_index(prep, r) else INFINITE
     closure_result = None
     target = None
     if pplus is not None:
@@ -326,6 +333,7 @@ def analyze(
     index_closure = None
     if target is not None:
         index_closure = FINITE if _finite_index(prep, target) else INFINITE
+    index_r = FINITE if index_closure == FINITE or _finite_index(prep, r) else INFINITE
     return AnalysisReport(
         validation=prep.validation,
         length_preserving=True,

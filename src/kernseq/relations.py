@@ -27,6 +27,7 @@ from .automata import (
     _unchecked,
     coaccessible_states,
     determinize,
+    drop_sink,
     explored,
     includes,
     minimize,
@@ -300,7 +301,7 @@ def is_prefix_closed(r: LetterTransducer) -> bool:
 
 
 def _canonical(t: LetterTransducer) -> LetterTransducer:
-    return t.with_nfa(trim(minimize(t.nfa)))
+    return t.with_nfa(drop_sink(minimize(t.nfa)))
 
 
 def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
@@ -308,16 +309,16 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
 
     Requires p reflexive and symmetric so every iterate is too; both are
     read off the minimal pair DFA of p by the walks of ``_axioms``, and
-    that DFA, trimmed, is the first iterate. Since p is reflexive, q
-    after p contains q, so it is the union of the two and a single
-    inclusion of the next iterate in the current one says they are
-    equal. Every iterate is the trimmed minimal pair DFA of its
-    language. Stops either at the first exponent k with equal
-    consecutive iterates (converged, the closure realizes the full
-    transitive closure) or after ``cap`` comparisons (not converged).
-    Running out of cap is a reportable outcome, not an error: in general
-    the fixpoint exponent is not computable, so the iteration must not
-    pretend otherwise.
+    that DFA without its sink (``drop_sink``, which trims it) is the
+    first iterate. Since p is reflexive, q after p contains q, so it is
+    the union of the two and a single inclusion of the next iterate in
+    the current one says they are equal. Every iterate is the trimmed
+    minimal pair DFA of its language. Stops either at the first exponent
+    k with equal consecutive iterates (converged, the closure realizes
+    the full transitive closure) or after ``cap`` comparisons (not
+    converged). Running out of cap is a reportable outcome, not an
+    error: in general the fixpoint exponent is not computable, so the
+    iteration must not pretend otherwise.
     """
     if cap < 1:
         raise PreconditionError("closure cap must be at least 1")
@@ -329,7 +330,7 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
         raise PreconditionError("transitive closure needs a reflexive relation")
     if not symmetric:
         raise PreconditionError("transitive closure needs a symmetric relation")
-    current = p.with_nfa(trim(minimal))
+    current = p.with_nfa(drop_sink(minimal))
     for k in range(1, cap + 1):
         nxt = _canonical(compose(current, p))
         if includes(nxt.nfa, current.nfa):
@@ -358,6 +359,15 @@ def min_lex_uniformizer(s: LetterTransducer) -> LetterTransducer:
 
 
 def _uniformizer(s: LetterTransducer) -> LetterTransducer:
+    """``min_lex_uniformizer`` of an equivalence s, without validating it.
+
+    The walk never yields a node whose ``equal`` lies within its
+    ``smaller``: both sets then move on the same letters, every later
+    ``equal`` stays inside its ``smaller``, and no such node accepts, so
+    ``trim`` would drop it and all it reaches. A pruned node reaches no
+    node that survives, so the survivors are found in the same order
+    and the trimmed result is the same automaton as without the pruning.
+    """
     base = trim(s.nfa)
     table = base._table
     letters = base.alphabet.letters
@@ -370,7 +380,7 @@ def _uniformizer(s: LetterTransducer) -> LetterTransducer:
             below = frozenset().union(*[table[p][i] for p in smaller for i in row])
             for i in row:
                 reached = frozenset().union(*[table[p][i] for p in equal])
-                if reached:
+                if not reached <= below:
                     yield letters[i], (reached, below)
                     below |= reached
 

@@ -36,7 +36,8 @@ constructions ``mealy_machine`` and ``subsequential_machine`` directly.
 Every witness leaves the package Moore-minimal: the deciders and the
 ``synthesize_*`` functions pass what the constructions build through
 ``minimal_machine``, which merges the states that give the same output
-on every input, before any final-output elimination. The constructions
+on every input, before any final-output elimination, and ``decide lp``
+passes the eliminated machine through it again. The constructions
 themselves keep one state per (matrix, row).
 
 The kernels are checked exactly by ``kernel_counterexample``: one
@@ -265,9 +266,10 @@ def minimal_machine(m):
 
     ``m`` is a ``SequentialTransducer`` or a ``SubsequentialTransducer``
     with a move on every state and input letter, as every machine of
-    ``_worklist`` has. Two states merge when every input gives the same
-    output from both, ends in both or in neither, and (subsequential
-    machines) with the same final output. The refinement is
+    ``_worklist`` and every result of ``eliminate_final_output`` on one
+    has. Two states merge when every input gives the same output from
+    both, ends in both or in neither, and (subsequential machines) with
+    the same final output. The refinement is
     ``automata.refine``, started from each state's finality, final
     output and output per input letter. A merged state keeps the
     provenance of its least member, and the states are renumbered

@@ -7,7 +7,10 @@ from kernseq.automata import (
     Alphabet,
     Nfa,
     _unchecked,
+    accessible_states,
+    coaccessible_states,
     determinize,
+    drop_sink,
     explore,
     inclusion_counterexample,
     includes,
@@ -417,6 +420,26 @@ def test_constructions_number_their_states_as_the_per_letter_references():
         # on inputs already trim and numbered 0..n-1
         for b in (a, det, minimize(a), trim(a)):
             assert trim(b) == _reference_trim(b)
+
+
+def test_drop_sink_trims_a_minimal_dfa_as_trim_does():
+    rng = random.Random(15)
+    seen = dict.fromkeys(
+        ["no states", "empty language", "no sink", "unreachable", "dead", 2, 3], 0
+    )
+    for _ in range(2000):
+        a = Nfa(*_random_parts(rng))
+        minimal = minimize(a)
+        dropped = drop_sink(minimal)
+        assert dropped == trim(minimal)
+        seen["no states"] += not a.states
+        seen["empty language"] += bool(a.states) and not dropped.states
+        seen["no sink"] += len(dropped.states) == len(minimal.states)
+        seen["unreachable"] += accessible_states(a) != a.states
+        seen["dead"] += coaccessible_states(a) != a.states
+        if len(a.alphabet) in seen:
+            seen[len(a.alphabet)] += 1
+    assert all(seen.values()), seen
 
 
 def test_table_views_agree_with_the_transitions():

@@ -215,7 +215,9 @@ def test_product_walk_builds_no_squared_machine(monkeypatch):
 def test_agree_except_last_k_witnesses_have_two_to_the_k_states(k):
     r = build_agree_except_last(k)
     assert len(decide_kerseq_ll(r).witness.states) == 2**k
-    assert len(decide_kerseq_lp(r).subsequential.base.states) == 2**k
+    lp = decide_kerseq_lp(r)
+    assert len(lp.subsequential.base.states) == 2**k
+    assert len(lp.witness.states) == 2**k
 
 
 def splits(m) -> bool:
@@ -241,7 +243,11 @@ def test_no_returned_witness_splits_further(snapshot_witnesses):
         if ll.outcome is Outcome.YES:
             minimal += [ll.witness, synthesize_mealy(r)]
         if lp.outcome is Outcome.YES:
-            minimal += [lp.subsequential, synthesize_subsequential(r, lp.closure.closure)]
+            minimal += [
+                lp.subsequential,
+                lp.witness,
+                synthesize_subsequential(r, lp.closure.closure),
+            ]
         for m in minimal:
             assert not splits(m), name
             checked += 1
@@ -277,8 +283,8 @@ def test_minimal_machine_keeps_the_provenance_of_least_members():
         assert minimal.run(w) == built.run(w)
 
 
-def test_eliminated_witness_of_agree_except_last_7_doubles_the_minimal_one():
+def test_eliminated_witness_of_agree_except_last_7_is_minimal():
     verdict = decide_kerseq_lp(build_agree_except_last(7))
     assert len(verdict.subsequential.base.states) == 128
-    assert len(verdict.witness.states) == 256
+    assert len(verdict.witness.states) == 128
     assert len(decide_kerseq_ll(build_agree_except_last(7)).witness.states) == 128

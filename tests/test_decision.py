@@ -48,7 +48,13 @@ from kernseq.synthesis import (
     synthesize_mealy,
     synthesize_subsequential,
 )
-from kernseq.transducers import LetterTransducer, diagonal_states, identity, pair_dfa
+from kernseq.transducers import (
+    LetterTransducer,
+    diagonal_states,
+    full_same_length,
+    identity,
+    pair_dfa,
+)
 
 from conftest import (
     AB,
@@ -705,6 +711,36 @@ def test_analyze_with_supplied_closure(a_parity, full_ab):
     report = analyze(a_parity, pplus=full_ab)
     assert report.closure is None
     assert report.index_wrt_closure == FINITE
+
+
+def test_analyze_index_wrt_relation_equals_the_direct_check(monkeypatch):
+    from kernseq import decision
+
+    cases = [
+        (build_a_parity(), {}),  # closure index FINITE
+        (build_last_a(), {}),  # closure index INFINITE
+        (build_c_singletons(), {}),
+        (build_chain(3), {"cap": 2}),  # the closure does not converge
+        (build_a_parity(), {"pplus": full_same_length(AB)}),
+    ] + [(r, {}) for r in default_suite(200, seed=7)]
+    calls = []
+    real = decision.is_finitely_valued
+
+    def spy(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(decision, "is_finitely_valued", spy)
+    seen = set()
+    for i, (r, kwargs) in enumerate(cases):
+        calls.clear()
+        report = analyze(r, **kwargs)
+        # one valuedness check when the closure index is FINITE, else one per index
+        assert len(calls) == (1 if report.index_wrt_closure in (FINITE, None) else 2), i
+        direct = FINITE if decision._finite_index(prepare(r), r) else INFINITE
+        assert report.index_wrt_relation == direct, i
+        seen.add((report.index_wrt_closure, direct))
+    assert {(FINITE, FINITE), (INFINITE, FINITE), (INFINITE, INFINITE), (None, FINITE)} <= seen
 
 
 def test_analyze_non_equivalence_read_only_validation():

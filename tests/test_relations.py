@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernseq.automata import Nfa, explore, language_equal, includes
+from kernseq.automata import Nfa, explore, explored, includes, language_equal, trim
 from kernseq.decision import is_finitely_valued
 from kernseq.errors import (
     AlphabetMismatchError,
@@ -13,6 +13,7 @@ from kernseq.errors import (
 from kernseq.oracle import (
     brute_valuedness,
     closure_pairs,
+    default_suite,
     enumerate_relation,
     min_lex_map,
     prefix_pairs,
@@ -575,6 +576,76 @@ def test_uniformizer_maps_each_word_to_its_least_relative(name, request):
         got = dict(graph)
         assert len(got) == len(graph), name  # functional on these words
         assert got == min_lex_map(enumerate_relation(s, 6), s.output_alphabet), name
+
+
+def _unpruned_uniformizer(s):
+    """Reference copy of the uniformizer walk without its pruning: it
+    follows every nonempty ``equal`` and leaves the dead nodes to
+    ``trim``. Returns the uniformizer and the number of nodes walked."""
+    base = trim(s.nfa)
+    table = base._table
+    letters = base.alphabet.letters
+    width = len(s.output_alphabet)
+    rows = [range(i, i + width) for i in range(0, len(letters), width)]
+
+    def successors(node):
+        equal, smaller = node
+        for row in rows:
+            below = frozenset().union(*[table[p][i] for p in smaller for i in row])
+            for i in row:
+                reached = frozenset().union(*[table[p][i] for p in equal])
+                if reached:
+                    yield letters[i], (reached, below)
+                    below |= reached
+
+    graph = explored(
+        base.alphabet,
+        [(frozenset(base.initials), frozenset())],
+        successors,
+        lambda node: bool(node[0] & base.finals) and not node[1] & base.finals,
+    )
+    return s.with_nfa(trim(graph)), len(graph.states)
+
+
+def test_pruned_uniformizer_equals_the_unpruned_walk_trimmed(monkeypatch):
+    from kernseq import relations
+
+    rng = random.Random(15)
+    drawn = [
+        random_equivalence(rng, max_states=3, letters=("a", "b") if i % 2 else ("a", "b", "c"))
+        for i in range(2000)
+    ]
+    # r after r is r again, realized by a nondeterministic product, so the
+    # walk's state sets hold more than one state
+    drawn[::4] = [compose(r, r) for r in drawn[::4]]
+    drawn += [build_chain(3), build_chained_classes(), build_last_a(), build_c_singletons()]
+    assert sum(not r.nfa.is_deterministic for r in drawn) > 250
+    # the shapes of the two benchmark suites: two letters, and three letters
+    shapes = random.Random(7)
+    suites = default_suite(200, seed=7) + [
+        random_equivalence(shapes, max_states=3, letters=("a", "b", "c")) for _ in range(200)
+    ]
+    walked = []  # nodes per walk of the library's uniformizer
+    real = relations.explored
+
+    def spy(*args):
+        graph = real(*args)
+        walked.append(len(graph.states))
+        return graph
+
+    monkeypatch.setattr(relations, "explored", spy)
+    pruned = unpruned = 0
+    for i, r in enumerate(drawn + suites):
+        congruence = prepare(r).congruence
+        for s in (congruence, r) if i < len(drawn) else (congruence,):
+            walked.clear()
+            graph = relations._uniformizer(s)
+            (size,) = walked
+            reference, reference_size = _unpruned_uniformizer(s)
+            assert graph == reference, i
+            pruned += size
+            unpruned += reference_size
+    assert pruned < unpruned
 
 
 def test_uniformizer_rejects_non_equivalence():
