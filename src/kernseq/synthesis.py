@@ -44,7 +44,14 @@ The kernels are checked exactly by ``kernel_counterexample``: one
 breadth-first walk over the product of the squared machine
 (``kernel_transducer``) with the relation's pair DFA, squaring each
 state once, when the walk first expands it, within a budget sized from
-the machine. The squared machine is never built as an automaton.
+the machine. The squared machine is never built as an automaton. Its
+states are integers, numbered as they are reached, and its rows come
+from ``_squaring``, the one definition of the squaring: a row lists
+the successor by pair-letter position, or -1, and is computed by
+output class, comparing each pair of distinct output words of the two
+machine states once rather than each pair of input letters. The walk
+keys a product node by one integer, squared state × |D| + state of the
+pair DFA D, over dense per-state lists.
 """
 
 from __future__ import annotations
@@ -52,7 +59,15 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 
-from .automata import Alphabet, Word, explore, explored, inclusion_counterexample, refine
+from .automata import (
+    Alphabet,
+    Word,
+    _reach,
+    explore,
+    explored,
+    inclusion_counterexample,
+    refine,
+)
 from .errors import (
     AlphabetMismatchError,
     BadClosureWitnessError,
@@ -519,61 +534,101 @@ def _ahead(pending: Word, side: int) -> list[Word]:
 
 
 def _squaring(f: SequentialTransducer | SubsequentialTransducer):
-    """The squared machine of ``kernel_transducer``, as a start node, a
-    successor function and an acceptance test over its nodes.
+    """The squared machine of ``kernel_transducer``, numbered as it is reached.
 
-    ``successors(node)`` yields ``((a1, a2), next)`` in the order of the
-    pair alphabet and charges the node to the budget; callers call it at
-    most once per node, so the budget counts the expanded states and the
-    output letters they hold.
+    Returns ``(row, finals)``. Squared state 0 is the start. ``row(k)``
+    lists the successors of squared state k by pair-letter position: a
+    squared-state number, or -1 where a move is missing or the two
+    outputs clash. It squares k on its first call, charging k to the
+    budget then, and numbers each state it reaches first. ``finals[k]``
+    says whether state k accepts; the list grows as states are numbered.
+
+    Each machine state's moves are grouped by output word once, so a
+    squared state compares each pair of output words once, whatever the
+    number of input letters giving them, with ``_balance`` only when
+    their lengths differ; every pair of input letters in two agreeing
+    groups moves to the same (pending, side). Internally a squared state
+    is the integer (balance × n + p) × n + q over the n machine states
+    numbered 0..n-1, where a balance numbers a (pending, side) pair in
+    the order first met, 0 for nothing pending.
     """
     if isinstance(f, SubsequentialTransducer):
-        base = f.base
-
-        def final_pair(p, q):
-            return f.final_output[p] == f.final_output[q]
-
+        base, final_output = f.base, f.final_output
     else:
-        base = f
-
-        def final_pair(p, q):
-            return True
-
-    longest = max((len(out) for out, _dst in base.transitions.values()), default=0)
-    budget = (1 + longest) * len(base.states) ** 2
+        base, final_output = f, dict.fromkeys(f.finals, True)
+    states = list(base.states)
+    n = len(states)
+    nn = n * n
+    number = {q: i for i, q in enumerate(states)}
+    letters = base.input_alphabet.letters
+    width = len(letters)
+    moves = base.transitions
+    longest = max((len(out) for out, _dst in moves.values()), default=0)
+    budget = (1 + longest) * nn
     held = 0
-    moves, letters = base.transitions, base.input_alphabet.letters
-    hops = {  # state -> its (letter, output, next), in letter order
-        q: [(a, *moves[(q, a)]) for a in letters if (q, a) in moves] for q in base.states
-    }
+    classes = []  # per state: (output word, [(letter position, next state)]) per word
+    for q in states:
+        by_output: dict = {}
+        for i, a in enumerate(letters):
+            hop = moves.get((q, a))
+            if hop is not None:
+                by_output.setdefault(hop[0], []).append((i, number[hop[1]]))
+        classes.append(list(by_output.items()))
+    tag = [final_output.get(q) for q in states]  # None when q is not final
+    balances = {((), 0): 0}
+    extras = [((), ())]  # per balance: what each run has emitted beyond the other
+    i0 = number[base.initial]
+    ids = {i0 * n + i0: 0}  # squared state -> its number
+    get = ids.get
+    nodes = [i0 * n + i0]  # per number: its squared state
+    rows: list = [None]  # per number: its row, once squared
+    finals = [tag[i0] is not None]
 
-    def successors(node):
+    def row(k):
         nonlocal held
-        p, q, pending, side = node
-        held += 1 + len(pending)
+        found = rows[k]
+        if found is not None:
+            return found
+        b, pq = divmod(nodes[k], nn)
+        p, q = divmod(pq, n)
+        left0, right0 = extras[b]
+        held += 1 + len(left0) + len(right0)
         if held > budget:
             raise NotLetterToLetterError(
                 f"squared machine exceeds the budget of {budget} "
                 "states and pending output letters"
             )
-        extra = _ahead(pending, side)
-        rights = [(a2, extra[1] + out2, q2) for a2, out2, q2 in hops[q]]
-        for a1, out1, p2 in hops[p]:
-            left = extra[0] + out1
-            for a2, right, q2 in rights:
+        found = rows[k] = [-1] * (width * width)
+        for out1, moves1 in classes[p]:
+            left = left0 + out1
+            for out2, moves2 in classes[q]:
+                right = right0 + out2
                 if len(left) == len(right):  # always so without a lag
-                    if left == right:
-                        yield (a1, a2), (p2, q2, (), 0)
-                    continue
-                balance = _balance(left, right)
-                if balance is not None:
-                    yield (a1, a2), (p2, q2) + balance
+                    if left != right:
+                        continue
+                    b2 = 0
+                else:
+                    balance = _balance(left, right)
+                    if balance is None:
+                        continue
+                    b2 = balances.get(balance)
+                    if b2 is None:
+                        b2 = balances[balance] = len(extras)
+                        extras.append(tuple(_ahead(*balance)))
+                for i1, p2 in moves1:
+                    at, key = i1 * width, b2 * nn + p2 * n
+                    for i2, q2 in moves2:
+                        nxt = key + q2
+                        m = get(nxt)
+                        if m is None:
+                            m = ids[nxt] = len(nodes)
+                            nodes.append(nxt)
+                            rows.append(None)
+                            finals.append(b2 == 0 and tag[p2] is not None and tag[p2] == tag[q2])
+                        found[at + i2] = m
+        return found
 
-    def accepting(node):
-        p, q, pending, _side = node
-        return not pending and p in base.finals and q in base.finals and final_pair(p, q)
-
-    return (base.initial, base.initial, (), 0), successors, accepting
+    return row, finals
 
 
 def kernel_transducer(f: SequentialTransducer | SubsequentialTransducer) -> LetterTransducer:
@@ -601,14 +656,20 @@ def kernel_transducer(f: SequentialTransducer | SubsequentialTransducer) -> Lett
     when inputs of different lengths never share an output, which
     ``length_collision`` decides.
 
-    This builds the whole squared machine as an automaton, numbered by
-    ``explored``; ``kernel_counterexample`` walks the same squaring
-    without building it.
+    This builds the whole squared machine as an automaton, numbered
+    breadth first by ``explored`` from the rows of ``_squaring``, which
+    are computed by output class over integer-numbered squared states;
+    ``kernel_counterexample`` walks the same rows without building it.
     """
     base = f.base if isinstance(f, SubsequentialTransducer) else f
     inputs = base.input_alphabet
-    start, successors, accepting = _squaring(f)
-    nfa = explored(pair_alphabet(inputs, inputs), [start], successors, accepting)
+    alphabet = pair_alphabet(inputs, inputs)
+    row, finals = _squaring(f)
+
+    def successors(k):
+        return ((letter, t) for letter, t in zip(alphabet.letters, row(k)) if t >= 0)
+
+    nfa = explored(alphabet, [0], successors, finals.__getitem__)
     return LetterTransducer(inputs, inputs, nfa)
 
 
@@ -626,9 +687,8 @@ def length_collision(m: SequentialTransducer) -> tuple[Word, Word] | None:
     nonzero weight, or every path to a state weighs its potential and a
     collision ends in an accepting state of nonzero potential.
     """
-    live = set(m.finals)  # states that can reach a final state; no others are explored
-    while more := {p for (p, _a), (_out, q) in m.transitions.items() if q in live} - live:
-        live |= more
+    # the states that can reach a final state; no others are explored
+    live = _reach(m.finals, ((q, p) for (p, _a), (_out, q) in m.transitions.items()))
     letters = m.input_alphabet.letters
     start = (m.initial, m.initial, (), 0)
     moves: dict = {start: []}
@@ -727,15 +787,20 @@ def kernel_counterexample(
     disagree on acceptance, which spells a shortest separating pair; r
     serves as its own pair DFA when it is complete already.
 
-    The squared machine is never built: each squared state is numbered
-    when the walk first reaches it, and its successors are computed
-    once, when the walk first expands it, with the budget of
-    ``kernel_transducer`` charged then. The walk visits the product in
-    the order it would over the built squared machine, so it returns
-    the same pair. When the kernel equals r the walk expands every
-    reachable squared state and raises ``NotLetterToLetterError``
-    exactly when ``kernel_transducer`` would; when they differ, it may
-    find the pair before the budget runs out, and returns it.
+    The squared machine is never built: the walk reads the rows of
+    ``_squaring``, computed by output class, which squares each state
+    once, when the walk first expands it, and charges the budget of
+    ``kernel_transducer`` then. A
+    product node is the integer (squared state) × |D| + (state of D), for
+    the pair DFA D of r numbered 0..|D|-1, with -1 for the dead squared
+    state, and both machines move by pair-letter position over dense
+    per-state lists. The walk visits the product in the order it would
+    over the built squared machine, so it returns the same pair: the
+    shortlex-least one on which the two disagree. When the kernel equals
+    r the walk expands every reachable squared state and raises
+    ``NotLetterToLetterError`` exactly when ``kernel_transducer`` would;
+    when they differ, it may find the pair before the budget runs out,
+    and returns it.
     """
     base = f.base if isinstance(f, SubsequentialTransducer) else f
     if r.nfa.alphabet != pair_alphabet(base.input_alphabet, base.input_alphabet):
@@ -745,49 +810,37 @@ def kernel_counterexample(
         if pair is not None:
             return pair
     rdfa = r.nfa if r.nfa.is_complete else pair_dfa(r).nfa
-    start, successors, accepting = _squaring(f)
-    position = rdfa.alphabet._index
-    width = len(rdfa.alphabet)
-    ids = {start: 0}  # squared state -> its number, in the order first reached
-    nodes = [start]
-    rows: list = [None]  # per squared state: its successor numbers by pair letter, once expanded
-    finals = [accepting(start)]
-    stuck = [None] * width  # the row of the missing squared state
-
-    def row(k):
-        if k is None:
-            return stuck
-        found = rows[k]
-        if found is None:
-            found = rows[k] = [None] * width
-            for letter, nxt in successors(nodes[k]):
-                n = ids.get(nxt)
-                if n is None:
-                    n = ids[nxt] = len(nodes)
-                    nodes.append(nxt)
-                    rows.append(None)
-                    finals.append(accepting(nxt))
-                found[position[letter]] = n
-        return found
-
-    d_table, d_finals = rdfa._table, rdfa.finals
+    row, finals = _squaring(f)
+    d_states = sorted(rdfa.states)
+    size = len(d_states)
+    number = {d: i for i, d in enumerate(d_states)}
+    d_table = rdfa._table
+    d_rows = [[number[t] for (t,) in d_table[d]] for d in d_states]
+    d_finals = [d in rdfa.finals for d in d_states]
+    positions = range(len(rdfa.alphabet))
+    dead = [-1] * len(positions)
     (d0,) = rdfa.initials
-    node = (0, d0)
-    parent = {node: None}
-    queue = deque([node])
-    while queue:
-        node = queue.popleft()
-        k, d = node
-        if (k is not None and finals[k]) != (d in d_finals):
+    start = number[d0]  # squared state 0
+    parent = {start: None}  # product node -> the node it was first reached from
+    queue = [start]
+    for node in queue:  # the queue grows while it is walked
+        k, d = divmod(node, size)
+        if (k >= 0 and finals[k]) != d_finals[d]:
             letters = []
             while parent[node] is not None:
-                node, letter = parent[node]
-                letters.append(letter)
+                k, d = divmod(parent[node], size)
+                k_row, d_row = row(k) if k >= 0 else dead, d_rows[d]
+                # the first position leading there: the walk tried them in order
+                at = next(at for at in positions if k_row[at] * size + d_row[at] == node)
+                letters.append(rdfa.alphabet.letters[at])
+                node = parent[node]
             letters.reverse()
             return tuple(a for a, _b in letters), tuple(b for _a, b in letters)
-        for letter, k2, (d2,) in zip(rdfa.alphabet.letters, row(k), d_table[d]):
-            nxt = (k2, d2)
+        k_row = row(k) if k >= 0 else dead
+        d_row = d_rows[d]
+        for at in positions:
+            nxt = k_row[at] * size + d_row[at]
             if nxt not in parent:
-                parent[nxt] = (node, letter)
+                parent[nxt] = node
                 queue.append(nxt)
     return None

@@ -118,6 +118,7 @@ def test_criterion_1_fixture_verdicts(fixture_verdicts):
     report(1, failures, 6)
 
 
+@pytest.mark.slow
 def test_criterion_2_synthesis_soundness(fixture_verdicts, suite_verdicts):
     failures = []
     checked = 0
@@ -155,6 +156,7 @@ def _growth_agrees(decided_finite, profile):
     return profile[8] > profile[4]
 
 
+@pytest.mark.slow
 def test_criterion_4_decisions_agree_with_growth(suite_verdicts):
     failures = []
     checked = 0
@@ -179,6 +181,7 @@ def _canonical(t):
     return t.with_nfa(trim(minimize(determinize(t.nfa))))
 
 
+@pytest.mark.slow
 def test_criterion_5_closure_correctness(fixture_verdicts, suite_verdicts):
     failures = []
     checked = 0

@@ -6,7 +6,10 @@ is compared with a reference copy of the two-phase check it replaced:
 build the whole ``kernel_transducer``, then walk its product with the
 pair DFA. Both must return the same pair, or None, on every witness of
 the snapshot relations, on wrong pairings of witness and relation and on
-random small sequential machines. The witnesses that leave the package
+random small sequential machines. That reference builds its squared
+machine with ``kernel_transducer``, which shares the squaring of the
+walk, so the squaring itself is compared with a frozen copy that works
+per pair of input letters. The witnesses that leave the package
 are Moore-minimal: no further refinement splits them, and each gives
 the same output as the unminimized construction it came from.
 """
@@ -17,7 +20,7 @@ from collections import deque
 import pytest
 
 from kernseq import synthesis
-from kernseq.automata import Alphabet, refine
+from kernseq.automata import Alphabet, explored, refine
 from kernseq.decision import Outcome, decide_kerseq_ll, decide_kerseq_lp
 from kernseq.errors import NotEquivalenceError, NotLetterToLetterError
 from kernseq.fileformat import parse
@@ -34,9 +37,9 @@ from kernseq.synthesis import (
     synthesize_mealy,
     synthesize_subsequential,
 )
-from kernseq.transducers import pair_dfa
+from kernseq.transducers import pair_alphabet, pair_dfa
 
-from conftest import AB, build_agree_except_last, build_mod_count, words
+from conftest import AB, ABC, build_agree_except_last, build_mod_count, words
 from test_verdicts import _relations
 
 
@@ -150,23 +153,34 @@ def test_mod_two_witnesses_against_mod_three_give_the_same_pair():
         assert pair is not None
 
 
-def random_machine(rng, letter_to_letter):
+def random_machine(rng, letter_to_letter, inputs=AB, subsequential=False):
+    """A random machine of 1-4 states with outputs over x and y.
+
+    About one move in seven is missing. Outputs have one letter, or 0-2
+    letters (so runs lag) when not ``letter_to_letter``; with two output
+    letters, several input letters often share an output word. A
+    subsequential machine needs a letter-to-letter body.
+    """
     states = range(rng.randint(1, 4))
     transitions = {}
     for q in states:
-        for a in AB.letters:
+        for a in inputs.letters:
             if rng.random() < 0.85:
                 size = 1 if letter_to_letter else rng.choice((0, 1, 1, 2))
                 out = tuple(rng.choice("xy") for _ in range(size))
                 transitions[(q, a)] = (out, rng.choice(states))
-    return SequentialTransducer(
-        input_alphabet=AB,
+    machine = SequentialTransducer(
+        input_alphabet=inputs,
         output_alphabet=Alphabet(("x", "y")),
         states=set(states),
         transitions=transitions,
         initial=0,
         finals={q for q in states if rng.random() < 0.6},
     )
+    if not subsequential:
+        return machine
+    final_output = {q: rng.choice("xy") for q in sorted(machine.finals)}
+    return SubsequentialTransducer(base=machine, final_output=final_output)
 
 
 def test_product_walk_matches_the_two_phase_check_on_random_machines(snapshot_witnesses):
@@ -207,6 +221,114 @@ def test_product_walk_builds_no_squared_machine(monkeypatch):
     for m in (verdict.subsequential, verdict.witness):
         assert kernel_counterexample(m, build_agree_except_last(3)) is None
         assert kernel_counterexample(m, wrong) is not None
+
+
+# ---------------------------------------------------------------- squared machine
+
+def frozen_balance(left, right):
+    n = min(len(left), len(right))
+    if left[:n] != right[:n]:
+        return None
+    if len(left) >= len(right):
+        return left[n:], 0
+    return right[n:], 1
+
+
+def frozen_squaring(f):
+    """A frozen copy of the squaring that works per pair of input letters:
+    its start node, successors and acceptance over tuple nodes
+    (p, q, pending, side), with the budget of ``kernel_transducer``."""
+    sub = isinstance(f, SubsequentialTransducer)
+    base = f.base if sub else f
+    longest = max((len(out) for out, _dst in base.transitions.values()), default=0)
+    budget = (1 + longest) * len(base.states) ** 2
+    held = 0
+    moves, letters = base.transitions, base.input_alphabet.letters
+    hops = {q: [(a, *moves[(q, a)]) for a in letters if (q, a) in moves] for q in base.states}
+
+    def successors(node):
+        nonlocal held
+        p, q, pending, side = node
+        held += 1 + len(pending)
+        if held > budget:
+            raise NotLetterToLetterError("over budget")
+        extra = [(), ()]
+        extra[side] = pending
+        for a1, out1, p2 in hops[p]:
+            for a2, out2, q2 in hops[q]:
+                balance = frozen_balance(extra[0] + out1, extra[1] + out2)
+                if balance is not None:
+                    yield (a1, a2), (p2, q2) + balance
+
+    def accepting(node):
+        p, q, pending, _side = node
+        return (
+            not pending
+            and p in base.finals
+            and q in base.finals
+            and (not sub or f.final_output[p] == f.final_output[q])
+        )
+
+    return (base.initial, base.initial, (), 0), successors, accepting
+
+
+def frozen_kernel(f):
+    base = f.base if isinstance(f, SubsequentialTransducer) else f
+    start, successors, accepting = frozen_squaring(f)
+    pairs = pair_alphabet(base.input_alphabet, base.input_alphabet)
+    return explored(pairs, [start], successors, accepting)
+
+
+def assert_same_squaring(f):
+    """``kernel_transducer`` builds the automaton of the frozen squaring,
+    state for state, or both run out of budget."""
+    try:
+        expected = frozen_kernel(f)
+    except NotLetterToLetterError:
+        with pytest.raises(NotLetterToLetterError):
+            kernel_transducer(f)
+        return None
+    got = kernel_transducer(f).nfa
+    assert got == expected
+    return got
+
+
+def test_squaring_matches_the_frozen_copy_on_every_witness(snapshot_witnesses):
+    checked = 0
+    for name, _r, ll, lp in snapshot_witnesses:
+        for m in handed_out(ll, lp):
+            assert assert_same_squaring(m) is not None, name
+            checked += 1
+    assert checked > 400
+
+
+def test_squaring_matches_the_frozen_copy_on_random_machines():
+    rng = random.Random(2016)
+    seen = {"shared output": 0, "lag": 0, "missing move": 0, "subsequential": 0, "raise": 0}
+    for i in range(480):
+        inputs = (AB, ABC)[i % 2]
+        kind = i // 2 % 3  # lagging, letter-to-letter, subsequential
+        m = random_machine(rng, kind != 0, inputs, subsequential=kind == 2)
+        base = m.base if kind == 2 else m
+        outputs = [out for out, _dst in base.transitions.values()]
+        by_state = [
+            [base.transitions[(q, a)][0] for a in inputs.letters if (q, a) in base.transitions]
+            for q in base.states
+        ]
+        seen["shared output"] += any(len(set(outs)) < len(outs) for outs in by_state)
+        seen["lag"] += len({len(out) for out in outputs}) > 1
+        seen["missing move"] += len(outputs) < len(base.states) * len(inputs)
+        seen["subsequential"] += kind == 2
+        seen["raise"] += assert_same_squaring(m) is None
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_squared_witnesses_of_agree_except_last_k_have_four_to_the_k_states(k):
+    r = build_agree_except_last(k)
+    lp = decide_kerseq_lp(r)
+    for m in (decide_kerseq_ll(r).witness, lp.subsequential, lp.witness):
+        assert len(kernel_transducer(m).nfa.states) == 4**k
 
 
 # ---------------------------------------------------------------- minimal witnesses
