@@ -24,6 +24,10 @@ a word that ``a`` accepts and ``b`` rejects; ``inclusion_counterexample``
 returns that word, a shortest one, and ``includes`` whether there is
 none.
 
+An automaton keeps its subset construction the same way, built on
+first use, so ``determinize`` runs once per automaton however many
+stages ask for it.
+
 All values are immutable after construction and all operations are pure
 functions, so everything here can be shared freely.
 """
@@ -121,6 +125,11 @@ class Nfa:
         for src, letter, dst in sorted(self.transitions, key=itemgetter(2)):
             table[src][index[letter]].append(dst)
         return table
+
+    @cached_property
+    def _determinized(self) -> "Nfa":
+        """The subset construction, built on first use and kept: see ``determinize``."""
+        return _subsets(self)
 
     @cached_property
     def outgoing(self) -> dict:
@@ -300,11 +309,21 @@ def determinize(a: Nfa) -> Nfa:
 
     The result is deterministic and complete: there is exactly one
     initial state and a total transition function, with the empty subset
-    acting as the sink. Recognizes the same language. A subset's
-    successors are the unions, letter position by letter position, of
-    its states' rows in ``a``'s table. ``explore`` lists each subset's
-    edges together, one per letter position in order, so the result's
-    own table is read off that list, with no sort.
+    acting as the sink. Recognizes the same language. It is built on
+    the first call and kept on ``a``, as ``a``'s table is, so an
+    automaton passed to several stages is determinized once; an equal
+    but distinct ``Nfa`` is determinized afresh.
+    """
+    return a._determinized
+
+
+def _subsets(a: Nfa) -> Nfa:
+    """The subset construction of ``determinize``, built afresh.
+
+    A subset's successors are the unions, letter position by letter
+    position, of its states' rows in ``a``'s table. ``explore`` lists
+    each subset's edges together, one per letter position in order, so
+    the result's own table is read off that list, with no sort.
     """
     table = a._table
     width = len(a.alphabet)

@@ -9,16 +9,19 @@ and diagonal states that all the stages of one decision share.
 
 The equivalence axioms are read off a complete pair DFA of the relation
 by three deterministic walks over its self-products, one per axiom, each
-looking for a reachable counterexample. Validation determinizes the
-relation for them, and the closure reads its reflexive and symmetric
-preconditions off the minimal DFA that is its first iterate.
+looking for a reachable counterexample. Validation walks the relation's
+own determinization, which ``automata.determinize`` keeps with it, so
+``prepare`` builds one subset construction for validation and the pair
+DFA together. The closure walks the minimal DFA that is its first
+iterate: the first two walks check its reflexive and symmetric
+preconditions, and when the third finds it transitive that iterate is
+the closure, with no composition or inclusion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Callable, Iterator
 
 from .automata import (
@@ -236,9 +239,15 @@ class Prepared:
 
     @property
     def prefix_closed(self) -> bool:
-        """Every state of the trimmed pair DFA is final."""
-        d = trim(self.det.nfa)
-        return d.finals == d.states
+        """Every state of the trimmed pair DFA is final.
+
+        The subset construction reaches every state it builds, so
+        trimming drops only the states that reach no final state: the
+        relation is prefix-closed when every state that reaches one is
+        final.
+        """
+        d = self.det.nfa
+        return coaccessible_states(d) <= d.finals
 
     @cached_property
     def congruence(self) -> LetterTransducer:
@@ -312,7 +321,11 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     that DFA without its sink (``drop_sink``, which trims it) is the
     first iterate. Since p is reflexive, q after p contains q, so it is
     the union of the two and a single inclusion of the next iterate in
-    the current one says they are equal. Every iterate is the trimmed
+    the current one says they are equal. The first round asks whether p
+    after p lies within p, that is whether p is transitive, so the third
+    walk of ``_axioms`` answers it instead: a transitive p is its own
+    closure at exponent 1, and only otherwise does the loop compose and
+    compare, from its first round on. Every iterate is the trimmed
     minimal pair DFA of its language. Stops either at the first exponent
     k with equal consecutive iterates (converged, the closure realizes
     the full transitive closure) or after ``cap`` comparisons (not
@@ -323,14 +336,14 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     if cap < 1:
         raise PreconditionError("closure cap must be at least 1")
     minimal = minimize(p.nfa)
-    reflexive, symmetric = (
-        islice(_axioms(minimal, p.input_alphabet), 2) if p.same_alphabets() else (False, False)
-    )
-    if not reflexive:
+    axioms = _axioms(minimal, p.input_alphabet) if p.same_alphabets() else iter((False, False))
+    if not next(axioms):
         raise PreconditionError("transitive closure needs a reflexive relation")
-    if not symmetric:
+    if not next(axioms):
         raise PreconditionError("transitive closure needs a symmetric relation")
     current = p.with_nfa(drop_sink(minimal))
+    if next(axioms):
+        return ClosureResult(closure=current, exponent=1, converged=True)
     for k in range(1, cap + 1):
         nxt = _canonical(compose(current, p))
         if includes(nxt.nfa, current.nfa):

@@ -149,10 +149,13 @@ def _worklist(
     table is built from one table of the entries reached on reading the
     pair of two items (row, letter), read by both groupings and by the
     successor matrices. The items are grouped twice by that entry: by
-    ``coarse_final`` and, finer, by ``fine_final``. Each coarse class
-    outputs its least item and steps to the matrix whose rows are its
-    fine-class minima, in order; an item moves to the row of its
-    fine-class minimum. Returns the matrices in the order they were
+    ``coarse_final`` and, finer, by ``fine_final``, each evaluated once
+    per distinct entry, when a row of ``targets`` first lists it, and
+    kept beside the rows, so the two tables of groupings are looked up
+    cell by cell from the table of entries. Each coarse class outputs
+    its least item and steps to the matrix whose rows are its fine-class
+    minima, in order; an item moves to the row of its fine-class
+    minimum. Returns the matrices in the order they were
     interned, the discovery-ordered states as (matrix index, row) pairs,
     transitions keyed by (state id, input letter) valued ((output row,
     output letter), successor id), and the largest dimension reached.
@@ -162,6 +165,8 @@ def _worklist(
     matrices: list = []
     tables: dict = {}
     rows: dict = {}  # entry -> targets(entry)
+    coarse_of: dict = {}  # entry -> coarse_final(entry), for every entry of a row
+    fine_of: dict = {}  # entry -> fine_final(entry), likewise
     entries = 0
     expanded = 0
 
@@ -187,14 +192,18 @@ def _worklist(
                 row = rows.get(entry)
                 if row is None:
                     row = rows[entry] = targets(entry)
+                    for q in row:
+                        if q not in coarse_of:
+                            coarse_of[q] = coarse_final(q)
+                            fine_of[q] = fine_final(q)
                 for a in range(width):
                     succ[i * width + a][j * width : (j + 1) * width] = row[
                         a * width : (a + 1) * width
                     ]
         coarse = _partition(
-            [[coarse_final(q) for q in line] for line in succ], "coarse grouping"
+            [list(map(coarse_of.__getitem__, line)) for line in succ], "coarse grouping"
         )
-        fine = _partition([[fine_final(q) for q in line] for line in succ], "fine grouping")
+        fine = _partition([list(map(fine_of.__getitem__, line)) for line in succ], "fine grouping")
         if any(coarse[fine[x]] != coarse[x] for x in range(n)):
             raise InternalInvariantError("fine grouping does not refine coarse grouping")
         reps: dict = {}  # least item of each coarse class -> its fine-class minima

@@ -1,10 +1,21 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernseq.automata import Nfa, explore, explored, includes, language_equal, trim
-from kernseq.decision import is_finitely_valued
+from kernseq.automata import (
+    Nfa,
+    determinize,
+    drop_sink,
+    explore,
+    explored,
+    includes,
+    language_equal,
+    minimize,
+    trim,
+)
+from kernseq.decision import DEFAULT_CLOSURE_CAP, is_finitely_valued
 from kernseq.errors import (
     AlphabetMismatchError,
     NotEquivalenceError,
@@ -35,6 +46,7 @@ from kernseq.relations import (
 from kernseq.transducers import (
     LetterTransducer,
     diagonal_states,
+    full_same_length,
     identity,
     pair_dfa,
 )
@@ -43,10 +55,13 @@ from boolean_ops import complement, relation_union, trim_transducer
 from conftest import (
     AB,
     ABC,
+    build_a_parity,
+    build_agree_except_last,
     build_c_singletons,
     build_chain,
     build_chained_classes,
     build_last_a,
+    build_mod_count,
     count_calls,
     finite_relation,
 )
@@ -441,14 +456,20 @@ def test_closure_requires_reflexive_symmetric_input():
 
 
 def test_closure_runs_one_inclusion_per_round(monkeypatch, ident_ab, chained_classes):
-    from kernseq import automata
+    from kernseq import automata, relations
 
     calls = count_calls(monkeypatch, automata, "includes")
+    composed = count_calls(monkeypatch, relations, "compose")
+    # a transitive input is its own closure, read off the axiom walk
+    result = transitive_closure(ident_ab, 3)
+    assert (result.exponent, result.converged) == (1, True)
+    assert calls == [] and composed == []
     pc = prefix_closure(chained_classes)
-    for p, cap, rounds in ((ident_ab, 3, 1), (pc, 1, 1), (pc, 8, 2)):
+    for cap, rounds in ((1, 1), (8, 2)):
         calls.clear()
-        result = transitive_closure(p, cap)
-        assert len(calls) == result.exponent == rounds
+        composed.clear()
+        result = transitive_closure(pc, cap)
+        assert len(calls) == len(composed) == result.exponent == rounds
     one_way = LetterTransducer.build(
         AB, AB, {0, 1}, {(0, ("a", "a"), 0), (0, ("b", "b"), 0), (0, ("a", "b"), 1)}, {0}, {0, 1}
     )
@@ -456,6 +477,97 @@ def test_closure_runs_one_inclusion_per_round(monkeypatch, ident_ab, chained_cla
     with pytest.raises(PreconditionError):
         transitive_closure(one_way, cap=2)
     assert calls == []
+
+
+def _closure_by_rounds(p, cap):
+    """``transitive_closure`` as it ran before transitivity was read off
+    the axiom walk: every round composes, minimizes and compares, the
+    first one too. A frozen reference; its preconditions are not checked.
+    """
+    current = p.with_nfa(drop_sink(minimize(p.nfa)))
+    for k in range(1, cap + 1):
+        nxt = p.with_nfa(drop_sink(minimize(compose(current, p).nfa)))
+        if includes(nxt.nfa, current.nfa):
+            return current.nfa, k, True
+        current = nxt
+    return current.nfa, cap, False
+
+
+def _reflexive_symmetric(rng, max_states=4):
+    """A random complete pair DFA over AB, reflexive and symmetric.
+
+    Its moves on (a, b) and (b, a) agree, so (u, v) and (v, u) reach the
+    same state. The states that the pairs (u, u) reach are final, and
+    each other state is final with probability 0.3, so it is often not
+    transitive.
+    """
+    n = rng.randint(1, max_states)
+    moves = {}
+    for q in range(n):
+        for a, b in itertools.combinations_with_replacement(AB.letters, 2):
+            moves[q, a, b] = moves[q, b, a] = rng.randrange(n)
+    same = {0}
+    for _ in range(n):
+        same |= {moves[q, a, a] for q in same for a in AB.letters}
+    return LetterTransducer.build(
+        AB,
+        AB,
+        range(n),
+        {(q, (a, b), t) for (q, a, b), t in moves.items()},
+        {0},
+        same | {q for q in range(n) if rng.random() < 0.3},
+    )
+
+
+def test_closure_matches_the_loop_of_rounds():
+    fixtures = [
+        build_last_a(),
+        build_a_parity(),
+        build_c_singletons(),
+        build_agree_except_last(),
+        build_agree_except_last(3),
+        build_chained_classes(),
+        build_chain(3),
+        build_mod_count(3),
+        identity(AB),
+        full_same_length(AB),
+    ]
+    cases = [(r, 3) for r in fixtures[-2:]]
+    cases += [(prefix_closure(r), DEFAULT_CLOSURE_CAP) for r in fixtures]
+    cases += [(prefix_closure(r), DEFAULT_CLOSURE_CAP) for r in default_suite(200, seed=7)]
+    rng = random.Random(11)
+    drawn = [_reflexive_symmetric(rng) for _ in range(400)]
+    cases += [(p, cap) for p in drawn for cap in (1, 2, 3)]
+    seen = set()
+    for p, cap in cases:
+        result = transitive_closure(p, cap)
+        got = (result.closure.nfa, result.exponent, result.converged)
+        assert got == _closure_by_rounds(p, cap)
+        seen.add(got[1:])
+    # the draws include transitive inputs, closures reached in later
+    # rounds and closures the cap cuts short
+    assert {(1, True), (2, True), (3, True), (1, False), (2, False)} <= seen
+    assert sum(not validate_relation(p).is_transitive for p in drawn) >= 20
+
+
+def test_each_relation_is_determinized_once(monkeypatch):
+    from kernseq import automata
+
+    r = build_last_a()
+    assert determinize(r.nfa) is determinize(r.nfa)
+    built = count_calls(monkeypatch, automata, "_subsets")
+    r = build_last_a()
+    prep = prepare(r)
+    assert len(built) == 1
+    assert validate_relation(r) == prep.validation
+    assert pair_dfa(r).nfa is prep.det.nfa
+    assert len(built) == 1
+    # kept with the automaton, not in a cache keyed by its value
+    twin = build_last_a()
+    assert twin.nfa == r.nfa and twin.nfa is not r.nfa
+    d = determinize(twin.nfa)
+    assert len(built) == 2
+    assert d == prep.det.nfa and d is not prep.det.nfa
 
 
 # ---------------------------------------------------------------- min-lex uniformizer
