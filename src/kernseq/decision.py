@@ -10,10 +10,14 @@ necessary conditions and, on success, hand back a synthesized witness
 whose kernel has been checked exactly against the input by
 ``synthesis.kernel_counterexample``. No decision enumerates words.
 
-Each entry point validates its relation once, through
-``relations.prepare``, and reads every stage from that ``Prepared``
-value: the pair DFA, prefix-closedness, the syntactic congruence and its
-uniformizer.
+Every entry point reads its relation's stages from the ``Prepared``
+value that ``relations.prepare`` keeps on the relation object: the
+validation, the pair DFA, prefix-closedness, the syntactic congruence,
+its uniformizer and the index against the relation. Each is built once
+per relation object, whichever entry points the object passes through,
+and held for as long as the object lives. A prefix-closed relation is
+its own searched closure, so its index against that closure is the
+kept index against the relation.
 """
 
 from __future__ import annotations
@@ -219,6 +223,19 @@ def _finite_index(prep: Prepared, target: LetterTransducer) -> bool:
     return is_finitely_valued(compose(prep.uniformizer, target))
 
 
+def _closure_index(prep: Prepared, pplus: LetterTransducer, searched: bool) -> bool:
+    """``_finite_index(prep, pplus)`` for a closure fixpoint ``pplus``.
+
+    The prefix closure of a prefix-closed relation has the relation's
+    language, and the relation is transitive, so the searched closure
+    stops at exponent 1 with that language: its index is the kept
+    ``prep.finite_index``. A supplied closure is always checked.
+    """
+    if searched and prep.prefix_closed:
+        return prep.finite_index
+    return _finite_index(prep, pplus)
+
+
 def _certify(machine, prep: Prepared, what: str) -> None:
     """Raise unless the kernel of a synthesized machine is exactly the relation."""
     from .synthesis import kernel_counterexample
@@ -243,7 +260,7 @@ def decide_kerseq_ll(r: LetterTransducer) -> Verdict:
     prep = prepare(r)
     if not prep.prefix_closed:
         return Verdict(Outcome.NO, reason=NOT_PREFIX_CLOSED)
-    if not _finite_index(prep, r):
+    if not prep.finite_index:
         return Verdict(Outcome.NO, reason=INFINITE_INDEX)
     witness = minimal_machine(mealy_machine(prep))
     _certify(witness, prep, "synthesized machine")
@@ -261,10 +278,13 @@ def decide_kerseq_lp(
     work, so relations that already fail it are decided without
     iterating. The closure fixpoint is either validated from the caller
     or searched up to ``cap``; running out yields UNKNOWN, never a wrong
-    answer. YES verdicts carry the final-output-free witness, made
-    Moore-minimal by ``minimal_machine``, with the subsequential stage
-    attached; the kernels of both are checked exactly against r. Raises
-    ``NotEquivalenceError`` unless r is an equivalence.
+    answer. The index against a searched closure of a prefix-closed r is
+    the index against r, read off the ``Prepared`` value kept on r; a
+    supplied closure is always checked. YES verdicts carry the
+    final-output-free witness, made Moore-minimal by ``minimal_machine``,
+    with the subsequential stage attached; the kernels of both are
+    checked exactly against r. Raises ``NotEquivalenceError`` unless r
+    is an equivalence.
     """
     from .synthesis import (
         eliminate_final_output,
@@ -274,7 +294,7 @@ def decide_kerseq_lp(
     )
 
     prep = prepare(r)
-    if not _finite_index(prep, r):
+    if not prep.finite_index:
         return Verdict(Outcome.NO, reason=INFINITE_INDEX)
     closure_result = None
     if closure is not None:
@@ -287,7 +307,7 @@ def decide_kerseq_lp(
                 Outcome.UNKNOWN, reason=CLOSURE_CAP_EXHAUSTED, closure=closure_result
             )
         pplus = closure_result.closure
-    if not _finite_index(prep, pplus):
+    if not _closure_index(prep, pplus, searched=closure is None):
         return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=closure_result)
     sub = minimal_machine(subsequential_machine(prep, pplus))
     witness = minimal_machine(eliminate_final_output(sub))
@@ -307,13 +327,17 @@ def analyze(
 
     Fields past validation stay unset when the input is not an
     equivalence relation; the closure-relative index stays unset unless
-    a fixpoint was found or supplied. Like the deciders, it validates r
-    once and reads every stage from the prepared relation.
+    a fixpoint was found or supplied. Like the deciders, it reads every
+    stage from the ``Prepared`` value kept on r, so a relation object
+    that went through a decider or ``validate_relation`` is not
+    validated or prepared again.
 
     The closure and its index come first. r lies inside the closure, so
     each r-image lies inside a closure image and meets no more
     congruence classes: a finite index against the closure is a finite
     index against r, and only otherwise is the index against r checked.
+    A prefix-closed r is its own searched closure, so both indices are
+    the one kept on its ``Prepared`` value.
     """
     from .synthesis import validate_closure_witness
 
@@ -332,8 +356,9 @@ def analyze(
             target = closure_result.closure
     index_closure = None
     if target is not None:
-        index_closure = FINITE if _finite_index(prep, target) else INFINITE
-    index_r = FINITE if index_closure == FINITE or _finite_index(prep, r) else INFINITE
+        finite = _closure_index(prep, target, searched=pplus is None)
+        index_closure = FINITE if finite else INFINITE
+    index_r = FINITE if index_closure == FINITE or prep.finite_index else INFINITE
     return AnalysisReport(
         validation=prep.validation,
         length_preserving=True,

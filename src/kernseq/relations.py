@@ -4,8 +4,12 @@ Everything a relation-level decision needs: validation as an equivalence
 relation, composition, inverse, the syntactic congruence, prefix
 closure, a capped transitive-closure fixpoint, and the minimum-lexicographic
 uniformizer that turns an equivalence into the graph of a canonical
-function. ``prepare`` validates a relation once and builds the pair DFA
-and diagonal states that all the stages of one decision share.
+function. ``prepare`` validates a relation and builds the pair DFA and
+diagonal states that all its stages share. Both the validation and the
+prepared stages are kept on the relation object, the way
+``automata.determinize`` keeps a subset construction on its automaton,
+so each runs once per relation object whichever entry points it passes
+through, and holds its memory for as long as that object lives.
 
 The equivalence axioms are read off a complete pair DFA of the relation
 by three deterministic walks over its self-products, one per axiom, each
@@ -21,7 +25,7 @@ the closure, with no composition or inclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable, Iterator
 
 from .automata import (
@@ -112,13 +116,33 @@ def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
     return LetterTransducer(s.input_alphabet, r.output_alphabet, nfa)
 
 
+def _kept(build: Callable) -> Callable:
+    """``build(r)``, built on first use and kept on the relation object r,
+    as ``cached_property`` keeps a value: a relation object is immutable,
+    so the value holds for as long as the object lives. An equal relation
+    built anew builds it again, and a call that raises keeps nothing.
+    """
+    name = f"_{build.__name__}"
+
+    @wraps(build)
+    def kept(r: LetterTransducer):
+        values = vars(r)
+        if name not in values:
+            values[name] = build(r)
+        return values[name]
+
+    return kept
+
+
+@_kept
 def validate_relation(r: LetterTransducer) -> RelationValidation:
     """Check the equivalence axioms on the complete pair DFA of r.
 
     One deterministic walk per axiom over a self-product of the pair
     DFA; see ``_axioms``. An empty relation is reported non-reflexive:
     the identity over a nonempty alphabet is nonempty. Mismatched
-    input/output alphabets can never satisfy any of the axioms.
+    input/output alphabets can never satisfy any of the axioms. Kept on
+    r, so the walks run once per relation object.
     """
     if not r.same_alphabets():
         return RelationValidation(False, False, False)
@@ -228,8 +252,12 @@ class Prepared:
     """An equivalence relation with the groundwork its stages share.
 
     ``det`` is the complete pair DFA of the relation and ``diagonal`` its
-    diagonal states. Built once per decision by ``prepare``, so no stage
-    validates or determinizes the relation again.
+    diagonal states; the other stages are built on first use and kept.
+    ``prepare`` keeps one ``Prepared`` on each relation object, so every
+    entry point given that object shares its validation, pair DFA,
+    prefix-closedness, congruence, uniformizer and index, and none of
+    them runs twice. They hold their memory for as long as the relation
+    object lives.
     """
 
     relation: LetterTransducer
@@ -237,7 +265,7 @@ class Prepared:
     det: LetterTransducer
     diagonal: frozenset[int]
 
-    @property
+    @cached_property
     def prefix_closed(self) -> bool:
         """Every state of the trimmed pair DFA is final.
 
@@ -263,12 +291,21 @@ class Prepared:
         whenever the relation is, so it is not validated again."""
         return _uniformizer(self.congruence)
 
+    @cached_property
+    def finite_index(self) -> bool:
+        """Whether the congruence has finite index with respect to the relation."""
+        from .decision import _finite_index
 
+        return _finite_index(self, self.relation)
+
+
+@_kept
 def prepare(r: LetterTransducer) -> Prepared:
-    """Validate r once and build its pair DFA and diagonal states.
+    """Validate r and build its pair DFA and diagonal states, once per
+    relation object: the result is kept on r.
 
-    Raises ``NotEquivalenceError``, carrying the validation, unless r is
-    an equivalence relation.
+    Raises ``NotEquivalenceError``, carrying the validation, on every
+    call unless r is an equivalence relation.
     """
     validation = require_equivalence(r)
     det = pair_dfa(r)
@@ -281,8 +318,9 @@ def syntactic_congruence(r: LetterTransducer) -> tuple[LetterTransducer, frozens
     Returns the relation "every common continuation stays related",
     realized by the pair-deterministic automaton of r with final states
     restricted to its diagonal states, together with that diagonal set.
-    The state identifiers agree with ``pair_dfa(r)``. Validates r first;
-    the deciders read both from their ``Prepared`` value instead.
+    The state identifiers agree with ``pair_dfa(r)``. Both are read off
+    the ``Prepared`` value that ``prepare`` keeps on r, which validates r
+    the first time.
     """
     prep = prepare(r)
     return prep.congruence, prep.diagonal
@@ -304,7 +342,8 @@ def is_prefix_closed(r: LetterTransducer) -> bool:
     """True iff r equals its prefix closure.
 
     Decided structurally: every state of the trimmed pair-deterministic
-    automaton must be final. Validates r first.
+    automaton must be final. Read off the ``Prepared`` value that
+    ``prepare`` keeps on r, which validates r the first time.
     """
     return prepare(r).prefix_closed
 

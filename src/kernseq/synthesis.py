@@ -351,12 +351,10 @@ def synthesize_mealy(r: LetterTransducer) -> SequentialTransducer:
     with finitely many congruence classes inside each class of r; those
     conditions are verified first, then ``mealy_machine`` builds it.
     """
-    from .decision import _finite_index
-
     prep = prepare(r)
     if not prep.prefix_closed:
         raise PreconditionError("relation is not prefix-closed")
-    if not _finite_index(prep, r):
+    if not prep.finite_index:
         raise PreconditionError(
             "syntactic congruence has infinite index with respect to the relation"
         )

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 from kernseq.automata import Alphabet, Nfa, language_equal, minimize, trim
 from kernseq.decision import (
     CLOSURE_CAP_EXHAUSTED,
+    DEFAULT_CLOSURE_CAP,
     INFINITE,
     FINITE,
     INFINITE_INDEX,
@@ -23,6 +25,7 @@ from kernseq.errors import (
     DimensionCapError,
     NotEquivalenceError,
     NotFinerError,
+    PreconditionError,
 )
 from kernseq.fileformat import render
 from kernseq.oracle import (
@@ -41,6 +44,7 @@ from kernseq.relations import (
     prepare,
     syntactic_congruence,
     transitive_closure,
+    validate_relation,
 )
 from kernseq.synthesis import (
     kernel_transducer,
@@ -447,32 +451,69 @@ def test_entry_points_reject_non_equivalence(entry):
         entry(bare)
 
 
-def test_each_entry_point_validates_its_relation_once(monkeypatch):
-    from kernseq import relations
+def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
+    from kernseq import decision, relations
+    from kernseq.automata import determinize
 
-    calls = count_calls(monkeypatch, relations, "validate_relation")
-    bare = LetterTransducer.build(AB, AB, {0, 1}, {(0, ("a", "b"), 1)}, {0}, {1})
-    yes_ll, npc, inf = build_agree_except_last(2), build_a_parity(), build_last_a()
-    runs = [
-        (decide_kerseq_ll, (yes_ll,), {}),
-        (decide_kerseq_ll, (npc,), {}),
-        (decide_kerseq_lp, (build_mod_count(3),), {}),
-        (decide_kerseq_lp, (inf,), {}),
-        (decide_kerseq_lp, (build_chain(3),), {"cap": 2}),
-        (decide_kerseq_lp, (identity(AB),), {"closure": identity(AB)}),
-        (analyze, (yes_ll,), {}),
-        (analyze, (npc,), {}),
-        (analyze, (identity(AB),), {"pplus": identity(AB)}),
-        (analyze, (bare,), {}),
+    walks = count_calls(monkeypatch, relations, "_axioms")
+    builds = count_calls(monkeypatch, relations, "_uniformizer")
+
+    def validation_walks(r):
+        # the closure search walks its own minimal automaton, not r's
+        return [args for args in walks if args[0] is determinize(r.nfa)]
+
+    cases = [
+        (build_agree_except_last(2), None, DEFAULT_CLOSURE_CAP),  # YES for ll and lp
+        (build_a_parity(), None, DEFAULT_CLOSURE_CAP),  # not prefix-closed
+        (build_last_a(), None, DEFAULT_CLOSURE_CAP),  # infinite index against the closure
+        (build_c_singletons(), None, DEFAULT_CLOSURE_CAP),  # infinite index against r
+        (build_chain(3), None, 2),  # the closure does not converge
+        (identity(AB), identity(AB), DEFAULT_CLOSURE_CAP),  # a supplied closure
     ]
-    for entry, args, kwargs in runs:
-        calls.clear()
-        entry(*args, **kwargs)
-        assert calls == [args[:1]], entry.__name__
-    calls.clear()
-    with pytest.raises(NotEquivalenceError):
-        decide_kerseq_lp(bare)
-    assert calls == [(bare,)]
+    for r, closure, cap in cases:
+        walks.clear()
+        builds.clear()
+        assert validate_relation(r).is_equivalence
+        assert prepare(r) is prepare(r)
+        is_prefix_closed(r)
+        syntactic_congruence(r)
+        analyze(r, pplus=closure, cap=cap)
+        decide_kerseq_ll(r)
+        decide_kerseq_lp(r, closure=closure, cap=cap)
+        for synthesize in (synthesize_mealy, lambda r: synthesize_subsequential(r, r)):
+            with contextlib.suppress(PreconditionError, BadClosureWitnessError):
+                synthesize(r)
+        assert len(validation_walks(r)) == 1
+        assert len(builds) == 1
+    # an equal relation built anew is a new object, prepared anew
+    r = cases[0][0]
+    again = LetterTransducer.build(
+        r.input_alphabet, r.output_alphabet, r.nfa.states, r.nfa.transitions,
+        r.nfa.initials, r.nfa.finals,
+    )
+    assert again == r and again is not r
+    walks.clear()
+    builds.clear()
+    assert decide_kerseq_ll(again).outcome is Outcome.YES
+    assert len(validation_walks(again)) == 1 and validation_walks(r) == []
+    assert len(builds) == 1
+    # validate, analyze and decide ll on a fresh prefix-closed relation
+    # check its valuedness once: both indices are the one kept index
+    valued = count_calls(monkeypatch, decision, "is_finitely_valued")
+    r = build_agree_except_last(3)
+    validate_relation(r), analyze(r), decide_kerseq_ll(r)
+    assert len(valued) == 1
+    # a non-equivalence keeps its validation, and every later use refuses it
+    bare = LetterTransducer.build(AB, AB, {0, 1}, {(0, ("a", "b"), 1)}, {0}, {1})
+    walks.clear()
+    builds.clear()
+    assert not analyze(bare).validation.is_equivalence
+    for entry in [prepare, prepare, decide_kerseq_ll, decide_kerseq_lp, is_prefix_closed]:
+        with pytest.raises(NotEquivalenceError) as refused:
+            entry(bare)
+        assert refused.value.validation is validate_relation(bare)
+    assert len(walks) == 1
+    assert builds == []
 
 
 def test_only_automata_built_from_input_are_checked(monkeypatch):
@@ -735,12 +776,50 @@ def test_analyze_index_wrt_relation_equals_the_direct_check(monkeypatch):
     for i, (r, kwargs) in enumerate(cases):
         calls.clear()
         report = analyze(r, **kwargs)
-        # one valuedness check when the closure index is FINITE, else one per index
-        assert len(calls) == (1 if report.index_wrt_closure in (FINITE, None) else 2), i
+        # one valuedness check when the closure index is FINITE, or when a
+        # prefix-closed r is its own searched closure; else one per index
+        one = report.index_wrt_closure in (FINITE, None) or (
+            report.prefix_closed and "pplus" not in kwargs
+        )
+        assert len(calls) == (1 if one else 2), i
         direct = FINITE if decision._finite_index(prepare(r), r) else INFINITE
         assert report.index_wrt_relation == direct, i
         seen.add((report.index_wrt_closure, direct))
     assert {(FINITE, FINITE), (INFINITE, FINITE), (INFINITE, INFINITE), (None, FINITE)} <= seen
+
+
+def test_a_prefix_closed_relation_is_its_own_searched_closure(monkeypatch):
+    from kernseq import decision
+
+    fixtures = [
+        build_last_a(),
+        build_a_parity(),
+        build_c_singletons(),
+        build_agree_except_last(2),
+        build_mod_count(3),
+        build_chain(2),
+        build_chained_classes(),
+        identity(AB),
+        full_same_length(AB),
+    ]
+    seen = []
+    for r in fixtures + default_suite(200, seed=7):
+        prep = prepare(r)
+        if not prep.prefix_closed:
+            continue
+        result = transitive_closure(prefix_closure(r), DEFAULT_CLOSURE_CAP)
+        assert (result.exponent, result.converged) == (1, True)
+        assert language_equal(result.closure.nfa, r.nfa)
+        assert decision._finite_index(prep, result.closure) == prep.finite_index
+        seen.append(prep.finite_index)
+    assert True in seen and False in seen
+    # a supplied closure is checked, even for a prefix-closed relation
+    r, larger = identity(AB), full_same_length(AB)
+    prep = prepare(r)
+    assert prep.prefix_closed and prep.finite_index
+    checked = count_calls(monkeypatch, decision, "_finite_index")
+    assert decide_kerseq_lp(r, closure=larger).reason == INFINITE_INDEX
+    assert len(checked) == 1 and checked[0][0] is prep and checked[0][1] is larger
 
 
 def test_analyze_non_equivalence_read_only_validation():

@@ -102,30 +102,48 @@ def test_mealy_rejects_infinite_index(c_singletons):
         synthesize_mealy(c_singletons)
 
 
-def test_each_synthesizer_validates_its_relation_once(monkeypatch, a_parity, c_singletons):
+def test_each_synthesizer_prepares_its_relation_once(monkeypatch, a_parity, c_singletons):
     from kernseq import relations
+    from kernseq.automata import determinize
 
     yes = build_agree_except_last(2)
     yes_plus, parity_plus, singletons_plus = map(closure_of, (yes, a_parity, c_singletons))
-    calls = count_calls(monkeypatch, relations, "validate_relation")
+    walks = count_calls(monkeypatch, relations, "_axioms")
+    builds = count_calls(monkeypatch, relations, "_uniformizer")
+    # per relation object: each synthesizer, and the refusal it meets if any
     runs = [
-        (synthesize_mealy, (yes,)),
-        (synthesize_subsequential, (yes, yes_plus)),
-        (synthesize_subsequential, (a_parity, parity_plus)),
+        (yes, [(synthesize_mealy, (), None), (synthesize_subsequential, (yes_plus,), None)]),
+        (
+            a_parity,
+            [
+                (synthesize_mealy, (), "not prefix-closed"),
+                (synthesize_subsequential, (parity_plus,), None),
+            ],
+        ),
+        # the index checks read the prepared uniformizer, so refusals share it too
+        (
+            c_singletons,
+            [
+                (synthesize_mealy, (), "infinite index with respect to the relation"),
+                (
+                    synthesize_subsequential,
+                    (singletons_plus,),
+                    "infinite index with respect to the closure",
+                ),
+            ],
+        ),
     ]
-    for entry, args in runs:
-        calls.clear()
-        entry(*args)
-        assert calls == [args[:1]], entry.__name__
-    # the index checks read the prepared uniformizer, so a refusal validates once too
-    for entry, args, what in [
-        (synthesize_mealy, (c_singletons,), "relation"),
-        (synthesize_subsequential, (c_singletons, singletons_plus), "closure"),
-    ]:
-        calls.clear()
-        with pytest.raises(PreconditionError, match=f"infinite index with respect to the {what}"):
-            entry(*args)
-        assert calls == [(c_singletons,)], entry.__name__
+    for r, calls in runs:
+        walks.clear()
+        builds.clear()
+        for entry, rest, refusal in calls:
+            if refusal is None:
+                entry(r, *rest)
+            else:
+                with pytest.raises(PreconditionError, match=refusal):
+                    entry(r, *rest)
+        assert len(walks) == 1 and walks[0][0] is determinize(r.nfa)
+        assert len(builds) == 1
 
 
 def test_mealy_states_carry_provenance(agree_except_last):
