@@ -13,11 +13,13 @@ whose kernel has been checked exactly against the input by
 Every entry point reads its relation's stages from the ``Prepared``
 value that ``relations.prepare`` keeps on the relation object: the
 validation, the pair DFA, prefix-closedness, the syntactic congruence,
-its uniformizer and the index against the relation. Each is built once
-per relation object, whichever entry points the object passes through,
-and held for as long as the object lives. A prefix-closed relation is
-its own searched closure, so its index against that closure is the
-kept index against the relation.
+its uniformizer, the index against the relation, and for each cap the
+searched closure with the index against it. Each is built once per
+relation object, whichever entry points the object passes through, and
+held for as long as the object lives. A prefix-closed relation is its
+own searched closure, read off its kept pair DFA with no search, and
+its index against that closure is the kept index against the relation.
+A supplied closure is validated and its index checked on every call.
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ from .relations import (
     RelationValidation,
     compose,
     min_lex_uniformizer,
-    prefix_closure,
     prepare,
-    transitive_closure,
 )
 from .transducers import LetterTransducer
 
@@ -223,19 +223,6 @@ def _finite_index(prep: Prepared, target: LetterTransducer) -> bool:
     return is_finitely_valued(compose(prep.uniformizer, target))
 
 
-def _closure_index(prep: Prepared, pplus: LetterTransducer, searched: bool) -> bool:
-    """``_finite_index(prep, pplus)`` for a closure fixpoint ``pplus``.
-
-    The prefix closure of a prefix-closed relation has the relation's
-    language, and the relation is transitive, so the searched closure
-    stops at exponent 1 with that language: its index is the kept
-    ``prep.finite_index``. A supplied closure is always checked.
-    """
-    if searched and prep.prefix_closed:
-        return prep.finite_index
-    return _finite_index(prep, pplus)
-
-
 def _certify(machine, prep: Prepared, what: str) -> None:
     """Raise unless the kernel of a synthesized machine is exactly the relation."""
     from .synthesis import kernel_counterexample
@@ -278,9 +265,10 @@ def decide_kerseq_lp(
     work, so relations that already fail it are decided without
     iterating. The closure fixpoint is either validated from the caller
     or searched up to ``cap``; running out yields UNKNOWN, never a wrong
-    answer. The index against a searched closure of a prefix-closed r is
-    the index against r, read off the ``Prepared`` value kept on r; a
-    supplied closure is always checked. YES verdicts carry the
+    answer. The searched closure and the index against it are kept per
+    cap on the ``Prepared`` value kept on r (``Prepared.closure``), so a
+    relation object is searched once per cap; a supplied closure is
+    validated and its index checked on every call. YES verdicts carry the
     final-output-free witness, made Moore-minimal by ``minimal_machine``,
     with the subsequential stage attached; the kernels of both are
     checked exactly against r. Raises ``NotEquivalenceError`` unless r
@@ -299,15 +287,15 @@ def decide_kerseq_lp(
     closure_result = None
     if closure is not None:
         validate_closure_witness(r, closure)
-        pplus = closure
+        pplus, finite = closure, _finite_index(prep, closure)
     else:
-        closure_result = transitive_closure(prefix_closure(r), cap)
+        closure_result, finite = prep.closure(cap)
         if not closure_result.converged:
             return Verdict(
                 Outcome.UNKNOWN, reason=CLOSURE_CAP_EXHAUSTED, closure=closure_result
             )
         pplus = closure_result.closure
-    if not _closure_index(prep, pplus, searched=closure is None):
+    if not finite:
         return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=closure_result)
     sub = minimal_machine(subsequential_machine(prep, pplus))
     witness = minimal_machine(eliminate_final_output(sub))
@@ -328,9 +316,11 @@ def analyze(
     Fields past validation stay unset when the input is not an
     equivalence relation; the closure-relative index stays unset unless
     a fixpoint was found or supplied. Like the deciders, it reads every
-    stage from the ``Prepared`` value kept on r, so a relation object
-    that went through a decider or ``validate_relation`` is not
-    validated or prepared again.
+    stage from the ``Prepared`` value kept on r, the closure searched for
+    ``cap`` and the index against it included, so a relation object that
+    went through a decider or ``validate_relation`` is not validated,
+    prepared or searched again; a supplied closure is validated and its
+    index checked on every call.
 
     The closure and its index come first. r lies inside the closure, so
     each r-image lies inside a closure image and meets no more
@@ -346,18 +336,12 @@ def analyze(
     except NotEquivalenceError as exc:
         return AnalysisReport(exc.validation, True, None, None, None, None)
     closure_result = None
-    target = None
     if pplus is not None:
         validate_closure_witness(r, pplus)
-        target = pplus
+        finite = _finite_index(prep, pplus)
     else:
-        closure_result = transitive_closure(prefix_closure(r), cap)
-        if closure_result.converged:
-            target = closure_result.closure
-    index_closure = None
-    if target is not None:
-        finite = _closure_index(prep, target, searched=pplus is None)
-        index_closure = FINITE if finite else INFINITE
+        closure_result, finite = prep.closure(cap)
+    index_closure = None if finite is None else FINITE if finite else INFINITE
     index_r = FINITE if index_closure == FINITE or prep.finite_index else INFINITE
     return AnalysisReport(
         validation=prep.validation,

@@ -6,7 +6,8 @@ closure, a capped transitive-closure fixpoint, and the minimum-lexicographic
 uniformizer that turns an equivalence into the graph of a canonical
 function. ``prepare`` validates a relation and builds the pair DFA and
 diagonal states that all its stages share. Both the validation and the
-prepared stages are kept on the relation object, the way
+prepared stages, the closure searched for each cap and its index
+included, are kept on the relation object, the way
 ``automata.determinize`` keeps a subset construction on its automaton,
 so each runs once per relation object whichever entry points it passes
 through, and holds its memory for as long as that object lives.
@@ -255,8 +256,9 @@ class Prepared:
     diagonal states; the other stages are built on first use and kept.
     ``prepare`` keeps one ``Prepared`` on each relation object, so every
     entry point given that object shares its validation, pair DFA,
-    prefix-closedness, congruence, uniformizer and index, and none of
-    them runs twice. They hold their memory for as long as the relation
+    prefix-closedness, congruence, uniformizer and index, and the closure
+    searched for each cap with the index against it, and none of them
+    runs twice. They hold their memory for as long as the relation
     object lives.
     """
 
@@ -297,6 +299,39 @@ class Prepared:
         from .decision import _finite_index
 
         return _finite_index(self, self.relation)
+
+    @cached_property
+    def _closures(self) -> dict:
+        return {}
+
+    def closure(self, cap: int) -> tuple[ClosureResult, bool | None]:
+        """The closure searched from the prefix closure with ``cap`` rounds,
+        and whether the congruence has finite index with respect to it
+        (None when the search did not converge), kept per cap.
+
+        A relation that is not prefix-closed is searched by
+        ``transitive_closure(prefix_closure(relation), cap)``. A
+        prefix-closed relation has its prefix closure's language and, being
+        an equivalence, is transitive, so that search would stop at
+        exponent 1 on the minimal DFA of that language: the relation's own
+        ``drop_sink(minimize(...))``, whose subset construction is
+        ``det``'s, and whose index is ``finite_index``. A cap below 1
+        raises ``PreconditionError`` and keeps nothing.
+        """
+        from .decision import _finite_index
+
+        if cap in self._closures:
+            return self._closures[cap]
+        r = self.relation
+        if self.prefix_closed:
+            _require_cap(cap)
+            result = ClosureResult(r.with_nfa(drop_sink(minimize(r.nfa))), 1, True)
+            finite = self.finite_index
+        else:
+            result = transitive_closure(prefix_closure(r), cap)
+            finite = _finite_index(self, result.closure) if result.converged else None
+        self._closures[cap] = result, finite
+        return result, finite
 
 
 @_kept
@@ -372,8 +407,7 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     error: in general the fixpoint exponent is not computable, so the
     iteration must not pretend otherwise.
     """
-    if cap < 1:
-        raise PreconditionError("closure cap must be at least 1")
+    _require_cap(cap)
     minimal = minimize(p.nfa)
     axioms = _axioms(minimal, p.input_alphabet) if p.same_alphabets() else iter((False, False))
     if not next(axioms):
@@ -389,6 +423,11 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
             return ClosureResult(closure=current, exponent=k, converged=True)
         current = nxt
     return ClosureResult(closure=current, exponent=cap, converged=False)
+
+
+def _require_cap(cap: int) -> None:
+    if cap < 1:
+        raise PreconditionError("closure cap must be at least 1")
 
 
 def min_lex_uniformizer(s: LetterTransducer) -> LetterTransducer:

@@ -452,15 +452,26 @@ def test_entry_points_reject_non_equivalence(entry):
 
 
 def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
-    from kernseq import decision, relations
+    from kernseq import automata, decision, relations, synthesis
     from kernseq.automata import determinize
 
     walks = count_calls(monkeypatch, relations, "_axioms")
     builds = count_calls(monkeypatch, relations, "_uniformizer")
+    compositions = count_calls(monkeypatch, relations, "compose")
+    subsets = count_calls(monkeypatch, automata, "_subsets")
+    searches = count_calls(monkeypatch, relations, "transitive_closure")
+    validated = count_calls(monkeypatch, synthesis, "validate_closure_witness")
+    checked = count_calls(monkeypatch, decision, "_finite_index")
 
     def validation_walks(r):
         # the closure search walks its own minimal automaton, not r's
         return [args for args in walks if args[0] is determinize(r.nfa)]
+
+    def rebuilt(r):
+        return LetterTransducer.build(
+            r.input_alphabet, r.output_alphabet, r.nfa.states, r.nfa.transitions,
+            r.nfa.initials, r.nfa.finals,
+        )
 
     cases = [
         (build_agree_except_last(2), None, DEFAULT_CLOSURE_CAP),  # YES for ll and lp
@@ -485,12 +496,45 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
                 synthesize(r)
         assert len(validation_walks(r)) == 1
         assert len(builds) == 1
-    # an equal relation built anew is a new object, prepared anew
+        # analyze, then decide lp twice: the cap searched above is read
+        # back with no composition, axiom walk or subset construction, and
+        # a new cap is searched once (a prefix-closed relation never is);
+        # a supplied closure is validated and checked on every call
+        for again_cap, kept in ((cap, True), (cap + 1, False)):
+            for calls in (walks, compositions, subsets, searches, validated, checked):
+                calls.clear()
+            analyze(r, pplus=closure, cap=again_cap)
+            decide_kerseq_lp(r, closure=closure, cap=again_cap)
+            decide_kerseq_lp(r, closure=closure, cap=again_cap)
+            if closure is not None:
+                assert len(validated) == 3 and searches == []
+                assert [args[1] for args in checked] == [closure] * 3
+            elif kept:
+                assert walks == compositions == subsets == searches == []
+            elif prepare(r).prefix_closed:
+                assert walks == compositions == searches == []
+            else:
+                assert len(searches) == 1
+    # a prefix-closed relation's closure is read off its kept pair DFA:
+    # no subset construction, no axiom walk, no composition
+    prep = prepare(build_agree_except_last(3))
+    assert prep.prefix_closed and prep.finite_index
+    for calls in (walks, compositions, subsets, searches):
+        calls.clear()
+    result, finite = prep.closure(DEFAULT_CLOSURE_CAP)
+    assert (result.exponent, result.converged, finite) == (1, True, True)
+    assert walks == compositions == subsets == searches == []
+    # an equal relation built anew is a new object, prepared and searched anew
+    r = cases[1][0]  # not prefix-closed
+    again = rebuilt(r)
+    searches.clear()
+    assert analyze(again).closure == analyze(r).closure
+    assert len(searches) == 1
+    assert prepare(again).closure(DEFAULT_CLOSURE_CAP)[0] is not prepare(r).closure(
+        DEFAULT_CLOSURE_CAP
+    )[0]
     r = cases[0][0]
-    again = LetterTransducer.build(
-        r.input_alphabet, r.output_alphabet, r.nfa.states, r.nfa.transitions,
-        r.nfa.initials, r.nfa.finals,
-    )
+    again = rebuilt(r)
     assert again == r and again is not r
     walks.clear()
     builds.clear()
@@ -811,6 +855,8 @@ def test_a_prefix_closed_relation_is_its_own_searched_closure(monkeypatch):
         assert (result.exponent, result.converged) == (1, True)
         assert language_equal(result.closure.nfa, r.nfa)
         assert decision._finite_index(prep, result.closure) == prep.finite_index
+        # the kept closure is that search's result, read off r with no search
+        assert prep.closure(DEFAULT_CLOSURE_CAP) == (result, prep.finite_index)
         seen.append(prep.finite_index)
     assert True in seen and False in seen
     # a supplied closure is checked, even for a prefix-closed relation
@@ -820,6 +866,54 @@ def test_a_prefix_closed_relation_is_its_own_searched_closure(monkeypatch):
     checked = count_calls(monkeypatch, decision, "_finite_index")
     assert decide_kerseq_lp(r, closure=larger).reason == INFINITE_INDEX
     assert len(checked) == 1 and checked[0][0] is prep and checked[0][1] is larger
+
+
+def test_the_kept_closure_is_the_closure_searched_afresh():
+    from kernseq import decision
+
+    rng = random.Random(19)
+    fixtures = [
+        build_last_a(),
+        build_a_parity(),
+        build_c_singletons(),
+        build_agree_except_last(2),
+        build_mod_count(3),
+        build_chained_classes(),
+        identity(AB),
+        full_same_length(AB),
+    ] + [build_chain(k) for k in (1, 2, 3)]
+    relations = fixtures + default_suite(200, seed=7)
+    relations += [random_equivalence(rng, letters=("a", "b", "c")) for _ in range(200)]
+    outcomes = set()
+    for i, r in enumerate(relations):
+        prep = prepare(r)
+        for cap in (1, 2, 3, 16):
+            fresh = transitive_closure(prefix_closure(r), cap)
+            kept, finite = prep.closure(cap)
+            # same states, transitions, initials, finals, exponent and flag
+            assert kept == fresh, (i, cap)
+            assert prep.closure(cap)[0] is kept
+            if fresh.converged:
+                assert finite == decision._finite_index(prep, fresh.closure), (i, cap)
+            else:
+                assert finite is None, (i, cap)
+            outcomes.add((prep.prefix_closed, fresh.converged, finite))
+    assert {(True, True, True), (True, True, False), (False, True, True)} <= outcomes
+    assert {(False, True, False), (False, False, None)} <= outcomes
+    # a cap below 1 raises on every call, as the search does, and keeps nothing
+    for r in (build_agree_except_last(2), build_a_parity()):
+        prep = prepare(r)
+        for cap in (0, -1, 0):
+            with pytest.raises(PreconditionError, match="cap must be at least 1"):
+                prep.closure(cap)
+            with pytest.raises(PreconditionError, match="cap must be at least 1"):
+                analyze(r, cap=cap)
+            with pytest.raises(PreconditionError, match="cap must be at least 1"):
+                decide_kerseq_lp(r, cap=cap)
+        assert analyze(r, pplus=full_same_length(AB), cap=0).closure is None
+        assert vars(prep)["_closures"] == {}
+    # the index against r still comes first: no closure work, no raise
+    assert decide_kerseq_lp(build_c_singletons(), cap=0).reason == INFINITE_INDEX
 
 
 def test_analyze_non_equivalence_read_only_validation():
@@ -840,6 +934,7 @@ def test_verdict_reason_codes_are_stable_strings():
 
 # ---------------------------------------------------------------- NO soundness
 
+@pytest.mark.slow
 def test_prefix_closure_refusals_have_short_witnesses(
     last_a, a_parity, chained_classes
 ):
