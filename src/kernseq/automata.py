@@ -26,7 +26,14 @@ none.
 
 An automaton keeps its subset construction the same way, built on
 first use, so ``determinize`` runs once per automaton however many
-stages ask for it.
+stages ask for it. ``drop_sink`` hands the minimal complete DFA it cuts
+to the trimmed result as that result's subset construction, which it is.
+
+Minimization is one step on dense rows, ``_quotient``: Moore refinement
+of a complete DFA given as ``delta[q][letter position]`` lists.
+``minimize`` feeds it the subset construction of an automaton, and the
+composition kernel of ``kernseq.relations`` its own subset
+construction over pairs of states, with no automaton in between.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here can be shared freely.
@@ -237,25 +244,44 @@ def drop_sink(a: Nfa) -> Nfa:
     shifting the states above it down by one numbers the rest as
     ``trim`` does, with no reachability walk. When the sink is the
     initial state the language is empty and so is the result.
+
+    ``a`` is kept as the result's subset construction (``determinize``):
+    subsets of a trim DFA are its singletons and the empty set, which
+    the breadth-first walk reaches where ``a`` has its sink, and the
+    states of ``a`` are numbered breadth first, so that construction is
+    ``a`` itself.
     """
-    moving = {p for p, _letter, q in a.transitions if p != q}
-    dead = a.states - a.finals - moving
-    if not dead:
-        return a
-    (sink,) = dead
-    if sink in a.initials:
-        return _unchecked(a.alphabet, (), (), (), ())
-    return _unchecked(
-        a.alphabet,
-        range(len(a.states) - 1),
-        (
-            (p - (p > sink), letter, q - (q > sink))
-            for p, letter, q in a.transitions
-            if q != sink and p != sink
-        ),
-        (q - (q > sink) for q in a.initials),
-        (q - (q > sink) for q in a.finals),
+    rows, finals = _sink_free(_dense(a), [q in a.finals for q in range(len(a.states))])
+    trimmed = a if len(rows) == len(a.states) else _dfa(a.alphabet, rows, finals)
+    vars(trimmed).setdefault("_determinized", a)
+    return trimmed
+
+
+def _sink_free(rows: list, finals: list) -> tuple[list, list]:
+    """The rows and finality of a minimal complete DFA given as dense rows
+    (``rows[q][i]`` the target of q at letter position i, every state
+    reachable from state 0), with its sink dropped as ``drop_sink`` drops
+    it: the states above the sink shift down by one, and a move into the
+    sink reads -1.
+    """
+    sink = next(
+        (q for q, row in enumerate(rows) if not finals[q] and row.count(q) == len(row)), None
     )
+    if sink is None:
+        return rows, finals
+    shift = [t - (t > sink) for t in range(len(rows))]
+    shift[sink] = -1
+    return (
+        [[shift[t] for t in row] for q, row in enumerate(rows) if q != sink],
+        finals[:sink] + finals[sink + 1 :],
+    )
+
+
+def _dense(a: Nfa) -> list:
+    """The rows of a deterministic ``a`` with states 0..n-1: ``rows[q][i]`` the
+    target of q at letter position i, or -1 where q has no move."""
+    table = a._table
+    return [[ts[0] if ts else -1 for ts in table[q]] for q in range(len(a.states))]
 
 
 def explore(starts: Iterable, successors: Callable) -> tuple[list, list]:
@@ -479,23 +505,56 @@ def refine(labels: list, delta: list) -> tuple[list[int], dict]:
             return block, fresh
 
 
+def _quotient(finals: list, delta: list) -> tuple[list, list]:
+    """The minimal complete DFA of a complete DFA given as dense rows.
+
+    The states 0..n-1 must all be reachable from state 0, the initial
+    one, and numbered breadth first: ``delta[q][i]`` is the target of
+    q at letter position i and ``finals[q]`` its finality. Moore
+    refinement (``refine``) from finality numbers the blocks by their
+    first states, which is the order of their shortlex-least access
+    words, so the result depends only on the language. Returns the
+    blocks' rows and finality, the initial block being 0.
+    """
+    block, fresh = refine(finals, delta)
+    rows = [list(targets) for _b, *targets in fresh]  # each signature in block order
+    accepting = [False] * len(rows)
+    for q, final in enumerate(finals):
+        if final:
+            accepting[block[q]] = True
+    return rows, accepting
+
+
+def _dfa(alphabet: Alphabet, rows: list, finals: list) -> Nfa:
+    """The DFA of dense rows over ``alphabet``, -1 for no move, state 0
+    initial unless there are no states, with its table set from the rows."""
+    letters = alphabet.letters
+    d = _unchecked(
+        alphabet,
+        range(len(rows)),
+        (
+            (q, letter, t)
+            for q, row in enumerate(rows)
+            for letter, t in zip(letters, row)
+            if t >= 0
+        ),
+        {0} if rows else (),
+        (q for q, final in enumerate(finals) if final),
+    )
+    table = {q: [[t] if t >= 0 else [] for t in row] for q, row in enumerate(rows)}
+    object.__setattr__(d, "_table", table)
+    return d
+
+
 def minimize(a: Nfa) -> Nfa:
     """Minimal deterministic complete automaton for the same language.
 
-    Moore partition refinement (``refine``) over the subset construction
-    of the input, whose states are all reachable and numbered breadth
-    first, starting from finality. Its table is read once into a dense
-    list, ``delta[q][i]`` the target of state q on the letter at
-    position i. The valuedness search relies on the result being
-    deterministic, not only on its language.
+    ``_quotient`` of the subset construction of the input, whose states
+    are all reachable and numbered breadth first; its table is read once
+    into a dense list, ``delta[q][i]`` the target of state q on the
+    letter at position i. The valuedness search relies on the result
+    being deterministic, not only on its language.
     """
     d = determinize(a)
     delta = [[t for (t,) in d._table[q]] for q in range(len(d.states))]
-    block, fresh = refine([q in d.finals for q in range(len(delta))], delta)
-    return _unchecked(
-        d.alphabet,
-        range(len(fresh)),
-        ((b, letter, t) for b, *ts in fresh for letter, t in zip(d.alphabet.letters, ts)),
-        {block[0]},
-        (block[q] for q in d.finals),
-    )
+    return _dfa(d.alphabet, *_quotient([q in d.finals for q in range(len(delta))], delta))

@@ -4,8 +4,12 @@ Finite valuedness is decided structurally by Weber's two pumping
 patterns, each found in one pass over the strongly connected components
 of a product of the transducer's minimal pair DFA with itself; there,
 runs that part on one input must write different outputs, so no search
-tracks whether outputs have diverged. Finite index reduces to it
-through the uniformizer; the class-membership deciders chain the
+tracks whether outputs have diverged. The search reads that DFA as
+dense rows. Finite index reduces to it through the uniformizer: the
+composition of the uniformizer with the target feeds the subset
+construction directly (``relations._composed``), and the search reads
+the minimal rows it returns, with no automaton built in between. The
+class-membership deciders chain the
 necessary conditions and, on success, hand back a synthesized witness
 whose kernel has been checked exactly against the input by
 ``synthesis.kernel_counterexample``. No decision enumerates words.
@@ -27,14 +31,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .automata import drop_sink, includes, minimize
+from .automata import _dense, _sink_free, drop_sink, includes, minimize
 from .errors import InternalInvariantError, NotEquivalenceError, NotFinerError, NotLetterToLetterError
 from .machines import SequentialTransducer, SubsequentialTransducer
 from .relations import (
     ClosureResult,
     Prepared,
     RelationValidation,
-    compose,
+    _composed,
     min_lex_uniformizer,
     prepare,
 )
@@ -132,20 +136,21 @@ def _explore(starts, expand, bits: dict) -> tuple[dict, list[int], list[int]]:
     return ids, comp, reach
 
 
-def _has_transfer(step: list[dict], linked: list[tuple[int, int]]) -> bool:
+def _has_transfer(moves: list, linked: list[tuple[int, int]]) -> bool:
     """Loop at p, transfer p to q, loop at q, all on one input word, on a
-    pair-deterministic ``step``: (p, q, q) reached from (p, p, q).
+    pair-deterministic machine with ``moves[q][x]`` the (output, next)
+    moves of q on input x: (p, q, q) reached from (p, p, q).
     """
-    n = len(step)
+    n = len(moves)
 
     def expand(node):
         x, y, z = node
         return [
             (x2, y2, z2)
-            for a, xs in step[x].items()
+            for xs, ys, zs in zip(moves[x], moves[y], moves[z])
             for _, x2 in xs
-            for _, y2 in step[y].get(a, ())
-            for _, z2 in step[z].get(a, ())
+            for _, y2 in ys
+            for _, z2 in zs
         ]
 
     targets = {(p, q, q): 1 << (p * n + q) for p, q in linked}
@@ -153,52 +158,91 @@ def _has_transfer(step: list[dict], linked: list[tuple[int, int]]) -> bool:
     return any(reach[comp[ids[(p, p, q)]]] >> (p * n + q) & 1 for p, q in linked)
 
 
+def _finitely_valued(rows: list, width: int) -> bool:
+    """The valuedness search on a trimmed minimal pair DFA given as dense rows:
+    ``rows[q][x * width + z]`` the target of q on the pair (x, z), -1 for none.
+
+    Infinite exactly when the machine shows one of Weber's two pumpable
+    patterns: a state with two equal-input loops of different output, or
+    a loop-transfer-loop triple. The square pass walks the
+    input-synchronized self-product on integer nodes p * n + q from every
+    diagonal node (p, p) with ``_explore``, whose Tarjan numbers the
+    components in reverse topological order, keeping each node's
+    successors. The loops are an edge of different outputs inside the
+    component of a diagonal node; that is tested first. Otherwise the
+    components are labelled forward, from the highest number down:
+    ``label[c]`` gains bit p from (p, p) and passes its bits on to every
+    successor component, so (p, q) is reached from (p, p) exactly when
+    bit p is in the label of its component, with n bits per component.
+    The triple is (p, q, q) reached from (p, p, q) in the triple product,
+    for p != q so linked; it needs no divergence flag: the loop and the
+    transfer leave p on one input and end in different states, which in a
+    pair DFA they can only do by writing different outputs.
+    """
+    n = len(rows)
+    # per state and input letter: its (output position, target) moves
+    moves = [
+        [[(z, t) for z, t in enumerate(row[x : x + width]) if t >= 0] for x in range(0, len(row), width)]
+        for row in rows
+    ]
+    diverging = []  # square edges whose two outputs differ
+    succ = {}  # node -> its successor nodes
+
+    def expand(node):
+        p, q = divmod(node, n)
+        succ[node] = out = []
+        for xs, ys in zip(moves[p], moves[q]):
+            for z1, p2 in xs:
+                for z2, q2 in ys:
+                    out.append(p2 * n + q2)
+                    if z1 != z2:
+                        diverging.append((node, p2 * n + q2))
+        return out
+
+    diagonal = range(0, n * n, n + 1)  # the nodes (p, p)
+    ids, comp, components = _explore(diagonal, expand, {})
+    looped = {comp[ids[d]] for d in diagonal}
+    for u, v in diverging:
+        c = comp[ids[u]]
+        if c == comp[ids[v]] and c in looped:
+            return False
+    members: list[list] = [[] for _ in components]
+    for node, v in ids.items():
+        members[comp[v]].append(node)
+    label = [0] * len(members)
+    for p, d in enumerate(diagonal):
+        label[comp[ids[d]]] |= 1 << p
+    for c in range(len(members) - 1, -1, -1):  # sources first
+        bits = label[c]
+        for node in members[c]:
+            for w in succ[node]:
+                label[comp[ids[w]]] |= bits
+    linked = [
+        (p, q)
+        for node, v in ids.items()
+        for p, q in [divmod(node, n)]
+        if p != q and label[comp[v]] >> p & 1
+    ]
+    return not _has_transfer(moves, linked)
+
+
 def is_finitely_valued(t: LetterTransducer) -> bool:
     """Structural finite-valuedness of the realized transduction.
 
-    Valuedness depends only on the relation, so the search runs on its
-    minimal pair DFA without the sink (``drop_sink``, which trims it).
-    ``minimize`` numbers its blocks by the shortlex-least words reaching
-    them, so its result depends only on the language and needs no
-    trimmed input. Infinite exactly when that machine shows one of the
-    two pumpable patterns: a state with two equal-input loops of
-    different output, or a loop-transfer-loop triple. Each is found in
-    one Tarjan pass over an input-synchronized product: the loops are an
-    edge of different outputs inside the component of a diagonal pair
-    (q, q) of the square; the triple is (p, q, q) reached from (p, p, q)
-    in the triple product, for p != q linked by the square from (p, p).
-    The triple needs no divergence flag: the loop and the transfer leave
-    p on one input and end in different states, which in a pair DFA they
-    can only do by writing different outputs. Both reachabilities are
-    propagated over the components as int bitsets, one bit per state pair.
+    Valuedness depends only on the relation, so ``_finitely_valued``
+    searches its minimal pair DFA without the sink (``drop_sink``, which
+    trims it), read into dense rows. ``minimize`` numbers its blocks by
+    the shortlex-least words reaching them, so its result depends only
+    on the language and needs no trimmed input.
     """
-    nfa = drop_sink(minimize(t.nfa))
-    n = len(nfa.states)  # numbered 0..n-1
-    step: list[dict] = [{} for _ in range(n)]  # state -> input -> [(output, next)]
-    for p, (a, b), q in nfa.transitions:
-        step[p].setdefault(a, []).append((b, q))
-    diverging = []  # square edges whose two outputs differ
+    return _finitely_valued(_dense(drop_sink(minimize(t.nfa))), len(t.output_alphabet))
 
-    def expand(pair):
-        out = []
-        for a, xs in step[pair[0]].items():
-            for b2, q2 in step[pair[1]].get(a, ()):
-                for b1, q1 in xs:
-                    out.append((q1, q2))
-                    if b1 != b2:
-                        diverging.append((pair, (q1, q2)))
-        return out
 
-    pairs = {(p, q): 1 << (p * n + q) for p in range(n) for q in range(n)}
-    ids, comp, reach = _explore([(p, p) for p in range(n)], expand, pairs)
-    diagonal = {comp[ids[(p, p)]] for p in range(n)}
-    if any(comp[ids[u]] == comp[ids[v]] and comp[ids[v]] in diagonal for u, v in diverging):
-        return False
-    linked = [
-        (p, q) for p in range(n) for q in range(n)
-        if q != p and reach[comp[ids[(p, p)]]] >> (p * n + q) & 1
-    ]
-    return not _has_transfer(step, linked)
+def _composition_finitely_valued(f: LetterTransducer, target: LetterTransducer) -> bool:
+    """``is_finitely_valued(compose(f, target))``, searched on the dense rows of
+    ``relations._composed`` with the sink dropped: no automaton is built."""
+    rows, _finals = _sink_free(*_composed(f, target))
+    return _finitely_valued(rows, len(f.output_alphabet))
 
 
 def index_is_finite(s: LetterTransducer, r: LetterTransducer) -> bool:
@@ -208,7 +252,7 @@ def index_is_finite(s: LetterTransducer, r: LetterTransducer) -> bool:
     """
     if not includes(s.nfa, r.nfa):
         raise NotFinerError("first relation is not included in the second")
-    return is_finitely_valued(compose(min_lex_uniformizer(s), r))
+    return _composition_finitely_valued(min_lex_uniformizer(s), r)
 
 
 def _finite_index(prep: Prepared, target: LetterTransducer) -> bool:
@@ -220,7 +264,7 @@ def _finite_index(prep: Prepared, target: LetterTransducer) -> bool:
     closure passes ``validate_closure_witness`` first, so it contains
     the prefix closure too.
     """
-    return is_finitely_valued(compose(prep.uniformizer, target))
+    return _composition_finitely_valued(prep.uniformizer, target)
 
 
 def _certify(machine, prep: Prepared, what: str) -> None:

@@ -4,7 +4,12 @@ Everything a relation-level decision needs: validation as an equivalence
 relation, composition, inverse, the syntactic congruence, prefix
 closure, a capped transitive-closure fixpoint, and the minimum-lexicographic
 uniformizer that turns an equivalence into the graph of a canonical
-function. ``prepare`` validates a relation and builds the pair DFA and
+function. Where a decision needs a composition only up to its language,
+``_composed`` runs the subset construction on pairs of the two
+relations' states, so the minimal DFA of the composition is reached in
+one pass with no product automaton built: the index checks read its
+dense rows, and each closure round reads it as the trimmed automaton
+``_minimal_composition``. ``prepare`` validates a relation and builds the pair DFA and
 diagonal states that all its stages share. Both the validation and the
 prepared stages, the closure searched for each cap and its index
 included, are kept on the relation object, the way
@@ -30,8 +35,11 @@ from functools import cached_property, wraps
 from typing import Callable, Iterator
 
 from .automata import (
+    _EMPTY,
     Alphabet,
     Nfa,
+    _dfa,
+    _quotient,
     _unchecked,
     coaccessible_states,
     determinize,
@@ -115,6 +123,75 @@ def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
         lambda pair: pair[0] in s.nfa.finals and pair[1] in r.nfa.finals,
     )
     return LetterTransducer(s.input_alphabet, r.output_alphabet, nfa)
+
+
+def _composed(r: LetterTransducer, s: LetterTransducer) -> tuple[list, list]:
+    """The minimal complete DFA of ``compose(r, s)`` as dense rows and finality,
+    as ``automata._quotient`` returns them, with no automaton built.
+
+    The subset construction runs on sets of (s-state, r-state) pairs,
+    each pair coded as one integer: a set's successor at the pair letter
+    (x, z) is the union, over its pairs (p1, p2) and middle letters y,
+    of the moves of p1 on (x, y) joined with those of p2 on (y, z).
+    Each pair's row is joined once. The start set holds every pair of
+    initial states, sets are numbered breadth first with the pair
+    letters in order, and a set is final when it holds a pair of final
+    states: these are the sets, in the order, that ``determinize``
+    reaches on ``compose(r, s)``, so the quotient is the one ``minimize``
+    builds there, numbered alike.
+    """
+    if s.output_alphabet != r.input_alphabet:
+        raise AlphabetMismatchError(
+            "composition needs the first-applied output alphabet to match "
+            "the second relation's input alphabet"
+        )
+    ny, nz = len(r.input_alphabet), len(r.output_alphabet)
+    width = len(s.input_alphabet) * nz
+    s_table, r_table = s.nfa._table, r.nfa._table
+    lo = min(r.nfa.states, default=0)
+    m = max(r.nfa.states, default=0) - lo + 1  # codes p1 * m + (p2 - lo) are distinct
+    joined: dict = {}  # pair code -> its successor codes, per pair-letter position
+
+    def join(code):
+        p1, p2 = divmod(code, m)
+        row = [[] for _ in range(width)]
+        r_row = r_table[p2 + lo]
+        for i, q1s in enumerate(s_table[p1]):
+            if q1s:
+                x, y = divmod(i, ny)
+                for z, q2s in enumerate(r_row[y * nz : (y + 1) * nz], start=x * nz):
+                    if q2s:
+                        row[z] += [q1 * m + q2 - lo for q1 in q1s for q2 in q2s]
+        joined[code] = row
+        return row
+
+    accepting = {p1 * m + p2 - lo for p1 in s.nfa.finals for p2 in r.nfa.finals}
+    start = frozenset(p1 * m + p2 - lo for p1 in s.nfa.initials for p2 in r.nfa.initials)
+    sets = [start]
+    ids = {start: 0}
+    delta = []
+    empty = [()] * width  # the row of the empty set
+    for pairs in sets:  # sets grows while it is walked
+        rows = [joined.get(code) or join(code) for code in pairs] or [empty]
+        targets = []
+        for succ in map(_EMPTY.union, *rows):
+            t = ids.get(succ)
+            if t is None:
+                t = ids[succ] = len(sets)
+                sets.append(succ)
+            targets.append(t)
+        delta.append(targets)
+    return _quotient([not pairs.isdisjoint(accepting) for pairs in sets], delta)
+
+
+def _minimal_composition(r: LetterTransducer, s: LetterTransducer) -> Nfa:
+    """``drop_sink(minimize(compose(r, s).nfa))``, read off ``_composed``.
+
+    The complete minimal DFA is kept as the result's subset construction,
+    as ``drop_sink`` keeps it.
+    """
+    rows, finals = _composed(r, s)
+    return drop_sink(_dfa(pair_alphabet(s.input_alphabet, r.output_alphabet), rows, finals))
 
 
 def _kept(build: Callable) -> Callable:
@@ -307,7 +384,9 @@ class Prepared:
     def closure(self, cap: int) -> tuple[ClosureResult, bool | None]:
         """The closure searched from the prefix closure with ``cap`` rounds,
         and whether the congruence has finite index with respect to it
-        (None when the search did not converge), kept per cap.
+        (None when the search did not converge), kept per cap. A search
+        that converged at exponent k answers every cap of at least k: it
+        stops at the same round whatever the cap above k.
 
         A relation that is not prefix-closed is searched by
         ``transitive_closure(prefix_closure(relation), cap)``. A
@@ -320,8 +399,13 @@ class Prepared:
         """
         from .decision import _finite_index
 
-        if cap in self._closures:
-            return self._closures[cap]
+        kept = self._closures.get(cap) or next(
+            (v for v in self._closures.values() if v[0].converged and v[0].exponent <= cap),
+            None,
+        )
+        if kept is not None:
+            self._closures[cap] = kept
+            return kept
         r = self.relation
         if self.prefix_closed:
             _require_cap(cap)
@@ -383,10 +467,6 @@ def is_prefix_closed(r: LetterTransducer) -> bool:
     return prepare(r).prefix_closed
 
 
-def _canonical(t: LetterTransducer) -> LetterTransducer:
-    return t.with_nfa(drop_sink(minimize(t.nfa)))
-
-
 def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     """Iterate q <- q after p until the language stabilizes.
 
@@ -400,7 +480,9 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     walk of ``_axioms`` answers it instead: a transitive p is its own
     closure at exponent 1, and only otherwise does the loop compose and
     compare, from its first round on. Every iterate is the trimmed
-    minimal pair DFA of its language. Stops either at the first exponent
+    minimal pair DFA of its language, each later one composed straight
+    into it by ``_minimal_composition``, which keeps the complete
+    minimal DFA as its subset construction for the synthesis. Stops either at the first exponent
     k with equal consecutive iterates (converged, the closure realizes
     the full transitive closure) or after ``cap`` comparisons (not
     converged). Running out of cap is a reportable outcome, not an
@@ -418,7 +500,7 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     if next(axioms):
         return ClosureResult(closure=current, exponent=1, converged=True)
     for k in range(1, cap + 1):
-        nxt = _canonical(compose(current, p))
+        nxt = p.with_nfa(_minimal_composition(current, p))
         if includes(nxt.nfa, current.nfa):
             return ClosureResult(closure=current, exponent=k, converged=True)
         current = nxt

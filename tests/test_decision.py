@@ -457,7 +457,7 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
 
     walks = count_calls(monkeypatch, relations, "_axioms")
     builds = count_calls(monkeypatch, relations, "_uniformizer")
-    compositions = count_calls(monkeypatch, relations, "compose")
+    compositions = count_calls(monkeypatch, relations, "_composed")
     subsets = count_calls(monkeypatch, automata, "_subsets")
     searches = count_calls(monkeypatch, relations, "transitive_closure")
     validated = count_calls(monkeypatch, synthesis, "validate_closure_witness")
@@ -496,11 +496,13 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
                 synthesize(r)
         assert len(validation_walks(r)) == 1
         assert len(builds) == 1
-        # analyze, then decide lp twice: the cap searched above is read
-        # back with no composition, axiom walk or subset construction, and
-        # a new cap is searched once (a prefix-closed relation never is);
-        # a supplied closure is validated and checked on every call
-        for again_cap, kept in ((cap, True), (cap + 1, False)):
+        # analyze, then decide lp twice: the cap searched above, and a
+        # larger one when that search converged, is read back with no
+        # composition, axiom walk or subset construction, and a larger cap
+        # is searched once when it did not (a prefix-closed relation never
+        # is); a supplied closure is validated and checked on every call
+        converged = closure is None and prepare(r).closure(cap)[0].converged
+        for again_cap, kept in ((cap, True), (cap + 1, converged)):
             for calls in (walks, compositions, subsets, searches, validated, checked):
                 calls.clear()
             analyze(r, pplus=closure, cap=again_cap)
@@ -511,9 +513,8 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
                 assert [args[1] for args in checked] == [closure] * 3
             elif kept:
                 assert walks == compositions == subsets == searches == []
-            elif prepare(r).prefix_closed:
-                assert walks == compositions == searches == []
             else:
+                assert not prepare(r).prefix_closed
                 assert len(searches) == 1
     # a prefix-closed relation's closure is read off its kept pair DFA:
     # no subset construction, no axiom walk, no composition
@@ -543,7 +544,7 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
     assert len(builds) == 1
     # validate, analyze and decide ll on a fresh prefix-closed relation
     # check its valuedness once: both indices are the one kept index
-    valued = count_calls(monkeypatch, decision, "is_finitely_valued")
+    valued = count_calls(monkeypatch, decision, "_finitely_valued")
     r = build_agree_except_last(3)
     validate_relation(r), analyze(r), decide_kerseq_ll(r)
     assert len(valued) == 1
@@ -809,13 +810,13 @@ def test_analyze_index_wrt_relation_equals_the_direct_check(monkeypatch):
         (build_a_parity(), {"pplus": full_same_length(AB)}),
     ] + [(r, {}) for r in default_suite(200, seed=7)]
     calls = []
-    real = decision.is_finitely_valued
+    real = decision._finitely_valued
 
-    def spy(t):
-        calls.append(t)
-        return real(t)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(decision, "is_finitely_valued", spy)
+    monkeypatch.setattr(decision, "_finitely_valued", spy)
     seen = set()
     for i, (r, kwargs) in enumerate(cases):
         calls.clear()
@@ -914,6 +915,78 @@ def test_the_kept_closure_is_the_closure_searched_afresh():
         assert vars(prep)["_closures"] == {}
     # the index against r still comes first: no closure work, no raise
     assert decide_kerseq_lp(build_c_singletons(), cap=0).reason == INFINITE_INDEX
+
+
+def test_the_closure_keeps_its_complete_minimal_dfa(monkeypatch):
+    from kernseq import automata, synthesis
+
+    fixtures = [
+        build_last_a(),
+        build_a_parity(),
+        build_agree_except_last(3),
+        build_chained_classes(),
+        build_chain(3),
+        full_same_length(AB),
+    ]
+    for r in fixtures + default_suite(200, seed=7):
+        closure = prepare(r).closure(DEFAULT_CLOSURE_CAP)[0].closure
+        assert pair_dfa(closure).nfa == minimize(closure.nfa) == automata._subsets(closure.nfa)
+    # so the synthesis builds no subset construction of a fresh relation's closure
+    built = count_calls(monkeypatch, automata, "_subsets")
+    real = synthesis.subsequential_machine
+    during = []  # subset constructions per synthesis
+
+    def spy(prep, pplus):
+        before = len(built)
+        machine = real(prep, pplus)
+        during.append(len(built) - before)
+        return machine
+
+    monkeypatch.setattr(synthesis, "subsequential_machine", spy)
+    for r in default_suite(200, seed=7):
+        assert decide_kerseq_lp(r).outcome is Outcome.YES
+    assert len(during) == 200 and set(during) == {0}
+
+
+# The closure of identity(AB) drawn as ROADMAP's D4 describes it: the draw
+# of largest minimal size, 484 states, among 30. Its square has 484²
+# nodes; a search holding a bitset of them per pair needs some 3 GB.
+_LARGE_CLOSURE_INDEX = """
+import random, resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from kernseq import decision
+from kernseq.automata import Alphabet, drop_sink, minimize
+from kernseq.oracle import random_equivalence
+from kernseq.relations import prepare
+from kernseq.transducers import identity
+
+rng = random.Random(3)
+draws = [random_equivalence(rng, max_states=24) for _ in range(30)]
+sizes = [len(drop_sink(minimize(c.nfa)).states) for c in draws]
+closure = draws[sizes.index(max(sizes))]
+print(max(sizes), decision._finite_index(prepare(identity(Alphabet(("a", "b")))), closure))
+"""
+
+
+def test_the_valuedness_search_answers_a_large_closure_in_bounded_memory():
+    pytest.importorskip("resource")
+    import os
+    import subprocess
+
+    import kernseq
+
+    src = os.path.dirname(os.path.dirname(kernseq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LARGE_CLOSURE_INDEX, str(512 << 20)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["484", "False"]
 
 
 def test_analyze_non_equivalence_read_only_validation():

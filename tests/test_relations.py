@@ -176,6 +176,7 @@ def test_validation_runs_no_inclusion_composition_or_inverse(monkeypatch, last_a
     calls = [
         count_calls(monkeypatch, automata, "includes"),
         count_calls(monkeypatch, relations, "compose"),
+        count_calls(monkeypatch, relations, "_composed"),
         count_calls(monkeypatch, relations, "inverse"),
     ]
     bare = LetterTransducer.build(AB, AB, {0, 1}, {(0, ("a", "b"), 1)}, {0}, {1})
@@ -183,7 +184,7 @@ def test_validation_runs_no_inclusion_composition_or_inverse(monkeypatch, last_a
         validate_relation(r)
     for r in (last_a, a_parity, build_chain(3)):
         prepare(r)
-    assert calls == [[], [], []]
+    assert calls == [[], [], [], []]
 
 
 # ---------------------------------------------------------------- compose / inverse
@@ -214,6 +215,54 @@ def test_compose_alphabet_mismatch():
     r = LetterTransducer.build(ABC, ABC, {0}, {(0, ("a", "a"), 0)}, {0}, {0})
     with pytest.raises(AlphabetMismatchError):
         compose(r, identity(AB))
+
+
+def _random_on(rng, inputs, outputs, states):
+    """A random nondeterministic transducer on the given states, often
+    with an empty language or no accepting path through its middle."""
+    pairs = [(a, b) for a in inputs.letters for b in outputs.letters]
+    transitions = {
+        (rng.choice(states), rng.choice(pairs), rng.choice(states))
+        for _ in range(rng.randint(0, 3 * len(states)))
+    }
+    initials = rng.sample(states, rng.randint(0, min(2, len(states))))
+    finals = rng.sample(states, rng.randint(1, len(states)))
+    return LetterTransducer.build(inputs, outputs, states, transitions, initials, finals)
+
+
+def test_minimal_composition_is_the_minimized_composition(monkeypatch):
+    from kernseq import automata, relations
+    from kernseq.relations import _minimal_composition
+
+    def check(r, s):
+        got = _minimal_composition(r, s)
+        assert got == drop_sink(minimize(compose(r, s).nfa))
+        # the complete minimal DFA it keeps is its subset construction
+        assert determinize(got) == automata._subsets(got) == minimize(got)
+        return got
+
+    # every index input and every closure round, and the fixtures whose
+    # index is infinite: the seeded suite never reaches that answer
+    rounds = count_calls(monkeypatch, relations, "_minimal_composition")
+    fixtures = [build_last_a(), build_c_singletons(), build_chained_classes(), build_chain(3)]
+    infinite = 0
+    for r in fixtures + default_suite(200, seed=7):
+        uniformizer = prepare(r).uniformizer
+        result = transitive_closure(prefix_closure(r), DEFAULT_CLOSURE_CAP)
+        for target in (r, result.closure) if result.converged else (r,):
+            infinite += not is_finitely_valued(target.with_nfa(check(uniformizer, target)))
+    assert len(rounds) >= 4 and infinite >= 3
+    for current, p in list(rounds):
+        check(current, p)
+    # random nondeterministic transducers through a three-letter middle,
+    # the second applied numbered from -2 with gaps
+    rng = random.Random(23)
+    empty = 0
+    for _ in range(600):
+        s = _random_on(rng, AB, ABC, list(range(rng.randint(1, 4))))
+        r = _random_on(rng, ABC, AB, [-2, 0, 3, 7][: rng.randint(1, 4)])
+        empty += not check(r, s).states
+    assert 50 < empty < 550
 
 
 def test_inverse_of_identity_is_identity(ident_ab):
@@ -459,7 +508,7 @@ def test_closure_runs_one_inclusion_per_round(monkeypatch, ident_ab, chained_cla
     from kernseq import automata, relations
 
     calls = count_calls(monkeypatch, automata, "includes")
-    composed = count_calls(monkeypatch, relations, "compose")
+    composed = count_calls(monkeypatch, relations, "_minimal_composition")
     # a transitive input is its own closure, read off the axiom walk
     result = transitive_closure(ident_ab, 3)
     assert (result.exponent, result.converged) == (1, True)
