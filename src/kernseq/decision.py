@@ -12,7 +12,9 @@ the minimal rows it returns, with no automaton built in between. The
 class-membership deciders chain the
 necessary conditions and, on success, hand back a synthesized witness
 whose kernel has been checked exactly against the input by
-``synthesis.kernel_counterexample``. No decision enumerates words.
+``synthesis.kernel_counterexample``. An eliminated witness equal to the
+body of a subsequential stage with one final-output value has that
+stage's kernel, so one walk checks both. No decision enumerates words.
 
 Every entry point reads its relation's stages from the ``Prepared``
 value that ``relations.prepare`` keeps on the relation object: the
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .automata import _dense, _sink_free, drop_sink, includes, minimize
 from .errors import InternalInvariantError, NotEquivalenceError, NotFinerError, NotLetterToLetterError
@@ -279,6 +282,10 @@ def _certify(machine, prep: Prepared, what: str) -> None:
         raise InternalInvariantError(f"{what} kernel differs from input on {pair}")
 
 
+# what the kernel check reads of a sequential machine: all but its output alphabet
+_body = attrgetter("input_alphabet", "states", "initial", "finals", "transitions")
+
+
 def decide_kerseq_ll(r: LetterTransducer) -> Verdict:
     """Is r the kernel of some letter-to-letter sequential machine?
 
@@ -314,9 +321,10 @@ def decide_kerseq_lp(
     relation object is searched once per cap; a supplied closure is
     validated and its index checked on every call. YES verdicts carry the
     final-output-free witness, made Moore-minimal by ``minimal_machine``,
-    with the subsequential stage attached; the kernels of both are
-    checked exactly against r. Raises ``NotEquivalenceError`` unless r
-    is an equivalence.
+    with the subsequential stage attached. The stage's kernel is checked
+    exactly against r, and the witness's by a walk of its own unless the
+    stage has one final-output value and the witness equals its body.
+    Raises ``NotEquivalenceError`` unless r is an equivalence.
     """
     from .synthesis import (
         eliminate_final_output,
@@ -344,7 +352,9 @@ def decide_kerseq_lp(
     sub = minimal_machine(subsequential_machine(prep, pplus))
     witness = minimal_machine(eliminate_final_output(sub))
     _certify(sub, prep, "subsequential witness")
-    _certify(witness, prep, "witness after final-output elimination")
+    # with one final-output value, a witness equal to the body squares as sub did
+    if len(set(sub.final_output.values())) > 1 or _body(witness) != _body(sub.base):
+        _certify(witness, prep, "witness after final-output elimination")
     return Verdict(
         Outcome.YES, witness=witness, subsequential=sub, closure=closure_result
     )

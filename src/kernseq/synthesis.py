@@ -37,7 +37,7 @@ Every witness leaves the package Moore-minimal: the deciders and the
 ``synthesize_*`` functions pass what the constructions build through
 ``minimal_machine``, which merges the states that give the same output
 on every input, before any final-output elimination, and ``decide lp``
-passes the eliminated machine through it again. The constructions
+passes the eliminated machine through it too. The constructions
 themselves keep one state per (matrix, row).
 
 The kernels are checked exactly by ``kernel_counterexample``: one
@@ -95,26 +95,25 @@ STATE_CAP = 100_000
 # needs 349,525 entries.
 ENTRY_CAP = 2_000_000
 
-def _partition(related, what):
+def _partition(rows, what):
     """Each item's least class member under a claimed equivalence, verified.
 
-    Items are numbered in the fixed order and ``related[x][y]`` is the
-    claim for items x and y, so an item that relates to no earlier class
-    minimum starts a class and is its minimum.
+    Items are numbered in the fixed order and ``rows[x]`` is the claim for
+    item x as ``bytes``: byte y is 1 when x relates to y, else 0. The claim
+    is an equivalence exactly when every row is the indicator of the items
+    with an equal row; those items are then a class, and the first of them
+    is its least member.
     """
-    minima: list = []
-    least: list = []
-    for x, rx in enumerate(related):
-        m = next((m for m in minima if rx[m]), x)
-        least.append(m)
-        if m == x:
-            minima.append(x)
-    for x, rx in enumerate(related):
-        if rx != [least[x] == m for m in least]:
-            raise InternalInvariantError(
-                f"{what} is not an equivalence relation on successor items; "
-                "a synthesis precondition does not actually hold"
-            )
+    first: dict = {}  # distinct row -> the first item with it
+    least = [first.setdefault(row, x) for x, row in enumerate(rows)]
+    indicator = {row: bytearray(len(rows)) for row in first}
+    for x, row in enumerate(rows):
+        indicator[row][x] = 1
+    if any(indicator[row] != row for row in first):
+        raise InternalInvariantError(
+            f"{what} is not an equivalence relation on successor items; "
+            "a synthesis precondition does not actually hold"
+        )
     return least
 
 
@@ -146,16 +145,15 @@ def _worklist(
     rows of a pair DFA's table; it is called once per distinct entry.
     Each distinct matrix is interned once, checked once and, on its
     first expansion, given a table of moves for all of its rows. The
-    table is built from one table of the entries reached on reading the
-    pair of two items (row, letter), read by both groupings and by the
-    successor matrices. The items are grouped twice by that entry: by
-    ``coarse_final`` and, finer, by ``fine_final``, each evaluated once
-    per distinct entry, when a row of ``targets`` first lists it, and
-    kept beside the rows, so the two tables of groupings are looked up
-    cell by cell from the table of entries. Each coarse class outputs
-    its least item and steps to the matrix whose rows are its fine-class
-    minima, in order; an item moves to the row of its fine-class
-    minimum. Returns the matrices in the order they were
+    items (row, letter) are grouped twice by the entry reached on reading
+    the pair of two items: by ``coarse_final`` and, finer, by
+    ``fine_final``. Each distinct entry and input letter a is cut once
+    into a piece: its targets on (a, b) by b, and their two flags as
+    ``bytes``; the claims of an item (row i, letter a) about every item
+    are the join of the pieces of row i's entries on a. Each coarse class
+    outputs its least item and steps to the matrix whose rows are its
+    fine-class minima, in order; an item moves to the row of its
+    fine-class minimum. Returns the matrices in the order they were
     interned, the discovery-ordered states as (matrix index, row) pairs,
     transitions keyed by (state id, input letter) valued ((output row,
     output letter), successor id), and the largest dimension reached.
@@ -164,9 +162,7 @@ def _worklist(
     index: dict = {}
     matrices: list = []
     tables: dict = {}
-    rows: dict = {}  # entry -> targets(entry)
-    coarse_of: dict = {}  # entry -> coarse_final(entry), for every entry of a row
-    fine_of: dict = {}  # entry -> fine_final(entry), likewise
+    pieces: dict = {}  # entry -> per input letter: (targets, coarse flags, fine flags)
     entries = 0
     expanded = 0
 
@@ -182,28 +178,28 @@ def _worklist(
             matrices.append(matrix)
         return mi
 
+    def cut(entry):
+        found = pieces.get(entry)
+        if found is None:
+            row = targets(entry)
+            parts = [row[a * width : (a + 1) * width] for a in range(width)]
+            found = pieces[entry] = [
+                (part, bytes(map(coarse_final, part)), bytes(map(fine_final, part)))
+                for part in parts
+            ]
+        return found
+
     def moves(matrix):
-        # item (row i, letter a) is number (i - 1) * width + a; succ[x][y]
-        # is the entry reached on reading the pair of items x and y
-        n = len(matrix) * width
-        succ = [[None] * n for _ in range(n)]
-        for i, matrix_row in enumerate(matrix):
-            for j, entry in enumerate(matrix_row):
-                row = rows.get(entry)
-                if row is None:
-                    row = rows[entry] = targets(entry)
-                    for q in row:
-                        if q not in coarse_of:
-                            coarse_of[q] = coarse_final(q)
-                            fine_of[q] = fine_final(q)
-                for a in range(width):
-                    succ[i * width + a][j * width : (j + 1) * width] = row[
-                        a * width : (a + 1) * width
-                    ]
-        coarse = _partition(
-            [list(map(coarse_of.__getitem__, line)) for line in succ], "coarse grouping"
-        )
-        fine = _partition([list(map(fine_of.__getitem__, line)) for line in succ], "fine grouping")
+        # item (row i, letter a) is number (i - 1) * width + a, and lines[x]
+        # lists its pieces, one per entry of its matrix row
+        lines = [
+            [cells[a] for cells in map(cut, matrix_row)]
+            for matrix_row in matrix
+            for a in range(width)
+        ]
+        coarse = _partition([b"".join(p[1] for p in line) for line in lines], "coarse grouping")
+        fine = _partition([b"".join(p[2] for p in line) for line in lines], "fine grouping")
+        n = len(lines)
         if any(coarse[fine[x]] != coarse[x] for x in range(n)):
             raise InternalInvariantError("fine grouping does not refine coarse grouping")
         reps: dict = {}  # least item of each coarse class -> its fine-class minima
@@ -212,7 +208,9 @@ def _worklist(
                 reps.setdefault(coarse[x], []).append(x)
         step = {}  # fine-class minimum -> (successor matrix index, row)
         for minima in reps.values():
-            target = intern(tuple(tuple(succ[x][y] for y in minima) for x in minima))
+            target = intern(
+                tuple(tuple(lines[x][y // width][0][y % width] for y in minima) for x in minima)
+            )
             step.update((rep, (target, m)) for m, rep in enumerate(minima, start=1))
         item = [(x // width + 1, letters[x % width]) for x in range(n)]
         return [(item[coarse[x]], step[fine[x]]) for x in range(n)]
@@ -477,8 +475,13 @@ def eliminate_final_output(m: SubsequentialTransducer) -> SequentialTransducer:
     the class of the ending state. The class of the initial state is
     numbered n so that empty input needs no special treatment, and
     non-final states (none in synthesized machines) share that number.
-    The result is sequential, letter-to-letter only when n is 1, and
-    has the same kernel as the input machine.
+    A state is a body state with the last body output letter, which it
+    carries into its next step. With n = 1 that letter is repeated 0
+    times, so each body state is one state, and its letter is the one
+    it is first reached with. States are numbered breadth first; a
+    state's provenance is ``str((body state, letter))``. The result is
+    sequential, letter-to-letter only when n is 1, and has the same
+    kernel as the input machine.
     """
     base = m.base
     if not base.finals:
@@ -490,6 +493,8 @@ def eliminate_final_output(m: SubsequentialTransducer) -> SequentialTransducer:
     if initial_value is not None:
         values = [v for v in values if v != initial_value] + [initial_value]
     klass = {v: i for i, v in enumerate(values, start=1)}
+    start = base.output_alphabet.letters[0]
+    first = {base.initial: start}  # body state -> the letter it is first reached with
 
     def class_of(state: int) -> int:
         if state in base.finals:
@@ -503,9 +508,10 @@ def eliminate_final_output(m: SubsequentialTransducer) -> SequentialTransducer:
             if hop is None:
                 continue
             (b,), q = hop
-            yield (a, (c,) * (n - class_of(p)) + (b,) * class_of(q)), (q, b)
+            first.setdefault(q, b)
+            yield (a, (c,) * (n - class_of(p)) + (b,) * class_of(q)), (q, b if n > 1 else None)
 
-    order, edges = explore([(base.initial, base.output_alphabet.letters[0])], successors)
+    order, edges = explore([(base.initial, start if n > 1 else None)], successors)
     return SequentialTransducer(
         input_alphabet=base.input_alphabet,
         output_alphabet=base.output_alphabet,
@@ -513,7 +519,9 @@ def eliminate_final_output(m: SubsequentialTransducer) -> SequentialTransducer:
         transitions={(sid, a): (out, dst) for sid, (a, out), dst in edges},
         initial=0,
         finals=frozenset(sid for sid, (p, _c) in enumerate(order) if p in base.finals),
-        provenance={sid: str(pc) for sid, pc in enumerate(order)},
+        provenance={
+            sid: str((p, first[p] if c is None else c)) for sid, (p, c) in enumerate(order)
+        },
     )
 
 

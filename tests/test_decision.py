@@ -736,7 +736,9 @@ def test_decide_lp_makes_no_oracle_call(monkeypatch, a_parity, chained_classes):
         assert decide_kerseq_lp(r, cap=8).outcome is Outcome.YES
 
 
-def test_decide_lp_refuses_a_witness_with_the_wrong_kernel(monkeypatch, a_parity):
+def test_decide_lp_refuses_a_witness_with_the_wrong_kernel(
+    monkeypatch, a_parity, agree_except_last
+):
     import kernseq.synthesis
     from kernseq.errors import InternalInvariantError
     from kernseq.machines import SequentialTransducer
@@ -750,8 +752,21 @@ def test_decide_lp_refuses_a_witness_with_the_wrong_kernel(monkeypatch, a_parity
         finals={0},
     )
     monkeypatch.setattr(kernseq.synthesis, "eliminate_final_output", lambda sub: constant)
-    with pytest.raises(InternalInvariantError):
-        decide_kerseq_lp(a_parity)
+    for r in (a_parity, agree_except_last):  # two final-output classes, and one
+        with pytest.raises(InternalInvariantError):
+            decide_kerseq_lp(r)
+
+
+def test_decide_lp_walks_once_for_a_witness_equal_to_the_body(
+    monkeypatch, a_parity, agree_except_last
+):
+    import kernseq.synthesis
+
+    walks = count_calls(monkeypatch, kernseq.synthesis, "kernel_counterexample")
+    decide_kerseq_lp(agree_except_last)  # one final-output class
+    assert len(walks) == 1
+    decide_kerseq_lp(a_parity)  # two
+    assert len(walks) == 3
 
 
 def test_ll_yes_implies_lp_yes(ident_ab, agree_except_last):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kernseq.automata import Alphabet, language_equal
@@ -24,6 +26,7 @@ from kernseq.relations import (
     transitive_closure,
 )
 from kernseq.synthesis import (
+    _partition,
     _worklist,
     eliminate_final_output,
     kernel_counterexample,
@@ -285,6 +288,7 @@ def test_eliminate_hand_case_two_classes(a_parity):
     flat = eliminate_final_output(m)
     assert not flat.is_letter_to_letter
     assert brute_kernel(flat, 6).pairs == brute_kernel(m, 6).pairs
+    assert len(flat.states) == 2  # a (state, letter) state per state: one output letter
     assert brute_kernel(flat, 6).pairs == enumerate_relation(a_parity, 6).pairs
 
 
@@ -297,6 +301,32 @@ def test_eliminate_repetition_counts_encode_classes():
     out_b = flat.run(("b",))
     assert set(out_a) == {"x"} and set(out_b) == {"x"}
     assert len(out_a) != len(out_b)
+
+
+def test_eliminate_one_state_per_body_state_with_one_final_class():
+    sub = decide_kerseq_lp(build_agree_except_last(7)).subsequential
+    assert set(sub.final_output.values()) == {"t1"}
+    flat = eliminate_final_output(sub)
+    assert len(sub.base.states) == len(flat.states) == 128
+    assert flat.transitions == sub.base.transitions and flat.finals == sub.base.finals
+    # two classes: a state is a body state with the letter it carries
+    base = SequentialTransducer(
+        input_alphabet=AB,
+        output_alphabet=Alphabet(("x", "y", "t1", "t2")),
+        states={0, 1},
+        transitions={
+            (0, "a"): (("x",), 1),
+            (0, "b"): (("y",), 0),
+            (1, "a"): (("x",), 0),
+            (1, "b"): (("y",), 1),
+        },
+        initial=0,
+        finals={0, 1},
+    )
+    m = SubsequentialTransducer(base, {0: "t1", 1: "t2"})
+    flat = eliminate_final_output(m)
+    assert sorted(flat.provenance.values()) == ["(0, 'x')", "(0, 'y')", "(1, 'x')", "(1, 'y')"]
+    assert brute_kernel(flat, 6).pairs == brute_kernel(m, 6).pairs
 
 
 def test_eliminate_from_parity_pipeline_matches_relation(a_parity):
@@ -516,3 +546,50 @@ _PAIRS = [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]  # by pair letter posi
 def test_worklist_raises_on_a_broken_invariant(delta, coarse, fine, diag, message):
     with pytest.raises(InternalInvariantError, match=message):
         _worklist(("a", "b"), "d", lambda q: [delta[(q, p)] for p in _PAIRS], coarse, fine, diag)
+
+
+def _reference_partition(related, what):
+    """The all-pairs check ``_partition`` replaced, kept as its reference."""
+    minima: list = []
+    least: list = []
+    for x, rx in enumerate(related):
+        m = next((m for m in minima if rx[m]), x)
+        least.append(m)
+        if m == x:
+            minima.append(x)
+    for x, rx in enumerate(related):
+        if rx != [least[x] == m for m in least]:
+            raise InternalInvariantError(f"{what} is not an equivalence relation")
+    return least
+
+
+def _random_tables(rng):
+    """Equivalences, each with one cell flipped, and arbitrary tables."""
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        block = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        table = [[block[x] == block[y] for y in range(n)] for x in range(n)]
+        yield table
+        flipped = [row[:] for row in table]
+        x, y = rng.randrange(n), rng.randrange(n)
+        flipped[x][y] = not flipped[x][y]
+        yield flipped
+        yield [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+
+
+def test_partition_agrees_with_the_all_pairs_check():
+    rng = random.Random(5)
+    raised = 0
+    for table in _random_tables(rng):
+        try:
+            expected = _reference_partition(table, "claim")
+        except InternalInvariantError:
+            expected = None
+            raised += 1
+        try:
+            got = _partition([bytes(row) for row in table], "claim")
+        except InternalInvariantError as exc:
+            assert "claim is not an equivalence relation" in str(exc)
+            got = None
+        assert got == expected, table
+    assert 300 < raised < 900
