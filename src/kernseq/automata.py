@@ -3,37 +3,22 @@
 Letters are any hashable values; in particular a letter may itself be a
 pair of letters, which is how transducers are represented elsewhere.
 State identifiers are opaque integers. Constructions return automata
-with fresh contiguous identifiers.
+with fresh contiguous identifiers. ``Nfa(...)`` checks its parts where
+they enter from outside; the automata the package builds itself are
+right by construction and assembled through one unchecked path here.
+An automaton indexes its transitions once, on first use, in one table:
+per state, per letter position, its targets ascending. Every walk reads
+that table; ``successors``, ``step`` and ``outgoing`` are views of it.
 
-Every product construction in the package numbers its states with
-``explore`` in breadth-first discovery order from its start states, and
-all but the subset construction are built by ``explored``; the subset
-construction also reads its own table off the exploration. ``Nfa(...)``
-checks its parts where they enter from outside. The automata the
-package builds itself are right by construction, and all of them are
-assembled through one unchecked path in this module. An automaton
-indexes its transitions once, on first use, in one table: per state,
-per letter position, its targets ascending. Every walk here and in the
-products elsewhere reads that table by letter position; ``successors``,
-``step`` and ``outgoing`` are views of it.
-
-Inclusion runs on the fly: one breadth-first walk over pairs (state of
-``a``, subset of ``b``'s states) follows ``a``'s own transitions and
-never determinizes ``b`` in full. It stops at the first pair reached by
-a word that ``a`` accepts and ``b`` rejects; ``inclusion_counterexample``
-returns that word, a shortest one, and ``includes`` whether there is
-none.
-
-An automaton keeps its subset construction the same way, built on
-first use, so ``determinize`` runs once per automaton however many
-stages ask for it. ``drop_sink`` hands the minimal complete DFA it cuts
-to the trimmed result as that result's subset construction, which it is.
-
-Minimization is one step on dense rows, ``_quotient``: Moore refinement
-of a complete DFA given as ``delta[q][letter position]`` lists.
-``minimize`` feeds it the subset construction of an automaton, and the
-composition kernel of ``kernseq.relations`` its own subset
-construction over pairs of states, with no automaton in between.
+Product constructions number their states with ``explore``, breadth
+first in discovery order, and ``explored`` builds their automaton. The
+one subset construction is ``_subset_rows``: ``determinize`` runs it on
+an automaton's states and keeps the result on the automaton, and
+``kernseq.relations.compose`` runs it on pairs of states. ``_quotient``
+refines its dense rows to the minimal complete DFA, which ``minimize``
+returns and ``drop_sink`` trims. Inclusion runs on the fly, by one
+breadth-first walk over pairs of a state of one automaton and a subset
+of the other's states, which never determinizes the other in full.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here can be shared freely.
@@ -344,34 +329,34 @@ def determinize(a: Nfa) -> Nfa:
 
 
 def _subsets(a: Nfa) -> Nfa:
-    """The subset construction of ``determinize``, built afresh.
+    """The subset construction of ``determinize``, built afresh by ``_subset_rows``."""
+    sets, delta = _subset_rows(frozenset(a.initials), a._table.__getitem__, len(a.alphabet))
+    return _dfa(a.alphabet, delta, [not subset.isdisjoint(a.finals) for subset in sets])
 
-    A subset's successors are the unions, letter position by letter
-    position, of its states' rows in ``a``'s table. ``explore`` lists
-    each subset's edges together, one per letter position in order, so
-    the result's own table is read off that list, with no sort.
+
+def _subset_rows(start: frozenset, row_of: Callable, width: int) -> tuple[list, list]:
+    """The subset construction from the set ``start`` as dense rows.
+
+    ``row_of(x)`` lists x's targets per letter position, 0..width-1, and
+    a subset's successor at a position is the union of its elements'
+    targets there, the empty subset being the sink. Returns the subsets,
+    numbered breadth first with positions in order, and ``delta[n][i]``,
+    the number of subset n's successor at position i.
     """
-    table = a._table
-    width = len(a.alphabet)
+    sets = [start]
+    ids = {start: 0}
+    delta = []
     sink = [()] * width  # the row of the empty subset
-
-    def successors(subset):
-        rows = [table[p] for p in subset] or [sink]
-        return zip(a.alphabet.letters, map(_EMPTY.union, *rows))
-
-    nodes, edges = explore([frozenset(a.initials)], successors)
-    d = _unchecked(
-        a.alphabet,
-        range(len(nodes)),
-        edges,
-        {0},
-        (n for n, subset in enumerate(nodes) if subset & a.finals),
-    )
-    targets = [[t] for _p, _letter, t in edges]
-    object.__setattr__(
-        d, "_table", {q: targets[q * width : (q + 1) * width] for q in range(len(nodes))}
-    )
-    return d
+    for subset in sets:  # sets grows while it is walked
+        targets = []
+        for succ in map(_EMPTY.union, *([row_of(x) for x in subset] or [sink])):
+            t = ids.get(succ)
+            if t is None:
+                t = ids[succ] = len(sets)
+                sets.append(succ)
+            targets.append(t)
+        delta.append(targets)
+    return sets, delta
 
 
 def _check_alphabets(a: Nfa, b: Nfa):
@@ -549,12 +534,10 @@ def _dfa(alphabet: Alphabet, rows: list, finals: list) -> Nfa:
 def minimize(a: Nfa) -> Nfa:
     """Minimal deterministic complete automaton for the same language.
 
-    ``_quotient`` of the subset construction of the input, whose states
-    are all reachable and numbered breadth first; its table is read once
-    into a dense list, ``delta[q][i]`` the target of state q on the
-    letter at position i. The valuedness search relies on the result
-    being deterministic, not only on its language.
+    ``_quotient`` of the dense rows of the input's subset construction,
+    whose states are all reachable and numbered breadth first. The
+    valuedness search relies on the result being deterministic, not only
+    on its language.
     """
     d = determinize(a)
-    delta = [[t for (t,) in d._table[q]] for q in range(len(d.states))]
-    return _dfa(d.alphabet, *_quotient([q in d.finals for q in range(len(delta))], delta))
+    return _dfa(d.alphabet, *_quotient([q in d.finals for q in range(len(d.states))], _dense(d)))

@@ -1,20 +1,22 @@
 """Decision procedures and verdicts.
 
 Finite valuedness is decided structurally by Weber's two pumping
-patterns, each found in one pass over the strongly connected components
-of a product of the transducer's minimal pair DFA with itself; there,
-runs that part on one input must write different outputs, so no search
-tracks whether outputs have diverged. The search reads that DFA as
-dense rows. Finite index reduces to it through the uniformizer: the
-composition of the uniformizer with the target feeds the subset
-construction directly (``relations._composed``), and the search reads
-the minimal rows it returns, with no automaton built in between. The
-class-membership deciders chain the
-necessary conditions and, on success, hand back a synthesized witness
-whose kernel has been checked exactly against the input by
-``synthesis.kernel_counterexample``. An eliminated witness equal to the
-body of a subsequential stage with one final-output value has that
-stage's kernel, so one walk checks both. No decision enumerates words.
+patterns (Weber, *On the valuedness of finite transducers*, Acta Inf.
+1990), each found in one Tarjan pass (``_explore``) over a product of
+the transducer's trimmed minimal pair DFA with itself, read as dense
+rows; there, runs that part on one input must write different outputs,
+so no search tracks whether outputs have diverged. Both passes learn
+what is reached from where by one forward labelling of their
+components, ``_labels``. Finite index reduces to valuedness through the
+uniformizer: the search reads the minimal rows of its composition with
+the target, ``relations._composed``, with no automaton built.
+
+The class-membership deciders chain the necessary conditions and, on
+success, hand back a synthesized witness whose kernel has been checked
+exactly against the input by ``synthesis.kernel_counterexample``. An
+eliminated witness equal to the body of a subsequential stage with one
+final-output value has that stage's kernel, so one walk checks both.
+No decision enumerates words.
 
 Every entry point reads its relation's stages from the ``Prepared``
 value that ``relations.prepare`` keeps on the relation object: the
@@ -86,65 +88,83 @@ class AnalysisReport:
     index_wrt_closure: str | None
 
 
-def _explore(starts, expand, bits: dict) -> tuple[dict, list[int], list[int]]:
+def _explore(starts, expand) -> tuple[dict, list[int], list[list[int]]]:
     """Strongly connected components of the graph that ``expand(node)``
     spans from ``starts``, by an iterative Tarjan numbering nodes as found.
 
-    Returns the numbering, each number's component and, per component,
-    the union of ``bits`` (node -> int) over the nodes it reaches. A node
-    collects the unions of the completed components its edges meet and
-    hands what it holds to its parent in the search tree, so a component's
-    root holds the whole union when the component completes.
+    Returns the numbering, each number's component and each number's
+    successor numbers, in the order ``expand`` lists them. Components are
+    numbered as they complete, so every edge leads to a component of the
+    same or a lower number.
     """
     ids: dict = {}
     low: list[int] = []  # a node's number is its Tarjan index
     comp: list[int] = []
-    held: list[int] = []
-    reach: list[int] = []
+    succ: list[list[int]] = []
     stack: list[int] = []
     work: list = []
+    count = 0
 
     def enter(node):
         ids[node] = v = len(low)
         low.append(v)
         comp.append(-1)
-        held.append(bits.get(node, 0))
+        succ.append([])
         stack.append(v)
         work.append((v, iter(expand(node))))
+        return v
 
     for root in starts:
         if root not in ids:
             enter(root)
         while work:
             v, edges = work[-1]
+            out = succ[v]
             for nxt in edges:
                 w = ids.get(nxt)
                 if w is None:
-                    enter(nxt)
+                    out.append(enter(nxt))
                     break
-                if comp[w] >= 0:
-                    held[v] |= reach[comp[w]]
-                elif w < low[v]:  # w is still on the stack, in v's component
+                out.append(w)
+                if comp[w] < 0 and w < low[v]:  # w is still on the stack, in v's component
                     low[v] = w
             else:
                 work.pop()
                 if low[v] == v:  # v is the root of its component
                     while comp[v] < 0:
-                        comp[stack.pop()] = len(reach)
-                    reach.append(held[v])
+                        comp[stack.pop()] = count
+                    count += 1
                 if work:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[v])
-                    held[parent] |= held[v]
-    return ids, comp, reach
+    return ids, comp, succ
+
+
+def _labels(comp: list[int], succ: list[list[int]], seeds) -> list[int]:
+    """Per component of ``_explore``'s numbering, the union of the bits of
+    the ``(number, bit)`` seeds whose nodes reach it.
+
+    One forward pass: the components are taken from the highest number
+    down, so each is complete when its nodes pass its label on to their
+    successors' components.
+    """
+    label = [0] * (max(comp, default=-1) + 1)
+    for v, bit in seeds:
+        label[comp[v]] |= bit
+    for v in sorted(range(len(comp)), key=comp.__getitem__, reverse=True):
+        bits = label[comp[v]]
+        if bits:
+            for w in succ[v]:
+                label[comp[w]] |= bits
+    return label
 
 
 def _has_transfer(moves: list, linked: list[tuple[int, int]]) -> bool:
     """Loop at p, transfer p to q, loop at q, all on one input word, on a
     pair-deterministic machine with ``moves[q][x]`` the (output, next)
-    moves of q on input x: (p, q, q) reached from (p, p, q).
+    moves of q on input x: (p, q, q) reached from (p, p, q) in the triple
+    product, labelled by ``_labels`` with one bit per linked pair.
     """
-    n = len(moves)
 
     def expand(node):
         x, y, z = node
@@ -156,9 +176,11 @@ def _has_transfer(moves: list, linked: list[tuple[int, int]]) -> bool:
             for _, z2 in zs
         ]
 
-    targets = {(p, q, q): 1 << (p * n + q) for p, q in linked}
-    ids, comp, reach = _explore([(p, p, q) for p, q in linked], expand, targets)
-    return any(reach[comp[ids[(p, p, q)]]] >> (p * n + q) & 1 for p, q in linked)
+    starts = [(p, p, q) for p, q in linked]
+    ids, comp, succ = _explore(starts, expand)
+    label = _labels(comp, succ, [(ids[node], 1 << j) for j, node in enumerate(starts)])
+    ends = [(p, q, q) for p, q in linked]
+    return any(node in ids and label[comp[ids[node]]] >> j & 1 for j, node in enumerate(ends))
 
 
 def _finitely_valued(rows: list, width: int) -> bool:
@@ -169,18 +191,14 @@ def _finitely_valued(rows: list, width: int) -> bool:
     patterns: a state with two equal-input loops of different output, or
     a loop-transfer-loop triple. The square pass walks the
     input-synchronized self-product on integer nodes p * n + q from every
-    diagonal node (p, p) with ``_explore``, whose Tarjan numbers the
-    components in reverse topological order, keeping each node's
-    successors. The loops are an edge of different outputs inside the
-    component of a diagonal node; that is tested first. Otherwise the
-    components are labelled forward, from the highest number down:
-    ``label[c]`` gains bit p from (p, p) and passes its bits on to every
-    successor component, so (p, q) is reached from (p, p) exactly when
-    bit p is in the label of its component, with n bits per component.
-    The triple is (p, q, q) reached from (p, p, q) in the triple product,
-    for p != q so linked; it needs no divergence flag: the loop and the
-    transfer leave p on one input and end in different states, which in a
-    pair DFA they can only do by writing different outputs.
+    diagonal node (p, p). The loops are an edge of different outputs
+    inside the component of a diagonal node; that is tested first.
+    Otherwise (p, q) is linked, reached from (p, p), when bit p is in the
+    ``_labels`` label of its component. The triple is (p, q, q) reached
+    from (p, p, q) for a linked pair; it needs no divergence flag: the
+    loop and the transfer leave p on one input and end in different
+    states, which in a pair DFA they can only do by writing different
+    outputs.
     """
     n = len(rows)
     # per state and input letter: its (output position, target) moves
@@ -189,11 +207,10 @@ def _finitely_valued(rows: list, width: int) -> bool:
         for row in rows
     ]
     diverging = []  # square edges whose two outputs differ
-    succ = {}  # node -> its successor nodes
 
     def expand(node):
         p, q = divmod(node, n)
-        succ[node] = out = []
+        out = []
         for xs, ys in zip(moves[p], moves[q]):
             for z1, p2 in xs:
                 for z2, q2 in ys:
@@ -203,23 +220,13 @@ def _finitely_valued(rows: list, width: int) -> bool:
         return out
 
     diagonal = range(0, n * n, n + 1)  # the nodes (p, p)
-    ids, comp, components = _explore(diagonal, expand, {})
+    ids, comp, succ = _explore(diagonal, expand)
     looped = {comp[ids[d]] for d in diagonal}
     for u, v in diverging:
         c = comp[ids[u]]
         if c == comp[ids[v]] and c in looped:
             return False
-    members: list[list] = [[] for _ in components]
-    for node, v in ids.items():
-        members[comp[v]].append(node)
-    label = [0] * len(members)
-    for p, d in enumerate(diagonal):
-        label[comp[ids[d]]] |= 1 << p
-    for c in range(len(members) - 1, -1, -1):  # sources first
-        bits = label[c]
-        for node in members[c]:
-            for w in succ[node]:
-                label[comp[ids[w]]] |= bits
+    label = _labels(comp, succ, [(ids[d], 1 << p) for p, d in enumerate(diagonal)])
     linked = [
         (p, q)
         for node, v in ids.items()
@@ -320,10 +327,12 @@ def decide_kerseq_lp(
     cap on the ``Prepared`` value kept on r (``Prepared.closure``), so a
     relation object is searched once per cap; a supplied closure is
     validated and its index checked on every call. YES verdicts carry the
-    final-output-free witness, made Moore-minimal by ``minimal_machine``,
-    with the subsequential stage attached. The stage's kernel is checked
-    exactly against r, and the witness's by a walk of its own unless the
-    stage has one final-output value and the witness equals its body.
+    final-output-free witness, Moore-minimal, with the subsequential
+    stage attached; ``minimal_machine`` merges the witness's states only
+    when the stage has more than one final-output value. The stage's
+    kernel is checked exactly against r, and the witness's by a walk of
+    its own unless the stage has one final-output value and the witness
+    equals its body.
     Raises ``NotEquivalenceError`` unless r is an equivalence.
     """
     from .synthesis import (
@@ -350,10 +359,13 @@ def decide_kerseq_lp(
     if not finite:
         return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=closure_result)
     sub = minimal_machine(subsequential_machine(prep, pplus))
-    witness = minimal_machine(eliminate_final_output(sub))
+    witness = eliminate_final_output(sub)
+    one_class = len(set(sub.final_output.values())) == 1
+    if not one_class:
+        witness = minimal_machine(witness)
     _certify(sub, prep, "subsequential witness")
     # with one final-output value, a witness equal to the body squares as sub did
-    if len(set(sub.final_output.values())) > 1 or _body(witness) != _body(sub.base):
+    if not one_class or _body(witness) != _body(sub.base):
         _certify(witness, prep, "witness after final-output elimination")
     return Verdict(
         Outcome.YES, witness=witness, subsequential=sub, closure=closure_result

@@ -4,28 +4,23 @@ Everything a relation-level decision needs: validation as an equivalence
 relation, composition, inverse, the syntactic congruence, prefix
 closure, a capped transitive-closure fixpoint, and the minimum-lexicographic
 uniformizer that turns an equivalence into the graph of a canonical
-function. Where a decision needs a composition only up to its language,
-``_composed`` runs the subset construction on pairs of the two
-relations' states, so the minimal DFA of the composition is reached in
-one pass with no product automaton built: the index checks read its
-dense rows, and each closure round reads it as the trimmed automaton
-``_minimal_composition``. ``prepare`` validates a relation and builds the pair DFA and
-diagonal states that all its stages share. Both the validation and the
-prepared stages, the closure searched for each cap and its index
-included, are kept on the relation object, the way
-``automata.determinize`` keeps a subset construction on its automaton,
-so each runs once per relation object whichever entry points it passes
-through, and holds its memory for as long as that object lives.
+function.
 
-The equivalence axioms are read off a complete pair DFA of the relation
-by three deterministic walks over its self-products, one per axiom, each
-looking for a reachable counterexample. Validation walks the relation's
-own determinization, which ``automata.determinize`` keeps with it, so
-``prepare`` builds one subset construction for validation and the pair
-DFA together. The closure walks the minimal DFA that is its first
-iterate: the first two walks check its reflexive and symmetric
-preconditions, and when the third finds it transitive that iterate is
-the closure, with no composition or inclusion.
+``compose`` determinizes: it runs the subset construction on sets of
+pairs of the two relations' states straight into the minimal DFA of the
+composition, whose dense rows (``_composed``) the index checks read.
+The equivalence axioms are three breadth-first walks over self-products
+of a complete pair DFA (``_axioms``), each returning a shortest
+counterexample. Validation walks the relation's own determinization,
+which ``prepare`` shares with the pair DFA; the closure search walks
+its first iterate, and ``synthesis.validate_closure_witness`` a
+supplied closure, for transitivity.
+
+``prepare`` validates a relation and builds the stages it shares: the
+pair DFA, diagonal states, and on first use the rest, the closure
+searched for each cap and its index included. They are kept on the
+relation object, so each runs once per object whichever entry points it
+passes through, and holds its memory for as long as the object lives.
 """
 
 from __future__ import annotations
@@ -35,11 +30,11 @@ from functools import cached_property, wraps
 from typing import Callable, Iterator
 
 from .automata import (
-    _EMPTY,
     Alphabet,
     Nfa,
     _dfa,
     _quotient,
+    _subset_rows,
     _unchecked,
     coaccessible_states,
     determinize,
@@ -89,56 +84,25 @@ def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
     """Relational composition: ``compose(r, s)`` applies ``s`` first.
 
     Realizes the pairs (u, w) such that u is s-related to some v and v is
-    r-related to w, joining the two machines on the middle letter.
+    r-related to w. It determinizes: the result is the trimmed minimal
+    DFA of the rows ``_composed`` returns, and keeps the complete one as
+    its subset construction (``drop_sink``).
     """
-    if s.output_alphabet != r.input_alphabet:
-        raise AlphabetMismatchError(
-            "composition needs the first-applied output alphabet to match "
-            "the second relation's input alphabet"
-        )
-    s_out = s.nfa.outgoing
-    zs = r.output_alphabet.letters
-    width = len(zs)
-    # per state of r and middle letter y: its (z, target) pairs, in order
-    by_middle = {
-        p2: {
-            y: [(z, q2) for z, q2s in zip(zs, row[i * width : (i + 1) * width]) for q2 in q2s]
-            for i, y in enumerate(r.input_alphabet.letters)
-        }
-        for p2, row in r.nfa._table.items()
-    }
-    starts = [(p1, p2) for p1 in sorted(s.nfa.initials) for p2 in sorted(r.nfa.initials)]
-
-    def successors(pair):
-        p1, p2 = pair
-        middle = by_middle[p2]
-        for (x, y), q1 in s_out.get(p1, ()):
-            for z, q2 in middle[y]:
-                yield (x, z), (q1, q2)
-
-    nfa = explored(
-        pair_alphabet(s.input_alphabet, r.output_alphabet),
-        starts,
-        successors,
-        lambda pair: pair[0] in s.nfa.finals and pair[1] in r.nfa.finals,
-    )
-    return LetterTransducer(s.input_alphabet, r.output_alphabet, nfa)
+    alphabet = pair_alphabet(s.input_alphabet, r.output_alphabet)
+    minimal = drop_sink(_dfa(alphabet, *_composed(r, s)))
+    return LetterTransducer(s.input_alphabet, r.output_alphabet, minimal)
 
 
 def _composed(r: LetterTransducer, s: LetterTransducer) -> tuple[list, list]:
-    """The minimal complete DFA of ``compose(r, s)`` as dense rows and finality,
-    as ``automata._quotient`` returns them, with no automaton built.
+    """The minimal complete DFA of the relation of ``compose(r, s)`` as the
+    dense rows and finality ``automata._quotient`` returns.
 
-    The subset construction runs on sets of (s-state, r-state) pairs,
-    each pair coded as one integer: a set's successor at the pair letter
-    (x, z) is the union, over its pairs (p1, p2) and middle letters y,
-    of the moves of p1 on (x, y) joined with those of p2 on (y, z).
-    Each pair's row is joined once. The start set holds every pair of
-    initial states, sets are numbered breadth first with the pair
-    letters in order, and a set is final when it holds a pair of final
-    states: these are the sets, in the order, that ``determinize``
-    reaches on ``compose(r, s)``, so the quotient is the one ``minimize``
-    builds there, numbered alike.
+    ``automata._subset_rows`` runs on sets of (s-state, r-state) pairs,
+    each coded as one integer. A pair's row at (x, z) joins, over the
+    middle letters y, the moves of p1 on (x, y) with those of p2 on
+    (y, z), once per pair. The start set holds the pairs of initial
+    states, and a set is final when it holds a pair of final states: this
+    is the subset construction of the product of the two machines.
     """
     if s.output_alphabet != r.input_alphabet:
         raise AlphabetMismatchError(
@@ -153,45 +117,23 @@ def _composed(r: LetterTransducer, s: LetterTransducer) -> tuple[list, list]:
     joined: dict = {}  # pair code -> its successor codes, per pair-letter position
 
     def join(code):
-        p1, p2 = divmod(code, m)
-        row = [[] for _ in range(width)]
-        r_row = r_table[p2 + lo]
-        for i, q1s in enumerate(s_table[p1]):
-            if q1s:
-                x, y = divmod(i, ny)
-                for z, q2s in enumerate(r_row[y * nz : (y + 1) * nz], start=x * nz):
-                    if q2s:
-                        row[z] += [q1 * m + q2 - lo for q1 in q1s for q2 in q2s]
-        joined[code] = row
+        row = joined.get(code)
+        if row is None:
+            p1, p2 = divmod(code, m)
+            row = joined[code] = [[] for _ in range(width)]
+            r_row = r_table[p2 + lo]
+            for i, q1s in enumerate(s_table[p1]):
+                if q1s:
+                    x, y = divmod(i, ny)
+                    for z, q2s in enumerate(r_row[y * nz : (y + 1) * nz], start=x * nz):
+                        if q2s:
+                            row[z] += [q1 * m + q2 - lo for q1 in q1s for q2 in q2s]
         return row
 
     accepting = {p1 * m + p2 - lo for p1 in s.nfa.finals for p2 in r.nfa.finals}
     start = frozenset(p1 * m + p2 - lo for p1 in s.nfa.initials for p2 in r.nfa.initials)
-    sets = [start]
-    ids = {start: 0}
-    delta = []
-    empty = [()] * width  # the row of the empty set
-    for pairs in sets:  # sets grows while it is walked
-        rows = [joined.get(code) or join(code) for code in pairs] or [empty]
-        targets = []
-        for succ in map(_EMPTY.union, *rows):
-            t = ids.get(succ)
-            if t is None:
-                t = ids[succ] = len(sets)
-                sets.append(succ)
-            targets.append(t)
-        delta.append(targets)
+    sets, delta = _subset_rows(start, join, width)
     return _quotient([not pairs.isdisjoint(accepting) for pairs in sets], delta)
-
-
-def _minimal_composition(r: LetterTransducer, s: LetterTransducer) -> Nfa:
-    """``drop_sink(minimize(compose(r, s).nfa))``, read off ``_composed``.
-
-    The complete minimal DFA is kept as the result's subset construction,
-    as ``drop_sink`` keeps it.
-    """
-    rows, finals = _composed(r, s)
-    return drop_sink(_dfa(pair_alphabet(s.input_alphabet, r.output_alphabet), rows, finals))
 
 
 def _kept(build: Callable) -> Callable:
@@ -216,7 +158,7 @@ def _kept(build: Callable) -> Callable:
 def validate_relation(r: LetterTransducer) -> RelationValidation:
     """Check the equivalence axioms on the complete pair DFA of r.
 
-    One deterministic walk per axiom over a self-product of the pair
+    One breadth-first walk per axiom over a self-product of the pair
     DFA; see ``_axioms``. An empty relation is reported non-reflexive:
     the identity over a nonempty alphabet is nonempty. Mismatched
     input/output alphabets can never satisfy any of the axioms. Kept on
@@ -224,27 +166,29 @@ def validate_relation(r: LetterTransducer) -> RelationValidation:
     """
     if not r.same_alphabets():
         return RelationValidation(False, False, False)
-    return RelationValidation(*_axioms(determinize(r.nfa), r.input_alphabet))
+    return RelationValidation(
+        *(found is None for found in _axioms(determinize(r.nfa), r.input_alphabet))
+    )
 
 
-def _axioms(d: Nfa, alphabet: Alphabet) -> Iterator[bool]:
-    """Whether the relation of the complete pair DFA ``d`` over ``alphabet``
-    is reflexive, symmetric and transitive, each walked when it is asked for.
+def _axioms(d: Nfa, alphabet: Alphabet) -> Iterator[tuple | None]:
+    """Per axiom, reflexivity, symmetry and transitivity of the relation R
+    of the complete pair DFA ``d`` over ``alphabet``, a shortest pair R
+    lacks for it to hold, as a word of pair letters, or None when it
+    holds; each walked when it is asked for. With δ(u, v) the state ``d``
+    reaches on a pair of equal-length words, an axiom fails exactly when
+    a breadth-first walk from the initial state reaches a counterexample:
 
-    With δ(u, v) the state ``d`` reaches on a pair of equal-length words,
-    each axiom fails exactly when a walk from the initial state reaches
-    a counterexample:
+    - reflexive: (u, u) with δ(u, u) not final, walking by the letters (a, a);
+    - symmetric: (v, u) with δ(u, v) final and δ(v, u) not, moving by
+      (a, b) and (b, a);
+    - transitive: (u, w) with δ(u, v) and δ(v, w) final and δ(u, w) not,
+      moving on (a, b, c) by (a, b), (b, c) and (a, c).
 
-    - reflexive: a non-final δ(u, u), walking by the letters (a, a);
-    - symmetric: a pair (δ(u, v), δ(v, u)) with the first state final
-      and the second not, moving by (a, b) and (b, a);
-    - transitive: a triple (δ(u, v), δ(v, w), δ(u, w)) with the first
-      two states final and the third not, moving on (a, b, c) by (a, b),
-      (b, c) and (a, c).
-
-    A state that cannot reach a final state never turns final, so the
-    symmetric and transitive walks follow only moves into live states on
-    the tracks that a counterexample needs final.
+    Of the shortest counterexamples, the walk ends on the first in the
+    order of (a, b, c). A state that cannot reach a final state never
+    turns final, so the symmetric and transitive walks follow only moves
+    into live states on the tracks that a counterexample needs final.
     """
     live = coaccessible_states(d)
     table = d._table  # [q][a * w + b]: [δ(q, (a, b))]
@@ -262,48 +206,61 @@ def _axioms(d: Nfa, alphabet: Alphabet) -> Iterator[bool]:
         for q, row in table.items()
     }
 
+    # each walk's moves are labelled by the position of the pair letter R lacks
     def diagonal(p):
-        return [q for (q,) in table[p][:: w + 1]]
+        return [(a * (w + 1), q) for a, (q,) in enumerate(table[p][:: w + 1])]
 
     def mirrored(pair):
         p, q = pair
         back = table[q]
-        return [(p2, back[b * w + a][0]) for a, hops in enumerate(ahead[p]) for b, p2 in hops]
+        return [
+            (b * w + a, (p2, back[b * w + a][0])) for a, hops in enumerate(ahead[p]) for b, p2 in hops
+        ]
 
     def chained(triple):
         p, q, s = triple
         row_s, from_q = table[s], ahead[q]
         return [
-            (p2, q2, row_s[a * w + c][0])
+            (a * w + c, (p2, q2, row_s[a * w + c][0]))
             for a, hops in enumerate(ahead[p])
             for b, p2 in hops
             for c, q2 in from_q[b]
         ]
 
-    yield _never(start, diagonal, lambda p: p not in finals)
-    yield _never(
-        (start, start), mirrored, lambda n: n[0] in finals and n[1] not in finals
-    )
-    yield _never(
-        (start, start, start),
-        chained,
-        lambda n: n[0] in finals and n[1] in finals and n[2] not in finals,
-    )
+    walks = [
+        (start, diagonal, lambda p: p not in finals),
+        ((start, start), mirrored, lambda n: n[0] in finals and n[1] not in finals),
+        (
+            (start, start, start),
+            chained,
+            lambda n: n[0] in finals and n[1] in finals and n[2] not in finals,
+        ),
+    ]
+    for walk in walks:
+        moves = _shortest(*walk)
+        yield None if moves is None else tuple(d.alphabet.letters[i] for i in moves)
 
 
-def _never(start, successors: Callable, bad: Callable) -> bool:
-    """True iff no node reachable from ``start`` is ``bad``."""
-    seen = {start}
-    todo = [start]
-    while todo:
-        node = todo.pop()
+def _shortest(start, successors: Callable, bad: Callable) -> list | None:
+    """The labels along a shortest path from ``start`` to a ``bad`` node, or
+    None when no node reachable from ``start`` is bad: a breadth-first
+    walk, ``successors(node)`` listing its (label, next) moves, so of the
+    shortest paths it returns the first in the order of the moves.
+    """
+    parent = {start: None}  # node -> (the node it was first reached from, label)
+    queue = [start]
+    for node in queue:  # the queue grows while it is walked
         if bad(node):
-            return False
-        for nxt in successors(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return True
+            labels = []
+            while parent[node] is not None:
+                node, label = parent[node]
+                labels.append(label)
+            return labels[::-1]
+        for label, nxt in successors(node):
+            if nxt not in parent:
+                parent[nxt] = node, label
+                queue.append(nxt)
+    return None
 
 
 def require_equivalence(r: LetterTransducer) -> RelationValidation:
@@ -476,31 +433,30 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     first iterate. Since p is reflexive, q after p contains q, so it is
     the union of the two and a single inclusion of the next iterate in
     the current one says they are equal. The first round asks whether p
-    after p lies within p, that is whether p is transitive, so the third
-    walk of ``_axioms`` answers it instead: a transitive p is its own
-    closure at exponent 1, and only otherwise does the loop compose and
-    compare, from its first round on. Every iterate is the trimmed
-    minimal pair DFA of its language, each later one composed straight
-    into it by ``_minimal_composition``, which keeps the complete
-    minimal DFA as its subset construction for the synthesis. Stops either at the first exponent
-    k with equal consecutive iterates (converged, the closure realizes
-    the full transitive closure) or after ``cap`` comparisons (not
-    converged). Running out of cap is a reportable outcome, not an
-    error: in general the fixpoint exponent is not computable, so the
-    iteration must not pretend otherwise.
+    after p lies within p, that is whether p is transitive, which the
+    third walk of ``_axioms`` answers: a transitive p is its own closure
+    at exponent 1. Otherwise each round composes the current iterate
+    with p by ``compose``, so every iterate is the trimmed minimal pair
+    DFA of its language and keeps the complete one as its subset
+    construction, and compares it with one inclusion. Stops either at the
+    first exponent k with equal consecutive iterates (converged, the
+    closure realizes the full transitive closure) or after ``cap``
+    comparisons (not converged). Running out of cap is a reportable
+    outcome, not an error: in general the fixpoint exponent is not
+    computable, so the iteration must not pretend otherwise.
     """
     _require_cap(cap)
     minimal = minimize(p.nfa)
-    axioms = _axioms(minimal, p.input_alphabet) if p.same_alphabets() else iter((False, False))
-    if not next(axioms):
+    axioms = _axioms(minimal, p.input_alphabet) if p.same_alphabets() else iter(((), ()))
+    if next(axioms) is not None:
         raise PreconditionError("transitive closure needs a reflexive relation")
-    if not next(axioms):
+    if next(axioms) is not None:
         raise PreconditionError("transitive closure needs a symmetric relation")
     current = p.with_nfa(drop_sink(minimal))
-    if next(axioms):
+    if next(axioms) is None:
         return ClosureResult(closure=current, exponent=1, converged=True)
     for k in range(1, cap + 1):
-        nxt = p.with_nfa(_minimal_composition(current, p))
+        nxt = compose(current, p)
         if includes(nxt.nfa, current.nfa):
             return ClosureResult(closure=current, exponent=k, converged=True)
         current = nxt

@@ -37,8 +37,9 @@ Every witness leaves the package Moore-minimal: the deciders and the
 ``synthesize_*`` functions pass what the constructions build through
 ``minimal_machine``, which merges the states that give the same output
 on every input, before any final-output elimination, and ``decide lp``
-passes the eliminated machine through it too. The constructions
-themselves keep one state per (matrix, row).
+passes an eliminated machine with more than one final-output value
+through it too: with one, it has the moves of the minimal body. The
+constructions themselves keep one state per (matrix, row).
 
 The kernels are checked exactly by ``kernel_counterexample``: one
 breadth-first walk over the product of the squared machine
@@ -63,6 +64,7 @@ from .automata import (
     Alphabet,
     Word,
     _reach,
+    determinize,
     explore,
     explored,
     inclusion_counterexample,
@@ -77,7 +79,7 @@ from .errors import (
     PreconditionError,
 )
 from .machines import SequentialTransducer, SubsequentialTransducer
-from .relations import Prepared, compose, prefix_closure, prepare
+from .relations import Prepared, _axioms, prefix_closure, prepare
 from .transducers import LetterTransducer, diagonal_states, pair_alphabet, pair_dfa
 
 # Largest number of matrix states a construction expands before it raises
@@ -386,23 +388,27 @@ def mealy_machine(prep: Prepared) -> SequentialTransducer:
 def validate_closure_witness(r: LetterTransducer, closure: LetterTransducer) -> None:
     """Checks that a claimed transitive prefix-closure fixpoint is consistent.
 
-    Verifies containment of the prefix closure and transitivity. The
-    fixpoint equation follows from the two: composing the witness with
-    the prefix closure stays inside the witness composed with itself.
-    These are the checkable necessary conditions; minimality of the
-    closure is taken on trust as part of the input contract. A failed
-    check raises ``BadClosureWitnessError`` naming a shortest offending
-    pair (u, v), also kept as its ``pair``.
+    Verifies containment of the prefix closure, by one inclusion, and
+    transitivity, by the walks of ``relations._axioms`` on the closure's
+    complete pair DFA. The fixpoint equation follows from the two:
+    composing the witness with the prefix closure stays inside the
+    witness composed with itself. These are the checkable necessary
+    conditions; minimality of the closure is taken on trust as part of
+    the input contract. A failed check raises ``BadClosureWitnessError``
+    naming a shortest offending pair (u, v), also kept as its ``pair``;
+    a closure whose input and output alphabets differ raises
+    ``AlphabetMismatchError``.
     """
-    checks = [
-        (prefix_closure(r), "does not contain the prefix closure"),
-        (compose(closure, closure), "is not transitive"),
-    ]
-    for required, what in checks:
-        word = inclusion_counterexample(required.nfa, closure.nfa)
-        if word is not None:
-            pair = (tuple(x for x, _y in word), tuple(y for _x, y in word))
-            raise BadClosureWitnessError(f"witness {what}: it lacks the pair {pair}", pair)
+    word = inclusion_counterexample(prefix_closure(r).nfa, closure.nfa)
+    what = "does not contain the prefix closure"
+    if word is None:
+        if not closure.same_alphabets():
+            raise AlphabetMismatchError("a closure witness needs equal input and output alphabets")
+        *_, word = _axioms(determinize(closure.nfa), closure.input_alphabet)
+        what = "is not transitive"
+    if word is not None:
+        pair = (tuple(x for x, _y in word), tuple(y for _x, y in word))
+        raise BadClosureWitnessError(f"witness {what}: it lacks the pair {pair}", pair)
 
 
 def synthesize_subsequential(

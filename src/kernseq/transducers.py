@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .automata import Alphabet, Nfa, determinize
+from .automata import Alphabet, Nfa, _reach, determinize
 from .errors import AlphabetMismatchError, PreconditionError
 
 
@@ -97,23 +97,14 @@ def diagonal_states(t: LetterTransducer) -> frozenset[int]:
     state reached by (u, v) is diagonal exactly when every common
     continuation keeps the pair related, i.e. when u and v are
     syntactically congruent. That is the greatest set of final states
-    closed under the (a, a) edges, found as one fixpoint: every state
-    with an (a, a)-path to a non-final state is dropped.
+    closed under the (a, a) edges: the states with no (a, a)-path to a
+    non-final state, found by one backward reachability walk.
     """
     if not t.same_alphabets():
         raise AlphabetMismatchError("diagonal states need equal input/output alphabets")
     nfa = t.nfa
     if not nfa.is_complete:
         raise PreconditionError("diagonal states need a complete pair DFA")
-    back: dict = {}  # state -> its predecessors along (a, a) edges
-    for p, row in nfa._table.items():
-        for (q,) in row[:: len(t.input_alphabet) + 1]:  # the positions of the (a, a)
-            back.setdefault(q, []).append(p)
-    dropped = set(nfa.states - nfa.finals)
-    todo = list(dropped)
-    while todo:
-        for p in back.get(todo.pop(), ()):
-            if p not in dropped:
-                dropped.add(p)
-                todo.append(p)
-    return nfa.states - dropped
+    step = len(t.input_alphabet) + 1  # the (a, a) are every step-th pair letter
+    back = ((q, p) for p, row in nfa._table.items() for (q,) in row[::step])
+    return nfa.states - _reach(nfa.states - nfa.finals, back)

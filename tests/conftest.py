@@ -208,3 +208,24 @@ def count_calls(monkeypatch, module, name):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counting)
     return calls
+
+
+def validation_walks(monkeypatch):
+    """Record the arguments of each ``relations._axioms`` call that validates
+    a relation or checks a closure search's preconditions.
+
+    Only the name in ``kernseq.relations`` is replaced, so the transitivity
+    walk of ``synthesis.validate_closure_witness``, which checks a
+    supplied closure, is not recorded.
+    """
+    from kernseq import relations
+
+    calls = []
+    original = relations._axioms
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(relations, "_axioms", counting)
+    return calls

@@ -32,7 +32,6 @@ from kernseq.oracle import (
     valuedness_profile,
 )
 from kernseq.relations import (
-    compose,
     min_lex_uniformizer,
     prefix_closure,
     syntactic_congruence,
@@ -45,6 +44,7 @@ from kernseq.synthesis import (
 from kernseq.transducers import identity
 
 from boolean_ops import relation_union
+from reference_compose import reference_compose
 from conftest import (
     AB,
     build_a_parity,
@@ -163,7 +163,7 @@ def test_criterion_4_decisions_agree_with_growth(suite_verdicts):
     for r, _ll, lp in suite_verdicts:
         s, _ = syntactic_congruence(r)
         f = min_lex_uniformizer(s)
-        t = compose(f, r)
+        t = reference_compose(f, r)
         checked += 2
         if not _growth_agrees(is_finitely_valued(t), valuedness_profile(t, 8)):
             failures.append(("valuedness growth", r))
@@ -199,7 +199,7 @@ def test_criterion_5_closure_correctness(fixture_verdicts, suite_verdicts):
         iterates = [_canonical(pc)]
         for _ in range(k):
             iterates.append(
-                _canonical(relation_union(iterates[-1], compose(iterates[-1], pc)))
+                _canonical(relation_union(iterates[-1], reference_compose(iterates[-1], pc)))
             )
         if not language_equal(iterates[k].nfa, iterates[k - 1].nfa):
             failures.append(("fixpoint exponent too small", r))

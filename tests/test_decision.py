@@ -13,7 +13,6 @@ from kernseq.decision import (
     INFINITE_INDEX,
     NOT_PREFIX_CLOSED,
     Outcome,
-    _explore,
     analyze,
     decide_kerseq_ll,
     decide_kerseq_lp,
@@ -70,6 +69,7 @@ from conftest import (
     build_last_a,
     build_mod_count,
     count_calls,
+    validation_walks,
 )
 
 
@@ -254,6 +254,61 @@ def test_linked_states_without_divergence_are_finitely_valued():
     assert set(valuedness_profile(t, 9)) <= {0, 1}
 
 
+def _reference_explore(starts, expand, bits: dict) -> tuple[dict, list[int], list[int]]:
+    """Strongly connected components of the graph that ``expand(node)``
+    spans from ``starts``, by an iterative Tarjan numbering nodes as found.
+
+    Returns the numbering, each number's component and, per component,
+    the union of ``bits`` (node -> int) over the nodes it reaches. A node
+    collects the unions of the completed components its edges meet and
+    hands what it holds to its parent in the search tree, so a component's
+    root holds the whole union when the component completes. The
+    library's search once carried its reachability this way; the
+    references below keep it, independent of ``decision._labels``.
+    """
+    ids: dict = {}
+    low: list[int] = []  # a node's number is its Tarjan index
+    comp: list[int] = []
+    held: list[int] = []
+    reach: list[int] = []
+    stack: list[int] = []
+    work: list = []
+
+    def enter(node):
+        ids[node] = v = len(low)
+        low.append(v)
+        comp.append(-1)
+        held.append(bits.get(node, 0))
+        stack.append(v)
+        work.append((v, iter(expand(node))))
+
+    for root in starts:
+        if root not in ids:
+            enter(root)
+        while work:
+            v, edges = work[-1]
+            for nxt in edges:
+                w = ids.get(nxt)
+                if w is None:
+                    enter(nxt)
+                    break
+                if comp[w] >= 0:
+                    held[v] |= reach[comp[w]]
+                elif w < low[v]:  # w is still on the stack, in v's component
+                    low[v] = w
+            else:
+                work.pop()
+                if low[v] == v:  # v is the root of its component
+                    while comp[v] < 0:
+                        comp[stack.pop()] = len(reach)
+                    reach.append(held[v])
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    held[parent] |= held[v]
+    return ids, comp, reach
+
+
 def _reference_has_transfer_divergence(step, linked):
     """The flagged triple search, as it ran on the trimmed input."""
     n = len(step)
@@ -270,7 +325,7 @@ def _reference_has_transfer_divergence(step, linked):
 
     starts = [(p, p, q, False) for p, q in linked]
     targets = {(p, q, q, True): 1 << (p * n + q) for p, q in linked}
-    ids, comp, reach = _explore(starts, expand, targets)
+    ids, comp, reach = _reference_explore(starts, expand, targets)
     return any(reach[comp[ids[(p, p, q, False)]]] >> (p * n + q) & 1 for p, q in linked)
 
 
@@ -296,7 +351,7 @@ def _reference_is_finitely_valued(t):
         return out
 
     pairs = {(p, q): 1 << (p * n + q) for p in range(n) for q in range(n)}
-    ids, comp, reach = _explore([(p, p) for p in range(n)], expand, pairs)
+    ids, comp, reach = _reference_explore([(p, p) for p in range(n)], expand, pairs)
     diagonal = {comp[ids[(p, p)]] for p in range(n)}
     if any(comp[ids[u]] == comp[ids[v]] and comp[ids[v]] in diagonal for u, v in diverging):
         return False
@@ -455,7 +510,7 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
     from kernseq import automata, decision, relations, synthesis
     from kernseq.automata import determinize
 
-    walks = count_calls(monkeypatch, relations, "_axioms")
+    walks = validation_walks(monkeypatch)
     builds = count_calls(monkeypatch, relations, "_uniformizer")
     compositions = count_calls(monkeypatch, relations, "_composed")
     subsets = count_calls(monkeypatch, automata, "_subsets")
@@ -463,7 +518,7 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
     validated = count_calls(monkeypatch, synthesis, "validate_closure_witness")
     checked = count_calls(monkeypatch, decision, "_finite_index")
 
-    def validation_walks(r):
+    def walks_of(r):
         # the closure search walks its own minimal automaton, not r's
         return [args for args in walks if args[0] is determinize(r.nfa)]
 
@@ -494,7 +549,7 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
         for synthesize in (synthesize_mealy, lambda r: synthesize_subsequential(r, r)):
             with contextlib.suppress(PreconditionError, BadClosureWitnessError):
                 synthesize(r)
-        assert len(validation_walks(r)) == 1
+        assert len(walks_of(r)) == 1
         assert len(builds) == 1
         # analyze, then decide lp twice: the cap searched above, and a
         # larger one when that search converged, is read back with no
@@ -540,7 +595,7 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
     walks.clear()
     builds.clear()
     assert decide_kerseq_ll(again).outcome is Outcome.YES
-    assert len(validation_walks(again)) == 1 and validation_walks(r) == []
+    assert len(walks_of(again)) == 1 and walks_of(r) == []
     assert len(builds) == 1
     # validate, analyze and decide ll on a fresh prefix-closed relation
     # check its valuedness once: both indices are the one kept index
@@ -963,12 +1018,16 @@ def test_the_closure_keeps_its_complete_minimal_dfa(monkeypatch):
     assert len(during) == 200 and set(during) == {0}
 
 
-# The closure of identity(AB) drawn as ROADMAP's D4 describes it: the draw
-# of largest minimal size, 484 states, among 30. Its square has 484²
-# nodes; a search holding a bitset of them per pair needs some 3 GB.
+# ROADMAP's D4 inputs: the draw of largest minimal size among 30 draws of
+# random_equivalence(random.Random(3), max_states=m), and the index against
+# it of the identity's congruence ("identity") or of its own ("itself").
+# At m = 24 (484 states) the identity's index: the square has 484² nodes,
+# and a search holding a bitset of them per pair needs some 3 GB. At
+# m = 48 (1,159 states) its own, a finite index: a triple pass holding
+# bits numbered by pair, p·n + q, runs out of memory under 192 MB.
 _LARGE_CLOSURE_INDEX = """
 import random, resource, sys
-limit = int(sys.argv[1])
+limit, m, against = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from kernseq import decision
 from kernseq.automata import Alphabet, drop_sink, minimize
@@ -977,10 +1036,11 @@ from kernseq.relations import prepare
 from kernseq.transducers import identity
 
 rng = random.Random(3)
-draws = [random_equivalence(rng, max_states=24) for _ in range(30)]
+draws = [random_equivalence(rng, max_states=m) for _ in range(30)]
 sizes = [len(drop_sink(minimize(c.nfa)).states) for c in draws]
 closure = draws[sizes.index(max(sizes))]
-print(max(sizes), decision._finite_index(prepare(identity(Alphabet(("a", "b")))), closure))
+finer = closure if against == "itself" else identity(Alphabet(("a", "b")))
+print(max(sizes), decision._finite_index(prepare(finer), closure))
 """
 
 
@@ -993,15 +1053,17 @@ def test_the_valuedness_search_answers_a_large_closure_in_bounded_memory():
 
     src = os.path.dirname(os.path.dirname(kernseq.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _LARGE_CLOSURE_INDEX, str(512 << 20)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["484", "False"]
+    inputs = [(24, "identity", 512, ["484", "False"]), (48, "itself", 160, ["1159", "True"])]
+    for m, against, megabytes, answer in inputs:
+        done = subprocess.run(
+            [sys.executable, "-c", _LARGE_CLOSURE_INDEX, str(megabytes << 20), str(m), against],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, (m, done.stderr)
+        assert done.stdout.split() == answer
 
 
 def test_analyze_non_equivalence_read_only_validation():

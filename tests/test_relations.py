@@ -10,6 +10,7 @@ from kernseq.automata import (
     drop_sink,
     explore,
     explored,
+    inclusion_counterexample,
     includes,
     language_equal,
     minimize,
@@ -18,6 +19,7 @@ from kernseq.automata import (
 from kernseq.decision import DEFAULT_CLOSURE_CAP, is_finitely_valued
 from kernseq.errors import (
     AlphabetMismatchError,
+    BadClosureWitnessError,
     NotEquivalenceError,
     PreconditionError,
 )
@@ -32,7 +34,7 @@ from kernseq.oracle import (
     syntactic_pairs,
 )
 from kernseq.relations import (
-    RelationValidation,
+    _axioms,
     compose,
     inverse,
     is_prefix_closed,
@@ -43,6 +45,7 @@ from kernseq.relations import (
     transitive_closure,
     validate_relation,
 )
+from kernseq.synthesis import validate_closure_witness
 from kernseq.transducers import (
     LetterTransducer,
     diagonal_states,
@@ -52,6 +55,7 @@ from kernseq.transducers import (
 )
 
 from boolean_ops import complement, relation_union, trim_transducer
+from reference_compose import reference_compose
 from conftest import (
     AB,
     ABC,
@@ -131,14 +135,12 @@ def test_mismatched_alphabets_cannot_validate():
 
 
 def _axioms_by_inclusion(r):
-    """Reference: the equivalence axioms as three inclusions into r."""
-    if not r.same_alphabets():
-        return RelationValidation(False, False, False)
-    return RelationValidation(
-        includes(identity(r.input_alphabet).nfa, r.nfa),
-        includes(inverse(r).nfa, r.nfa),
-        includes(compose(r, r).nfa, r.nfa),
-    )
+    """Reference: the equivalence axioms as three inclusions into r, of the
+    identity, the inverse and the product composition of r with itself.
+    Per axiom, the relation that must lie within r and a shortest pair of
+    it that r lacks, None when there is none."""
+    required = [identity(r.input_alphabet), inverse(r), reference_compose(r, r)]
+    return [(q, inclusion_counterexample(q.nfa, r.nfa)) for q in required]
 
 
 def test_validation_walks_agree_with_the_inclusion_definition():
@@ -165,8 +167,18 @@ def test_validation_walks_agree_with_the_inclusion_definition():
     seen = set()
     for i, r in enumerate(relations):
         v = validate_relation(r)
-        assert v == _axioms_by_inclusion(r), i
-        seen.add((v.is_reflexive, v.is_symmetric, v.is_transitive))
+        holds = (v.is_reflexive, v.is_symmetric, v.is_transitive)
+        seen.add(holds)
+        if not r.same_alphabets():
+            assert holds == (False, False, False), i
+            continue
+        # each walk's counterexample is a pair r lacks, as short as the shortest
+        walks = _axioms(determinize(r.nfa), r.input_alphabet)
+        for ok, found, (required, shortest) in zip(holds, walks, _axioms_by_inclusion(r)):
+            assert ok == (found is None) == (shortest is None), i
+            if found is not None:
+                assert len(found) == len(shortest), i
+                assert required.nfa.accepts(found) and not r.nfa.accepts(found), i
     assert len(seen) == 8
 
 
@@ -230,27 +242,27 @@ def _random_on(rng, inputs, outputs, states):
     return LetterTransducer.build(inputs, outputs, states, transitions, initials, finals)
 
 
-def test_minimal_composition_is_the_minimized_composition(monkeypatch):
+def test_compose_is_the_minimized_product_composition(monkeypatch):
     from kernseq import automata, relations
-    from kernseq.relations import _minimal_composition
 
     def check(r, s):
-        got = _minimal_composition(r, s)
-        assert got == drop_sink(minimize(compose(r, s).nfa))
+        got = compose(r, s)
+        assert got.nfa == drop_sink(minimize(reference_compose(r, s).nfa))
+        assert (got.input_alphabet, got.output_alphabet) == (s.input_alphabet, r.output_alphabet)
         # the complete minimal DFA it keeps is its subset construction
-        assert determinize(got) == automata._subsets(got) == minimize(got)
+        assert determinize(got.nfa) == automata._subsets(got.nfa) == minimize(got.nfa)
         return got
 
     # every index input and every closure round, and the fixtures whose
     # index is infinite: the seeded suite never reaches that answer
-    rounds = count_calls(monkeypatch, relations, "_minimal_composition")
+    rounds = count_calls(monkeypatch, relations, "compose")
     fixtures = [build_last_a(), build_c_singletons(), build_chained_classes(), build_chain(3)]
     infinite = 0
     for r in fixtures + default_suite(200, seed=7):
         uniformizer = prepare(r).uniformizer
         result = transitive_closure(prefix_closure(r), DEFAULT_CLOSURE_CAP)
         for target in (r, result.closure) if result.converged else (r,):
-            infinite += not is_finitely_valued(target.with_nfa(check(uniformizer, target)))
+            infinite += not is_finitely_valued(check(uniformizer, target))
     assert len(rounds) >= 4 and infinite >= 3
     for current, p in list(rounds):
         check(current, p)
@@ -261,7 +273,7 @@ def test_minimal_composition_is_the_minimized_composition(monkeypatch):
     for _ in range(600):
         s = _random_on(rng, AB, ABC, list(range(rng.randint(1, 4))))
         r = _random_on(rng, ABC, AB, [-2, 0, 3, 7][: rng.randint(1, 4)])
-        empty += not check(r, s).states
+        empty += not check(r, s).nfa.states
     assert 50 < empty < 550
 
 
@@ -508,7 +520,7 @@ def test_closure_runs_one_inclusion_per_round(monkeypatch, ident_ab, chained_cla
     from kernseq import automata, relations
 
     calls = count_calls(monkeypatch, automata, "includes")
-    composed = count_calls(monkeypatch, relations, "_minimal_composition")
+    composed = count_calls(monkeypatch, relations, "compose")
     # a transitive input is its own closure, read off the axiom walk
     result = transitive_closure(ident_ab, 3)
     assert (result.exponent, result.converged) == (1, True)
@@ -535,7 +547,7 @@ def _closure_by_rounds(p, cap):
     """
     current = p.with_nfa(drop_sink(minimize(p.nfa)))
     for k in range(1, cap + 1):
-        nxt = p.with_nfa(drop_sink(minimize(compose(current, p).nfa)))
+        nxt = p.with_nfa(drop_sink(minimize(reference_compose(current, p).nfa)))
         if includes(nxt.nfa, current.nfa):
             return current.nfa, k, True
         current = nxt
@@ -597,6 +609,25 @@ def test_closure_matches_the_loop_of_rounds():
     # rounds and closures the cap cuts short
     assert {(1, True), (2, True), (3, True), (1, False), (2, False)} <= seen
     assert sum(not validate_relation(p).is_transitive for p in drawn) >= 20
+
+
+def test_the_closure_witness_check_finds_a_shortest_pair_outside_the_closure():
+    """The transitivity walk names a pair of C after C outside C, as short
+    as the shortest one the product composition and an inclusion find."""
+    rng = random.Random(1)
+    found = 0
+    for _ in range(3000):
+        closure = _reflexive_symmetric(rng)
+        try:
+            validate_closure_witness(identity(AB), closure)
+            continue
+        except BadClosureWitnessError as refused:
+            u, w = refused.pair
+        found += 1
+        chained = reference_compose(closure, closure).nfa
+        assert len(u) == len(inclusion_counterexample(chained, closure.nfa))
+        assert chained.accepts(tuple(zip(u, w))) and not closure.nfa.accepts(tuple(zip(u, w)))
+    assert found >= 300
 
 
 def test_each_relation_is_determinized_once(monkeypatch):
@@ -778,7 +809,7 @@ def test_pruned_uniformizer_equals_the_unpruned_walk_trimmed(monkeypatch):
     ]
     # r after r is r again, realized by a nondeterministic product, so the
     # walk's state sets hold more than one state
-    drawn[::4] = [compose(r, r) for r in drawn[::4]]
+    drawn[::4] = [reference_compose(r, r) for r in drawn[::4]]
     drawn += [build_chain(3), build_chained_classes(), build_last_a(), build_c_singletons()]
     assert sum(not r.nfa.is_deterministic for r in drawn) > 250
     # the shapes of the two benchmark suites: two letters, and three letters

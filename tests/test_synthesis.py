@@ -5,12 +5,14 @@ import pytest
 from kernseq.automata import Alphabet, language_equal
 from kernseq.decision import decide_kerseq_lp
 from kernseq.errors import (
+    AlphabetMismatchError,
     DimensionCapError,
     InternalInvariantError,
     NotLetterToLetterError,
     PreconditionError,
 )
 from kernseq.machines import SequentialTransducer, SubsequentialTransducer
+from kernseq.transducers import LetterTransducer
 from kernseq.oracle import (
     accepts_pair_backward,
     brute_index,
@@ -38,7 +40,15 @@ from kernseq.synthesis import (
     synthesize_subsequential,
     validate_closure_witness,
 )
-from conftest import AB, build_agree_except_last, build_mod_count, count_calls, words
+from conftest import (
+    AB,
+    ABC,
+    build_agree_except_last,
+    build_mod_count,
+    count_calls,
+    validation_walks,
+    words,
+)
 
 
 def closure_of(r, cap=8):
@@ -111,7 +121,7 @@ def test_each_synthesizer_prepares_its_relation_once(monkeypatch, a_parity, c_si
 
     yes = build_agree_except_last(2)
     yes_plus, parity_plus, singletons_plus = map(closure_of, (yes, a_parity, c_singletons))
-    walks = count_calls(monkeypatch, relations, "_axioms")
+    walks = validation_walks(monkeypatch)
     builds = count_calls(monkeypatch, relations, "_uniformizer")
     # per relation object: each synthesizer, and the refusal it meets if any
     runs = [
@@ -238,6 +248,12 @@ def test_closure_witness_errors_name_a_shortest_offending_pair(
         ).pairs
     with pytest.raises(BadClosureWitnessError, match=r"\(\('a',\), \('b',\)\)"):
         decide_kerseq_lp(a_parity, closure=ident_ab)
+    # a closure whose input and output alphabets differ is no transitive closure
+    wide = LetterTransducer.build(
+        AB, ABC, {0}, {(0, (x, y), 0) for x in AB.letters for y in ABC.letters}, {0}, {0}
+    )
+    with pytest.raises(AlphabetMismatchError):
+        validate_closure_witness(wide, wide)
 
 
 def test_subsequential_body_outputs_track_the_closure(a_parity):
