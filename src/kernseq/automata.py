@@ -225,10 +225,9 @@ def drop_sink(a: Nfa) -> Nfa:
     """``trim(a)`` for a minimal complete DFA ``a``, such as ``minimize`` returns.
 
     Every state of ``a`` is reachable and at most one is dead: the sink,
-    a non-final state whose every move loops back to it. Dropping it and
-    shifting the states above it down by one numbers the rest as
-    ``trim`` does, with no reachability walk. When the sink is the
-    initial state the language is empty and so is the result.
+    a non-final state whose every move loops back to it, which
+    ``_trim_rows`` drops. When the sink is the initial state the language
+    is empty and so is the result.
 
     ``a`` is kept as the result's subset construction (``determinize``):
     subsets of a trim DFA are its singletons and the empty set, which
@@ -236,30 +235,25 @@ def drop_sink(a: Nfa) -> Nfa:
     states of ``a`` are numbered breadth first, so that construction is
     ``a`` itself.
     """
-    rows, finals = _sink_free(_dense(a), [q in a.finals for q in range(len(a.states))])
+    rows, finals = _trim_rows(_dense(a), [q in a.finals for q in range(len(a.states))])
     trimmed = a if len(rows) == len(a.states) else _dfa(a.alphabet, rows, finals)
     vars(trimmed).setdefault("_determinized", a)
     return trimmed
 
 
-def _sink_free(rows: list, finals: list) -> tuple[list, list]:
-    """The rows and finality of a minimal complete DFA given as dense rows
-    (``rows[q][i]`` the target of q at letter position i, every state
-    reachable from state 0), with its sink dropped as ``drop_sink`` drops
-    it: the states above the sink shift down by one, and a move into the
-    sink reads -1.
+def _trim_rows(rows: list, finals: list) -> tuple[list, list]:
+    """The rows and finality of an automaton given as dense rows
+    (``rows[q][i]`` the target of q at letter position i, or -1, every
+    state reachable from state 0), restricted as ``trim`` restricts it:
+    to the states that reach a final one, found by one backward walk,
+    numbered in their order, and a move into a dropped state reading -1.
     """
-    sink = next(
-        (q for q, row in enumerate(rows) if not finals[q] and row.count(q) == len(row)), None
-    )
-    if sink is None:
-        return rows, finals
-    shift = [t - (t > sink) for t in range(len(rows))]
-    shift[sink] = -1
-    return (
-        [[shift[t] for t in row] for q, row in enumerate(rows) if q != sink],
-        finals[:sink] + finals[sink + 1 :],
-    )
+    back = ((t, q) for q, row in enumerate(rows) for t in row if t >= 0)
+    useful = sorted(_reach((q for q, final in enumerate(finals) if final), back))
+    number = [-1] * (len(rows) + 1)  # number[-1], for no move, stays -1
+    for k, q in enumerate(useful):
+        number[q] = k
+    return [[number[t] for t in rows[q]] for q in useful], [finals[q] for q in useful]
 
 
 def _dense(a: Nfa) -> list:

@@ -36,7 +36,7 @@ import enum
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .automata import _dense, _sink_free, drop_sink, includes, minimize
+from .automata import _dense, _trim_rows, drop_sink, includes, minimize
 from .errors import InternalInvariantError, NotEquivalenceError, NotFinerError, NotLetterToLetterError
 from .machines import SequentialTransducer, SubsequentialTransducer
 from .relations import (
@@ -251,7 +251,7 @@ def is_finitely_valued(t: LetterTransducer) -> bool:
 def _composition_finitely_valued(f: LetterTransducer, target: LetterTransducer) -> bool:
     """``is_finitely_valued(compose(f, target))``, searched on the dense rows of
     ``relations._composed`` with the sink dropped: no automaton is built."""
-    rows, _finals = _sink_free(*_composed(f, target))
+    rows, _finals = _trim_rows(*_composed(f, target))
     return _finitely_valued(rows, len(f.output_alphabet))
 
 

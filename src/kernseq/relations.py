@@ -10,11 +10,14 @@ function.
 pairs of the two relations' states straight into the minimal DFA of the
 composition, whose dense rows (``_composed``) the index checks read.
 The equivalence axioms are three breadth-first walks over self-products
-of a complete pair DFA (``_axioms``), each returning a shortest
-counterexample. Validation walks the relation's own determinization,
+of a complete pair DFA (``_axioms``), on integer nodes over its dense
+rows, each run on demand and returning a shortest counterexample.
+Validation walks all three on the relation's own determinization,
 which ``prepare`` shares with the pair DFA; the closure search walks
-its first iterate, and ``synthesis.validate_closure_witness`` a
-supplied closure, for transitivity.
+its first iterate, and ``synthesis.validate_closure_witness`` walks
+only transitivity, on a supplied closure. The min-lex uniformizer walks
+pairs of state sets as integer bitsets and builds its automaton from
+the dense rows of that walk, trimmed.
 
 ``prepare`` validates a relation and builds the stages it shares: the
 pair DFA, diagonal states, and on first use the rest, the closure
@@ -26,23 +29,24 @@ passes through, and holds its memory for as long as the object lives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
-from typing import Callable, Iterator
+from functools import cached_property, reduce, wraps
+from operator import or_
+from typing import Callable
 
 from .automata import (
     Alphabet,
     Nfa,
+    _dense,
     _dfa,
     _quotient,
     _subset_rows,
+    _trim_rows,
     _unchecked,
     coaccessible_states,
     determinize,
     drop_sink,
-    explored,
     includes,
     minimize,
-    trim,
 )
 from .errors import AlphabetMismatchError, NotEquivalenceError, PreconditionError
 from .transducers import LetterTransducer, diagonal_states, pair_alphabet, pair_dfa
@@ -167,17 +171,18 @@ def validate_relation(r: LetterTransducer) -> RelationValidation:
     if not r.same_alphabets():
         return RelationValidation(False, False, False)
     return RelationValidation(
-        *(found is None for found in _axioms(determinize(r.nfa), r.input_alphabet))
+        *(walk() is None for walk in _axioms(determinize(r.nfa), r.input_alphabet))
     )
 
 
-def _axioms(d: Nfa, alphabet: Alphabet) -> Iterator[tuple | None]:
-    """Per axiom, reflexivity, symmetry and transitivity of the relation R
-    of the complete pair DFA ``d`` over ``alphabet``, a shortest pair R
-    lacks for it to hold, as a word of pair letters, or None when it
-    holds; each walked when it is asked for. With δ(u, v) the state ``d``
-    reaches on a pair of equal-length words, an axiom fails exactly when
-    a breadth-first walk from the initial state reaches a counterexample:
+def _axioms(d: Nfa, alphabet: Alphabet) -> tuple[Callable, Callable, Callable]:
+    """The walks for reflexivity, symmetry and transitivity of the relation
+    R of the complete pair DFA ``d`` over ``alphabet``: each a function of
+    no arguments returning a shortest pair R lacks for its axiom to hold,
+    as a word of pair letters, or None when it holds, so a caller walks
+    only the axioms it asks for. With δ(u, v) the state ``d`` reaches on a
+    pair of equal-length words, an axiom fails exactly when a breadth-first
+    walk from the initial state reaches a counterexample:
 
     - reflexive: (u, u) with δ(u, u) not final, walking by the letters (a, a);
     - symmetric: (v, u) with δ(u, v) final and δ(v, u) not, moving by
@@ -185,80 +190,90 @@ def _axioms(d: Nfa, alphabet: Alphabet) -> Iterator[tuple | None]:
     - transitive: (u, w) with δ(u, v) and δ(v, w) final and δ(u, w) not,
       moving on (a, b, c) by (a, b), (b, c) and (a, c).
 
-    Of the shortest counterexamples, the walk ends on the first in the
-    order of (a, b, c). A state that cannot reach a final state never
-    turns final, so the symmetric and transitive walks follow only moves
-    into live states on the tracks that a counterexample needs final.
+    The walks run on integer nodes over the n states of ``_dense(d)``: p,
+    p·n + q and (p·n + q)·n + s for a state, pair and triple (see
+    ``_shortest``). Of the shortest counterexamples, each ends on the
+    first in the order of (a, b, c). A state that cannot reach a final
+    state never turns final, so the symmetric and transitive walks follow
+    only moves into live states on the tracks that a counterexample needs
+    final.
     """
+    rows = _dense(d)  # [q][a * w + b]: δ(q, (a, b))
+    n, w = len(rows), len(alphabet)
+    final = [q in d.finals for q in range(n)]
     live = coaccessible_states(d)
-    table = d._table  # [q][a * w + b]: [δ(q, (a, b))]
-    w = len(alphabet)
-    width = range(w)
-    finals = d.finals
     (start,) = d.initials
-
-    # per state q and input letter a: the (b, δ(q, (a, b))) that are live
-    ahead = {
-        q: [
-            [(b, t) for b, (t,) in enumerate(row[a * w : (a + 1) * w]) if t in live]
-            for a in width
-        ]
-        for q, row in table.items()
-    }
-
-    # each walk's moves are labelled by the position of the pair letter R lacks
-    def diagonal(p):
-        return [(a * (w + 1), q) for a, (q,) in enumerate(table[p][:: w + 1])]
-
-    def mirrored(pair):
-        p, q = pair
-        back = table[q]
-        return [
-            (b * w + a, (p2, back[b * w + a][0])) for a, hops in enumerate(ahead[p]) for b, p2 in hops
-        ]
-
-    def chained(triple):
-        p, q, s = triple
-        row_s, from_q = table[s], ahead[q]
-        return [
-            (a * w + c, (p2, q2, row_s[a * w + c][0]))
-            for a, hops in enumerate(ahead[p])
-            for b, p2 in hops
-            for c, q2 in from_q[b]
-        ]
-
-    walks = [
-        (start, diagonal, lambda p: p not in finals),
-        ((start, start), mirrored, lambda n: n[0] in finals and n[1] not in finals),
-        (
-            (start, start, start),
-            chained,
-            lambda n: n[0] in finals and n[1] in finals and n[2] not in finals,
-        ),
+    letters = d.alphabet.letters
+    # per state q and letter a: (b, δ(q, (a, b))·n) for the moves into live states
+    ahead = [
+        [[(b, t * n) for b, t in enumerate(row[a * w : a * w + w]) if t in live] for a in range(w)]
+        for row in rows
     ]
-    for walk in walks:
-        moves = _shortest(*walk)
-        yield None if moves is None else tuple(d.alphabet.letters[i] for i in moves)
+
+    # each walk's moves are labelled by the pair letter R lacks
+    def reflexive():
+        diagonal = [row[:: w + 1] for row in rows]
+        same = letters[:: w + 1]
+        return _shortest(start, lambda p: diagonal[p] if final[p] else None, lambda p: same)
+
+    def symmetric():
+        hops = [[(t, b * w + a) for a, moves in enumerate(row) for b, t in moves] for row in ahead]
+
+        def expand(node):
+            p, q = divmod(node, n)
+            if final[p] and not final[q]:
+                return None
+            back = rows[q]
+            return [t + back[i] for t, i in hops[p]]
+
+        return _shortest(
+            start * (n + 1), expand, lambda node: [letters[i] for _t, i in hops[node // n]]
+        )
+
+    def transitive():
+        chains = [
+            [(a * w, b, t * n) for a, moves in enumerate(row) for b, t in moves] for row in ahead
+        ]
+
+        def expand(node):
+            pq, s = divmod(node, n)
+            p, q = divmod(pq, n)
+            if final[p] and final[q] and not final[s]:
+                return None
+            row_s, from_q = rows[s], ahead[q]
+            return [t + u + row_s[aw + c] for aw, b, t in chains[p] for c, u in from_q[b]]
+
+        def labels(node):
+            p, q = divmod(node // n, n)
+            return [letters[aw + c] for aw, b, _t in chains[p] for c, _u in ahead[q][b]]
+
+        return _shortest(start * (n * n + n + 1), expand, labels)
+
+    return reflexive, symmetric, transitive
 
 
-def _shortest(start, successors: Callable, bad: Callable) -> list | None:
-    """The labels along a shortest path from ``start`` to a ``bad`` node, or
-    None when no node reachable from ``start`` is bad: a breadth-first
-    walk, ``successors(node)`` listing its (label, next) moves, so of the
-    shortest paths it returns the first in the order of the moves.
+def _shortest(start: int, expand: Callable, labels: Callable) -> tuple | None:
+    """The labels along a shortest path from ``start`` to a bad node, or None
+    when no node reachable from ``start`` is bad: a breadth-first walk over
+    integer nodes, ``expand(node)`` being None for a bad node and otherwise
+    the nodes its moves reach, in order, and ``labels(node)`` their labels,
+    so of the shortest paths it returns the first in that order. A node
+    keeps only the node it was first reached from, and a step's label is
+    read back as that of the parent's first move into the child.
     """
-    parent = {start: None}  # node -> (the node it was first reached from, label)
+    parent = {start: None}  # node -> the node it was first reached from
     queue = [start]
     for node in queue:  # the queue grows while it is walked
-        if bad(node):
-            labels = []
-            while parent[node] is not None:
-                node, label = parent[node]
-                labels.append(label)
-            return labels[::-1]
-        for label, nxt in successors(node):
+        moves = expand(node)
+        if moves is None:
+            path = []
+            while (up := parent[node]) is not None:
+                path.append(labels(up)[expand(up).index(node)])
+                node = up
+            return tuple(reversed(path))
+        for nxt in moves:
             if nxt not in parent:
-                parent[nxt] = node, label
+                parent[nxt] = node
                 queue.append(nxt)
     return None
 
@@ -315,11 +330,12 @@ class Prepared:
 
     @cached_property
     def congruence(self) -> LetterTransducer:
-        """The syntactic congruence: the pair DFA with the diagonal states final."""
+        """The syntactic congruence: the pair DFA with the diagonal states
+        final. It shares ``det``'s transitions and transition table."""
         d = self.det.nfa
-        return self.det.with_nfa(
-            _unchecked(d.alphabet, d.states, d.transitions, d.initials, self.diagonal)
-        )
+        c = _unchecked(d.alphabet, d.states, d.transitions, d.initials, self.diagonal)
+        vars(c)["_table"] = d._table
+        return self.det.with_nfa(c)
 
     @cached_property
     def uniformizer(self) -> LetterTransducer:
@@ -447,13 +463,15 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     """
     _require_cap(cap)
     minimal = minimize(p.nfa)
-    axioms = _axioms(minimal, p.input_alphabet) if p.same_alphabets() else iter(((), ()))
-    if next(axioms) is not None:
+    reflexive, symmetric, transitive = (
+        _axioms(minimal, p.input_alphabet) if p.same_alphabets() else (lambda: (),) * 3
+    )
+    if reflexive() is not None:
         raise PreconditionError("transitive closure needs a reflexive relation")
-    if next(axioms) is not None:
+    if symmetric() is not None:
         raise PreconditionError("transitive closure needs a symmetric relation")
     current = p.with_nfa(drop_sink(minimal))
-    if next(axioms) is None:
+    if transitive() is None:
         return ClosureResult(closure=current, exponent=1, converged=True)
     for k in range(1, cap + 1):
         nxt = compose(current, p)
@@ -473,15 +491,15 @@ def min_lex_uniformizer(s: LetterTransducer) -> LetterTransducer:
 
     "Least" is lexicographic under the output alphabet's declaration
     order. Built by one deterministic walk over nodes (equal, smaller):
-    after the pair (u, v), ``equal`` holds the states of ``trim(s.nfa)``
-    that read (u, v) and ``smaller`` those that read (u, v') for some v'
-    of the same length below v. A word below v b is v' b'' with v' below
-    v, or v b' with b' below b, so on input letter a the output letters
-    b are walked in order, each adding the moves of ``equal`` on (a, b)
-    to ``smaller`` for the letters after it. A node accepts when
-    ``equal`` holds a final state and ``smaller`` none: s relates u to v
-    and to no smaller word. The kernel of the resulting function is s
-    itself. Validates s first.
+    after the pair (u, v), ``equal`` holds the live states of ``s`` (those
+    that reach a final state) that read (u, v), and ``smaller`` those
+    that read (u, v') for some v' of the same length below v. A word
+    below v b is v' b'' with v' below v, or v b' with b' below b, so on
+    input letter a the output letters b are walked in order, each adding
+    the moves of ``equal`` on (a, b) to ``smaller`` for the letters after
+    it. A node accepts when ``equal`` holds a final state and ``smaller``
+    none: s relates u to v and to no smaller word. The kernel of the
+    resulting function is s itself. Validates s first.
     """
     require_equivalence(s)
     return _uniformizer(s)
@@ -490,33 +508,66 @@ def min_lex_uniformizer(s: LetterTransducer) -> LetterTransducer:
 def _uniformizer(s: LetterTransducer) -> LetterTransducer:
     """``min_lex_uniformizer`` of an equivalence s, without validating it.
 
+    Both sets of a node are integer bitsets over the live states of
+    ``s.nfa``, and a set's moves per pair letter are joined once per
+    distinct set. The nodes are numbered breadth first, letter positions
+    in order, with a dense row each; the rows are then restricted to the
+    nodes that reach an accepting one (``automata._trim_rows``), which is
+    the trimmed automaton of the walk.
+
     The walk never yields a node whose ``equal`` lies within its
     ``smaller``: both sets then move on the same letters, every later
     ``equal`` stays inside its ``smaller``, and no such node accepts, so
-    ``trim`` would drop it and all it reaches. A pruned node reaches no
-    node that survives, so the survivors are found in the same order
-    and the trimmed result is the same automaton as without the pruning.
+    the trimming would drop it and all it reaches. A pruned node reaches
+    no node that survives, so the survivors are found in the same order
+    and the result is the same automaton as without the pruning.
     """
-    base = trim(s.nfa)
-    table = base._table
-    letters = base.alphabet.letters
+    a = s.nfa
+    live = sorted(coaccessible_states(a))
+    bit = dict.fromkeys(a.states, 0)  # a dead state has no bit
+    bit.update((q, 1 << k) for k, q in enumerate(live))
+    table = a._table
+    positions = len(a.alphabet)
     width = len(s.output_alphabet)
-    rows = [range(i, i + width) for i in range(0, len(letters), width)]  # per input letter
-
-    def successors(node):
-        equal, smaller = node
-        for row in rows:
-            below = frozenset().union(*[table[p][i] for p in smaller for i in row])
-            for i in row:
-                reached = frozenset().union(*[table[p][i] for p in equal])
-                if not reached <= below:
-                    yield letters[i], (reached, below)
-                    below |= reached
-
-    graph = explored(
-        base.alphabet,
-        [(frozenset(base.initials), frozenset())],
-        successors,
-        lambda node: bool(node[0] & base.finals) and not node[1] & base.finals,
+    blocks = [range(i, i + width) for i in range(0, positions, width)]  # per input letter
+    # bitset -> its states' live targets joined, per pair-letter position
+    joined = {0: [0] * positions}
+    joined.update(
+        (bit[q], [sum(map(bit.__getitem__, targets)) for targets in table[q]]) for q in live
     )
-    return s.with_nfa(trim(graph))
+
+    def join(states: int) -> list:
+        row = joined.get(states)
+        if row is None:
+            row, rest = joined[0], states
+            while rest:
+                low = rest & -rest
+                row = list(map(or_, row, joined[low]))
+                rest ^= low
+            joined[states] = row
+        return row
+
+    finals = sum(bit[q] for q in a.finals)
+    start = (sum(bit[q] for q in a.initials), 0)
+    nodes = [start]
+    ids = {start: 0}
+    rows = []
+    for equal, smaller in nodes:  # nodes grows while it is walked
+        reach, beaten = join(equal), join(smaller)
+        row = []
+        for block in blocks:
+            below = reduce(or_, [beaten[i] for i in block])
+            for i in block:
+                reached = reach[i]
+                if reached & ~below:
+                    node = (reached, below)
+                    t = ids.setdefault(node, len(nodes))
+                    if t == len(nodes):
+                        nodes.append(node)
+                    row.append(t)
+                    below |= reached
+                else:
+                    row.append(-1)
+        rows.append(row)
+    accepting = [bool(equal & finals) and not smaller & finals for equal, smaller in nodes]
+    return s.with_nfa(_dfa(a.alphabet, *_trim_rows(rows, accepting)))

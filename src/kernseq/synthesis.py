@@ -389,10 +389,10 @@ def validate_closure_witness(r: LetterTransducer, closure: LetterTransducer) -> 
     """Checks that a claimed transitive prefix-closure fixpoint is consistent.
 
     Verifies containment of the prefix closure, by one inclusion, and
-    transitivity, by the walks of ``relations._axioms`` on the closure's
-    complete pair DFA. The fixpoint equation follows from the two:
-    composing the witness with the prefix closure stays inside the
-    witness composed with itself. These are the checkable necessary
+    transitivity, by the transitivity walk of ``relations._axioms`` alone
+    on the closure's complete pair DFA. The fixpoint equation follows
+    from the two: composing the witness with the prefix closure stays
+    inside the witness composed with itself. These are the checkable necessary
     conditions; minimality of the closure is taken on trust as part of
     the input contract. A failed check raises ``BadClosureWitnessError``
     naming a shortest offending pair (u, v), also kept as its ``pair``;
@@ -404,7 +404,8 @@ def validate_closure_witness(r: LetterTransducer, closure: LetterTransducer) -> 
     if word is None:
         if not closure.same_alphabets():
             raise AlphabetMismatchError("a closure witness needs equal input and output alphabets")
-        *_, word = _axioms(determinize(closure.nfa), closure.input_alphabet)
+        *_, transitive = _axioms(determinize(closure.nfa), closure.input_alphabet)
+        word = transitive()
         what = "is not transitive"
     if word is not None:
         pair = (tuple(x for x, _y in word), tuple(y for _x, y in word))

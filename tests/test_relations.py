@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kernseq.automata import (
     Nfa,
+    coaccessible_states,
     determinize,
     drop_sink,
     explore,
@@ -173,13 +174,123 @@ def test_validation_walks_agree_with_the_inclusion_definition():
             assert holds == (False, False, False), i
             continue
         # each walk's counterexample is a pair r lacks, as short as the shortest
-        walks = _axioms(determinize(r.nfa), r.input_alphabet)
+        walks = [walk() for walk in _axioms(determinize(r.nfa), r.input_alphabet)]
         for ok, found, (required, shortest) in zip(holds, walks, _axioms_by_inclusion(r)):
             assert ok == (found is None) == (shortest is None), i
             if found is not None:
                 assert len(found) == len(shortest), i
                 assert required.nfa.accepts(found) and not r.nfa.accepts(found), i
     assert len(seen) == 8
+
+
+def _reference_axioms(d, alphabet):
+    """Reference copy of the axiom walks on tuple nodes, each move a
+    (label, node) pair and each node keeping its label: per axiom, a
+    shortest pair the relation of the complete pair DFA ``d`` lacks, as a
+    word of pair letters, or None."""
+    live = coaccessible_states(d)
+    table = d._table
+    w = len(alphabet)
+    finals = d.finals
+    (start,) = d.initials
+    ahead = {
+        q: [
+            [(b, t) for b, (t,) in enumerate(row[a * w : (a + 1) * w]) if t in live]
+            for a in range(w)
+        ]
+        for q, row in table.items()
+    }
+
+    def diagonal(p):
+        return [(a * (w + 1), q) for a, (q,) in enumerate(table[p][:: w + 1])]
+
+    def mirrored(pair):
+        p, q = pair
+        back = table[q]
+        return [
+            (b * w + a, (p2, back[b * w + a][0])) for a, hops in enumerate(ahead[p]) for b, p2 in hops
+        ]
+
+    def chained(triple):
+        p, q, s = triple
+        row_s, from_q = table[s], ahead[q]
+        return [
+            (a * w + c, (p2, q2, row_s[a * w + c][0]))
+            for a, hops in enumerate(ahead[p])
+            for b, p2 in hops
+            for c, q2 in from_q[b]
+        ]
+
+    def shortest(start, successors, bad):
+        parent = {start: None}
+        queue = [start]
+        for node in queue:
+            if bad(node):
+                labels = []
+                while parent[node] is not None:
+                    node, label = parent[node]
+                    labels.append(label)
+                return tuple(d.alphabet.letters[i] for i in reversed(labels))
+            for label, nxt in successors(node):
+                if nxt not in parent:
+                    parent[nxt] = node, label
+                    queue.append(nxt)
+        return None
+
+    return [
+        shortest(start, diagonal, lambda p: p not in finals),
+        shortest((start, start), mirrored, lambda n: n[0] in finals and n[1] not in finals),
+        shortest(
+            (start, start, start),
+            chained,
+            lambda n: n[0] in finals and n[1] in finals and n[2] not in finals,
+        ),
+    ]
+
+
+def test_integer_node_walks_equal_the_tuple_node_walks():
+    """The axiom walks give the reference's answer and counterexample,
+    letter for letter, on equivalences and non-equivalences alike."""
+    rng = random.Random(2323)
+    drawn = []
+    for i in range(3200):
+        letters = ("a", "b") if i % 2 else ("a", "b", "c")
+        if i % 4 == 0:
+            r = random_equivalence(rng, max_states=3, letters=letters)
+        elif i % 4 == 1 and len(letters) == 2:
+            r = _reflexive_symmetric(rng)
+        else:
+            r = _random_transducer(rng, letters, max_states=5)
+            if rng.random() < 0.5:  # the identity on state 0, and every pair read backwards
+                r = LetterTransducer.build(
+                    letters,
+                    letters,
+                    r.nfa.states,
+                    set(r.nfa.transitions)
+                    | {(0, (x, x), 0) for x in letters}
+                    | {(p, (y, x), q) for p, (x, y), q in r.nfa.transitions},
+                    r.nfa.initials,
+                    r.nfa.finals,
+                )
+        drawn.append(r)
+    found = [0, 0, 0]
+    for i, r in enumerate(drawn):
+        d = determinize(r.nfa)
+        got = [walk() for walk in _axioms(d, r.input_alphabet)]
+        assert got == _reference_axioms(d, r.input_alphabet), i
+        for k, word in enumerate(got):
+            found[k] += word is not None
+    # every axiom fails on some draws and holds on others
+    assert all(300 < count < len(drawn) - 300 for count in found), found
+
+
+def test_the_closure_witness_check_walks_transitivity_alone(monkeypatch, a_parity):
+    from kernseq import relations
+
+    closure = prepare(a_parity).closure(DEFAULT_CLOSURE_CAP)[0].closure
+    walks = count_calls(monkeypatch, relations, "_shortest")
+    validate_closure_witness(a_parity, closure)
+    assert len(walks) == 1
 
 
 def test_validation_runs_no_inclusion_composition_or_inverse(monkeypatch, last_a, a_parity):
@@ -817,15 +928,14 @@ def test_pruned_uniformizer_equals_the_unpruned_walk_trimmed(monkeypatch):
     suites = default_suite(200, seed=7) + [
         random_equivalence(shapes, max_states=3, letters=("a", "b", "c")) for _ in range(200)
     ]
-    walked = []  # nodes per walk of the library's uniformizer
-    real = relations.explored
+    walked = []  # nodes per walk of the library's uniformizer, before its trimming
+    real = relations._trim_rows
 
-    def spy(*args):
-        graph = real(*args)
-        walked.append(len(graph.states))
-        return graph
+    def spy(rows, finals):
+        walked.append(len(rows))
+        return real(rows, finals)
 
-    monkeypatch.setattr(relations, "explored", spy)
+    monkeypatch.setattr(relations, "_trim_rows", spy)
     pruned = unpruned = 0
     for i, r in enumerate(drawn + suites):
         congruence = prepare(r).congruence
