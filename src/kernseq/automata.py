@@ -9,6 +9,7 @@ right by construction and assembled through one unchecked path here.
 An automaton indexes its transitions once, on first use, in one table:
 per state, per letter position, its targets ascending. Every walk reads
 that table; ``successors``, ``step`` and ``outgoing`` are views of it.
+Its live states (``coaccessible_states``) are found once and kept too.
 
 Product constructions number their states with ``explore``, breadth
 first in discovery order, and ``explored`` builds their automaton. The
@@ -119,6 +120,12 @@ class Nfa:
         return table
 
     @cached_property
+    def _live(self) -> frozenset[int]:
+        """The states that reach a final state, found on first use and kept:
+        see ``coaccessible_states``."""
+        return _reach(self.finals, map(itemgetter(2, 0), self.transitions))
+
+    @cached_property
     def _determinized(self) -> "Nfa":
         """The subset construction, built on first use and kept: see ``determinize``."""
         return _subsets(self)
@@ -198,7 +205,10 @@ def accessible_states(a: Nfa) -> frozenset[int]:
 
 
 def coaccessible_states(a: Nfa) -> frozenset[int]:
-    return _reach(a.finals, map(itemgetter(2, 0), a.transitions))
+    """The states of ``a`` that reach a final state. Found on the first call
+    and kept on ``a``, as its table is, so the stages that read the live
+    states of one pair DFA walk it once."""
+    return a._live
 
 
 def trim(a: Nfa) -> Nfa:

@@ -28,6 +28,9 @@ held for as long as the object lives. A prefix-closed relation is its
 own searched closure, read off its kept pair DFA with no search, and
 its index against that closure is the kept index against the relation.
 A supplied closure is validated and its index checked on every call.
+Of the two index checks, ``decide_kerseq_lp`` runs the one against the
+closure first when no composition round is needed to reach it, and the
+one against the relation first otherwise.
 """
 
 from __future__ import annotations
@@ -319,14 +322,24 @@ def decide_kerseq_lp(
 ) -> Verdict:
     """Is r the kernel of some sequential machine (length-preserving case)?
 
-    The congruence index against r itself is checked before any closure
-    work, so relations that already fail it are decided without
-    iterating. The closure fixpoint is either validated from the caller
-    or searched up to ``cap``; running out yields UNKNOWN, never a wrong
-    answer. The searched closure and the index against it are kept per
-    cap on the ``Prepared`` value kept on r (``Prepared.closure``), so a
-    relation object is searched once per cap; a supplied closure is
-    validated and its index checked on every call. YES verdicts carry the
+    The index checks run in this order. When the closure is reached with
+    no composition round (``Prepared.prefix_transitive``: r is
+    prefix-closed, or its prefix closure is transitive, so the closure is
+    the first iterate at exponent 1) and none is supplied, the index
+    against that closure comes first. r lies inside the closure, so a
+    finite index against it is a finite index against r, and the index
+    against r is checked only when it is infinite, to report NO with the
+    closure when r passes and without it when r fails. Otherwise the
+    index against r comes first, before any closure work: relations that
+    fail it are decided without iterating, and the composition rounds,
+    whose cost nothing bounds, run only on relations that pass it.
+
+    The closure fixpoint is either validated from the caller or searched
+    up to ``cap``; running out yields UNKNOWN, never a wrong answer. The
+    searched closure and the index against it are kept per cap on the
+    ``Prepared`` value kept on r (``Prepared.closure``), so a relation
+    object is searched once per cap; a supplied closure is validated and
+    its index checked on every call. YES verdicts carry the
     final-output-free witness, Moore-minimal, with the subsequential
     stage attached; ``minimal_machine`` merges the witness's states only
     when the stage has more than one final-output value. The stage's
@@ -343,19 +356,25 @@ def decide_kerseq_lp(
     )
 
     prep = prepare(r)
-    if not prep.finite_index:
-        return Verdict(Outcome.NO, reason=INFINITE_INDEX)
     closure_result = None
-    if closure is not None:
-        validate_closure_witness(r, closure)
-        pplus, finite = closure, _finite_index(prep, closure)
-    else:
+    if closure is None and cap >= 1 and prep.prefix_transitive:
         closure_result, finite = prep.closure(cap)
-        if not closure_result.converged:
-            return Verdict(
-                Outcome.UNKNOWN, reason=CLOSURE_CAP_EXHAUSTED, closure=closure_result
-            )
+        if not finite and not prep.finite_index:
+            return Verdict(Outcome.NO, reason=INFINITE_INDEX)
         pplus = closure_result.closure
+    else:
+        if not prep.finite_index:
+            return Verdict(Outcome.NO, reason=INFINITE_INDEX)
+        if closure is not None:
+            validate_closure_witness(r, closure)
+            pplus, finite = closure, _finite_index(prep, closure)
+        else:
+            closure_result, finite = prep.closure(cap)
+            if not closure_result.converged:
+                return Verdict(
+                    Outcome.UNKNOWN, reason=CLOSURE_CAP_EXHAUSTED, closure=closure_result
+                )
+            pplus = closure_result.closure
     if not finite:
         return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=closure_result)
     sub = minimal_machine(subsequential_machine(prep, pplus))

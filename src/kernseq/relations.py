@@ -14,16 +14,21 @@ of a complete pair DFA (``_axioms``), on integer nodes over its dense
 rows, each run on demand and returning a shortest counterexample.
 Validation walks all three on the relation's own determinization,
 which ``prepare`` shares with the pair DFA; the closure search walks
-its first iterate, and ``synthesis.validate_closure_witness`` walks
-only transitivity, on a supplied closure. The min-lex uniformizer walks
+its first iterate (``_first_iterate``, kept on the relation searched),
+and ``synthesis.validate_closure_witness`` walks only transitivity, on
+a supplied closure. The min-lex uniformizer walks
 pairs of state sets as integer bitsets and builds its automaton from
 the dense rows of that walk, trimmed.
 
 ``prepare`` validates a relation and builds the stages it shares: the
-pair DFA, diagonal states, and on first use the rest, the closure
-searched for each cap and its index included. They are kept on the
-relation object, so each runs once per object whichever entry points it
-passes through, and holds its memory for as long as the object lives.
+pair DFA, diagonal states, and on first use the rest, the prefix
+closure with its first closure iterate, and the closure searched for
+each cap with its index, included. The first iterate, the minimal DFA
+of the prefix closure with its axiom walks, tells before any
+composition round whether the closure is reached at exponent 1. They
+are kept on the relation object, so each runs once per object whichever
+entry points it passes through, and holds its memory for as long as the
+object lives.
 """
 
 from __future__ import annotations
@@ -305,10 +310,10 @@ class Prepared:
     diagonal states; the other stages are built on first use and kept.
     ``prepare`` keeps one ``Prepared`` on each relation object, so every
     entry point given that object shares its validation, pair DFA,
-    prefix-closedness, congruence, uniformizer and index, and the closure
-    searched for each cap with the index against it, and none of them
-    runs twice. They hold their memory for as long as the relation
-    object lives.
+    prefix-closedness, congruence, uniformizer and index, the prefix
+    closure with its first closure iterate, and the closure searched for
+    each cap with the index against it, and none of them runs twice.
+    They hold their memory for as long as the relation object lives.
     """
 
     relation: LetterTransducer
@@ -332,10 +337,34 @@ class Prepared:
     def congruence(self) -> LetterTransducer:
         """The syntactic congruence: the pair DFA with the diagonal states
         final. It shares ``det``'s transitions and transition table."""
+        return self.det.with_nfa(_with_finals(self.det.nfa, self.diagonal))
+
+    @cached_property
+    def prefix(self) -> LetterTransducer:
+        """``prefix_closure(relation)``, the relation whose closure is
+        searched, kept with the first iterate that ``_first_iterate``
+        keeps on it. Its subset construction is ``det`` with the live
+        states final: it has the relation's transitions and initial
+        states, so the same subsets, and a subset holds a state that
+        reaches a final one exactly when it reaches a final subset. That
+        construction is set from ``det``, sharing its table, so the
+        relation is not determinized again.
+        """
         d = self.det.nfa
-        c = _unchecked(d.alphabet, d.states, d.transitions, d.initials, self.diagonal)
-        vars(c)["_table"] = d._table
-        return self.det.with_nfa(c)
+        p = prefix_closure(self.relation)
+        vars(p.nfa)["_determinized"] = _with_finals(d, coaccessible_states(d))
+        return p
+
+    @cached_property
+    def prefix_transitive(self) -> bool:
+        """Whether the prefix closure is transitive, so that the closure is
+        reached with no composition round, at exponent 1 whatever the cap.
+        A prefix-closed relation is its own prefix closure and, being an
+        equivalence, transitive; otherwise the third walk of
+        ``_first_iterate`` answers, and the search reads the iterate it
+        keeps.
+        """
+        return self.prefix_closed or _first_iterate(self.prefix)[1]
 
     @cached_property
     def uniformizer(self) -> LetterTransducer:
@@ -362,7 +391,7 @@ class Prepared:
         stops at the same round whatever the cap above k.
 
         A relation that is not prefix-closed is searched by
-        ``transitive_closure(prefix_closure(relation), cap)``. A
+        ``transitive_closure(prefix, cap)``, on the kept ``prefix``. A
         prefix-closed relation has its prefix closure's language and, being
         an equivalence, is transitive, so that search would stop at
         exponent 1 on the minimal DFA of that language: the relation's own
@@ -385,10 +414,18 @@ class Prepared:
             result = ClosureResult(r.with_nfa(drop_sink(minimize(r.nfa))), 1, True)
             finite = self.finite_index
         else:
-            result = transitive_closure(prefix_closure(r), cap)
+            result = transitive_closure(self.prefix, cap)
             finite = _finite_index(self, result.closure) if result.converged else None
         self._closures[cap] = result, finite
         return result, finite
+
+
+def _with_finals(d: Nfa, finals) -> Nfa:
+    """The automaton ``d`` with ``finals`` final, sharing its transitions and
+    its table."""
+    a = _unchecked(d.alphabet, d.states, d.transitions, d.initials, finals)
+    vars(a)["_table"] = d._table
+    return a
 
 
 @_kept
@@ -443,15 +480,14 @@ def is_prefix_closed(r: LetterTransducer) -> bool:
 def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     """Iterate q <- q after p until the language stabilizes.
 
-    Requires p reflexive and symmetric so every iterate is too; both are
-    read off the minimal pair DFA of p by the walks of ``_axioms``, and
-    that DFA without its sink (``drop_sink``, which trims it) is the
-    first iterate. Since p is reflexive, q after p contains q, so it is
-    the union of the two and a single inclusion of the next iterate in
-    the current one says they are equal. The first round asks whether p
-    after p lies within p, that is whether p is transitive, which the
-    third walk of ``_axioms`` answers: a transitive p is its own closure
-    at exponent 1. Otherwise each round composes the current iterate
+    Requires p reflexive and symmetric so every iterate is too. The
+    first iterate and whether p is transitive come from
+    ``_first_iterate``, kept on p. Since p is reflexive, q after p
+    contains q, so it is the union of the two and a single inclusion of
+    the next iterate in the current one says they are equal. The first
+    round asks whether p after p lies within p, that is whether p is
+    transitive: a transitive p is its own closure at exponent 1, with no
+    composition round. Otherwise each round composes the current iterate
     with p by ``compose``, so every iterate is the trimmed minimal pair
     DFA of its language and keeps the complete one as its subset
     construction, and compares it with one inclusion. Stops either at the
@@ -462,6 +498,29 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     computable, so the iteration must not pretend otherwise.
     """
     _require_cap(cap)
+    current, transitive = _first_iterate(p)
+    if transitive:
+        return ClosureResult(closure=current, exponent=1, converged=True)
+    for k in range(1, cap + 1):
+        nxt = compose(current, p)
+        if includes(nxt.nfa, current.nfa):
+            return ClosureResult(closure=current, exponent=k, converged=True)
+        current = nxt
+    return ClosureResult(closure=current, exponent=cap, converged=False)
+
+
+@_kept
+def _first_iterate(p: LetterTransducer) -> tuple[LetterTransducer, bool]:
+    """The first iterate of ``transitive_closure(p, cap)`` and whether p is
+    transitive, so that this iterate is the closure.
+
+    The iterate is the minimal pair DFA of p without its sink
+    (``drop_sink``, which trims it). The walks of ``_axioms`` on the
+    complete one check that p is reflexive and symmetric, raising
+    ``PreconditionError`` otherwise, and the third tells whether p is
+    transitive. Kept on p, so the minimization and the walks run once per
+    relation object, whatever the caps it is searched with.
+    """
     minimal = minimize(p.nfa)
     reflexive, symmetric, transitive = (
         _axioms(minimal, p.input_alphabet) if p.same_alphabets() else (lambda: (),) * 3
@@ -470,15 +529,7 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
         raise PreconditionError("transitive closure needs a reflexive relation")
     if symmetric() is not None:
         raise PreconditionError("transitive closure needs a symmetric relation")
-    current = p.with_nfa(drop_sink(minimal))
-    if transitive() is None:
-        return ClosureResult(closure=current, exponent=1, converged=True)
-    for k in range(1, cap + 1):
-        nxt = compose(current, p)
-        if includes(nxt.nfa, current.nfa):
-            return ClosureResult(closure=current, exponent=k, converged=True)
-        current = nxt
-    return ClosureResult(closure=current, exponent=cap, converged=False)
+    return p.with_nfa(drop_sink(minimal)), transitive() is None
 
 
 def _require_cap(cap: int) -> None:

@@ -795,6 +795,57 @@ def length_collision(m: SequentialTransducer) -> tuple[Word, Word] | None:
     return None
 
 
+def _length_graded(m: SequentialTransducer) -> bool:
+    """Whether ``m`` is length-graded, so that ``length_collision(m)`` is None.
+
+    ``m`` is length-graded when, over its live states (reachable, and
+    reaching a final one), every move p → q outputs c + φ(q) − φ(p)
+    letters, for one c ≥ 1 and a potential φ spanning less than c. An
+    accepted input u then outputs c·|u| + φ(q) − φ(initial) letters for
+    the state q it ends in, so inputs of different lengths differ in
+    output length by at least c minus the span, and never share an
+    output. Letter-to-letter machines are graded with c = 1 and φ ≡ 0,
+    and the witnesses of ``eliminate_final_output`` with n classes with
+    c = n and φ the class of a state.
+
+    One breadth-first walk over the moves between live states gives each
+    state its depth k and the output length ℓ along the walk, so φ is
+    ℓ − c·k. A move off the walk's tree then needs ℓ(p) + |out| − ℓ(q)
+    = c·(k(p) + 1 − k(q)), a factor that a breadth-first walk keeps
+    nonnegative. The first positive factor fixes c, and every other move
+    must agree; a machine whose moves fix no c is tested with c = 1,
+    which may leave a graded machine to the full search, never the
+    converse.
+    """
+    if m.is_letter_to_letter:
+        return True
+    live = _reach(m.finals, ((q, p) for (p, _a), (_out, q) in m.transitions.items()))
+    if m.initial not in live:
+        return True  # m accepts nothing
+    letters = m.input_alphabet.letters
+    walked = {m.initial: (0, 0)}  # state -> (depth, output length) along the walk
+    order = [m.initial]
+    off_tree = []  # per move off the walk's tree: (factor, output length gained)
+    for p in order:  # order grows while it is walked
+        k, length = walked[p]
+        for a in letters:
+            hop = m.transitions.get((p, a))
+            if hop is None or hop[1] not in live:
+                continue
+            out, q = hop
+            seen = walked.get(q)
+            if seen is None:
+                walked[q] = k + 1, length + len(out)
+                order.append(q)
+            else:
+                off_tree.append((k + 1 - seen[0], length + len(out) - seen[1]))
+    c = next((gain // factor for factor, gain in off_tree if factor), 1)
+    if c < 1 or any(gain != c * factor for factor, gain in off_tree):
+        return False
+    phi = [length - c * k for k, length in walked.values()]
+    return max(phi) - min(phi) < c
+
+
 def kernel_counterexample(
     f: SequentialTransducer | SubsequentialTransducer, r: LetterTransducer
 ) -> tuple[Word, Word] | None:
@@ -802,12 +853,18 @@ def kernel_counterexample(
 
     None when the kernel equals r. Inputs of different lengths with one
     output are looked for first, by ``length_collision``: r relates only
-    words of equal length, and letter-to-letter and subsequential
-    machines have no such pairs. Then one breadth-first walk over the
-    synchronous product of the squared machine of ``kernel_transducer``
-    with the pair DFA of r stops at the first pair of states that
-    disagree on acceptance, which spells a shortest separating pair; r
-    serves as its own pair DFA when it is complete already.
+    words of equal length. That search is skipped on a length-graded
+    machine (``_length_graded``): one whose live moves each output
+    c + φ(q) − φ(p) letters, for one c ≥ 1 and a potential φ spanning
+    less than c, so that inputs of different lengths have outputs of
+    different lengths. Letter-to-letter and subsequential machines are
+    graded, and so are eliminated witnesses, but for the few whose
+    states ``minimal_machine`` merged out of grading. Then one
+    breadth-first walk over the synchronous product of the squared
+    machine of ``kernel_transducer`` with the pair DFA of r stops at the
+    first pair of states that disagree on acceptance, which spells a
+    shortest separating pair; r serves as its own pair DFA when it is
+    complete already.
 
     The squared machine is never built: the walk reads the rows of
     ``_squaring``, computed by output class, which squares each state
@@ -827,7 +884,7 @@ def kernel_counterexample(
     base = f.base if isinstance(f, SubsequentialTransducer) else f
     if r.nfa.alphabet != pair_alphabet(base.input_alphabet, base.input_alphabet):
         raise AlphabetMismatchError("machine inputs and relation letters differ")
-    if not base.is_letter_to_letter:
+    if not _length_graded(base):
         pair = length_collision(base)
         if pair is not None:
             return pair

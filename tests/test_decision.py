@@ -699,6 +699,131 @@ def test_decide_lp_c_singletons_decided_without_closure(c_singletons):
     assert verdict.closure is None  # failed before any closure work
 
 
+# decide lp checks r first unless the closure needs no composition round.
+# The co-sequential draws of INFINITE_BEFORE_ROUNDS must be refused so; the
+# child raises at the first round.
+_INDEX_BEFORE_ROUNDS = """
+import resource, sys, time
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from kernseq import relations
+from kernseq.decision import decide_kerseq_lp
+from cosequential import INFINITE_BEFORE_ROUNDS, cosequential_suite
+
+
+def compose(*args):
+    raise AssertionError("a composition round runs")
+
+
+relations.compose = compose
+draws = cosequential_suite(max(INFINITE_BEFORE_ROUNDS) + 1)
+for i in INFINITE_BEFORE_ROUNDS:
+    start = time.perf_counter()
+    v = decide_kerseq_lp(draws[i])
+    took = time.perf_counter() - start
+    print(i, v.outcome.value, v.reason, v.closure is None, took < 5)
+"""
+
+
+def test_decide_lp_checks_the_index_against_r_before_any_composition_round():
+    pytest.importorskip("resource")
+    import os
+    import pathlib
+    import subprocess
+
+    import kernseq
+    from cosequential import INFINITE_BEFORE_ROUNDS
+
+    paths = [pathlib.Path(kernseq.__file__).parents[1], pathlib.Path(__file__).parent]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", _INDEX_BEFORE_ROUNDS, str(512 << 20)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert [line.split() for line in done.stdout.splitlines()] == [
+        [str(i), "NO", INFINITE_INDEX, "True", "True"] for i in INFINITE_BEFORE_ROUNDS
+    ]
+
+
+def _relation_first_lp(r, cap=DEFAULT_CLOSURE_CAP):
+    """``decide_kerseq_lp`` with no supplied closure, checking the index
+    against r before anything else on every relation: the order kept when
+    the closure needs composition rounds."""
+    from kernseq.decision import Verdict, _body, _certify, _finite_index
+    from kernseq.synthesis import eliminate_final_output, minimal_machine, subsequential_machine
+
+    prep = prepare(r)
+    if not _finite_index(prep, r):
+        return Verdict(Outcome.NO, reason=INFINITE_INDEX)
+    closure_result, finite = prep.closure(cap)
+    if not closure_result.converged:
+        return Verdict(Outcome.UNKNOWN, reason=CLOSURE_CAP_EXHAUSTED, closure=closure_result)
+    if not finite:
+        return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=closure_result)
+    sub = minimal_machine(subsequential_machine(prep, closure_result.closure))
+    witness = eliminate_final_output(sub)
+    one_class = len(set(sub.final_output.values())) == 1
+    if not one_class:
+        witness = minimal_machine(witness)
+    _certify(sub, prep, "subsequential witness")
+    if not one_class or _body(witness) != _body(sub.base):
+        _certify(witness, prep, "witness after final-output elimination")
+    return Verdict(Outcome.YES, witness=witness, subsequential=sub, closure=closure_result)
+
+
+def test_decide_lp_answers_as_the_relation_first_order():
+    from cosequential import INFINITE_BEFORE_ROUNDS, SLOW_CLOSURE, cosequential_suite
+    from test_verdicts import _machine, _relations
+
+    def rebuilt(r):
+        return LetterTransducer.build(
+            r.input_alphabet, r.output_alphabet, r.nfa.states, r.nfa.transitions,
+            r.nfa.initials, r.nfa.finals,
+        )
+
+    def summary(v):
+        closure = v.closure and (v.closure.exponent, v.closure.converged)
+        return v.outcome, v.reason, closure, _machine(v.witness), _machine(v.subsequential)
+
+    relations = [r for name, r in _relations() if validate_relation(r).is_equivalence]
+    # the draws whose closure searches take seconds or gigabytes are left out
+    slow = {SLOW_CLOSURE, *INFINITE_BEFORE_ROUNDS}
+    relations += [r for i, r in enumerate(cosequential_suite()) if i not in slow]
+    reasons = set()
+    for r in relations:
+        verdict = decide_kerseq_lp(r)
+        assert summary(verdict) == summary(_relation_first_lp(rebuilt(r))), render(r)
+        reasons.add((verdict.outcome, verdict.reason, verdict.closure is None))
+    # both kinds of NO, with and without the closure, and both other outcomes
+    assert reasons == {
+        (Outcome.YES, None, False),
+        (Outcome.NO, INFINITE_INDEX, True),
+        (Outcome.NO, INFINITE_INDEX, False),
+        (Outcome.UNKNOWN, CLOSURE_CAP_EXHAUSTED, False),
+    }
+
+
+def test_decide_lp_checks_one_index_when_the_prefix_closure_is_transitive(monkeypatch):
+    from kernseq import decision
+
+    checked = count_calls(monkeypatch, decision, "_finite_index")
+    # a's parity: its prefix closure is the full same-length relation
+    r = build_a_parity()
+    assert not prepare(r).prefix_closed and prepare(r).prefix_transitive
+    assert decide_kerseq_lp(r).outcome is Outcome.YES
+    assert [args[1] for args in checked] == [prepare(r).closure(DEFAULT_CLOSURE_CAP)[0].closure]
+    # chained classes need a composition round: r's index comes first
+    checked.clear()
+    r = build_chained_classes()
+    assert not prepare(r).prefix_transitive
+    assert decide_kerseq_lp(r).outcome is Outcome.YES
+    assert [args[1] for args in checked][0] is r and len(checked) == 2
+
+
 def test_decide_lp_parity_yes_with_verified_witnesses(a_parity):
     verdict = decide_kerseq_lp(a_parity, cap=8)
     assert verdict.outcome is Outcome.YES

@@ -28,6 +28,7 @@ from kernseq.relations import (
     transitive_closure,
 )
 from kernseq.synthesis import (
+    _length_graded,
     _partition,
     _worklist,
     eliminate_final_output,
@@ -44,6 +45,7 @@ from conftest import (
     AB,
     ABC,
     build_agree_except_last,
+    build_chain,
     build_mod_count,
     count_calls,
     validation_walks,
@@ -460,6 +462,82 @@ def test_length_collision_ignores_a_branch_that_cannot_accept(
     # state 9 loops on both letters without output and is never final
     loops = {(9, "a"): ((), 9), (9, "b"): ((), 9)}
     assert length_collision(machine({**transitions, **dead, **loops})) == pair
+
+
+def graded_or_not(rng):
+    """A random sequential machine of 1-4 live states over a and b, and maybe
+    a dead branch, with outputs over x and maybe y.
+
+    Each move between live states p and q outputs c + φ(q) − φ(p) letters
+    for a c of 1-3 and a potential φ drawn below c (graded), up to c (a
+    span of c, which may collide), or any 0-3 letters (lagging). About one
+    move in six is missing. A dead state, never final, loops on both
+    letters, and some live moves lead into it with 0-4 letters.
+    """
+    kind = rng.choice(("graded", "span c", "lagging"))
+    c = rng.randint(1, 3)
+    n = rng.randint(1, 4)
+    phi = [rng.randrange(c + (kind == "span c")) for _ in range(n)]
+    outputs = ("x", "y")[: rng.randint(1, 2)]
+    dead = n if rng.random() < 0.4 else None
+
+    def word(size):
+        return tuple(rng.choice(outputs) for _ in range(size))
+
+    transitions = {}
+    for p in range(n):
+        for a in AB.letters:
+            if rng.random() < 1 / 6:
+                continue
+            if dead is not None and rng.random() < 0.2:
+                transitions[(p, a)] = word(rng.randint(0, 4)), dead
+                continue
+            q = rng.randrange(n)
+            size = rng.randint(0, 3) if kind == "lagging" else c + phi[q] - phi[p]
+            transitions[(p, a)] = word(size), q
+    if dead is not None:
+        transitions |= {(dead, a): (word(rng.randint(0, 2)), dead) for a in AB.letters}
+    states = range(n + (dead is not None))
+    return SequentialTransducer(
+        input_alphabet=AB,
+        output_alphabet=Alphabet(outputs),
+        states=set(states),
+        transitions=transitions,
+        initial=0,
+        finals={q for q in range(n) if rng.random() < 0.6},
+    )
+
+
+def test_a_length_graded_machine_has_no_length_collision():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(2000):
+        m = graded_or_not(rng)
+        graded = _length_graded(m)
+        pair = length_collision(m)
+        if graded:
+            assert pair is None
+        seen.add((graded, pair is None, m.is_letter_to_letter))
+    # graded machines of every kind, machines left to the full search that
+    # it clears, and collisions, some with a potential spanning exactly c
+    assert seen >= {(True, True, True), (True, True, False), (False, True, False), (False, False, False)}
+
+
+def test_eliminated_witnesses_are_length_graded(monkeypatch):
+    from kernseq import synthesis
+
+    searches = count_calls(monkeypatch, synthesis, "length_collision")
+    relations = [build_mod_count(k) for k in range(2, 6)] + [build_chain(k) for k in (1, 2)]
+    relations += [build_agree_except_last(k) for k in range(1, 6)]
+    flat = []
+    for r in relations:
+        verdict = decide_kerseq_lp(r)
+        assert _length_graded(verdict.witness)
+        flat += [verdict.witness] if not verdict.witness.is_letter_to_letter else []
+    # mod 2..5 and both chains fold more than one final-output class
+    assert len(flat) == 6
+    # so no length-collision search runs on their certification
+    assert searches == []
 
 
 def test_kernel_counterexample_rejects_mod_two_witness_against_mod_three():
