@@ -13,7 +13,7 @@ the target, ``relations._composed``, with no automaton built.
 
 The class-membership deciders chain the necessary conditions and, on
 success, hand back a synthesized witness whose kernel has been checked
-exactly against the input by ``synthesis.kernel_counterexample``. An
+exactly against the input by ``synthesis._kernel_counterexample``. An
 eliminated witness equal to the body of a subsequential stage with one
 final-output value has that stage's kernel, so one walk checks both.
 No decision enumerates words.
@@ -281,11 +281,15 @@ def _finite_index(prep: Prepared, target: LetterTransducer) -> bool:
 
 
 def _certify(machine, prep: Prepared, what: str) -> None:
-    """Raise unless the kernel of a synthesized machine is exactly the relation."""
-    from .synthesis import kernel_counterexample
+    """Raise unless the kernel of a synthesized machine is exactly the relation.
+
+    The relation is an equivalence, so the kernel is checked on ordered
+    pairs (``synthesis._kernel_counterexample``).
+    """
+    from .synthesis import _kernel_counterexample
 
     try:
-        pair = kernel_counterexample(machine, prep.det)
+        pair = _kernel_counterexample(machine, prep.det.nfa, prep.validation.is_symmetric)
     except NotLetterToLetterError as exc:
         raise InternalInvariantError(f"{what}: {exc}") from exc
     if pair is not None:

@@ -184,24 +184,63 @@ def brute_valuedness(t: LetterTransducer, bound: int) -> int:
     return valuedness_profile(t, bound)[bound]
 
 
+def _classes(r: LetterTransducer, bound: int) -> dict[Word, int]:
+    """Each word of length at most ``bound`` mapped to the number of its class
+    under the equivalence r.
+
+    Words are taken in shortlex order; a word not yet assigned opens a new
+    class, its image, found by one depth-first search over output words
+    that keeps the frontier of states alive on the current prefix.
+    """
+    nfa = r.nfa
+    useful = _useful_states(nfa)
+    finals = nfa.finals
+    step: dict = {}
+    for p, (a, b), q in nfa.transitions:
+        if p in useful and q in useful:
+            step.setdefault((p, a), []).append((b, q))
+    start = frozenset(nfa.initials & useful)
+    klass: dict[Word, int] = {}
+    for u in all_words(r.input_alphabet, bound):
+        if u in klass:
+            continue
+        number = len(klass)
+        klass[u] = number
+        stack = [(start, ())] if start else []
+        while stack:
+            frontier, v = stack.pop()
+            if len(v) == len(u):
+                if frontier & finals:
+                    klass[v] = number
+                continue
+            buckets: dict = {}
+            for p in frontier:
+                for b, q in step.get((p, u[len(v)]), ()):
+                    buckets.setdefault(b, set()).add(q)
+            for b, nxt in buckets.items():
+                stack.append((frozenset(nxt), v + (b,)))
+    return klass
+
+
 def index_profile(s: LetterTransducer, r: LetterTransducer, bound: int) -> list[int]:
     """Entry n: the brute-force index restricted to words of length at most n.
 
-    ``s`` is expected to be an equivalence relation finer than ``r``, so
-    counting the distinct least s-neighbors inside one r-image counts the
-    s-classes that meet it.
+    ``s`` and ``r`` must both be equivalence relations, ``s`` finer than
+    ``r``. The words of each length then split into r-classes and into
+    s-classes (``_classes``), and entry n is the largest number of
+    s-classes that meet one r-class of words of length at most n.
     """
-    er = enumerate_relation(r, bound)
-    es = enumerate_relation(s, bound)
-    s_rep: dict[Word, Word] = {}
-    for v, w in es.pairs:
-        if v not in s_rep or w < s_rep[v]:
-            s_rep[v] = w
+    _check_bound(bound)
+    r_class = _classes(r, bound)
+    s_class = _classes(s, bound)
+    met: dict[int, set[int]] = {}  # r-class -> the s-classes inside it
+    length: dict[int, int] = {}  # r-class -> the length of its words
+    for u, c in r_class.items():
+        met.setdefault(c, set()).add(s_class[u])
+        length[c] = len(u)
     best = [0] * (bound + 1)
-    for u, vs in er.as_map().items():
-        count = len({s_rep.get(v, v) for v in vs})
-        if count > best[len(u)]:
-            best[len(u)] = count
+    for c, classes in met.items():
+        best[length[c]] = max(best[length[c]], len(classes))
     for n in range(1, bound + 1):
         best[n] = max(best[n], best[n - 1])
     return best

@@ -209,11 +209,6 @@ def _axioms(d: Nfa, alphabet: Alphabet) -> tuple[Callable, Callable, Callable]:
     live = coaccessible_states(d)
     (start,) = d.initials
     letters = d.alphabet.letters
-    # per state q and letter a: (b, δ(q, (a, b))·n) for the moves into live states
-    ahead = [
-        [[(b, t * n) for b, t in enumerate(row[a * w : a * w + w]) if t in live] for a in range(w)]
-        for row in rows
-    ]
 
     # each walk's moves are labelled by the pair letter R lacks
     def reflexive():
@@ -222,7 +217,9 @@ def _axioms(d: Nfa, alphabet: Alphabet) -> tuple[Callable, Callable, Callable]:
         return _shortest(start, lambda p: diagonal[p] if final[p] else None, lambda p: same)
 
     def symmetric():
-        hops = [[(t, b * w + a) for a, moves in enumerate(row) for b, t in moves] for row in ahead]
+        swapped = [i % w * w + i // w for i in range(w * w)]  # (a, b) -> (b, a) by position
+        # per state p: (δ(p, (a, b))·n, position of (b, a)) for the moves into live states
+        hops = [[(t * n, swapped[i]) for i, t in enumerate(row) if t in live] for row in rows]
 
         def expand(node):
             p, q = divmod(node, n)
@@ -236,6 +233,11 @@ def _axioms(d: Nfa, alphabet: Alphabet) -> tuple[Callable, Callable, Callable]:
         )
 
     def transitive():
+        # per state q and letter a: (b, δ(q, (a, b))·n) for the moves into live states
+        ahead = [
+            [[(b, t * n) for b, t in enumerate(row[a * w : a * w + w]) if t in live] for a in range(w)]
+            for row in rows
+        ]
         chains = [
             [(a * w, b, t * n) for a, moves in enumerate(row) for b, t in moves] for row in ahead
         ]

@@ -45,20 +45,28 @@ The kernels are checked exactly by ``kernel_counterexample``: one
 breadth-first walk over the product of the squared machine
 (``kernel_transducer``) with the relation's pair DFA, squaring each
 state once, when the walk first expands it, within a budget sized from
-the machine. The squared machine is never built as an automaton. Its
-states are integers, numbered as they are reached, and its rows come
-from ``_squaring``, the one definition of the squaring: a row lists
-the successor by pair-letter position, or -1, and is computed by
-output class, comparing each pair of distinct output words of the two
-machine states once rather than each pair of input letters. The walk
-keys a product node by one integer, squared state × |D| + state of the
-pair DFA D, over dense per-state lists.
+the machine and charged only for the squared states the walk expands.
+A product node carries one bit, set while the two words read so far are
+equal. When the relation is symmetric, as every equivalence is, a node
+with the bit set reads only the pair letters (a, b) with a ≤ b: a
+kernel is symmetric too, so the walk returns the pair the walk over all
+pairs would, the shortlex-least disagreement, while expanding about half
+the squared states. The deciders pass the symmetry their validation
+found (``_kernel_counterexample``); the public check learns it from the
+symmetry walk of ``relations._axioms`` and reads all pairs when the
+relation is not symmetric. The squared machine is never built as an
+automaton. Its states are integers, numbered as they are reached, and
+its rows come from ``_squaring``, the one definition of the squaring: a
+row lists the successor by pair-letter position, or -1, and is computed
+by output class, comparing each pair of distinct output words of the two
+machine states once rather than each pair of input letters.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
+from functools import cache
 
 from .automata import (
     Alphabet,
@@ -120,6 +128,18 @@ def _partition(rows, what):
 
 
 def _check_matrix(matrix, coarse_final, diag_ok):
+    """Raise unless every entry is coarse-final and every diagonal entry
+    ``diag_ok``. Each distinct entry is tested once; only a failing
+    matrix is scanned row-major, to name its first bad cell."""
+    for entry in set().union(*matrix):
+        if not coarse_final(entry):
+            break
+    else:
+        for entry in {row[i] for i, row in enumerate(matrix)}:
+            if not diag_ok(entry):
+                break
+        else:
+            return
     for i, row in enumerate(matrix):
         for j, entry in enumerate(row):
             if not coarse_final(entry):
@@ -193,14 +213,10 @@ def _worklist(
 
     def moves(matrix):
         # item (row i, letter a) is number (i - 1) * width + a, and lines[x]
-        # lists its pieces, one per entry of its matrix row
-        lines = [
-            [cells[a] for cells in map(cut, matrix_row)]
-            for matrix_row in matrix
-            for a in range(width)
-        ]
-        coarse = _partition([b"".join(p[1] for p in line) for line in lines], "coarse grouping")
-        fine = _partition([b"".join(p[2] for p in line) for line in lines], "fine grouping")
+        # lists its pieces, one per entry of its matrix row, cut once per row
+        lines = [line for matrix_row in matrix for line in zip(*map(cut, matrix_row))]
+        coarse = _partition([b"".join([p[1] for p in line]) for line in lines], "coarse grouping")
+        fine = _partition([b"".join([p[2] for p in line]) for line in lines], "fine grouping")
         n = len(lines)
         if any(coarse[fine[x]] != coarse[x] for x in range(n)):
             raise InternalInvariantError("fine grouping does not refine coarse grouping")
@@ -210,9 +226,8 @@ def _worklist(
                 reps.setdefault(coarse[x], []).append(x)
         step = {}  # fine-class minimum -> (successor matrix index, row)
         for minima in reps.values():
-            target = intern(
-                tuple(tuple(lines[x][y // width][0][y % width] for y in minima) for x in minima)
-            )
+            at = [divmod(y, width) for y in minima]  # (entry, letter) of each minimum
+            target = intern(tuple(tuple(lines[x][j][0][b] for j, b in at) for x in minima))
             step.update((rep, (target, m)) for m, rep in enumerate(minima, start=1))
         item = [(x // width + 1, letters[x % width]) for x in range(n)]
         return [(item[coarse[x]], step[fine[x]]) for x in range(n)]
@@ -562,8 +577,11 @@ def _squaring(f: SequentialTransducer | SubsequentialTransducer):
     lists the successors of squared state k by pair-letter position: a
     squared-state number, or -1 where a move is missing or the two
     outputs clash. It squares k on its first call, charging k to the
-    budget then, and numbers each state it reaches first. ``finals[k]``
-    says whether state k accepts; the list grows as states are numbered.
+    budget then, and numbers each state it reaches first; a state no
+    caller asks a row of is never squared nor charged, so the ordered walk
+    of ``_kernel_counterexample`` pays only for the states it expands.
+    ``finals[k]`` says whether state k accepts; the list grows as states
+    are numbered.
 
     Each machine state's moves are grouped by output word once, so a
     squared state compares each pair of output words once, whatever the
@@ -851,74 +869,116 @@ def kernel_counterexample(
 ) -> tuple[Word, Word] | None:
     """A pair of inputs on which the kernel of ``f`` and the relation ``r`` disagree.
 
-    None when the kernel equals r. Inputs of different lengths with one
-    output are looked for first, by ``length_collision``: r relates only
-    words of equal length. That search is skipped on a length-graded
-    machine (``_length_graded``): one whose live moves each output
-    c + φ(q) − φ(p) letters, for one c ≥ 1 and a potential φ spanning
-    less than c, so that inputs of different lengths have outputs of
-    different lengths. Letter-to-letter and subsequential machines are
-    graded, and so are eliminated witnesses, but for the few whose
-    states ``minimal_machine`` merged out of grading. Then one
-    breadth-first walk over the synchronous product of the squared
-    machine of ``kernel_transducer`` with the pair DFA of r stops at the
-    first pair of states that disagree on acceptance, which spells a
-    shortest separating pair; r serves as its own pair DFA when it is
-    complete already.
-
-    The squared machine is never built: the walk reads the rows of
-    ``_squaring``, computed by output class, which squares each state
-    once, when the walk first expands it, and charges the budget of
-    ``kernel_transducer`` then. A
-    product node is the integer (squared state) × |D| + (state of D), for
-    the pair DFA D of r numbered 0..|D|-1, with -1 for the dead squared
-    state, and both machines move by pair-letter position over dense
-    per-state lists. The walk visits the product in the order it would
-    over the built squared machine, so it returns the same pair: the
-    shortlex-least one on which the two disagree. When the kernel equals
-    r the walk expands every reachable squared state and raises
-    ``NotLetterToLetterError`` exactly when ``kernel_transducer`` would;
-    when they differ, it may find the pair before the budget runs out,
-    and returns it.
+    None when the kernel equals r; otherwise the shortlex-least such pair,
+    over pair letters in alphabet order. r's complete pair DFA is r itself
+    when r is complete with states 0..n-1, and ``pair_dfa(r)``
+    otherwise. The symmetry walk of ``relations._axioms`` on that DFA says
+    whether r is symmetric, and ``_kernel_counterexample`` checks the
+    kernel against it: on ordered pairs when it is, on all pairs when it
+    is not. The squaring budget of ``kernel_transducer`` is charged only
+    for the squared states that walk expands; going beyond it raises
+    ``NotLetterToLetterError``, and a disagreement the walk meets first
+    is returned, also where squaring the whole machine would exceed it.
     """
     base = f.base if isinstance(f, SubsequentialTransducer) else f
     if r.nfa.alphabet != pair_alphabet(base.input_alphabet, base.input_alphabet):
         raise AlphabetMismatchError("machine inputs and relation letters differ")
+    d = r.nfa
+    if not d.is_complete or d.states != frozenset(range(len(d.states))):
+        d = pair_dfa(r).nfa
+    _reflexive, symmetric, _transitive = _axioms(d, r.input_alphabet)
+    return _kernel_counterexample(f, d, symmetric() is None)
+
+
+@cache
+def _pair_moves(width: int) -> tuple[tuple, tuple]:
+    """The moves of a node of ``_kernel_counterexample`` over ``width`` input
+    letters, as (pair-letter position, bit kept) pairs, per bit: with the
+    bit clear every pair letter, and with it set the (a, b) with a ≤ b,
+    where only (a, a) keeps it."""
+    every = tuple((at, 0) for at in range(width * width))
+    ordered = tuple((a * width + b, int(a == b)) for a in range(width) for b in range(a, width))
+    return every, ordered
+
+
+def _kernel_counterexample(f, d, symmetric: bool) -> tuple[Word, Word] | None:
+    """The shortlex-least pair on which the kernel of ``f`` and the relation R
+    of the complete pair DFA ``d``, with states 0..n-1, disagree, or None.
+
+    ``symmetric`` must be true only when R is symmetric. Inputs of
+    different lengths with one output are looked for first, by
+    ``length_collision``: R relates only words of equal length. That
+    search is skipped on a length-graded machine (``_length_graded``):
+    one whose live moves each output c + φ(q) − φ(p) letters, for one
+    c ≥ 1 and a potential φ spanning less than c, so that inputs of
+    different lengths have outputs of different lengths. Letter-to-letter
+    and subsequential machines are graded, and so are eliminated
+    witnesses, but for the few whose states ``minimal_machine`` merged out
+    of grading.
+
+    Then one breadth-first walk over the synchronous product of the
+    squared machine of ``kernel_transducer`` with ``d`` stops at the first
+    node where the two disagree on acceptance, which spells the pair. A
+    product node carries one more bit, set while the two words read so
+    far are equal. On a symmetric R a set bit lets the walk read only the
+    pair letters (a, b) with a ≤ b, (a, a) keeping it set, and a clear bit
+    every pair letter; otherwise the bit starts clear. The kernel is
+    symmetric too, so a pair and its swap both disagree or neither does,
+    and the shortlex-least disagreement has a < b at its first difference,
+    where it has one: the ordered walk meets it, and returns the pair the
+    walk over all pairs would, while expanding about half the squared
+    states. Its node is the integer ((squared state) × n + (state of d))
+    × 2 + bit, with -1 for the dead squared state, and both machines move
+    by pair-letter position over dense per-state lists.
+
+    The squared machine is never built: the walk reads the rows of
+    ``_squaring``, which squares a state when the walk first expands it
+    and charges the budget of ``kernel_transducer`` for it then, so only
+    for the squared states the walk expands. Going beyond the budget
+    raises ``NotLetterToLetterError``. When the kernel equals R the walk
+    expands every squared state it can reach; when they differ, it may
+    meet the pair before the budget runs out, and returns it, also where
+    squaring the whole machine would exceed the budget.
+    """
+    base = f.base if isinstance(f, SubsequentialTransducer) else f
     if not _length_graded(base):
         pair = length_collision(base)
         if pair is not None:
             return pair
-    rdfa = r.nfa if r.nfa.is_complete else pair_dfa(r).nfa
     row, finals = _squaring(f)
-    d_states = sorted(rdfa.states)
-    size = len(d_states)
-    number = {d: i for i, d in enumerate(d_states)}
-    d_table = rdfa._table
-    d_rows = [[number[t] for (t,) in d_table[d]] for d in d_states]
-    d_finals = [d in rdfa.finals for d in d_states]
-    positions = range(len(rdfa.alphabet))
-    dead = [-1] * len(positions)
-    (d0,) = rdfa.initials
-    start = number[d0]  # squared state 0
+    table = d._table
+    states = range(len(d.states))
+    size2 = 2 * len(states)
+    # per state of d, its targets as the nodes of squared state 0 with the bit clear
+    d_rows = [[2 * t for (t,) in table[q]] for q in states]
+    d_finals = [q in d.finals for q in states]
+    width = len(base.input_alphabet)
+    moves = _pair_moves(width)
+    dead = [-1] * (width * width)
+    (d0,) = d.initials
+    start = 2 * d0 + symmetric  # squared state 0
     parent = {start: None}  # product node -> the node it was first reached from
     queue = [start]
     for node in queue:  # the queue grows while it is walked
-        k, d = divmod(node, size)
-        if (k >= 0 and finals[k]) != d_finals[d]:
+        k, rest = divmod(node, size2)
+        if (k >= 0 and finals[k]) != d_finals[rest >> 1]:
             letters = []
-            while parent[node] is not None:
-                k, d = divmod(parent[node], size)
-                k_row, d_row = row(k) if k >= 0 else dead, d_rows[d]
-                # the first position leading there: the walk tried them in order
-                at = next(at for at in positions if k_row[at] * size + d_row[at] == node)
-                letters.append(rdfa.alphabet.letters[at])
-                node = parent[node]
-            letters.reverse()
-            return tuple(a for a, _b in letters), tuple(b for _a, b in letters)
+            while (up := parent[node]) is not None:
+                k, rest = divmod(up, size2)
+                k_row, d_row = row(k) if k >= 0 else dead, d_rows[rest >> 1]
+                # the first move leading there: the walk tried them in order
+                letters.append(next(
+                    at for at, keep in moves[rest & 1]
+                    if k_row[at] * size2 + d_row[at] + keep == node
+                ))
+                node = up
+            pairs = [divmod(at, width) for at in reversed(letters)]
+            names = base.input_alphabet.letters
+            return tuple(names[a] for a, _b in pairs), tuple(names[b] for _a, b in pairs)
         k_row = row(k) if k >= 0 else dead
-        d_row = d_rows[d]
-        for at in positions:
-            nxt = k_row[at] * size + d_row[at]
+        d_row = d_rows[rest >> 1]
+        for at, keep in moves[rest & 1]:
+            nxt = k_row[at] * size2 + d_row[at] + keep
             if nxt not in parent:
                 parent[nxt] = node
                 queue.append(nxt)

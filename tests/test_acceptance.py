@@ -156,7 +156,6 @@ def _growth_agrees(decided_finite, profile):
     return profile[8] > profile[4]
 
 
-@pytest.mark.slow
 def test_criterion_4_decisions_agree_with_growth(suite_verdicts):
     failures = []
     checked = 0

@@ -1,15 +1,19 @@
 """The exact kernel check and the minimal witnesses it certifies.
 
 ``kernel_counterexample`` walks the product of the squared machine with
-the relation's pair DFA without building the squared machine. Here it
-is compared with a reference copy of the two-phase check it replaced:
-build the whole ``kernel_transducer``, then walk its product with the
-pair DFA. Both must return the same pair, or None, on every witness of
-the snapshot relations, on wrong pairings of witness and relation and on
-random small sequential machines. That reference builds its squared
-machine with ``kernel_transducer``, which shares the squaring of the
-walk, so the squaring itself is compared with a frozen copy that works
-per pair of input letters. The witnesses that leave the package
+the relation's pair DFA without building the squared machine, on
+ordered pairs when the relation is symmetric. Here it is compared with
+a reference copy of the two-phase check it replaced: build the whole
+``kernel_transducer``, then walk its product with the pair DFA. Both
+must return the same pair, or None, on every witness of the snapshot
+relations, on wrong pairings of witness and relation and on random
+small sequential machines. A frozen copy of the walk over all pairs,
+``reference_all_pairs``, checks the ordered walk pair for pair on
+random machines against random relations, symmetric or not. The
+two-phase reference builds its squared machine with
+``kernel_transducer``, which shares the squaring of the walk, so the
+squaring itself is compared with a frozen copy that works per pair of
+input letters. The witnesses that leave the package
 are Moore-minimal: no further refinement splits them, and each gives
 the same output as the unminimized construction it came from.
 """
@@ -25,9 +29,11 @@ from kernseq.decision import Outcome, decide_kerseq_ll, decide_kerseq_lp
 from kernseq.errors import NotEquivalenceError, NotLetterToLetterError
 from kernseq.fileformat import parse
 from kernseq.machines import SequentialTransducer, SubsequentialTransducer
-from kernseq.oracle import accepts_pair_backward
-from kernseq.relations import prepare
+from kernseq.oracle import accepts_pair_backward, random_equivalence
+from kernseq.relations import inverse, prepare, validate_relation
 from kernseq.synthesis import (
+    _length_graded,
+    _squaring,
     kernel_counterexample,
     kernel_transducer,
     length_collision,
@@ -37,8 +43,9 @@ from kernseq.synthesis import (
     synthesize_mealy,
     synthesize_subsequential,
 )
-from kernseq.transducers import pair_alphabet, pair_dfa
+from kernseq.transducers import LetterTransducer, pair_alphabet, pair_dfa
 
+from boolean_ops import relation_union
 from conftest import AB, ABC, build_agree_except_last, build_mod_count, words
 from test_verdicts import _relations
 
@@ -78,11 +85,62 @@ def reference_counterexample(f, r):
     return None
 
 
+def reference_all_pairs(f, r):
+    """A frozen copy of the walk over all pairs that the ordered walk replaced:
+    the length stage, then one breadth-first walk over the product of the
+    rows of ``_squaring`` with r's pair DFA, reading every pair letter."""
+    base = f.base if isinstance(f, SubsequentialTransducer) else f
+    if not _length_graded(base):
+        pair = length_collision(base)
+        if pair is not None:
+            return pair
+    rdfa = r.nfa if r.nfa.is_complete else pair_dfa(r).nfa
+    row, finals = synthesis._squaring(f)
+    d_states = sorted(rdfa.states)
+    size = len(d_states)
+    number = {d: i for i, d in enumerate(d_states)}
+    d_rows = [[number[t] for (t,) in rdfa._table[d]] for d in d_states]
+    d_finals = [d in rdfa.finals for d in d_states]
+    positions = range(len(rdfa.alphabet))
+    dead = [-1] * len(positions)
+    (d0,) = rdfa.initials
+    start = number[d0]
+    parent = {start: None}
+    queue = [start]
+    for node in queue:
+        k, d = divmod(node, size)
+        if (k >= 0 and finals[k]) != d_finals[d]:
+            letters = []
+            while parent[node] is not None:
+                k, d = divmod(parent[node], size)
+                k_row, d_row = row(k) if k >= 0 else dead, d_rows[d]
+                at = next(at for at in positions if k_row[at] * size + d_row[at] == node)
+                letters.append(rdfa.alphabet.letters[at])
+                node = parent[node]
+            letters.reverse()
+            return tuple(a for a, _b in letters), tuple(b for _a, b in letters)
+        k_row = row(k) if k >= 0 else dead
+        d_row = d_rows[d]
+        for at in positions:
+            nxt = k_row[at] * size + d_row[at]
+            if nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
+    return None
+
+
 def outcome(check, f, r):
     try:
         return check(f, r)
     except NotLetterToLetterError:
         return NotLetterToLetterError
+
+
+def assert_disagreement(f, r, pair):
+    """The kernel of ``f`` and the relation ``r`` disagree on ``pair``."""
+    u, v = pair
+    in_kernel = f.run(u) is not None and f.run(u) == f.run(v)
+    assert in_kernel != accepts_pair_backward(r, u, v)
 
 
 def assert_same_check(f, r):
@@ -91,9 +149,7 @@ def assert_same_check(f, r):
     expected = outcome(reference_counterexample, f, r)
     got = outcome(kernel_counterexample, f, r)
     if expected is NotLetterToLetterError and got is not NotLetterToLetterError:
-        u, v = got
-        in_kernel = f.run(u) is not None and f.run(u) == f.run(v)
-        assert in_kernel != accepts_pair_backward(r, u, v)
+        assert_disagreement(f, r, got)
     else:
         assert got == expected
     return got
@@ -189,25 +245,119 @@ def test_product_walk_matches_the_two_phase_check_on_random_machines(snapshot_wi
     answers = set()
     for i in range(400):
         m = random_machine(rng, letter_to_letter=i % 2 == 0)
-        got = assert_same_check(m, rng.choice(targets))
-        answers.add("raise" if got is NotLetterToLetterError else got is None)
-    assert answers == {True, False, "raise"}
+        r = rng.choice(targets)
+        got = assert_same_check(m, r)
+        answers.add(got is None)
+        if i == 325:
+            # the walk over all pairs runs out of budget on this draw; the
+            # ordered walk meets a disagreement first, which
+            # assert_same_check confirmed
+            assert outcome(reference_all_pairs, m, r) is NotLetterToLetterError
+            assert got not in (None, NotLetterToLetterError)
+    assert answers == {True, False}
+
+
+def assert_every_check_runs_out(machine, relation):
+    """The kernel of the machine equals the relation, which is symmetric,
+    and the lag grows without bound along ordered pairs: every check runs
+    out of the squaring budget."""
+    machine = parse("kind sequential\ninputs a b\noutputs x y\n" + machine).machine
+    relation = parse("kind letter-transducer\ninputs a b\noutputs a b\n" + relation).machine
+    for check in (kernel_counterexample, reference_all_pairs, reference_counterexample):
+        with pytest.raises(NotLetterToLetterError):
+            check(machine, relation)
 
 
 def test_product_walk_stops_on_the_lagging_machine():
     # a^k and b^k give x^k and x^2k and end in non-final states, so the
-    # kernel is {(empty, empty)}, equal to the relation, and the lag grows
-    # without bound: both checks run out of the squaring budget
-    machine = parse(
-        "kind sequential\ninputs a b\noutputs x\nstates 0 1 2\ninitial 0\nfinals 0\n"
-        "0 a / x -> 1\n0 b / x x -> 2\n1 a / x -> 1\n2 b / x x -> 2\n"
-    ).machine
-    relation = parse(
-        "kind letter-transducer\ninputs a b\noutputs a b\nstates 0\ninitials 0\nfinals 0\n"
-    ).machine
-    for check in (kernel_counterexample, reference_counterexample):
-        with pytest.raises(NotLetterToLetterError):
-            check(machine, relation)
+    # kernel is {(empty, empty)}
+    assert_every_check_runs_out(
+        "states 0 1 2\ninitial 0\nfinals 0\n"
+        "0 a / x -> 1\n0 b / x x -> 2\n1 a / x -> 1\n2 b / x x -> 2\n",
+        "states 0\ninitials 0\nfinals 0\n",
+    )
+
+
+def test_product_walk_stops_on_a_lagging_machine_with_a_larger_kernel():
+    # a, b and the empty word give x, y and nothing; after a, a^k and b^k
+    # give x^k and x^2k and end in non-final states, so the kernel is the
+    # identity on words of length at most 1, whose pair DFA has 3 states
+    assert_every_check_runs_out(
+        "states 0 1 2 3 4\ninitial 0\nfinals 0 1 2\n"
+        "0 a / x -> 1\n0 b / y -> 2\n1 a / x -> 3\n1 b / x x -> 4\n"
+        "3 a / x -> 3\n4 b / x x -> 4\n",
+        "states 0 1\ninitials 0\nfinals 0 1\n0 a / a -> 1\n0 b / b -> 1\n",
+    )
+
+
+def random_relation(rng):
+    """An arbitrary relation over two letters: 1-3 states, about half the
+    possible moves, random initial and final states."""
+    states = range(rng.randint(1, 3))
+    pair_letters = pair_alphabet(AB, AB).letters
+    return LetterTransducer.build(
+        AB,
+        AB,
+        set(states),
+        {(p, ab, q) for p in states for ab in pair_letters for q in states if rng.random() < 0.5},
+        {q for q in states if rng.random() < 0.5} or {0},
+        {q for q in states if rng.random() < 0.6},
+    )
+
+
+def test_ordered_walk_returns_the_pair_of_the_walk_over_all_pairs():
+    rng = random.Random(99)
+    seen = {"symmetric": 0, "not symmetric": 0, "differ": 0, "equal": 0, "reference raises": 0}
+    for i in range(3000):
+        kind = i % 3  # lagging, letter-to-letter, subsequential
+        m = random_machine(rng, kind != 0, subsequential=kind == 2)
+        target = i // 3 % 3
+        if target == 0:
+            r = random_equivalence(rng)
+        else:
+            r = random_relation(rng)
+            if target == 1:
+                r = relation_union(r, inverse(r))
+        symmetric = validate_relation(r).is_symmetric
+        seen["symmetric" if symmetric else "not symmetric"] += 1
+        expected = outcome(reference_all_pairs, m, r)
+        got = outcome(kernel_counterexample, m, r)
+        if expected is NotLetterToLetterError:
+            seen["reference raises"] += 1
+            if got is not NotLetterToLetterError:
+                assert_disagreement(m, r, got)
+        else:
+            assert got == expected, i
+            seen["equal" if got is None else "differ"] += 1
+    assert min(seen.values()) > 0, seen
+    assert seen["symmetric"] > 1000 and seen["not symmetric"] > 500, seen
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_ordered_walk_squares_each_unordered_pair_of_states_once(monkeypatch, k):
+    # the squared machine of an n-state agree-except-last-k witness has n²
+    # states, and the walk on ordered pairs squares the n(n + 1)/2 with
+    # p ≤ q only
+    squared = set()
+
+    def counting(f):
+        row, finals = _squaring(f)
+
+        def counted(k):
+            squared.add(k)
+            return row(k)
+
+        return counted, finals
+
+    r = build_agree_except_last(k)
+    witness = decide_kerseq_ll(r).witness
+    n = len(witness.states)
+    monkeypatch.setattr(synthesis, "_squaring", counting)
+    assert kernel_counterexample(witness, r) is None
+    assert len(squared) == n * (n + 1) // 2
+    squared.clear()
+    assert reference_all_pairs(witness, r) is None
+    assert len(squared) == n * n
 
 
 def test_product_walk_builds_no_squared_machine(monkeypatch):

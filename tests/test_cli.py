@@ -174,6 +174,26 @@ def test_verify_detects_wrong_machine(files, capsys, tmp_path):
     assert payload["kernelEqualsRelation"] is False
 
 
+def test_verify_walks_all_pairs_against_a_relation_that_is_not_symmetric(capsys, tmp_path):
+    # the identity machine's kernel is the identity; the relation adds
+    # (b, a) alone, so the one disagreement has b after a at its first
+    # difference, a pair the walk on ordered pairs never reads
+    machine = tmp_path / "identity.t"
+    machine.write_text(
+        "kind sequential\ninputs a b\noutputs a b\nstates 0\ninitial 0\nfinals 0\n"
+        "0 a / a -> 0\n0 b / b -> 0\n"
+    )
+    relation = tmp_path / "identity-and-ba.t"
+    relation.write_text(
+        "kind letter-transducer\ninputs a b\noutputs a b\nstates 0 1\ninitials 0\n"
+        "finals 0 1\n0 a / a -> 0\n0 b / b -> 0\n0 b / a -> 1\n"
+    )
+    code, payload, _ = run_json(capsys, "verify", str(relation), str(machine))
+    assert code == 1
+    assert payload["mode"] == "exact"
+    assert payload["kernelEqualsRelation"] is False
+
+
 def test_closure_cap_exhaustion_exits_two_and_writes_nothing(files, capsys, tmp_path):
     out = tmp_path / "p.t"
     code, payload, _ = run_json(

@@ -942,7 +942,7 @@ def test_decide_lp_walks_once_for_a_witness_equal_to_the_body(
 ):
     import kernseq.synthesis
 
-    walks = count_calls(monkeypatch, kernseq.synthesis, "kernel_counterexample")
+    walks = count_calls(monkeypatch, kernseq.synthesis, "_kernel_counterexample")
     decide_kerseq_lp(agree_except_last)  # one final-output class
     assert len(walks) == 1
     decide_kerseq_lp(a_parity)  # two

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kernseq.automata import Alphabet
+from kernseq.decision import decide_kerseq_lp
 from kernseq.errors import BoundTooLargeError
 from kernseq.oracle import (
     accepts_pair_backward,
@@ -92,6 +95,48 @@ def test_brute_index_constant_on_agree_except_last(agree_except_last):
     s, _ = syntactic_congruence(agree_except_last)
     profile = index_profile(s, agree_except_last, 8)
     assert profile[4:] == [2, 2, 2, 2, 2]
+
+
+def _reference_index_profile(s, r, bound):
+    """The pair-set profile that ``index_profile`` replaced, kept as its
+    reference: the least s-neighbour of every word, counted over each
+    enumerated r-image."""
+    er = enumerate_relation(r, bound)
+    es = enumerate_relation(s, bound)
+    s_rep = {}
+    for v, w in es.pairs:
+        if v not in s_rep or w < s_rep[v]:
+            s_rep[v] = w
+    best = [0] * (bound + 1)
+    for u, vs in er.as_map().items():
+        count = len({s_rep.get(v, v) for v in vs})
+        if count > best[len(u)]:
+            best[len(u)] = count
+    for n in range(1, bound + 1):
+        best[n] = max(best[n], best[n - 1])
+    return best
+
+
+def test_index_profile_matches_the_pair_set_profile(
+    c_singletons, agree_except_last, a_parity, last_a, chained_classes
+):
+    rng = random.Random(11)
+    relations = (
+        [c_singletons, agree_except_last, a_parity, last_a, chained_classes]
+        + default_suite(200)
+        + [random_equivalence(rng, letters=("a", "b", "c")) for _ in range(3)]
+    )
+    compared = 0
+    for r in relations:
+        s, _ = syntactic_congruence(r)
+        targets = [r]
+        lp = decide_kerseq_lp(r, cap=4)
+        if lp.closure is not None and lp.closure.converged:
+            targets.append(lp.closure.closure)
+        for target in targets:
+            assert index_profile(s, target, 5) == _reference_index_profile(s, target, 5)
+            compared += 1
+    assert compared > 300
 
 
 def test_valuedness_of_functional_machine_is_one(last_a):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from kernseq.automata import Alphabet, language_equal
-from kernseq.decision import decide_kerseq_lp
+from kernseq.automata import Alphabet, explore, language_equal
+from kernseq.decision import decide_kerseq_ll, decide_kerseq_lp
 from kernseq.errors import (
     AlphabetMismatchError,
     DimensionCapError,
@@ -19,6 +19,7 @@ from kernseq.oracle import (
     brute_kernel,
     default_suite,
     enumerate_relation,
+    random_equivalence,
 )
 from kernseq.relations import (
     compose,
@@ -27,7 +28,11 @@ from kernseq.relations import (
     syntactic_congruence,
     transitive_closure,
 )
+from kernseq import synthesis
 from kernseq.synthesis import (
+    ENTRY_CAP,
+    STATE_CAP,
+    _check_matrix,
     _length_graded,
     _partition,
     _worklist,
@@ -44,8 +49,11 @@ from kernseq.synthesis import (
 from conftest import (
     AB,
     ABC,
+    build_a_parity,
     build_agree_except_last,
+    build_c_singletons,
     build_chain,
+    build_last_a,
     build_mod_count,
     count_calls,
     validation_walks,
@@ -687,3 +695,144 @@ def test_partition_agrees_with_the_all_pairs_check():
             got = None
         assert got == expected, table
     assert 300 < raised < 900
+
+
+def _reference_check_matrix(matrix, coarse_final, diag_ok):
+    """The cell-by-cell check ``_check_matrix`` replaced, kept as its reference."""
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            if not coarse_final(entry):
+                raise InternalInvariantError("reachable matrix holds a non-accepting entry")
+            if i == j and not diag_ok(entry):
+                raise InternalInvariantError(
+                    "reachable matrix holds a non-diagonal entry on its diagonal"
+                )
+
+
+def _reference_worklist(letters, initial_entry, targets, coarse_final, fine_final, diag_ok):
+    """The worklist that cut each entry once per input letter and checked
+    each matrix cell by cell, kept as the reference of ``_worklist``."""
+    width = len(letters)
+    index: dict = {}
+    matrices: list = []
+    tables: dict = {}
+    pieces: dict = {}
+    entries = 0
+    expanded = 0
+
+    def intern(matrix):
+        nonlocal entries
+        mi = index.get(matrix)
+        if mi is None:
+            entries += len(matrix) ** 2
+            if entries > ENTRY_CAP:
+                raise DimensionCapError("stored matrix entries exceed safety cap")
+            _reference_check_matrix(matrix, coarse_final, diag_ok)
+            mi = index[matrix] = len(matrices)
+            matrices.append(matrix)
+        return mi
+
+    def cut(entry):
+        found = pieces.get(entry)
+        if found is None:
+            row = targets(entry)
+            parts = [row[a * width : (a + 1) * width] for a in range(width)]
+            found = pieces[entry] = [
+                (part, bytes(map(coarse_final, part)), bytes(map(fine_final, part)))
+                for part in parts
+            ]
+        return found
+
+    def moves(matrix):
+        lines = [
+            [cells[a] for cells in map(cut, matrix_row)]
+            for matrix_row in matrix
+            for a in range(width)
+        ]
+        coarse = _partition([b"".join(p[1] for p in line) for line in lines], "coarse grouping")
+        fine = _partition([b"".join(p[2] for p in line) for line in lines], "fine grouping")
+        n = len(lines)
+        if any(coarse[fine[x]] != coarse[x] for x in range(n)):
+            raise InternalInvariantError("fine grouping does not refine coarse grouping")
+        reps: dict = {}
+        for x in range(n):
+            if fine[x] == x:
+                reps.setdefault(coarse[x], []).append(x)
+        step = {}
+        for minima in reps.values():
+            target = intern(
+                tuple(tuple(lines[x][y // width][0][y % width] for y in minima) for x in minima)
+            )
+            step.update((rep, (target, m)) for m, rep in enumerate(minima, start=1))
+        item = [(x // width + 1, letters[x % width]) for x in range(n)]
+        return [(item[coarse[x]], step[fine[x]]) for x in range(n)]
+
+    def successors(node):
+        nonlocal expanded
+        expanded += 1
+        if expanded > STATE_CAP:
+            raise DimensionCapError("matrix state count exceeds safety cap")
+        mi, row = node
+        if mi not in tables:
+            tables[mi] = moves(matrices[mi])
+        table = tables[mi]
+        for a, letter in enumerate(letters):
+            out, nxt = table[(row - 1) * width + a]
+            yield (letter, out), nxt
+
+    order, edges = explore([(intern(((initial_entry,),)), 1)], successors)
+    transitions = {(sid, a): (out, dst) for sid, (a, out), dst in edges}
+    return matrices, order, transitions, max(map(len, matrices))
+
+
+def test_worklist_builds_what_the_reference_builds(monkeypatch):
+    built = []
+    worklist = synthesis._worklist
+
+    def both(*args):
+        found = worklist(*args)
+        matrices, order, transitions, l_max = _reference_worklist(*args)
+        assert found[0] == matrices and found[1] == order
+        assert found[2] == transitions and found[3] == l_max
+        built.append(l_max)
+        return found
+
+    monkeypatch.setattr(synthesis, "_worklist", both)
+    rng = random.Random(7)
+    relations = (
+        [build_mod_count(k) for k in (2, 3, 4, 5)]
+        + [build_agree_except_last(k) for k in (1, 2, 3, 4, 5)]
+        + [build_chain(k) for k in (1, 2)]
+        + [build_last_a(), build_c_singletons(), build_a_parity()]
+        + default_suite(200, seed=7)
+        + [random_equivalence(rng, letters=("a", "b", "c")) for _ in range(200)]
+    )
+    for r in relations:
+        decide_kerseq_ll(r)
+        decide_kerseq_lp(r)
+    assert len(built) > 600 and max(built) == 32
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        ((0, 2), (2, 0)),  # a non-accepting entry
+        ((0, 1), (0, 3)),  # a bad diagonal entry
+        ((3, 1), (2, 0)),  # both, the diagonal one first in row-major order
+        ((0, 2), (1, 3)),  # both, the non-accepting one first
+    ],
+    ids=["non-accepting", "diagonal", "diagonal-first", "non-accepting-first"],
+)
+def test_check_matrix_names_the_first_bad_cell_as_the_reference_does(matrix):
+    def coarse_final(q):
+        return q != 2
+
+    def diag_ok(q):
+        return q == 0
+
+    with pytest.raises(InternalInvariantError) as expected:
+        _reference_check_matrix(matrix, coarse_final, diag_ok)
+    with pytest.raises(InternalInvariantError) as got:
+        _check_matrix(matrix, coarse_final, diag_ok)
+    assert str(got.value) == str(expected.value)
+    _check_matrix(((0, 1), (1, 0)), coarse_final, diag_ok)
