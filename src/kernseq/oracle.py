@@ -13,7 +13,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .automata import Alphabet, Word, trim
+from .automata import Alphabet, Word
 from .errors import BoundTooLargeError
 from .machines import SequentialTransducer, SubsequentialTransducer
 from .transducers import LetterTransducer, pair_dfa
@@ -319,8 +319,9 @@ def min_lex_map(relation: EnumeratedRelation, alphabet: Alphabet) -> dict[Word, 
 
 
 def default_bound(r: LetterTransducer) -> int:
-    """Input-size-aware enumeration bound with a hard cap."""
-    return min(MAX_BOUND, max(6, len(trim(pair_dfa(r).nfa).states)))
+    """Input-size-aware enumeration bound with a hard cap: the useful
+    states of the pair DFA, at least 6."""
+    return min(MAX_BOUND, max(6, len(_useful_states(pair_dfa(r).nfa))))
 
 
 def random_equivalence(

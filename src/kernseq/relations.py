@@ -1,40 +1,38 @@
-"""Algebra of letter-to-letter relations.
+"""Algebra of letter-to-letter relations, and the stages a decision reads.
 
-Everything a relation-level decision needs: validation as an equivalence
-relation, composition, inverse, the syntactic congruence, prefix
-closure, a capped transitive-closure fixpoint, and the minimum-lexicographic
-uniformizer that turns an equivalence into the graph of a canonical
-function.
+Validation as an equivalence relation, composition, inverse, the
+syntactic congruence, prefix closure, a capped transitive-closure
+fixpoint, the minimum-lexicographic uniformizer that turns an
+equivalence into the graph of a canonical function, and the index
+check. ``Prepared`` keeps a relation's stages.
 
 ``compose`` determinizes: it runs the subset construction on sets of
 pairs of the two relations' states straight into the minimal DFA of the
-composition, whose dense rows (``_composed``) the index checks read.
+composition, whose dense rows (``_composed``) the index check reads.
 The equivalence axioms are three breadth-first walks over self-products
 of a complete pair DFA (``_axioms``), on integer nodes over its dense
-rows, each run on demand and returning a shortest counterexample.
-Validation walks all three on the relation's own determinization,
-which ``prepare`` shares with the pair DFA; the closure search walks
-its first iterate (``_first_iterate``, kept on the relation searched),
-and ``synthesis.validate_closure_witness`` walks only transitivity, on
-a supplied closure. The min-lex uniformizer walks
-pairs of state sets as integer bitsets and builds its automaton from
-the dense rows of that walk, trimmed.
+rows, each run on demand and returning a shortest counterexample:
+validation walks all three on the relation's own determinization, the
+closure search walks its first iterate, and
+``synthesis.validate_closure_witness`` walks only transitivity, on a
+supplied closure. The min-lex uniformizer walks pairs of state sets as
+integer bitsets and builds its automaton from the dense rows of that
+walk, trimmed.
 
-``prepare`` validates a relation and builds the stages it shares: the
-pair DFA, diagonal states, and on first use the rest, the prefix
-closure with its first closure iterate, and the closure searched for
-each cap with its index, included. The first iterate, the minimal DFA
-of the prefix closure with its axiom walks, tells before any
-composition round whether the closure is reached at exponent 1. They
-are kept on the relation object, so each runs once per object whichever
-entry points it passes through, and holds its memory for as long as the
-object lives.
+The index check reduces finite index to finite valuedness through the
+uniformizer, and decides valuedness structurally by Weber's two pumping
+patterns (Weber, *On the valuedness of finite transducers*, Acta Inf.
+1990), each found in one Tarjan pass (``_explore``) over a product of a
+trimmed minimal pair DFA with itself, read as dense rows; there, runs
+that part on one input must write different outputs, so no search
+tracks whether outputs have diverged. Both passes learn what is reached
+from where by one forward labelling of their components, ``_labels``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce, wraps
+from functools import cached_property, reduce
 from operator import or_
 from typing import Callable
 
@@ -50,7 +48,6 @@ from .automata import (
     coaccessible_states,
     determinize,
     drop_sink,
-    includes,
     minimize,
 )
 from .errors import AlphabetMismatchError, NotEquivalenceError, PreconditionError
@@ -145,39 +142,10 @@ def _composed(r: LetterTransducer, s: LetterTransducer) -> tuple[list, list]:
     return _quotient([not pairs.isdisjoint(accepting) for pairs in sets], delta)
 
 
-def _kept(build: Callable) -> Callable:
-    """``build(r)``, built on first use and kept on the relation object r,
-    as ``cached_property`` keeps a value: a relation object is immutable,
-    so the value holds for as long as the object lives. An equal relation
-    built anew builds it again, and a call that raises keeps nothing.
-    """
-    name = f"_{build.__name__}"
-
-    @wraps(build)
-    def kept(r: LetterTransducer):
-        values = vars(r)
-        if name not in values:
-            values[name] = build(r)
-        return values[name]
-
-    return kept
-
-
-@_kept
 def validate_relation(r: LetterTransducer) -> RelationValidation:
-    """Check the equivalence axioms on the complete pair DFA of r.
-
-    One breadth-first walk per axiom over a self-product of the pair
-    DFA; see ``_axioms``. An empty relation is reported non-reflexive:
-    the identity over a nonempty alphabet is nonempty. Mismatched
-    input/output alphabets can never satisfy any of the axioms. Kept on
-    r, so the walks run once per relation object.
-    """
-    if not r.same_alphabets():
-        return RelationValidation(False, False, False)
-    return RelationValidation(
-        *(walk() is None for walk in _axioms(determinize(r.nfa), r.input_alphabet))
-    )
+    """Check the equivalence axioms on the complete pair DFA of r: the
+    ``validation`` stage of r's ``Prepared`` value."""
+    return _prepared(r).validation
 
 
 def _axioms(d: Nfa, alphabet: Alphabet) -> tuple[Callable, Callable, Callable]:
@@ -285,43 +253,50 @@ def _shortest(start: int, expand: Callable, labels: Callable) -> tuple | None:
     return None
 
 
-def require_equivalence(r: LetterTransducer) -> RelationValidation:
-    v = validate_relation(r)
-    if not v.is_equivalence:
-        raise NotEquivalenceError(
-            "relation is not an equivalence: "
-            + ", ".join(
-                name
-                for name, ok in [
-                    ("not reflexive", v.is_reflexive),
-                    ("not symmetric", v.is_symmetric),
-                    ("not transitive", v.is_transitive),
-                ]
-                if not ok
-            ),
-            v,
-        )
-    return v
-
-
 @dataclass(frozen=True)
 class Prepared:
-    """An equivalence relation with the groundwork its stages share.
+    """A relation with the stages its decisions share.
 
-    ``det`` is the complete pair DFA of the relation and ``diagonal`` its
-    diagonal states; the other stages are built on first use and kept.
-    ``prepare`` keeps one ``Prepared`` on each relation object, so every
-    entry point given that object shares its validation, pair DFA,
-    prefix-closedness, congruence, uniformizer and index, the prefix
-    closure with its first closure iterate, and the closure searched for
-    each cap with the index against it, and none of them runs twice.
-    They hold their memory for as long as the relation object lives.
+    Each stage is built on first use and kept. ``_prepared`` keeps one
+    ``Prepared`` on each relation object, the only value kept there, so
+    every entry point given that object shares its stages and none of
+    them runs twice: the validation, the pair DFA and its diagonal
+    states, prefix-closedness, the congruence, its uniformizer and the
+    index against the relation, the prefix closure, the first closure
+    iterate, and the closure searched for each cap with the index against
+    it. An equal relation built anew builds them again, a stage that
+    raises keeps nothing, and the stages hold their memory for as long as
+    the relation object lives. The stages past ``validation`` and
+    ``first_iterate`` assume an equivalence relation, which ``prepare``
+    checks.
     """
 
     relation: LetterTransducer
-    validation: RelationValidation
-    det: LetterTransducer
-    diagonal: frozenset[int]
+
+    @cached_property
+    def validation(self) -> RelationValidation:
+        """The equivalence axioms, one walk of ``_axioms`` each on the
+        relation's complete pair DFA, which ``det`` shares. An empty
+        relation is reported non-reflexive: the identity over a nonempty
+        alphabet is nonempty. Mismatched input/output alphabets can never
+        satisfy any of the axioms.
+        """
+        r = self.relation
+        if not r.same_alphabets():
+            return RelationValidation(False, False, False)
+        return RelationValidation(
+            *(walk() is None for walk in _axioms(determinize(r.nfa), r.input_alphabet))
+        )
+
+    @cached_property
+    def det(self) -> LetterTransducer:
+        """The complete pair DFA of the relation."""
+        return pair_dfa(self.relation)
+
+    @cached_property
+    def diagonal(self) -> frozenset[int]:
+        """The diagonal states of ``det``."""
+        return diagonal_states(self.det)
 
     @cached_property
     def prefix_closed(self) -> bool:
@@ -344,13 +319,12 @@ class Prepared:
     @cached_property
     def prefix(self) -> LetterTransducer:
         """``prefix_closure(relation)``, the relation whose closure is
-        searched, kept with the first iterate that ``_first_iterate``
-        keeps on it. Its subset construction is ``det`` with the live
-        states final: it has the relation's transitions and initial
-        states, so the same subsets, and a subset holds a state that
-        reaches a final one exactly when it reaches a final subset. That
-        construction is set from ``det``, sharing its table, so the
-        relation is not determinized again.
+        searched. Its subset construction is ``det`` with the live states
+        final: it has the relation's transitions and initial states, so
+        the same subsets, and a subset holds a state that reaches a final
+        one exactly when it reaches a final subset. That construction is
+        set from ``det``, sharing its table, so the relation is not
+        determinized again.
         """
         d = self.det.nfa
         p = prefix_closure(self.relation)
@@ -358,15 +332,37 @@ class Prepared:
         return p
 
     @cached_property
+    def first_iterate(self) -> tuple[LetterTransducer, bool]:
+        """The first iterate of ``transitive_closure(relation, cap)`` and
+        whether the relation is transitive, so that this iterate is the
+        closure.
+
+        The iterate is the minimal pair DFA of the relation without its
+        sink (``drop_sink``, which trims it). The walks of ``_axioms`` on
+        the complete one check that the relation is reflexive and
+        symmetric, raising ``PreconditionError`` otherwise, and the third
+        tells whether it is transitive.
+        """
+        p = self.relation
+        minimal = minimize(p.nfa)
+        reflexive, symmetric, transitive = (
+            _axioms(minimal, p.input_alphabet) if p.same_alphabets() else (lambda: (),) * 3
+        )
+        if reflexive() is not None:
+            raise PreconditionError("transitive closure needs a reflexive relation")
+        if symmetric() is not None:
+            raise PreconditionError("transitive closure needs a symmetric relation")
+        return p.with_nfa(drop_sink(minimal)), transitive() is None
+
+    @cached_property
     def prefix_transitive(self) -> bool:
         """Whether the prefix closure is transitive, so that the closure is
         reached with no composition round, at exponent 1 whatever the cap.
         A prefix-closed relation is its own prefix closure and, being an
-        equivalence, transitive; otherwise the third walk of
-        ``_first_iterate`` answers, and the search reads the iterate it
-        keeps.
+        equivalence, transitive; otherwise the third walk of the prefix
+        closure's ``first_iterate`` answers.
         """
-        return self.prefix_closed or _first_iterate(self.prefix)[1]
+        return self.prefix_closed or _prepared(self.prefix).first_iterate[1]
 
     @cached_property
     def uniformizer(self) -> LetterTransducer:
@@ -377,8 +373,6 @@ class Prepared:
     @cached_property
     def finite_index(self) -> bool:
         """Whether the congruence has finite index with respect to the relation."""
-        from .decision import _finite_index
-
         return _finite_index(self, self.relation)
 
     @cached_property
@@ -393,16 +387,14 @@ class Prepared:
         stops at the same round whatever the cap above k.
 
         A relation that is not prefix-closed is searched by
-        ``transitive_closure(prefix, cap)``, on the kept ``prefix``. A
-        prefix-closed relation has its prefix closure's language and, being
-        an equivalence, is transitive, so that search would stop at
-        exponent 1 on the minimal DFA of that language: the relation's own
+        ``transitive_closure(prefix, cap)``. A prefix-closed relation has
+        its prefix closure's language and, being an equivalence, is
+        transitive, so that search would stop at exponent 1 on the minimal
+        DFA of that language: the relation's own
         ``drop_sink(minimize(...))``, whose subset construction is
         ``det``'s, and whose index is ``finite_index``. A cap below 1
-        raises ``PreconditionError`` and keeps nothing.
+        raises ``PreconditionError``.
         """
-        from .decision import _finite_index
-
         kept = self._closures.get(cap) or next(
             (v for v in self._closures.values() if v[0].converged and v[0].exponent <= cap),
             None,
@@ -422,6 +414,15 @@ class Prepared:
         return result, finite
 
 
+def _prepared(r: LetterTransducer) -> Prepared:
+    """The ``Prepared`` value kept on the relation object r."""
+    kept = vars(r)
+    prep = kept.get("_prepared")
+    if prep is None:
+        prep = kept["_prepared"] = Prepared(r)
+    return prep
+
+
 def _with_finals(d: Nfa, finals) -> Nfa:
     """The automaton ``d`` with ``finals`` final, sharing its transitions and
     its table."""
@@ -430,17 +431,25 @@ def _with_finals(d: Nfa, finals) -> Nfa:
     return a
 
 
-@_kept
 def prepare(r: LetterTransducer) -> Prepared:
-    """Validate r and build its pair DFA and diagonal states, once per
-    relation object: the result is kept on r.
+    """The ``Prepared`` value of r, an equivalence relation.
 
     Raises ``NotEquivalenceError``, carrying the validation, on every
     call unless r is an equivalence relation.
     """
-    validation = require_equivalence(r)
-    det = pair_dfa(r)
-    return Prepared(r, validation, det, diagonal_states(det))
+    v = validate_relation(r)
+    if not v.is_equivalence:
+        failed = [
+            name
+            for name, ok in [
+                ("not reflexive", v.is_reflexive),
+                ("not symmetric", v.is_symmetric),
+                ("not transitive", v.is_transitive),
+            ]
+            if not ok
+        ]
+        raise NotEquivalenceError("relation is not an equivalence: " + ", ".join(failed), v)
+    return _prepared(r)
 
 
 def syntactic_congruence(r: LetterTransducer) -> tuple[LetterTransducer, frozenset[int]]:
@@ -449,9 +458,7 @@ def syntactic_congruence(r: LetterTransducer) -> tuple[LetterTransducer, frozens
     Returns the relation "every common continuation stays related",
     realized by the pair-deterministic automaton of r with final states
     restricted to its diagonal states, together with that diagonal set.
-    The state identifiers agree with ``pair_dfa(r)``. Both are read off
-    the ``Prepared`` value that ``prepare`` keeps on r, which validates r
-    the first time.
+    The state identifiers agree with ``pair_dfa(r)``. Validates r.
     """
     prep = prepare(r)
     return prep.congruence, prep.diagonal
@@ -473,8 +480,7 @@ def is_prefix_closed(r: LetterTransducer) -> bool:
     """True iff r equals its prefix closure.
 
     Decided structurally: every state of the trimmed pair-deterministic
-    automaton must be final. Read off the ``Prepared`` value that
-    ``prepare`` keeps on r, which validates r the first time.
+    automaton must be final. Validates r.
     """
     return prepare(r).prefix_closed
 
@@ -482,56 +488,33 @@ def is_prefix_closed(r: LetterTransducer) -> bool:
 def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     """Iterate q <- q after p until the language stabilizes.
 
-    Requires p reflexive and symmetric so every iterate is too. The
-    first iterate and whether p is transitive come from
-    ``_first_iterate``, kept on p. Since p is reflexive, q after p
-    contains q, so it is the union of the two and a single inclusion of
-    the next iterate in the current one says they are equal. The first
-    round asks whether p after p lies within p, that is whether p is
-    transitive: a transitive p is its own closure at exponent 1, with no
-    composition round. Otherwise each round composes the current iterate
-    with p by ``compose``, so every iterate is the trimmed minimal pair
-    DFA of its language and keeps the complete one as its subset
-    construction, and compares it with one inclusion. Stops either at the
-    first exponent k with equal consecutive iterates (converged, the
-    closure realizes the full transitive closure) or after ``cap``
-    comparisons (not converged). Running out of cap is a reportable
-    outcome, not an error: in general the fixpoint exponent is not
-    computable, so the iteration must not pretend otherwise.
+    Requires p reflexive and symmetric so every iterate is too; the first
+    iterate and whether p is transitive are p's ``first_iterate`` stage.
+    A transitive p is its own closure at exponent 1, with no composition
+    round. Otherwise each round composes the current iterate with p by
+    ``compose``, so every iterate is the trimmed minimal pair DFA of its
+    language in canonical numbering (``automata._quotient`` numbers the
+    blocks by their shortlex-least access words, and ``drop_sink`` keeps
+    that order), and keeps the complete one as its subset construction.
+    Since p is reflexive, q after p contains q, so two consecutive
+    iterates realize the same relation exactly when their automata are
+    equal. Stops either at the first exponent k with equal consecutive
+    iterates (converged, the closure realizes the full transitive
+    closure) or after ``cap`` comparisons (not converged). Running out of
+    cap is a reportable outcome, not an error: in general the fixpoint
+    exponent is not computable, so the iteration must not pretend
+    otherwise.
     """
     _require_cap(cap)
-    current, transitive = _first_iterate(p)
+    current, transitive = _prepared(p).first_iterate
     if transitive:
         return ClosureResult(closure=current, exponent=1, converged=True)
     for k in range(1, cap + 1):
         nxt = compose(current, p)
-        if includes(nxt.nfa, current.nfa):
+        if nxt.nfa == current.nfa:
             return ClosureResult(closure=current, exponent=k, converged=True)
         current = nxt
     return ClosureResult(closure=current, exponent=cap, converged=False)
-
-
-@_kept
-def _first_iterate(p: LetterTransducer) -> tuple[LetterTransducer, bool]:
-    """The first iterate of ``transitive_closure(p, cap)`` and whether p is
-    transitive, so that this iterate is the closure.
-
-    The iterate is the minimal pair DFA of p without its sink
-    (``drop_sink``, which trims it). The walks of ``_axioms`` on the
-    complete one check that p is reflexive and symmetric, raising
-    ``PreconditionError`` otherwise, and the third tells whether p is
-    transitive. Kept on p, so the minimization and the walks run once per
-    relation object, whatever the caps it is searched with.
-    """
-    minimal = minimize(p.nfa)
-    reflexive, symmetric, transitive = (
-        _axioms(minimal, p.input_alphabet) if p.same_alphabets() else (lambda: (),) * 3
-    )
-    if reflexive() is not None:
-        raise PreconditionError("transitive closure needs a reflexive relation")
-    if symmetric() is not None:
-        raise PreconditionError("transitive closure needs a symmetric relation")
-    return p.with_nfa(drop_sink(minimal)), transitive() is None
 
 
 def _require_cap(cap: int) -> None:
@@ -554,7 +537,7 @@ def min_lex_uniformizer(s: LetterTransducer) -> LetterTransducer:
     none: s relates u to v and to no smaller word. The kernel of the
     resulting function is s itself. Validates s first.
     """
-    require_equivalence(s)
+    prepare(s)
     return _uniformizer(s)
 
 
@@ -624,3 +607,170 @@ def _uniformizer(s: LetterTransducer) -> LetterTransducer:
         rows.append(row)
     accepting = [bool(equal & finals) and not smaller & finals for equal, smaller in nodes]
     return s.with_nfa(_dfa(a.alphabet, *_trim_rows(rows, accepting)))
+
+
+def _explore(starts, expand) -> tuple[dict, list[int], list[list[int]]]:
+    """Strongly connected components of the graph that ``expand(node)``
+    spans from ``starts``, by an iterative Tarjan numbering nodes as found.
+
+    Returns the numbering, each number's component and each number's
+    successor numbers, in the order ``expand`` lists them. Components are
+    numbered as they complete, so every edge leads to a component of the
+    same or a lower number.
+    """
+    ids: dict = {}
+    low: list[int] = []  # a node's number is its Tarjan index
+    comp: list[int] = []
+    succ: list[list[int]] = []
+    stack: list[int] = []
+    work: list = []
+    count = 0
+
+    def enter(node):
+        ids[node] = v = len(low)
+        low.append(v)
+        comp.append(-1)
+        succ.append([])
+        stack.append(v)
+        work.append((v, iter(expand(node))))
+        return v
+
+    for root in starts:
+        if root not in ids:
+            enter(root)
+        while work:
+            v, edges = work[-1]
+            out = succ[v]
+            for nxt in edges:
+                w = ids.get(nxt)
+                if w is None:
+                    out.append(enter(nxt))
+                    break
+                out.append(w)
+                if comp[w] < 0 and w < low[v]:  # w is still on the stack, in v's component
+                    low[v] = w
+            else:
+                work.pop()
+                if low[v] == v:  # v is the root of its component
+                    while comp[v] < 0:
+                        comp[stack.pop()] = count
+                    count += 1
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+    return ids, comp, succ
+
+
+def _labels(comp: list[int], succ: list[list[int]], seeds) -> list[int]:
+    """Per component of ``_explore``'s numbering, the union of the bits of
+    the ``(number, bit)`` seeds whose nodes reach it.
+
+    One forward pass: the components are taken from the highest number
+    down, so each is complete when its nodes pass its label on to their
+    successors' components.
+    """
+    label = [0] * (max(comp, default=-1) + 1)
+    for v, bit in seeds:
+        label[comp[v]] |= bit
+    for v in sorted(range(len(comp)), key=comp.__getitem__, reverse=True):
+        bits = label[comp[v]]
+        if bits:
+            for w in succ[v]:
+                label[comp[w]] |= bits
+    return label
+
+
+def _has_transfer(moves: list, linked: list[tuple[int, int]]) -> bool:
+    """Loop at p, transfer p to q, loop at q, all on one input word, on a
+    pair-deterministic machine with ``moves[q][x]`` the (output, next)
+    moves of q on input x: (p, q, q) reached from (p, p, q) in the triple
+    product, labelled by ``_labels`` with one bit per linked pair.
+    """
+
+    def expand(node):
+        x, y, z = node
+        return [
+            (x2, y2, z2)
+            for xs, ys, zs in zip(moves[x], moves[y], moves[z])
+            for _, x2 in xs
+            for _, y2 in ys
+            for _, z2 in zs
+        ]
+
+    starts = [(p, p, q) for p, q in linked]
+    ids, comp, succ = _explore(starts, expand)
+    label = _labels(comp, succ, [(ids[node], 1 << j) for j, node in enumerate(starts)])
+    ends = [(p, q, q) for p, q in linked]
+    return any(node in ids and label[comp[ids[node]]] >> j & 1 for j, node in enumerate(ends))
+
+
+def _finitely_valued(rows: list, width: int) -> bool:
+    """The valuedness search on a trimmed minimal pair DFA given as dense rows:
+    ``rows[q][x * width + z]`` the target of q on the pair (x, z), -1 for none.
+
+    Infinite exactly when the machine shows one of Weber's two pumpable
+    patterns: a state with two equal-input loops of different output, or
+    a loop-transfer-loop triple. The square pass walks the
+    input-synchronized self-product on integer nodes p * n + q from every
+    diagonal node (p, p). The loops are an edge of different outputs
+    inside the component of a diagonal node; that is tested first.
+    Otherwise (p, q) is linked, reached from (p, p), when bit p is in the
+    ``_labels`` label of its component. The triple is (p, q, q) reached
+    from (p, p, q) for a linked pair; it needs no divergence flag: the
+    loop and the transfer leave p on one input and end in different
+    states, which in a pair DFA they can only do by writing different
+    outputs.
+    """
+    n = len(rows)
+    # per state and input letter: its (output position, target) moves
+    moves = [
+        [[(z, t) for z, t in enumerate(row[x : x + width]) if t >= 0] for x in range(0, len(row), width)]
+        for row in rows
+    ]
+    diverging = []  # square edges whose two outputs differ
+
+    def expand(node):
+        p, q = divmod(node, n)
+        out = []
+        for xs, ys in zip(moves[p], moves[q]):
+            for z1, p2 in xs:
+                for z2, q2 in ys:
+                    out.append(p2 * n + q2)
+                    if z1 != z2:
+                        diverging.append((node, p2 * n + q2))
+        return out
+
+    diagonal = range(0, n * n, n + 1)  # the nodes (p, p)
+    ids, comp, succ = _explore(diagonal, expand)
+    looped = {comp[ids[d]] for d in diagonal}
+    for u, v in diverging:
+        c = comp[ids[u]]
+        if c == comp[ids[v]] and c in looped:
+            return False
+    label = _labels(comp, succ, [(ids[d], 1 << p) for p, d in enumerate(diagonal)])
+    linked = [
+        (p, q)
+        for node, v in ids.items()
+        for p, q in [divmod(node, n)]
+        if p != q and label[comp[v]] >> p & 1
+    ]
+    return not _has_transfer(moves, linked)
+
+
+def _composition_finitely_valued(f: LetterTransducer, target: LetterTransducer) -> bool:
+    """``decision.is_finitely_valued(compose(f, target))``, searched on the
+    dense rows of ``_composed`` with the sink dropped: no automaton is built."""
+    rows, _finals = _trim_rows(*_composed(f, target))
+    return _finitely_valued(rows, len(f.output_alphabet))
+
+
+def _finite_index(prep: Prepared, target: LetterTransducer) -> bool:
+    """``decision.index_is_finite(prep.congruence, target)`` without its checks.
+
+    On the decision path they hold by construction: the congruence
+    refines the relation, which lies inside its prefix closure and so
+    inside every closure fixpoint, and it is an equivalence. A supplied
+    closure passes ``validate_closure_witness`` first, so it contains
+    the prefix closure too.
+    """
+    return _composition_finitely_valued(prep.uniformizer, target)

@@ -87,7 +87,7 @@ from .errors import (
     PreconditionError,
 )
 from .machines import SequentialTransducer, SubsequentialTransducer
-from .relations import Prepared, _axioms, prefix_closure, prepare
+from .relations import Prepared, _axioms, _finite_index, prefix_closure, prepare
 from .transducers import LetterTransducer, diagonal_states, pair_alphabet, pair_dfa
 
 # Largest number of matrix states a construction expands before it raises
@@ -438,8 +438,6 @@ def synthesize_subsequential(
     respect to it is finite are verified first, then
     ``subsequential_machine`` builds it.
     """
-    from .decision import _finite_index
-
     prep = prepare(r)
     validate_closure_witness(r, pplus)
     if not _finite_index(prep, pplus):

@@ -264,7 +264,7 @@ def _reference_explore(starts, expand, bits: dict) -> tuple[dict, list[int], lis
     hands what it holds to its parent in the search tree, so a component's
     root holds the whole union when the component completes. The
     library's search once carried its reachability this way; the
-    references below keep it, independent of ``decision._labels``.
+    references below keep it, independent of ``relations._labels``.
     """
     ids: dict = {}
     low: list[int] = []  # a node's number is its Tarjan index
@@ -507,7 +507,7 @@ def test_entry_points_reject_non_equivalence(entry):
 
 
 def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
-    from kernseq import automata, decision, relations, synthesis
+    from kernseq import automata, relations, synthesis
     from kernseq.automata import determinize
 
     walks = validation_walks(monkeypatch)
@@ -516,7 +516,7 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
     subsets = count_calls(monkeypatch, automata, "_subsets")
     searches = count_calls(monkeypatch, relations, "transitive_closure")
     validated = count_calls(monkeypatch, synthesis, "validate_closure_witness")
-    checked = count_calls(monkeypatch, decision, "_finite_index")
+    checked = count_calls(monkeypatch, relations, "_finite_index")
 
     def walks_of(r):
         # the closure search walks its own minimal automaton, not r's
@@ -527,6 +527,11 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
             r.input_alphabet, r.output_alphabet, r.nfa.states, r.nfa.transitions,
             r.nfa.initials, r.nfa.finals,
         )
+
+    def keeps_only_its_stages(r):
+        # beyond its fields, a relation object holds its Prepared value alone
+        kept = {k: v for k, v in vars(r).items() if k not in ("input_alphabet", "output_alphabet", "nfa")}
+        assert list(kept) == ["_prepared"] and kept["_prepared"].relation is r
 
     cases = [
         (build_agree_except_last(2), None, DEFAULT_CLOSURE_CAP),  # YES for ll and lp
@@ -571,6 +576,9 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
             else:
                 assert not prepare(r).prefix_closed
                 assert len(searches) == 1
+        keeps_only_its_stages(r)
+        if not prepare(r).prefix_closed:  # the searched prefix closure too
+            keeps_only_its_stages(prepare(r).prefix)
     # a prefix-closed relation's closure is read off its kept pair DFA:
     # no subset construction, no axiom walk, no composition
     prep = prepare(build_agree_except_last(3))
@@ -599,7 +607,7 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
     assert len(builds) == 1
     # validate, analyze and decide ll on a fresh prefix-closed relation
     # check its valuedness once: both indices are the one kept index
-    valued = count_calls(monkeypatch, decision, "_finitely_valued")
+    valued = count_calls(monkeypatch, relations, "_finitely_valued")
     r = build_agree_except_last(3)
     validate_relation(r), analyze(r), decide_kerseq_ll(r)
     assert len(valued) == 1
@@ -614,6 +622,7 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
         assert refused.value.validation is validate_relation(bare)
     assert len(walks) == 1
     assert builds == []
+    keeps_only_its_stages(bare)
 
 
 def test_only_automata_built_from_input_are_checked(monkeypatch):
@@ -753,7 +762,8 @@ def _relation_first_lp(r, cap=DEFAULT_CLOSURE_CAP):
     """``decide_kerseq_lp`` with no supplied closure, checking the index
     against r before anything else on every relation: the order kept when
     the closure needs composition rounds."""
-    from kernseq.decision import Verdict, _body, _certify, _finite_index
+    from kernseq.decision import Verdict, _body, _certify
+    from kernseq.relations import _finite_index
     from kernseq.synthesis import eliminate_final_output, minimal_machine, subsequential_machine
 
     prep = prepare(r)
@@ -808,9 +818,9 @@ def test_decide_lp_answers_as_the_relation_first_order():
 
 
 def test_decide_lp_checks_one_index_when_the_prefix_closure_is_transitive(monkeypatch):
-    from kernseq import decision
+    from kernseq import relations
 
-    checked = count_calls(monkeypatch, decision, "_finite_index")
+    checked = count_calls(monkeypatch, relations, "_finite_index")
     # a's parity: its prefix closure is the full same-length relation
     r = build_a_parity()
     assert not prepare(r).prefix_closed and prepare(r).prefix_transitive
@@ -919,7 +929,7 @@ def test_decide_lp_makes_no_oracle_call(monkeypatch, a_parity, chained_classes):
 def test_decide_lp_refuses_a_witness_with_the_wrong_kernel(
     monkeypatch, a_parity, agree_except_last
 ):
-    import kernseq.synthesis
+    import kernseq.decision
     from kernseq.errors import InternalInvariantError
     from kernseq.machines import SequentialTransducer
 
@@ -931,7 +941,7 @@ def test_decide_lp_refuses_a_witness_with_the_wrong_kernel(
         initial=0,
         finals={0},
     )
-    monkeypatch.setattr(kernseq.synthesis, "eliminate_final_output", lambda sub: constant)
+    monkeypatch.setattr(kernseq.decision, "eliminate_final_output", lambda sub: constant)
     for r in (a_parity, agree_except_last):  # two final-output classes, and one
         with pytest.raises(InternalInvariantError):
             decide_kerseq_lp(r)
@@ -995,7 +1005,7 @@ def test_analyze_with_supplied_closure(a_parity, full_ab):
 
 
 def test_analyze_index_wrt_relation_equals_the_direct_check(monkeypatch):
-    from kernseq import decision
+    from kernseq import relations
 
     cases = [
         (build_a_parity(), {}),  # closure index FINITE
@@ -1005,13 +1015,13 @@ def test_analyze_index_wrt_relation_equals_the_direct_check(monkeypatch):
         (build_a_parity(), {"pplus": full_same_length(AB)}),
     ] + [(r, {}) for r in default_suite(200, seed=7)]
     calls = []
-    real = decision._finitely_valued
+    real = relations._finitely_valued
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(decision, "_finitely_valued", spy)
+    monkeypatch.setattr(relations, "_finitely_valued", spy)
     seen = set()
     for i, (r, kwargs) in enumerate(cases):
         calls.clear()
@@ -1022,14 +1032,14 @@ def test_analyze_index_wrt_relation_equals_the_direct_check(monkeypatch):
             report.prefix_closed and "pplus" not in kwargs
         )
         assert len(calls) == (1 if one else 2), i
-        direct = FINITE if decision._finite_index(prepare(r), r) else INFINITE
+        direct = FINITE if relations._finite_index(prepare(r), r) else INFINITE
         assert report.index_wrt_relation == direct, i
         seen.add((report.index_wrt_closure, direct))
     assert {(FINITE, FINITE), (INFINITE, FINITE), (INFINITE, INFINITE), (None, FINITE)} <= seen
 
 
 def test_a_prefix_closed_relation_is_its_own_searched_closure(monkeypatch):
-    from kernseq import decision
+    from kernseq import relations
 
     fixtures = [
         build_last_a(),
@@ -1050,7 +1060,7 @@ def test_a_prefix_closed_relation_is_its_own_searched_closure(monkeypatch):
         result = transitive_closure(prefix_closure(r), DEFAULT_CLOSURE_CAP)
         assert (result.exponent, result.converged) == (1, True)
         assert language_equal(result.closure.nfa, r.nfa)
-        assert decision._finite_index(prep, result.closure) == prep.finite_index
+        assert relations._finite_index(prep, result.closure) == prep.finite_index
         # the kept closure is that search's result, read off r with no search
         assert prep.closure(DEFAULT_CLOSURE_CAP) == (result, prep.finite_index)
         seen.append(prep.finite_index)
@@ -1059,13 +1069,13 @@ def test_a_prefix_closed_relation_is_its_own_searched_closure(monkeypatch):
     r, larger = identity(AB), full_same_length(AB)
     prep = prepare(r)
     assert prep.prefix_closed and prep.finite_index
-    checked = count_calls(monkeypatch, decision, "_finite_index")
+    checked = count_calls(monkeypatch, relations, "_finite_index")
     assert decide_kerseq_lp(r, closure=larger).reason == INFINITE_INDEX
     assert len(checked) == 1 and checked[0][0] is prep and checked[0][1] is larger
 
 
 def test_the_kept_closure_is_the_closure_searched_afresh():
-    from kernseq import decision
+    from kernseq.relations import _finite_index
 
     rng = random.Random(19)
     fixtures = [
@@ -1090,7 +1100,7 @@ def test_the_kept_closure_is_the_closure_searched_afresh():
             assert kept == fresh, (i, cap)
             assert prep.closure(cap)[0] is kept
             if fresh.converged:
-                assert finite == decision._finite_index(prep, fresh.closure), (i, cap)
+                assert finite == _finite_index(prep, fresh.closure), (i, cap)
             else:
                 assert finite is None, (i, cap)
             outcomes.add((prep.prefix_closed, fresh.converged, finite))
@@ -1113,7 +1123,7 @@ def test_the_kept_closure_is_the_closure_searched_afresh():
 
 
 def test_the_closure_keeps_its_complete_minimal_dfa(monkeypatch):
-    from kernseq import automata, synthesis
+    from kernseq import automata, decision
 
     fixtures = [
         build_last_a(),
@@ -1128,7 +1138,7 @@ def test_the_closure_keeps_its_complete_minimal_dfa(monkeypatch):
         assert pair_dfa(closure).nfa == minimize(closure.nfa) == automata._subsets(closure.nfa)
     # so the synthesis builds no subset construction of a fresh relation's closure
     built = count_calls(monkeypatch, automata, "_subsets")
-    real = synthesis.subsequential_machine
+    real = decision.subsequential_machine
     during = []  # subset constructions per synthesis
 
     def spy(prep, pplus):
@@ -1137,7 +1147,7 @@ def test_the_closure_keeps_its_complete_minimal_dfa(monkeypatch):
         during.append(len(built) - before)
         return machine
 
-    monkeypatch.setattr(synthesis, "subsequential_machine", spy)
+    monkeypatch.setattr(decision, "subsequential_machine", spy)
     for r in default_suite(200, seed=7):
         assert decide_kerseq_lp(r).outcome is Outcome.YES
     assert len(during) == 200 and set(during) == {0}
@@ -1154,10 +1164,9 @@ _LARGE_CLOSURE_INDEX = """
 import random, resource, sys
 limit, m, against = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-from kernseq import decision
 from kernseq.automata import Alphabet, drop_sink, minimize
 from kernseq.oracle import random_equivalence
-from kernseq.relations import prepare
+from kernseq.relations import _finite_index, prepare
 from kernseq.transducers import identity
 
 rng = random.Random(3)
@@ -1165,7 +1174,7 @@ draws = [random_equivalence(rng, max_states=m) for _ in range(30)]
 sizes = [len(drop_sink(minimize(c.nfa)).states) for c in draws]
 closure = draws[sizes.index(max(sizes))]
 finer = closure if against == "itself" else identity(Alphabet(("a", "b")))
-print(max(sizes), decision._finite_index(prepare(finer), closure))
+print(max(sizes), _finite_index(prepare(finer), closure))
 """
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernseq.automata import Alphabet
+from kernseq.automata import Alphabet, trim
 from kernseq.decision import decide_kerseq_lp
 from kernseq.errors import BoundTooLargeError
 from kernseq.oracle import (
@@ -12,7 +12,9 @@ from kernseq.oracle import (
     brute_index,
     brute_kernel,
     brute_valuedness,
+    MAX_BOUND,
     closure_pairs,
+    default_bound,
     default_suite,
     enumerate_relation,
     index_profile,
@@ -23,9 +25,18 @@ from kernseq.oracle import (
 )
 from kernseq.relations import min_lex_uniformizer, syntactic_congruence, validate_relation
 from kernseq.synthesis import synthesize_mealy
-from kernseq.transducers import LetterTransducer
+from kernseq.transducers import LetterTransducer, full_same_length, identity, pair_dfa
 
-from conftest import AB
+from conftest import (
+    AB,
+    build_a_parity,
+    build_agree_except_last,
+    build_c_singletons,
+    build_chain,
+    build_chained_classes,
+    build_last_a,
+    build_mod_count,
+)
 
 
 def small_relations(max_states=3):
@@ -80,6 +91,22 @@ def test_bound_guard():
         enumerate_relation(
             LetterTransducer.build(AB, AB, {0}, {(0, ("a", "a"), 0)}, {0}, {0}), 11
         )
+    # the default bound counts useful states with the oracle's own walk,
+    # as the library's trim counts them
+    fixtures = [
+        build_last_a(),
+        build_a_parity(),
+        build_c_singletons(),
+        build_agree_except_last(3),
+        build_mod_count(3),
+        build_chain(3),
+        build_chained_classes(),
+        identity(AB),
+        full_same_length(AB),
+    ]
+    for r in fixtures + default_suite(200, seed=7):
+        trimmed = len(trim(pair_dfa(r).nfa).states)
+        assert default_bound(r) == min(MAX_BOUND, max(6, trimmed))
 
 
 def test_brute_index_of_relation_with_itself(a_parity):

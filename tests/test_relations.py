@@ -627,7 +627,7 @@ def test_closure_requires_reflexive_symmetric_input():
         transitive_closure(one_way, cap=2)
 
 
-def test_closure_runs_one_inclusion_per_round(monkeypatch, ident_ab, chained_classes):
+def test_closure_runs_one_composition_per_round(monkeypatch, ident_ab, chained_classes):
     from kernseq import automata, relations
 
     calls = count_calls(monkeypatch, automata, "includes")
@@ -638,17 +638,58 @@ def test_closure_runs_one_inclusion_per_round(monkeypatch, ident_ab, chained_cla
     assert calls == [] and composed == []
     pc = prefix_closure(chained_classes)
     for cap, rounds in ((1, 1), (8, 2)):
-        calls.clear()
         composed.clear()
         result = transitive_closure(pc, cap)
-        assert len(calls) == len(composed) == result.exponent == rounds
+        assert len(composed) == result.exponent == rounds
+    # consecutive iterates are compared by equality, with no inclusion
+    assert calls == []
     one_way = LetterTransducer.build(
         AB, AB, {0, 1}, {(0, ("a", "a"), 0), (0, ("b", "b"), 0), (0, ("a", "b"), 1)}, {0}, {0, 1}
     )
-    calls.clear()
+    composed.clear()
     with pytest.raises(PreconditionError):
         transitive_closure(one_way, cap=2)
-    assert calls == []
+    assert composed == []
+
+
+def test_closure_rounds_end_on_equality_exactly_when_on_inclusion(monkeypatch):
+    """Every iterate is a trimmed minimal DFA in canonical numbering and
+    contains the one before, so equal automata and inclusion of the next
+    iterate in the current one agree on every round: the reference is the
+    inclusion the rounds once ran."""
+    from cosequential import SLOW_CLOSURE, cosequential_suite
+
+    from kernseq import relations
+    from kernseq.decision import decide_kerseq_lp
+
+    rounds = []  # (current, next) per composition round
+    real = relations.compose
+
+    def spy(current, p):
+        nxt = real(current, p)
+        rounds.append((current, nxt))
+        return nxt
+
+    monkeypatch.setattr(relations, "compose", spy)
+    fixtures = [
+        build_last_a(),
+        build_a_parity(),
+        build_c_singletons(),
+        build_agree_except_last(2),
+        build_mod_count(3),
+        build_chained_classes(),
+        identity(AB),
+        full_same_length(AB),
+    ] + [build_chain(k) for k in (1, 2, 3)]
+    rng = random.Random(7)
+    cases = fixtures + default_suite(200, seed=7)
+    cases += [random_equivalence(rng, letters=("a", "b", "c")) for _ in range(200)]
+    cases += [r for i, r in enumerate(cosequential_suite()) if i != SLOW_CLOSURE]
+    for r in cases:
+        decide_kerseq_lp(r)
+    equal = [current.nfa == nxt.nfa for current, nxt in rounds]
+    assert equal == [includes(nxt.nfa, current.nfa) for current, nxt in rounds]
+    assert len(equal) > 100 and True in equal and False in equal
 
 
 def _closure_by_rounds(p, cap):
@@ -963,3 +1004,67 @@ def test_relation_union_matches_pairwise_union(last_a, ident_ab):
     assert relation_pairs_by_oracle(u, 5) == (
         relation_pairs_by_oracle(last_a, 5) | relation_pairs_by_oracle(ident_ab, 5)
     )
+
+
+# ---------------------------------------------------------------- module order
+
+# each module imports only from the modules before it
+_MODULE_ORDER = ("automata", "transducers", "relations", "synthesis", "decision", "cli")
+
+
+def test_modules_import_at_module_level_in_one_order():
+    import ast
+    import pathlib
+
+    import kernseq
+
+    for path in sorted(pathlib.Path(kernseq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        nested = [
+            node.lineno
+            for function in functions
+            for node in ast.walk(function)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+        ]
+        assert nested == [], (path.name, nested)
+        if path.stem in _MODULE_ORDER:
+            later = _MODULE_ORDER[_MODULE_ORDER.index(path.stem) + 1 :]
+            imported = {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
+            assert imported.isdisjoint(later), path.name
+
+
+# ``kernseq/__init__`` imports every module, so a bare package stands in for
+# it: what ``import kernseq.relations`` loads is then relations' own doing
+_IMPORT_RELATIONS = """
+import importlib.util, sys, types
+
+package = types.ModuleType("kernseq")
+package.__path__ = list(importlib.util.find_spec("kernseq").submodule_search_locations)
+sys.modules["kernseq"] = package
+import kernseq.relations
+
+print(" ".join(sorted(name for name in sys.modules if name.startswith("kernseq."))))
+"""
+
+
+def test_relations_loads_neither_synthesis_nor_decision():
+    import os
+    import subprocess
+    import sys
+
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_RELATIONS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "kernseq.relations" in loaded
+    assert "kernseq.synthesis" not in loaded and "kernseq.decision" not in loaded
