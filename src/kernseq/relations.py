@@ -19,14 +19,19 @@ supplied closure. The min-lex uniformizer walks pairs of state sets as
 integer bitsets and builds its automaton from the dense rows of that
 walk, trimmed.
 
-The index check reduces finite index to finite valuedness through the
-uniformizer, and decides valuedness structurally by Weber's two pumping
-patterns (Weber, *On the valuedness of finite transducers*, Acta Inf.
-1990), each found in one Tarjan pass (``_explore``) over a product of a
-trimmed minimal pair DFA with itself, read as dense rows; there, runs
-that part on one input must write different outputs, so no search
-tracks whether outputs have diverged. Both passes learn what is reached
-from where by one forward labelling of their components, ``_labels``.
+The index check against the relation is read off the pair DFA when
+every final state is diagonal: the congruence is then the relation, of
+index 1. Otherwise, and against every closure, it reduces finite index
+to finite valuedness through the uniformizer, and decides valuedness
+structurally by Weber's two pumping patterns (Weber, *On the valuedness
+of finite transducers*, Acta Inf. 1990), each found by Tarjan passes
+(``_explore``) over a product of a trimmed minimal pair DFA with itself,
+read as dense rows; there, runs that part on one input must write
+different outputs, so no search tracks whether outputs have diverged.
+The square pass is one search; the triple pass runs once per square
+component that holds a linked pair, never leaving it. Both passes learn
+what is reached from where by one forward labelling of their
+components, ``_labels``.
 """
 
 from __future__ import annotations
@@ -372,8 +377,14 @@ class Prepared:
 
     @cached_property
     def finite_index(self) -> bool:
-        """Whether the congruence has finite index with respect to the relation."""
-        return _finite_index(self, self.relation)
+        """Whether the congruence has finite index with respect to the relation.
+
+        The diagonal states are always final, so when every final state of
+        ``det`` is diagonal the congruence is the relation, of index 1, and
+        no uniformizer is built and nothing searched. Otherwise
+        ``_finite_index`` searches.
+        """
+        return self.det.nfa.finals <= self.diagonal or _finite_index(self, self.relation)
 
     @cached_property
     def _closures(self) -> dict:
@@ -680,12 +691,19 @@ def _labels(comp: list[int], succ: list[list[int]], seeds) -> list[int]:
     return label
 
 
-def _has_transfer(moves: list, linked: list[tuple[int, int]]) -> bool:
-    """Loop at p, transfer p to q, loop at q, all on one input word, on a
-    pair-deterministic machine with ``moves[q][x]`` the (output, next)
-    moves of q on input x: (p, q, q) reached from (p, p, q) in the triple
-    product, labelled by ``_labels`` with one bit per linked pair.
+def _has_transfer(moves: list, linked: list[tuple[int, int]], inside: set[int]) -> bool:
+    """Loop at p, transfer p to q, loop at q, all on one input word, for a
+    linked pair (p, q) of one square component, on a pair-deterministic
+    machine with ``moves[q][x]`` the (output, next) moves of q on input x:
+    (p, q, q) reached from (p, p, q) in the triple product, labelled by
+    ``_labels`` with one bit per linked pair.
+
+    Along such a path runs 1 and 3 walk from (p, q) back to (p, q) in the
+    square, and a closed walk stays in one strongly connected component.
+    So the search enters no triple (x, y, z) whose (x, z) is outside the
+    pairs' component, ``inside``, given by its nodes x * n + z.
     """
+    n = len(moves)
 
     def expand(node):
         x, y, z = node
@@ -693,8 +711,9 @@ def _has_transfer(moves: list, linked: list[tuple[int, int]]) -> bool:
             (x2, y2, z2)
             for xs, ys, zs in zip(moves[x], moves[y], moves[z])
             for _, x2 in xs
-            for _, y2 in ys
             for _, z2 in zs
+            if x2 * n + z2 in inside
+            for _, y2 in ys
         ]
 
     starts = [(p, p, q) for p, q in linked]
@@ -719,7 +738,8 @@ def _finitely_valued(rows: list, width: int) -> bool:
     from (p, p, q) for a linked pair; it needs no divergence flag: the
     loop and the transfer leave p on one input and end in different
     states, which in a pair DFA they can only do by writing different
-    outputs.
+    outputs. The linked pairs are grouped by their square component, and
+    ``_has_transfer`` searches each group inside its component.
     """
     n = len(rows)
     # per state and input letter: its (output position, target) moves
@@ -748,13 +768,16 @@ def _finitely_valued(rows: list, width: int) -> bool:
         if c == comp[ids[v]] and c in looped:
             return False
     label = _labels(comp, succ, [(ids[d], 1 << p) for p, d in enumerate(diagonal)])
-    linked = [
-        (p, q)
-        for node, v in ids.items()
-        for p, q in [divmod(node, n)]
-        if p != q and label[comp[v]] >> p & 1
-    ]
-    return not _has_transfer(moves, linked)
+    linked: dict = {}  # square component -> its linked pairs
+    for node, v in ids.items():
+        p, q = divmod(node, n)
+        if p != q and label[comp[v]] >> p & 1:
+            linked.setdefault(comp[v], []).append((p, q))
+    inside = {c: set() for c in linked}  # square component -> its nodes
+    for node, v in ids.items():
+        if comp[v] in inside:
+            inside[comp[v]].add(node)
+    return not any(_has_transfer(moves, pairs, inside[c]) for c, pairs in linked.items())
 
 
 def _composition_finitely_valued(f: LetterTransducer, target: LetterTransducer) -> bool:

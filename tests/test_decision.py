@@ -191,11 +191,12 @@ def _reference_transfer(nfa):
     return False
 
 
-def test_valuedness_matches_per_pair_searches_on_random_transducers():
+def _random_trimmed_transducers(count: int):
+    """``count`` random trimmed transducers over AB of 1 to 6 states, drawn
+    from ``random.Random(2024)``, skipping the draws that trim to nothing."""
     rng = random.Random(2024)
-    seen = {"loops": set(), "transfer": set(), "transfer only": set()}
     tried = 0
-    while tried < 2000:
+    while tried < count:
         n = rng.randint(1, 6)
         transitions = {
             (rng.randrange(n), (rng.choice("ab"), rng.choice("ab")), rng.randrange(n))
@@ -203,9 +204,14 @@ def test_valuedness_matches_per_pair_searches_on_random_transducers():
         }
         finals = rng.sample(range(n), rng.randint(1, n))
         nfa = trim(LetterTransducer.build(AB, AB, range(n), transitions, {0}, finals).nfa)
-        if not nfa.states:
-            continue
-        tried += 1
+        if nfa.states:
+            tried += 1
+            yield nfa
+
+
+def test_valuedness_matches_per_pair_searches_on_random_transducers():
+    seen = {"loops": set(), "transfer": set(), "transfer only": set()}
+    for nfa in _random_trimmed_transducers(2000):
         loops = _reference_same_state_loops(nfa)
         transfer = _reference_transfer(nfa)
         seen["loops"].add(loops)
@@ -362,21 +368,117 @@ def _reference_is_finitely_valued(t):
     return not _reference_has_transfer_divergence(step, linked)
 
 
-def test_valuedness_matches_the_flagged_search_on_every_index_input():
+def _index_inputs(relations, closure_of=lambda r: transitive_closure(prefix_closure(r), 16)):
+    """Per relation r, ``compose(uniformizer, target)`` for each index check
+    on r: against r, and against ``closure_of(r)`` when that is a
+    converged ``ClosureResult``."""
+    for r in relations:
+        uniformizer = prepare(r).uniformizer
+        closure = closure_of(r)
+        targets = [r, closure.closure] if closure is not None and closure.converged else [r]
+        for target in targets:
+            yield r, compose(uniformizer, target)
+
+
+def _seeded_index_relations():
     rng = random.Random(7)
     relations = [build_last_a(), build_c_singletons(), build_chained_classes()]
     relations += default_suite(200, seed=7)
     relations += [random_equivalence(rng, letters=("a", "b", "c")) for _ in range(100)]
+    return relations
+
+
+def test_valuedness_matches_the_flagged_search_on_every_index_input():
     answers = set()
-    for r in relations:
-        uniformizer = prepare(r).uniformizer
-        closure = transitive_closure(prefix_closure(r), 16)
-        targets = [r, closure.closure] if closure.converged else [r]
-        for target in targets:
-            t = compose(uniformizer, target)
-            answer = is_finitely_valued(t)
-            assert answer is _reference_is_finitely_valued(t), render(r)
-            answers.add(answer)
+    for r, t in _index_inputs(_seeded_index_relations()):
+        answer = is_finitely_valued(t)
+        assert answer is _reference_is_finitely_valued(t), render(r)
+        answers.add(answer)
+    assert answers == {True, False}
+
+
+def _whole_product_finitely_valued(rows: list, width: int) -> bool:
+    """``relations._finitely_valued`` with the triple pass over the whole
+    triple product: one search from every linked pair at once, entering
+    every triple, with one label bit per linked pair. The search ran so
+    before it was kept inside the square's components."""
+    from kernseq.relations import _explore, _labels
+
+    n = len(rows)
+    moves = [
+        [[(z, t) for z, t in enumerate(row[x : x + width]) if t >= 0] for x in range(0, len(row), width)]
+        for row in rows
+    ]
+    diverging = []
+
+    def square(node):
+        p, q = divmod(node, n)
+        out = []
+        for xs, ys in zip(moves[p], moves[q]):
+            for z1, p2 in xs:
+                for z2, q2 in ys:
+                    out.append(p2 * n + q2)
+                    if z1 != z2:
+                        diverging.append((node, p2 * n + q2))
+        return out
+
+    diagonal = range(0, n * n, n + 1)
+    ids, comp, succ = _explore(diagonal, square)
+    looped = {comp[ids[d]] for d in diagonal}
+    for u, v in diverging:
+        c = comp[ids[u]]
+        if c == comp[ids[v]] and c in looped:
+            return False
+    label = _labels(comp, succ, [(ids[d], 1 << p) for p, d in enumerate(diagonal)])
+    linked = [
+        (p, q)
+        for node, v in ids.items()
+        for p, q in [divmod(node, n)]
+        if p != q and label[comp[v]] >> p & 1
+    ]
+
+    def triple(node):
+        x, y, z = node
+        return [
+            (x2, y2, z2)
+            for xs, ys, zs in zip(moves[x], moves[y], moves[z])
+            for _, x2 in xs
+            for _, y2 in ys
+            for _, z2 in zs
+        ]
+
+    starts = [(p, p, q) for p, q in linked]
+    ids, comp, succ = _explore(starts, triple)
+    label = _labels(comp, succ, [(ids[node], 1 << j) for j, node in enumerate(starts)])
+    ends = [(p, q, q) for p, q in linked]
+    return not any(
+        node in ids and label[comp[ids[node]]] >> j & 1 for j, node in enumerate(ends)
+    )
+
+
+def test_the_triple_pass_inside_square_components_matches_the_whole_product():
+    from cosequential import INFINITE_BEFORE_ROUNDS, SLOW_CLOSURE, cosequential_suite
+    from kernseq.automata import _dense, drop_sink
+    from kernseq.relations import _finitely_valued
+
+    def valued(t, what):
+        rows = _dense(drop_sink(minimize(t.nfa)))
+        answer = _finitely_valued(rows, len(t.output_alphabet))
+        assert answer is _whole_product_finitely_valued(rows, len(t.output_alphabet)), what
+        return answer
+
+    randoms = _random_trimmed_transducers(3000)
+    answers = {valued(LetterTransducer(AB, AB, nfa), sorted(nfa.transitions)) for nfa in randoms}
+    assert answers == {True, False}
+    answers = {valued(t, render(r)) for r, t in _index_inputs(_seeded_index_relations())}
+    assert answers == {True, False}
+    # the co-sequential draws reach INFINITE where the seeded suites do not;
+    # their closures are the ones decide lp searches, since the closures of
+    # draws of infinite index against r can grow past a gigabyte
+    slow = {SLOW_CLOSURE, *INFINITE_BEFORE_ROUNDS}
+    draws = [r for i, r in enumerate(cosequential_suite()) if i not in slow]
+    inputs = _index_inputs(draws, lambda r: decide_kerseq_lp(r).closure)
+    answers = {valued(t, render(r)) for r, t in inputs}
     assert answers == {True, False}
 
 
@@ -1023,19 +1125,27 @@ def test_analyze_index_wrt_relation_equals_the_direct_check(monkeypatch):
 
     monkeypatch.setattr(relations, "_finitely_valued", spy)
     seen = set()
+    decided = set()
     for i, (r, kwargs) in enumerate(cases):
         calls.clear()
         report = analyze(r, **kwargs)
-        # one valuedness check when the closure index is FINITE, or when a
-        # prefix-closed r is its own searched closure; else one per index
-        one = report.index_wrt_closure in (FINITE, None) or (
-            report.prefix_closed and "pplus" not in kwargs
-        )
-        assert len(calls) == (1 if one else 2), i
+        # one valuedness search per index the structure does not decide:
+        # r's is decided when every final state of the pair DFA is
+        # diagonal, the congruence being r itself; the closure's is
+        # searched when found or supplied, and r's only when the closure's
+        # is not FINITE, unless a prefix-closed r is its own searched closure
+        prep = prepare(r)
+        searched_r = not prep.det.nfa.finals <= prep.diagonal
+        own = report.prefix_closed and "pplus" not in kwargs
+        closure_searches = searched_r if own else report.index_wrt_closure is not None
+        r_searches = searched_r and not own and report.index_wrt_closure != FINITE
+        assert len(calls) == closure_searches + r_searches, i
+        decided.add(not searched_r)
         direct = FINITE if relations._finite_index(prepare(r), r) else INFINITE
         assert report.index_wrt_relation == direct, i
         seen.add((report.index_wrt_closure, direct))
     assert {(FINITE, FINITE), (INFINITE, FINITE), (INFINITE, INFINITE), (None, FINITE)} <= seen
+    assert decided == {True, False}
 
 
 def test_a_prefix_closed_relation_is_its_own_searched_closure(monkeypatch):
@@ -1198,6 +1308,45 @@ def test_the_valuedness_search_answers_a_large_closure_in_bounded_memory():
         )
         assert done.returncode == 0, (m, done.stderr)
         assert done.stdout.split() == answer
+
+
+# ROADMAP's D4 input from the co-sequential draws: draw 181's 16th closure
+# iterate, of 738 states, which does not converge. The square pass links
+# 2,881 pairs; a triple pass over the whole triple product visits 1.5 M
+# nodes and peaks at 1.2 GB, while kept inside the square's components it
+# visits some 3,000.
+_CLOSURE_ITERATE_INDEX = """
+import resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from kernseq.relations import _finite_index, prepare, transitive_closure
+from cosequential import cosequential_suite
+
+prep = prepare(cosequential_suite(182)[181])
+iterate = transitive_closure(prep.prefix, 16)
+print(len(iterate.closure.nfa.states), iterate.converged, _finite_index(prep, iterate.closure))
+"""
+
+
+def test_the_valuedness_search_answers_a_closure_iterate_in_bounded_memory():
+    pytest.importorskip("resource")
+    import os
+    import pathlib
+    import subprocess
+
+    import kernseq
+
+    paths = [pathlib.Path(kernseq.__file__).parents[1], pathlib.Path(__file__).parent]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", _CLOSURE_ITERATE_INDEX, str(512 << 20)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["738", "False", "True"]
 
 
 def test_analyze_non_equivalence_read_only_validation():

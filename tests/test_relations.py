@@ -511,6 +511,56 @@ def test_prepared_relation_agrees_with_the_public_stages(last_a, a_parity, c_sin
         assert prep.validation == validate_relation(r)
 
 
+def test_the_index_is_read_off_the_pair_dfa_when_the_congruence_is_the_relation(monkeypatch):
+    """The diagonal states are always final, so when every final state of
+    the pair DFA is diagonal the congruence is r, of index 1 against r:
+    ``finite_index`` answers with no uniformizer and no valuedness search,
+    and the search agrees."""
+    from cosequential import SLOW_CLOSURE, cosequential_suite
+
+    from kernseq import relations
+
+    fixtures = [
+        build_last_a(),
+        build_a_parity(),
+        build_c_singletons(),
+        build_agree_except_last(2),
+        build_mod_count(3),
+        build_chain(2),
+        build_chained_classes(),
+        identity(AB),
+        full_same_length(AB),
+    ]
+    rng = random.Random(7)
+    cases = fixtures + default_suite(200, seed=7)
+    cases += [random_equivalence(rng, letters=("a", "b", "c")) for _ in range(200)]
+    cases += [r for i, r in enumerate(cosequential_suite()) if i != SLOW_CLOSURE]
+    valued = count_calls(monkeypatch, relations, "_finitely_valued")
+    built = count_calls(monkeypatch, relations, "_uniformizer")
+    decided = 0
+    for r in cases:
+        prep = prepare(r)
+        assert prep.diagonal <= prep.det.nfa.finals
+        if prep.det.nfa.finals <= prep.diagonal:
+            decided += 1
+            valued.clear()
+            built.clear()
+            assert prep.finite_index
+            assert valued == built == []
+            assert relations._finite_index(prep, r)
+    assert decided > len(cases) // 2
+    # finer congruences still take the search, and c_singletons's is infinite
+    cases = [(build_agree_except_last(k), True) for k in (1, 2, 3)]
+    cases.append((build_c_singletons(), False))
+    for r, finite in cases:
+        prep = prepare(r)
+        assert not prep.det.nfa.finals <= prep.diagonal
+        valued.clear()
+        built.clear()
+        assert prep.finite_index is finite
+        assert len(valued) == len(built) == 1
+
+
 def test_prepare_rejects_non_equivalence_with_its_validation():
     bare = LetterTransducer.build(AB, AB, {0, 1}, {(0, ("a", "b"), 1)}, {0}, {1})
     with pytest.raises(NotEquivalenceError) as info:
