@@ -19,14 +19,14 @@ import enum
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .automata import _dense, drop_sink, includes, minimize
+from .automata import _dense, _trim_rows, drop_sink, includes, minimize
 from .errors import InternalInvariantError, NotEquivalenceError, NotFinerError, NotLetterToLetterError
 from .machines import SequentialTransducer, SubsequentialTransducer
 from .relations import (
     ClosureResult,
     Prepared,
     RelationValidation,
-    _composition_finitely_valued,
+    _composed,
     _finite_index,
     _finitely_valued,
     min_lex_uniformizer,
@@ -96,11 +96,16 @@ def is_finitely_valued(t: LetterTransducer) -> bool:
 def index_is_finite(s: LetterTransducer, r: LetterTransducer) -> bool:
     """Whether finitely many s-classes meet any single r-image.
 
-    Reduces to finite valuedness of (canonical function of s) after r.
+    Reduces to finite valuedness of (canonical function of s) after r, by
+    composition, for any r. The deciders check the index by
+    ``relations._finite_index`` instead, which composes nothing but needs
+    a transitive r; this check is its reference.
     """
     if not includes(s.nfa, r.nfa):
         raise NotFinerError("first relation is not included in the second")
-    return _composition_finitely_valued(min_lex_uniformizer(s), r)
+    # the rows of compose(uniformizer, r) with the sink dropped: no automaton is built
+    rows, _finals = _trim_rows(*_composed(min_lex_uniformizer(s), r))
+    return _finitely_valued(rows, len(s.output_alphabet))
 
 
 def _certify(machine, prep: Prepared, what: str) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .automata import Alphabet, Word
 from .errors import BoundTooLargeError
 from .machines import SequentialTransducer, SubsequentialTransducer
-from .transducers import LetterTransducer, pair_dfa
+from .transducers import LetterTransducer
 
 MAX_BOUND = 10
 DEFAULT_SEED = 7
@@ -45,12 +45,12 @@ def _check_bound(bound: int):
         raise BoundTooLargeError("bound must be nonnegative")
 
 
-def _useful_states(nfa) -> frozenset:
+def _useful_states(transitions, initials, finals) -> frozenset:
     # Local reachability both ways; the oracle keeps its own copy of this
     # logic so it never leans on the constructions it cross-checks.
     forward: dict = {}
     backward: dict = {}
-    for p, _letter, q in nfa.transitions:
+    for p, _letter, q in transitions:
         forward.setdefault(p, set()).add(q)
         backward.setdefault(q, set()).add(p)
 
@@ -65,7 +65,7 @@ def _useful_states(nfa) -> frozenset:
                     todo.append(q)
         return seen
 
-    return frozenset(reach(nfa.initials, forward) & reach(nfa.finals, backward))
+    return frozenset(reach(initials, forward) & reach(finals, backward))
 
 
 def enumerate_relation(r: LetterTransducer, bound: int) -> EnumeratedRelation:
@@ -79,7 +79,7 @@ def enumerate_relation(r: LetterTransducer, bound: int) -> EnumeratedRelation:
     """
     _check_bound(bound)
     nfa = r.nfa
-    useful = _useful_states(nfa)
+    useful = _useful_states(nfa.transitions, nfa.initials, nfa.finals)
     finals = nfa.finals
     start = nfa.initials & useful
     if not start:
@@ -149,7 +149,7 @@ def valuedness_profile(t: LetterTransducer, bound: int) -> list[int]:
     """Entry n: largest output count of any input word of length at most n."""
     _check_bound(bound)
     nfa = t.nfa
-    useful = _useful_states(nfa)
+    useful = _useful_states(nfa.transitions, nfa.initials, nfa.finals)
     finals = nfa.finals
     step: dict = {}
     for p, (a, b), q in nfa.transitions:
@@ -193,7 +193,7 @@ def _classes(r: LetterTransducer, bound: int) -> dict[Word, int]:
     that keeps the frontier of states alive on the current prefix.
     """
     nfa = r.nfa
-    useful = _useful_states(nfa)
+    useful = _useful_states(nfa.transitions, nfa.initials, nfa.finals)
     finals = nfa.finals
     step: dict = {}
     for p, (a, b), q in nfa.transitions:
@@ -318,10 +318,36 @@ def min_lex_map(relation: EnumeratedRelation, alphabet: Alphabet) -> dict[Word, 
     return out
 
 
+def _pair_dfa_size(nfa) -> int:
+    """The useful states of the subset construction of ``nfa``, counted.
+
+    The oracle's own construction: sets of states walked from the set of
+    initial states, one successor set per letter, so the bound it
+    enumerates to rests on no construction it cross-checks.
+    """
+    moves: dict = {}
+    for p, letter, q in nfa.transitions:
+        moves.setdefault((p, letter), set()).add(q)
+    start = frozenset(nfa.initials)
+    seen = {start}
+    todo = [start]
+    edges = []
+    while todo:
+        subset = todo.pop()
+        for letter in nfa.alphabet.letters:
+            nxt = frozenset(q for p in subset for q in moves.get((p, letter), ()))
+            edges.append((subset, letter, nxt))
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    finals = [subset for subset in seen if subset & nfa.finals]
+    return len(_useful_states(edges, [start], finals))
+
+
 def default_bound(r: LetterTransducer) -> int:
     """Input-size-aware enumeration bound with a hard cap: the useful
     states of the pair DFA, at least 6."""
-    return min(MAX_BOUND, max(6, len(_useful_states(pair_dfa(r).nfa))))
+    return min(MAX_BOUND, max(6, _pair_dfa_size(r.nfa)))
 
 
 def random_equivalence(

@@ -8,7 +8,8 @@ check. ``Prepared`` keeps a relation's stages.
 
 ``compose`` determinizes: it runs the subset construction on sets of
 pairs of the two relations' states straight into the minimal DFA of the
-composition, whose dense rows (``_composed``) the index check reads.
+composition, whose dense rows (``_composed``) the closure rounds and
+the public ``decision.index_is_finite`` read.
 The equivalence axioms are three breadth-first walks over self-products
 of a complete pair DFA (``_axioms``), on integer nodes over its dense
 rows, each run on demand and returning a shortest counterexample:
@@ -17,12 +18,18 @@ closure search walks its first iterate, and
 ``synthesis.validate_closure_witness`` walks only transitivity, on a
 supplied closure. The min-lex uniformizer walks pairs of state sets as
 integer bitsets and builds its automaton from the dense rows of that
-walk, trimmed.
+walk, trimmed (``_least_walk``); the same walk taking only the letters
+(a, a) accepts the congruence's representatives, the words least in
+their class, the stage ``Prepared.representatives``.
 
 The index check against the relation is read off the pair DFA when
 every final state is diagonal: the congruence is then the relation, of
-index 1. Otherwise, and against every closure, it reduces finite index
-to finite valuedness through the uniformizer, and decides valuedness
+index 1. Otherwise, and against every closure, the target is
+transitive, and finite index is finite valuedness of the target
+restricted to representatives on its second track (``_index_rows``):
+one product of the target's complete pair DFA with the representatives,
+minimized and trimmed, the relation of the uniformizer after the target
+with no uniformizer built and nothing composed. Valuedness is decided
 structurally by Weber's two pumping patterns (Weber, *On the valuedness
 of finite transducers*, Acta Inf. 1990), each found by Tarjan passes
 (``_explore``) over a product of a trimmed minimal pair DFA with itself,
@@ -266,8 +273,8 @@ class Prepared:
     ``Prepared`` on each relation object, the only value kept there, so
     every entry point given that object shares its stages and none of
     them runs twice: the validation, the pair DFA and its diagonal
-    states, prefix-closedness, the congruence, its uniformizer and the
-    index against the relation, the prefix closure, the first closure
+    states, prefix-closedness, the congruence, its representatives and
+    the index against the relation, the prefix closure, the first closure
     iterate, and the closure searched for each cap with the index against
     it. An equal relation built anew builds them again, a stage that
     raises keeps nothing, and the stages hold their memory for as long as
@@ -370,10 +377,12 @@ class Prepared:
         return self.prefix_closed or _prepared(self.prefix).first_iterate[1]
 
     @cached_property
-    def uniformizer(self) -> LetterTransducer:
-        """``min_lex_uniformizer`` of the congruence, which is an equivalence
+    def representatives(self) -> tuple[list, list]:
+        """The trimmed DFA of the words least in their congruence class, as
+        dense rows over the input letters and finality: the diagonal walk
+        of ``_least_walk`` on the congruence, which is an equivalence
         whenever the relation is, so it is not validated again."""
-        return _uniformizer(self.congruence)
+        return _least_walk(self.congruence, True)
 
     @cached_property
     def finite_index(self) -> bool:
@@ -381,7 +390,7 @@ class Prepared:
 
         The diagonal states are always final, so when every final state of
         ``det`` is diagonal the congruence is the relation, of index 1, and
-        no uniformizer is built and nothing searched. Otherwise
+        no representatives are walked and nothing searched. Otherwise
         ``_finite_index`` searches.
         """
         return self.det.nfa.finals <= self.diagonal or _finite_index(self, self.relation)
@@ -546,21 +555,28 @@ def min_lex_uniformizer(s: LetterTransducer) -> LetterTransducer:
     the moves of ``equal`` on (a, b) to ``smaller`` for the letters after
     it. A node accepts when ``equal`` holds a final state and ``smaller``
     none: s relates u to v and to no smaller word. The kernel of the
-    resulting function is s itself. Validates s first.
+    resulting function is s itself. Validates s first; the automaton is
+    that of ``_least_walk(s, False)``.
     """
     prepare(s)
-    return _uniformizer(s)
+    return s.with_nfa(_dfa(s.nfa.alphabet, *_least_walk(s, False)))
 
 
-def _uniformizer(s: LetterTransducer) -> LetterTransducer:
-    """``min_lex_uniformizer`` of an equivalence s, without validating it.
+def _least_walk(s: LetterTransducer, diagonal: bool) -> tuple[list, list]:
+    """The walk of ``min_lex_uniformizer`` over an equivalence s, as the
+    dense rows and acceptance of its trimmed automaton.
+
+    With ``diagonal`` the walk takes only the move on (a, a) at each node,
+    its rows being over the input letters: it accepts the words that are
+    least in their class, the fixed points of the uniformizer. A node's
+    ``smaller`` still gains the moves on (a, b) for the letters b before
+    a, as in the full walk, so the node reached is the same.
 
     Both sets of a node are integer bitsets over the live states of
     ``s.nfa``, and a set's moves per pair letter are joined once per
     distinct set. The nodes are numbered breadth first, letter positions
     in order, with a dense row each; the rows are then restricted to the
-    nodes that reach an accepting one (``automata._trim_rows``), which is
-    the trimmed automaton of the walk.
+    nodes that reach an accepting one (``automata._trim_rows``).
 
     The walk never yields a node whose ``equal`` lies within its
     ``smaller``: both sets then move on the same letters, every later
@@ -602,8 +618,11 @@ def _uniformizer(s: LetterTransducer) -> LetterTransducer:
     for equal, smaller in nodes:  # nodes grows while it is walked
         reach, beaten = join(equal), join(smaller)
         row = []
-        for block in blocks:
+        for x, block in enumerate(blocks):
             below = reduce(or_, [beaten[i] for i in block])
+            if diagonal:  # only the move on (x, x); the letters before x rank below it
+                below = reduce(or_, [reach[i] for i in block[:x]], below)
+                block = block[x : x + 1]
             for i in block:
                 reached = reach[i]
                 if reached & ~below:
@@ -617,7 +636,7 @@ def _uniformizer(s: LetterTransducer) -> LetterTransducer:
                     row.append(-1)
         rows.append(row)
     accepting = [bool(equal & finals) and not smaller & finals for equal, smaller in nodes]
-    return s.with_nfa(_dfa(a.alphabet, *_trim_rows(rows, accepting)))
+    return _trim_rows(rows, accepting)
 
 
 def _explore(starts, expand) -> tuple[dict, list[int], list[list[int]]]:
@@ -780,20 +799,58 @@ def _finitely_valued(rows: list, width: int) -> bool:
     return not any(_has_transfer(moves, pairs, inside[c]) for c, pairs in linked.items())
 
 
-def _composition_finitely_valued(f: LetterTransducer, target: LetterTransducer) -> bool:
-    """``decision.is_finitely_valued(compose(f, target))``, searched on the
-    dense rows of ``_composed`` with the sink dropped: no automaton is built."""
-    rows, _finals = _trim_rows(*_composed(f, target))
-    return _finitely_valued(rows, len(f.output_alphabet))
+def _index_rows(prep: Prepared, target: LetterTransducer) -> tuple[list, list]:
+    """The trimmed minimal DFA, as dense rows and finality, of the pairs
+    (u, z) with u related to z by ``target`` and z least in its congruence
+    class: ``target``'s complete pair DFA (``determinize``) and
+    ``prep.representatives`` read on the second track, one product walked
+    breadth first into ``automata._quotient``, a move the representatives
+    lack going to one sink.
+
+    For a transitive target containing the congruence this is the
+    relation of ``compose(min_lex_uniformizer(prep.congruence), target)``:
+    if u is related to y and z is the least word of y's class, then z is
+    congruent to y, so related to it, and u is related to z; conversely
+    take y = z.
+    """
+    d = determinize(target.nfa)
+    pairs = _dense(d)
+    reps, least = prep.representatives
+    n, nz, width = len(reps), len(target.output_alphabet), len(d.alphabet)
+    second = [[row[i % nz] for i in range(width)] for row in reps]  # per pair-letter position
+    codes = [0]  # product nodes t * n + r, -1 for the sink
+    ids = {0: 0}
+    delta = []
+    for code in codes:  # codes grows while it is walked
+        targets = []
+        if code >= 0:
+            t, r = divmod(code, n)
+            for t2, r2 in zip(pairs[t], second[r]):
+                nxt = t2 * n + r2 if r2 >= 0 else -1
+                k = ids.get(nxt)
+                if k is None:
+                    k = ids[nxt] = len(codes)
+                    codes.append(nxt)
+                targets.append(k)
+        else:
+            targets = [ids[-1]] * width
+        delta.append(targets)
+    finals = [code >= 0 and code // n in d.finals and least[code % n] for code in codes]
+    return _trim_rows(*_quotient(finals, delta))
 
 
 def _finite_index(prep: Prepared, target: LetterTransducer) -> bool:
-    """``decision.index_is_finite(prep.congruence, target)`` without its checks.
+    """``decision.index_is_finite(prep.congruence, target)`` for a
+    transitive target, without its checks: the valuedness search on
+    ``_index_rows``, which needs the target transitive. No uniformizer is
+    built and nothing composed.
 
-    On the decision path they hold by construction: the congruence
-    refines the relation, which lies inside its prefix closure and so
-    inside every closure fixpoint, and it is an equivalence. A supplied
-    closure passes ``validate_closure_witness`` first, so it contains
-    the prefix closure too.
+    On the decision path the checks and transitivity hold by
+    construction: the congruence refines the relation, which lies inside
+    its prefix closure and so inside every closure fixpoint, and it is an
+    equivalence; a converged closure is transitive. A supplied closure
+    passes ``validate_closure_witness`` first, so it contains the prefix
+    closure and is transitive too.
     """
-    return _composition_finitely_valued(prep.uniformizer, target)
+    rows, _finals = _index_rows(prep, target)
+    return _finitely_valued(rows, len(target.output_alphabet))

@@ -373,7 +373,7 @@ def _index_inputs(relations, closure_of=lambda r: transitive_closure(prefix_clos
     on r: against r, and against ``closure_of(r)`` when that is a
     converged ``ClosureResult``."""
     for r in relations:
-        uniformizer = prepare(r).uniformizer
+        uniformizer = min_lex_uniformizer(prepare(r).congruence)
         closure = closure_of(r)
         targets = [r, closure.closure] if closure is not None and closure.converged else [r]
         for target in targets:
@@ -480,6 +480,89 @@ def test_the_triple_pass_inside_square_components_matches_the_whole_product():
     inputs = _index_inputs(draws, lambda r: decide_kerseq_lp(r).closure)
     answers = {valued(t, render(r)) for r, t in inputs}
     assert answers == {True, False}
+
+
+def test_the_index_product_answers_as_the_composition():
+    """``_finite_index`` reads a transitive target's pair DFA times the
+    congruence's least words; ``index_is_finite`` composes the uniformizer
+    with the target. Both answer alike, and the product's trimmed minimal
+    DFA is the composition's automaton."""
+    from cosequential import SLOW_CLOSURE, cosequential_suite
+    from kernseq.automata import _dfa
+    from kernseq.relations import _finite_index, _index_rows
+    from kernseq.transducers import pair_alphabet
+
+    rng = random.Random(7)
+    fixtures = [
+        build_last_a(),
+        build_a_parity(),
+        build_c_singletons(),
+        build_agree_except_last(3),
+        build_mod_count(3),
+        build_chain(3),
+        build_chained_classes(),
+        identity(AB),
+        full_same_length(AB),
+    ]
+    relations = fixtures + default_suite(200, seed=7)
+    relations += [random_equivalence(rng, letters=("a", "b", "c")) for _ in range(200)]
+    cases = [(r, prepare(r).closure(DEFAULT_CLOSURE_CAP)[0]) for r in relations]
+    # the closures decide lp searches: the draws it refuses before any
+    # round, those of INFINITE_BEFORE_ROUNDS among them, have none
+    draws = cosequential_suite()
+    cases += [(r, decide_kerseq_lp(r).closure) for i, r in enumerate(draws) if i != SLOW_CLOSURE]
+    checks = [
+        (prepare(r), target)
+        for r, closure in cases
+        for target in ([r, closure.closure] if closure and closure.converged else [r])
+    ]
+    checks.append((prepare(identity(AB)), full_same_length(AB)))  # a supplied closure
+    answers = []
+    for prep, target in checks:
+        finite = _finite_index(prep, target)
+        assert finite is index_is_finite(prep.congruence, target), render(prep.relation)
+        composed = compose(min_lex_uniformizer(prep.congruence), target)
+        alphabet = pair_alphabet(target.input_alphabet, target.output_alphabet)
+        assert composed.nfa == _dfa(alphabet, *_index_rows(prep, target)), render(prep.relation)
+        answers.append(finite)
+    assert len(answers) > 1100 and answers.count(False) > 20
+
+
+def test_the_deciders_index_checks_compose_nothing(monkeypatch):
+    """``relations._composed`` runs in the closure rounds, through
+    ``compose``, and in the public ``index_is_finite``, never in the index
+    check of a decider, a report or a synthesizer."""
+    from kernseq import relations
+
+    composed = count_calls(monkeypatch, relations, "_composed")
+    rounds = count_calls(monkeypatch, relations, "compose")
+    checked = count_calls(monkeypatch, relations, "_finite_index")
+    cases = [
+        build_last_a(),
+        build_a_parity(),
+        build_c_singletons(),
+        build_agree_except_last(2),
+        build_chain(3),
+        build_chained_classes(),
+    ] + default_suite(40, seed=7)
+    prefixes = []
+    for r in cases:
+        analyze(r)
+        decide_kerseq_ll(r)
+        decide_kerseq_lp(r)
+        with contextlib.suppress(PreconditionError):
+            synthesize_mealy(r)
+        prefixes.append(prepare(r).prefix)
+    r = identity(AB)
+    analyze(r, pplus=full_same_length(AB))
+    decide_kerseq_lp(r, closure=full_same_length(AB))
+    assert len(checked) > 10 and len(rounds) > 2
+    assert len(composed) == len(rounds)
+    assert all(any(p is q for q in prefixes) for _current, p in rounds)
+    composed.clear()
+    s, _ = syntactic_congruence(build_c_singletons())
+    assert not index_is_finite(s, build_c_singletons())
+    assert len(composed) == 1
 
 
 # ---------------------------------------------------------------- index
@@ -613,7 +696,7 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
     from kernseq.automata import determinize
 
     walks = validation_walks(monkeypatch)
-    builds = count_calls(monkeypatch, relations, "_uniformizer")
+    builds = count_calls(monkeypatch, relations, "_least_walk")
     compositions = count_calls(monkeypatch, relations, "_composed")
     subsets = count_calls(monkeypatch, automata, "_subsets")
     searches = count_calls(monkeypatch, relations, "transitive_closure")
@@ -1314,17 +1397,20 @@ def test_the_valuedness_search_answers_a_large_closure_in_bounded_memory():
 # iterate, of 738 states, which does not converge. The square pass links
 # 2,881 pairs; a triple pass over the whole triple product visits 1.5 M
 # nodes and peaks at 1.2 GB, while kept inside the square's components it
-# visits some 3,000.
+# visits some 3,000. The iterate is not transitive, so its index is the
+# public check's, by composition: ``_finite_index`` needs a transitive target.
 _CLOSURE_ITERATE_INDEX = """
 import resource, sys
 limit = int(sys.argv[1])
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-from kernseq.relations import _finite_index, prepare, transitive_closure
+from kernseq.decision import index_is_finite
+from kernseq.relations import prepare, transitive_closure
 from cosequential import cosequential_suite
 
 prep = prepare(cosequential_suite(182)[181])
 iterate = transitive_closure(prep.prefix, 16)
-print(len(iterate.closure.nfa.states), iterate.converged, _finite_index(prep, iterate.closure))
+finite = index_is_finite(prep.congruence, iterate.closure)
+print(len(iterate.closure.nfa.states), iterate.converged, finite)
 """
 
 

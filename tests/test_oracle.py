@@ -91,8 +91,11 @@ def test_bound_guard():
         enumerate_relation(
             LetterTransducer.build(AB, AB, {0}, {(0, ("a", "a"), 0)}, {0}, {0}), 11
         )
-    # the default bound counts useful states with the oracle's own walk,
-    # as the library's trim counts them
+    # the default bound counts the useful states of the pair DFA with the
+    # oracle's own subset construction and walk, as the library's
+    # determinize and trim count them
+    from kernseq.oracle import _pair_dfa_size
+
     fixtures = [
         build_last_a(),
         build_a_parity(),
@@ -104,9 +107,15 @@ def test_bound_guard():
         identity(AB),
         full_same_length(AB),
     ]
-    for r in fixtures + default_suite(200, seed=7):
+    rng = random.Random(7)
+    draws = [random_equivalence(rng, letters=("a", "b", "c")) for _ in range(200)]
+    sizes = set()
+    for r in fixtures + default_suite(200, seed=7) + draws:
         trimmed = len(trim(pair_dfa(r).nfa).states)
+        assert _pair_dfa_size(r.nfa) == trimmed
         assert default_bound(r) == min(MAX_BOUND, max(6, trimmed))
+        sizes.add(trimmed)
+    assert min(sizes) < 6 < MAX_BOUND < max(sizes)
 
 
 def test_brute_index_of_relation_with_itself(a_parity):

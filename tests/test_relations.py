@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kernseq.automata import (
     Nfa,
+    _dfa,
     coaccessible_states,
     determinize,
     drop_sink,
@@ -25,6 +26,8 @@ from kernseq.errors import (
     PreconditionError,
 )
 from kernseq.oracle import (
+    _classes,
+    all_words,
     brute_valuedness,
     closure_pairs,
     default_suite,
@@ -370,7 +373,7 @@ def test_compose_is_the_minimized_product_composition(monkeypatch):
     fixtures = [build_last_a(), build_c_singletons(), build_chained_classes(), build_chain(3)]
     infinite = 0
     for r in fixtures + default_suite(200, seed=7):
-        uniformizer = prepare(r).uniformizer
+        uniformizer = min_lex_uniformizer(prepare(r).congruence)
         result = transitive_closure(prefix_closure(r), DEFAULT_CLOSURE_CAP)
         for target in (r, result.closure) if result.converged else (r,):
             infinite += not is_finitely_valued(check(uniformizer, target))
@@ -506,7 +509,7 @@ def test_prepared_relation_agrees_with_the_public_stages(last_a, a_parity, c_sin
         s, diag = syntactic_congruence(r)
         assert (prep.congruence, prep.diagonal) == (s, diag)
         assert prep.prefix_closed == is_prefix_closed(r)
-        assert prep.uniformizer == min_lex_uniformizer(s)
+        assert _representatives(prep) == minimize(_fixed_points(min_lex_uniformizer(s)))
         assert prep.det == pair_dfa(r)
         assert prep.validation == validate_relation(r)
 
@@ -514,7 +517,7 @@ def test_prepared_relation_agrees_with_the_public_stages(last_a, a_parity, c_sin
 def test_the_index_is_read_off_the_pair_dfa_when_the_congruence_is_the_relation(monkeypatch):
     """The diagonal states are always final, so when every final state of
     the pair DFA is diagonal the congruence is r, of index 1 against r:
-    ``finite_index`` answers with no uniformizer and no valuedness search,
+    ``finite_index`` answers with no representatives walk and no valuedness search,
     and the search agrees."""
     from cosequential import SLOW_CLOSURE, cosequential_suite
 
@@ -536,7 +539,7 @@ def test_the_index_is_read_off_the_pair_dfa_when_the_congruence_is_the_relation(
     cases += [random_equivalence(rng, letters=("a", "b", "c")) for _ in range(200)]
     cases += [r for i, r in enumerate(cosequential_suite()) if i != SLOW_CLOSURE]
     valued = count_calls(monkeypatch, relations, "_finitely_valued")
-    built = count_calls(monkeypatch, relations, "_uniformizer")
+    built = count_calls(monkeypatch, relations, "_least_walk")
     decided = 0
     for r in cases:
         prep = prepare(r)
@@ -972,6 +975,72 @@ def test_uniformizer_maps_each_word_to_its_least_relative(name, request):
         assert got == min_lex_map(enumerate_relation(s, 6), s.output_alphabet), name
 
 
+def _fixed_points(f):
+    """The words a uniformizer f maps to themselves, as an automaton over
+    its input letters: f restricted to its letters (a, a), read as a, and
+    trimmed."""
+    a = f.nfa
+    moves = {(p, x, q) for p, (x, y), q in a.transitions if x == y}
+    return trim(Nfa(f.input_alphabet, a.states, moves, a.initials, a.finals))
+
+
+def _representatives(prep):
+    """``prep.representatives`` as a minimal complete DFA."""
+    return minimize(_dfa(prep.relation.input_alphabet, *prep.representatives))
+
+
+def test_the_representatives_are_the_uniformizers_fixed_points():
+    """The diagonal walk accepts the words least in their congruence class:
+    the uniformizer's letters (a, a) trimmed, and the least word of each
+    class the oracle enumerates up to length 6. It walks fewer nodes."""
+    from kernseq import relations
+
+    rng = random.Random(29)
+    cases = [
+        build_last_a(),
+        build_a_parity(),
+        build_c_singletons(),
+        build_agree_except_last(3),
+        build_mod_count(3),
+        build_chain(3),
+        build_chained_classes(),
+        identity(AB),
+        full_same_length(AB),
+    ]
+    cases += [
+        random_equivalence(rng, max_states=3, letters=("a", "b") if i % 2 else ("a", "b", "c"))
+        for i in range(60)
+    ]
+    walked = []  # nodes per walk, before its trimming
+    real = relations._trim_rows
+
+    def spy(rows, finals):
+        walked.append(len(rows))
+        return real(rows, finals)
+
+    sizes = set()
+    for i, r in enumerate(cases):
+        prep = prepare(r)
+        s = prep.congruence
+        f = min_lex_uniformizer(s)
+        reps = _representatives(prep)
+        assert reps == minimize(_fixed_points(f)), i
+        # the oracle numbers the classes in shortlex order of their words
+        klass = _classes(s, 6)
+        first: dict = {}
+        for word in all_words(s.input_alphabet, 6):
+            assert reps.accepts(word) == (first.setdefault(klass[word], word) == word), (i, word)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(relations, "_trim_rows", spy)
+            walked.clear()
+            relations._least_walk(s, False)
+            relations._least_walk(s, True)
+        full, diagonal = walked
+        assert diagonal <= full, i
+        sizes.add(full - diagonal)
+    assert max(sizes) > 0
+
+
 def _unpruned_uniformizer(s):
     """Reference copy of the uniformizer walk without its pruning: it
     follows every nonempty ``equal`` and leaves the dead nodes to
@@ -1032,7 +1101,7 @@ def test_pruned_uniformizer_equals_the_unpruned_walk_trimmed(monkeypatch):
         congruence = prepare(r).congruence
         for s in (congruence, r) if i < len(drawn) else (congruence,):
             walked.clear()
-            graph = relations._uniformizer(s)
+            graph = min_lex_uniformizer(s)
             (size,) = walked
             reference, reference_size = _unpruned_uniformizer(s)
             assert graph == reference, i

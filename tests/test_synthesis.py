@@ -132,7 +132,7 @@ def test_each_synthesizer_prepares_its_relation_once(monkeypatch, a_parity, c_si
     yes = build_agree_except_last(2)
     yes_plus, parity_plus, singletons_plus = map(closure_of, (yes, a_parity, c_singletons))
     walks = validation_walks(monkeypatch)
-    builds = count_calls(monkeypatch, relations, "_uniformizer")
+    builds = count_calls(monkeypatch, relations, "_least_walk")
     # per relation object: each synthesizer, and the refusal it meets if any
     runs = [
         (yes, [(synthesize_mealy, (), None), (synthesize_subsequential, (yes_plus,), None)]),
@@ -143,7 +143,7 @@ def test_each_synthesizer_prepares_its_relation_once(monkeypatch, a_parity, c_si
                 (synthesize_subsequential, (parity_plus,), None),
             ],
         ),
-        # the index checks read the prepared uniformizer, so refusals share it too
+        # the index checks read the prepared representatives, so refusals share them too
         (
             c_singletons,
             [
