@@ -24,7 +24,10 @@ their class, the stage ``Prepared.representatives``.
 
 The index check against the relation is read off the pair DFA when
 every final state is diagonal: the congruence is then the relation, of
-index 1. Otherwise, and against every closure, the target is
+index 1. Otherwise, and against every closure, the representatives'
+growth comes next (``Prepared.slender``): when they have boundedly many
+words per length, every length meets boundedly many classes, and so
+does every image of a length-preserving target. Otherwise the target is
 transitive, and finite index is finite valuedness of the target
 restricted to representatives on its second track (``_index_rows``):
 one product of the target's complete pair DFA with the representatives,
@@ -274,11 +277,11 @@ class Prepared:
     every entry point given that object shares its stages and none of
     them runs twice: the validation, the pair DFA and its diagonal
     states, prefix-closedness, the congruence, its representatives and
-    the index against the relation, the prefix closure, the first closure
-    iterate, and the closure searched for each cap with the index against
-    it. An equal relation built anew builds them again, a stage that
-    raises keeps nothing, and the stages hold their memory for as long as
-    the relation object lives. The stages past ``validation`` and
+    whether they are slender, the index against the relation, the prefix
+    closure, the first closure iterate, and the closure searched for each
+    cap with the index against it. An equal relation built anew builds
+    them again, a stage that raises keeps nothing, and the stages hold
+    their memory for as long as the relation object lives. The stages past ``validation`` and
     ``first_iterate`` assume an equivalence relation, which ``prepare``
     checks.
     """
@@ -385,13 +388,34 @@ class Prepared:
         return _least_walk(self.congruence, True)
 
     @cached_property
+    def slender(self) -> bool:
+        """Whether the representatives have boundedly many words per length,
+        so the congruence boundedly many classes per length.
+
+        A trim DFA accepts such a *slender* language exactly when every
+        cyclic component is one simple cycle, as many inner edges as
+        nodes, and no path passes through two of them (Păun and Salomaa,
+        *Thin and slender languages*, 1995): one ``_explore`` pass over
+        the representatives' rows, and ``_labels`` seeded past the cycles.
+        """
+        rows, _least = self.representatives
+        _ids, comp, succ = _explore([0], lambda q: [t for t in rows[q] if t >= 0])
+        spare = [0] * len(comp)  # per component: its inner edges less its nodes
+        for v, out in enumerate(succ):
+            spare[comp[v]] += [comp[w] for w in out].count(comp[v]) - 1
+        cycles = [v for v in range(len(comp)) if spare[comp[v]] == 0]
+        # the components that a cycle's exits reach lie past a cycle
+        past = _labels(comp, succ, [(w, 1) for v in cycles for w in succ[v] if comp[w] != comp[v]])
+        return all(s < 0 or s == 0 and not p for s, p in zip(spare, past))
+
+    @cached_property
     def finite_index(self) -> bool:
         """Whether the congruence has finite index with respect to the relation.
 
         The diagonal states are always final, so when every final state of
         ``det`` is diagonal the congruence is the relation, of index 1, and
         no representatives are walked and nothing searched. Otherwise
-        ``_finite_index`` searches.
+        ``_finite_index`` answers, from ``slender`` or by its search.
         """
         return self.det.nfa.finals <= self.diagonal or _finite_index(self, self.relation)
 
@@ -841,7 +865,10 @@ def _index_rows(prep: Prepared, target: LetterTransducer) -> tuple[list, list]:
 
 def _finite_index(prep: Prepared, target: LetterTransducer) -> bool:
     """``decision.index_is_finite(prep.congruence, target)`` for a
-    transitive target, without its checks: the valuedness search on
+    transitive target, without its checks.
+
+    True when ``prep.slender`` holds: a target image lies in Σⁿ, which
+    meets boundedly many classes. Otherwise the valuedness search on
     ``_index_rows``, which needs the target transitive. No uniformizer is
     built and nothing composed.
 
@@ -852,5 +879,7 @@ def _finite_index(prep: Prepared, target: LetterTransducer) -> bool:
     passes ``validate_closure_witness`` first, so it contains the prefix
     closure and is transitive too.
     """
+    if prep.slender:
+        return True
     rows, _finals = _index_rows(prep, target)
     return _finitely_valued(rows, len(target.output_alphabet))

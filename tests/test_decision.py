@@ -528,6 +528,72 @@ def test_the_index_product_answers_as_the_composition():
     assert len(answers) > 1100 and answers.count(False) > 20
 
 
+@pytest.mark.parametrize(
+    "rows, finals, slender",
+    [
+        pytest.param([[0, -1]], [True], True, id="a*"),
+        pytest.param([[1, -1], [-1, 0]], [True, False], True, id="(ab)*"),
+        pytest.param([[1, 2], [1, -1], [-1, 2]], [True] * 3, True, id="a*|b*"),
+        pytest.param([[1, 2], [-1, 2], [-1, -1]], [False, False, True], True, id="{ab, b}"),
+        pytest.param([[0, 1], [-1, 1]], [True, True], False, id="a*b*"),
+        pytest.param([[0, 0]], [True], False, id="(a|b)*"),
+        pytest.param([[1, -1], [1, 1]], [False, True], False, id="a(a|b)*"),
+    ],
+)
+def test_slender_reads_the_growth_of_the_representatives(rows, finals, slender):
+    """``Prepared.slender`` on representatives given as trim dense rows
+    over (a, b), and their words per length up to 12: at most one per
+    state when slender, more otherwise."""
+    from kernseq.relations import Prepared
+
+    prep = Prepared(identity(AB))
+    vars(prep)["representatives"] = (rows, finals)
+    assert prep.slender is slender
+    counts, ends = [], {0: 1}  # per state, the words of this length ending there
+    for _ in range(13):
+        counts.append(sum(k for q, k in ends.items() if finals[q]))
+        after = {}
+        for q, k in ends.items():
+            for t in rows[q]:
+                if t >= 0:
+                    after[t] = after.get(t, 0) + k
+        ends = after
+    assert (max(counts) <= len(rows)) is slender, counts
+
+
+def test_slender_is_the_search_against_all_equal_length_pairs():
+    """A slender congruence has finite index against every target, and
+    against the largest one, all equal-length pairs, exactly then."""
+    from cosequential import SLOW_CLOSURE, cosequential_suite
+    from kernseq.relations import _finitely_valued, _index_rows
+
+    fixtures = [
+        build_last_a(),
+        build_a_parity(),
+        build_c_singletons(),
+        build_agree_except_last(3),
+        build_mod_count(3),
+        build_chain(3),
+        build_chained_classes(),
+        identity(AB),
+        full_same_length(AB),
+    ]
+    relations = fixtures + default_suite(200, seed=7)
+    rng = random.Random(7)
+    relations += [random_equivalence(rng, letters=("a", "b", "c")) for _ in range(200)]
+    rng = random.Random(3)
+    relations += [random_equivalence(rng, max_states=5) for _ in range(100)]
+    relations += [r for i, r in enumerate(cosequential_suite()) if i != SLOW_CLOSURE]
+    answers = []
+    for r in relations:
+        prep = prepare(r)
+        full = full_same_length(r.input_alphabet)
+        searched = _finitely_valued(_index_rows(prep, full)[0], len(r.input_alphabet))
+        assert prep.slender is searched, render(r)
+        answers.append(searched)
+    assert answers.count(True) > 500 and answers.count(False) > 100
+
+
 def test_the_deciders_index_checks_compose_nothing(monkeypatch):
     """``relations._composed`` runs in the closure rounds, through
     ``compose``, and in the public ``index_is_finite``, never in the index
@@ -1214,21 +1280,24 @@ def test_analyze_index_wrt_relation_equals_the_direct_check(monkeypatch):
         report = analyze(r, **kwargs)
         # one valuedness search per index the structure does not decide:
         # r's is decided when every final state of the pair DFA is
-        # diagonal, the congruence being r itself; the closure's is
-        # searched when found or supplied, and r's only when the closure's
-        # is not FINITE, unless a prefix-closed r is its own searched closure
+        # diagonal, the congruence being r itself, and every index when
+        # the congruence is slender; the closure's is searched when found
+        # or supplied, and r's only when the closure's is not FINITE,
+        # unless a prefix-closed r is its own searched closure
         prep = prepare(r)
-        searched_r = not prep.det.nfa.finals <= prep.diagonal
+        diagonal = prep.det.nfa.finals <= prep.diagonal
+        searched = not prep.slender
+        searched_r = searched and not diagonal
         own = report.prefix_closed and "pplus" not in kwargs
-        closure_searches = searched_r if own else report.index_wrt_closure is not None
+        closure_searches = searched_r if own else searched and report.index_wrt_closure is not None
         r_searches = searched_r and not own and report.index_wrt_closure != FINITE
         assert len(calls) == closure_searches + r_searches, i
-        decided.add(not searched_r)
+        decided.add("diagonal" if diagonal else "searched" if searched else "slender")
         direct = FINITE if relations._finite_index(prepare(r), r) else INFINITE
         assert report.index_wrt_relation == direct, i
         seen.add((report.index_wrt_closure, direct))
     assert {(FINITE, FINITE), (INFINITE, FINITE), (INFINITE, INFINITE), (None, FINITE)} <= seen
-    assert decided == {True, False}
+    assert decided == {"diagonal", "slender", "searched"}
 
 
 def test_a_prefix_closed_relation_is_its_own_searched_closure(monkeypatch):
@@ -1352,14 +1421,16 @@ def test_the_closure_keeps_its_complete_minimal_dfa(monkeypatch):
 # At m = 24 (484 states) the identity's index: the square has 484² nodes,
 # and a search holding a bitset of them per pair needs some 3 GB. At
 # m = 48 (1,159 states) its own, a finite index: a triple pass holding
-# bits numbered by pair, p·n + q, runs out of memory under 192 MB.
+# bits numbered by pair, p·n + q, runs out of memory under 192 MB. The
+# m = 48 congruence is slender, so ``_finite_index`` answers it with no
+# search: the search is called directly, on ``_index_rows``.
 _LARGE_CLOSURE_INDEX = """
 import random, resource, sys
 limit, m, against = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from kernseq.automata import Alphabet, drop_sink, minimize
 from kernseq.oracle import random_equivalence
-from kernseq.relations import _finite_index, prepare
+from kernseq.relations import _finitely_valued, _index_rows, prepare
 from kernseq.transducers import identity
 
 rng = random.Random(3)
@@ -1367,7 +1438,7 @@ draws = [random_equivalence(rng, max_states=m) for _ in range(30)]
 sizes = [len(drop_sink(minimize(c.nfa)).states) for c in draws]
 closure = draws[sizes.index(max(sizes))]
 finer = closure if against == "itself" else identity(Alphabet(("a", "b")))
-print(max(sizes), _finite_index(prepare(finer), closure))
+print(max(sizes), _finitely_valued(_index_rows(prepare(finer), closure)[0], 2))
 """
 
 
@@ -1433,6 +1504,95 @@ def test_the_valuedness_search_answers_a_closure_iterate_in_bounded_memory():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["738", "False", "True"]
+
+
+# ROADMAP's D5, D6 and D7: searches that no budget bounds. Each pinned call
+# must end in a reported outcome, a result or a ``KernseqError``, printed as
+# one line per call, within 5 s under a 512 MB RLIMIT_AS. Today each runs
+# past 5 s: D5 answers UNKNOWN after some 15 s, and D6 and D7 raise
+# ``MemoryError`` after 8 to 13 s.
+_PINNED_SEARCH = """
+import random, resource, sys
+limit, pin = int(sys.argv[1]), sys.argv[2]
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from kernseq.automata import Alphabet
+from kernseq.decision import analyze, decide_kerseq_lp
+from kernseq.errors import KernseqError
+from kernseq.relations import inverse, transitive_closure
+from kernseq.transducers import LetterTransducer, identity, pair_alphabet
+from boolean_ops import relation_union
+from cosequential import SLOW_CLOSURE, cosequential_suite
+
+
+def d6():
+    # draw 88 (0-based) of random.Random(11): R on {0, 1}, p = R ∪ R⁻¹ ∪ identity
+    ab = Alphabet(("a", "b"))
+    rng = random.Random(11)
+    letters = pair_alphabet(ab, ab).letters
+    for _ in range(89):
+        trans = {(rng.randrange(2), rng.choice(letters), rng.randrange(2)) for _ in range(6)}
+        fin = {rng.randrange(2)}
+    r = LetterTransducer.build(ab, ab, {0, 1}, trans, {0}, fin)
+    p = relation_union(relation_union(r, inverse(r)), identity(ab))
+    return "CONVERGED" if transitive_closure(p, 2).converged else "UNKNOWN"
+
+
+draws = cosequential_suite(68)
+calls = {
+    "D5": [lambda: decide_kerseq_lp(draws[SLOW_CLOSURE], cap=16).outcome.value],
+    "D6": [d6],
+    "D7": [lambda i=i: analyze(draws[i]).index_wrt_relation for i in (57, 67)],
+}[pin]
+for call in calls:
+    try:
+        print(call(), flush=True)
+    except KernseqError as exc:
+        print(exc.code, flush=True)
+"""
+
+
+class _OutOfBounds(Exception):
+    """A pinned search ran past its time or its memory."""
+
+
+def _unbounded(defect):
+    return pytest.mark.xfail(strict=True, raises=_OutOfBounds, reason=f"ROADMAP {defect}: no budget")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "pin, answers",
+    [
+        pytest.param("D5", [{"UNKNOWN", "DIMENSION_CAP"}], marks=_unbounded("D5"), id="D5"),
+        pytest.param("D6", [{"CONVERGED", "UNKNOWN", "DIMENSION_CAP"}], marks=_unbounded("D6"), id="D6"),
+        pytest.param("D7", [{"INFINITE", "DIMENSION_CAP"}] * 2, marks=_unbounded("D7"), id="D7"),
+    ],
+)
+def test_an_unbounded_search_ends_in_a_reported_outcome_within_its_limits(pin, answers):
+    pytest.importorskip("resource")
+    import os
+    import pathlib
+    import subprocess
+
+    import kernseq
+
+    paths = [pathlib.Path(kernseq.__file__).parents[1], pathlib.Path(__file__).parent]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", _PINNED_SEARCH, str(512 << 20), pin],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+    except subprocess.TimeoutExpired as exc:
+        raise _OutOfBounds(f"{pin} ran past 5 s") from exc
+    if "MemoryError" in done.stderr:
+        raise _OutOfBounds(f"{pin} ran out of 512 MB")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == len(answers) and all(a in ok for a, ok in zip(lines, answers)), lines
 
 
 def test_analyze_non_equivalence_read_only_validation():
