@@ -23,11 +23,12 @@ walk, trimmed (``_least_walk``); the same walk taking only the letters
 their class, the stage ``Prepared.representatives``.
 
 The index check against the relation is read off the pair DFA when
-every final state is diagonal: the congruence is then the relation, of
-index 1. Otherwise, and against every closure, the representatives'
-growth comes next (``Prepared.slender``): when they have boundedly many
-words per length, every length meets boundedly many classes, and so
-does every image of a length-preserving target. Otherwise the target is
+every final state is diagonal (``Prepared.own_congruence``): the
+congruence is then the relation, of index 1. Otherwise, and against
+every closure, the representatives' growth comes next
+(``Prepared.slender``): when they have boundedly many words per length,
+every length meets boundedly many classes, and so does every image of a
+length-preserving target. Otherwise the target is
 transitive, and finite index is finite valuedness of the target
 restricted to representatives on its second track (``_index_rows``):
 one product of the target's complete pair DFA with the representatives,
@@ -276,14 +277,15 @@ class Prepared:
     ``Prepared`` on each relation object, the only value kept there, so
     every entry point given that object shares its stages and none of
     them runs twice: the validation, the pair DFA and its diagonal
-    states, prefix-closedness, the congruence, its representatives and
-    whether they are slender, the index against the relation, the prefix
-    closure, the first closure iterate, and the closure searched for each
-    cap with the index against it. An equal relation built anew builds
-    them again, a stage that raises keeps nothing, and the stages hold
-    their memory for as long as the relation object lives. The stages past ``validation`` and
-    ``first_iterate`` assume an equivalence relation, which ``prepare``
-    checks.
+    states, prefix-closedness, the congruence and whether the relation is
+    its own congruence, the congruence's representatives and whether they
+    are slender, the index against the relation, the prefix closure, the
+    first closure iterate, and the closure searched for each cap with the
+    index against it. An equal relation built anew builds them again, a
+    stage that raises keeps nothing, and the stages hold their memory for
+    as long as the relation object lives. The stages past ``validation``
+    and ``first_iterate`` assume an equivalence relation, which
+    ``prepare`` checks.
     """
 
     relation: LetterTransducer
@@ -409,15 +411,32 @@ class Prepared:
         return all(s < 0 or s == 0 and not p for s, p in zip(spare, past))
 
     @cached_property
+    def own_congruence(self) -> bool:
+        """Whether the relation is its own syntactic congruence.
+
+        The diagonal states are always final, so it is exactly when every
+        final state of ``det`` is diagonal. Then every relation class holds
+        one congruence class: the index against the relation is 1, and
+        every matrix of the witness construction is 1 by 1.
+        """
+        return self.det.nfa.finals <= self.diagonal
+
+    @cached_property
     def finite_index(self) -> bool:
         """Whether the congruence has finite index with respect to the relation.
 
-        The diagonal states are always final, so when every final state of
-        ``det`` is diagonal the congruence is the relation, of index 1, and
-        no representatives are walked and nothing searched. Otherwise
+        When the relation is its ``own_congruence`` the index is 1, and no
+        representatives are walked and nothing searched. Otherwise
         ``_finite_index`` answers, from ``slender`` or by its search.
         """
-        return self.det.nfa.finals <= self.diagonal or _finite_index(self, self.relation)
+        return self.own_congruence or _finite_index(self, self.relation)
+
+    @cached_property
+    def own_closure(self) -> LetterTransducer:
+        """The closure ``closure`` finds for a prefix-closed relation: its
+        own minimal DFA without the sink, ``drop_sink(minimize(...))``."""
+        r = self.relation
+        return r.with_nfa(drop_sink(minimize(r.nfa)))
 
     @cached_property
     def _closures(self) -> dict:
@@ -434,9 +453,8 @@ class Prepared:
         ``transitive_closure(prefix, cap)``. A prefix-closed relation has
         its prefix closure's language and, being an equivalence, is
         transitive, so that search would stop at exponent 1 on the minimal
-        DFA of that language: the relation's own
-        ``drop_sink(minimize(...))``, whose subset construction is
-        ``det``'s, and whose index is ``finite_index``. A cap below 1
+        DFA of that language, ``own_closure``, whose subset construction
+        is ``det``'s, and whose index is ``finite_index``. A cap below 1
         raises ``PreconditionError``.
         """
         kept = self._closures.get(cap) or next(
@@ -446,10 +464,9 @@ class Prepared:
         if kept is not None:
             self._closures[cap] = kept
             return kept
-        r = self.relation
         if self.prefix_closed:
             _require_cap(cap)
-            result = ClosureResult(r.with_nfa(drop_sink(minimize(r.nfa))), 1, True)
+            result = ClosureResult(self.own_closure, 1, True)
             finite = self.finite_index
         else:
             result = transitive_closure(self.prefix, cap)

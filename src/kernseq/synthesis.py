@@ -20,6 +20,16 @@ its least item and moves to the matrix whose rows are its fine-class
 minima, in order; an item moves to the row of its own fine-class
 minimum.
 
+When the relation is its own congruence (``Prepared.own_congruence``),
+every coarse class is one fine class: every matrix is 1 by 1, and a
+state is one entry. ``_walk`` then builds in one breadth-first walk over
+entries exactly what ``_worklist``, the one general construction, would
+build. The Mealy construction takes it whenever the relation is its own
+congruence; the subsequential one only when, besides, the relation is
+prefix-closed and the closure is the one ``Prepared.closure`` searched,
+the relation's own minimal DFA, where an entry is accepting in the
+closure exactly when it is diagonal in the relation.
+
 Three public constructions live here:
 
 * ``synthesize_mealy``: letter-to-letter machine whose kernel equals a
@@ -250,6 +260,47 @@ def _worklist(
     return matrices, order, transitions, max(map(len, matrices))
 
 
+def _walk(letters, initial_entry, targets, final):
+    """``_worklist`` when every coarse class is one fine class, in one walk.
+
+    That is so when ``coarse_final`` and ``fine_final`` agree on every
+    entry that a reached entry leads to, and ``final`` is both. Every
+    matrix is then 1 by 1, a single entry e, and a state is e: on input a
+    it outputs item (1, m), with m the least letter for which the pair
+    (a, m) leads from e to a ``final`` entry, and it moves to the entry
+    that (m, m) leads to. One breadth-first walk over entries returns
+    exactly ``_worklist``'s result: the first entries reached in the order
+    of a are reached in the order of m, the order in which ``_worklist``
+    interns the matrices, and state n is matrix n, row 1. It charges
+    ``STATE_CAP`` and ``ENTRY_CAP`` as ``_worklist`` does, one per entry
+    expanded and one per entry stored. It checks no matrix and no
+    grouping: what it builds is certified by the kernel check.
+    """
+    width = len(letters)
+    number: dict = {}  # entry -> its state
+    entries: list = []
+
+    def reach(entry):
+        n = number.get(entry)
+        if n is None:
+            if len(entries) >= ENTRY_CAP:
+                raise DimensionCapError("stored matrix entries exceed safety cap")
+            n = number[entry] = len(entries)
+            entries.append(entry)
+        return n
+
+    reach(initial_entry)
+    transitions = {}
+    for sid, entry in enumerate(entries):  # entries grows while it is walked
+        if sid >= STATE_CAP:
+            raise DimensionCapError("matrix state count exceeds safety cap")
+        row = targets(entry)
+        for a, letter in enumerate(letters):
+            m = next(b for b in range(width) if final(row[a * width + b]))
+            transitions[(sid, letter)] = ((1, letters[m]), reach(row[m * width + m]))
+    return [((e,),) for e in entries], [(n, 1) for n in range(len(entries))], transitions, 1
+
+
 def _targets(nfa):
     """Per state of a complete DFA, its successors by letter position."""
     table = nfa._table
@@ -383,20 +434,26 @@ def mealy_machine(prep: Prepared) -> SequentialTransducer:
     ``decide_kerseq_ll`` establishes before calling it. The matrix
     dimension is not capped, since a finite index bounds it; more than
     ``STATE_CAP`` states or ``ENTRY_CAP`` stored matrix entries raise
-    ``DimensionCapError``, also when a precondition is broken.
+    ``DimensionCapError``, also when a precondition is broken. A relation
+    that is its own congruence (``Prepared.own_congruence``) is built by
+    ``_walk``, whose 1-by-1 matrices are the relation's pair-DFA states.
     """
     r, det, diag = prep.relation, prep.det, prep.diagonal
     finals = det.nfa.finals
     (initial,) = det.nfa.initials
+    letters, targets = r.input_alphabet.letters, _targets(det.nfa)
 
-    found = _worklist(
-        r.input_alphabet.letters,
-        initial,
-        _targets(det.nfa),
-        lambda q: q in finals,
-        lambda q: q in diag,
-        lambda q: q in diag,
-    )
+    if prep.own_congruence:
+        found = _walk(letters, initial, targets, finals.__contains__)
+    else:
+        found = _worklist(
+            letters,
+            initial,
+            targets,
+            lambda q: q in finals,
+            lambda q: q in diag,
+            lambda q: q in diag,
+        )
     return _machine(r.input_alphabet, found)
 
 
@@ -454,26 +511,40 @@ def subsequential_machine(prep: Prepared, pplus: LetterTransducer) -> Subsequent
     the closure classes, rows follow the congruence classes, and the
     final output separates closure-equal but unrelated words by the least
     related row index. ``decide_kerseq_lp`` establishes the conditions
-    before calling it.
+    before calling it. A prefix-closed relation that is its own congruence
+    is built by ``_walk`` when ``pplus`` is the very closure
+    ``Prepared.closure`` searched (``Prepared.own_closure``); any other
+    closure, a supplied one of the same language included, by
+    ``_worklist``.
     """
-    r, rdfa, r_diag = prep.relation, prep.det, prep.diagonal
+    r, rdfa = prep.relation, prep.det
     pdfa = pair_dfa(pplus)
-    p_diag = diagonal_states(pdfa)
     r_finals = rdfa.nfa.finals
     p_finals = pdfa.nfa.finals
     (r0,) = rdfa.nfa.initials
     (p0,) = pdfa.nfa.initials
     r_targets = _targets(rdfa.nfa)
     p_targets = _targets(pdfa.nfa)
+    letters = r.input_alphabet.letters
 
-    found = _worklist(
-        r.input_alphabet.letters,
-        (r0, p0),
-        lambda q: list(zip(r_targets(q[0]), p_targets(q[1]))),
-        lambda q: q[1] in p_finals,
-        lambda q: q[0] in r_diag,
-        lambda q: q[0] in r_diag and q[1] in p_diag,
-    )
+    def targets(q):
+        return list(zip(r_targets(q[0]), p_targets(q[1])))
+
+    def coarse_final(q):
+        return q[1] in p_finals
+
+    if prep.prefix_closed and prep.own_congruence and pplus is prep.own_closure:
+        found = _walk(letters, (r0, p0), targets, coarse_final)
+    else:
+        r_diag, p_diag = prep.diagonal, diagonal_states(pdfa)
+        found = _worklist(
+            letters,
+            (r0, p0),
+            targets,
+            coarse_final,
+            lambda q: q[0] in r_diag,
+            lambda q: q[0] in r_diag and q[1] in p_diag,
+        )
     matrices, order, _transitions, l_max = found
     final_output = {}
     for sid, (mi, i) in enumerate(order):

@@ -111,6 +111,20 @@ def build_mod_count(k):
     )
 
 
+def build_b_c_at_zero(k):
+    """Equivalent iff the a's sit at the same positions and b and c differ
+    only where the a's before them number 0 modulo k. The relation is its
+    own syntactic congruence: state d, the a's read modulo k, holds one
+    class per state, so the witness walk expands k states."""
+    transitions = set()
+    for d in range(k):
+        transitions |= {(d, ("a", "a"), (d + 1) % k), (d, ("b", "b"), d), (d, ("c", "c"), d)}
+    transitions |= {(0, ("b", "c"), 0), (0, ("c", "b"), 0)}
+    return LetterTransducer.build(
+        ABC, ABC, states=set(range(k)), transitions=transitions, initials={0}, finals=set(range(k))
+    )
+
+
 def build_chain(k):
     """Identity plus k two-letter classes linking k+1 letters in a path.
 

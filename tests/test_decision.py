@@ -63,6 +63,7 @@ from conftest import (
     AB,
     build_a_parity,
     build_agree_except_last,
+    build_b_c_at_zero,
     build_c_singletons,
     build_chain,
     build_chained_classes,
@@ -716,6 +717,27 @@ def test_entry_cap_admits_exactly_the_witness_matrices(monkeypatch):
     monkeypatch.setattr(kernseq.synthesis, "ENTRY_CAP", 84)
     with pytest.raises(DimensionCapError):
         decide_kerseq_ll(relation)
+
+
+@pytest.mark.parametrize("cap", ["STATE_CAP", "ENTRY_CAP"])
+def test_caps_admit_exactly_the_walked_states(monkeypatch, cap):
+    import kernseq.synthesis
+
+    # the relation is its own congruence, so both deciders build their
+    # witness by one walk, over 5 states that each store a 1-by-1 matrix
+    relation = build_b_c_at_zero(5)
+    walks = count_calls(monkeypatch, kernseq.synthesis, "_walk")
+    worklists = count_calls(monkeypatch, kernseq.synthesis, "_worklist")
+    monkeypatch.setattr(kernseq.synthesis, cap, 5)
+    for decide in (decide_kerseq_ll, decide_kerseq_lp):
+        verdict = decide(relation)
+        assert verdict.outcome is Outcome.YES
+        assert len(verdict.witness.states) == 5
+    assert len(walks) == 2 and not worklists
+    monkeypatch.setattr(kernseq.synthesis, cap, 4)
+    for decide in (decide_kerseq_ll, decide_kerseq_lp):
+        with pytest.raises(DimensionCapError):
+            decide(relation)
 
 
 def test_each_distinct_matrix_is_checked_once(monkeypatch):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kernseq.automata import Alphabet, explore, language_equal
-from kernseq.decision import decide_kerseq_ll, decide_kerseq_lp
+from kernseq.decision import Outcome, decide_kerseq_ll, decide_kerseq_lp
 from kernseq.errors import (
     AlphabetMismatchError,
     DimensionCapError,
@@ -12,7 +12,7 @@ from kernseq.errors import (
     PreconditionError,
 )
 from kernseq.machines import SequentialTransducer, SubsequentialTransducer
-from kernseq.transducers import LetterTransducer
+from kernseq.transducers import LetterTransducer, diagonal_states, full_same_length, pair_dfa
 from kernseq.oracle import (
     accepts_pair_backward,
     brute_index,
@@ -51,6 +51,7 @@ from conftest import (
     ABC,
     build_a_parity,
     build_agree_except_last,
+    build_b_c_at_zero,
     build_c_singletons,
     build_chain,
     build_last_a,
@@ -785,6 +786,51 @@ def _reference_worklist(letters, initial_entry, targets, coarse_final, fine_fina
     return matrices, order, transitions, max(map(len, matrices))
 
 
+def _walked_relations():
+    """The relations whose constructions both reference tests compare."""
+    rng = random.Random(7)
+    return (
+        [build_mod_count(k) for k in (2, 3, 4, 5)]
+        + [build_agree_except_last(k) for k in (1, 2, 3, 4, 5)]
+        + [build_chain(k) for k in (1, 2)]
+        + [build_b_c_at_zero(k) for k in (1, 2, 3, 5)]
+        + [build_last_a(), build_c_singletons(), build_a_parity()]
+        + default_suite(200, seed=7)
+        + [random_equivalence(rng, letters=("a", "b", "c")) for _ in range(200)]
+    )
+
+
+def _worklist_args(prep, letters, initial_entry, targets, final):
+    """The arguments of the ``_worklist`` call that a ``_walk`` call on
+    ``prep`` stands for: the Mealy construction's on a pair-DFA state, and
+    the subsequential one's on a pair of states, whose closure is
+    ``prep.own_closure``."""
+    r_diag = prep.diagonal
+    if not isinstance(initial_entry, tuple):
+        return letters, initial_entry, targets, final, r_diag.__contains__, r_diag.__contains__
+    p_diag = diagonal_states(pair_dfa(prep.own_closure))
+    return (
+        letters,
+        initial_entry,
+        targets,
+        final,
+        lambda q: q[0] in r_diag,
+        lambda q: q[0] in r_diag and q[1] in p_diag,
+    )
+
+
+def _spy_walks(monkeypatch, compare):
+    """Call ``compare(args, found)`` on each ``_walk`` call and its result."""
+    walk = synthesis._walk
+
+    def spy(*args):
+        found = walk(*args)
+        compare(args, found)
+        return found
+
+    monkeypatch.setattr(synthesis, "_walk", spy)
+
+
 def test_worklist_builds_what_the_reference_builds(monkeypatch):
     built = []
     worklist = synthesis._worklist
@@ -797,20 +843,72 @@ def test_worklist_builds_what_the_reference_builds(monkeypatch):
         built.append(l_max)
         return found
 
+    def walked(args, found):
+        assert found == _reference_worklist(*_worklist_args(prep, *args))
+        built.append(found[3])
+
     monkeypatch.setattr(synthesis, "_worklist", both)
-    rng = random.Random(7)
-    relations = (
-        [build_mod_count(k) for k in (2, 3, 4, 5)]
-        + [build_agree_except_last(k) for k in (1, 2, 3, 4, 5)]
-        + [build_chain(k) for k in (1, 2)]
-        + [build_last_a(), build_c_singletons(), build_a_parity()]
-        + default_suite(200, seed=7)
-        + [random_equivalence(rng, letters=("a", "b", "c")) for _ in range(200)]
-    )
-    for r in relations:
+    _spy_walks(monkeypatch, walked)
+    for r in _walked_relations():
+        prep = prepare(r)
         decide_kerseq_ll(r)
         decide_kerseq_lp(r)
     assert len(built) > 600 and max(built) == 32
+
+
+def test_walk_builds_what_the_worklist_builds(monkeypatch):
+    from cosequential import SLOW_CLOSURE, cosequential_suite
+
+    walks = []
+
+    def walked(args, found):
+        assert found == _worklist(*_worklist_args(prep, *args))
+        walks.append(len(found[1]))
+
+    _spy_walks(monkeypatch, walked)
+    relations = _walked_relations()
+    relations += [r for i, r in enumerate(cosequential_suite()) if i != SLOW_CLOSURE]
+    for r in relations:
+        prep = prepare(r)
+        decide_kerseq_ll(r)
+        decide_kerseq_lp(r)
+    # the walk runs on the relations that are prefix-closed and their own
+    # congruence, once for each decider
+    assert len(walks) > 500 and max(walks) == 5
+
+
+def _facts(m):
+    """A machine with its provenance strings, which its equality skips."""
+    base = m.base if isinstance(m, SubsequentialTransducer) else m
+    return m, dict(base.provenance)
+
+
+def test_a_supplied_closure_builds_what_the_searched_closure_builds(monkeypatch):
+    walks = count_calls(monkeypatch, synthesis, "_walk")
+    worklists = count_calls(monkeypatch, synthesis, "_worklist")
+    congruences = 0
+    for r in default_suite(200, seed=7):
+        prep = prepare(r)
+        if not (prep.prefix_closed and prep.own_congruence):
+            continue
+        congruences += 1
+        searched = decide_kerseq_lp(r)
+        closure = searched.closure.closure
+        assert closure is prep.own_closure
+        # the very closure the search found takes the walk; an equal copy
+        # takes the worklist and builds the same machines
+        for supplied, walked in [(closure, True), (closure.with_nfa(closure.nfa), False)]:
+            del walks[:], worklists[:]
+            verdict = decide_kerseq_lp(r, closure=supplied)
+            assert (len(walks), len(worklists)) == (walked, not walked)
+            assert _facts(verdict.witness) == _facts(searched.witness)
+            assert _facts(verdict.subsequential) == _facts(searched.subsequential)
+        # a closure with a larger language never takes the walk
+        del walks[:], worklists[:]
+        verdict = decide_kerseq_lp(r, closure=full_same_length(r.input_alphabet))
+        assert verdict.outcome is Outcome.YES
+        assert (len(walks), len(worklists)) == (0, 1)
+    assert congruences > 100
 
 
 @pytest.mark.parametrize(
