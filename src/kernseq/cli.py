@@ -194,12 +194,8 @@ def _cmd_closure(args) -> int:
 def _cmd_verify(args) -> int:
     relation = _load(args.relation, LetterTransducer)
     machine = _load(args.machine, (SequentialTransducer, SubsequentialTransducer))
-    # exact unless the squared states the walk expands, on ordered pairs
-    # when the relation is symmetric and on all pairs when it is not,
-    # outgrow the budget that kernel_transducer sizes from the machine
-    # before the walk meets a separating pair, as they do when two runs on
-    # equal-length inputs lag apart without bound; then the kernel is
-    # enumerated up to a bound.
+    # exact within the squaring budget of synthesis._kernel_counterexample;
+    # beyond it, the kernel is enumerated up to a bound
     try:
         pair = kernel_counterexample(machine, relation)
         equal, mode, bound = pair is None, "exact", None

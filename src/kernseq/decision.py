@@ -109,11 +109,8 @@ def index_is_finite(s: LetterTransducer, r: LetterTransducer) -> bool:
 
 
 def _certify(machine, prep: Prepared, what: str) -> None:
-    """Raise unless the kernel of a synthesized machine is exactly the relation.
-
-    The relation is an equivalence, so the kernel is checked on ordered
-    pairs (``synthesis._kernel_counterexample``).
-    """
+    """Raise unless the kernel of a synthesized machine is exactly the
+    relation, by ``synthesis._kernel_counterexample``."""
     try:
         pair = _kernel_counterexample(machine, prep.det.nfa, prep.validation.is_symmetric)
     except NotLetterToLetterError as exc:

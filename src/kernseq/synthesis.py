@@ -51,25 +51,8 @@ passes an eliminated machine with more than one final-output value
 through it too: with one, it has the moves of the minimal body. The
 constructions themselves keep one state per (matrix, row).
 
-The kernels are checked exactly by ``kernel_counterexample``: one
-breadth-first walk over the product of the squared machine
-(``kernel_transducer``) with the relation's pair DFA, squaring each
-state once, when the walk first expands it, within a budget sized from
-the machine and charged only for the squared states the walk expands.
-A product node carries one bit, set while the two words read so far are
-equal. When the relation is symmetric, as every equivalence is, a node
-with the bit set reads only the pair letters (a, b) with a ≤ b: a
-kernel is symmetric too, so the walk returns the pair the walk over all
-pairs would, the shortlex-least disagreement, while expanding about half
-the squared states. The deciders pass the symmetry their validation
-found (``_kernel_counterexample``); the public check learns it from the
-symmetry walk of ``relations._axioms`` and reads all pairs when the
-relation is not symmetric. The squared machine is never built as an
-automaton. Its states are integers, numbered as they are reached, and
-its rows come from ``_squaring``, the one definition of the squaring: a
-row lists the successor by pair-letter position, or -1, and is computed
-by output class, comparing each pair of distinct output words of the two
-machine states once rather than each pair of input letters.
+The kernels are checked exactly by ``kernel_counterexample``, whose
+contract ``_kernel_counterexample`` states.
 """
 
 from __future__ import annotations
@@ -639,105 +622,97 @@ def _ahead(pending: Word, side: int) -> list[Word]:
     return extra
 
 
-def _squaring(f: SequentialTransducer | SubsequentialTransducer):
-    """The squared machine of ``kernel_transducer``, numbered as it is reached.
+class _Squared:
+    """The squared machine of ``kernel_transducer`` over integer states.
 
-    Returns ``(row, finals)``. Squared state 0 is the start. ``row(k)``
-    lists the successors of squared state k by pair-letter position: a
-    squared-state number, or -1 where a move is missing or the two
-    outputs clash. It squares k on its first call, charging k to the
-    budget then, and numbers each state it reaches first; a state no
-    caller asks a row of is never squared nor charged, so the ordered walk
-    of ``_kernel_counterexample`` pays only for the states it expands.
-    ``finals[k]`` says whether state k accepts; the list grows as states
-    are numbered.
-
-    Each machine state's moves are grouped by output word once, so a
-    squared state compares each pair of output words once, whatever the
-    number of input letters giving them, with ``_balance`` only when
-    their lengths differ; every pair of input letters in two agreeing
-    groups moves to the same (pending, side). Internally a squared state
-    is the integer (balance × n + p) × n + q over the n machine states
-    numbered 0..n-1, where a balance numbers a (pending, side) pair in
-    the order first met, 0 for nothing pending.
+    A squared state is k = (balance × n + p) × n + q over the n machine
+    states numbered 0..n-1, where a balance numbers what one run has
+    emitted beyond the other in the order first met, 0 for nothing
+    pending: k < n² exactly when nothing is pending. One pass over the
+    machine's moves gives each state, per input-letter position, the code
+    of its output word (-1 where the move is missing) and its target, as
+    what a step to (p', q') adds to a squared state: p' × n on the left
+    (``lefts``) and q' on the right (``rights``), each times ``scale``.
+    ``successors`` is the one successor function and ``charge`` the one
+    charge of the budget.
     """
-    if isinstance(f, SubsequentialTransducer):
-        base, final_output = f.base, f.final_output
-    else:
-        base, final_output = f, dict.fromkeys(f.finals, True)
-    states = list(base.states)
-    n = len(states)
-    nn = n * n
-    number = {q: i for i, q in enumerate(states)}
-    letters = base.input_alphabet.letters
-    width = len(letters)
-    moves = base.transitions
-    longest = max((len(out) for out, _dst in moves.values()), default=0)
-    budget = (1 + longest) * nn
-    held = 0
-    classes = []  # per state: (output word, [(letter position, next state)]) per word
-    for q in states:
-        by_output: dict = {}
-        for i, a in enumerate(letters):
-            hop = moves.get((q, a))
-            if hop is not None:
-                by_output.setdefault(hop[0], []).append((i, number[hop[1]]))
-        classes.append(list(by_output.items()))
-    tag = [final_output.get(q) for q in states]  # None when q is not final
-    balances = {((), 0): 0}
-    extras = [((), ())]  # per balance: what each run has emitted beyond the other
-    i0 = number[base.initial]
-    ids = {i0 * n + i0: 0}  # squared state -> its number
-    get = ids.get
-    nodes = [i0 * n + i0]  # per number: its squared state
-    rows: list = [None]  # per number: its row, once squared
-    finals = [tag[i0] is not None]
 
-    def row(k):
-        nonlocal held
-        found = rows[k]
-        if found is not None:
-            return found
-        b, pq = divmod(nodes[k], nn)
-        p, q = divmod(pq, n)
-        left0, right0 = extras[b]
-        held += 1 + len(left0) + len(right0)
-        if held > budget:
+    def __init__(self, f: SequentialTransducer | SubsequentialTransducer, scale: int = 1):
+        if isinstance(f, SubsequentialTransducer):
+            base, final_output = f.base, f.final_output
+        else:
+            base, final_output = f, dict.fromkeys(f.finals, True)
+        states = list(base.states)
+        number = {q: i for i, q in enumerate(states)}
+        position = base.input_alphabet._index  # letter -> its position
+        n = self.n = len(states)
+        self.nn, self.scale = n * n, scale
+        self.codes = [[-1] * len(position) for _ in states]
+        self.lefts = [[0] * len(position) for _ in states]  # target × n × scale
+        self.rights = [[0] * len(position) for _ in states]  # target × scale
+        words: dict = {}  # output word -> its code
+        for (q, a), (out, dst) in base.transitions.items():
+            p, i = number[q], position[a]
+            self.codes[p][i] = words.setdefault(out, len(words))
+            self.rights[p][i] = t = number[dst] * scale
+            self.lefts[p][i] = t * n
+        self.words = list(words)
+        self.lengths = [len(out) for out in self.words]
+        self.uniform = len(set(self.lengths)) < 2  # every move outputs as many letters
+        self.budget = (1 + max(self.lengths, default=0)) * self.nn
+        self.held = 0
+        self.expanded: set = set()  # the squared states the walk has expanded
+        self.tags = [final_output.get(q) for q in states]  # None when q is not final
+        self.start = number[base.initial] * (n + 1)
+        self.balances = {((), 0): 0}
+        self.extras = [((), ())]  # per balance: what each run has emitted beyond the other
+
+    def balance(self, left: Word, right: Word) -> int:
+        """The balance after two runs emit ``left`` and ``right``; -1 when
+        neither is a prefix of the other."""
+        if len(left) == len(right):
+            return 0 if left == right else -1
+        balance = _balance(left, right)
+        if balance is None:
+            return -1
+        b = self.balances.get(balance)
+        if b is None:
+            b = self.balances[balance] = len(self.extras)
+            self.extras.append(tuple(_ahead(*balance)))
+        return b
+
+    def charge(self, k: int) -> None:
+        """Charge the budget for expanding squared state k."""
+        left, right = self.extras[k // self.nn]
+        self.held += 1 + len(left) + len(right)
+        if self.held > self.budget:
             raise NotLetterToLetterError(
-                f"squared machine exceeds the budget of {budget} "
+                f"squared machine exceeds the budget of {self.budget} "
                 "states and pending output letters"
             )
-        found = rows[k] = [-1] * (width * width)
-        for out1, moves1 in classes[p]:
-            left = left0 + out1
-            for out2, moves2 in classes[q]:
-                right = right0 + out2
-                if len(left) == len(right):  # always so without a lag
-                    if left != right:
-                        continue
-                    b2 = 0
-                else:
-                    balance = _balance(left, right)
-                    if balance is None:
-                        continue
-                    b2 = balances.get(balance)
-                    if b2 is None:
-                        b2 = balances[balance] = len(extras)
-                        extras.append(tuple(_ahead(*balance)))
-                for i1, p2 in moves1:
-                    at, key = i1 * width, b2 * nn + p2 * n
-                    for i2, q2 in moves2:
-                        nxt = key + q2
-                        m = get(nxt)
-                        if m is None:
-                            m = ids[nxt] = len(nodes)
-                            nodes.append(nxt)
-                            rows.append(None)
-                            finals.append(b2 == 0 and tag[p2] is not None and tag[p2] == tag[q2])
-                        found[at + i2] = m
+
+    def successors(self, k: int) -> list[int]:
+        """Squared state k's successors times ``scale`` by pair-letter
+        position, -``scale`` where a move is missing or the outputs clash."""
+        b, pq = divmod(k, self.nn)
+        p, q = divmod(pq, self.n)
+        left, right = self.extras[b]
+        words, step, dead = self.words, self.nn * self.scale, -self.scale
+        found = []
+        for c1, t1 in zip(self.codes[p], self.lefts[p]):
+            for c2, t2 in zip(self.codes[q], self.rights[q]):
+                if c1 < 0 or c2 < 0:
+                    found.append(dead)
+                    continue
+                b2 = self.balance(left + words[c1], right + words[c2])
+                found.append(b2 * step + t1 + t2 if b2 >= 0 else dead)
         return found
 
-    return row, finals
+    def accepting(self, k: int) -> bool:
+        if k >= self.nn:
+            return False
+        p, q = divmod(k, self.n)
+        return self.tags[p] is not None and self.tags[p] == self.tags[q]
 
 
 def kernel_transducer(f: SequentialTransducer | SubsequentialTransducer) -> LetterTransducer:
@@ -750,35 +725,22 @@ def kernel_transducer(f: SequentialTransducer | SubsequentialTransducer) -> Lett
     if one side stays a prefix of the other. A state accepts when nothing
     is pending, both machine states are final and, for subsequential
     machines, the final letters agree. The machine is input-deterministic,
-    so the result is deterministic over pair letters.
-
-    The squared states, counted together with the output letters they
-    hold, may number at most (1 + longest step output) × (machine
-    states)²; going beyond raises ``NotLetterToLetterError``. That stops
-    the squaring early on a machine whose lag grows without bound, where
-    the states and their buffers grow together, and a state lagging by
-    more than the budget goes beyond it alone. Letter-to-letter and
-    subsequential machines never lag. The witnesses of
-    ``eliminate_final_output`` fit too: with n final-output classes, runs
-    on inputs of one length lag by fewer than n letters, and the pending
-    word is fixed by the pair of states. The result is the whole kernel
+    so the result is deterministic over pair letters. Squaring runs under
+    the budget of ``_kernel_counterexample`` and raises
+    ``NotLetterToLetterError`` beyond it. The result is the whole kernel
     when inputs of different lengths never share an output, which
     ``length_collision`` decides.
-
-    This builds the whole squared machine as an automaton, numbered
-    breadth first by ``explored`` from the rows of ``_squaring``, which
-    are computed by output class over integer-numbered squared states;
-    ``kernel_counterexample`` walks the same rows without building it.
     """
     base = f.base if isinstance(f, SubsequentialTransducer) else f
     inputs = base.input_alphabet
     alphabet = pair_alphabet(inputs, inputs)
-    row, finals = _squaring(f)
+    square = _Squared(f)
 
     def successors(k):
-        return ((letter, t) for letter, t in zip(alphabet.letters, row(k)) if t >= 0)
+        square.charge(k)
+        return ((ab, t) for ab, t in zip(alphabet.letters, square.successors(k)) if t >= 0)
 
-    nfa = explored(alphabet, [0], successors, finals.__getitem__)
+    nfa = explored(alphabet, [square.start], successors, square.accepting)
     return LetterTransducer(inputs, inputs, nfa)
 
 
@@ -939,15 +901,10 @@ def kernel_counterexample(
     """A pair of inputs on which the kernel of ``f`` and the relation ``r`` disagree.
 
     None when the kernel equals r; otherwise the shortlex-least such pair,
-    over pair letters in alphabet order. r's complete pair DFA is r itself
-    when r is complete with states 0..n-1, and ``pair_dfa(r)``
-    otherwise. The symmetry walk of ``relations._axioms`` on that DFA says
-    whether r is symmetric, and ``_kernel_counterexample`` checks the
-    kernel against it: on ordered pairs when it is, on all pairs when it
-    is not. The squaring budget of ``kernel_transducer`` is charged only
-    for the squared states that walk expands; going beyond it raises
-    ``NotLetterToLetterError``, and a disagreement the walk meets first
-    is returned, also where squaring the whole machine would exceed it.
+    over pair letters in alphabet order, as ``_kernel_counterexample``
+    finds it. r's complete pair DFA is r itself when r is complete with
+    states 0..n-1, and ``pair_dfa(r)`` otherwise; the symmetry walk of
+    ``relations._axioms`` on it says whether r is symmetric.
     """
     base = f.base if isinstance(f, SubsequentialTransducer) else f
     if r.nfa.alphabet != pair_alphabet(base.input_alphabet, base.input_alphabet):
@@ -962,17 +919,19 @@ def kernel_counterexample(
 @cache
 def _pair_moves(width: int) -> tuple[tuple, tuple]:
     """The moves of a node of ``_kernel_counterexample`` over ``width`` input
-    letters, as (pair-letter position, bit kept) pairs, per bit: with the
-    bit clear every pair letter, and with it set the (a, b) with a ≤ b,
-    where only (a, a) keeps it."""
-    every = tuple((at, 0) for at in range(width * width))
-    ordered = tuple((a * width + b, int(a == b)) for a in range(width) for b in range(a, width))
+    letters, as (pair-letter position, a, b, bit kept) for the pair letter
+    (a, b), per bit: with the bit clear every pair letter, and with it set
+    the (a, b) with a ≤ b, where only (a, a) keeps it."""
+    every = tuple((a * width + b, a, b, 0) for a in range(width) for b in range(width))
+    ordered = tuple(
+        (a * width + b, a, b, int(a == b)) for a in range(width) for b in range(a, width)
+    )
     return every, ordered
 
 
 def _kernel_counterexample(f, d, symmetric: bool) -> tuple[Word, Word] | None:
     """The shortlex-least pair on which the kernel of ``f`` and the relation R
-    of the complete pair DFA ``d``, with states 0..n-1, disagree, or None.
+    of the complete pair DFA ``d``, with states 0..m-1, disagree, or None.
 
     ``symmetric`` must be true only when R is symmetric. Inputs of
     different lengths with one output are looked for first, by
@@ -996,59 +955,111 @@ def _kernel_counterexample(f, d, symmetric: bool) -> tuple[Word, Word] | None:
     and the shortlex-least disagreement has a < b at its first difference,
     where it has one: the ordered walk meets it, and returns the pair the
     walk over all pairs would, while expanding about half the squared
-    states. Its node is the integer ((squared state) × n + (state of d))
-    × 2 + bit, with -1 for the dead squared state, and both machines move
-    by pair-letter position over dense per-state lists.
+    states.
 
-    The squared machine is never built: the walk reads the rows of
-    ``_squaring``, which squares a state when the walk first expands it
-    and charges the budget of ``kernel_transducer`` for it then, so only
-    for the squared states the walk expands. Going beyond the budget
-    raises ``NotLetterToLetterError``. When the kernel equals R the walk
-    expands every squared state it can reach; when they differ, it may
-    meet the pair before the budget runs out, and returns it, also where
-    squaring the whole machine would exceed the budget.
+    The squared machine is never built. A node is the integer (k × m + s)
+    × 2 + bit, for the squared state k of ``_Squared``, -1 when dead, and
+    the state s of ``d``; the move tables hold their targets times 2m, so
+    a successor node is a sum. While nothing is pending (k < n², for n
+    machine states) the walk computes each successor inline from those
+    tables: equal output codes go to the pair of targets, still with
+    nothing pending; a missing move, or two different codes of equal
+    length, goes to the dead state; only codes of different lengths
+    number a balance. A squared state with output pending takes its
+    successors from ``_Squared.successors``, as ``kernel_transducer``
+    does.
+
+    The budget: a squared state is charged when the walk first expands
+    it, which ``_Squared.expanded`` records, 1 plus the output letters it
+    holds pending, and once the charges pass (1 + longest move output) ×
+    n² the walk raises ``NotLetterToLetterError``. That ends the walk on a
+    machine whose two runs on equal-length inputs lag apart without
+    bound, where the states and their buffers grow together. A machine
+    whose moves all output the same number of letters never has output
+    pending, so it expands at most n² squared states, within its budget,
+    and the walk charges it nothing. Subsequential machines have
+    letter-to-letter bodies. The witnesses of ``eliminate_final_output``
+    fit too: with c final-output classes, runs on inputs of one length lag
+    by fewer than c letters, and the pending word is fixed by the pair of
+    states. When the kernel equals R the walk expands every squared state
+    it reaches; when they differ, it returns the pair it meets first, also
+    where the whole squared machine exceeds the budget.
     """
     base = f.base if isinstance(f, SubsequentialTransducer) else f
     if not _length_graded(base):
         pair = length_collision(base)
         if pair is not None:
             return pair
-    row, finals = _squaring(f)
     table = d._table
     states = range(len(d.states))
     size2 = 2 * len(states)
-    # per state of d, its targets as the nodes of squared state 0 with the bit clear
-    d_rows = [[2 * t for (t,) in table[q]] for q in states]
-    d_finals = [q in d.finals for q in states]
+    square = _Squared(f, size2)
+    n, nn, codes, lefts, rights = square.n, square.nn, square.codes, square.lefts, square.rights
+    words, lengths, tags, uniform = square.words, square.lengths, square.tags, square.uniform
+    balance, charge, successors, expanded = (
+        square.balance, square.charge, square.successors, square.expanded
+    )
+    step = nn * size2  # one balance
     width = len(base.input_alphabet)
     moves = _pair_moves(width)
-    dead = [-1] * (width * width)
+    # per node remainder (state of d, bit): the targets of the state of d as
+    # the nodes of squared state 0 with the bit clear, the moves, and acceptance
+    d_rows = [[2 * t for (t,) in table[q]] for q in states]
+    by_rest = [(d_rows[r >> 1], moves[r & 1], r >> 1 in d.finals) for r in range(size2)]
+    dead = -size2
+    dead_row = [dead] * (width * width)
     (d0,) = d.initials
-    start = 2 * d0 + symmetric  # squared state 0
+    start = square.start * size2 + 2 * d0 + symmetric
     parent = {start: None}  # product node -> the node it was first reached from
     queue = [start]
     for node in queue:  # the queue grows while it is walked
         k, rest = divmod(node, size2)
-        if (k >= 0 and finals[k]) != d_finals[rest >> 1]:
-            letters = []
-            while (up := parent[node]) is not None:
-                k, rest = divmod(up, size2)
-                k_row, d_row = row(k) if k >= 0 else dead, d_rows[rest >> 1]
-                # the first move leading there: the walk tried them in order
-                letters.append(next(
-                    at for at, keep in moves[rest & 1]
-                    if k_row[at] * size2 + d_row[at] + keep == node
-                ))
-                node = up
-            pairs = [divmod(at, width) for at in reversed(letters)]
-            names = base.input_alphabet.letters
-            return tuple(names[a] for a, _b in pairs), tuple(names[b] for _a, b in pairs)
-        k_row = row(k) if k >= 0 else dead
-        d_row = d_rows[rest >> 1]
-        for at, keep in moves[rest & 1]:
-            nxt = k_row[at] * size2 + d_row[at] + keep
-            if nxt not in parent:
-                parent[nxt] = node
-                queue.append(nxt)
-    return None
+        d_row, pair_moves, d_final = by_rest[rest]
+        if 0 <= k < nn:
+            p, q = divmod(k, n)
+            if (tags[p] is not None and tags[p] == tags[q]) != d_final:
+                break
+            if k not in expanded:
+                expanded.add(k)
+                if not uniform:
+                    charge(k)
+            code1, code2, to1, to2 = codes[p], codes[q], lefts[p], rights[q]
+            for at, a, b, keep in pair_moves:
+                c1, c2 = code1[a], code2[b]
+                if c1 == c2 >= 0:
+                    nxt = to1[a] + to2[b] + d_row[at] + keep
+                elif uniform or c1 < 0 or c2 < 0 or lengths[c1] == lengths[c2]:
+                    nxt = dead + d_row[at] + keep
+                else:
+                    b2 = balance(words[c1], words[c2])
+                    nxt = (b2 * step + to1[a] + to2[b] if b2 >= 0 else dead) + d_row[at] + keep
+                if nxt not in parent:
+                    parent[nxt] = node
+                    queue.append(nxt)
+        else:
+            if d_final:
+                break
+            if k >= 0 and k not in expanded:
+                expanded.add(k)
+                charge(k)
+            k_row = successors(k) if k >= 0 else dead_row
+            for at, _a, _b, keep in pair_moves:
+                nxt = k_row[at] + d_row[at] + keep
+                if nxt not in parent:
+                    parent[nxt] = node
+                    queue.append(nxt)
+    else:
+        return None
+    letters = []
+    while (up := parent[node]) is not None:
+        k, rest = divmod(up, size2)
+        d_row, pair_moves, _final = by_rest[rest]
+        k_row = successors(k) if k >= 0 else dead_row
+        # the first move leading there: the walk tried them in order
+        letters.append(next(
+            (a, b) for at, a, b, keep in pair_moves if k_row[at] + d_row[at] + keep == node
+        ))
+        node = up
+    names = base.input_alphabet.letters
+    letters.reverse()
+    return tuple(names[a] for a, _b in letters), tuple(names[b] for _a, b in letters)

@@ -10,6 +10,10 @@ prefix-closed nor of finite index.
 
 With ``random.Random(7)``, draw 48 (0-based) is the 9-state relation
 whose closure search runs out of its default cap only after about 17 s.
+
+The stress draws come from machines of up to 5 states, with
+``random.Random(3)``. On stress draw 141 (0-based), ``decide lp`` runs
+out of 512 MB in the index check against r.
 """
 
 import random
@@ -26,14 +30,16 @@ SLOW_CLOSURE = 48  # the draw whose closure search runs to its cap for seconds
 # draws of infinite index against r whose closure searches take more than
 # 15 s each and grow past 1 GB: decide lp refuses them before any round
 INFINITE_BEFORE_ROUNDS = (10, 22, 35, 39, 57)
+INDEX_OUT_OF_MEMORY = 141  # the stress draw on which decide lp runs out of memory
 
 
-def cosequential_draw(rng: random.Random) -> LetterTransducer:
-    m = rng.randint(1, 3)
+def cosequential_machine(rng: random.Random, max_states: int = 3) -> LetterTransducer:
+    """The machine T of a draw, with 1 to ``max_states`` states."""
+    m = rng.randint(1, max_states)
     delta = {(q, a): rng.randrange(m) for q in range(m) for a in LETTERS}
     out = {(q, a): rng.choice(LETTERS) for q in range(m) for a in LETTERS}
     alphabet = Alphabet(LETTERS)
-    t = LetterTransducer.build(
+    return LetterTransducer.build(
         alphabet,
         alphabet,
         states=range(m),
@@ -41,9 +47,24 @@ def cosequential_draw(rng: random.Random) -> LetterTransducer:
         initials=range(m),
         finals={0},
     )
+
+
+def cosequential_draw(rng: random.Random, max_states: int = 3) -> LetterTransducer:
+    t = cosequential_machine(rng, max_states)
     return trim_transducer(reference_compose(inverse(t), t))
 
 
 def cosequential_suite(count: int = 200, seed: int = 7) -> list[LetterTransducer]:
     rng = random.Random(seed)
     return [cosequential_draw(rng) for _ in range(count)]
+
+
+def stress_machines(count: int) -> list[LetterTransducer]:
+    """The machines T of the first ``count`` stress draws."""
+    rng = random.Random(3)
+    return [cosequential_machine(rng, max_states=5) for _ in range(count)]
+
+
+def stress_draws(count: int) -> list[LetterTransducer]:
+    """The first ``count`` stress draws, each built as ``cosequential_draw`` builds it."""
+    return [trim_transducer(reference_compose(inverse(t), t)) for t in stress_machines(count)]

@@ -7,13 +7,14 @@ a reference copy of the two-phase check it replaced: build the whole
 ``kernel_transducer``, then walk its product with the pair DFA. Both
 must return the same pair, or None, on every witness of the snapshot
 relations, on wrong pairings of witness and relation and on random
-small sequential machines. A frozen copy of the walk over all pairs,
+small sequential machines. The walk over all pairs,
 ``reference_all_pairs``, checks the ordered walk pair for pair on
-random machines against random relations, symmetric or not. The
-two-phase reference builds its squared machine with
-``kernel_transducer``, which shares the squaring of the walk, so the
-squaring itself is compared with a frozen copy that works per pair of
-input letters. The witnesses that leave the package
+random machines against random relations, symmetric or not; it walks
+``frozen_squaring``, a frozen copy of the squaring that works per pair
+of input letters and shares no code with the walk. The two-phase
+reference builds its squared machine with ``kernel_transducer``, which
+shares the walk's successor function, so ``kernel_transducer`` itself is
+compared with the frozen copy. The witnesses that leave the package
 are Moore-minimal: no further refinement splits them, and each gives
 the same output as the unminimized construction it came from.
 """
@@ -32,8 +33,6 @@ from kernseq.machines import SequentialTransducer, SubsequentialTransducer
 from kernseq.oracle import accepts_pair_backward, random_equivalence
 from kernseq.relations import inverse, prepare, validate_relation
 from kernseq.synthesis import (
-    _length_graded,
-    _squaring,
     kernel_counterexample,
     kernel_transducer,
     length_collision,
@@ -86,45 +85,38 @@ def reference_counterexample(f, r):
 
 
 def reference_all_pairs(f, r):
-    """A frozen copy of the walk over all pairs that the ordered walk replaced:
-    the length stage, then one breadth-first walk over the product of the
-    rows of ``_squaring`` with r's pair DFA, reading every pair letter."""
+    """The walk over all pairs, sharing no code with the ordered walk: the
+    length stage, then one breadth-first walk over the product of
+    ``frozen_squaring`` with r's pair DFA, reading every pair letter and
+    squaring each squared node when the walk first expands it."""
     base = f.base if isinstance(f, SubsequentialTransducer) else f
-    if not _length_graded(base):
+    if not base.is_letter_to_letter:
         pair = length_collision(base)
         if pair is not None:
             return pair
     rdfa = r.nfa if r.nfa.is_complete else pair_dfa(r).nfa
-    row, finals = synthesis._squaring(f)
-    d_states = sorted(rdfa.states)
-    size = len(d_states)
-    number = {d: i for i, d in enumerate(d_states)}
-    d_rows = [[number[t] for (t,) in rdfa._table[d]] for d in d_states]
-    d_finals = [d in rdfa.finals for d in d_states]
-    positions = range(len(rdfa.alphabet))
-    dead = [-1] * len(positions)
+    square, successors, accepting = frozen_squaring(f)
+    rows = {None: {}}  # squared node -> its successors by pair letter; None is dead
     (d0,) = rdfa.initials
-    start = number[d0]
+    start = (square, d0)
     parent = {start: None}
-    queue = [start]
-    for node in queue:
-        k, d = divmod(node, size)
-        if (k >= 0 and finals[k]) != d_finals[d]:
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        k, d = node
+        if (k is not None and accepting(k)) != (d in rdfa.finals):
             letters = []
             while parent[node] is not None:
-                k, d = divmod(parent[node], size)
-                k_row, d_row = row(k) if k >= 0 else dead, d_rows[d]
-                at = next(at for at in positions if k_row[at] * size + d_row[at] == node)
-                letters.append(rdfa.alphabet.letters[at])
-                node = parent[node]
+                node, letter = parent[node]
+                letters.append(letter)
             letters.reverse()
             return tuple(a for a, _b in letters), tuple(b for _a, b in letters)
-        k_row = row(k) if k >= 0 else dead
-        d_row = d_rows[d]
-        for at in positions:
-            nxt = k_row[at] * size + d_row[at]
+        if k not in rows:
+            rows[k] = dict(successors(k))
+        for letter, (d2,) in zip(rdfa.alphabet.letters, rdfa._table[d]):
+            nxt = (rows[k].get(letter), d2)
             if nxt not in parent:
-                parent[nxt] = node
+                parent[nxt] = (node, letter)
                 queue.append(nxt)
     return None
 
@@ -209,20 +201,21 @@ def test_mod_two_witnesses_against_mod_three_give_the_same_pair():
         assert pair is not None
 
 
-def random_machine(rng, letter_to_letter, inputs=AB, subsequential=False):
+def random_machine(rng, uniform, inputs=AB, subsequential=False, length=1):
     """A random machine of 1-4 states with outputs over x and y.
 
-    About one move in seven is missing. Outputs have one letter, or 0-2
-    letters (so runs lag) when not ``letter_to_letter``; with two output
-    letters, several input letters often share an output word. A
-    subsequential machine needs a letter-to-letter body.
+    About one move in seven is missing. Outputs have ``length`` letters
+    each when ``uniform``, or 0-2 letters (so runs lag) when not; with two
+    output letters, several input letters often share an output word, and
+    two different words of one length clash. A subsequential machine needs
+    a letter-to-letter body.
     """
     states = range(rng.randint(1, 4))
     transitions = {}
     for q in states:
         for a in inputs.letters:
             if rng.random() < 0.85:
-                size = 1 if letter_to_letter else rng.choice((0, 1, 1, 2))
+                size = length if uniform else rng.choice((0, 1, 1, 2))
                 out = tuple(rng.choice("xy") for _ in range(size))
                 transitions[(q, a)] = (out, rng.choice(states))
     machine = SequentialTransducer(
@@ -244,7 +237,7 @@ def test_product_walk_matches_the_two_phase_check_on_random_machines(snapshot_wi
     targets = [r for _n, r, _ll, _lp in snapshot_witnesses if r.input_alphabet == AB]
     answers = set()
     for i in range(400):
-        m = random_machine(rng, letter_to_letter=i % 2 == 0)
+        m = random_machine(rng, uniform=i % 2 == 0)
         r = rng.choice(targets)
         got = assert_same_check(m, r)
         answers.add(got is None)
@@ -307,10 +300,20 @@ def random_relation(rng):
 
 def test_ordered_walk_returns_the_pair_of_the_walk_over_all_pairs():
     rng = random.Random(99)
-    seen = {"symmetric": 0, "not symmetric": 0, "differ": 0, "equal": 0, "reference raises": 0}
-    for i in range(3000):
-        kind = i % 3  # lagging, letter-to-letter, subsequential
-        m = random_machine(rng, kind != 0, subsequential=kind == 2)
+    seen = {
+        "symmetric": 0,
+        "not symmetric": 0,
+        "differ": 0,
+        "equal": 0,
+        "reference raises": 0,
+        "two letters": 0,
+    }
+    for i in range(3600):
+        # lagging, letter-to-letter, subsequential; after 3000 draws, every
+        # move outputs two letters
+        kind = i % 3 if i < 3000 else 3
+        m = random_machine(rng, kind != 0, subsequential=kind == 2, length=1 + (kind == 3))
+        seen["two letters"] += kind == 3
         target = i // 3 % 3
         if target == 0:
             r = random_equivalence(rng)
@@ -322,6 +325,8 @@ def test_ordered_walk_returns_the_pair_of_the_walk_over_all_pairs():
         seen["symmetric" if symmetric else "not symmetric"] += 1
         expected = outcome(reference_all_pairs, m, r)
         got = outcome(kernel_counterexample, m, r)
+        if kind == 3:
+            assert NotLetterToLetterError not in (expected, got), i
         if expected is NotLetterToLetterError:
             seen["reference raises"] += 1
             if got is not NotLetterToLetterError:
@@ -337,27 +342,37 @@ def test_ordered_walk_returns_the_pair_of_the_walk_over_all_pairs():
 def test_ordered_walk_squares_each_unordered_pair_of_states_once(monkeypatch, k):
     # the squared machine of an n-state agree-except-last-k witness has n²
     # states, and the walk on ordered pairs squares the n(n + 1)/2 with
-    # p ≤ q only
-    squared = set()
+    # p ≤ q only; the walk records each squared state it expands, and the
+    # reference squares a node each time it charges the budget
+    squares = []
+
+    class Recorded(synthesis._Squared):
+        def __init__(self, *args):
+            super().__init__(*args)
+            squares.append(self)
+
+    squared = []
+    frozen = frozen_squaring
 
     def counting(f):
-        row, finals = _squaring(f)
+        start, successors, accepting = frozen(f)
 
-        def counted(k):
-            squared.add(k)
-            return row(k)
+        def counted(node):
+            squared.append(node)
+            return successors(node)
 
-        return counted, finals
+        return start, counted, accepting
 
     r = build_agree_except_last(k)
     witness = decide_kerseq_ll(r).witness
     n = len(witness.states)
-    monkeypatch.setattr(synthesis, "_squaring", counting)
+    monkeypatch.setattr(synthesis, "_Squared", Recorded)
+    monkeypatch.setitem(globals(), "frozen_squaring", counting)
     assert kernel_counterexample(witness, r) is None
-    assert len(squared) == n * (n + 1) // 2
-    squared.clear()
+    (square,) = squares
+    assert len(square.expanded) == n * (n + 1) // 2
     assert reference_all_pairs(witness, r) is None
-    assert len(squared) == n * n
+    assert len(squared) == len(set(squared)) == n * n
 
 
 def test_product_walk_builds_no_squared_machine(monkeypatch):
@@ -454,11 +469,20 @@ def test_squaring_matches_the_frozen_copy_on_every_witness(snapshot_witnesses):
 
 def test_squaring_matches_the_frozen_copy_on_random_machines():
     rng = random.Random(2016)
-    seen = {"shared output": 0, "lag": 0, "missing move": 0, "subsequential": 0, "raise": 0}
-    for i in range(480):
+    seen = {
+        "shared output": 0,
+        "lag": 0,
+        "missing move": 0,
+        "subsequential": 0,
+        "raise": 0,
+        "two letters": 0,
+    }
+    for i in range(600):
         inputs = (AB, ABC)[i % 2]
-        kind = i // 2 % 3  # lagging, letter-to-letter, subsequential
-        m = random_machine(rng, kind != 0, inputs, subsequential=kind == 2)
+        # lagging, letter-to-letter, subsequential; after 480 draws, every
+        # move outputs two letters
+        kind = i // 2 % 3 if i < 480 else 3
+        m = random_machine(rng, kind != 0, inputs, subsequential=kind == 2, length=1 + (kind == 3))
         base = m.base if kind == 2 else m
         outputs = [out for out, _dst in base.transitions.values()]
         by_state = [
@@ -469,7 +493,10 @@ def test_squaring_matches_the_frozen_copy_on_random_machines():
         seen["lag"] += len({len(out) for out in outputs}) > 1
         seen["missing move"] += len(outputs) < len(base.states) * len(inputs)
         seen["subsequential"] += kind == 2
-        seen["raise"] += assert_same_squaring(m) is None
+        seen["two letters"] += kind == 3
+        raised = assert_same_squaring(m) is None
+        assert not (raised and kind == 3), i
+        seen["raise"] += raised
     assert min(seen.values()) > 0, seen
 
 

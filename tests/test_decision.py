@@ -1528,11 +1528,11 @@ def test_the_valuedness_search_answers_a_closure_iterate_in_bounded_memory():
     assert done.stdout.split() == ["738", "False", "True"]
 
 
-# ROADMAP's D5, D6 and D7: searches that no budget bounds. Each pinned call
-# must end in a reported outcome, a result or a ``KernseqError``, printed as
-# one line per call, within 5 s under a 512 MB RLIMIT_AS. Today each runs
-# past 5 s: D5 answers UNKNOWN after some 15 s, and D6 and D7 raise
-# ``MemoryError`` after 8 to 13 s.
+# ROADMAP's D5, D6, D7 and D8: searches that no budget bounds. Each pinned
+# call must end in a reported outcome, a result or a ``KernseqError``,
+# printed as one line per call, within 5 s under a 512 MB RLIMIT_AS. Today
+# each runs past 5 s: D5 answers UNKNOWN after some 15 s, D6 and D7 raise
+# ``MemoryError`` after 8 to 13 s, and D8 after some 20 s.
 _PINNED_SEARCH = """
 import random, resource, sys
 limit, pin = int(sys.argv[1]), sys.argv[2]
@@ -1543,7 +1543,7 @@ from kernseq.errors import KernseqError
 from kernseq.relations import inverse, transitive_closure
 from kernseq.transducers import LetterTransducer, identity, pair_alphabet
 from boolean_ops import relation_union
-from cosequential import SLOW_CLOSURE, cosequential_suite
+from cosequential import INDEX_OUT_OF_MEMORY, SLOW_CLOSURE, cosequential_suite, stress_draws
 
 
 def d6():
@@ -1564,6 +1564,7 @@ calls = {
     "D5": [lambda: decide_kerseq_lp(draws[SLOW_CLOSURE], cap=16).outcome.value],
     "D6": [d6],
     "D7": [lambda i=i: analyze(draws[i]).index_wrt_relation for i in (57, 67)],
+    "D8": [lambda: decide_kerseq_lp(stress_draws(INDEX_OUT_OF_MEMORY + 1)[-1]).outcome.value],
 }[pin]
 for call in calls:
     try:
@@ -1588,6 +1589,7 @@ def _unbounded(defect):
         pytest.param("D5", [{"UNKNOWN", "DIMENSION_CAP"}], marks=_unbounded("D5"), id="D5"),
         pytest.param("D6", [{"CONVERGED", "UNKNOWN", "DIMENSION_CAP"}], marks=_unbounded("D6"), id="D6"),
         pytest.param("D7", [{"INFINITE", "DIMENSION_CAP"}] * 2, marks=_unbounded("D7"), id="D7"),
+        pytest.param("D8", [{"YES", "UNKNOWN", "DIMENSION_CAP"}], marks=_unbounded("D8"), id="D8"),
     ],
 )
 def test_an_unbounded_search_ends_in_a_reported_outcome_within_its_limits(pin, answers):
@@ -1615,6 +1617,26 @@ def test_an_unbounded_search_ends_in_a_reported_outcome_within_its_limits(pin, a
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == len(answers) and all(a in ok for a, ok in zip(lines, answers)), lines
+
+
+def test_the_cosequential_suite_is_unchanged_by_the_stress_draws():
+    import hashlib
+
+    from cosequential import cosequential_suite
+
+    # the 200 draws as rendered before cosequential_draw took max_states
+    digest = hashlib.sha256("".join(map(render, cosequential_suite())).encode()).hexdigest()
+    assert digest == "235b3cb7273a1383c8de9f2a344570b73d00d9fc4116129c9a732862bb39d28b"
+
+
+def test_the_stress_draw_pinned_as_d8_is_the_relation_compose_builds():
+    from kernseq.relations import inverse
+
+    from cosequential import INDEX_OUT_OF_MEMORY, stress_draws, stress_machines
+
+    t = stress_machines(INDEX_OUT_OF_MEMORY + 1)[-1]
+    draw = stress_draws(INDEX_OUT_OF_MEMORY + 1)[-1]
+    assert language_equal(draw.nfa, compose(inverse(t), t).nfa)
 
 
 def test_analyze_non_equivalence_read_only_validation():
