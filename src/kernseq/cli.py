@@ -194,11 +194,12 @@ def _cmd_closure(args) -> int:
 def _cmd_verify(args) -> int:
     relation = _load(args.relation, LetterTransducer)
     machine = _load(args.machine, (SequentialTransducer, SubsequentialTransducer))
-    # exact within the squaring budget of synthesis._kernel_counterexample;
-    # beyond it, the kernel is enumerated up to a bound
+    # exact within the squaring budget of synthesis._kernel_counterexample, and
+    # naming its shortlex-least disagreement; beyond it, enumerated up to a bound
+    pair = bound = None
     try:
         pair = kernel_counterexample(machine, relation)
-        equal, mode, bound = pair is None, "exact", None
+        equal, mode = pair is None, "exact"
     except NotLetterToLetterError:
         bound = args.max_len if args.max_len is not None else default_bound(relation)
         equal = brute_kernel(machine, bound).pairs == enumerate_relation(relation, bound).pairs
@@ -209,6 +210,7 @@ def _cmd_verify(args) -> int:
             "mode": mode,
             "maxLen": bound,
             "kernelEqualsRelation": equal,
+            "pair": None if pair is None else [list(pair[0]), list(pair[1])],
         },
         args.json,
     )

@@ -2,9 +2,9 @@
 
 The class-membership deciders chain the necessary conditions, each a
 stage of the relation's ``relations.Prepared`` value, and, on success,
-hand back a synthesized witness whose kernel has been checked exactly
-against the input by ``synthesis._kernel_counterexample``. An
-eliminated witness equal to the body of a subsequential stage with one
+hand back a synthesized witness, built and checked exactly against the
+input on its integer move table (``synthesis._Moves``). An eliminated
+witness equal to the body of a subsequential stage with one
 final-output value has that stage's kernel, so one walk checks both.
 No decision enumerates words. A supplied closure is validated and its
 index checked on every call. Of the two index checks,
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .automata import _dense, _trim_rows, drop_sink, includes, minimize
 from .errors import InternalInvariantError, NotEquivalenceError, NotFinerError, NotLetterToLetterError
@@ -33,11 +32,11 @@ from .relations import (
     prepare,
 )
 from .synthesis import (
+    _eliminated,
     _kernel_counterexample,
-    eliminate_final_output,
-    mealy_machine,
-    minimal_machine,
-    subsequential_machine,
+    _mealy_moves,
+    _minimal,
+    _subsequential_moves,
     validate_closure_witness,
 )
 from .transducers import LetterTransducer
@@ -108,19 +107,20 @@ def index_is_finite(s: LetterTransducer, r: LetterTransducer) -> bool:
     return _finitely_valued(rows, len(s.output_alphabet))
 
 
-def _certify(machine, prep: Prepared, what: str) -> None:
-    """Raise unless the kernel of a synthesized machine is exactly the
-    relation, by ``synthesis._kernel_counterexample``."""
+def _certify(table, prep: Prepared, what: str) -> None:
+    """Raise unless the kernel of a synthesized table's machine is exactly
+    the relation, by ``synthesis._kernel_counterexample``."""
     try:
-        pair = _kernel_counterexample(machine, prep.det.nfa, prep.validation.is_symmetric)
+        pair = _kernel_counterexample(table, prep.det.nfa, prep.validation.is_symmetric)
     except NotLetterToLetterError as exc:
         raise InternalInvariantError(f"{what}: {exc}") from exc
     if pair is not None:
         raise InternalInvariantError(f"{what} kernel differs from input on {pair}")
 
 
-# what the kernel check reads of a sequential machine: all but its output alphabet
-_body = attrgetter("input_alphabet", "states", "initial", "finals", "transitions")
+def _body(table) -> tuple:
+    """What the kernel check reads of a table, but its final-output letters."""
+    return table.words, table.codes, table.targets, [tag is None for tag in table.tags]
 
 
 def decide_kerseq_ll(r: LetterTransducer) -> Verdict:
@@ -135,9 +135,9 @@ def decide_kerseq_ll(r: LetterTransducer) -> Verdict:
         return Verdict(Outcome.NO, reason=NOT_PREFIX_CLOSED)
     if not prep.finite_index:
         return Verdict(Outcome.NO, reason=INFINITE_INDEX)
-    witness = minimal_machine(mealy_machine(prep))
+    witness = _minimal(_mealy_moves(prep))
     _certify(witness, prep, "synthesized machine")
-    return Verdict(Outcome.YES, witness=witness)
+    return Verdict(Outcome.YES, witness=witness.machine())
 
 
 def decide_kerseq_lp(
@@ -163,7 +163,7 @@ def decide_kerseq_lp(
     up to ``cap`` (``Prepared.closure``); running out yields UNKNOWN,
     never a wrong answer. YES verdicts carry the
     final-output-free witness, Moore-minimal, with the subsequential
-    stage attached; ``minimal_machine`` merges the witness's states only
+    stage attached; ``synthesis._minimal`` merges the witness's states only
     when the stage has more than one final-output value. The stage's
     kernel is checked exactly against r, and the witness's by a walk of
     its own unless the stage has one final-output value and the witness
@@ -192,17 +192,17 @@ def decide_kerseq_lp(
             pplus = closure_result.closure
     if not finite:
         return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=closure_result)
-    sub = minimal_machine(subsequential_machine(prep, pplus))
-    witness = eliminate_final_output(sub)
-    one_class = len(set(sub.final_output.values())) == 1
+    sub = _minimal(_subsequential_moves(prep, pplus))
+    witness = _eliminated(sub)
+    one_class = len(set(sub.tags)) == 1
     if not one_class:
-        witness = minimal_machine(witness)
+        witness = _minimal(witness)
     _certify(sub, prep, "subsequential witness")
     # with one final-output value, a witness equal to the body squares as sub did
-    if not one_class or _body(witness) != _body(sub.base):
+    if not one_class or _body(witness) != _body(sub):
         _certify(witness, prep, "witness after final-output elimination")
     return Verdict(
-        Outcome.YES, witness=witness, subsequential=sub, closure=closure_result
+        Outcome.YES, witness=witness.machine(), subsequential=sub.machine(), closure=closure_result
     )
 
 

@@ -34,13 +34,14 @@ class SequentialTransducer:
             raise ValueError("initial state must be declared")
         if not self.finals <= self.states:
             raise ValueError("final states must be declared")
+        states, inputs, outputs = self.states, self.input_alphabet._index, self.output_alphabet._index
         for (src, letter), (out, dst) in self.transitions.items():
-            if src not in self.states or dst not in self.states:
+            if src not in states or dst not in states:
                 raise ValueError(f"transition endpoint not declared: {(src, letter)}")
-            if letter not in self.input_alphabet:
+            if letter not in inputs:
                 raise ValueError(f"input letter not declared: {letter!r}")
             for b in out:
-                if b not in self.output_alphabet:
+                if b not in outputs:
                     raise ValueError(f"output letter not declared: {b!r}")
 
     @cached_property
@@ -92,7 +93,7 @@ class SubsequentialTransducer:
         if set(self.final_output) != set(self.base.finals):
             raise ValueError("final outputs must be defined exactly on final states")
         for letter in self.final_output.values():
-            if letter not in self.base.output_alphabet:
+            if letter not in self.base.output_alphabet._index:
                 raise ValueError(f"final-output letter not declared: {letter!r}")
 
     @property

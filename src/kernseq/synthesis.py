@@ -2,33 +2,12 @@
 
 The central construction turns a suitable relation into an
 input-deterministic machine whose kernel is that relation. A machine
-state is a pair (matrix, row). The matrix is square, of pair-automaton
-states: entry (i, j) is the state reached by reading the pair of the
-i-th and j-th class representatives, and the row says which
-representative the current input tracks. Successors are computed from
-the matrix alone, so representatives never need to be materialized; the
-fixed order on (row index, input letter) pairs stands in for the
-lexicographic order of the representatives themselves. A successor
-matrix depends only on the matrix and the class of the item read, not
-on the row, so each distinct matrix is stored, checked and expanded
-once, and its table of moves serves every row. The table is built from
-the items (row, letter). Two items share a coarse class when reading
-their pair from the entry of their rows reaches an accepting state (of
-the closure, in the subsequential construction), and a fine class when
-it reaches a diagonal state of the relation. Each coarse class outputs
-its least item and moves to the matrix whose rows are its fine-class
-minima, in order; an item moves to the row of its own fine-class
-minimum.
-
-When the relation is its own congruence (``Prepared.own_congruence``),
-every coarse class is one fine class: every matrix is 1 by 1, and a
-state is one entry. ``_walk`` then builds in one breadth-first walk over
-entries exactly what ``_worklist``, the one general construction, would
-build. The Mealy construction takes it whenever the relation is its own
-congruence; the subsequential one only when, besides, the relation is
-prefix-closed and the closure is the one ``Prepared.closure`` searched,
-the relation's own minimal DFA, where an entry is accepting in the
-closure exactly when it is diagonal in the relation.
+state is a pair (matrix, row): the matrix holds pair-automaton states,
+entry (i, j) reached by reading the pair of the i-th and j-th class
+representatives, and the row says which representative the input
+tracks. ``_worklist`` is the one general construction and states its
+contract; ``_walk`` builds what it would, in one walk, when the
+relation is its own congruence (``Prepared.own_congruence``).
 
 Three public constructions live here:
 
@@ -41,18 +20,18 @@ Three public constructions live here:
   counts, trading letter-to-letter outputs for plain sequential ones
   while preserving the kernel.
 
-The deciders, having established the preconditions, call the unchecked
-constructions ``mealy_machine`` and ``subsequential_machine`` directly.
-Every witness leaves the package Moore-minimal: the deciders and the
-``synthesize_*`` functions pass what the constructions build through
-``minimal_machine``, which merges the states that give the same output
-on every input, before any final-output elimination, and ``decide lp``
-passes an eliminated machine with more than one final-output value
-through it too: with one, it has the moves of the minimal body. The
-constructions themselves keep one state per (matrix, row).
-
-The kernels are checked exactly by ``kernel_counterexample``, whose
-contract ``_kernel_counterexample`` states.
+Every stage of a witness runs on one integer move table, ``_Moves``,
+whose docstring states its contract: the constructions fill it, Moore
+minimization (``_minimal``), final-output elimination (``_eliminated``)
+and the kernel check (``_kernel_counterexample``) read it, and each
+returned machine is constructed from it once. The deciders call the
+unchecked table constructions ``_mealy_moves`` and
+``_subsequential_moves`` directly; the public functions that take or
+return machines read a machine into a table (``_Moves.of``) and build
+the result from one (``_Moves.machine``). Every witness leaves the
+package Moore-minimal, minimized before any final-output elimination;
+``decide lp`` minimizes an eliminated table with more than one
+final-output value too: with one, it has the moves of the minimal body.
 """
 
 from __future__ import annotations
@@ -66,7 +45,6 @@ from .automata import (
     Word,
     _reach,
     determinize,
-    explore,
     explored,
     inclusion_counterexample,
     refine,
@@ -145,18 +123,97 @@ def _check_matrix(matrix, coarse_final, diag_ok):
                 )
 
 
-def _worklist(
-    letters,
-    initial_entry,
-    targets,
-    coarse_final,
-    fine_final,
-    diag_ok,
-):
+class _Moves:
+    """A machine as one integer move table, the form every witness stage reads.
+
+    The states are 0..n-1, state 0 initial. Per state and input-letter
+    position, ``codes`` holds the code of the move's output word, -1
+    where there is no move, and ``targets`` the move's target, the state
+    itself where there is none. ``words`` lists the word of each code,
+    each word once; it may list words that no move outputs, but only of
+    a length that some move outputs (a letter-to-letter table lists
+    every output letter). ``tags`` holds per state None when it is not
+    final, else its final-output letter in a subsequential table
+    (``sub``) and True in a sequential one. ``outputs`` is the output
+    alphabet, and ``render(q)`` state q's provenance string,
+    unless ``render`` is None. A table that synthesis built numbers its
+    states breadth first, along the moves in letter order, and its
+    ``names`` is None; on one read from a machine (``of``), ``names``
+    lists the machine's states by number: the initial one, then the
+    others ascending. ``machine`` constructs the machine of a built table.
+    """
+
+    __slots__ = ("inputs", "outputs", "words", "codes", "targets", "tags", "sub", "render", "names")
+
+    def __init__(self, inputs, outputs, words, codes, targets, tags, sub, render, names=None):
+        self.inputs, self.outputs, self.words, self.codes = inputs, outputs, words, codes
+        self.targets, self.tags, self.sub, self.render, self.names = targets, tags, sub, render, names
+
+    @classmethod
+    def of(cls, m: SequentialTransducer | SubsequentialTransducer) -> _Moves:
+        sub = isinstance(m, SubsequentialTransducer)
+        base = m.base if sub else m
+        names = [base.initial, *sorted(base.states - {base.initial})]
+        number = {q: i for i, q in enumerate(names)}
+        position = base.input_alphabet._index  # letter -> its position
+        codes = [[-1] * len(position) for _ in names]
+        targets = [[i] * len(position) for i in range(len(names))]
+        index: dict = {}  # output word -> its code
+        for (q, a), (out, dst) in base.transitions.items():
+            p, i = number[q], position[a]
+            codes[p][i] = index.setdefault(out, len(index))
+            targets[p][i] = number[dst]
+        tags = m.final_output if sub else dict.fromkeys(base.finals, True)
+        render = None if base.provenance is None else lambda i: base.provenance[names[i]]
+        return cls(
+            base.input_alphabet, base.output_alphabet, list(index), codes, targets,
+            [tags.get(q) for q in names], sub, render, names,
+        )
+
+    def machine(self) -> SequentialTransducer | SubsequentialTransducer:
+        letters, words, n = self.inputs.letters, self.words, len(self.codes)
+        finals = [q for q, tag in enumerate(self.tags) if tag is not None]
+        body = SequentialTransducer(
+            input_alphabet=self.inputs,
+            output_alphabet=self.outputs,
+            states=frozenset(range(n)),
+            transitions={
+                (q, a): (words[c], t) for q, (row, to) in enumerate(zip(self.codes, self.targets))
+                for a, c, t in zip(letters, row, to) if c >= 0
+            },
+            initial=0,
+            finals=frozenset(finals),
+            provenance=None if self.render is None else _Provenance(self.render, n),
+        )
+        if not self.sub:
+            return body
+        return SubsequentialTransducer(base=body, final_output={q: self.tags[q] for q in finals})
+
+
+def _table(inputs: Alphabet, l_max, codes, targets, render, rows, tag) -> _Moves:
+    """A construction's table, every state final; with ``tag``, subsequential,
+    state q's final output ``tag(rows[q])``, of its matrix row."""
+    outputs, words = _encoding(inputs, l_max, tag is not None)
+    tags = [True] * len(codes) if tag is None else list(map(tag, rows))
+    return _Moves(inputs, outputs, words, codes, targets, tags, tag is not None, render)
+
+
+@cache
+def _encoding(inputs: Alphabet, l_max: int, sub: bool) -> tuple[Alphabet, list]:
+    """The output alphabet of a construction whose matrices have up to l_max
+    rows, and its words by code, built once: item (row j, letter a), code
+    (j - 1) × width + a, is output as ``o<j>_<a>``, and a subsequential
+    construction appends its final outputs ``t1``..``t<l_max>``."""
+    items = tuple(f"o{j}_{a}" for j in range(1, l_max + 1) for a in inputs.letters)
+    extra = tuple(f"t{j}" for j in range(1, l_max + 1)) if sub else ()
+    return Alphabet(items + extra), tuple((o,) for o in items)
+
+
+def _worklist(inputs, initial_entry, targets, coarse_final, fine_final, diag_ok, tag=None):
     """Explore (matrix, row) states breadth-first from the 1-by-1 start matrix.
 
     ``targets(entry)`` lists the entries reached from ``entry`` by pair
-    letter, the pair (a, b) at position a * len(letters) + b, as in the
+    letter, the pair (a, b) at position a * len(inputs) + b, as in the
     rows of a pair DFA's table; it is called once per distinct entry.
     Each distinct matrix is interned once, checked once and, on its
     first expansion, given a table of moves for all of its rows. The
@@ -168,18 +225,16 @@ def _worklist(
     are the join of the pieces of row i's entries on a. Each coarse class
     outputs its least item and steps to the matrix whose rows are its
     fine-class minima, in order; an item moves to the row of its
-    fine-class minimum. Returns the matrices in the order they were
-    interned, the discovery-ordered states as (matrix index, row) pairs,
-    transitions keyed by (state id, input letter) valued ((output row,
-    output letter), successor id), and the largest dimension reached.
+    fine-class minimum. Returns the ``_table`` of the states in discovery
+    order, state q's provenance ``row <r> of <matrix>``, with the largest
+    dimension reached as l_max and ``tag`` as given.
     """
-    width = len(letters)
+    width = len(inputs)
     index: dict = {}
     matrices: list = []
     tables: dict = {}
     pieces: dict = {}  # entry -> per input letter: (targets, coarse flags, fine flags)
     entries = 0
-    expanded = 0
 
     def intern(matrix):
         nonlocal entries
@@ -222,28 +277,37 @@ def _worklist(
             at = [divmod(y, width) for y in minima]  # (entry, letter) of each minimum
             target = intern(tuple(tuple(lines[x][j][0][b] for j, b in at) for x in minima))
             step.update((rep, (target, m)) for m, rep in enumerate(minima, start=1))
-        item = [(x // width + 1, letters[x % width]) for x in range(n)]
-        return [(item[coarse[x]], step[fine[x]]) for x in range(n)]
+        # per item: the code of its coarse class's least item, and its successor
+        return [(coarse[x], step[fine[x]]) for x in range(n)]
 
-    def successors(node):
-        nonlocal expanded
-        expanded += 1
-        if expanded > STATE_CAP:
+    start = (intern(((initial_entry,),)), 1)
+    number = {start: 0}  # (matrix index, row) -> its state
+    order = [start]
+    codes, moved = [], []
+    for mi, row in order:  # order grows while it is walked
+        if len(codes) >= STATE_CAP:
             raise DimensionCapError("matrix state count exceeds safety cap")
-        mi, row = node
         if mi not in tables:
             tables[mi] = moves(matrices[mi])
-        table = tables[mi]
-        for a, letter in enumerate(letters):
-            out, nxt = table[(row - 1) * width + a]
-            yield (letter, out), nxt
+        line = tables[mi][(row - 1) * width : row * width]
+        codes.append([code for code, _node in line])
+        to = []
+        for _code, node in line:
+            q = number.setdefault(node, len(order))
+            if q == len(order):
+                order.append(node)
+            to.append(q)
+        moved.append(to)
 
-    order, edges = explore([(intern(((initial_entry,),)), 1)], successors)
-    transitions = {(sid, a): (out, dst) for sid, (a, out), dst in edges}
-    return matrices, order, transitions, max(map(len, matrices))
+    def render(q):
+        mi, row = order[q]
+        return f"row {row} of {matrices[mi]!r}"
+
+    rows = [matrices[mi][row - 1] for mi, row in order] if tag else None
+    return _table(inputs, max(map(len, matrices)), codes, moved, render, rows, tag)
 
 
-def _walk(letters, initial_entry, targets, final):
+def _walk(inputs, initial_entry, targets, final, tag=None):
     """``_worklist`` when every coarse class is one fine class, in one walk.
 
     That is so when ``coarse_final`` and ``fine_final`` agree on every
@@ -252,14 +316,14 @@ def _walk(letters, initial_entry, targets, final):
     it outputs item (1, m), with m the least letter for which the pair
     (a, m) leads from e to a ``final`` entry, and it moves to the entry
     that (m, m) leads to. One breadth-first walk over entries returns
-    exactly ``_worklist``'s result: the first entries reached in the order
+    exactly ``_worklist``'s table: the first entries reached in the order
     of a are reached in the order of m, the order in which ``_worklist``
     interns the matrices, and state n is matrix n, row 1. It charges
     ``STATE_CAP`` and ``ENTRY_CAP`` as ``_worklist`` does, one per entry
     expanded and one per entry stored. It checks no matrix and no
     grouping: what it builds is certified by the kernel check.
     """
-    width = len(letters)
+    width = len(inputs)
     number: dict = {}  # entry -> its state
     entries: list = []
 
@@ -273,15 +337,20 @@ def _walk(letters, initial_entry, targets, final):
         return n
 
     reach(initial_entry)
-    transitions = {}
+    codes, moved = [], []
     for sid, entry in enumerate(entries):  # entries grows while it is walked
         if sid >= STATE_CAP:
             raise DimensionCapError("matrix state count exceeds safety cap")
         row = targets(entry)
-        for a, letter in enumerate(letters):
-            m = next(b for b in range(width) if final(row[a * width + b]))
-            transitions[(sid, letter)] = ((1, letters[m]), reach(row[m * width + m]))
-    return [((e,),) for e in entries], [(n, 1) for n in range(len(entries))], transitions, 1
+        flags = list(map(final, row))  # per pair letter (a, b), at a × width + b
+        codes.append([flags.index(True, a, a + width) - a for a in range(0, width * width, width)])
+        moved.append([reach(row[m * width + m]) for m in codes[-1]])  # item (1, m) on letter a
+
+    def render(q):
+        return f"row 1 of {((entries[q],),)!r}"
+
+    rows = [(entry,) for entry in entries] if tag else None
+    return _table(inputs, 1, codes, moved, render, rows, tag)
 
 
 def _targets(nfa):
@@ -308,89 +377,45 @@ class _Provenance(Mapping):
         return iter(range(self._count))
 
 
-def _machine(inputs: Alphabet, found, extra_outputs=()) -> SequentialTransducer:
-    """The machine of a ``_worklist`` result, every state final.
-
-    The item (row j, letter a) is output as ``o<j>_<a>``; ``extra_outputs``
-    are appended to the output alphabet. State ``sid`` has the provenance
-    ``row <r> of <matrix>``.
-    """
-    matrices, order, transitions, l_max = found
-    encode = {(j, a): f"o{j}_{a}" for j in range(1, l_max + 1) for a in inputs.letters}
-    states = frozenset(range(len(order)))
-
-    def render(sid):
-        mi, row = order[sid]
-        return f"row {row} of {matrices[mi]!r}"
-
-    return SequentialTransducer(
-        input_alphabet=inputs,
-        output_alphabet=Alphabet(tuple(encode.values()) + tuple(extra_outputs)),
-        states=states,
-        transitions={key: ((encode[item],), dst) for key, (item, dst) in transitions.items()},
-        initial=0,
-        finals=states,
-        provenance=_Provenance(render, len(order)),
+def _minimal(t: _Moves) -> _Moves:
+    """The Moore-minimal table with the outputs of ``t``. Two states merge
+    when every input gives the same output from both and their tags are
+    equal: ``automata.refine`` starts from each state's tag and output
+    codes. A merged state keeps the provenance of its least member (by
+    machine state, on a table read from a machine), and the merged states
+    are numbered breadth first from the initial one."""
+    block, blocks = refine([(tag, *row) for tag, row in zip(t.tags, t.codes)], t.targets)
+    if len(blocks) == len(block) and t.names is None:
+        return t  # nothing merges, and the states are numbered as below
+    members = range(len(block))
+    if t.names is not None:
+        members = sorted(members, key=t.names.__getitem__)
+    least: dict = {}  # block -> its least member
+    for q in members:
+        least.setdefault(block[q], q)
+    number = {block[0]: 0}  # block -> its state
+    kept = [least[block[0]]]  # per state, the member it keeps
+    targets = []
+    for q in kept:  # kept grows while it is walked
+        to = []
+        for b in map(block.__getitem__, t.targets[q]):
+            s = number.setdefault(b, len(kept))
+            if s == len(kept):
+                kept.append(least[b])
+            to.append(s)
+        targets.append(to)
+    render = t.render
+    return _Moves(
+        t.inputs, t.outputs, t.words, [t.codes[q] for q in kept], targets,
+        [t.tags[q] for q in kept], t.sub, None if render is None else lambda s: render(kept[s]),
     )
 
 
 def minimal_machine(m):
-    """The Moore-minimal machine with the outputs of a synthesized machine.
-
-    ``m`` is a ``SequentialTransducer`` or a ``SubsequentialTransducer``
-    with a move on every state and input letter, as every machine of
-    ``_worklist`` and every result of ``eliminate_final_output`` on one
-    has. Two states merge when every input gives the same output from
-    both, ends in both or in neither, and (subsequential machines) with
-    the same final output. The refinement is
-    ``automata.refine``, started from each state's finality, final
-    output and output per input letter. A merged state keeps the
-    provenance of its least member, and the states are renumbered
-    breadth first from the initial state. The result gives the same
-    output as ``m`` on every input, so it has the same kernel.
-    """
-    sub = isinstance(m, SubsequentialTransducer)
-    base = m.base if sub else m
-    final_output = m.final_output if sub else {}
-    letters = base.input_alphabet.letters
-    states = sorted(base.states)
-    number = {q: n for n, q in enumerate(states)}
-    hops = [[base.transitions[(q, a)] for a in letters] for q in states]
-    block, _ = refine(
-        [
-            (q in base.finals, final_output.get(q), *(out for out, _dst in row))
-            for q, row in zip(states, hops)
-        ],
-        [[number[dst] for _out, dst in row] for row in hops],
-    )
-    least: dict = {}  # block -> its least member, by number
-    for n, b in enumerate(block):
-        least.setdefault(b, n)
-
-    def successors(b):
-        for a, (out, dst) in zip(letters, hops[least[b]]):
-            yield (a, out), block[number[dst]]
-
-    order, edges = explore([block[number[base.initial]]], successors)
-    kept = [states[least[b]] for b in order]  # per new state, the state it keeps
-    provenance = base.provenance
-    minimal = SequentialTransducer(
-        input_alphabet=base.input_alphabet,
-        output_alphabet=base.output_alphabet,
-        states=frozenset(range(len(kept))),
-        transitions={(sid, a): (out, dst) for sid, (a, out), dst in edges},
-        initial=0,
-        finals=frozenset(sid for sid, q in enumerate(kept) if q in base.finals),
-        provenance=None
-        if provenance is None
-        else _Provenance(lambda sid: provenance[kept[sid]], len(kept)),
-    )
-    if not sub:
-        return minimal
-    return SubsequentialTransducer(
-        base=minimal,
-        final_output={sid: final_output[q] for sid, q in enumerate(kept) if q in base.finals},
-    )
+    """The Moore-minimal machine with the outputs of a synthesized machine
+    ``m``, sequential or subsequential, as ``_minimal`` builds it: ``m``
+    gives the same output, so it has the same kernel."""
+    return _minimal(_Moves.of(m)).machine()
 
 
 def synthesize_mealy(r: LetterTransducer) -> SequentialTransducer:
@@ -398,7 +423,7 @@ def synthesize_mealy(r: LetterTransducer) -> SequentialTransducer:
 
     Requires r to be a length-preserving equivalence, prefix-closed,
     with finitely many congruence classes inside each class of r; those
-    conditions are verified first, then ``mealy_machine`` builds it.
+    conditions are verified first, then ``_mealy_moves`` builds it.
     """
     prep = prepare(r)
     if not prep.prefix_closed:
@@ -407,10 +432,10 @@ def synthesize_mealy(r: LetterTransducer) -> SequentialTransducer:
         raise PreconditionError(
             "syntactic congruence has infinite index with respect to the relation"
         )
-    return minimal_machine(mealy_machine(prep))
+    return _minimal(_mealy_moves(prep)).machine()
 
 
-def mealy_machine(prep: Prepared) -> SequentialTransducer:
+def _mealy_moves(prep: Prepared) -> _Moves:
     """The matrix construction of ``synthesize_mealy``, without its checks.
 
     The relation must be prefix-closed with finite congruence index, as
@@ -424,20 +449,11 @@ def mealy_machine(prep: Prepared) -> SequentialTransducer:
     r, det, diag = prep.relation, prep.det, prep.diagonal
     finals = det.nfa.finals
     (initial,) = det.nfa.initials
-    letters, targets = r.input_alphabet.letters, _targets(det.nfa)
-
+    targets = _targets(det.nfa)
     if prep.own_congruence:
-        found = _walk(letters, initial, targets, finals.__contains__)
-    else:
-        found = _worklist(
-            letters,
-            initial,
-            targets,
-            lambda q: q in finals,
-            lambda q: q in diag,
-            lambda q: q in diag,
-        )
-    return _machine(r.input_alphabet, found)
+        return _walk(r.input_alphabet, initial, targets, finals.__contains__)
+    in_diag = diag.__contains__
+    return _worklist(r.input_alphabet, initial, targets, finals.__contains__, in_diag, in_diag)
 
 
 def validate_closure_witness(r: LetterTransducer, closure: LetterTransducer) -> None:
@@ -476,7 +492,7 @@ def synthesize_subsequential(
     That r is an equivalence, that ``pplus`` passes
     ``validate_closure_witness`` and that the congruence index with
     respect to it is finite are verified first, then
-    ``subsequential_machine`` builds it.
+    ``_subsequential_moves`` builds it.
     """
     prep = prepare(r)
     validate_closure_witness(r, pplus)
@@ -484,10 +500,10 @@ def synthesize_subsequential(
         raise PreconditionError(
             "syntactic congruence has infinite index with respect to the closure"
         )
-    return minimal_machine(subsequential_machine(prep, pplus))
+    return _minimal(_subsequential_moves(prep, pplus)).machine()
 
 
-def subsequential_machine(prep: Prepared, pplus: LetterTransducer) -> SubsequentialTransducer:
+def _subsequential_moves(prep: Prepared, pplus: LetterTransducer) -> _Moves:
     """The matrix construction of ``synthesize_subsequential``, without its checks.
 
     The body runs over the product of both pair automata: outputs follow
@@ -496,9 +512,10 @@ def subsequential_machine(prep: Prepared, pplus: LetterTransducer) -> Subsequent
     related row index. ``decide_kerseq_lp`` establishes the conditions
     before calling it. A prefix-closed relation that is its own congruence
     is built by ``_walk`` when ``pplus`` is the very closure
-    ``Prepared.closure`` searched (``Prepared.own_closure``); any other
-    closure, a supplied one of the same language included, by
-    ``_worklist``.
+    ``Prepared.closure`` searched (``Prepared.own_closure``), where an
+    entry is accepting in the closure exactly when it is diagonal in the
+    relation; any other closure, a supplied one of the same language
+    included, by ``_worklist``.
     """
     r, rdfa = prep.relation, prep.det
     pdfa = pair_dfa(pplus)
@@ -508,7 +525,7 @@ def subsequential_machine(prep: Prepared, pplus: LetterTransducer) -> Subsequent
     (p0,) = pdfa.nfa.initials
     r_targets = _targets(rdfa.nfa)
     p_targets = _targets(pdfa.nfa)
-    letters = r.input_alphabet.letters
+    inputs = r.input_alphabet
 
     def targets(q):
         return list(zip(r_targets(q[0]), p_targets(q[1])))
@@ -516,29 +533,19 @@ def subsequential_machine(prep: Prepared, pplus: LetterTransducer) -> Subsequent
     def coarse_final(q):
         return q[1] in p_finals
 
-    if prep.prefix_closed and prep.own_congruence and pplus is prep.own_closure:
-        found = _walk(letters, (r0, p0), targets, coarse_final)
-    else:
-        r_diag, p_diag = prep.diagonal, diagonal_states(pdfa)
-        found = _worklist(
-            letters,
-            (r0, p0),
-            targets,
-            coarse_final,
-            lambda q: q[0] in r_diag,
-            lambda q: q[0] in r_diag and q[1] in p_diag,
-        )
-    matrices, order, _transitions, l_max = found
-    final_output = {}
-    for sid, (mi, i) in enumerate(order):
-        related = [
-            j for j, entry in enumerate(matrices[mi][i - 1], start=1) if entry[0] in r_finals
-        ]
-        if not related:
+    def tag(row):
+        j = next((j for j, entry in enumerate(row, start=1) if entry[0] in r_finals), None)
+        if j is None:
             raise InternalInvariantError("matrix row is not related to itself")
-        final_output[sid] = f"t{min(related)}"
-    body = _machine(r.input_alphabet, found, (f"t{j}" for j in range(1, l_max + 1)))
-    return SubsequentialTransducer(base=body, final_output=final_output)
+        return f"t{j}"
+
+    if prep.prefix_closed and prep.own_congruence and pplus is prep.own_closure:
+        return _walk(inputs, (r0, p0), targets, coarse_final, tag)
+    r_diag, p_diag = prep.diagonal, diagonal_states(pdfa)
+    return _worklist(
+        inputs, (r0, p0), targets, coarse_final,
+        lambda q: q[0] in r_diag, lambda q: q[0] in r_diag and q[1] in p_diag, tag,
+    )
 
 
 def eliminate_final_output(m: SubsequentialTransducer) -> SequentialTransducer:
@@ -555,47 +562,54 @@ def eliminate_final_output(m: SubsequentialTransducer) -> SequentialTransducer:
     it is first reached with. States are numbered breadth first; a
     state's provenance is ``str((body state, letter))``. The result is
     sequential, letter-to-letter only when n is 1, and has the same
-    kernel as the input machine.
+    kernel as the input machine. ``_eliminated`` folds the table.
     """
-    base = m.base
-    if not base.finals:
+    return _eliminated(_Moves.of(m)).machine()
+
+
+def _eliminated(t: _Moves) -> _Moves:
+    """``eliminate_final_output`` on a subsequential table; with one
+    final-output value every move keeps its code."""
+    values = sorted({tag for tag in t.tags if tag is not None}, key=t.outputs.index)
+    if not values:
         raise PreconditionError("machine accepts nothing; no final outputs to fold")
-    out_order = {a: i for i, a in enumerate(base.output_alphabet.letters)}
-    values = sorted({m.final_output[q] for q in base.finals}, key=out_order.__getitem__)
     n = len(values)
-    initial_value = m.final_output.get(base.initial)
-    if initial_value is not None:
-        values = [v for v in values if v != initial_value] + [initial_value]
+    values.sort(key=lambda v: v == t.tags[0])  # the initial state's value last
     klass = {v: i for i, v in enumerate(values, start=1)}
-    start = base.output_alphabet.letters[0]
-    first = {base.initial: start}  # body state -> the letter it is first reached with
+    counts = [n if tag is None else klass[tag] for tag in t.tags]  # per body state, its class
+    words, start = t.words, t.outputs.letters[0]
+    first = {0: start}  # body state -> the letter it is first reached with
+    order = [(0, start if n > 1 else None)]  # per state: (body state, letter carried)
+    number = {order[0]: 0}
+    index: dict = {}  # output word -> its code, when n > 1
+    codes, targets = [], []
+    for s, (p, c) in enumerate(order):  # order grows while it is walked
+        code_row, to = [], []
+        for code, q in zip(t.codes[p], t.targets[p]):
+            if code >= 0:
+                (b,) = words[code]
+                first.setdefault(q, b)
+                if n > 1:
+                    code = index.setdefault((c,) * (n - counts[p]) + (b,) * counts[q], len(index))
+                node = (q, b if n > 1 else None)
+                q = number.setdefault(node, len(order))
+                if q == len(order):
+                    order.append(node)
+            else:
+                q = s
+            code_row.append(code)
+            to.append(q)
+        codes.append(code_row)
+        targets.append(to)
+    names = t.names
 
-    def class_of(state: int) -> int:
-        if state in base.finals:
-            return klass[m.final_output[state]]
-        return n
+    def render(s):
+        p, c = order[s]
+        return str((p if names is None else names[p], first[p] if c is None else c))
 
-    def successors(node):
-        p, c = node
-        for a in base.input_alphabet.letters:
-            hop = base.transitions.get((p, a))
-            if hop is None:
-                continue
-            (b,), q = hop
-            first.setdefault(q, b)
-            yield (a, (c,) * (n - class_of(p)) + (b,) * class_of(q)), (q, b if n > 1 else None)
-
-    order, edges = explore([(base.initial, start if n > 1 else None)], successors)
-    return SequentialTransducer(
-        input_alphabet=base.input_alphabet,
-        output_alphabet=base.output_alphabet,
-        states=frozenset(range(len(order))),
-        transitions={(sid, a): (out, dst) for sid, (a, out), dst in edges},
-        initial=0,
-        finals=frozenset(sid for sid, (p, _c) in enumerate(order) if p in base.finals),
-        provenance={
-            sid: str((p, first[p] if c is None else c)) for sid, (p, c) in enumerate(order)
-        },
+    tags = [None if t.tags[p] is None else True for p, _c in order]
+    return _Moves(
+        t.inputs, t.outputs, words if n == 1 else list(index), codes, targets, tags, False, render
     )
 
 
@@ -624,46 +638,25 @@ def _ahead(pending: Word, side: int) -> list[Word]:
 
 class _Squared:
     """The squared machine of ``kernel_transducer`` over integer states.
+    A squared state is k = (balance × n + p) × n + q over the n states of a
+    ``_Moves`` table, a balance numbering what one run has emitted beyond
+    the other in the order first met, 0 for nothing pending: k < n²
+    exactly when nothing is pending, and the start is 0. A step to (p',
+    q') adds p' × n × ``scale`` (``lefts``) and q' × ``scale``
+    (``rights``). ``successors`` is the one successor function and
+    ``charge`` the one charge of the budget."""
 
-    A squared state is k = (balance × n + p) × n + q over the n machine
-    states numbered 0..n-1, where a balance numbers what one run has
-    emitted beyond the other in the order first met, 0 for nothing
-    pending: k < n² exactly when nothing is pending. One pass over the
-    machine's moves gives each state, per input-letter position, the code
-    of its output word (-1 where the move is missing) and its target, as
-    what a step to (p', q') adds to a squared state: p' × n on the left
-    (``lefts``) and q' on the right (``rights``), each times ``scale``.
-    ``successors`` is the one successor function and ``charge`` the one
-    charge of the budget.
-    """
-
-    def __init__(self, f: SequentialTransducer | SubsequentialTransducer, scale: int = 1):
-        if isinstance(f, SubsequentialTransducer):
-            base, final_output = f.base, f.final_output
-        else:
-            base, final_output = f, dict.fromkeys(f.finals, True)
-        states = list(base.states)
-        number = {q: i for i, q in enumerate(states)}
-        position = base.input_alphabet._index  # letter -> its position
-        n = self.n = len(states)
+    def __init__(self, t: _Moves, scale: int = 1):
+        n = self.n = len(t.codes)
         self.nn, self.scale = n * n, scale
-        self.codes = [[-1] * len(position) for _ in states]
-        self.lefts = [[0] * len(position) for _ in states]  # target × n × scale
-        self.rights = [[0] * len(position) for _ in states]  # target × scale
-        words: dict = {}  # output word -> its code
-        for (q, a), (out, dst) in base.transitions.items():
-            p, i = number[q], position[a]
-            self.codes[p][i] = words.setdefault(out, len(words))
-            self.rights[p][i] = t = number[dst] * scale
-            self.lefts[p][i] = t * n
-        self.words = list(words)
+        self.codes, self.words, self.tags = t.codes, t.words, t.tags
+        self.rights = [[q * scale for q in row] for row in t.targets]
+        self.lefts = [[q * n for q in row] for row in self.rights]
         self.lengths = [len(out) for out in self.words]
         self.uniform = len(set(self.lengths)) < 2  # every move outputs as many letters
         self.budget = (1 + max(self.lengths, default=0)) * self.nn
         self.held = 0
         self.expanded: set = set()  # the squared states the walk has expanded
-        self.tags = [final_output.get(q) for q in states]  # None when q is not final
-        self.start = number[base.initial] * (n + 1)
         self.balances = {((), 0): 0}
         self.extras = [((), ())]  # per balance: what each run has emitted beyond the other
 
@@ -726,21 +719,20 @@ def kernel_transducer(f: SequentialTransducer | SubsequentialTransducer) -> Lett
     is pending, both machine states are final and, for subsequential
     machines, the final letters agree. The machine is input-deterministic,
     so the result is deterministic over pair letters. Squaring runs under
-    the budget of ``_kernel_counterexample`` and raises
+    the budget of ``_kernel_counterexample``, raising
     ``NotLetterToLetterError`` beyond it. The result is the whole kernel
-    when inputs of different lengths never share an output, which
-    ``length_collision`` decides.
+    unless inputs of different lengths share an output (``length_collision``).
     """
-    base = f.base if isinstance(f, SubsequentialTransducer) else f
-    inputs = base.input_alphabet
+    t = _Moves.of(f)
+    inputs = t.inputs
     alphabet = pair_alphabet(inputs, inputs)
-    square = _Squared(f)
+    square = _Squared(t)
 
     def successors(k):
         square.charge(k)
         return ((ab, t) for ab, t in zip(alphabet.letters, square.successors(k)) if t >= 0)
 
-    nfa = explored(alphabet, [square.start], successors, square.accepting)
+    nfa = explored(alphabet, [0], successors, square.accepting)
     return LetterTransducer(inputs, inputs, nfa)
 
 
@@ -758,27 +750,39 @@ def length_collision(m: SequentialTransducer) -> tuple[Word, Word] | None:
     nonzero weight, or every path to a state weighs its potential and a
     collision ends in an accepting state of nonzero potential.
     """
-    # the states that can reach a final state; no others are explored
-    live = _reach(m.finals, ((q, p) for (p, _a), (_out, q) in m.transitions.items()))
-    letters = m.input_alphabet.letters
-    start = (m.initial, m.initial, (), 0)
+    return _length_collision(_Moves.of(m))
+
+
+def _live(t: _Moves) -> frozenset[int]:
+    """The states of a table that reach a final state."""
+    return _reach(
+        [q for q, tag in enumerate(t.tags) if tag is not None],
+        ((q, p) for p, row in enumerate(t.targets) for c, q in zip(t.codes[p], row) if c >= 0),
+    )
+
+
+def _length_collision(t: _Moves) -> tuple[Word, Word] | None:
+    """``length_collision`` on a table."""
+    live = _live(t)  # no other states are explored
+    moved = [
+        [(a, t.words[c], q) for a, c, q in zip(t.inputs.letters, codes, row) if c >= 0 and q in live]
+        for codes, row in zip(t.codes, t.targets)
+    ]
+    start = (0, 0, (), 0)
     moves: dict = {start: []}
     todo = [start]
     while todo:
         node = todo.pop()
         runs = (0, 1) if not node[2] else (1 - node[3],)
         for run in runs:
-            for a in letters:
-                hop = m.transitions.get((node[run], a))
-                if hop is None or hop[1] not in live:
-                    continue
+            for a, out, dst in moved[node[run]]:
                 extra = _ahead(node[2], node[3])
-                extra[run] += hop[0]
+                extra[run] += out
                 balance = _balance(*extra)
                 if balance is None:
                     continue
                 states = [node[0], node[1]]
-                states[run] = hop[1]
+                states[run] = dst
                 nxt = tuple(states) + balance
                 moves[node].append(((run, a), nxt))
                 if nxt not in moves:
@@ -786,7 +790,7 @@ def length_collision(m: SequentialTransducer) -> tuple[Word, Word] | None:
                     todo.append(nxt)
 
     def accepting(node):
-        return not node[2] and node[0] in m.finals and node[1] in m.finals
+        return not node[2] and t.tags[node[0]] is not None and t.tags[node[1]] is not None
 
     back: dict = {}
     for node, out in moves.items():
@@ -844,10 +848,11 @@ def length_collision(m: SequentialTransducer) -> tuple[Word, Word] | None:
     return None
 
 
-def _length_graded(m: SequentialTransducer) -> bool:
-    """Whether ``m`` is length-graded, so that ``length_collision(m)`` is None.
+def _length_graded(t: _Moves) -> bool:
+    """Whether the machine of table ``t`` is length-graded, so that it has no
+    ``length_collision``.
 
-    ``m`` is length-graded when, over its live states (reachable, and
+    It is length-graded when, over its live states (reachable, and
     reaching a final one), every move p → q outputs c + φ(q) − φ(p)
     letters, for one c ≥ 1 and a potential φ spanning less than c. An
     accepted input u then outputs c·|u| + φ(q) − φ(initial) letters for
@@ -866,28 +871,26 @@ def _length_graded(m: SequentialTransducer) -> bool:
     which may leave a graded machine to the full search, never the
     converse.
     """
-    if m.is_letter_to_letter:
-        return True
-    live = _reach(m.finals, ((q, p) for (p, _a), (_out, q) in m.transitions.items()))
-    if m.initial not in live:
-        return True  # m accepts nothing
-    letters = m.input_alphabet.letters
-    walked = {m.initial: (0, 0)}  # state -> (depth, output length) along the walk
-    order = [m.initial]
+    lengths = [len(out) for out in t.words]
+    if all(n == 1 for n in lengths):
+        return True  # letter to letter
+    live = _live(t)
+    if 0 not in live:
+        return True  # the machine accepts nothing
+    walked = {0: (0, 0)}  # state -> (depth, output length) along the walk
+    order = [0]
     off_tree = []  # per move off the walk's tree: (factor, output length gained)
     for p in order:  # order grows while it is walked
         k, length = walked[p]
-        for a in letters:
-            hop = m.transitions.get((p, a))
-            if hop is None or hop[1] not in live:
+        for c, q in zip(t.codes[p], t.targets[p]):
+            if c < 0 or q not in live:
                 continue
-            out, q = hop
             seen = walked.get(q)
             if seen is None:
-                walked[q] = k + 1, length + len(out)
+                walked[q] = k + 1, length + lengths[c]
                 order.append(q)
             else:
-                off_tree.append((k + 1 - seen[0], length + len(out) - seen[1]))
+                off_tree.append((k + 1 - seen[0], length + lengths[c] - seen[1]))
     c = next((gain // factor for factor, gain in off_tree if factor), 1)
     if c < 1 or any(gain != c * factor for factor, gain in off_tree):
         return False
@@ -913,7 +916,7 @@ def kernel_counterexample(
     if not d.is_complete or d.states != frozenset(range(len(d.states))):
         d = pair_dfa(r).nfa
     _reflexive, symmetric, _transitive = _axioms(d, r.input_alphabet)
-    return _kernel_counterexample(f, d, symmetric() is None)
+    return _kernel_counterexample(_Moves.of(f), d, symmetric() is None)
 
 
 @cache
@@ -929,20 +932,18 @@ def _pair_moves(width: int) -> tuple[tuple, tuple]:
     return every, ordered
 
 
-def _kernel_counterexample(f, d, symmetric: bool) -> tuple[Word, Word] | None:
-    """The shortlex-least pair on which the kernel of ``f`` and the relation R
-    of the complete pair DFA ``d``, with states 0..m-1, disagree, or None.
+def _kernel_counterexample(t: _Moves, d, symmetric: bool) -> tuple[Word, Word] | None:
+    """The shortlex-least pair on which the kernel of table ``t``'s machine
+    and the relation R of the complete pair DFA ``d``, with states 0..m-1,
+    disagree, or None.
 
     ``symmetric`` must be true only when R is symmetric. Inputs of
     different lengths with one output are looked for first, by
     ``length_collision``: R relates only words of equal length. That
-    search is skipped on a length-graded machine (``_length_graded``):
-    one whose live moves each output c + φ(q) − φ(p) letters, for one
-    c ≥ 1 and a potential φ spanning less than c, so that inputs of
-    different lengths have outputs of different lengths. Letter-to-letter
-    and subsequential machines are graded, and so are eliminated
-    witnesses, but for the few whose states ``minimal_machine`` merged out
-    of grading.
+    search is skipped on a length-graded machine (``_length_graded``),
+    where such inputs have outputs of different lengths: letter-to-letter
+    and subsequential machines, and eliminated witnesses but for the few
+    whose states minimization merged out of grading.
 
     Then one breadth-first walk over the synchronous product of the
     squared machine of ``kernel_transducer`` with ``d`` stops at the first
@@ -962,45 +963,41 @@ def _kernel_counterexample(f, d, symmetric: bool) -> tuple[Word, Word] | None:
     the state s of ``d``; the move tables hold their targets times 2m, so
     a successor node is a sum. While nothing is pending (k < n², for n
     machine states) the walk computes each successor inline from those
-    tables: equal output codes go to the pair of targets, still with
-    nothing pending; a missing move, or two different codes of equal
-    length, goes to the dead state; only codes of different lengths
-    number a balance. A squared state with output pending takes its
-    successors from ``_Squared.successors``, as ``kernel_transducer``
-    does.
+    tables: equal output codes go to the pair of targets; a missing move,
+    or two different codes of equal length, to the dead state; only codes
+    of different lengths number a balance. A squared state with output
+    pending takes its successors from ``_Squared.successors``.
 
     The budget: a squared state is charged when the walk first expands
     it, which ``_Squared.expanded`` records, 1 plus the output letters it
     holds pending, and once the charges pass (1 + longest move output) ×
     n² the walk raises ``NotLetterToLetterError``. That ends the walk on a
     machine whose two runs on equal-length inputs lag apart without
-    bound, where the states and their buffers grow together. A machine
-    whose moves all output the same number of letters never has output
-    pending, so it expands at most n² squared states, within its budget,
-    and the walk charges it nothing. Subsequential machines have
-    letter-to-letter bodies. The witnesses of ``eliminate_final_output``
-    fit too: with c final-output classes, runs on inputs of one length lag
-    by fewer than c letters, and the pending word is fixed by the pair of
-    states. When the kernel equals R the walk expands every squared state
-    it reaches; when they differ, it returns the pair it meets first, also
-    where the whole squared machine exceeds the budget.
+    bound. A machine whose moves all output the same number of letters,
+    as letter-to-letter bodies do, never has output pending, so it
+    expands at most n² squared states and is charged nothing. The
+    witnesses of ``eliminate_final_output`` fit too: with c final-output
+    classes, runs on inputs of one length lag by fewer than c letters, and
+    the pending word is fixed by the pair of states. When the kernel
+    equals R the walk expands every squared state it reaches; when they
+    differ, it returns the pair it meets first, also where the whole
+    squared machine exceeds the budget.
     """
-    base = f.base if isinstance(f, SubsequentialTransducer) else f
-    if not _length_graded(base):
-        pair = length_collision(base)
+    if not _length_graded(t):
+        pair = _length_collision(t)
         if pair is not None:
             return pair
     table = d._table
     states = range(len(d.states))
     size2 = 2 * len(states)
-    square = _Squared(f, size2)
+    square = _Squared(t, size2)
     n, nn, codes, lefts, rights = square.n, square.nn, square.codes, square.lefts, square.rights
     words, lengths, tags, uniform = square.words, square.lengths, square.tags, square.uniform
     balance, charge, successors, expanded = (
         square.balance, square.charge, square.successors, square.expanded
     )
     step = nn * size2  # one balance
-    width = len(base.input_alphabet)
+    width = len(t.inputs)
     moves = _pair_moves(width)
     # per node remainder (state of d, bit): the targets of the state of d as
     # the nodes of squared state 0 with the bit clear, the moves, and acceptance
@@ -1009,7 +1006,7 @@ def _kernel_counterexample(f, d, symmetric: bool) -> tuple[Word, Word] | None:
     dead = -size2
     dead_row = [dead] * (width * width)
     (d0,) = d.initials
-    start = square.start * size2 + 2 * d0 + symmetric
+    start = 2 * d0 + symmetric  # squared state 0
     parent = {start: None}  # product node -> the node it was first reached from
     queue = [start]
     for node in queue:  # the queue grows while it is walked
@@ -1060,6 +1057,6 @@ def _kernel_counterexample(f, d, symmetric: bool) -> tuple[Word, Word] | None:
             (a, b) for at, a, b, keep in pair_moves if k_row[at] + d_row[at] + keep == node
         ))
         node = up
-    names = base.input_alphabet.letters
+    names = t.inputs.letters
     letters.reverse()
     return tuple(names[a] for a, _b in letters), tuple(names[b] for _a, b in letters)

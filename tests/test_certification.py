@@ -33,12 +33,12 @@ from kernseq.machines import SequentialTransducer, SubsequentialTransducer
 from kernseq.oracle import accepts_pair_backward, random_equivalence
 from kernseq.relations import inverse, prepare, validate_relation
 from kernseq.synthesis import (
+    _mealy_moves,
+    _subsequential_moves,
     kernel_counterexample,
     kernel_transducer,
     length_collision,
-    mealy_machine,
     minimal_machine,
-    subsequential_machine,
     synthesize_mealy,
     synthesize_subsequential,
 )
@@ -561,9 +561,10 @@ def test_minimal_witnesses_give_the_outputs_of_their_constructions(snapshot_witn
         prep = prepare(r)
         pairs = []
         if ll.outcome is Outcome.YES:
-            pairs.append((ll.witness, mealy_machine(prep)))
+            pairs.append((ll.witness, _mealy_moves(prep).machine()))
         if lp.outcome is Outcome.YES:
-            pairs.append((lp.subsequential, subsequential_machine(prep, lp.closure.closure)))
+            built = _subsequential_moves(prep, lp.closure.closure).machine()
+            pairs.append((lp.subsequential, built))
         for minimal, built in pairs:
             for w in words(r.input_alphabet.letters, 6):
                 assert minimal.run(w) == built.run(w), (name, w)
@@ -572,7 +573,7 @@ def test_minimal_witnesses_give_the_outputs_of_their_constructions(snapshot_witn
 
 
 def test_minimal_machine_keeps_the_provenance_of_least_members():
-    built = mealy_machine(prepare(build_agree_except_last(1)))
+    built = _mealy_moves(prepare(build_agree_except_last(1))).machine()
     minimal = minimal_machine(built)
     # the 3 matrix states: the start state and row 1 of the 2-by-2 matrix
     # give the same output on every input, so the start state is kept
@@ -587,3 +588,110 @@ def test_eliminated_witness_of_agree_except_last_7_is_minimal():
     assert len(verdict.subsequential.base.states) == 128
     assert len(verdict.witness.states) == 128
     assert len(decide_kerseq_ll(build_agree_except_last(7)).witness.states) == 128
+
+
+# ---------------------------------------------------------------- the move table
+
+def _fields(m):
+    """Every field of a machine, its provenance strings included."""
+    base = m.base if isinstance(m, SubsequentialTransducer) else m
+    return m, None if base.provenance is None else dict(base.provenance)
+
+
+def test_the_deciders_build_the_machines_of_the_frozen_stages():
+    from cosequential import SLOW_CLOSURE, cosequential_suite
+    from reference_synthesis import reference_ll, reference_lp
+
+    rng = random.Random(7)
+    relations = [r for _name, r in _relations() if validate_relation(r).is_equivalence]
+    relations += [random_equivalence(rng, letters=("a", "b", "c")) for _ in range(200)]
+    relations += [r for i, r in enumerate(cosequential_suite()) if i != SLOW_CLOSURE]
+    compared = [0, 0, 0]  # decide ll YES, decide lp YES with one final-output value, with more
+    for r in relations:
+        ll = decide_kerseq_ll(r)
+        if ll.outcome is Outcome.YES:
+            assert _fields(ll.witness) == _fields(reference_ll(r))
+            compared[0] += 1
+        lp = decide_kerseq_lp(r)
+        if lp.outcome is Outcome.YES:
+            witness, sub = reference_lp(r, lp.closure.closure)
+            assert _fields(lp.subsequential) == _fields(sub)
+            assert _fields(lp.witness) == _fields(witness)
+            compared[1 + (len(set(sub.final_output.values())) > 1)] += 1
+    assert compared[0] > 400 and compared[1] > 400 and compared[2] > 100
+
+
+def renamed(m, rng):
+    """``m`` with its states renamed at random among 0..9, so that the initial
+    one is often not the least, and each state's old name as its provenance."""
+    sub = isinstance(m, SubsequentialTransducer)
+    base = m.base if sub else m
+    name = dict(zip(sorted(base.states), rng.sample(range(10), len(base.states))))
+    body = SequentialTransducer(
+        input_alphabet=base.input_alphabet,
+        output_alphabet=base.output_alphabet,
+        states={name[q] for q in base.states},
+        transitions={
+            (name[q], a): (out, name[dst]) for (q, a), (out, dst) in base.transitions.items()
+        },
+        initial=name[base.initial],
+        finals={name[q] for q in base.finals},
+        provenance={name[q]: f"state {q}" for q in base.states},
+    )
+    if not sub:
+        return body
+    return SubsequentialTransducer(body, {name[q]: v for q, v in m.final_output.items()})
+
+
+def test_the_public_stages_equal_the_frozen_stages_on_random_machines():
+    from kernseq.errors import PreconditionError
+    from kernseq.synthesis import eliminate_final_output
+    from reference_synthesis import reference_eliminate_final_output, reference_minimal_machine
+
+    rng = random.Random(2003)
+    seen = set()
+    for i in range(1200):
+        kind = i % 4  # partial with lagging outputs, uniform, subsequential, two-letter outputs
+        m = random_machine(rng, kind != 0, subsequential=kind == 2, length=1 + (kind == 3))
+        if i % 8 >= 4:
+            m = renamed(m, rng)
+        try:
+            expected = _fields(reference_minimal_machine(m))
+        except KeyError:  # a machine with a missing move, which the frozen stage refuses
+            expected = None
+        minimal = minimal_machine(m)
+        if expected is not None:
+            assert _fields(minimal) == expected
+        else:
+            for w in words(AB.letters, 4):
+                assert minimal.run(w) == m.run(w)
+        seen.add((kind, expected is not None))
+        if kind == 2:
+            try:
+                expected = _fields(reference_eliminate_final_output(m))
+            except PreconditionError:
+                with pytest.raises(PreconditionError):
+                    eliminate_final_output(m)
+                seen.add("accepts nothing")
+            else:
+                assert _fields(eliminate_final_output(m)) == expected
+    assert {(kind, complete) for kind in range(4) for complete in (True, False)} < seen
+    assert "accepts nothing" in seen
+
+
+def test_each_returned_machine_is_constructed_once(monkeypatch):
+    built = []
+    for cls in (SequentialTransducer, SubsequentialTransducer):
+        check = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, check=check: built.append(type(self)) or check(self)
+        )
+    one_class, two_classes = build_agree_except_last(3), build_mod_count(2)
+    assert decide_kerseq_ll(one_class).outcome is Outcome.YES
+    assert built == [SequentialTransducer]
+    for r in (one_class, two_classes):
+        built.clear()
+        verdict = decide_kerseq_lp(r)
+        assert verdict.outcome is Outcome.YES
+        assert built == [SequentialTransducer, SequentialTransducer, SubsequentialTransducer]
+    assert len(set(verdict.subsequential.final_output.values())) == 2

@@ -1,11 +1,13 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from kernseq.cli import build_parser, main
 from kernseq.errors import DimensionCapError
 from kernseq.fileformat import parse, render
+from kernseq.oracle import accepts_pair_backward
 
 from conftest import (
     build_a_parity,
@@ -96,6 +98,7 @@ def test_decide_ll_identity_roundtrip_through_verify(files, capsys, tmp_path):
     assert code == 0
     assert payload["mode"] == "exact"
     assert payload["kernelEqualsRelation"] is True
+    assert payload["pair"] is None
 
 
 def test_decide_lp_witness_files_verify(files, capsys, tmp_path):
@@ -163,6 +166,7 @@ def test_verify_stops_squaring_a_large_machine_with_growing_lag(capsys, tmp_path
     assert code == 0
     assert payload["mode"] == "bounded"
     assert payload["kernelEqualsRelation"] is True
+    assert payload["pair"] is None
 
 
 def test_verify_detects_wrong_machine(files, capsys, tmp_path):
@@ -172,6 +176,11 @@ def test_verify_detects_wrong_machine(files, capsys, tmp_path):
     code, payload, _ = run_json(capsys, "verify", files["last_a"], witness)
     assert code == 1
     assert payload["kernelEqualsRelation"] is False
+    # the pair named is one on which the kernel and the relation disagree
+    u, v = map(tuple, payload["pair"])
+    relation = parse(Path(files["last_a"]).read_text()).machine
+    machine = parse(Path(witness).read_text()).machine
+    assert accepts_pair_backward(relation, u, v) != (machine.run(u) == machine.run(v))
 
 
 def test_verify_walks_all_pairs_against_a_relation_that_is_not_symmetric(capsys, tmp_path):
@@ -192,6 +201,7 @@ def test_verify_walks_all_pairs_against_a_relation_that_is_not_symmetric(capsys,
     assert code == 1
     assert payload["mode"] == "exact"
     assert payload["kernelEqualsRelation"] is False
+    assert payload["pair"] == [["b"], ["a"]]
 
 
 def test_closure_cap_exhaustion_exits_two_and_writes_nothing(files, capsys, tmp_path):

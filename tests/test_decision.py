@@ -46,8 +46,8 @@ from kernseq.relations import (
     validate_relation,
 )
 from kernseq.synthesis import (
+    _mealy_moves,
     kernel_transducer,
-    mealy_machine,
     synthesize_mealy,
     synthesize_subsequential,
 )
@@ -698,7 +698,7 @@ def test_state_cap_admits_exactly_the_witness_states(monkeypatch):
     # Moore quotient, 8 states
     relation = build_agree_except_last(3)
     monkeypatch.setattr(kernseq.synthesis, "STATE_CAP", 15)
-    assert len(mealy_machine(prepare(relation)).states) == 15
+    assert len(_mealy_moves(prepare(relation)).machine().states) == 15
     verdict = decide_kerseq_ll(relation)
     assert verdict.outcome is Outcome.YES
     assert len(verdict.witness.states) == 8
@@ -982,7 +982,7 @@ def test_decide_lp_c_singletons_decided_without_closure(c_singletons):
 
 
 # decide lp checks r first unless the closure needs no composition round.
-# The co-sequential draws of INFINITE_BEFORE_ROUNDS must be refused so; the
+# The co-sequential draws of REFUSED_BEFORE_ROUNDS must be refused so; the
 # child raises at the first round.
 _INDEX_BEFORE_ROUNDS = """
 import resource, sys, time
@@ -990,7 +990,7 @@ limit = int(sys.argv[1])
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from kernseq import relations
 from kernseq.decision import decide_kerseq_lp
-from cosequential import INFINITE_BEFORE_ROUNDS, cosequential_suite
+from cosequential import REFUSED_BEFORE_ROUNDS, cosequential_suite
 
 
 def compose(*args):
@@ -998,8 +998,8 @@ def compose(*args):
 
 
 relations.compose = compose
-draws = cosequential_suite(max(INFINITE_BEFORE_ROUNDS) + 1)
-for i in INFINITE_BEFORE_ROUNDS:
+draws = cosequential_suite(max(REFUSED_BEFORE_ROUNDS) + 1)
+for i in REFUSED_BEFORE_ROUNDS:
     start = time.perf_counter()
     v = decide_kerseq_lp(draws[i])
     took = time.perf_counter() - start
@@ -1014,7 +1014,7 @@ def test_decide_lp_checks_the_index_against_r_before_any_composition_round():
     import subprocess
 
     import kernseq
-    from cosequential import INFINITE_BEFORE_ROUNDS
+    from cosequential import REFUSED_BEFORE_ROUNDS
 
     paths = [pathlib.Path(kernseq.__file__).parents[1], pathlib.Path(__file__).parent]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
@@ -1027,7 +1027,7 @@ def test_decide_lp_checks_the_index_against_r_before_any_composition_round():
     )
     assert done.returncode == 0, done.stderr
     assert [line.split() for line in done.stdout.splitlines()] == [
-        [str(i), "NO", INFINITE_INDEX, "True", "True"] for i in INFINITE_BEFORE_ROUNDS
+        [str(i), "NO", INFINITE_INDEX, "True", "True"] for i in REFUSED_BEFORE_ROUNDS
     ]
 
 
@@ -1037,7 +1037,7 @@ def _relation_first_lp(r, cap=DEFAULT_CLOSURE_CAP):
     the closure needs composition rounds."""
     from kernseq.decision import Verdict, _body, _certify
     from kernseq.relations import _finite_index
-    from kernseq.synthesis import eliminate_final_output, minimal_machine, subsequential_machine
+    from kernseq.synthesis import _eliminated, _minimal, _subsequential_moves
 
     prep = prepare(r)
     if not _finite_index(prep, r):
@@ -1047,15 +1047,17 @@ def _relation_first_lp(r, cap=DEFAULT_CLOSURE_CAP):
         return Verdict(Outcome.UNKNOWN, reason=CLOSURE_CAP_EXHAUSTED, closure=closure_result)
     if not finite:
         return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=closure_result)
-    sub = minimal_machine(subsequential_machine(prep, closure_result.closure))
-    witness = eliminate_final_output(sub)
-    one_class = len(set(sub.final_output.values())) == 1
+    sub = _minimal(_subsequential_moves(prep, closure_result.closure))
+    witness = _eliminated(sub)
+    one_class = len(set(sub.tags)) == 1
     if not one_class:
-        witness = minimal_machine(witness)
+        witness = _minimal(witness)
     _certify(sub, prep, "subsequential witness")
-    if not one_class or _body(witness) != _body(sub.base):
+    if not one_class or _body(witness) != _body(sub):
         _certify(witness, prep, "witness after final-output elimination")
-    return Verdict(Outcome.YES, witness=witness, subsequential=sub, closure=closure_result)
+    return Verdict(
+        Outcome.YES, witness=witness.machine(), subsequential=sub.machine(), closure=closure_result
+    )
 
 
 def test_decide_lp_answers_as_the_relation_first_order():
@@ -1205,6 +1207,7 @@ def test_decide_lp_refuses_a_witness_with_the_wrong_kernel(
     import kernseq.decision
     from kernseq.errors import InternalInvariantError
     from kernseq.machines import SequentialTransducer
+    from kernseq.synthesis import _Moves
 
     constant = SequentialTransducer(
         input_alphabet=AB,
@@ -1214,10 +1217,33 @@ def test_decide_lp_refuses_a_witness_with_the_wrong_kernel(
         initial=0,
         finals={0},
     )
-    monkeypatch.setattr(kernseq.decision, "eliminate_final_output", lambda sub: constant)
-    for r in (a_parity, agree_except_last):  # two final-output classes, and one
-        with pytest.raises(InternalInvariantError):
+    eliminated = []
+    monkeypatch.setattr(
+        kernseq.decision, "_eliminated", lambda sub: eliminated.append(sub) or _Moves.of(constant)
+    )
+    for r, classes in [(a_parity, 2), (agree_except_last, 1)]:
+        with pytest.raises(InternalInvariantError, match="after final-output elimination"):
             decide_kerseq_lp(r)
+        assert len(set(eliminated.pop().tags)) == classes
+
+
+def test_decide_ll_refuses_a_witness_with_the_wrong_kernel(monkeypatch, agree_except_last):
+    import kernseq.decision
+    from kernseq.errors import InternalInvariantError
+
+    build = kernseq.decision._mealy_moves
+
+    def corrupted(prep):
+        table = build(prep)
+        # the initial state outputs a different letter on each input letter,
+        # so the words "a" and "b", which agree but in their last letter, part
+        table.codes[0] = list(range(len(table.codes[0])))
+        return table
+
+    assert decide_kerseq_ll(agree_except_last).outcome is Outcome.YES
+    monkeypatch.setattr(kernseq.decision, "_mealy_moves", corrupted)
+    with pytest.raises(InternalInvariantError, match="synthesized machine kernel differs"):
+        decide_kerseq_ll(agree_except_last)
 
 
 def test_decide_lp_walks_once_for_a_witness_equal_to_the_body(
@@ -1422,16 +1448,16 @@ def test_the_closure_keeps_its_complete_minimal_dfa(monkeypatch):
         assert pair_dfa(closure).nfa == minimize(closure.nfa) == automata._subsets(closure.nfa)
     # so the synthesis builds no subset construction of a fresh relation's closure
     built = count_calls(monkeypatch, automata, "_subsets")
-    real = decision.subsequential_machine
+    real = decision._subsequential_moves
     during = []  # subset constructions per synthesis
 
     def spy(prep, pplus):
         before = len(built)
-        machine = real(prep, pplus)
+        table = real(prep, pplus)
         during.append(len(built) - before)
-        return machine
+        return table
 
-    monkeypatch.setattr(decision, "subsequential_machine", spy)
+    monkeypatch.setattr(decision, "_subsequential_moves", spy)
     for r in default_suite(200, seed=7):
         assert decide_kerseq_lp(r).outcome is Outcome.YES
     assert len(during) == 200 and set(during) == {0}

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kernseq.automata import Alphabet, explore, language_equal
+from kernseq.automata import Alphabet, language_equal
 from kernseq.decision import Outcome, decide_kerseq_ll, decide_kerseq_lp
 from kernseq.errors import (
     AlphabetMismatchError,
@@ -30,22 +30,22 @@ from kernseq.relations import (
 )
 from kernseq import synthesis
 from kernseq.synthesis import (
-    ENTRY_CAP,
-    STATE_CAP,
     _check_matrix,
     _length_graded,
+    _mealy_moves,
+    _Moves,
     _partition,
+    _subsequential_moves,
     _worklist,
     eliminate_final_output,
     kernel_counterexample,
     kernel_transducer,
     length_collision,
-    mealy_machine,
-    subsequential_machine,
     synthesize_mealy,
     synthesize_subsequential,
     validate_closure_witness,
 )
+from reference_synthesis import reference_check_matrix, reference_machine, reference_worklist
 from conftest import (
     AB,
     ABC,
@@ -191,7 +191,7 @@ def test_entry_cap_ends_a_construction_with_a_broken_precondition(monkeypatch, l
     # matrices grow without bound
     monkeypatch.setattr(kernseq.synthesis, "ENTRY_CAP", 10_000)
     with pytest.raises(DimensionCapError):
-        subsequential_machine(prepare(last_a), closure_of(last_a))
+        _subsequential_moves(prepare(last_a), closure_of(last_a))
 
 
 # ---------------------------------------------------------------- subsequential
@@ -522,7 +522,7 @@ def test_a_length_graded_machine_has_no_length_collision():
     seen = set()
     for _ in range(2000):
         m = graded_or_not(rng)
-        graded = _length_graded(m)
+        graded = _length_graded(_Moves.of(m))
         pair = length_collision(m)
         if graded:
             assert pair is None
@@ -535,13 +535,13 @@ def test_a_length_graded_machine_has_no_length_collision():
 def test_eliminated_witnesses_are_length_graded(monkeypatch):
     from kernseq import synthesis
 
-    searches = count_calls(monkeypatch, synthesis, "length_collision")
+    searches = count_calls(monkeypatch, synthesis, "_length_collision")
     relations = [build_mod_count(k) for k in range(2, 6)] + [build_chain(k) for k in (1, 2)]
     relations += [build_agree_except_last(k) for k in range(1, 6)]
     flat = []
     for r in relations:
         verdict = decide_kerseq_lp(r)
-        assert _length_graded(verdict.witness)
+        assert _length_graded(_Moves.of(verdict.witness))
         flat += [verdict.witness] if not verdict.witness.is_letter_to_letter else []
     # mod 2..5 and both chains fold more than one final-output class
     assert len(flat) == 6
@@ -605,7 +605,7 @@ def test_eliminate_needs_at_least_one_final_state():
 def test_mealy_witness_for_agree_except_last_1_is_exact():
     # one coarse class per matrix: its least item is the output, and the
     # fine-class minima (1, a) and (1, b) become the rows of the successor
-    m = mealy_machine(prepare(build_agree_except_last(1)))
+    m = _mealy_moves(prepare(build_agree_except_last(1))).machine()
     assert m.transitions == {
         (0, "a"): (("o1_a",), 1),
         (0, "b"): (("o1_a",), 2),
@@ -648,7 +648,7 @@ _PAIRS = [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]  # by pair letter posi
 )
 def test_worklist_raises_on_a_broken_invariant(delta, coarse, fine, diag, message):
     with pytest.raises(InternalInvariantError, match=message):
-        _worklist(("a", "b"), "d", lambda q: [delta[(q, p)] for p in _PAIRS], coarse, fine, diag)
+        _worklist(AB, "d", lambda q: [delta[(q, p)] for p in _PAIRS], coarse, fine, diag)
 
 
 def _reference_partition(related, what):
@@ -698,94 +698,6 @@ def test_partition_agrees_with_the_all_pairs_check():
     assert 300 < raised < 900
 
 
-def _reference_check_matrix(matrix, coarse_final, diag_ok):
-    """The cell-by-cell check ``_check_matrix`` replaced, kept as its reference."""
-    for i, row in enumerate(matrix):
-        for j, entry in enumerate(row):
-            if not coarse_final(entry):
-                raise InternalInvariantError("reachable matrix holds a non-accepting entry")
-            if i == j and not diag_ok(entry):
-                raise InternalInvariantError(
-                    "reachable matrix holds a non-diagonal entry on its diagonal"
-                )
-
-
-def _reference_worklist(letters, initial_entry, targets, coarse_final, fine_final, diag_ok):
-    """The worklist that cut each entry once per input letter and checked
-    each matrix cell by cell, kept as the reference of ``_worklist``."""
-    width = len(letters)
-    index: dict = {}
-    matrices: list = []
-    tables: dict = {}
-    pieces: dict = {}
-    entries = 0
-    expanded = 0
-
-    def intern(matrix):
-        nonlocal entries
-        mi = index.get(matrix)
-        if mi is None:
-            entries += len(matrix) ** 2
-            if entries > ENTRY_CAP:
-                raise DimensionCapError("stored matrix entries exceed safety cap")
-            _reference_check_matrix(matrix, coarse_final, diag_ok)
-            mi = index[matrix] = len(matrices)
-            matrices.append(matrix)
-        return mi
-
-    def cut(entry):
-        found = pieces.get(entry)
-        if found is None:
-            row = targets(entry)
-            parts = [row[a * width : (a + 1) * width] for a in range(width)]
-            found = pieces[entry] = [
-                (part, bytes(map(coarse_final, part)), bytes(map(fine_final, part)))
-                for part in parts
-            ]
-        return found
-
-    def moves(matrix):
-        lines = [
-            [cells[a] for cells in map(cut, matrix_row)]
-            for matrix_row in matrix
-            for a in range(width)
-        ]
-        coarse = _partition([b"".join(p[1] for p in line) for line in lines], "coarse grouping")
-        fine = _partition([b"".join(p[2] for p in line) for line in lines], "fine grouping")
-        n = len(lines)
-        if any(coarse[fine[x]] != coarse[x] for x in range(n)):
-            raise InternalInvariantError("fine grouping does not refine coarse grouping")
-        reps: dict = {}
-        for x in range(n):
-            if fine[x] == x:
-                reps.setdefault(coarse[x], []).append(x)
-        step = {}
-        for minima in reps.values():
-            target = intern(
-                tuple(tuple(lines[x][y // width][0][y % width] for y in minima) for x in minima)
-            )
-            step.update((rep, (target, m)) for m, rep in enumerate(minima, start=1))
-        item = [(x // width + 1, letters[x % width]) for x in range(n)]
-        return [(item[coarse[x]], step[fine[x]]) for x in range(n)]
-
-    def successors(node):
-        nonlocal expanded
-        expanded += 1
-        if expanded > STATE_CAP:
-            raise DimensionCapError("matrix state count exceeds safety cap")
-        mi, row = node
-        if mi not in tables:
-            tables[mi] = moves(matrices[mi])
-        table = tables[mi]
-        for a, letter in enumerate(letters):
-            out, nxt = table[(row - 1) * width + a]
-            yield (letter, out), nxt
-
-    order, edges = explore([(intern(((initial_entry,),)), 1)], successors)
-    transitions = {(sid, a): (out, dst) for sid, (a, out), dst in edges}
-    return matrices, order, transitions, max(map(len, matrices))
-
-
 def _walked_relations():
     """The relations whose constructions both reference tests compare."""
     rng = random.Random(7)
@@ -800,22 +712,46 @@ def _walked_relations():
     )
 
 
-def _worklist_args(prep, letters, initial_entry, targets, final):
+def _worklist_args(prep, inputs, initial_entry, targets, final, tag=None):
     """The arguments of the ``_worklist`` call that a ``_walk`` call on
     ``prep`` stands for: the Mealy construction's on a pair-DFA state, and
     the subsequential one's on a pair of states, whose closure is
     ``prep.own_closure``."""
     r_diag = prep.diagonal
     if not isinstance(initial_entry, tuple):
-        return letters, initial_entry, targets, final, r_diag.__contains__, r_diag.__contains__
+        return inputs, initial_entry, targets, final, r_diag.__contains__, r_diag.__contains__
     p_diag = diagonal_states(pair_dfa(prep.own_closure))
     return (
-        letters,
+        inputs,
         initial_entry,
         targets,
         final,
         lambda q: q[0] in r_diag,
         lambda q: q[0] in r_diag and q[1] in p_diag,
+        tag,
+    )
+
+
+def _reference_built(inputs, initial_entry, targets, coarse_final, fine_final, diag_ok, tag=None):
+    """The machine that ``reference_worklist`` and ``reference_machine``
+    build from the arguments of a ``_worklist`` call: with ``tag``, the
+    subsequential one whose final outputs ``tag`` gives the rows."""
+    found = reference_worklist(
+        inputs.letters, initial_entry, targets, coarse_final, fine_final, diag_ok
+    )
+    matrices, order, _transitions, l_max = found
+    if tag is None:
+        return reference_machine(inputs, found)
+    body = reference_machine(inputs, found, (f"t{j}" for j in range(1, l_max + 1)))
+    final_output = {sid: tag(matrices[mi][row - 1]) for sid, (mi, row) in enumerate(order)}
+    return SubsequentialTransducer(body, final_output)
+
+
+def _table_facts(t):
+    """Every field of a table, with the provenance of every state."""
+    return (
+        t.inputs, t.outputs, t.words, t.codes, t.targets, t.tags, t.sub, t.names,
+        [t.render(q) for q in range(len(t.codes))],
     )
 
 
@@ -837,15 +773,13 @@ def test_worklist_builds_what_the_reference_builds(monkeypatch):
 
     def both(*args):
         found = worklist(*args)
-        matrices, order, transitions, l_max = _reference_worklist(*args)
-        assert found[0] == matrices and found[1] == order
-        assert found[2] == transitions and found[3] == l_max
-        built.append(l_max)
+        assert _facts(found.machine()) == _facts(_reference_built(*args))
+        built.append(len(found.words) // len(found.inputs))  # the largest dimension
         return found
 
     def walked(args, found):
-        assert found == _reference_worklist(*_worklist_args(prep, *args))
-        built.append(found[3])
+        assert _facts(found.machine()) == _facts(_reference_built(*_worklist_args(prep, *args)))
+        built.append(len(found.words) // len(found.inputs))
 
     monkeypatch.setattr(synthesis, "_worklist", both)
     _spy_walks(monkeypatch, walked)
@@ -862,8 +796,8 @@ def test_walk_builds_what_the_worklist_builds(monkeypatch):
     walks = []
 
     def walked(args, found):
-        assert found == _worklist(*_worklist_args(prep, *args))
-        walks.append(len(found[1]))
+        assert _table_facts(found) == _table_facts(_worklist(*_worklist_args(prep, *args)))
+        walks.append(len(found.codes))
 
     _spy_walks(monkeypatch, walked)
     relations = _walked_relations()
@@ -929,7 +863,7 @@ def test_check_matrix_names_the_first_bad_cell_as_the_reference_does(matrix):
         return q == 0
 
     with pytest.raises(InternalInvariantError) as expected:
-        _reference_check_matrix(matrix, coarse_final, diag_ok)
+        reference_check_matrix(matrix, coarse_final, diag_ok)
     with pytest.raises(InternalInvariantError) as got:
         _check_matrix(matrix, coarse_final, diag_ok)
     assert str(got.value) == str(expected.value)
