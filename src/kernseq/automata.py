@@ -13,13 +13,15 @@ Its live states (``coaccessible_states``) are found once and kept too.
 
 Product constructions number their states with ``explore``, breadth
 first in discovery order, and ``explored`` builds their automaton. The
-one subset construction is ``_subset_rows``: ``determinize`` runs it on
-an automaton's states and keeps the result on the automaton, and
-``kernseq.relations.compose`` runs it on pairs of states. ``_quotient``
-refines its dense rows to the minimal complete DFA, which ``minimize``
-returns and ``drop_sink`` trims. Inclusion runs on the fly, by one
-breadth-first walk over pairs of a state of one automaton and a subset
-of the other's states, which never determinizes the other in full.
+one subset construction is ``_subset_rows``: ``_subset_dfa`` runs it on
+an automaton's states into dense rows, ``determinize`` keeps their
+automaton, and ``kernseq.relations.compose`` runs it on pairs of states.
+``_quotient`` refines dense rows to the minimal complete DFA, which
+``minimize`` returns and ``drop_sink`` trims; ``_dfa`` builds the
+automaton of dense rows and keeps them for ``_dense``. Inclusion runs
+on the fly, by one breadth-first walk over pairs of a state of one
+automaton and a subset of the other's states, which never determinizes
+the other in full.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here can be shared freely.
@@ -30,6 +32,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable
 
@@ -126,6 +129,13 @@ class Nfa:
         return _reach(self.finals, map(itemgetter(2, 0), self.transitions))
 
     @cached_property
+    def _rows(self) -> tuple[list, list]:
+        """The dense rows and finality, read once from the table: see ``_dense``."""
+        table, states = self._table, range(len(self.states))
+        rows = [[ts[0] if ts else -1 for ts in table[q]] for q in states]
+        return rows, [q in self.finals for q in states]
+
+    @cached_property
     def _determinized(self) -> "Nfa":
         """The subset construction, built on first use and kept: see ``determinize``."""
         return _subsets(self)
@@ -190,6 +200,11 @@ def _reach(starts, edges) -> frozenset[int]:
     nxt = defaultdict(list)
     for p, q in edges:
         nxt[p].append(q)
+    return _follow(starts, nxt)
+
+
+def _follow(starts, nxt) -> frozenset[int]:
+    """The states reachable from ``starts`` when ``nxt[q]`` lists q's successors."""
     seen = set(starts)
     todo = list(seen)
     while todo:
@@ -240,37 +255,51 @@ def drop_sink(a: Nfa) -> Nfa:
     is empty and so is the result.
 
     ``a`` is kept as the result's subset construction (``determinize``):
-    subsets of a trim DFA are its singletons and the empty set, which
-    the breadth-first walk reaches where ``a`` has its sink, and the
-    states of ``a`` are numbered breadth first, so that construction is
-    ``a`` itself.
+    the subsets of a trim DFA are its singletons and the empty set, which
+    the walk reaches where ``a`` has its sink, so that construction is
+    ``a`` itself, numbered breadth first.
     """
-    rows, finals = _trim_rows(_dense(a), [q in a.finals for q in range(len(a.states))])
+    rows, finals = _trim_rows(*_dense(a))
     trimmed = a if len(rows) == len(a.states) else _dfa(a.alphabet, rows, finals)
     vars(trimmed).setdefault("_determinized", a)
     return trimmed
+
+
+def _coreach(rows: list, starts, step: int = 1) -> frozenset[int]:
+    """The states of dense rows (-1 for no move) that reach ``starts`` along
+    the moves at every ``step``-th letter position: one backward walk."""
+    back: list = [[] for _ in rows]
+    for q, row in enumerate(rows):
+        for t in row[::step]:
+            if t >= 0:
+                back[t].append(q)
+    return _follow(starts, back)
+
+
+def _live_rows(rows: list, finals: list) -> frozenset[int]:
+    """The states of dense rows that reach a final state (``_coreach``)."""
+    return _coreach(rows, compress(range(len(rows)), finals))
 
 
 def _trim_rows(rows: list, finals: list) -> tuple[list, list]:
     """The rows and finality of an automaton given as dense rows
     (``rows[q][i]`` the target of q at letter position i, or -1, every
     state reachable from state 0), restricted as ``trim`` restricts it:
-    to the states that reach a final one, found by one backward walk,
-    numbered in their order, and a move into a dropped state reading -1.
+    to the states that reach a final one (``_live_rows``), numbered in
+    their order, and a move into a dropped state reading -1.
     """
-    back = ((t, q) for q, row in enumerate(rows) for t in row if t >= 0)
-    useful = sorted(_reach((q for q, final in enumerate(finals) if final), back))
+    useful = sorted(_live_rows(rows, finals))
     number = [-1] * (len(rows) + 1)  # number[-1], for no move, stays -1
     for k, q in enumerate(useful):
         number[q] = k
     return [[number[t] for t in rows[q]] for q in useful], [finals[q] for q in useful]
 
 
-def _dense(a: Nfa) -> list:
-    """The rows of a deterministic ``a`` with states 0..n-1: ``rows[q][i]`` the
-    target of q at letter position i, or -1 where q has no move."""
-    table = a._table
-    return [[ts[0] if ts else -1 for ts in table[q]] for q in range(len(a.states))]
+def _dense(a: Nfa) -> tuple[list, list]:
+    """The rows and finality of a deterministic ``a`` with states 0..n-1,
+    ``rows[q][i]`` the target of q at letter position i or -1 for no move:
+    kept on ``a``, as ``_dfa`` keeps those it builds from."""
+    return a._rows
 
 
 def explore(starts: Iterable, successors: Callable) -> tuple[list, list]:
@@ -333,9 +362,14 @@ def determinize(a: Nfa) -> Nfa:
 
 
 def _subsets(a: Nfa) -> Nfa:
-    """The subset construction of ``determinize``, built afresh by ``_subset_rows``."""
+    """The subset construction of ``determinize``, built afresh from ``_subset_dfa``."""
+    return _dfa(a.alphabet, *_subset_dfa(a))
+
+
+def _subset_dfa(a: Nfa) -> tuple[list, list]:
+    """The dense rows and finality of ``a``'s subset construction (``_subset_rows``)."""
     sets, delta = _subset_rows(frozenset(a.initials), a._table.__getitem__, len(a.alphabet))
-    return _dfa(a.alphabet, delta, [not subset.isdisjoint(a.finals) for subset in sets])
+    return delta, [not subset.isdisjoint(a.finals) for subset in sets]
 
 
 def _subset_rows(start: frozenset, row_of: Callable, width: int) -> tuple[list, list]:
@@ -494,7 +528,7 @@ def refine(labels: list, delta: list) -> tuple[list[int], dict]:
             return block, fresh
 
 
-def _quotient(finals: list, delta: list) -> tuple[list, list]:
+def _quotient(delta: list, finals: list) -> tuple[list, list]:
     """The minimal complete DFA of a complete DFA given as dense rows.
 
     The states 0..n-1 must all be reachable from state 0, the initial
@@ -516,7 +550,8 @@ def _quotient(finals: list, delta: list) -> tuple[list, list]:
 
 def _dfa(alphabet: Alphabet, rows: list, finals: list) -> Nfa:
     """The DFA of dense rows over ``alphabet``, -1 for no move, state 0
-    initial unless there are no states, with its table set from the rows."""
+    initial unless there are no states, with its table set from the rows
+    and the rows and finality kept as they are given."""
     letters = alphabet.letters
     d = _unchecked(
         alphabet,
@@ -532,6 +567,7 @@ def _dfa(alphabet: Alphabet, rows: list, finals: list) -> Nfa:
     )
     table = {q: [[t] if t >= 0 else [] for t in row] for q, row in enumerate(rows)}
     object.__setattr__(d, "_table", table)
+    object.__setattr__(d, "_rows", (rows, finals))
     return d
 
 
@@ -543,5 +579,4 @@ def minimize(a: Nfa) -> Nfa:
     valuedness search relies on the result being deterministic, not only
     on its language.
     """
-    d = determinize(a)
-    return _dfa(d.alphabet, *_quotient([q in d.finals for q in range(len(d.states))], _dense(d)))
+    return _dfa(a.alphabet, *_quotient(*_dense(determinize(a))))

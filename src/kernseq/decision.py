@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .automata import _dense, _trim_rows, drop_sink, includes, minimize
+from .automata import _dense, _trim_rows, includes, minimize
 from .errors import InternalInvariantError, NotEquivalenceError, NotFinerError, NotLetterToLetterError
 from .machines import SequentialTransducer, SubsequentialTransducer
 from .relations import (
@@ -84,12 +84,11 @@ def is_finitely_valued(t: LetterTransducer) -> bool:
     """Structural finite-valuedness of the realized transduction.
 
     Valuedness depends only on the relation, so
-    ``relations._finitely_valued`` searches its minimal pair DFA without the sink (``drop_sink``, which
-    trims it), read into dense rows. ``minimize`` numbers its blocks by
-    the shortlex-least words reaching them, so its result depends only
-    on the language and needs no trimmed input.
+    ``relations._finitely_valued`` searches the trimmed rows of its
+    minimal pair DFA, whose blocks ``minimize`` numbers by the
+    shortlex-least words reaching them, whatever the input.
     """
-    return _finitely_valued(_dense(drop_sink(minimize(t.nfa))), len(t.output_alphabet))
+    return _finitely_valued(_trim_rows(*_dense(minimize(t.nfa)))[0], len(t.output_alphabet))
 
 
 def index_is_finite(s: LetterTransducer, r: LetterTransducer) -> bool:
@@ -111,7 +110,7 @@ def _certify(table, prep: Prepared, what: str) -> None:
     """Raise unless the kernel of a synthesized table's machine is exactly
     the relation, by ``synthesis._kernel_counterexample``."""
     try:
-        pair = _kernel_counterexample(table, prep.det.nfa, prep.validation.is_symmetric)
+        pair = _kernel_counterexample(table, *prep.rows, prep.validation.is_symmetric)
     except NotLetterToLetterError as exc:
         raise InternalInvariantError(f"{what}: {exc}") from exc
     if pair is not None:

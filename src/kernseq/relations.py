@@ -2,72 +2,55 @@
 
 Validation as an equivalence relation, composition, inverse, the
 syntactic congruence, prefix closure, a capped transitive-closure
-fixpoint, the minimum-lexicographic uniformizer that turns an
-equivalence into the graph of a canonical function, and the index
-check. ``Prepared`` keeps a relation's stages.
+fixpoint, the minimum-lexicographic uniformizer, and the index check.
+``Prepared`` keeps a relation's stages, and its docstring states the one
+form they read: the dense rows of the relation's complete pair DFA.
 
-``compose`` determinizes: it runs the subset construction on sets of
-pairs of the two relations' states straight into the minimal DFA of the
-composition, whose dense rows (``_composed``) the closure rounds and
-the public ``decision.index_is_finite`` read.
-The equivalence axioms are three breadth-first walks over self-products
-of a complete pair DFA (``_axioms``), on integer nodes over its dense
-rows, each run on demand and returning a shortest counterexample:
-validation walks all three on the relation's own determinization, the
-closure search walks its first iterate, and
-``synthesis.validate_closure_witness`` walks only transitivity, on a
-supplied closure. The min-lex uniformizer walks pairs of state sets as
-integer bitsets and builds its automaton from the dense rows of that
-walk, trimmed (``_least_walk``); the same walk taking only the letters
-(a, a) accepts the congruence's representatives, the words least in
-their class, the stage ``Prepared.representatives``.
+``compose`` runs the subset construction on sets of pairs of the two
+relations' states straight into the rows of the minimal DFA of the
+composition (``_composed``). The equivalence axioms are three
+breadth-first walks over self-products of such rows (``_axioms``), each
+run on demand and returning a shortest counterexample. The uniformizer
+and the congruence's representatives, the words least in their class,
+are one walk over bitsets of states (``_least_walk``).
 
-The index check against the relation is read off the pair DFA when
-every final state is diagonal (``Prepared.own_congruence``): the
-congruence is then the relation, of index 1. Otherwise, and against
-every closure, the representatives' growth comes next
-(``Prepared.slender``): when they have boundedly many words per length,
-every length meets boundedly many classes, and so does every image of a
-length-preserving target. Otherwise the target is
-transitive, and finite index is finite valuedness of the target
-restricted to representatives on its second track (``_index_rows``):
-one product of the target's complete pair DFA with the representatives,
-minimized and trimmed, the relation of the uniformizer after the target
-with no uniformizer built and nothing composed. Valuedness is decided
-structurally by Weber's two pumping patterns (Weber, *On the valuedness
-of finite transducers*, Acta Inf. 1990), each found by Tarjan passes
-(``_explore``) over a product of a trimmed minimal pair DFA with itself,
-read as dense rows; there, runs that part on one input must write
-different outputs, so no search tracks whether outputs have diverged.
-The square pass is one search; the triple pass runs once per square
-component that holds a linked pair, never leaving it. Both passes learn
-what is reached from where by one forward labelling of their
-components, ``_labels``.
+The index against the relation is 1 when the relation is its own
+congruence (``Prepared.own_congruence``), and finite when the
+representatives are slender (``Prepared.slender``). Otherwise the target
+is transitive, and finite index is finite valuedness of the target
+restricted to representatives on its second track (``_index_rows``).
+Valuedness is decided structurally by Weber's two pumping patterns
+(Weber, *On the valuedness of finite transducers*, Acta Inf. 1990),
+found by Tarjan passes (``_explore``) and one forward labelling of their
+components (``_labels``) over a trimmed minimal pair DFA times itself:
+the square pass once, the triple pass once per square component that
+holds a linked pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import compress, count, product, repeat
 from operator import or_
 from typing import Callable
 
 from .automata import (
     Alphabet,
     Nfa,
-    _dense,
+    _coreach,
     _dfa,
+    _live_rows,
     _quotient,
+    _subset_dfa,
     _subset_rows,
     _trim_rows,
     _unchecked,
     coaccessible_states,
-    determinize,
     drop_sink,
-    minimize,
 )
 from .errors import AlphabetMismatchError, NotEquivalenceError, PreconditionError
-from .transducers import LetterTransducer, diagonal_states, pair_alphabet, pair_dfa
+from .transducers import LetterTransducer, _diagonal, pair_alphabet, pair_dfa
 
 
 @dataclass(frozen=True)
@@ -106,13 +89,19 @@ def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
     """Relational composition: ``compose(r, s)`` applies ``s`` first.
 
     Realizes the pairs (u, w) such that u is s-related to some v and v is
-    r-related to w. It determinizes: the result is the trimmed minimal
-    DFA of the rows ``_composed`` returns, and keeps the complete one as
-    its subset construction (``drop_sink``).
+    r-related to w. It determinizes: the result is the ``_trimmed``
+    minimal DFA of the rows ``_composed`` returns.
     """
-    alphabet = pair_alphabet(s.input_alphabet, r.output_alphabet)
-    minimal = drop_sink(_dfa(alphabet, *_composed(r, s)))
-    return LetterTransducer(s.input_alphabet, r.output_alphabet, minimal)
+    return _trimmed(s.input_alphabet, r.output_alphabet, *_composed(r, s))
+
+
+def _trimmed(inputs: Alphabet, outputs: Alphabet, rows: list, finals: list) -> LetterTransducer:
+    """The transducer of a minimal complete DFA's rows and finality without
+    its sink (``drop_sink``), those rows kept as its ``Prepared.rows``."""
+    alphabet = pair_alphabet(inputs, outputs)
+    t = LetterTransducer(inputs, outputs, drop_sink(_dfa(alphabet, rows, finals)))
+    vars(_prepared(t))["rows"] = rows, finals
+    return t
 
 
 def _composed(r: LetterTransducer, s: LetterTransducer) -> tuple[list, list]:
@@ -155,7 +144,7 @@ def _composed(r: LetterTransducer, s: LetterTransducer) -> tuple[list, list]:
     accepting = {p1 * m + p2 - lo for p1 in s.nfa.finals for p2 in r.nfa.finals}
     start = frozenset(p1 * m + p2 - lo for p1 in s.nfa.initials for p2 in r.nfa.initials)
     sets, delta = _subset_rows(start, join, width)
-    return _quotient([not pairs.isdisjoint(accepting) for pairs in sets], delta)
+    return _quotient(delta, [not pairs.isdisjoint(accepting) for pairs in sets])
 
 
 def validate_relation(r: LetterTransducer) -> RelationValidation:
@@ -164,14 +153,15 @@ def validate_relation(r: LetterTransducer) -> RelationValidation:
     return _prepared(r).validation
 
 
-def _axioms(d: Nfa, alphabet: Alphabet) -> tuple[Callable, Callable, Callable]:
+def _axioms(rows: list, final: list, live: frozenset, alphabet: Alphabet) -> tuple:
     """The walks for reflexivity, symmetry and transitivity of the relation
-    R of the complete pair DFA ``d`` over ``alphabet``: each a function of
-    no arguments returning a shortest pair R lacks for its axiom to hold,
-    as a word of pair letters, or None when it holds, so a caller walks
-    only the axioms it asks for. With δ(u, v) the state ``d`` reaches on a
-    pair of equal-length words, an axiom fails exactly when a breadth-first
-    walk from the initial state reaches a counterexample:
+    R of a complete pair DFA over ``alphabet``, given as dense rows and
+    finality from state 0, ``live`` its states that reach a final one.
+    Each returns a shortest pair R lacks for its axiom to hold, as a word
+    of pair letters, or None, so a caller walks only the axioms it asks
+    for. With δ(u, v) the state reached on a pair of equal-length words,
+    an axiom fails exactly when a breadth-first walk from state 0 reaches
+    a counterexample:
 
     - reflexive: (u, u) with δ(u, u) not final, walking by the letters (a, a);
     - symmetric: (v, u) with δ(u, v) final and δ(v, u) not, moving by
@@ -179,7 +169,7 @@ def _axioms(d: Nfa, alphabet: Alphabet) -> tuple[Callable, Callable, Callable]:
     - transitive: (u, w) with δ(u, v) and δ(v, w) final and δ(u, w) not,
       moving on (a, b, c) by (a, b), (b, c) and (a, c).
 
-    The walks run on integer nodes over the n states of ``_dense(d)``: p,
+    The walks run on integer nodes over the n states of the rows: p,
     p·n + q and (p·n + q)·n + s for a state, pair and triple (see
     ``_shortest``). Of the shortest counterexamples, each ends on the
     first in the order of (a, b, c). A state that cannot reach a final
@@ -187,12 +177,9 @@ def _axioms(d: Nfa, alphabet: Alphabet) -> tuple[Callable, Callable, Callable]:
     only moves into live states on the tracks that a counterexample needs
     final.
     """
-    rows = _dense(d)  # [q][a * w + b]: δ(q, (a, b))
-    n, w = len(rows), len(alphabet)
-    final = [q in d.finals for q in range(n)]
-    live = coaccessible_states(d)
-    (start,) = d.initials
-    letters = d.alphabet.letters
+    # rows[q][a * w + b]: δ(q, (a, b))
+    n, w, start = len(rows), len(alphabet), 0
+    letters = tuple(product(alphabet.letters, repeat=2))  # the pair letters in order
 
     # each walk's moves are labelled by the pair letter R lacks
     def reflexive():
@@ -273,47 +260,62 @@ def _shortest(start: int, expand: Callable, labels: Callable) -> tuple | None:
 class Prepared:
     """A relation with the stages its decisions share.
 
+    The stages read one form of the relation, ``rows``: its complete pair
+    DFA as dense rows and finality, ``rows[q][a * w + b]`` the target of
+    state q on the pair letter (a, b) over w letters, state 0 initial,
+    numbered as ``determinize`` numbers it. Validation, liveness,
+    prefix-closedness, the diagonal, the minimal DFA, the first iterate,
+    the representatives, the index product, the witnesses and their
+    certification read those rows. An automaton is built only for a value
+    that leaves the package: ``det`` and ``congruence`` when asked for,
+    and each closure (``_trimmed``), whose own rows are set from its
+    complete minimal DFA.
+
     Each stage is built on first use and kept. ``_prepared`` keeps one
     ``Prepared`` on each relation object, the only value kept there, so
-    every entry point given that object shares its stages and none of
-    them runs twice: the validation, the pair DFA and its diagonal
-    states, prefix-closedness, the congruence and whether the relation is
-    its own congruence, the congruence's representatives and whether they
-    are slender, the index against the relation, the prefix closure, the
-    first closure iterate, and the closure searched for each cap with the
-    index against it. An equal relation built anew builds them again, a
-    stage that raises keeps nothing, and the stages hold their memory for
-    as long as the relation object lives. The stages past ``validation``
-    and ``first_iterate`` assume an equivalence relation, which
-    ``prepare`` checks.
+    no stage runs twice for that object; an equal relation built anew
+    builds them again, and a stage that raises keeps nothing. The stages
+    past ``validation`` and ``first_iterate`` assume an equivalence
+    relation, which ``prepare`` checks.
     """
 
     relation: LetterTransducer
 
     @cached_property
+    def rows(self) -> tuple[list, list]:
+        """The complete pair DFA, ``automata._subset_dfa`` of the relation."""
+        return _subset_dfa(self.relation.nfa)
+
+    @cached_property
+    def live(self) -> frozenset[int]:
+        """The states of ``rows`` that reach a final state."""
+        return _live_rows(*self.rows)
+
+    @cached_property
     def validation(self) -> RelationValidation:
-        """The equivalence axioms, one walk of ``_axioms`` each on the
-        relation's complete pair DFA, which ``det`` shares. An empty
-        relation is reported non-reflexive: the identity over a nonempty
-        alphabet is nonempty. Mismatched input/output alphabets can never
-        satisfy any of the axioms.
+        """The equivalence axioms, one walk of ``_axioms`` each on ``rows``.
+        An empty relation is reported non-reflexive: the identity over a
+        nonempty alphabet is nonempty. Mismatched input/output alphabets
+        can never satisfy any of the axioms.
         """
         r = self.relation
         if not r.same_alphabets():
             return RelationValidation(False, False, False)
-        return RelationValidation(
-            *(walk() is None for walk in _axioms(determinize(r.nfa), r.input_alphabet))
-        )
+        walks = _axioms(*self.rows, self.live, r.input_alphabet)
+        return RelationValidation(*(walk() is None for walk in walks))
 
     @cached_property
     def det(self) -> LetterTransducer:
-        """The complete pair DFA of the relation."""
+        """``pair_dfa(relation)``, built from ``rows`` unless one is kept."""
+        a = self.relation.nfa
+        if "_determinized" not in vars(a):
+            vars(a)["_determinized"] = _dfa(a.alphabet, *self.rows)
         return pair_dfa(self.relation)
 
     @cached_property
     def diagonal(self) -> frozenset[int]:
-        """The diagonal states of ``det``."""
-        return diagonal_states(self.det)
+        """The diagonal states of ``rows`` (``transducers._diagonal``)."""
+        return _diagonal(*self.rows, len(self.relation.input_alphabet))
 
     @cached_property
     def prefix_closed(self) -> bool:
@@ -321,11 +323,9 @@ class Prepared:
 
         The subset construction reaches every state it builds, so
         trimming drops only the states that reach no final state: the
-        relation is prefix-closed when every state that reaches one is
-        final.
+        relation is prefix-closed when every ``live`` state is final.
         """
-        d = self.det.nfa
-        return coaccessible_states(d) <= d.finals
+        return all(map(self.rows[1].__getitem__, self.live))
 
     @cached_property
     def congruence(self) -> LetterTransducer:
@@ -336,40 +336,39 @@ class Prepared:
     @cached_property
     def prefix(self) -> LetterTransducer:
         """``prefix_closure(relation)``, the relation whose closure is
-        searched. Its subset construction is ``det`` with the live states
-        final: it has the relation's transitions and initial states, so
-        the same subsets, and a subset holds a state that reaches a final
-        one exactly when it reaches a final subset. That construction is
-        set from ``det``, sharing its table, so the relation is not
-        determinized again.
-        """
-        d = self.det.nfa
+        searched. It has the relation's transitions and initial states, so
+        its subset construction has the same subsets, final when they hold
+        a live state: ``rows`` with the ``live`` states final, set as its
+        own ``rows``."""
         p = prefix_closure(self.relation)
-        vars(p.nfa)["_determinized"] = _with_finals(d, coaccessible_states(d))
+        rows, _finals = self.rows
+        vars(_prepared(p))["rows"] = rows, [q in self.live for q in range(len(rows))]
         return p
 
     @cached_property
-    def first_iterate(self) -> tuple[LetterTransducer, bool]:
-        """The first iterate of ``transitive_closure(relation, cap)`` and
-        whether the relation is transitive, so that this iterate is the
-        closure.
+    def minimal(self) -> tuple[list, list]:
+        """The rows and finality of the minimal complete DFA (``_quotient``)."""
+        return _quotient(*self.rows)
 
-        The iterate is the minimal pair DFA of the relation without its
-        sink (``drop_sink``, which trims it). The walks of ``_axioms`` on
-        the complete one check that the relation is reflexive and
-        symmetric, raising ``PreconditionError`` otherwise, and the third
-        tells whether it is transitive.
+    @cached_property
+    def first_iterate(self) -> tuple[LetterTransducer, bool]:
+        """The first iterate of ``transitive_closure(relation, cap)``,
+        ``own_closure``, and whether the relation is transitive, so that
+        this iterate is the closure. The walks of ``_axioms`` on
+        ``minimal`` check that the relation is reflexive and symmetric,
+        raising ``PreconditionError`` otherwise, and the third tells
+        whether it is transitive.
         """
-        p = self.relation
-        minimal = minimize(p.nfa)
+        p, (rows, finals) = self.relation, self.minimal
         reflexive, symmetric, transitive = (
-            _axioms(minimal, p.input_alphabet) if p.same_alphabets() else (lambda: (),) * 3
+            _axioms(rows, finals, _live_rows(rows, finals), p.input_alphabet)
+            if p.same_alphabets() else (lambda: (),) * 3
         )
         if reflexive() is not None:
             raise PreconditionError("transitive closure needs a reflexive relation")
         if symmetric() is not None:
             raise PreconditionError("transitive closure needs a symmetric relation")
-        return p.with_nfa(drop_sink(minimal)), transitive() is None
+        return self.own_closure, transitive() is None
 
     @cached_property
     def prefix_transitive(self) -> bool:
@@ -385,9 +384,15 @@ class Prepared:
     def representatives(self) -> tuple[list, list]:
         """The trimmed DFA of the words least in their congruence class, as
         dense rows over the input letters and finality: the diagonal walk
-        of ``_least_walk`` on the congruence, which is an equivalence
-        whenever the relation is, so it is not validated again."""
-        return _least_walk(self.congruence, True)
+        of ``_least_walk`` on the congruence, ``rows`` with the diagonal
+        states final."""
+        rows, diagonal = self.rows[0], self.diagonal
+        live = sorted(_coreach(rows, diagonal))
+
+        def row_of(q, bit):
+            return list(map(bit.get, rows[q], repeat(0)))
+
+        return _least_walk(self.relation, live, row_of, (0,), diagonal, True)
 
     @cached_property
     def slender(self) -> bool:
@@ -415,11 +420,11 @@ class Prepared:
         """Whether the relation is its own syntactic congruence.
 
         The diagonal states are always final, so it is exactly when every
-        final state of ``det`` is diagonal. Then every relation class holds
+        final state of ``rows`` is diagonal. Then every relation class holds
         one congruence class: the index against the relation is 1, and
         every matrix of the witness construction is 1 by 1.
         """
-        return self.det.nfa.finals <= self.diagonal
+        return self.diagonal.issuperset(compress(count(), self.rows[1]))
 
     @cached_property
     def finite_index(self) -> bool:
@@ -433,10 +438,10 @@ class Prepared:
 
     @cached_property
     def own_closure(self) -> LetterTransducer:
-        """The closure ``closure`` finds for a prefix-closed relation: its
-        own minimal DFA without the sink, ``drop_sink(minimize(...))``."""
+        """The closure ``closure`` finds for a prefix-closed relation:
+        ``drop_sink(minimize(...))``, ``_trimmed`` from ``minimal``."""
         r = self.relation
-        return r.with_nfa(drop_sink(minimize(r.nfa)))
+        return _trimmed(r.input_alphabet, r.output_alphabet, *self.minimal)
 
     @cached_property
     def _closures(self) -> dict:
@@ -446,16 +451,13 @@ class Prepared:
         """The closure searched from the prefix closure with ``cap`` rounds,
         and whether the congruence has finite index with respect to it
         (None when the search did not converge), kept per cap. A search
-        that converged at exponent k answers every cap of at least k: it
-        stops at the same round whatever the cap above k.
+        that converged at exponent k answers every cap of at least k.
 
         A relation that is not prefix-closed is searched by
-        ``transitive_closure(prefix, cap)``. A prefix-closed relation has
-        its prefix closure's language and, being an equivalence, is
-        transitive, so that search would stop at exponent 1 on the minimal
-        DFA of that language, ``own_closure``, whose subset construction
-        is ``det``'s, and whose index is ``finite_index``. A cap below 1
-        raises ``PreconditionError``.
+        ``transitive_closure(prefix, cap)``. A prefix-closed relation is
+        its own prefix closure and transitive, so that search would stop
+        at exponent 1 on ``own_closure``, whose index is ``finite_index``.
+        A cap below 1 raises ``PreconditionError``.
         """
         kept = self._closures.get(cap) or next(
             (v for v in self._closures.values() if v[0].converged and v[0].exponent <= cap),
@@ -529,12 +531,9 @@ def prefix_closure(r: LetterTransducer) -> LetterTransducer:
     """Make every state that can reach a final state final.
 
     The result relates u to v exactly when some equal-length suffixes
-    extend them to a related pair.
+    extend them to a related pair. It shares r's transitions and table.
     """
-    a = r.nfa
-    return r.with_nfa(
-        _unchecked(a.alphabet, a.states, a.transitions, a.initials, coaccessible_states(a))
-    )
+    return r.with_nfa(_with_finals(r.nfa, coaccessible_states(r.nfa)))
 
 
 def is_prefix_closed(r: LetterTransducer) -> bool:
@@ -554,17 +553,14 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     A transitive p is its own closure at exponent 1, with no composition
     round. Otherwise each round composes the current iterate with p by
     ``compose``, so every iterate is the trimmed minimal pair DFA of its
-    language in canonical numbering (``automata._quotient`` numbers the
-    blocks by their shortlex-least access words, and ``drop_sink`` keeps
-    that order), and keeps the complete one as its subset construction.
-    Since p is reflexive, q after p contains q, so two consecutive
-    iterates realize the same relation exactly when their automata are
-    equal. Stops either at the first exponent k with equal consecutive
-    iterates (converged, the closure realizes the full transitive
-    closure) or after ``cap`` comparisons (not converged). Running out of
-    cap is a reportable outcome, not an error: in general the fixpoint
-    exponent is not computable, so the iteration must not pretend
-    otherwise.
+    language in canonical numbering (``_trimmed``). Since p is reflexive,
+    q after p contains q, so two consecutive iterates realize the same
+    relation exactly when their automata are equal. Stops either at the
+    first exponent k with equal consecutive iterates (converged, the
+    closure realizes the full transitive closure) or after ``cap``
+    comparisons (not converged). Running out of cap is a reportable
+    outcome, not an error: in general the fixpoint exponent is not
+    computable, so the iteration must not pretend otherwise.
     """
     _require_cap(cap)
     current, transitive = _prepared(p).first_iterate
@@ -600,12 +596,21 @@ def min_lex_uniformizer(s: LetterTransducer) -> LetterTransducer:
     that of ``_least_walk(s, False)``.
     """
     prepare(s)
-    return s.with_nfa(_dfa(s.nfa.alphabet, *_least_walk(s, False)))
+    a = s.nfa
+
+    def row_of(q, bit):
+        return [sum(map(bit.get, targets, repeat(0))) for targets in a._table[q]]
+
+    walk = _least_walk(s, sorted(coaccessible_states(a)), row_of, a.initials, a.finals, False)
+    return s.with_nfa(_dfa(a.alphabet, *walk))
 
 
-def _least_walk(s: LetterTransducer, diagonal: bool) -> tuple[list, list]:
+def _least_walk(s, live: list, row_of: Callable, initials, finals, diagonal: bool) -> tuple:
     """The walk of ``min_lex_uniformizer`` over an equivalence s, as the
-    dense rows and acceptance of its trimmed automaton.
+    dense rows and acceptance of its trimmed automaton, on an automaton of
+    s given by its states that reach a final one (``live``, ascending),
+    its initial and final states, and ``row_of(q, bit)``: a live state's
+    targets per pair-letter position, each as the union of their ``bit``.
 
     With ``diagonal`` the walk takes only the move on (a, a) at each node,
     its rows being over the input letters: it accepts the words that are
@@ -613,32 +618,25 @@ def _least_walk(s: LetterTransducer, diagonal: bool) -> tuple[list, list]:
     ``smaller`` still gains the moves on (a, b) for the letters b before
     a, as in the full walk, so the node reached is the same.
 
-    Both sets of a node are integer bitsets over the live states of
-    ``s.nfa``, and a set's moves per pair letter are joined once per
-    distinct set. The nodes are numbered breadth first, letter positions
-    in order, with a dense row each; the rows are then restricted to the
-    nodes that reach an accepting one (``automata._trim_rows``).
+    Both sets of a node are integer bitsets over the live states, and a
+    set's moves per pair letter are joined once per distinct set. The
+    nodes are numbered breadth first, letter positions in order, with a
+    dense row each; the rows are then restricted to the nodes that reach
+    an accepting one (``automata._trim_rows``).
 
     The walk never yields a node whose ``equal`` lies within its
     ``smaller``: both sets then move on the same letters, every later
     ``equal`` stays inside its ``smaller``, and no such node accepts, so
-    the trimming would drop it and all it reaches. A pruned node reaches
-    no node that survives, so the survivors are found in the same order
-    and the result is the same automaton as without the pruning.
+    the trimming would drop it and all it reaches. So the survivors are
+    found in the same order, the same automaton as without the pruning.
     """
-    a = s.nfa
-    live = sorted(coaccessible_states(a))
-    bit = dict.fromkeys(a.states, 0)  # a dead state has no bit
-    bit.update((q, 1 << k) for k, q in enumerate(live))
-    table = a._table
-    positions = len(a.alphabet)
+    bit = {q: 1 << k for k, q in enumerate(live)}  # a dead state has no bit
     width = len(s.output_alphabet)
+    positions = len(s.input_alphabet) * width
     blocks = [range(i, i + width) for i in range(0, positions, width)]  # per input letter
     # bitset -> its states' live targets joined, per pair-letter position
     joined = {0: [0] * positions}
-    joined.update(
-        (bit[q], [sum(map(bit.__getitem__, targets)) for targets in table[q]]) for q in live
-    )
+    joined.update((bit[q], row_of(q, bit)) for q in live)
 
     def join(states: int) -> list:
         row = joined.get(states)
@@ -651,8 +649,8 @@ def _least_walk(s: LetterTransducer, diagonal: bool) -> tuple[list, list]:
             joined[states] = row
         return row
 
-    finals = sum(bit[q] for q in a.finals)
-    start = (sum(bit[q] for q in a.initials), 0)
+    finals = sum(map(bit.get, finals, repeat(0)))
+    start = (sum(map(bit.get, initials, repeat(0))), 0)
     nodes = [start]
     ids = {start: 0}
     rows = []
@@ -843,7 +841,7 @@ def _finitely_valued(rows: list, width: int) -> bool:
 def _index_rows(prep: Prepared, target: LetterTransducer) -> tuple[list, list]:
     """The trimmed minimal DFA, as dense rows and finality, of the pairs
     (u, z) with u related to z by ``target`` and z least in its congruence
-    class: ``target``'s complete pair DFA (``determinize``) and
+    class: ``target``'s complete pair DFA (its ``Prepared.rows``) and
     ``prep.representatives`` read on the second track, one product walked
     breadth first into ``automata._quotient``, a move the representatives
     lack going to one sink.
@@ -854,10 +852,10 @@ def _index_rows(prep: Prepared, target: LetterTransducer) -> tuple[list, list]:
     congruent to y, so related to it, and u is related to z; conversely
     take y = z.
     """
-    d = determinize(target.nfa)
-    pairs = _dense(d)
+    pairs, accepting = _prepared(target).rows
     reps, least = prep.representatives
-    n, nz, width = len(reps), len(target.output_alphabet), len(d.alphabet)
+    n, nz = len(reps), len(target.output_alphabet)
+    width = len(target.input_alphabet) * nz
     second = [[row[i % nz] for i in range(width)] for row in reps]  # per pair-letter position
     codes = [0]  # product nodes t * n + r, -1 for the sink
     ids = {0: 0}
@@ -876,8 +874,8 @@ def _index_rows(prep: Prepared, target: LetterTransducer) -> tuple[list, list]:
         else:
             targets = [ids[-1]] * width
         delta.append(targets)
-    finals = [code >= 0 and code // n in d.finals and least[code % n] for code in codes]
-    return _trim_rows(*_quotient(finals, delta))
+    finals = [code >= 0 and accepting[code // n] and least[code % n] for code in codes]
+    return _trim_rows(*_quotient(delta, finals))
 
 
 def _finite_index(prep: Prepared, target: LetterTransducer) -> bool:
@@ -886,8 +884,7 @@ def _finite_index(prep: Prepared, target: LetterTransducer) -> bool:
 
     True when ``prep.slender`` holds: a target image lies in Σⁿ, which
     meets boundedly many classes. Otherwise the valuedness search on
-    ``_index_rows``, which needs the target transitive. No uniformizer is
-    built and nothing composed.
+    ``_index_rows``, which needs the target transitive.
 
     On the decision path the checks and transitivity hold by
     construction: the congruence refines the relation, which lies inside

@@ -21,14 +21,12 @@ Three public constructions live here:
   while preserving the kernel.
 
 Every stage of a witness runs on one integer move table, ``_Moves``,
-whose docstring states its contract: the constructions fill it, Moore
-minimization (``_minimal``), final-output elimination (``_eliminated``)
-and the kernel check (``_kernel_counterexample``) read it, and each
-returned machine is constructed from it once. The deciders call the
-unchecked table constructions ``_mealy_moves`` and
-``_subsequential_moves`` directly; the public functions that take or
-return machines read a machine into a table (``_Moves.of``) and build
-the result from one (``_Moves.machine``). Every witness leaves the
+whose docstring states its contract: the constructions fill it from the
+relation's ``Prepared.rows``, Moore minimization (``_minimal``),
+final-output elimination (``_eliminated``) and the kernel check
+(``_kernel_counterexample``) read it, and each returned machine is
+constructed from it once (``_Moves.machine``); the public functions
+read a machine into one (``_Moves.of``). Every witness leaves the
 package Moore-minimal, minimized before any final-output elimination;
 ``decide lp`` minimizes an eliminated table with more than one
 final-output value too: with one, it has the moves of the minimal body.
@@ -40,15 +38,7 @@ from collections import deque
 from collections.abc import Mapping
 from functools import cache
 
-from .automata import (
-    Alphabet,
-    Word,
-    _reach,
-    determinize,
-    explored,
-    inclusion_counterexample,
-    refine,
-)
+from .automata import Alphabet, Word, _reach, explored, inclusion_counterexample, refine
 from .errors import (
     AlphabetMismatchError,
     BadClosureWitnessError,
@@ -58,8 +48,8 @@ from .errors import (
     PreconditionError,
 )
 from .machines import SequentialTransducer, SubsequentialTransducer
-from .relations import Prepared, _axioms, _finite_index, prefix_closure, prepare
-from .transducers import LetterTransducer, diagonal_states, pair_alphabet, pair_dfa
+from .relations import Prepared, _axioms, _finite_index, _prepared, prefix_closure, prepare
+from .transducers import LetterTransducer, pair_alphabet
 
 # Largest number of matrix states a construction expands before it raises
 # ``DimensionCapError``. States share their matrices, so the states alone
@@ -353,12 +343,6 @@ def _walk(inputs, initial_entry, targets, final, tag=None):
     return _table(inputs, 1, codes, moved, render, rows, tag)
 
 
-def _targets(nfa):
-    """Per state of a complete DFA, its successors by letter position."""
-    table = nfa._table
-    return lambda q: [t for (t,) in table[q]]
-
-
 class _Provenance(Mapping):
     """State id to its provenance string, rendered when it is read."""
 
@@ -444,16 +428,14 @@ def _mealy_moves(prep: Prepared) -> _Moves:
     ``STATE_CAP`` states or ``ENTRY_CAP`` stored matrix entries raise
     ``DimensionCapError``, also when a precondition is broken. A relation
     that is its own congruence (``Prepared.own_congruence``) is built by
-    ``_walk``, whose 1-by-1 matrices are the relation's pair-DFA states.
+    ``_walk``, whose 1-by-1 matrices are the states of ``Prepared.rows``.
     """
-    r, det, diag = prep.relation, prep.det, prep.diagonal
-    finals = det.nfa.finals
-    (initial,) = det.nfa.initials
-    targets = _targets(det.nfa)
+    inputs = prep.relation.input_alphabet
+    rows, finals = prep.rows
     if prep.own_congruence:
-        return _walk(r.input_alphabet, initial, targets, finals.__contains__)
-    in_diag = diag.__contains__
-    return _worklist(r.input_alphabet, initial, targets, finals.__contains__, in_diag, in_diag)
+        return _walk(inputs, 0, rows.__getitem__, finals.__getitem__)
+    in_diag = prep.diagonal.__contains__
+    return _worklist(inputs, 0, rows.__getitem__, finals.__getitem__, in_diag, in_diag)
 
 
 def validate_closure_witness(r: LetterTransducer, closure: LetterTransducer) -> None:
@@ -461,11 +443,11 @@ def validate_closure_witness(r: LetterTransducer, closure: LetterTransducer) -> 
 
     Verifies containment of the prefix closure, by one inclusion, and
     transitivity, by the transitivity walk of ``relations._axioms`` alone
-    on the closure's complete pair DFA. The fixpoint equation follows
+    on the closure's ``Prepared.rows``. The fixpoint equation follows
     from the two: composing the witness with the prefix closure stays
-    inside the witness composed with itself. These are the checkable necessary
-    conditions; minimality of the closure is taken on trust as part of
-    the input contract. A failed check raises ``BadClosureWitnessError``
+    inside the witness composed with itself. These are the checkable
+    necessary conditions; minimality of the closure is taken on trust as
+    part of the input contract. A failed check raises ``BadClosureWitnessError``
     naming a shortest offending pair (u, v), also kept as its ``pair``;
     a closure whose input and output alphabets differ raises
     ``AlphabetMismatchError``.
@@ -475,7 +457,8 @@ def validate_closure_witness(r: LetterTransducer, closure: LetterTransducer) -> 
     if word is None:
         if not closure.same_alphabets():
             raise AlphabetMismatchError("a closure witness needs equal input and output alphabets")
-        *_, transitive = _axioms(determinize(closure.nfa), closure.input_alphabet)
+        kept = _prepared(closure)
+        *_, transitive = _axioms(*kept.rows, kept.live, closure.input_alphabet)
         word = transitive()
         what = "is not transitive"
     if word is not None:
@@ -506,44 +489,40 @@ def synthesize_subsequential(
 def _subsequential_moves(prep: Prepared, pplus: LetterTransducer) -> _Moves:
     """The matrix construction of ``synthesize_subsequential``, without its checks.
 
-    The body runs over the product of both pair automata: outputs follow
-    the closure classes, rows follow the congruence classes, and the
-    final output separates closure-equal but unrelated words by the least
-    related row index. ``decide_kerseq_lp`` establishes the conditions
-    before calling it. A prefix-closed relation that is its own congruence
-    is built by ``_walk`` when ``pplus`` is the very closure
-    ``Prepared.closure`` searched (``Prepared.own_closure``), where an
-    entry is accepting in the closure exactly when it is diagonal in the
-    relation; any other closure, a supplied one of the same language
-    included, by ``_worklist``.
+    The body runs over the product of the ``Prepared.rows`` of the
+    relation and of the closure: outputs follow the closure classes, rows
+    follow the congruence classes, and the final output separates
+    closure-equal but unrelated words by the least related row index.
+    ``decide_kerseq_lp`` establishes the conditions before calling it. A
+    prefix-closed relation that is its own congruence is built by
+    ``_walk`` when ``pplus`` is the very closure ``Prepared.closure``
+    searched (``Prepared.own_closure``), where an entry is accepting in
+    the closure exactly when it is diagonal in the relation; any other
+    closure, a supplied one of the same language included, by
+    ``_worklist``.
     """
-    r, rdfa = prep.relation, prep.det
-    pdfa = pair_dfa(pplus)
-    r_finals = rdfa.nfa.finals
-    p_finals = pdfa.nfa.finals
-    (r0,) = rdfa.nfa.initials
-    (p0,) = pdfa.nfa.initials
-    r_targets = _targets(rdfa.nfa)
-    p_targets = _targets(pdfa.nfa)
-    inputs = r.input_alphabet
+    closure = _prepared(pplus)
+    r_rows, r_finals = prep.rows
+    p_rows, p_finals = closure.rows
+    inputs = prep.relation.input_alphabet
 
     def targets(q):
-        return list(zip(r_targets(q[0]), p_targets(q[1])))
+        return list(zip(r_rows[q[0]], p_rows[q[1]]))
 
     def coarse_final(q):
-        return q[1] in p_finals
+        return p_finals[q[1]]
 
     def tag(row):
-        j = next((j for j, entry in enumerate(row, start=1) if entry[0] in r_finals), None)
+        j = next((j for j, entry in enumerate(row, start=1) if r_finals[entry[0]]), None)
         if j is None:
             raise InternalInvariantError("matrix row is not related to itself")
         return f"t{j}"
 
     if prep.prefix_closed and prep.own_congruence and pplus is prep.own_closure:
-        return _walk(inputs, (r0, p0), targets, coarse_final, tag)
-    r_diag, p_diag = prep.diagonal, diagonal_states(pdfa)
+        return _walk(inputs, (0, 0), targets, coarse_final, tag)
+    r_diag, p_diag = prep.diagonal, closure.diagonal
     return _worklist(
-        inputs, (r0, p0), targets, coarse_final,
+        inputs, (0, 0), targets, coarse_final,
         lambda q: q[0] in r_diag, lambda q: q[0] in r_diag and q[1] in p_diag, tag,
     )
 
@@ -905,37 +884,21 @@ def kernel_counterexample(
 
     None when the kernel equals r; otherwise the shortlex-least such pair,
     over pair letters in alphabet order, as ``_kernel_counterexample``
-    finds it. r's complete pair DFA is r itself when r is complete with
-    states 0..n-1, and ``pair_dfa(r)`` otherwise; the symmetry walk of
-    ``relations._axioms`` on it says whether r is symmetric.
+    finds it on r's ``Prepared.rows``, where the symmetry walk of
+    ``relations._axioms`` says whether r is symmetric.
     """
     base = f.base if isinstance(f, SubsequentialTransducer) else f
     if r.nfa.alphabet != pair_alphabet(base.input_alphabet, base.input_alphabet):
         raise AlphabetMismatchError("machine inputs and relation letters differ")
-    d = r.nfa
-    if not d.is_complete or d.states != frozenset(range(len(d.states))):
-        d = pair_dfa(r).nfa
-    _reflexive, symmetric, _transitive = _axioms(d, r.input_alphabet)
-    return _kernel_counterexample(_Moves.of(f), d, symmetric() is None)
+    prep = _prepared(r)
+    _reflexive, symmetric, _transitive = _axioms(*prep.rows, prep.live, r.input_alphabet)
+    return _kernel_counterexample(_Moves.of(f), *prep.rows, symmetric() is None)
 
 
-@cache
-def _pair_moves(width: int) -> tuple[tuple, tuple]:
-    """The moves of a node of ``_kernel_counterexample`` over ``width`` input
-    letters, as (pair-letter position, a, b, bit kept) for the pair letter
-    (a, b), per bit: with the bit clear every pair letter, and with it set
-    the (a, b) with a ≤ b, where only (a, a) keeps it."""
-    every = tuple((a * width + b, a, b, 0) for a in range(width) for b in range(width))
-    ordered = tuple(
-        (a * width + b, a, b, int(a == b)) for a in range(width) for b in range(a, width)
-    )
-    return every, ordered
-
-
-def _kernel_counterexample(t: _Moves, d, symmetric: bool) -> tuple[Word, Word] | None:
+def _kernel_counterexample(t: _Moves, rows: list, finals: list, symmetric: bool) -> tuple | None:
     """The shortlex-least pair on which the kernel of table ``t``'s machine
-    and the relation R of the complete pair DFA ``d``, with states 0..m-1,
-    disagree, or None.
+    and the relation R of a complete pair DFA, given by its rows and
+    finality as ``Prepared.rows`` holds them, disagree, or None.
 
     ``symmetric`` must be true only when R is symmetric. Inputs of
     different lengths with one output are looked for first, by
@@ -946,50 +909,44 @@ def _kernel_counterexample(t: _Moves, d, symmetric: bool) -> tuple[Word, Word] |
     whose states minimization merged out of grading.
 
     Then one breadth-first walk over the synchronous product of the
-    squared machine of ``kernel_transducer`` with ``d`` stops at the first
-    node where the two disagree on acceptance, which spells the pair. A
-    product node carries one more bit, set while the two words read so
-    far are equal. On a symmetric R a set bit lets the walk read only the
-    pair letters (a, b) with a ≤ b, (a, a) keeping it set, and a clear bit
+    squared machine of ``kernel_transducer`` with the DFA stops at the
+    first node where the two disagree on acceptance, which spells the
+    pair. A product node carries one more bit, set while the two words
+    read so far are equal. On a symmetric R a set bit lets the walk read
+    only the (a, b) with a ≤ b, (a, a) keeping it set, and a clear bit
     every pair letter; otherwise the bit starts clear. The kernel is
-    symmetric too, so a pair and its swap both disagree or neither does,
-    and the shortlex-least disagreement has a < b at its first difference,
-    where it has one: the ordered walk meets it, and returns the pair the
-    walk over all pairs would, while expanding about half the squared
-    states.
+    symmetric too, so the shortlex-least disagreement, if any, has a < b
+    at its first difference: the ordered walk returns the pair the walk
+    over all pairs would, expanding about half the squared states.
 
-    The squared machine is never built. A node is the integer (k × m + s)
-    × 2 + bit, for the squared state k of ``_Squared``, -1 when dead, and
-    the state s of ``d``; the move tables hold their targets times 2m, so
-    a successor node is a sum. While nothing is pending (k < n², for n
-    machine states) the walk computes each successor inline from those
-    tables: equal output codes go to the pair of targets; a missing move,
-    or two different codes of equal length, to the dead state; only codes
-    of different lengths number a balance. A squared state with output
-    pending takes its successors from ``_Squared.successors``.
+    The squared machine is never built. A node is the integer k × 2m +
+    bit × m + s, for the squared state k of ``_Squared`` (-1 when dead)
+    and the state s of the DFA: the move tables hold their targets times
+    2m and a kept bit adds m, so a successor node is a sum. While nothing
+    is pending (k < n², for n machine states) the walk computes each
+    successor inline: equal output codes go to the pair of targets; a
+    missing move, or two different codes of equal length, to the dead
+    state; only codes of different lengths number a balance. Otherwise
+    ``_Squared.successors`` gives them.
 
-    The budget: a squared state is charged when the walk first expands
-    it, which ``_Squared.expanded`` records, 1 plus the output letters it
-    holds pending, and once the charges pass (1 + longest move output) ×
-    n² the walk raises ``NotLetterToLetterError``. That ends the walk on a
-    machine whose two runs on equal-length inputs lag apart without
-    bound. A machine whose moves all output the same number of letters,
-    as letter-to-letter bodies do, never has output pending, so it
-    expands at most n² squared states and is charged nothing. The
-    witnesses of ``eliminate_final_output`` fit too: with c final-output
-    classes, runs on inputs of one length lag by fewer than c letters, and
-    the pending word is fixed by the pair of states. When the kernel
-    equals R the walk expands every squared state it reaches; when they
-    differ, it returns the pair it meets first, also where the whole
-    squared machine exceeds the budget.
+    The budget: a squared state is charged when the walk first expands it
+    (``_Squared.expanded``), 1 plus the output letters it holds pending;
+    past (1 + longest move output) × n² the walk raises
+    ``NotLetterToLetterError``, which ends it on a machine whose two runs
+    on equal-length inputs lag apart without bound. Moves that all output
+    as many letters, as letter-to-letter bodies do, never leave output
+    pending and are charged nothing. Eliminated witnesses with c
+    final-output classes lag by fewer than c letters, the pending word
+    fixed by the pair of states. When the kernel equals R the walk
+    expands every squared state it reaches; otherwise it returns the
+    first pair it meets, also past the budget of the whole machine.
     """
     if not _length_graded(t):
         pair = _length_collision(t)
         if pair is not None:
             return pair
-    table = d._table
-    states = range(len(d.states))
-    size2 = 2 * len(states)
+    m = len(rows)
+    size2 = 2 * m
     square = _Squared(t, size2)
     n, nn, codes, lefts, rights = square.n, square.nn, square.codes, square.lefts, square.rights
     words, lengths, tags, uniform = square.words, square.lengths, square.tags, square.uniform
@@ -998,15 +955,17 @@ def _kernel_counterexample(t: _Moves, d, symmetric: bool) -> tuple[Word, Word] |
     )
     step = nn * size2  # one balance
     width = len(t.inputs)
-    moves = _pair_moves(width)
-    # per node remainder (state of d, bit): the targets of the state of d as
-    # the nodes of squared state 0 with the bit clear, the moves, and acceptance
-    d_rows = [[2 * t for (t,) in table[q]] for q in states]
-    by_rest = [(d_rows[r >> 1], moves[r & 1], r >> 1 in d.finals) for r in range(size2)]
+    # per bit, the moves of a node as (pair-letter position, a, b, what a kept bit
+    # adds): with the bit clear every pair letter, set only the (a, b) with a ≤ b
+    moves = [
+        [(a * width + b, a, b, 0) for a in range(width) for b in range(width)],
+        [(a * width + b, a, b, m * (a == b)) for a in range(width) for b in range(a, width)],
+    ]
+    # per node remainder bit × m + s: the row of s, the moves, and acceptance
+    by_rest = [(rows[s], moves[bit], finals[s]) for bit in (0, 1) for s in range(m)]
     dead = -size2
     dead_row = [dead] * (width * width)
-    (d0,) = d.initials
-    start = 2 * d0 + symmetric  # squared state 0
+    start = symmetric * m  # squared state 0, state 0 of the DFA
     parent = {start: None}  # product node -> the node it was first reached from
     queue = [start]
     for node in queue:  # the queue grows while it is walked

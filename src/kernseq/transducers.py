@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .automata import Alphabet, Nfa, _reach, determinize
+from .automata import Alphabet, Nfa, _coreach, determinize
 from .errors import AlphabetMismatchError, PreconditionError
 
 
@@ -97,14 +97,23 @@ def diagonal_states(t: LetterTransducer) -> frozenset[int]:
     state reached by (u, v) is diagonal exactly when every common
     continuation keeps the pair related, i.e. when u and v are
     syntactically congruent. That is the greatest set of final states
-    closed under the (a, a) edges: the states with no (a, a)-path to a
-    non-final state, found by one backward reachability walk.
+    closed under the (a, a) edges, ``_diagonal`` of its rows.
     """
     if not t.same_alphabets():
         raise AlphabetMismatchError("diagonal states need equal input/output alphabets")
     nfa = t.nfa
     if not nfa.is_complete:
         raise PreconditionError("diagonal states need a complete pair DFA")
-    step = len(t.input_alphabet) + 1  # the (a, a) are every step-th pair letter
-    back = ((q, p) for p, row in nfa._table.items() for (q,) in row[::step])
-    return nfa.states - _reach(nfa.states - nfa.finals, back)
+    states = sorted(nfa.states)  # numbered 0..n-1 in their order
+    number = {q: i for i, q in enumerate(states)}
+    rows = [[number[t] for (t,) in nfa._table[q]] for q in states]
+    diagonal = _diagonal(rows, [q in nfa.finals for q in states], len(t.input_alphabet))
+    return frozenset(states[i] for i in diagonal)
+
+
+def _diagonal(rows: list, finals: list, width: int) -> frozenset[int]:
+    """The diagonal states of a complete pair DFA over ``width`` letters as
+    dense rows and finality: one backward walk (``automata._coreach``)
+    over the (a, a) moves from the non-final states finds the others."""
+    states = range(len(rows))
+    return frozenset(states) - _coreach(rows, [q for q in states if not finals[q]], width + 1)

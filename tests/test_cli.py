@@ -361,7 +361,7 @@ def test_validate_out_of_memory_in_the_pair_dfa_exits_five(files, capsys, monkey
     def exhaust(nfa):
         raise MemoryError()
 
-    monkeypatch.setattr(kernseq.relations, "determinize", exhaust)
+    monkeypatch.setattr(kernseq.relations, "_subset_dfa", exhaust)
     code, out, err = run(capsys, "validate", files["ident"])
     assert code == 5
     assert out == ""

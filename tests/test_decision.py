@@ -463,7 +463,7 @@ def test_the_triple_pass_inside_square_components_matches_the_whole_product():
     from kernseq.relations import _finitely_valued
 
     def valued(t, what):
-        rows = _dense(drop_sink(minimize(t.nfa)))
+        rows, _finals = _dense(drop_sink(minimize(t.nfa)))
         answer = _finitely_valued(rows, len(t.output_alphabet))
         assert answer is _whole_product_finitely_valued(rows, len(t.output_alphabet)), what
         return answer
@@ -781,19 +781,18 @@ def test_entry_points_reject_non_equivalence(entry):
 
 def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
     from kernseq import automata, relations, synthesis
-    from kernseq.automata import determinize
 
     walks = validation_walks(monkeypatch)
     builds = count_calls(monkeypatch, relations, "_least_walk")
     compositions = count_calls(monkeypatch, relations, "_composed")
-    subsets = count_calls(monkeypatch, automata, "_subsets")
+    subsets = count_calls(monkeypatch, automata, "_subset_rows")
     searches = count_calls(monkeypatch, relations, "transitive_closure")
     validated = count_calls(monkeypatch, synthesis, "validate_closure_witness")
     checked = count_calls(monkeypatch, relations, "_finite_index")
 
     def walks_of(r):
         # the closure search walks its own minimal automaton, not r's
-        return [args for args in walks if args[0] is determinize(r.nfa)]
+        return [args for args in walks if args[0] is prepare(r).rows[0]]
 
     def rebuilt(r):
         return LetterTransducer.build(

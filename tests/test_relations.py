@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kernseq.automata import (
     Nfa,
+    _dense,
     _dfa,
     coaccessible_states,
     determinize,
@@ -18,7 +19,13 @@ from kernseq.automata import (
     minimize,
     trim,
 )
-from kernseq.decision import DEFAULT_CLOSURE_CAP, is_finitely_valued
+from kernseq.decision import (
+    DEFAULT_CLOSURE_CAP,
+    analyze,
+    decide_kerseq_ll,
+    decide_kerseq_lp,
+    is_finitely_valued,
+)
 from kernseq.errors import (
     AlphabetMismatchError,
     BadClosureWitnessError,
@@ -177,7 +184,8 @@ def test_validation_walks_agree_with_the_inclusion_definition():
             assert holds == (False, False, False), i
             continue
         # each walk's counterexample is a pair r lacks, as short as the shortest
-        walks = [walk() for walk in _axioms(determinize(r.nfa), r.input_alphabet)]
+        d = determinize(r.nfa)
+        walks = [walk() for walk in _axioms(*_dense(d), coaccessible_states(d), r.input_alphabet)]
         for ok, found, (required, shortest) in zip(holds, walks, _axioms_by_inclusion(r)):
             assert ok == (found is None) == (shortest is None), i
             if found is not None:
@@ -279,7 +287,7 @@ def test_integer_node_walks_equal_the_tuple_node_walks():
     found = [0, 0, 0]
     for i, r in enumerate(drawn):
         d = determinize(r.nfa)
-        got = [walk() for walk in _axioms(d, r.input_alphabet)]
+        got = [walk() for walk in _axioms(*_dense(d), coaccessible_states(d), r.input_alphabet)]
         assert got == _reference_axioms(d, r.input_alphabet), i
         for k, word in enumerate(got):
             found[k] += word is not None
@@ -840,12 +848,12 @@ def test_each_relation_is_determinized_once(monkeypatch):
 
     r = build_last_a()
     assert determinize(r.nfa) is determinize(r.nfa)
-    built = count_calls(monkeypatch, automata, "_subsets")
+    built = count_calls(monkeypatch, automata, "_subset_rows")
     r = build_last_a()
     prep = prepare(r)
     assert len(built) == 1
     assert validate_relation(r) == prep.validation
-    assert pair_dfa(r).nfa is prep.det.nfa
+    assert prep.det.nfa is pair_dfa(r).nfa
     assert len(built) == 1
     # kept with the automaton, not in a cache keyed by its value
     twin = build_last_a()
@@ -853,6 +861,93 @@ def test_each_relation_is_determinized_once(monkeypatch):
     d = determinize(twin.nfa)
     assert len(built) == 2
     assert d == prep.det.nfa and d is not prep.det.nfa
+
+
+def _fresh_relations():
+    """The fixtures, the seeded 2-letter suite, 200 three-letter draws and
+    the co-sequential draws but the slow one, each built anew."""
+    from cosequential import SLOW_CLOSURE, cosequential_suite
+
+    rng = random.Random(7)
+    return [
+        build_last_a(),
+        build_a_parity(),
+        build_c_singletons(),
+        build_agree_except_last(2),
+        build_mod_count(3),
+        build_chain(3),
+        build_chained_classes(),
+        identity(AB),
+        full_same_length(AB),
+        *default_suite(200, seed=7),
+        *(random_equivalence(rng, letters=("a", "b", "c")) for _ in range(200)),
+        *(r for i, r in enumerate(cosequential_suite()) if i != SLOW_CLOSURE),
+    ]
+
+
+def test_the_rows_stages_equal_the_automaton_level_functions():
+    """Each stage that ``Prepared`` reads off its rows equals the public
+    function on automata that it stands for, on a relation built anew."""
+    from kernseq.relations import Prepared, _prepared
+
+    for i, r in enumerate(_fresh_relations()):
+        prep = Prepared(r)
+        d = determinize(r.nfa)
+        assert prep.rows == _dense(d), i
+        walks = _axioms(*_dense(d), coaccessible_states(d), r.input_alphabet)
+        v = prep.validation
+        assert [v.is_reflexive, v.is_symmetric, v.is_transitive] == [
+            walk() is None for walk in walks
+        ], i
+        assert prep.live == coaccessible_states(d), i
+        assert prep.prefix_closed == (coaccessible_states(d) <= d.finals), i
+        assert prep.diagonal == diagonal_states(pair_dfa(r)), i
+        assert prep.own_closure.nfa == drop_sink(minimize(r.nfa)), i
+        # a closure's kept rows are the subset construction of its automaton
+        assert _prepared(prep.own_closure).rows == Prepared(prep.own_closure).rows, i
+        iterate, transitive = _prepared(prep.prefix).first_iterate
+        fresh, fresh_transitive = Prepared(prefix_closure(r)).first_iterate
+        assert (iterate.nfa, transitive) == (fresh.nfa, fresh_transitive), i
+        assert prep.prefix_transitive == (prep.prefix_closed or fresh_transitive), i
+
+
+def test_each_relation_reads_one_pair_dfa_as_rows(monkeypatch):
+    """On a relation built anew, validation, analysis and both deciders
+    run one subset construction for its pair DFA, build no automaton of
+    its rows, and walk no transition set of it: the walks over transition
+    sets (``Nfa._live`` and ``accessible_states``) see only r's own
+    transitions and those of automata that are not its pair DFA."""
+    from kernseq import automata
+
+    drawn = _fresh_relations()
+    cases = drawn[:59] + drawn[209:259]  # the fixtures, and 50 draws of each suite
+    built = count_calls(monkeypatch, automata, "_subset_rows")
+    automata_built = count_calls(monkeypatch, automata, "_dfa")
+    accessed = count_calls(monkeypatch, automata, "accessible_states")
+    lived = []  # the automata whose live states are found from their transitions
+    real_live = automata.Nfa.__dict__["_live"].func
+
+    def live(a):
+        lived.append(a)
+        return real_live(a)
+
+    monkeypatch.setattr(automata.Nfa, "_live", property(live))
+    for r in cases:
+        for calls in (built, automata_built, accessed, lived):
+            calls.clear()
+        validate_relation(r)
+        analyze(r)
+        decide_kerseq_ll(r)
+        decide_kerseq_lp(r)
+        table = r.nfa._table
+        ours = [args for args in built if args[:2] == (frozenset(r.nfa.initials), table.__getitem__)]
+        assert len(ours) == 1
+        rows, finals = prepare(r).rows
+        assert all(args[1] is not rows for args in automata_built)
+        assert "_determinized" not in vars(r.nfa)
+        walked = lived + [args[0] for args in accessed]
+        pair = _dfa(r.nfa.alphabet, rows, finals).transitions
+        assert all(a.transitions is r.nfa.transitions or a.transitions != pair for a in walked)
 
 
 # ---------------------------------------------------------------- min-lex uniformizer
@@ -1033,8 +1128,8 @@ def test_the_representatives_are_the_uniformizers_fixed_points():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(relations, "_trim_rows", spy)
             walked.clear()
-            relations._least_walk(s, False)
-            relations._least_walk(s, True)
+            min_lex_uniformizer(s)
+            relations.Prepared(r).representatives
         full, diagonal = walked
         assert diagonal <= full, i
         sizes.add(full - diagonal)

@@ -128,7 +128,6 @@ def test_mealy_rejects_infinite_index(c_singletons):
 
 def test_each_synthesizer_prepares_its_relation_once(monkeypatch, a_parity, c_singletons):
     from kernseq import relations
-    from kernseq.automata import determinize
 
     yes = build_agree_except_last(2)
     yes_plus, parity_plus, singletons_plus = map(closure_of, (yes, a_parity, c_singletons))
@@ -166,7 +165,7 @@ def test_each_synthesizer_prepares_its_relation_once(monkeypatch, a_parity, c_si
             else:
                 with pytest.raises(PreconditionError, match=refusal):
                     entry(r, *rest)
-        assert len(walks) == 1 and walks[0][0] is determinize(r.nfa)
+        assert len(walks) == 1 and walks[0][0] is prepare(r).rows[0]
         assert len(builds) == 1
 
 
