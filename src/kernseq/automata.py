@@ -14,8 +14,8 @@ Its live states (``coaccessible_states``) are found once and kept too.
 Product constructions number their states with ``explore``, breadth
 first in discovery order, and ``explored`` builds their automaton. The
 one subset construction is ``_subset_rows``: ``_subset_dfa`` runs it on
-an automaton's states into dense rows, ``determinize`` keeps their
-automaton, and ``kernseq.relations.compose`` runs it on pairs of states.
+an automaton's states into dense rows, which the automaton keeps
+(``Nfa._subset``) and ``determinize`` builds its automaton from, and ``kernseq.relations.compose`` runs it on pairs of states.
 ``_quotient`` refines dense rows to the minimal complete DFA, which
 ``minimize`` returns and ``drop_sink`` trims; ``_dfa`` builds the
 automaton of dense rows and keeps them for ``_dense``. Inclusion runs
@@ -136,9 +136,15 @@ class Nfa:
         return rows, [q in self.finals for q in states]
 
     @cached_property
+    def _subset(self) -> tuple[list, list]:
+        """The subset construction as dense rows and finality (``_subset_dfa``),
+        built on first use and kept: ``_determinized`` is their automaton."""
+        return _subset_dfa(self)
+
+    @cached_property
     def _determinized(self) -> "Nfa":
-        """The subset construction, built on first use and kept: see ``determinize``."""
-        return _subsets(self)
+        """The automaton of ``_subset``, built on first use and kept: see ``determinize``."""
+        return _dfa(self.alphabet, *self._subset)
 
     @cached_property
     def outgoing(self) -> dict:
@@ -254,14 +260,15 @@ def drop_sink(a: Nfa) -> Nfa:
     ``_trim_rows`` drops. When the sink is the initial state the language
     is empty and so is the result.
 
-    ``a`` is kept as the result's subset construction (``determinize``):
-    the subsets of a trim DFA are its singletons and the empty set, which
-    the walk reaches where ``a`` has its sink, so that construction is
-    ``a`` itself, numbered breadth first.
+    ``a`` and its rows are kept as the result's subset construction
+    (``determinize``, ``Nfa._subset``): the subsets of a trim DFA are its
+    singletons and the empty set, which the walk reaches where ``a`` has
+    its sink, so that construction is ``a`` itself, numbered breadth first.
     """
     rows, finals = _trim_rows(*_dense(a))
     trimmed = a if len(rows) == len(a.states) else _dfa(a.alphabet, rows, finals)
     vars(trimmed).setdefault("_determinized", a)
+    vars(trimmed).setdefault("_subset", a._rows)
     return trimmed
 
 
@@ -354,16 +361,12 @@ def determinize(a: Nfa) -> Nfa:
     The result is deterministic and complete: there is exactly one
     initial state and a total transition function, with the empty subset
     acting as the sink. Recognizes the same language. It is built on
-    the first call and kept on ``a``, as ``a``'s table is, so an
-    automaton passed to several stages is determinized once; an equal
+    the first call and kept on ``a``, as ``a``'s table is, from the rows
+    ``a`` keeps (``Nfa._subset``), so an automaton passed to several
+    stages, as rows or as an automaton, is determinized once; an equal
     but distinct ``Nfa`` is determinized afresh.
     """
     return a._determinized
-
-
-def _subsets(a: Nfa) -> Nfa:
-    """The subset construction of ``determinize``, built afresh from ``_subset_dfa``."""
-    return _dfa(a.alphabet, *_subset_dfa(a))
 
 
 def _subset_dfa(a: Nfa) -> tuple[list, list]:

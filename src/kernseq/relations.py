@@ -42,7 +42,6 @@ from .automata import (
     _dfa,
     _live_rows,
     _quotient,
-    _subset_dfa,
     _subset_rows,
     _trim_rows,
     _unchecked,
@@ -97,11 +96,9 @@ def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
 
 def _trimmed(inputs: Alphabet, outputs: Alphabet, rows: list, finals: list) -> LetterTransducer:
     """The transducer of a minimal complete DFA's rows and finality without
-    its sink (``drop_sink``), those rows kept as its ``Prepared.rows``."""
+    its sink (``drop_sink``), which keeps those rows as its ``Prepared.rows``."""
     alphabet = pair_alphabet(inputs, outputs)
-    t = LetterTransducer(inputs, outputs, drop_sink(_dfa(alphabet, rows, finals)))
-    vars(_prepared(t))["rows"] = rows, finals
-    return t
+    return LetterTransducer(inputs, outputs, drop_sink(_dfa(alphabet, rows, finals)))
 
 
 def _composed(r: LetterTransducer, s: LetterTransducer) -> tuple[list, list]:
@@ -263,13 +260,15 @@ class Prepared:
     The stages read one form of the relation, ``rows``: its complete pair
     DFA as dense rows and finality, ``rows[q][a * w + b]`` the target of
     state q on the pair letter (a, b) over w letters, state 0 initial,
-    numbered as ``determinize`` numbers it. Validation, liveness,
-    prefix-closedness, the diagonal, the minimal DFA, the first iterate,
-    the representatives, the index product, the witnesses and their
-    certification read those rows. An automaton is built only for a value
-    that leaves the package: ``det`` and ``congruence`` when asked for,
-    and each closure (``_trimmed``), whose own rows are set from its
-    complete minimal DFA.
+    numbered as ``determinize`` numbers it. The relation's automaton keeps
+    them (``Nfa._subset``) and ``determinize`` builds its automaton from
+    them, so either runs the one subset construction. Validation,
+    liveness, prefix-closedness, the diagonal, the minimal DFA, the first
+    iterate, the representatives, the index product, the witnesses and
+    their certification read those rows. An automaton is built only for a
+    value that leaves the package: ``det`` and ``congruence`` when asked
+    for, and each closure (``_trimmed``), whose rows are those of its
+    complete minimal DFA (``drop_sink``).
 
     Each stage is built on first use and kept. ``_prepared`` keeps one
     ``Prepared`` on each relation object, the only value kept there, so
@@ -283,8 +282,8 @@ class Prepared:
 
     @cached_property
     def rows(self) -> tuple[list, list]:
-        """The complete pair DFA, ``automata._subset_dfa`` of the relation."""
-        return _subset_dfa(self.relation.nfa)
+        """The complete pair DFA, kept on the relation's automaton (``Nfa._subset``)."""
+        return self.relation.nfa._subset
 
     @cached_property
     def live(self) -> frozenset[int]:
@@ -306,10 +305,7 @@ class Prepared:
 
     @cached_property
     def det(self) -> LetterTransducer:
-        """``pair_dfa(relation)``, built from ``rows`` unless one is kept."""
-        a = self.relation.nfa
-        if "_determinized" not in vars(a):
-            vars(a)["_determinized"] = _dfa(a.alphabet, *self.rows)
+        """``pair_dfa(relation)``, the automaton of ``rows``."""
         return pair_dfa(self.relation)
 
     @cached_property
@@ -339,10 +335,10 @@ class Prepared:
         searched. It has the relation's transitions and initial states, so
         its subset construction has the same subsets, final when they hold
         a live state: ``rows`` with the ``live`` states final, set as its
-        own ``rows``."""
+        automaton's."""
         p = prefix_closure(self.relation)
         rows, _finals = self.rows
-        vars(_prepared(p))["rows"] = rows, [q in self.live for q in range(len(rows))]
+        vars(p.nfa)["_subset"] = rows, [q in self.live for q in range(len(rows))]
         return p
 
     @cached_property

@@ -356,12 +356,12 @@ def test_resource_exhaustion_exits_five_with_one_line(files, capsys, monkeypatch
 
 
 def test_validate_out_of_memory_in_the_pair_dfa_exits_five(files, capsys, monkeypatch):
-    import kernseq.relations
+    import kernseq.automata
 
     def exhaust(nfa):
         raise MemoryError()
 
-    monkeypatch.setattr(kernseq.relations, "_subset_dfa", exhaust)
+    monkeypatch.setattr(kernseq.automata, "_subset_dfa", exhaust)
     code, out, err = run(capsys, "validate", files["ident"])
     assert code == 5
     assert out == ""

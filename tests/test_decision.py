@@ -1444,9 +1444,10 @@ def test_the_closure_keeps_its_complete_minimal_dfa(monkeypatch):
     ]
     for r in fixtures + default_suite(200, seed=7):
         closure = prepare(r).closure(DEFAULT_CLOSURE_CAP)[0].closure
-        assert pair_dfa(closure).nfa == minimize(closure.nfa) == automata._subsets(closure.nfa)
+        fresh = automata._dfa(closure.nfa.alphabet, *automata._subset_dfa(closure.nfa))
+        assert pair_dfa(closure).nfa == minimize(closure.nfa) == fresh
     # so the synthesis builds no subset construction of a fresh relation's closure
-    built = count_calls(monkeypatch, automata, "_subsets")
+    built = count_calls(monkeypatch, automata, "_subset_dfa")
     real = decision._subsequential_moves
     during = []  # subset constructions per synthesis
 

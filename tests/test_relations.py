@@ -372,7 +372,8 @@ def test_compose_is_the_minimized_product_composition(monkeypatch):
         assert got.nfa == drop_sink(minimize(reference_compose(r, s).nfa))
         assert (got.input_alphabet, got.output_alphabet) == (s.input_alphabet, r.output_alphabet)
         # the complete minimal DFA it keeps is its subset construction
-        assert determinize(got.nfa) == automata._subsets(got.nfa) == minimize(got.nfa)
+        fresh = _dfa(got.nfa.alphabet, *automata._subset_dfa(got.nfa))
+        assert determinize(got.nfa) == fresh == minimize(got.nfa)
         return got
 
     # every index input and every closure round, and the fixtures whose
@@ -853,7 +854,7 @@ def test_each_relation_is_determinized_once(monkeypatch):
     prep = prepare(r)
     assert len(built) == 1
     assert validate_relation(r) == prep.validation
-    assert prep.det.nfa is pair_dfa(r).nfa
+    assert pair_dfa(r).nfa is prep.det.nfa
     assert len(built) == 1
     # kept with the automaton, not in a cache keyed by its value
     twin = build_last_a()
@@ -888,6 +889,7 @@ def _fresh_relations():
 def test_the_rows_stages_equal_the_automaton_level_functions():
     """Each stage that ``Prepared`` reads off its rows equals the public
     function on automata that it stands for, on a relation built anew."""
+    from kernseq import automata
     from kernseq.relations import Prepared, _prepared
 
     for i, r in enumerate(_fresh_relations()):
@@ -903,8 +905,10 @@ def test_the_rows_stages_equal_the_automaton_level_functions():
         assert prep.prefix_closed == (coaccessible_states(d) <= d.finals), i
         assert prep.diagonal == diagonal_states(pair_dfa(r)), i
         assert prep.own_closure.nfa == drop_sink(minimize(r.nfa)), i
-        # a closure's kept rows are the subset construction of its automaton
-        assert _prepared(prep.own_closure).rows == Prepared(prep.own_closure).rows, i
+        # the rows kept on a closure and on the prefix closure are the
+        # subset constructions of their automata
+        for t in (prep.own_closure, prep.prefix):
+            assert _prepared(t).rows == automata._subset_dfa(t.nfa), i
         iterate, transitive = _prepared(prep.prefix).first_iterate
         fresh, fresh_transitive = Prepared(prefix_closure(r)).first_iterate
         assert (iterate.nfa, transitive) == (fresh.nfa, fresh_transitive), i
