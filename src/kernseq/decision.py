@@ -147,7 +147,7 @@ def decide_kerseq_lp(
     """Is r the kernel of some sequential machine (length-preserving case)?
 
     The index checks run in this order. When the closure is reached with
-    no composition round (``Prepared.prefix_transitive``: r is
+    no composition round (the flag of ``Prepared.first_iterate``: r is
     prefix-closed, or its prefix closure is transitive, so the closure is
     the first iterate at exponent 1) and none is supplied, the index
     against that closure comes first. r lies inside the closure, so a
@@ -171,7 +171,7 @@ def decide_kerseq_lp(
     """
     prep = prepare(r)
     closure_result = None
-    if closure is None and cap >= 1 and prep.prefix_transitive:
+    if closure is None and cap >= 1 and prep.first_iterate[1]:
         closure_result, finite = prep.closure(cap)
         if not finite and not prep.finite_index:
             return Verdict(Outcome.NO, reason=INFINITE_INDEX)

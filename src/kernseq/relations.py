@@ -263,9 +263,9 @@ class Prepared:
     numbered as ``determinize`` numbers it. The relation's automaton keeps
     them (``Nfa._subset``) and ``determinize`` builds its automaton from
     them, so either runs the one subset construction. Validation,
-    liveness, prefix-closedness, the diagonal, the minimal DFA, the first
-    iterate, the representatives, the index product, the witnesses and
-    their certification read those rows. An automaton is built only for a
+    liveness, prefix-closedness, the diagonal, the first closure iterate
+    (the prefix closure's minimal DFA), the representatives, the index
+    product, the witnesses and their certification read those rows. An automaton is built only for a
     value that leaves the package: ``det`` and ``congruence`` when asked
     for, and each closure (``_trimmed``), whose rows are those of its
     complete minimal DFA (``drop_sink``).
@@ -273,9 +273,10 @@ class Prepared:
     Each stage is built on first use and kept. ``_prepared`` keeps one
     ``Prepared`` on each relation object, the only value kept there, so
     no stage runs twice for that object; an equal relation built anew
-    builds them again, and a stage that raises keeps nothing. The stages
-    past ``validation`` and ``first_iterate`` assume an equivalence
-    relation, which ``prepare`` checks.
+    builds them again, and a stage that raises keeps nothing. Only
+    ``rows``, ``live`` and ``validation`` may run on a relation that is
+    not an equivalence; the other stages assume one, which ``prepare``
+    checks.
     """
 
     relation: LetterTransducer
@@ -330,51 +331,24 @@ class Prepared:
         return self.det.with_nfa(_with_finals(self.det.nfa, self.diagonal))
 
     @cached_property
-    def prefix(self) -> LetterTransducer:
-        """``prefix_closure(relation)``, the relation whose closure is
-        searched. It has the relation's transitions and initial states, so
-        its subset construction has the same subsets, final when they hold
-        a live state: ``rows`` with the ``live`` states final, set as its
-        automaton's."""
-        p = prefix_closure(self.relation)
-        rows, _finals = self.rows
-        vars(p.nfa)["_subset"] = rows, [q in self.live for q in range(len(rows))]
-        return p
-
-    @cached_property
-    def minimal(self) -> tuple[list, list]:
-        """The rows and finality of the minimal complete DFA (``_quotient``)."""
-        return _quotient(*self.rows)
-
-    @cached_property
     def first_iterate(self) -> tuple[LetterTransducer, bool]:
-        """The first iterate of ``transitive_closure(relation, cap)``,
-        ``own_closure``, and whether the relation is transitive, so that
-        this iterate is the closure. The walks of ``_axioms`` on
-        ``minimal`` check that the relation is reflexive and symmetric,
-        raising ``PreconditionError`` otherwise, and the third tells
-        whether it is transitive.
+        """The first iterate of the closure searched from the prefix closure
+        P, and whether P is transitive, so that this iterate is the closure.
+        P has the relation's transitions and initial states, with its live
+        states final, so its subset construction is ``rows`` with the
+        ``live`` states final, and the iterate is their ``_trimmed``
+        ``_quotient``. A prefix-closed relation is P itself, an equivalence;
+        otherwise the transitivity walk of ``_axioms`` on that minimal DFA
+        answers. P needs no reflexive or symmetric walk: it contains the
+        relation, and (ux, vy) related makes (vy, ux) related.
         """
-        p, (rows, finals) = self.relation, self.minimal
-        reflexive, symmetric, transitive = (
-            _axioms(rows, finals, _live_rows(rows, finals), p.input_alphabet)
-            if p.same_alphabets() else (lambda: (),) * 3
-        )
-        if reflexive() is not None:
-            raise PreconditionError("transitive closure needs a reflexive relation")
-        if symmetric() is not None:
-            raise PreconditionError("transitive closure needs a symmetric relation")
-        return self.own_closure, transitive() is None
-
-    @cached_property
-    def prefix_transitive(self) -> bool:
-        """Whether the prefix closure is transitive, so that the closure is
-        reached with no composition round, at exponent 1 whatever the cap.
-        A prefix-closed relation is its own prefix closure and, being an
-        equivalence, transitive; otherwise the third walk of the prefix
-        closure's ``first_iterate`` answers.
-        """
-        return self.prefix_closed or _prepared(self.prefix).first_iterate[1]
+        r, (rows, _finals) = self.relation, self.rows
+        minimal = _quotient(rows, [q in self.live for q in range(len(rows))])
+        iterate = _trimmed(r.input_alphabet, r.output_alphabet, *minimal)
+        if self.prefix_closed:
+            return iterate, True
+        *_, transitive = _axioms(*minimal, _live_rows(*minimal), r.input_alphabet)
+        return iterate, transitive() is None
 
     @cached_property
     def representatives(self) -> tuple[list, list]:
@@ -433,13 +407,6 @@ class Prepared:
         return self.own_congruence or _finite_index(self, self.relation)
 
     @cached_property
-    def own_closure(self) -> LetterTransducer:
-        """The closure ``closure`` finds for a prefix-closed relation:
-        ``drop_sink(minimize(...))``, ``_trimmed`` from ``minimal``."""
-        r = self.relation
-        return _trimmed(r.input_alphabet, r.output_alphabet, *self.minimal)
-
-    @cached_property
     def _closures(self) -> dict:
         return {}
 
@@ -449,11 +416,11 @@ class Prepared:
         (None when the search did not converge), kept per cap. A search
         that converged at exponent k answers every cap of at least k.
 
-        A relation that is not prefix-closed is searched by
-        ``transitive_closure(prefix, cap)``. A prefix-closed relation is
-        its own prefix closure and transitive, so that search would stop
-        at exponent 1 on ``own_closure``, whose index is ``finite_index``.
-        A cap below 1 raises ``PreconditionError``.
+        The search starts from ``first_iterate``, and when the prefix
+        closure is not transitive runs the composition rounds (``_rounds``)
+        with ``prefix_closure(relation)``, built only then. A prefix-closed
+        relation's closure is itself, whose index is ``finite_index``. A cap
+        below 1 raises ``PreconditionError``.
         """
         kept = self._closures.get(cap) or next(
             (v for v in self._closures.values() if v[0].converged and v[0].exponent <= cap),
@@ -462,13 +429,15 @@ class Prepared:
         if kept is not None:
             self._closures[cap] = kept
             return kept
-        if self.prefix_closed:
-            _require_cap(cap)
-            result = ClosureResult(self.own_closure, 1, True)
-            finite = self.finite_index
+        _require_cap(cap)
+        current, transitive = self.first_iterate
+        if transitive:
+            result = ClosureResult(current, 1, True)
         else:
-            result = transitive_closure(self.prefix, cap)
-            finite = _finite_index(self, result.closure) if result.converged else None
+            result = _rounds(current, prefix_closure(self.relation), cap)
+        finite = None
+        if result.converged:
+            finite = self.finite_index if self.prefix_closed else _finite_index(self, result.closure)
         self._closures[cap] = result, finite
         return result, finite
 
@@ -544,24 +513,42 @@ def is_prefix_closed(r: LetterTransducer) -> bool:
 def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     """Iterate q <- q after p until the language stabilizes.
 
-    Requires p reflexive and symmetric so every iterate is too; the first
-    iterate and whether p is transitive are p's ``first_iterate`` stage.
-    A transitive p is its own closure at exponent 1, with no composition
-    round. Otherwise each round composes the current iterate with p by
-    ``compose``, so every iterate is the trimmed minimal pair DFA of its
-    language in canonical numbering (``_trimmed``). Since p is reflexive,
-    q after p contains q, so two consecutive iterates realize the same
-    relation exactly when their automata are equal. Stops either at the
-    first exponent k with equal consecutive iterates (converged, the
-    closure realizes the full transitive closure) or after ``cap``
-    comparisons (not converged). Running out of cap is a reportable
-    outcome, not an error: in general the fixpoint exponent is not
-    computable, so the iteration must not pretend otherwise.
+    Requires p reflexive and symmetric so every iterate is too, checked by
+    the walks of ``_axioms`` on the minimal DFA of p's ``Prepared.rows``,
+    whose ``_trimmed`` automaton is the first iterate; the third walk
+    tells whether p is transitive, and so its own closure at exponent 1,
+    with no composition round. Otherwise ``_rounds`` iterates. Running
+    out of cap is a reportable outcome, not an error: in general the
+    fixpoint exponent is not computable, so the iteration must not
+    pretend otherwise.
     """
     _require_cap(cap)
-    current, transitive = _prepared(p).first_iterate
-    if transitive:
+    rows, finals = _quotient(*_prepared(p).rows)
+    reflexive, symmetric, transitive = (
+        _axioms(rows, finals, _live_rows(rows, finals), p.input_alphabet)
+        if p.same_alphabets() else (lambda: (),) * 3
+    )
+    if reflexive() is not None:
+        raise PreconditionError("transitive closure needs a reflexive relation")
+    if symmetric() is not None:
+        raise PreconditionError("transitive closure needs a symmetric relation")
+    current = _trimmed(p.input_alphabet, p.output_alphabet, rows, finals)
+    if transitive() is None:
         return ClosureResult(closure=current, exponent=1, converged=True)
+    return _rounds(current, p, cap)
+
+
+def _rounds(current: LetterTransducer, p: LetterTransducer, cap: int) -> ClosureResult:
+    """The composition rounds of the closure search from a first iterate
+    that is not transitive: each round composes the current iterate with
+    p by ``compose``, so every iterate is the trimmed minimal pair DFA of
+    its language in canonical numbering (``_trimmed``). Since p is
+    reflexive, q after p contains q, so two consecutive iterates realize
+    the same relation exactly when their automata are equal. Stops either
+    at the first exponent k with equal consecutive iterates (converged,
+    the closure realizes the full transitive closure) or after ``cap``
+    comparisons (not converged).
+    """
     for k in range(1, cap + 1):
         nxt = compose(current, p)
         if nxt.nfa == current.nfa:

@@ -441,16 +441,18 @@ def _mealy_moves(prep: Prepared) -> _Moves:
 def validate_closure_witness(r: LetterTransducer, closure: LetterTransducer) -> None:
     """Checks that a claimed transitive prefix-closure fixpoint is consistent.
 
-    Verifies containment of the prefix closure, by one inclusion, and
-    transitivity, by the transitivity walk of ``relations._axioms`` alone
-    on the closure's ``Prepared.rows``. The fixpoint equation follows
-    from the two: composing the witness with the prefix closure stays
-    inside the witness composed with itself. These are the checkable
-    necessary conditions; minimality of the closure is taken on trust as
-    part of the input contract. A failed check raises ``BadClosureWitnessError``
-    naming a shortest offending pair (u, v), also kept as its ``pair``;
-    a closure whose input and output alphabets differ raises
-    ``AlphabetMismatchError``.
+    Verifies containment of the prefix closure, by one inclusion, then
+    transitivity and symmetry, by those two walks of ``relations._axioms``
+    on the closure's ``Prepared.rows``, in that order. The closure of an
+    equivalence's prefix closure is symmetric, and containing the
+    relation makes it reflexive. The fixpoint equation follows from
+    containment and transitivity: composing the witness with the prefix
+    closure stays inside the witness composed with itself. These are the
+    checkable necessary conditions; minimality of the closure is taken on
+    trust as part of the input contract. A failed check raises
+    ``BadClosureWitnessError`` naming a shortest offending pair (u, v),
+    also kept as its ``pair``; a closure whose input and output alphabets
+    differ raises ``AlphabetMismatchError``.
     """
     word = inclusion_counterexample(prefix_closure(r).nfa, closure.nfa)
     what = "does not contain the prefix closure"
@@ -458,9 +460,10 @@ def validate_closure_witness(r: LetterTransducer, closure: LetterTransducer) -> 
         if not closure.same_alphabets():
             raise AlphabetMismatchError("a closure witness needs equal input and output alphabets")
         kept = _prepared(closure)
-        *_, transitive = _axioms(*kept.rows, kept.live, closure.input_alphabet)
-        word = transitive()
-        what = "is not transitive"
+        _reflexive, symmetric, transitive = _axioms(*kept.rows, kept.live, closure.input_alphabet)
+        word, what = transitive(), "is not transitive"
+        if word is None:
+            word, what = symmetric(), "is not symmetric"
     if word is not None:
         pair = (tuple(x for x, _y in word), tuple(y for _x, y in word))
         raise BadClosureWitnessError(f"witness {what}: it lacks the pair {pair}", pair)
@@ -496,10 +499,10 @@ def _subsequential_moves(prep: Prepared, pplus: LetterTransducer) -> _Moves:
     ``decide_kerseq_lp`` establishes the conditions before calling it. A
     prefix-closed relation that is its own congruence is built by
     ``_walk`` when ``pplus`` is the very closure ``Prepared.closure``
-    searched (``Prepared.own_closure``), where an entry is accepting in
-    the closure exactly when it is diagonal in the relation; any other
-    closure, a supplied one of the same language included, by
-    ``_worklist``.
+    found, the relation's first iterate (``Prepared.first_iterate``),
+    where an entry is accepting in the closure exactly when it is
+    diagonal in the relation; any other closure, a supplied one of the
+    same language included, by ``_worklist``.
     """
     closure = _prepared(pplus)
     r_rows, r_finals = prep.rows
@@ -518,7 +521,7 @@ def _subsequential_moves(prep: Prepared, pplus: LetterTransducer) -> _Moves:
             raise InternalInvariantError("matrix row is not related to itself")
         return f"t{j}"
 
-    if prep.prefix_closed and prep.own_congruence and pplus is prep.own_closure:
+    if prep.prefix_closed and prep.own_congruence and pplus is prep.first_iterate[0]:
         return _walk(inputs, (0, 0), targets, coarse_final, tag)
     r_diag, p_diag = prep.diagonal, closure.diagonal
     return _worklist(

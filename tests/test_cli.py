@@ -240,6 +240,19 @@ def test_closure_writes_usable_fixpoint(files, capsys, tmp_path):
     assert payload["closure"] is None  # supplied, not computed
 
 
+def test_a_pplus_closure_that_is_not_symmetric_exits_three(files, capsys, tmp_path):
+    upper = tmp_path / "upper.t"
+    upper.write_text(
+        "kind letter-transducer\ninputs a b\noutputs a b\nstates 0\n"
+        "initials 0\nfinals 0\n0 a / a -> 0\n0 b / b -> 0\n0 a / b -> 0\n"
+    )
+    for command in (["decide", "lp"], ["analyze"]):
+        code, out, err = run(capsys, *command, files["ident"], "--pplus", str(upper))
+        assert code == 3 and out == ""
+        assert "error [BAD_CLOSURE_WITNESS]: witness is not symmetric" in err
+        assert "(('b',), ('a',))" in err
+
+
 def test_decide_lp_unknown_exit_two(files, capsys):
     code, payload, _ = run_json(
         capsys, "decide", "lp", files["chain"], "--closure-cap", "1"

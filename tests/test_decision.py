@@ -612,20 +612,20 @@ def test_the_deciders_index_checks_compose_nothing(monkeypatch):
         build_chain(3),
         build_chained_classes(),
     ] + default_suite(40, seed=7)
-    prefixes = []
     for r in cases:
+        searched = len(rounds)
         analyze(r)
         decide_kerseq_ll(r)
         decide_kerseq_lp(r)
         with contextlib.suppress(PreconditionError):
             synthesize_mealy(r)
-        prefixes.append(prepare(r).prefix)
+        # each round composes with the prefix closure of the searched relation
+        assert all(p == prefix_closure(r) for _current, p in rounds[searched:])
     r = identity(AB)
     analyze(r, pplus=full_same_length(AB))
     decide_kerseq_lp(r, closure=full_same_length(AB))
     assert len(checked) > 10 and len(rounds) > 2
     assert len(composed) == len(rounds)
-    assert all(any(p is q for q in prefixes) for _current, p in rounds)
     composed.clear()
     s, _ = syntactic_congruence(build_c_singletons())
     assert not index_is_finite(s, build_c_singletons())
@@ -786,7 +786,7 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
     builds = count_calls(monkeypatch, relations, "_least_walk")
     compositions = count_calls(monkeypatch, relations, "_composed")
     subsets = count_calls(monkeypatch, automata, "_subset_rows")
-    searches = count_calls(monkeypatch, relations, "transitive_closure")
+    searches = count_calls(monkeypatch, relations, "_rounds")
     validated = count_calls(monkeypatch, synthesis, "validate_closure_witness")
     checked = count_calls(monkeypatch, relations, "_finite_index")
 
@@ -816,6 +816,7 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
     for r, closure, cap in cases:
         walks.clear()
         builds.clear()
+        searches.clear()
         assert validate_relation(r).is_equivalence
         assert prepare(r) is prepare(r)
         is_prefix_closed(r)
@@ -828,6 +829,7 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
                 synthesize(r)
         assert len(walks_of(r)) == 1
         assert len(builds) == 1
+        prefixes = [p for _current, p, _cap in searches]
         # analyze, then decide lp twice: the cap searched above, and a
         # larger one when that search converged, is read back with no
         # composition, axiom walk or subset construction, and a larger cap
@@ -849,8 +851,11 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
                 assert not prepare(r).prefix_closed
                 assert len(searches) == 1
         keeps_only_its_stages(r)
-        if not prepare(r).prefix_closed:  # the searched prefix closure too
-            keeps_only_its_stages(prepare(r).prefix)
+        # the prefix closure is built for the composition rounds alone, and
+        # nothing is kept on it
+        assert (prefixes != []) == (not prepare(r).first_iterate[1])
+        for p in prefixes:
+            assert p == prefix_closure(r) and list(vars(p)) == ["input_alphabet", "output_alphabet", "nfa"]
     # a prefix-closed relation's closure is read off its kept pair DFA:
     # no subset construction, no axiom walk, no composition
     prep = prepare(build_agree_except_last(3))
@@ -864,8 +869,9 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
     r = cases[1][0]  # not prefix-closed
     again = rebuilt(r)
     searches.clear()
+    iterates = count_calls(monkeypatch, relations, "_trimmed")
     assert analyze(again).closure == analyze(r).closure
-    assert len(searches) == 1
+    assert len(iterates) == 1 and searches == []  # its prefix closure is transitive
     assert prepare(again).closure(DEFAULT_CLOSURE_CAP)[0] is not prepare(r).closure(
         DEFAULT_CLOSURE_CAP
     )[0]
@@ -1097,15 +1103,46 @@ def test_decide_lp_checks_one_index_when_the_prefix_closure_is_transitive(monkey
     checked = count_calls(monkeypatch, relations, "_finite_index")
     # a's parity: its prefix closure is the full same-length relation
     r = build_a_parity()
-    assert not prepare(r).prefix_closed and prepare(r).prefix_transitive
+    assert not prepare(r).prefix_closed and prepare(r).first_iterate[1]
     assert decide_kerseq_lp(r).outcome is Outcome.YES
     assert [args[1] for args in checked] == [prepare(r).closure(DEFAULT_CLOSURE_CAP)[0].closure]
     # chained classes need a composition round: r's index comes first
     checked.clear()
     r = build_chained_classes()
-    assert not prepare(r).prefix_transitive
+    assert not prepare(r).first_iterate[1]
     assert decide_kerseq_lp(r).outcome is Outcome.YES
     assert [args[1] for args in checked][0] is r and len(checked) == 2
+
+
+def test_the_prefix_closure_is_built_only_for_a_composition_round(monkeypatch):
+    from kernseq import relations
+
+    built = count_calls(monkeypatch, relations, "prefix_closure")
+    # the prefix closure is transitive: the first iterate is the closure
+    for r in [
+        build_a_parity(),
+        build_mod_count(2),
+        build_mod_count(3),
+        build_last_a(),
+        build_agree_except_last(1),
+        build_agree_except_last(2),
+        build_chain(1),
+    ]:
+        analyze(r)
+        decide_kerseq_lp(r)
+        assert prepare(r).first_iterate[1] and built == []
+    # a composition round runs: one prefix closure per search
+    for r in [build_chain(2), build_chain(3), build_chained_classes()]:
+        built.clear()
+        analyze(r)
+        decide_kerseq_lp(r)
+        assert [args[0] for args in built] == [r]
+    r = build_chain(3)
+    built.clear()
+    analyze(r, cap=2)
+    assert decide_kerseq_lp(r, cap=2).outcome is Outcome.UNKNOWN
+    decide_kerseq_lp(r)
+    assert [args[0] for args in built] == [r, r]
 
 
 def test_decide_lp_parity_yes_with_verified_witnesses(a_parity):
@@ -1523,11 +1560,11 @@ import resource, sys
 limit = int(sys.argv[1])
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from kernseq.decision import index_is_finite
-from kernseq.relations import prepare, transitive_closure
+from kernseq.relations import prefix_closure, prepare, transitive_closure
 from cosequential import cosequential_suite
 
 prep = prepare(cosequential_suite(182)[181])
-iterate = transitive_closure(prep.prefix, 16)
+iterate = transitive_closure(prefix_closure(prep.relation), 16)
 finite = index_is_finite(prep.congruence, iterate.closure)
 print(len(iterate.closure.nfa.states), iterate.converged, finite)
 """

@@ -295,13 +295,16 @@ def test_integer_node_walks_equal_the_tuple_node_walks():
     assert all(300 < count < len(drawn) - 300 for count in found), found
 
 
-def test_the_closure_witness_check_walks_transitivity_alone(monkeypatch, a_parity):
+def test_the_closure_witness_check_walks_transitivity_then_symmetry(monkeypatch, a_parity):
     from kernseq import relations
 
     closure = prepare(a_parity).closure(DEFAULT_CLOSURE_CAP)[0].closure
     walks = count_calls(monkeypatch, relations, "_shortest")
     validate_closure_witness(a_parity, closure)
-    assert len(walks) == 1
+    assert [expand.__qualname__.split(".")[-3] for _start, expand, _labels in walks] == [
+        "transitive",
+        "symmetric",
+    ]
 
 
 def test_validation_runs_no_inclusion_composition_or_inverse(monkeypatch, last_a, a_parity):
@@ -904,15 +907,35 @@ def test_the_rows_stages_equal_the_automaton_level_functions():
         assert prep.live == coaccessible_states(d), i
         assert prep.prefix_closed == (coaccessible_states(d) <= d.finals), i
         assert prep.diagonal == diagonal_states(pair_dfa(r)), i
-        assert prep.own_closure.nfa == drop_sink(minimize(r.nfa)), i
-        # the rows kept on a closure and on the prefix closure are the
-        # subset constructions of their automata
-        for t in (prep.own_closure, prep.prefix):
-            assert _prepared(t).rows == automata._subset_dfa(t.nfa), i
-        iterate, transitive = _prepared(prep.prefix).first_iterate
-        fresh, fresh_transitive = Prepared(prefix_closure(r)).first_iterate
-        assert (iterate.nfa, transitive) == (fresh.nfa, fresh_transitive), i
-        assert prep.prefix_transitive == (prep.prefix_closed or fresh_transitive), i
+        # a prefix-closed relation's first iterate is its own minimal DFA;
+        # that of the others is compared in the next test
+        iterate = prep.first_iterate[0]
+        if prep.prefix_closed:
+            assert iterate.nfa == drop_sink(minimize(r.nfa)), i
+        # the rows kept on the first iterate are its automaton's subset
+        # construction, and the prefix closure's are ``rows`` with the live
+        # states final
+        assert _prepared(iterate).rows == automata._subset_dfa(iterate.nfa), i
+        rows, _finals = prep.rows
+        p = prefix_closure(r)
+        assert automata._subset_dfa(p.nfa) == (rows, [q in prep.live for q in range(len(rows))]), i
+
+
+def test_the_first_iterate_is_the_prefix_closures_first_iterate():
+    """``Prepared.first_iterate``, read off the relation's own rows, is the
+    minimal DFA of its prefix closure P and whether P is transitive, as the
+    public closure search finds them on P; and P passes the reflexive and
+    symmetric walks that the search leaves out."""
+    from kernseq.relations import Prepared
+
+    for i, r in enumerate(_fresh_relations()):
+        p = prefix_closure(r)
+        iterate, transitive = Prepared(r).first_iterate
+        assert iterate.nfa == drop_sink(minimize(p.nfa)), i
+        assert transitive == transitive_closure(p, 1).converged, i
+        d = determinize(p.nfa)
+        reflexive, symmetric, _transitive = _axioms(*_dense(d), coaccessible_states(d), r.input_alphabet)
+        assert reflexive() is None and symmetric() is None, i
 
 
 def test_each_relation_reads_one_pair_dfa_as_rows(monkeypatch):

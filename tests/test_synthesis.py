@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kernseq.automata import Alphabet, language_equal
-from kernseq.decision import Outcome, decide_kerseq_ll, decide_kerseq_lp
+from kernseq.decision import Outcome, analyze, decide_kerseq_ll, decide_kerseq_lp
 from kernseq.errors import (
     AlphabetMismatchError,
     DimensionCapError,
@@ -23,6 +23,7 @@ from kernseq.oracle import (
 )
 from kernseq.relations import (
     compose,
+    inverse,
     prefix_closure,
     prepare,
     syntactic_congruence,
@@ -239,11 +240,14 @@ def test_closure_witness_errors_name_a_shortest_offending_pair(
     from kernseq.errors import BadClosureWitnessError
 
     pc = prefix_closure(chained_classes)
+    upper = _upper(AB)
     cases = [
         # the identity lacks the prefix closure of parity
         (a_parity, ident_ab, prefix_closure(a_parity), "prefix closure"),
         # the prefix closure of the chain links a to c and c to b, not a to b
         (chained_classes, pc, compose(pc, pc), "not transitive"),
+        # the identity lies inside a transitive closure that relates a to b, not b to a
+        (ident_ab, upper, inverse(upper), "not symmetric"),
     ]
     for r, witness, required, what in cases:
         with pytest.raises(BadClosureWitnessError, match=what) as info:
@@ -258,12 +262,27 @@ def test_closure_witness_errors_name_a_shortest_offending_pair(
         ).pairs
     with pytest.raises(BadClosureWitnessError, match=r"\(\('a',\), \('b',\)\)"):
         decide_kerseq_lp(a_parity, closure=ident_ab)
+    # no wrong NO: the identity is the kernel of the identity machine
+    refused = r"witness is not symmetric: it lacks the pair \(\('b',\), \('a',\)\)"
+    for check in (decide_kerseq_lp, synthesize_subsequential):
+        with pytest.raises(BadClosureWitnessError, match=refused):
+            check(ident_ab, upper)
+    with pytest.raises(BadClosureWitnessError, match=refused):
+        analyze(ident_ab, pplus=upper)
     # a closure whose input and output alphabets differ is no transitive closure
     wide = LetterTransducer.build(
         AB, ABC, {0}, {(0, (x, y), 0) for x in AB.letters for y in ABC.letters}, {0}, {0}
     )
     with pytest.raises(AlphabetMismatchError):
         validate_closure_witness(wide, wide)
+
+
+def _upper(alphabet):
+    """One final state with every (a, a) and every (a, b) for a before b:
+    reflexive and transitive, not symmetric."""
+    letters = alphabet.letters
+    moves = {(0, (a, b), 0) for i, a in enumerate(letters) for b in letters[i:]}
+    return LetterTransducer.build(alphabet, alphabet, {0}, moves, {0}, {0})
 
 
 def test_subsequential_body_outputs_track_the_closure(a_parity):
@@ -714,12 +733,12 @@ def _walked_relations():
 def _worklist_args(prep, inputs, initial_entry, targets, final, tag=None):
     """The arguments of the ``_worklist`` call that a ``_walk`` call on
     ``prep`` stands for: the Mealy construction's on a pair-DFA state, and
-    the subsequential one's on a pair of states, whose closure is
-    ``prep.own_closure``."""
+    the subsequential one's on a pair of states, whose closure is the
+    first iterate ``prep.first_iterate[0]``."""
     r_diag = prep.diagonal
     if not isinstance(initial_entry, tuple):
         return inputs, initial_entry, targets, final, r_diag.__contains__, r_diag.__contains__
-    p_diag = diagonal_states(pair_dfa(prep.own_closure))
+    p_diag = diagonal_states(pair_dfa(prep.first_iterate[0]))
     return (
         inputs,
         initial_entry,
@@ -827,7 +846,7 @@ def test_a_supplied_closure_builds_what_the_searched_closure_builds(monkeypatch)
         congruences += 1
         searched = decide_kerseq_lp(r)
         closure = searched.closure.closure
-        assert closure is prep.own_closure
+        assert closure is prep.first_iterate[0]
         # the very closure the search found takes the walk; an equal copy
         # takes the worklist and builds the same machines
         for supplied, walked in [(closure, True), (closure.with_nfa(closure.nfa), False)]:
