@@ -6,22 +6,23 @@ State identifiers are opaque integers. Constructions return automata
 with fresh contiguous identifiers. ``Nfa(...)`` checks its parts where
 they enter from outside; the automata the package builds itself are
 right by construction and assembled through one unchecked path here.
-An automaton indexes its transitions once, on first use, in one table:
-per state, per letter position, its targets ascending. Every walk reads
-that table; ``successors``, ``step`` and ``outgoing`` are views of it.
-Its live states (``coaccessible_states``) are found once and kept too.
+The product walks index an automaton's transitions once, on first use,
+in one table: per state, per letter position, its targets ascending;
+``successors``, ``step`` and ``outgoing`` are views of it. It and the
+live states are stages kept on the automaton (``kept``).
 
 Product constructions number their states with ``explore``, breadth
 first in discovery order, and ``explored`` builds their automaton. The
 one subset construction is ``_subset_rows``: ``_subset_dfa`` runs it on
-an automaton's states into dense rows, which the automaton keeps
-(``Nfa._subset``) and ``determinize`` builds its automaton from, and ``kernseq.relations.compose`` runs it on pairs of states.
-``_quotient`` refines dense rows to the minimal complete DFA, which
-``minimize`` returns and ``drop_sink`` trims; ``_dfa`` builds the
-automaton of dense rows and keeps them for ``_dense``. Inclusion runs
-on the fly, by one breadth-first walk over pairs of a state of one
-automaton and a subset of the other's states, which never determinizes
-the other in full.
+bitsets of an automaton's states read from its transitions, with no
+table, into dense rows that the automaton keeps (``Nfa._subset``) and
+``determinize`` builds its automaton from; ``kernseq.relations.compose``
+runs it on sets of pairs of states. ``_quotient`` refines dense rows to
+the minimal complete DFA, which ``minimize`` returns and ``drop_sink``
+trims; ``_dfa`` builds the automaton of dense rows and keeps them for
+``_dense``. Inclusion runs on the fly, by one breadth-first walk over
+pairs of a state of one automaton and a subset of the other's states,
+which never determinizes the other in full.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here can be shared freely.
@@ -31,9 +32,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial, reduce
 from itertools import compress
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Callable, Hashable, Iterable
 
 from .errors import AlphabetMismatchError
@@ -42,6 +43,20 @@ Letter = Hashable
 Word = tuple
 
 _EMPTY: frozenset = frozenset()
+
+
+class kept:
+    """``functools.cached_property`` as Python 3.12 has it, with no lock: ``func`` computed
+    on the first read and kept in the object's ``__dict__``, unless it raises."""
+
+    def __init__(self, func: Callable):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.func.__name__] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -62,7 +77,7 @@ class Alphabet:
         if len(set(self.letters)) != len(self.letters):
             raise ValueError("alphabet letters must be unique")
 
-    @cached_property
+    @kept
     def _index(self) -> dict:
         return {a: i for i, a in enumerate(self.letters)}
 
@@ -113,40 +128,40 @@ class Nfa:
             if letter not in self.alphabet:
                 raise ValueError(f"transition letter not in alphabet: {letter!r}")
 
-    @cached_property
+    @kept
     def _table(self) -> dict:
-        """Per state, per letter position, its targets ascending: read by every walk."""
+        """Per state, per letter position, its targets ascending: read by the product walks."""
         index = self.alphabet._index
         table = {q: [[] for _ in index] for q in self.states}
         for src, letter, dst in sorted(self.transitions, key=itemgetter(2)):
             table[src][index[letter]].append(dst)
         return table
 
-    @cached_property
+    @kept
     def _live(self) -> frozenset[int]:
         """The states that reach a final state, found on first use and kept:
         see ``coaccessible_states``."""
         return _reach(self.finals, map(itemgetter(2, 0), self.transitions))
 
-    @cached_property
+    @kept
     def _rows(self) -> tuple[list, list]:
         """The dense rows and finality, read once from the table: see ``_dense``."""
         table, states = self._table, range(len(self.states))
         rows = [[ts[0] if ts else -1 for ts in table[q]] for q in states]
         return rows, [q in self.finals for q in states]
 
-    @cached_property
+    @kept
     def _subset(self) -> tuple[list, list]:
         """The subset construction as dense rows and finality (``_subset_dfa``),
         built on first use and kept: ``_determinized`` is their automaton."""
         return _subset_dfa(self)
 
-    @cached_property
+    @kept
     def _determinized(self) -> "Nfa":
         """The automaton of ``_subset``, built on first use and kept: see ``determinize``."""
         return _dfa(self.alphabet, *self._subset)
 
-    @cached_property
+    @kept
     def outgoing(self) -> dict:
         """Per state, its (letter, target) pairs in alphabet order, then by target."""
         letters = self.alphabet.letters
@@ -161,12 +176,12 @@ class Nfa:
         i = self.alphabet._index.get(letter)
         return _EMPTY if row is None or i is None else frozenset(row[i])
 
-    @cached_property
+    @kept
     def is_deterministic(self) -> bool:
         rows = self._table.values()
         return len(self.initials) <= 1 and all(len(t) <= 1 for row in rows for t in row)
 
-    @cached_property
+    @kept
     def is_complete(self) -> bool:
         """Deterministic with a total transition function and one initial state."""
         rows = self._table.values()
@@ -257,18 +272,18 @@ def drop_sink(a: Nfa) -> Nfa:
 
     Every state of ``a`` is reachable and at most one is dead: the sink,
     a non-final state whose every move loops back to it, which
-    ``_trim_rows`` drops. When the sink is the initial state the language
+    ``_trim_dfa`` drops. When the sink is the initial state the language
     is empty and so is the result.
-
-    ``a`` and its rows are kept as the result's subset construction
-    (``determinize``, ``Nfa._subset``): the subsets of a trim DFA are its
-    singletons and the empty set, which the walk reaches where ``a`` has
-    its sink, so that construction is ``a`` itself, numbered breadth first.
     """
-    rows, finals = _trim_rows(*_dense(a))
-    trimmed = a if len(rows) == len(a.states) else _dfa(a.alphabet, rows, finals)
-    vars(trimmed).setdefault("_determinized", a)
-    vars(trimmed).setdefault("_subset", a._rows)
+    return _trim_dfa(a.alphabet, *_dense(a))
+
+
+def _trim_dfa(alphabet: Alphabet, rows: list, finals: list) -> Nfa:
+    """The trimmed DFA (``_trim_rows``) of a minimal complete DFA's rows and
+    finality, kept as its subset construction (``Nfa._subset``): a trim DFA's
+    subsets are its singletons, and the empty one where the sink was."""
+    trimmed = _dfa(alphabet, *_trim_rows(rows, finals))
+    vars(trimmed)["_subset"] = rows, finals
     return trimmed
 
 
@@ -361,36 +376,55 @@ def determinize(a: Nfa) -> Nfa:
     The result is deterministic and complete: there is exactly one
     initial state and a total transition function, with the empty subset
     acting as the sink. Recognizes the same language. It is built on
-    the first call and kept on ``a``, as ``a``'s table is, from the rows
-    ``a`` keeps (``Nfa._subset``), so an automaton passed to several
-    stages, as rows or as an automaton, is determinized once; an equal
-    but distinct ``Nfa`` is determinized afresh.
+    the first call and kept on ``a``, from the rows ``a`` keeps
+    (``Nfa._subset``), so ``a`` is determinized once, as rows or as an
+    automaton; an equal but distinct ``Nfa`` is determinized afresh.
     """
     return a._determinized
 
 
 def _subset_dfa(a: Nfa) -> tuple[list, list]:
-    """The dense rows and finality of ``a``'s subset construction (``_subset_rows``)."""
-    sets, delta = _subset_rows(frozenset(a.initials), a._table.__getitem__, len(a.alphabet))
-    return delta, [not subset.isdisjoint(a.finals) for subset in sets]
+    """The dense rows and finality of ``a``'s subset construction: ``_subset_rows``
+    on integer bitsets of its states (``_join``), their rows read from its transitions."""
+    bit = {q: 1 << k for k, q in enumerate(a.states)}
+    index = a.alphabet._index
+    joined = {b: [0] * len(index) for b in (0, *bit.values())}
+    for src, letter, dst in a.transitions:
+        joined[bit[src]][index[letter]] |= bit[dst]
+    sets, delta = _subset_rows(sum(map(bit.get, a.initials)), partial(_join, joined))
+    finals = sum(map(bit.get, a.finals))
+    return delta, [bool(subset & finals) for subset in sets]
 
 
-def _subset_rows(start: frozenset, row_of: Callable, width: int) -> tuple[list, list]:
-    """The subset construction from the set ``start`` as dense rows.
+def _join(joined: dict, states: int) -> list:
+    """The row of a bitset of states, per letter position the OR of its members' rows:
+    ``joined`` holds those of 0 and of each one-member set, and keeps each row joined."""
+    row = joined.get(states)
+    if row is None:
+        members, rest = [], states
+        while rest:
+            low = rest & -rest
+            members.append(joined[low])
+            rest ^= low
+        row = joined[states] = [reduce(or_, column) for column in zip(*members)]
+    return row
 
-    ``row_of(x)`` lists x's targets per letter position, 0..width-1, and
-    a subset's successor at a position is the union of its elements'
-    targets there, the empty subset being the sink. Returns the subsets,
-    numbered breadth first with positions in order, and ``delta[n][i]``,
-    the number of subset n's successor at position i.
+
+def _subset_rows(start, join: Callable) -> tuple[list, list]:
+    """The subset construction from the subset ``start`` as dense rows.
+
+    ``join(s)`` lists the successor of a subset s per letter position,
+    the union of its elements' targets there, the empty subset being the
+    sink. Returns the subsets, numbered breadth first with positions in
+    order, and ``delta[n][i]``, the number of subset n's successor at
+    position i.
     """
     sets = [start]
     ids = {start: 0}
     delta = []
-    sink = [()] * width  # the row of the empty subset
     for subset in sets:  # sets grows while it is walked
         targets = []
-        for succ in map(_EMPTY.union, *([row_of(x) for x in subset] or [sink])):
+        for succ in join(subset):
             t = ids.get(succ)
             if t is None:
                 t = ids[succ] = len(sets)

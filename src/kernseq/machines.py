@@ -10,10 +10,9 @@ where the input ends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping
 
-from .automata import Alphabet, Word
+from .automata import Alphabet, Word, kept
 
 
 @dataclass(frozen=True)
@@ -44,11 +43,11 @@ class SequentialTransducer:
                 if b not in outputs:
                     raise ValueError(f"output letter not declared: {b!r}")
 
-    @cached_property
+    @kept
     def is_letter_to_letter(self) -> bool:
         return all(len(out) == 1 for out, _ in self.transitions.values())
 
-    @cached_property
+    @kept
     def is_total(self) -> bool:
         """Defined and accepting on every input word."""
         return self.finals == self.states and all(

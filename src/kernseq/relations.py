@@ -30,23 +30,26 @@ holds a linked pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import compress, count, product, repeat
 from operator import or_
 from typing import Callable
 
 from .automata import (
+    _EMPTY,
     Alphabet,
     Nfa,
     _coreach,
     _dfa,
+    _join,
     _live_rows,
     _quotient,
     _subset_rows,
+    _trim_dfa,
     _trim_rows,
     _unchecked,
     coaccessible_states,
-    drop_sink,
+    kept,
 )
 from .errors import AlphabetMismatchError, NotEquivalenceError, PreconditionError
 from .transducers import LetterTransducer, _diagonal, pair_alphabet, pair_dfa
@@ -91,14 +94,16 @@ def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
     r-related to w. It determinizes: the result is the ``_trimmed``
     minimal DFA of the rows ``_composed`` returns.
     """
-    return _trimmed(s.input_alphabet, r.output_alphabet, *_composed(r, s))
+    inputs, outputs = s.input_alphabet, r.output_alphabet
+    pairs = r.nfa.alphabet if r.input_alphabet == inputs else pair_alphabet(inputs, outputs)
+    return _trimmed(inputs, outputs, pairs, *_composed(r, s))
 
 
-def _trimmed(inputs: Alphabet, outputs: Alphabet, rows: list, finals: list) -> LetterTransducer:
-    """The transducer of a minimal complete DFA's rows and finality without
-    its sink (``drop_sink``), which keeps those rows as its ``Prepared.rows``."""
-    alphabet = pair_alphabet(inputs, outputs)
-    return LetterTransducer(inputs, outputs, drop_sink(_dfa(alphabet, rows, finals)))
+def _trimmed(inputs: Alphabet, outputs: Alphabet, pairs: Alphabet, rows, finals) -> LetterTransducer:
+    """The transducer over the pair alphabet ``pairs`` of a minimal complete
+    DFA's rows and finality without its sink (``automata._trim_dfa``), which
+    keeps those rows as its ``Prepared.rows``."""
+    return LetterTransducer(inputs, outputs, _trim_dfa(pairs, rows, finals))
 
 
 def _composed(r: LetterTransducer, s: LetterTransducer) -> tuple[list, list]:
@@ -140,7 +145,8 @@ def _composed(r: LetterTransducer, s: LetterTransducer) -> tuple[list, list]:
 
     accepting = {p1 * m + p2 - lo for p1 in s.nfa.finals for p2 in r.nfa.finals}
     start = frozenset(p1 * m + p2 - lo for p1 in s.nfa.initials for p2 in r.nfa.initials)
-    sets, delta = _subset_rows(start, join, width)
+    sink = [[()] * width]  # the row of the empty set
+    sets, delta = _subset_rows(start, lambda pairs: map(_EMPTY.union, *([join(x) for x in pairs] or sink)))
     return _quotient(delta, [not pairs.isdisjoint(accepting) for pairs in sets])
 
 
@@ -261,37 +267,38 @@ class Prepared:
     DFA as dense rows and finality, ``rows[q][a * w + b]`` the target of
     state q on the pair letter (a, b) over w letters, state 0 initial,
     numbered as ``determinize`` numbers it. The relation's automaton keeps
-    them (``Nfa._subset``) and ``determinize`` builds its automaton from
-    them, so either runs the one subset construction. Validation,
-    liveness, prefix-closedness, the diagonal, the first closure iterate
-    (the prefix closure's minimal DFA), the representatives, the index
-    product, the witnesses and their certification read those rows. An automaton is built only for a
-    value that leaves the package: ``det`` and ``congruence`` when asked
-    for, and each closure (``_trimmed``), whose rows are those of its
-    complete minimal DFA (``drop_sink``).
+    them (``Nfa._subset``, read from its transitions with no table) and
+    ``determinize`` builds its automaton from them, so either runs the one
+    subset construction. Validation, liveness, prefix-closedness, the
+    diagonal, the first closure iterate (the prefix closure's minimal DFA),
+    the representatives, the index product, the witnesses and their
+    certification read those rows. An automaton is built only for a value
+    that leaves the package: ``det`` and ``congruence`` when asked for, and
+    each closure's trimmed DFA (``_trimmed``), which keeps its complete
+    minimal DFA's rows as its own.
 
-    Each stage is built on first use and kept. ``_prepared`` keeps one
-    ``Prepared`` on each relation object, the only value kept there, so
-    no stage runs twice for that object; an equal relation built anew
-    builds them again, and a stage that raises keeps nothing. Only
-    ``rows``, ``live`` and ``validation`` may run on a relation that is
-    not an equivalence; the other stages assume one, which ``prepare``
-    checks.
+    Each stage is built on first use and kept (``automata.kept``).
+    ``_prepared`` keeps one ``Prepared`` on each relation object, the only
+    value kept there, so no stage runs twice for that object; an equal
+    relation built anew builds them again, and a stage that raises keeps
+    nothing. Only ``rows``, ``live`` and ``validation`` may run on a
+    relation that is not an equivalence; the other stages assume one,
+    which ``prepare`` checks.
     """
 
     relation: LetterTransducer
 
-    @cached_property
+    @kept
     def rows(self) -> tuple[list, list]:
         """The complete pair DFA, kept on the relation's automaton (``Nfa._subset``)."""
         return self.relation.nfa._subset
 
-    @cached_property
+    @kept
     def live(self) -> frozenset[int]:
         """The states of ``rows`` that reach a final state."""
         return _live_rows(*self.rows)
 
-    @cached_property
+    @kept
     def validation(self) -> RelationValidation:
         """The equivalence axioms, one walk of ``_axioms`` each on ``rows``.
         An empty relation is reported non-reflexive: the identity over a
@@ -304,17 +311,17 @@ class Prepared:
         walks = _axioms(*self.rows, self.live, r.input_alphabet)
         return RelationValidation(*(walk() is None for walk in walks))
 
-    @cached_property
+    @kept
     def det(self) -> LetterTransducer:
         """``pair_dfa(relation)``, the automaton of ``rows``."""
         return pair_dfa(self.relation)
 
-    @cached_property
+    @kept
     def diagonal(self) -> frozenset[int]:
         """The diagonal states of ``rows`` (``transducers._diagonal``)."""
         return _diagonal(*self.rows, len(self.relation.input_alphabet))
 
-    @cached_property
+    @kept
     def prefix_closed(self) -> bool:
         """Every state of the trimmed pair DFA is final.
 
@@ -324,13 +331,13 @@ class Prepared:
         """
         return all(map(self.rows[1].__getitem__, self.live))
 
-    @cached_property
+    @kept
     def congruence(self) -> LetterTransducer:
         """The syntactic congruence: the pair DFA with the diagonal states
         final. It shares ``det``'s transitions and transition table."""
         return self.det.with_nfa(_with_finals(self.det.nfa, self.diagonal))
 
-    @cached_property
+    @kept
     def first_iterate(self) -> tuple[LetterTransducer, bool]:
         """The first iterate of the closure searched from the prefix closure
         P, and whether P is transitive, so that this iterate is the closure.
@@ -344,13 +351,13 @@ class Prepared:
         """
         r, (rows, _finals) = self.relation, self.rows
         minimal = _quotient(rows, [q in self.live for q in range(len(rows))])
-        iterate = _trimmed(r.input_alphabet, r.output_alphabet, *minimal)
+        iterate = _trimmed(r.input_alphabet, r.output_alphabet, r.nfa.alphabet, *minimal)
         if self.prefix_closed:
             return iterate, True
         *_, transitive = _axioms(*minimal, _live_rows(*minimal), r.input_alphabet)
         return iterate, transitive() is None
 
-    @cached_property
+    @kept
     def representatives(self) -> tuple[list, list]:
         """The trimmed DFA of the words least in their congruence class, as
         dense rows over the input letters and finality: the diagonal walk
@@ -364,7 +371,7 @@ class Prepared:
 
         return _least_walk(self.relation, live, row_of, (0,), diagonal, True)
 
-    @cached_property
+    @kept
     def slender(self) -> bool:
         """Whether the representatives have boundedly many words per length,
         so the congruence boundedly many classes per length.
@@ -385,7 +392,7 @@ class Prepared:
         past = _labels(comp, succ, [(w, 1) for v in cycles for w in succ[v] if comp[w] != comp[v]])
         return all(s < 0 or s == 0 and not p for s, p in zip(spare, past))
 
-    @cached_property
+    @kept
     def own_congruence(self) -> bool:
         """Whether the relation is its own syntactic congruence.
 
@@ -396,7 +403,7 @@ class Prepared:
         """
         return self.diagonal.issuperset(compress(count(), self.rows[1]))
 
-    @cached_property
+    @kept
     def finite_index(self) -> bool:
         """Whether the congruence has finite index with respect to the relation.
 
@@ -406,7 +413,7 @@ class Prepared:
         """
         return self.own_congruence or _finite_index(self, self.relation)
 
-    @cached_property
+    @kept
     def _closures(self) -> dict:
         return {}
 
@@ -453,9 +460,10 @@ def _prepared(r: LetterTransducer) -> Prepared:
 
 def _with_finals(d: Nfa, finals) -> Nfa:
     """The automaton ``d`` with ``finals`` final, sharing its transitions and
-    its table."""
+    its table once built."""
     a = _unchecked(d.alphabet, d.states, d.transitions, d.initials, finals)
-    vars(a)["_table"] = d._table
+    if "_table" in vars(d):
+        vars(a)["_table"] = d._table
     return a
 
 
@@ -496,7 +504,7 @@ def prefix_closure(r: LetterTransducer) -> LetterTransducer:
     """Make every state that can reach a final state final.
 
     The result relates u to v exactly when some equal-length suffixes
-    extend them to a related pair. It shares r's transitions and table.
+    extend them to a related pair. It shares r's transitions, and its table once built.
     """
     return r.with_nfa(_with_finals(r.nfa, coaccessible_states(r.nfa)))
 
@@ -532,7 +540,7 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
         raise PreconditionError("transitive closure needs a reflexive relation")
     if symmetric() is not None:
         raise PreconditionError("transitive closure needs a symmetric relation")
-    current = _trimmed(p.input_alphabet, p.output_alphabet, rows, finals)
+    current = _trimmed(p.input_alphabet, p.output_alphabet, p.nfa.alphabet, rows, finals)
     if transitive() is None:
         return ClosureResult(closure=current, exponent=1, converged=True)
     return _rounds(current, p, cap)
@@ -602,7 +610,7 @@ def _least_walk(s, live: list, row_of: Callable, initials, finals, diagonal: boo
     a, as in the full walk, so the node reached is the same.
 
     Both sets of a node are integer bitsets over the live states, and a
-    set's moves per pair letter are joined once per distinct set. The
+    set's moves per pair letter are joined once (``automata._join``). The
     nodes are numbered breadth first, letter positions in order, with a
     dense row each; the rows are then restricted to the nodes that reach
     an accepting one (``automata._trim_rows``).
@@ -621,24 +629,13 @@ def _least_walk(s, live: list, row_of: Callable, initials, finals, diagonal: boo
     joined = {0: [0] * positions}
     joined.update((bit[q], row_of(q, bit)) for q in live)
 
-    def join(states: int) -> list:
-        row = joined.get(states)
-        if row is None:
-            row, rest = joined[0], states
-            while rest:
-                low = rest & -rest
-                row = list(map(or_, row, joined[low]))
-                rest ^= low
-            joined[states] = row
-        return row
-
     finals = sum(map(bit.get, finals, repeat(0)))
     start = (sum(map(bit.get, initials, repeat(0))), 0)
     nodes = [start]
     ids = {start: 0}
     rows = []
     for equal, smaller in nodes:  # nodes grows while it is walked
-        reach, beaten = join(equal), join(smaller)
+        reach, beaten = _join(joined, equal), _join(joined, smaller)
         row = []
         for x, block in enumerate(blocks):
             below = reduce(or_, [beaten[i] for i in block])

@@ -468,3 +468,73 @@ def test_table_views_agree_with_the_transitions():
             if a.is_complete:
                 for (q, x), (target,) in step.items():
                     assert a.step(q, x) == target
+
+
+# ------------------------------------------------------------ kept stages
+
+
+def test_a_kept_stage_is_computed_once_per_instance_and_not_kept_when_it_raises():
+    from dataclasses import dataclass
+
+    from kernseq.automata import kept
+
+    calls = []
+
+    @dataclass(frozen=True)
+    class Staged:
+        fails: list
+
+        @kept
+        def stage(self):
+            """The stage."""
+            calls.append(self)
+            if self.fails:
+                raise ValueError(self.fails.pop(0))
+            return object()
+
+    one, two = Staged([]), Staged([])
+    assert one.stage is one.stage and two.stage is two.stage and one.stage is not two.stage
+    assert calls == [one, two] and vars(one)["stage"] is one.stage
+    descriptor = Staged.stage
+    assert isinstance(descriptor, kept) and descriptor.__doc__ == "The stage."
+    assert descriptor.func(one) is not one.stage
+    # a stage that raises keeps nothing and raises again on the next read
+    calls.clear()
+    failing = Staged(["first", "second"])
+    for message in ("first", "second"):
+        with pytest.raises(ValueError, match=message):
+            failing.stage
+        assert "stage" not in vars(failing)
+    assert failing.stage is failing.stage and len(calls) == 3
+
+
+def test_the_frozen_values_keep_their_stages_in_their_own_dict():
+    from kernseq.automata import kept
+    from kernseq.relations import Prepared
+    from kernseq.transducers import identity
+
+    r = identity(AB)
+    a = r.nfa
+    prep = Prepared(r)
+    for value, name in ((AB, "_index"), (a, "_live"), (a, "_subset"), (prep, "rows"), (prep, "live")):
+        assert isinstance(type(value).__dict__[name], kept)
+        got = getattr(value, name)
+        assert vars(value)[name] is got is getattr(value, name)
+    assert prep.rows is a._subset
+    assert Nfa.__dict__["_live"].func(a) == a._live
+
+
+def test_no_module_uses_the_locking_cached_property():
+    """The package keeps its stages with ``automata.kept``: on Python 3.10
+    and 3.11 ``functools.cached_property`` takes a lock on every first read."""
+    import ast
+    import pathlib
+
+    import kernseq
+
+    for path in pathlib.Path(kernseq.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert "cached_property" not in [alias.name for alias in node.names], path
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "cached_property", path

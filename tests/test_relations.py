@@ -889,6 +889,29 @@ def _fresh_relations():
     ]
 
 
+def test_the_bitset_subset_construction_equals_the_frozenset_reference():
+    """``automata._subset_dfa`` gives the rows, finality and numbering of
+    the subset construction on frozensets of states, on the relations of
+    the suites, the stress draws that blow up, and automata at the edges."""
+    from kernseq import automata
+    from cosequential import SLOW_CLOSURE, cosequential_suite, stress_draws
+    from reference_subsets import reference_subset_dfa
+
+    stress = stress_draws(142)
+    slow = cosequential_suite()[SLOW_CLOSURE]  # the one draw _fresh_relations leaves out
+    relations = [*_fresh_relations(), slow, *(stress[i] for i in (40, 117, 141))]
+    edges = [
+        Nfa(AB, {0, 1}, {(0, "a", 1), (1, "b", 0)}, set(), {0}),  # no initial state
+        Nfa(AB, set(), set(), set(), set()),  # no states
+        Nfa(AB, {3, 7}, {(3, "a", 7), (7, "b", 3), (7, "a", 7)}, {3}, {7}),
+        Nfa(AB, {3, 7}, {(3, "a", 3), (3, "a", 7), (7, "b", 3)}, {3}, {3}),  # two targets on a
+    ]
+    cases = [r.nfa for r in relations] + edges
+    assert sum(not a.is_deterministic for a in cases) >= 100
+    for i, a in enumerate(cases):
+        assert automata._subset_dfa(a) == reference_subset_dfa(a), i
+
+
 def test_the_rows_stages_equal_the_automaton_level_functions():
     """Each stage that ``Prepared`` reads off its rows equals the public
     function on automata that it stands for, on a relation built anew."""
@@ -941,14 +964,15 @@ def test_the_first_iterate_is_the_prefix_closures_first_iterate():
 def test_each_relation_reads_one_pair_dfa_as_rows(monkeypatch):
     """On a relation built anew, validation, analysis and both deciders
     run one subset construction for its pair DFA, build no automaton of
-    its rows, and walk no transition set of it: the walks over transition
-    sets (``Nfa._live`` and ``accessible_states``) see only r's own
-    transitions and those of automata that are not its pair DFA."""
+    its rows and no transition table of its automaton, and walk no
+    transition set of it: the walks over transition sets (``Nfa._live``
+    and ``accessible_states``) see only r's own transitions and those of
+    automata that are not its pair DFA."""
     from kernseq import automata
 
     drawn = _fresh_relations()
     cases = drawn[:59] + drawn[209:259]  # the fixtures, and 50 draws of each suite
-    built = count_calls(monkeypatch, automata, "_subset_rows")
+    built = count_calls(monkeypatch, automata, "_subset_dfa")
     automata_built = count_calls(monkeypatch, automata, "_dfa")
     accessed = count_calls(monkeypatch, automata, "accessible_states")
     lived = []  # the automata whose live states are found from their transitions
@@ -966,9 +990,8 @@ def test_each_relation_reads_one_pair_dfa_as_rows(monkeypatch):
         analyze(r)
         decide_kerseq_ll(r)
         decide_kerseq_lp(r)
-        table = r.nfa._table
-        ours = [args for args in built if args[:2] == (frozenset(r.nfa.initials), table.__getitem__)]
-        assert len(ours) == 1
+        assert [args for args in built if args[0] is r.nfa] == [(r.nfa,)]
+        assert "_table" not in vars(r.nfa)
         rows, finals = prepare(r).rows
         assert all(args[1] is not rows for args in automata_built)
         assert "_determinized" not in vars(r.nfa)
