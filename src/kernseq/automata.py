@@ -46,16 +46,19 @@ _EMPTY: frozenset = frozenset()
 
 
 class kept:
-    """``functools.cached_property`` as Python 3.12 has it, with no lock: ``func`` computed
-    on the first read and kept in the object's ``__dict__``, unless it raises."""
+    """``functools.cached_property`` as Python 3.12 has it, with no lock: ``func`` computed on
+    the first read and kept in ``__dict__`` under the attribute's name, unless it raises."""
 
     def __init__(self, func: Callable):
-        self.func, self.__doc__ = func, func.__doc__
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        value = instance.__dict__[self.func.__name__] = self.func(instance)
+        value = instance.__dict__[self.name] = self.func(instance)
         return value
 
 
@@ -398,7 +401,7 @@ def _subset_dfa(a: Nfa) -> tuple[list, list]:
 
 def _join(joined: dict, states: int) -> list:
     """The row of a bitset of states, per letter position the OR of its members' rows:
-    ``joined`` holds those of 0 and of each one-member set, and keeps each row joined."""
+    ``joined`` holds those of 0 and of each one-member set, and no other row is kept."""
     row = joined.get(states)
     if row is None:
         members, rest = [], states
@@ -406,7 +409,7 @@ def _join(joined: dict, states: int) -> list:
             low = rest & -rest
             members.append(joined[low])
             rest ^= low
-        row = joined[states] = [reduce(or_, column) for column in zip(*members)]
+        row = [reduce(or_, column) for column in zip(*members)]
     return row
 
 

@@ -95,14 +95,12 @@ def compose(r: LetterTransducer, s: LetterTransducer) -> LetterTransducer:
     minimal DFA of the rows ``_composed`` returns.
     """
     inputs, outputs = s.input_alphabet, r.output_alphabet
-    pairs = r.nfa.alphabet if r.input_alphabet == inputs else pair_alphabet(inputs, outputs)
-    return _trimmed(inputs, outputs, pairs, *_composed(r, s))
+    return _trimmed(inputs, outputs, pair_alphabet(inputs, outputs), *_composed(r, s))
 
 
 def _trimmed(inputs: Alphabet, outputs: Alphabet, pairs: Alphabet, rows, finals) -> LetterTransducer:
-    """The transducer over the pair alphabet ``pairs`` of a minimal complete
-    DFA's rows and finality without its sink (``automata._trim_dfa``), which
-    keeps those rows as its ``Prepared.rows``."""
+    """The transducer over ``pairs`` of a minimal complete DFA's rows and finality
+    without its sink (``automata._trim_dfa``), which keeps them as its ``Prepared.rows``."""
     return LetterTransducer(inputs, outputs, _trim_dfa(pairs, rows, finals))
 
 
@@ -263,27 +261,25 @@ def _shortest(start: int, expand: Callable, labels: Callable) -> tuple | None:
 class Prepared:
     """A relation with the stages its decisions share.
 
-    The stages read one form of the relation, ``rows``: its complete pair
-    DFA as dense rows and finality, ``rows[q][a * w + b]`` the target of
-    state q on the pair letter (a, b) over w letters, state 0 initial,
-    numbered as ``determinize`` numbers it. The relation's automaton keeps
-    them (``Nfa._subset``, read from its transitions with no table) and
-    ``determinize`` builds its automaton from them, so either runs the one
-    subset construction. Validation, liveness, prefix-closedness, the
-    diagonal, the first closure iterate (the prefix closure's minimal DFA),
-    the representatives, the index product, the witnesses and their
-    certification read those rows. An automaton is built only for a value
-    that leaves the package: ``det`` and ``congruence`` when asked for, and
-    each closure's trimmed DFA (``_trimmed``), which keeps its complete
-    minimal DFA's rows as its own.
+    The stages read one form of the relation, ``rows``: its complete pair DFA
+    as dense rows and finality, ``rows[q][a * w + b]`` the target of state q
+    on the pair letter (a, b) over w letters, state 0 initial, numbered as
+    ``determinize`` numbers it. The relation's automaton keeps them
+    (``Nfa._subset``, read from its transitions with no table), and
+    ``determinize`` builds its automaton from them. Validation, liveness,
+    prefix-closedness, the diagonal, the first closure iterate (the prefix
+    closure's minimal DFA), the representatives, the index product, the
+    witnesses and their certification read those rows. An automaton is built
+    only for a value that leaves the package: ``det`` and ``congruence`` when
+    asked for, and each closure's trimmed DFA (``_trimmed``), which keeps its
+    complete minimal DFA's rows.
 
     Each stage is built on first use and kept (``automata.kept``).
     ``_prepared`` keeps one ``Prepared`` on each relation object, the only
     value kept there, so no stage runs twice for that object; an equal
     relation built anew builds them again, and a stage that raises keeps
-    nothing. Only ``rows``, ``live`` and ``validation`` may run on a
-    relation that is not an equivalence; the other stages assume one,
-    which ``prepare`` checks.
+    nothing. Only ``rows``, ``live`` and ``validation`` may run on a relation
+    that is not an equivalence; the others assume one, which ``prepare`` checks.
     """
 
     relation: LetterTransducer
@@ -610,7 +606,7 @@ def _least_walk(s, live: list, row_of: Callable, initials, finals, diagonal: boo
     a, as in the full walk, so the node reached is the same.
 
     Both sets of a node are integer bitsets over the live states, and a
-    set's moves per pair letter are joined once (``automata._join``). The
+    set's moves per pair letter are joined once (``automata._join``) and kept. The
     nodes are numbered breadth first, letter positions in order, with a
     dense row each; the rows are then restricted to the nodes that reach
     an accepting one (``automata._trim_rows``).
@@ -635,7 +631,8 @@ def _least_walk(s, live: list, row_of: Callable, initials, finals, diagonal: boo
     ids = {start: 0}
     rows = []
     for equal, smaller in nodes:  # nodes grows while it is walked
-        reach, beaten = _join(joined, equal), _join(joined, smaller)
+        reach = joined.setdefault(equal, _join(joined, equal))  # sets recur across nodes
+        beaten = joined.setdefault(smaller, _join(joined, smaller))
         row = []
         for x, block in enumerate(blocks):
             below = reduce(or_, [beaten[i] for i in block])

@@ -492,7 +492,18 @@ def test_a_kept_stage_is_computed_once_per_instance_and_not_kept_when_it_raises(
                 raise ValueError(self.fails.pop(0))
             return object()
 
+        other = kept(lambda self: object())  # kept under "other", not "<lambda>"
+
+        @kept
+        def __hidden(self):  # kept under the mangled "_Staged__hidden"
+            return object()
+
+        def hidden(self):
+            return self.__hidden
+
     one, two = Staged([]), Staged([])
+    assert one.other is one.other is vars(one)["other"] and "<lambda>" not in vars(one)
+    assert one.hidden() is one.hidden() is vars(one)["_Staged__hidden"]
     assert one.stage is one.stage and two.stage is two.stage and one.stage is not two.stage
     assert calls == [one, two] and vars(one)["stage"] is one.stage
     descriptor = Staged.stage
