@@ -57,10 +57,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _load(path: str, expect=None):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from exc
     tfile = parse(text, source=path)
     if expect is not None and not isinstance(tfile.machine, expect):
         raise FormatError(f"{path}: expected a {_expect_name(expect)} file, got kind {tfile.kind}")

@@ -4,8 +4,11 @@ Line-oriented, whitespace-tokenized, ``#`` starts a comment. The first
 line names the kind; header lines declare alphabets and states;
 transitions are written ``src in / out -> dst`` with ``-`` for the empty
 output word; subsequential files add one ``finalout state letter`` line
-per final state. State identifiers are nonnegative integers. Rendering
-is canonical, so parse and render are mutually inverse.
+per final state. State identifiers are nonnegative integers written in
+ASCII digits (``07`` names state 7; other decimal digits such as ``²`` or
+``٠`` are refused). Files are UTF-8 text: the command line refuses one
+that is not with a ``FormatError`` naming the byte offset, exit 3.
+Rendering is canonical, so parse and render are mutually inverse.
 
     kind letter-transducer
     inputs a b
@@ -28,7 +31,10 @@ from .transducers import LetterTransducer
 
 KINDS = ("letter-transducer", "sequential", "subsequential")
 RESERVED = {"/", "->", "-", "#"}
-HEADER_KEYS = ("kind", "inputs", "outputs", "states", "initial", "initials", "finals")
+ONE_LETTER = {
+    "letter-transducer": "letter-transducer outputs exactly one letter per transition",
+    "subsequential": "subsequential bodies output exactly one letter per transition",
+}
 
 Machine = LetterTransducer | SequentialTransducer | SubsequentialTransducer
 
@@ -40,53 +46,78 @@ class TransducerFile:
     source: str
 
 
-def _tokenize(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = line.split()
-        if tokens:
-            yield lineno, tokens
+def _is_id(token: str) -> bool:
+    """Whether ``token`` names a state: a string of ASCII digits."""
+    return token.isdigit() and token.isascii()
 
 
-def _check_letter_token(token: str, lineno: int) -> str:
-    if token in RESERVED:
-        raise FormatError(f"{token!r} is reserved and cannot name a letter", lineno)
-    return token
+def _id_error(token: str, lineno: int) -> FormatError:
+    return FormatError(f"state identifiers are nonnegative integers, got {token!r}", lineno)
 
 
-def _parse_state(token: str, lineno: int) -> int:
-    if not token.isdigit():
-        raise FormatError(f"state identifiers are nonnegative integers, got {token!r}", lineno)
-    return int(token)
+def _ids(tokens: list, lineno: int) -> tuple[int, ...]:
+    """The states a header line lists."""
+    if "".join(tokens).isascii() and all(map(str.isdigit, tokens)):
+        return tuple(map(int, tokens))
+    raise _id_error(next(t for t in tokens if not _is_id(t)), lineno)
 
 
-def _parse_transition(tokens, lineno):
-    # src in / out-word -> dst
+def _letters(tokens: list, lineno: int) -> tuple:
+    for token in tokens:
+        if token in RESERVED:
+            raise FormatError(f"{token!r} is reserved and cannot name a letter", lineno)
+    return tuple(tokens)
+
+
+def _declared(token: str, states: set, lineno: int) -> int:
+    """The state a transition names in another spelling than the states
+    line's (``07`` for ``7``), or the error that it is not declared."""
+    q = int(token)
+    if q not in states:
+        raise FormatError(f"state {q} is not declared", lineno)
+    return q
+
+
+def _transition(tokens: list, lineno: int) -> tuple:
+    """The source, input letter, output word and target of a transition
+    line that is not in the common ``src in / out -> dst`` form of one
+    output letter, its states as tokens; or the first error in it."""
     if len(tokens) < 6 or tokens[2] != "/" or tokens[-2] != "->":
         raise FormatError(
             "transition must look like: <src> <in> / <out-word or -> -> <dst>", lineno
         )
-    src = _parse_state(tokens[0], lineno)
-    inp = _check_letter_token(tokens[1], lineno)
-    out_tokens = tokens[3:-2]
-    if out_tokens == ["-"]:
-        out = ()
-    else:
-        out = tuple(_check_letter_token(t, lineno) for t in out_tokens)
-        if not out:
-            raise FormatError("missing output word (use - for the empty word)", lineno)
-    dst = _parse_state(tokens[-1], lineno)
+    src, inp, *_, dst = tokens
+    if not _is_id(src):
+        raise _id_error(src, lineno)
+    _letters([inp], lineno)
+    out = tokens[3:-2]
+    out = () if out == ["-"] else _letters(out, lineno)
+    if not _is_id(dst):
+        raise _id_error(dst, lineno)
     return src, inp, out, dst
 
 
 def parse(text: str, source: str = "<string>") -> TransducerFile:
+    """The machine a file describes, or a ``FormatError`` naming the first
+    fault: in line order while the lines are read, then in a fixed order
+    of the checks against the declared states and letters.
+
+    One pass splits each line once. A line whose first token is a state id
+    is a transition, and its shape is checked there; the states stay
+    tokens until one loop looks every transition up in the declared sets.
+    The machine is built by its checked constructor.
+    """
     header: dict = {}
     header_lines: dict = {}
-    transitions: list = []
+    state_tokens: list = []
+    transitions: list = []  # (line, src token, input letter, output word, dst token)
     finalouts: list = []
     kind = None
 
-    for lineno, tokens in _tokenize(text):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = (line.split("#", 1)[0] if "#" in line else line).split()
+        if not tokens:
+            continue
         key = tokens[0]
         if kind is None:
             if key != "kind":
@@ -97,14 +128,27 @@ def parse(text: str, source: str = "<string>") -> TransducerFile:
                 )
             kind = tokens[1]
             continue
-        if key == "kind":
+        if _is_id(key):
+            if len(tokens) == 6:
+                _src, inp, slash, out, arrow, dst = tokens
+                if (
+                    slash == "/"
+                    and arrow == "->"
+                    and inp not in RESERVED
+                    and (out == "-" or out not in RESERVED)
+                    and _is_id(dst)
+                ):
+                    transitions.append((lineno, key, inp, () if out == "-" else (out,), dst))
+                    continue
+            transitions.append((lineno, *_transition(tokens, lineno)))
+        elif key == "kind":
             raise FormatError("duplicate kind line", lineno)
-        if key in ("inputs", "outputs"):
+        elif key in ("inputs", "outputs"):
             if key in header:
                 raise FormatError(f"duplicate {key} line", lineno)
             if len(tokens) < 2:
                 raise FormatError(f"{key} needs at least one letter", lineno)
-            letters = tuple(_check_letter_token(t, lineno) for t in tokens[1:])
+            letters = _letters(tokens[1:], lineno)
             if len(set(letters)) != len(letters):
                 raise FormatError(f"{key} letters must be distinct", lineno)
             header[key] = letters
@@ -114,26 +158,26 @@ def parse(text: str, source: str = "<string>") -> TransducerFile:
                 raise FormatError("duplicate states line", lineno)
             if len(tokens) < 2:
                 raise FormatError("states needs at least one identifier", lineno)
-            header[key] = tuple(_parse_state(t, lineno) for t in tokens[1:])
+            state_tokens = tokens[1:]
+            header[key] = _ids(state_tokens, lineno)
             header_lines[key] = lineno
         elif key in ("initial", "initials"):
             if "initial" in header or "initials" in header:
                 raise FormatError("duplicate initial state line", lineno)
-            header[key] = tuple(_parse_state(t, lineno) for t in tokens[1:])
+            header[key] = _ids(tokens[1:], lineno)
             header_lines[key] = lineno
         elif key == "finals":
             if key in header:
                 raise FormatError("duplicate finals line", lineno)
-            header[key] = tuple(_parse_state(t, lineno) for t in tokens[1:])
+            header[key] = _ids(tokens[1:], lineno)
             header_lines[key] = lineno
         elif key == "finalout":
             if len(tokens) != 3:
                 raise FormatError("finalout takes a state and a letter", lineno)
-            finalouts.append(
-                (_parse_state(tokens[1], lineno), _check_letter_token(tokens[2], lineno), lineno)
-            )
+            q = _ids(tokens[1:2], lineno)[0]
+            finalouts.append((q, _letters(tokens[2:], lineno)[0], lineno))
         else:
-            transitions.append((lineno,) + _parse_transition(tokens, lineno))
+            _transition(tokens, lineno)  # raises: the line starts with no state id
 
     if kind is None:
         raise FormatError("empty file: missing kind line", None)
@@ -153,18 +197,6 @@ def parse(text: str, source: str = "<string>") -> TransducerFile:
         if q not in states:
             raise FormatError(f"final state {q} is not declared", header_lines["finals"])
 
-    def checked(lineno, src, inp, out, dst):
-        if src not in states:
-            raise FormatError(f"state {src} is not declared", lineno)
-        if dst not in states:
-            raise FormatError(f"state {dst} is not declared", lineno)
-        if inp not in inputs:
-            raise FormatError(f"input letter {inp!r} is not declared", lineno)
-        for b in out:
-            if b not in outputs:
-                raise FormatError(f"output letter {b!r} is not declared", lineno)
-        return src, inp, out, dst
-
     if kind == "letter-transducer":
         if "initials" not in header:
             raise FormatError("letter-transducer files use an initials line", None)
@@ -172,41 +204,52 @@ def parse(text: str, source: str = "<string>") -> TransducerFile:
         for q in initials:
             if q not in states:
                 raise FormatError(f"initial state {q} is not declared", header_lines["initials"])
-        triples = set()
-        for lineno, src, inp, out, dst in transitions:
-            src, inp, out, dst = checked(lineno, src, inp, out, dst)
-            if len(out) != 1:
-                raise FormatError(
-                    "letter-transducer outputs exactly one letter per transition", lineno
-                )
-            triples.add((src, (inp, out[0]), dst))
-        if finalouts:
-            raise FormatError("finalout only appears in subsequential files", finalouts[0][2])
+    else:
+        if "initial" not in header:
+            raise FormatError(f"{kind} files use an initial line", None)
+        if len(header["initial"]) != 1:
+            raise FormatError("initial takes exactly one state", header_lines["initial"])
+        (initial,) = header["initial"]
+        if initial not in states:
+            raise FormatError(f"initial state {initial} is not declared", header_lines["initial"])
+
+    # the transitions against the declared states and letters; a state
+    # written as the states line writes it is one lookup
+    ids = dict(zip(state_tokens, header["states"]))
+    one_letter = ONE_LETTER.get(kind)
+    letters_in, letters_out = inputs._index, outputs._index
+    triples: set = set()
+    table: dict = {}
+    for lineno, src, inp, out, dst in transitions:
+        p = ids.get(src)
+        if p is None:
+            p = _declared(src, states, lineno)
+        q = ids.get(dst)
+        if q is None:
+            q = _declared(dst, states, lineno)
+        if inp not in letters_in:
+            raise FormatError(f"input letter {inp!r} is not declared", lineno)
+        for b in out:
+            if b not in letters_out:
+                raise FormatError(f"output letter {b!r} is not declared", lineno)
+        if one_letter and len(out) != 1:
+            raise FormatError(one_letter, lineno)
+        if kind == "letter-transducer":
+            triples.add((p, (inp, out[0]), q))
+        elif (p, inp) in table:
+            raise FormatError(
+                f"NONDETERMINISTIC: duplicate transition for state {p} on {inp!r}", lineno
+            )
+        else:
+            table[(p, inp)] = (out, q)
+    if finalouts and kind != "subsequential":
+        raise FormatError("finalout only appears in subsequential files", finalouts[0][2])
+
+    if kind == "letter-transducer":
         machine: Machine = LetterTransducer.build(
             inputs, outputs, states, triples, initials, finals
         )
         return TransducerFile(machine, kind, source)
-
-    # sequential and subsequential kinds
-    if "initial" not in header:
-        raise FormatError(f"{kind} files use an initial line", None)
-    if len(header["initial"]) != 1:
-        raise FormatError("initial takes exactly one state", header_lines["initial"])
-    (initial,) = header["initial"]
-    if initial not in states:
-        raise FormatError(f"initial state {initial} is not declared", header_lines["initial"])
-    table: dict = {}
-    for lineno, src, inp, out, dst in transitions:
-        src, inp, out, dst = checked(lineno, src, inp, out, dst)
-        if kind == "subsequential" and len(out) != 1:
-            raise FormatError(
-                "subsequential bodies output exactly one letter per transition", lineno
-            )
-        if (src, inp) in table:
-            raise FormatError(
-                f"NONDETERMINISTIC: duplicate transition for state {src} on {inp!r}", lineno
-            )
-        table[(src, inp)] = (out, dst)
     base = SequentialTransducer(
         input_alphabet=inputs,
         output_alphabet=outputs,
@@ -216,8 +259,6 @@ def parse(text: str, source: str = "<string>") -> TransducerFile:
         finals=finals,
     )
     if kind == "sequential":
-        if finalouts:
-            raise FormatError("finalout only appears in subsequential files", finalouts[0][2])
         return TransducerFile(base, kind, source)
 
     fo: dict = {}
@@ -257,11 +298,13 @@ def render(machine: Machine) -> str:
         lines.append("states " + " ".join(map(str, sorted(nfa.states))))
         lines.append("initials " + " ".join(map(str, sorted(nfa.initials))))
         lines.append(("finals " + " ".join(map(str, sorted(nfa.finals)))).rstrip())
-        for src, (a, b), dst in sorted(
-            nfa.transitions,
-            key=lambda t: (t[0], inputs.index(t[1][0]), outputs.index(t[1][1]), t[2]),
-        ):
-            lines.append(f"{src} {a} / {b} -> {dst}")
+        # the pair alphabet is input-major: a pair's position orders it by
+        # its input letter, then by its output letter
+        pairs = nfa.alphabet._index
+        lines += [
+            f"{src} {a} / {b} -> {dst}"
+            for src, (a, b), dst in sorted(nfa.transitions, key=lambda t: (t[0], pairs[t[1]], t[2]))
+        ]
         return "\n".join(lines) + "\n"
 
     base = machine.base if isinstance(machine, SubsequentialTransducer) else machine
@@ -271,8 +314,9 @@ def render(machine: Machine) -> str:
     lines.append("states " + " ".join(map(str, sorted(base.states))))
     lines.append(f"initial {base.initial}")
     lines.append(("finals " + " ".join(map(str, sorted(base.finals)))).rstrip())
+    index = inputs._index
     for (src, a), (out, dst) in sorted(
-        base.transitions.items(), key=lambda kv: (kv[0][0], inputs.index(kv[0][1]))
+        base.transitions.items(), key=lambda kv: (kv[0][0], index[kv[0][1]])
     ):
         word = " ".join(map(str, out)) if out else "-"
         lines.append(f"{src} {a} / {word} -> {dst}")

@@ -177,6 +177,12 @@ def _axioms(rows: list, final: list, live: frozenset, alphabet: Alphabet) -> tup
     state never turns final, so the symmetric and transitive walks follow
     only moves into live states on the tracks that a counterexample needs
     final.
+
+    So when R is transitive, the transitive walk reaches exactly the
+    triples of (u, v) and (v, w) in R's prefix closure P, the pairs whose
+    state is live, and P is transitive exactly when δ(u, w) is live on
+    each. Given a set ``escaped``, the walk adds to it the third state of
+    each triple it reaches when that state is not live.
     """
     # rows[q][a * w + b]: δ(q, (a, b))
     n, w, start = len(rows), len(alphabet), 0
@@ -204,7 +210,8 @@ def _axioms(rows: list, final: list, live: frozenset, alphabet: Alphabet) -> tup
             start * (n + 1), expand, lambda node: [letters[i] for _t, i in hops[node // n]]
         )
 
-    def transitive():
+    def transitive(escaped=None):
+        escaped = set() if escaped is None else escaped
         # per state q and letter a: (b, δ(q, (a, b))·n) for the moves into live states
         ahead = [
             [[(b, t * n) for b, t in enumerate(row[a * w : a * w + w]) if t in live] for a in range(w)]
@@ -217,8 +224,11 @@ def _axioms(rows: list, final: list, live: frozenset, alphabet: Alphabet) -> tup
         def expand(node):
             pq, s = divmod(node, n)
             p, q = divmod(pq, n)
-            if final[p] and final[q] and not final[s]:
-                return None
+            if not final[s]:
+                if final[p] and final[q]:
+                    return None
+                if s not in live:
+                    escaped.add(s)
             row_s, from_q = rows[s], ahead[q]
             return [t + u + row_s[aw + c] for aw, b, t in chains[p] for c, u in from_q[b]]
 
@@ -278,8 +288,9 @@ class Prepared:
     ``_prepared`` keeps one ``Prepared`` on each relation object, the only
     value kept there, so no stage runs twice for that object; an equal
     relation built anew builds them again, and a stage that raises keeps
-    nothing. Only ``rows``, ``live`` and ``validation`` may run on a relation
-    that is not an equivalence; the others assume one, which ``prepare`` checks.
+    nothing. Only ``rows``, ``live``, ``axioms`` and ``validation`` may run on
+    a relation that is not an equivalence; the others assume one, which
+    ``prepare`` checks.
     """
 
     relation: LetterTransducer
@@ -295,17 +306,26 @@ class Prepared:
         return _live_rows(*self.rows)
 
     @kept
-    def validation(self) -> RelationValidation:
-        """The equivalence axioms, one walk of ``_axioms`` each on ``rows``.
+    def axioms(self) -> tuple[RelationValidation, bool]:
+        """The equivalence axioms, one walk of ``_axioms`` each on ``rows``,
+        and whether the prefix closure is transitive, read off the
+        transitivity walk: that bit holds only for a transitive relation.
         An empty relation is reported non-reflexive: the identity over a
         nonempty alphabet is nonempty. Mismatched input/output alphabets
         can never satisfy any of the axioms.
         """
         r = self.relation
         if not r.same_alphabets():
-            return RelationValidation(False, False, False)
-        walks = _axioms(*self.rows, self.live, r.input_alphabet)
-        return RelationValidation(*(walk() is None for walk in walks))
+            return RelationValidation(False, False, False), False
+        reflexive, symmetric, transitive = _axioms(*self.rows, self.live, r.input_alphabet)
+        escaped: set = set()
+        holds = reflexive() is None, symmetric() is None, transitive(escaped) is None
+        return RelationValidation(*holds), not escaped
+
+    @property
+    def validation(self) -> RelationValidation:
+        """The equivalence axioms (``axioms``)."""
+        return self.axioms[0]
 
     @kept
     def det(self) -> LetterTransducer:
@@ -340,18 +360,15 @@ class Prepared:
         P has the relation's transitions and initial states, with its live
         states final, so its subset construction is ``rows`` with the
         ``live`` states final, and the iterate is their ``_trimmed``
-        ``_quotient``. A prefix-closed relation is P itself, an equivalence;
-        otherwise the transitivity walk of ``_axioms`` on that minimal DFA
-        answers. P needs no reflexive or symmetric walk: it contains the
-        relation, and (ux, vy) related makes (vy, ux) related.
+        ``_quotient``. Whether P is transitive was read off the relation's
+        own transitivity walk (``axioms``). P needs no reflexive or
+        symmetric walk: it contains the relation, and (ux, vy) related
+        makes (vy, ux) related.
         """
         r, (rows, _finals) = self.relation, self.rows
         minimal = _quotient(rows, [q in self.live for q in range(len(rows))])
         iterate = _trimmed(r.input_alphabet, r.output_alphabet, r.nfa.alphabet, *minimal)
-        if self.prefix_closed:
-            return iterate, True
-        *_, transitive = _axioms(*minimal, _live_rows(*minimal), r.input_alphabet)
-        return iterate, transitive() is None
+        return iterate, self.axioms[1]
 
     @kept
     def representatives(self) -> tuple[list, list]:

@@ -302,6 +302,32 @@ def test_format_error_exits_three(files, capsys, tmp_path):
     assert "missing inputs" in err
 
 
+IDENTITY_A = "kind letter-transducer\ninputs a\noutputs a\nstates 0\ninitials 0\nfinals 0\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            IDENTITY_A.replace("states 0", "states 0 ²").encode() + b"0 a / a -> 0\n",
+            "line 4: state identifiers are nonnegative integers, got '²'",
+        ),
+        (
+            IDENTITY_A.encode() + b"0 a / a -> \xff\n",
+            "{path}: not UTF-8 text: byte 0xff at offset %d" % (len(IDENTITY_A) + 11),
+        ),
+    ],
+    ids=["superscript-state", "not-utf8"],
+)
+def test_a_malformed_file_exits_three_with_one_line(capsys, tmp_path, data, message):
+    path = tmp_path / "bad.t"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "kernseq: error [FORMAT]: " + message.format(path=path) + "\n"
+
+
 def test_missing_file_exits_three(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/nothing.t")
     assert code == 3

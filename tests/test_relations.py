@@ -961,6 +961,25 @@ def test_the_first_iterate_is_the_prefix_closures_first_iterate():
         assert reflexive() is None and symmetric() is None, i
 
 
+def test_the_validation_walk_tells_whether_the_prefix_closure_is_transitive():
+    """The bit that the transitivity walk on a relation's own rows keeps is
+    the answer of the transitivity walk on the minimal DFA of its prefix
+    closure P, on the seed-7 suites and the co-sequential suite."""
+    from kernseq.automata import _live_rows, _quotient
+    from kernseq.relations import Prepared
+
+    seen = set()
+    for i, r in enumerate(_fresh_relations()):
+        prep = Prepared(r)
+        assert prep.validation.is_equivalence, i
+        rows, _finals = prep.rows
+        minimal = _quotient(rows, [q in prep.live for q in range(len(rows))])
+        *_, transitive = _axioms(*minimal, _live_rows(*minimal), r.input_alphabet)
+        assert prep.axioms[1] == (transitive() is None), i
+        seen.add(prep.axioms[1])
+    assert seen == {True, False}
+
+
 def test_each_relation_reads_one_pair_dfa_as_rows(monkeypatch):
     """On a relation built anew, validation, analysis and both deciders
     run one subset construction for its pair DFA, build no automaton of
