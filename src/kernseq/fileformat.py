@@ -6,7 +6,8 @@ transitions are written ``src in / out -> dst`` with ``-`` for the empty
 output word; subsequential files add one ``finalout state letter`` line
 per final state. State identifiers are nonnegative integers written in
 ASCII digits (``07`` names state 7; other decimal digits such as ``²`` or
-``٠`` are refused). Files are UTF-8 text: the command line refuses one
+``٠`` are refused, and so is an id longer than ``int`` reads, 4,300 digits
+by default). Files are UTF-8 text: the command line refuses one
 that is not with a ``FormatError`` naming the byte offset, exit 3.
 Rendering is canonical, so parse and render are mutually inverse.
 
@@ -35,6 +36,7 @@ ONE_LETTER = {
     "letter-transducer": "letter-transducer outputs exactly one letter per transition",
     "subsequential": "subsequential bodies output exactly one letter per transition",
 }
+HEADER_KEYS = {"kind", "inputs", "outputs", "states", "initial", "initials", "finals", "finalout"}
 
 Machine = LetterTransducer | SequentialTransducer | SubsequentialTransducer
 
@@ -46,20 +48,24 @@ class TransducerFile:
     source: str
 
 
-def _is_id(token: str) -> bool:
-    """Whether ``token`` names a state: a string of ASCII digits."""
-    return token.isdigit() and token.isascii()
-
-
 def _id_error(token: str, lineno: int) -> FormatError:
     return FormatError(f"state identifiers are nonnegative integers, got {token!r}", lineno)
 
 
+def _id(token: str, lineno: int) -> int:
+    """The state ``token`` names, a string of ASCII digits, or the error
+    that it names none."""
+    if token.isdigit() and token.isascii():
+        try:
+            return int(token)
+        except ValueError:  # more digits than ``int`` reads
+            pass
+    raise _id_error(token, lineno)
+
+
 def _ids(tokens: list, lineno: int) -> tuple[int, ...]:
     """The states a header line lists."""
-    if "".join(tokens).isascii() and all(map(str.isdigit, tokens)):
-        return tuple(map(int, tokens))
-    raise _id_error(next(t for t in tokens if not _is_id(t)), lineno)
+    return tuple(_id(token, lineno) for token in tokens)
 
 
 def _letters(tokens: list, lineno: int) -> tuple:
@@ -69,48 +75,19 @@ def _letters(tokens: list, lineno: int) -> tuple:
     return tuple(tokens)
 
 
-def _declared(token: str, states: set, lineno: int) -> int:
-    """The state a transition names in another spelling than the states
-    line's (``07`` for ``7``), or the error that it is not declared."""
-    q = int(token)
-    if q not in states:
-        raise FormatError(f"state {q} is not declared", lineno)
-    return q
-
-
-def _transition(tokens: list, lineno: int) -> tuple:
-    """The source, input letter, output word and target of a transition
-    line that is not in the common ``src in / out -> dst`` form of one
-    output letter, its states as tokens; or the first error in it."""
-    if len(tokens) < 6 or tokens[2] != "/" or tokens[-2] != "->":
-        raise FormatError(
-            "transition must look like: <src> <in> / <out-word or -> -> <dst>", lineno
-        )
-    src, inp, *_, dst = tokens
-    if not _is_id(src):
-        raise _id_error(src, lineno)
-    _letters([inp], lineno)
-    out = tokens[3:-2]
-    out = () if out == ["-"] else _letters(out, lineno)
-    if not _is_id(dst):
-        raise _id_error(dst, lineno)
-    return src, inp, out, dst
-
-
 def parse(text: str, source: str = "<string>") -> TransducerFile:
     """The machine a file describes, or a ``FormatError`` naming the first
     fault: in line order while the lines are read, then in a fixed order
     of the checks against the declared states and letters.
 
-    One pass splits each line once. A line whose first token is a state id
-    is a transition, and its shape is checked there; the states stay
-    tokens until one loop looks every transition up in the declared sets.
-    The machine is built by its checked constructor.
+    One pass splits each line once. A line that does not start with a
+    header word is a transition, and its shape is checked there; then one
+    loop looks every transition up in the declared sets. The machine is
+    built by its checked constructor.
     """
     header: dict = {}
     header_lines: dict = {}
-    state_tokens: list = []
-    transitions: list = []  # (line, src token, input letter, output word, dst token)
+    transitions: list = []  # (line, src, input letter, output word, dst)
     finalouts: list = []
     kind = None
 
@@ -128,19 +105,15 @@ def parse(text: str, source: str = "<string>") -> TransducerFile:
                 )
             kind = tokens[1]
             continue
-        if _is_id(key):
-            if len(tokens) == 6:
-                _src, inp, slash, out, arrow, dst = tokens
-                if (
-                    slash == "/"
-                    and arrow == "->"
-                    and inp not in RESERVED
-                    and (out == "-" or out not in RESERVED)
-                    and _is_id(dst)
-                ):
-                    transitions.append((lineno, key, inp, () if out == "-" else (out,), dst))
-                    continue
-            transitions.append((lineno, *_transition(tokens, lineno)))
+        if key not in HEADER_KEYS:  # src in / out-word -> dst
+            if len(tokens) < 6 or tokens[2] != "/" or tokens[-2] != "->":
+                raise FormatError(
+                    "transition must look like: <src> <in> / <out-word or -> -> <dst>", lineno
+                )
+            p, inp, word = _id(key, lineno), tokens[1], tokens[3:-2]
+            out = () if word == ["-"] else tuple(word)
+            _letters((inp, *out), lineno)
+            transitions.append((lineno, p, inp, out, _id(tokens[-1], lineno)))
         elif key == "kind":
             raise FormatError("duplicate kind line", lineno)
         elif key in ("inputs", "outputs"):
@@ -158,8 +131,7 @@ def parse(text: str, source: str = "<string>") -> TransducerFile:
                 raise FormatError("duplicate states line", lineno)
             if len(tokens) < 2:
                 raise FormatError("states needs at least one identifier", lineno)
-            state_tokens = tokens[1:]
-            header[key] = _ids(state_tokens, lineno)
+            header[key] = _ids(tokens[1:], lineno)
             header_lines[key] = lineno
         elif key in ("initial", "initials"):
             if "initial" in header or "initials" in header:
@@ -174,10 +146,8 @@ def parse(text: str, source: str = "<string>") -> TransducerFile:
         elif key == "finalout":
             if len(tokens) != 3:
                 raise FormatError("finalout takes a state and a letter", lineno)
-            q = _ids(tokens[1:2], lineno)[0]
-            finalouts.append((q, _letters(tokens[2:], lineno)[0], lineno))
-        else:
-            _transition(tokens, lineno)  # raises: the line starts with no state id
+            q, letter = _id(tokens[1], lineno), _letters(tokens[2:], lineno)[0]
+            finalouts.append((q, letter, lineno))
 
     if kind is None:
         raise FormatError("empty file: missing kind line", None)
@@ -213,20 +183,15 @@ def parse(text: str, source: str = "<string>") -> TransducerFile:
         if initial not in states:
             raise FormatError(f"initial state {initial} is not declared", header_lines["initial"])
 
-    # the transitions against the declared states and letters; a state
-    # written as the states line writes it is one lookup
-    ids = dict(zip(state_tokens, header["states"]))
+    # the transitions against the declared states and letters
     one_letter = ONE_LETTER.get(kind)
     letters_in, letters_out = inputs._index, outputs._index
     triples: set = set()
     table: dict = {}
-    for lineno, src, inp, out, dst in transitions:
-        p = ids.get(src)
-        if p is None:
-            p = _declared(src, states, lineno)
-        q = ids.get(dst)
-        if q is None:
-            q = _declared(dst, states, lineno)
+    for lineno, p, inp, out, q in transitions:
+        for state in (p, q):
+            if state not in states:
+                raise FormatError(f"state {state} is not declared", lineno)
         if inp not in letters_in:
             raise FormatError(f"input letter {inp!r} is not declared", lineno)
         for b in out:

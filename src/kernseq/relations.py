@@ -181,8 +181,8 @@ def _axioms(rows: list, final: list, live: frozenset, alphabet: Alphabet) -> tup
     So when R is transitive, the transitive walk reaches exactly the
     triples of (u, v) and (v, w) in R's prefix closure P, the pairs whose
     state is live, and P is transitive exactly when δ(u, w) is live on
-    each. Given a set ``escaped``, the walk adds to it the third state of
-    each triple it reaches when that state is not live.
+    each. Given a list ``escapes``, the walk appends to it the third state
+    of the first triple it reaches whose third state is not live.
     """
     # rows[q][a * w + b]: δ(q, (a, b))
     n, w, start = len(rows), len(alphabet), 0
@@ -210,8 +210,8 @@ def _axioms(rows: list, final: list, live: frozenset, alphabet: Alphabet) -> tup
             start * (n + 1), expand, lambda node: [letters[i] for _t, i in hops[node // n]]
         )
 
-    def transitive(escaped=None):
-        escaped = set() if escaped is None else escaped
+    def transitive(escapes=None):
+        watch = escapes is not None
         # per state q and letter a: (b, δ(q, (a, b))·n) for the moves into live states
         ahead = [
             [[(b, t * n) for b, t in enumerate(row[a * w : a * w + w]) if t in live] for a in range(w)]
@@ -222,13 +222,15 @@ def _axioms(rows: list, final: list, live: frozenset, alphabet: Alphabet) -> tup
         ]
 
         def expand(node):
+            nonlocal watch
             pq, s = divmod(node, n)
             p, q = divmod(pq, n)
             if not final[s]:
                 if final[p] and final[q]:
                     return None
-                if s not in live:
-                    escaped.add(s)
+                if watch and s not in live:
+                    escapes.append(s)  # one escape settles it
+                    watch = False
             row_s, from_q = rows[s], ahead[q]
             return [t + u + row_s[aw + c] for aw, b, t in chains[p] for c, u in from_q[b]]
 
@@ -318,9 +320,9 @@ class Prepared:
         if not r.same_alphabets():
             return RelationValidation(False, False, False), False
         reflexive, symmetric, transitive = _axioms(*self.rows, self.live, r.input_alphabet)
-        escaped: set = set()
-        holds = reflexive() is None, symmetric() is None, transitive(escaped) is None
-        return RelationValidation(*holds), not escaped
+        escapes: list = []
+        holds = reflexive() is None, symmetric() is None, transitive(escapes) is None
+        return RelationValidation(*holds), not escapes
 
     @property
     def validation(self) -> RelationValidation:

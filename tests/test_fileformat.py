@@ -280,6 +280,10 @@ def reserved(token):
     return f"{token!r} is reserved and cannot name a letter"
 
 
+# more digits than ``int`` reads from a string by default
+LONG = "1" * 5000
+
+
 # (kind of the base file or a whole file, the base's text to replace, the
 # replacement, message, line)
 FORMAT_ERRORS = [
@@ -312,6 +316,10 @@ FORMAT_ERRORS = [
     (LT, "0 b / b -> 1", "x b / b -> 1", not_an_id("x"), 8),
     (LT, "0 b / b -> 1", "-1 b / b -> 1", not_an_id("-1"), 8),
     (SEQ, "1 b / - -> 0", "² b / - -> 0", not_an_id("²"), 8),
+    pytest.param(LT, "0 b / b -> 1", f"{LONG} b / b -> 1", not_an_id(LONG), 8, id="long-src"),
+    pytest.param(SUB, "0 a / x -> 1", f"0 a / x -> {LONG}", not_an_id(LONG), 7, id="long-dst"),
+    pytest.param(SEQ, "states 0 1", f"states 0 {LONG}", not_an_id(LONG), 4, id="long-state"),
+    pytest.param(SUB, "finalout 1 t", f"finalout {LONG} t", not_an_id(LONG), 10, id="long-finalout"),
     (LT, "0 b / b -> 1", "0 b / b -> x", not_an_id("x"), 8),
     (SUB, "0 a / x -> 1", "0 a / x -> ²", not_an_id("²"), 7),
     (LT, "0 a / a -> 0", "0 - / a -> 0", reserved("-"), 7),
@@ -376,8 +384,9 @@ def test_a_state_id_is_read_in_any_spelling_of_ascii_digits():
 
 
 # the tokens a mutation writes beside the file's own: decimal digits that
-# are not ASCII, a negative number, a plain letter and every reserved word
-MUTANTS = ("²", "٠", "-1", "x", *sorted(RESERVED), "kind", *KINDS, "inputs", "outputs",
+# are not ASCII, a number too long for ``int``, a negative number, a plain
+# letter and every reserved word
+MUTANTS = ("²", "٠", LONG, "-1", "x", *sorted(RESERVED), "kind", *KINDS, "inputs", "outputs",
            "states", "initial", "initials", "finals", "finalout")
 
 
@@ -390,6 +399,7 @@ MUTANTS = ("²", "٠", "-1", "x", *sorted(RESERVED), "kind", *KINDS, "inputs", "
     edit=st.sampled_from(["replace", "delete", "insert"]),
 )
 @example(machine=identity(AB), line=3, at=1, pick=0, edit="replace")  # states ²
+@example(machine=identity(AB), line=3, at=1, pick=2, edit="replace")  # a 5,000-digit state
 def test_a_file_with_one_token_changed_parses_or_raises_a_format_error(machine, line, at, pick, edit):
     """Replacing, deleting or inserting one token of a rendered file gives a
     file that parses, into a machine that renders and parses back, or a
