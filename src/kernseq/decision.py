@@ -19,11 +19,10 @@ import enum
 from dataclasses import dataclass
 
 from .automata import _dense, _trim_rows, includes, minimize
-from .errors import InternalInvariantError, NotEquivalenceError, NotFinerError, NotLetterToLetterError
+from .errors import NotEquivalenceError, NotFinerError
 from .machines import SequentialTransducer, SubsequentialTransducer
 from .relations import (
     ClosureResult,
-    Prepared,
     RelationValidation,
     _composed,
     _finite_index,
@@ -32,8 +31,8 @@ from .relations import (
     prepare,
 )
 from .synthesis import (
+    _certify,
     _eliminated,
-    _kernel_counterexample,
     _mealy_moves,
     _minimal,
     _subsequential_moves,
@@ -106,17 +105,6 @@ def index_is_finite(s: LetterTransducer, r: LetterTransducer) -> bool:
     return _finitely_valued(rows, len(s.output_alphabet))
 
 
-def _certify(table, prep: Prepared, what: str) -> None:
-    """Raise unless the kernel of a synthesized table's machine is exactly
-    the relation, by ``synthesis._kernel_counterexample``."""
-    try:
-        pair = _kernel_counterexample(table, *prep.rows, prep.validation.is_symmetric)
-    except NotLetterToLetterError as exc:
-        raise InternalInvariantError(f"{what}: {exc}") from exc
-    if pair is not None:
-        raise InternalInvariantError(f"{what} kernel differs from input on {pair}")
-
-
 def _body(table) -> tuple:
     """What the kernel check reads of a table, but its final-output letters."""
     return table.words, table.codes, table.targets, [tag is None for tag in table.tags]
@@ -134,8 +122,7 @@ def decide_kerseq_ll(r: LetterTransducer) -> Verdict:
         return Verdict(Outcome.NO, reason=NOT_PREFIX_CLOSED)
     if not prep.finite_index:
         return Verdict(Outcome.NO, reason=INFINITE_INDEX)
-    witness = _minimal(_mealy_moves(prep))
-    _certify(witness, prep, "synthesized machine")
+    witness = _certify(_minimal(_mealy_moves(prep)), prep, "synthesized machine")
     return Verdict(Outcome.YES, witness=witness.machine())
 
 
@@ -191,12 +178,11 @@ def decide_kerseq_lp(
             pplus = closure_result.closure
     if not finite:
         return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=closure_result)
-    sub = _minimal(_subsequential_moves(prep, pplus))
+    sub = _certify(_minimal(_subsequential_moves(prep, pplus)), prep, "subsequential witness")
     witness = _eliminated(sub)
     one_class = len(set(sub.tags)) == 1
     if not one_class:
         witness = _minimal(witness)
-    _certify(sub, prep, "subsequential witness")
     # with one final-output value, a witness equal to the body squares as sub did
     if not one_class or _body(witness) != _body(sub):
         _certify(witness, prep, "witness after final-output elimination")

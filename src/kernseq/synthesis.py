@@ -30,6 +30,11 @@ read a machine into one (``_Moves.of``). Every witness leaves the
 package Moore-minimal, minimized before any final-output elimination;
 ``decide lp`` minimizes an eliminated table with more than one
 final-output value too: with one, it has the moves of the minimal body.
+
+One design certifies what is built: the matrix check (``_check_matrix``)
+stops a broken construction before the caps, the exact kernel check
+(``_certify``) decides every synthesized machine, and no grouping is
+re-verified.
 """
 
 from __future__ import annotations
@@ -66,51 +71,21 @@ STATE_CAP = 100_000
 # needs 349,525 entries.
 ENTRY_CAP = 2_000_000
 
-def _partition(rows, what):
-    """Each item's least class member under a claimed equivalence, verified.
-
-    Items are numbered in the fixed order and ``rows[x]`` is the claim for
-    item x as ``bytes``: byte y is 1 when x relates to y, else 0. The claim
-    is an equivalence exactly when every row is the indicator of the items
-    with an equal row; those items are then a class, and the first of them
-    is its least member.
-    """
+def _partition(rows):
+    """Per item x, the first item whose claim equals its claim ``rows[x]``."""
     first: dict = {}  # distinct row -> the first item with it
-    least = [first.setdefault(row, x) for x, row in enumerate(rows)]
-    indicator = {row: bytearray(len(rows)) for row in first}
-    for x, row in enumerate(rows):
-        indicator[row][x] = 1
-    if any(indicator[row] != row for row in first):
-        raise InternalInvariantError(
-            f"{what} is not an equivalence relation on successor items; "
-            "a synthesis precondition does not actually hold"
-        )
-    return least
+    return [first.setdefault(row, x) for x, row in enumerate(rows)]
 
 
-def _check_matrix(matrix, coarse_final, diag_ok):
+def _check_matrix(matrix, coarse_final, fine_final):
     """Raise unless every entry is coarse-final and every diagonal entry
-    ``diag_ok``. Each distinct entry is tested once; only a failing
-    matrix is scanned row-major, to name its first bad cell."""
+    fine-final, testing each distinct entry once."""
+    diagonal = {row[i] for i, row in enumerate(matrix)}
     for entry in set().union(*matrix):
         if not coarse_final(entry):
-            break
-    else:
-        for entry in {row[i] for i, row in enumerate(matrix)}:
-            if not diag_ok(entry):
-                break
-        else:
-            return
-    for i, row in enumerate(matrix):
-        for j, entry in enumerate(row):
-            if not coarse_final(entry):
-                raise InternalInvariantError(
-                    "reachable matrix holds a non-accepting entry"
-                )
-            if i == j and not diag_ok(entry):
-                raise InternalInvariantError(
-                    "reachable matrix holds a non-diagonal entry on its diagonal"
-                )
+            raise InternalInvariantError("reachable matrix holds a non-accepting entry")
+        if entry in diagonal and not fine_final(entry):
+            raise InternalInvariantError("reachable matrix holds a non-diagonal entry on its diagonal")
 
 
 class _Moves:
@@ -199,20 +174,21 @@ def _encoding(inputs: Alphabet, l_max: int, sub: bool) -> tuple[Alphabet, list]:
     return Alphabet(items + extra), tuple((o,) for o in items)
 
 
-def _worklist(inputs, initial_entry, targets, coarse_final, fine_final, diag_ok, tag=None):
+def _worklist(inputs, initial_entry, targets, coarse_final, fine_final, tag=None):
     """Explore (matrix, row) states breadth-first from the 1-by-1 start matrix.
 
     ``targets(entry)`` lists the entries reached from ``entry`` by pair
     letter, the pair (a, b) at position a * len(inputs) + b, as in the
     rows of a pair DFA's table; it is called once per distinct entry.
-    Each distinct matrix is interned once, checked once and, on its
-    first expansion, given a table of moves for all of its rows. The
-    items (row, letter) are grouped twice by the entry reached on reading
-    the pair of two items: by ``coarse_final`` and, finer, by
-    ``fine_final``. Each distinct entry and input letter a is cut once
-    into a piece: its targets on (a, b) by b, and their two flags as
-    ``bytes``; the claims of an item (row i, letter a) about every item
-    are the join of the pieces of row i's entries on a. Each coarse class
+    Each distinct matrix is interned once, checked once by
+    ``_check_matrix`` and, on its first expansion, given a table of moves
+    for all of its rows. The items (row, letter) are grouped twice by the
+    entry reached on reading the pair of two items: by ``coarse_final``
+    and, finer, by ``fine_final``, each grouping taken as claimed. Each
+    distinct entry and input letter a is cut once into a piece: its
+    targets on (a, b) by b, and their two flags as ``bytes``; the claims
+    of an item (row i, letter a) about every item are the join of the
+    pieces of row i's entries on a. Each coarse class
     outputs its least item and steps to the matrix whose rows are its
     fine-class minima, in order; an item moves to the row of its
     fine-class minimum. Returns the ``_table`` of the states in discovery
@@ -233,7 +209,7 @@ def _worklist(inputs, initial_entry, targets, coarse_final, fine_final, diag_ok,
             entries += len(matrix) ** 2
             if entries > ENTRY_CAP:
                 raise DimensionCapError("stored matrix entries exceed safety cap")
-            _check_matrix(matrix, coarse_final, diag_ok)
+            _check_matrix(matrix, coarse_final, fine_final)
             mi = index[matrix] = len(matrices)
             matrices.append(matrix)
         return mi
@@ -253,11 +229,9 @@ def _worklist(inputs, initial_entry, targets, coarse_final, fine_final, diag_ok,
         # item (row i, letter a) is number (i - 1) * width + a, and lines[x]
         # lists its pieces, one per entry of its matrix row, cut once per row
         lines = [line for matrix_row in matrix for line in zip(*map(cut, matrix_row))]
-        coarse = _partition([b"".join([p[1] for p in line]) for line in lines], "coarse grouping")
-        fine = _partition([b"".join([p[2] for p in line]) for line in lines], "fine grouping")
+        coarse = _partition([b"".join([p[1] for p in line]) for line in lines])
+        fine = _partition([b"".join([p[2] for p in line]) for line in lines])
         n = len(lines)
-        if any(coarse[fine[x]] != coarse[x] for x in range(n)):
-            raise InternalInvariantError("fine grouping does not refine coarse grouping")
         reps: dict = {}  # least item of each coarse class -> its fine-class minima
         for x in range(n):
             if fine[x] == x:
@@ -310,8 +284,7 @@ def _walk(inputs, initial_entry, targets, final, tag=None):
     of a are reached in the order of m, the order in which ``_worklist``
     interns the matrices, and state n is matrix n, row 1. It charges
     ``STATE_CAP`` and ``ENTRY_CAP`` as ``_worklist`` does, one per entry
-    expanded and one per entry stored. It checks no matrix and no
-    grouping: what it builds is certified by the kernel check.
+    expanded and one per entry stored. It checks no matrix.
     """
     width = len(inputs)
     number: dict = {}  # entry -> its state
@@ -402,12 +375,25 @@ def minimal_machine(m):
     return _minimal(_Moves.of(m)).machine()
 
 
+def _certify(table: _Moves, prep: Prepared, what: str) -> _Moves:
+    """A synthesized table, returned once ``_kernel_counterexample`` finds its
+    machine's kernel exactly the relation; else ``InternalInvariantError``."""
+    try:
+        pair = _kernel_counterexample(table, *prep.rows, prep.validation.is_symmetric)
+    except NotLetterToLetterError as exc:
+        raise InternalInvariantError(f"{what}: {exc}") from exc
+    if pair is not None:
+        raise InternalInvariantError(f"{what} kernel differs from input on {pair}")
+    return table
+
+
 def synthesize_mealy(r: LetterTransducer) -> SequentialTransducer:
     """Letter-to-letter sequential machine whose kernel is exactly r.
 
     Requires r to be a length-preserving equivalence, prefix-closed,
     with finitely many congruence classes inside each class of r; those
-    conditions are verified first, then ``_mealy_moves`` builds it.
+    conditions are verified first, then ``_mealy_moves`` builds it and
+    ``_certify`` checks its kernel.
     """
     prep = prepare(r)
     if not prep.prefix_closed:
@@ -416,7 +402,7 @@ def synthesize_mealy(r: LetterTransducer) -> SequentialTransducer:
         raise PreconditionError(
             "syntactic congruence has infinite index with respect to the relation"
         )
-    return _minimal(_mealy_moves(prep)).machine()
+    return _certify(_minimal(_mealy_moves(prep)), prep, "synthesized machine").machine()
 
 
 def _mealy_moves(prep: Prepared) -> _Moves:
@@ -434,8 +420,7 @@ def _mealy_moves(prep: Prepared) -> _Moves:
     rows, finals = prep.rows
     if prep.own_congruence:
         return _walk(inputs, 0, rows.__getitem__, finals.__getitem__)
-    in_diag = prep.diagonal.__contains__
-    return _worklist(inputs, 0, rows.__getitem__, finals.__getitem__, in_diag, in_diag)
+    return _worklist(inputs, 0, rows.__getitem__, finals.__getitem__, prep.diagonal.__contains__)
 
 
 def validate_closure_witness(r: LetterTransducer, closure: LetterTransducer) -> None:
@@ -478,7 +463,7 @@ def synthesize_subsequential(
     That r is an equivalence, that ``pplus`` passes
     ``validate_closure_witness`` and that the congruence index with
     respect to it is finite are verified first, then
-    ``_subsequential_moves`` builds it.
+    ``_subsequential_moves`` builds it and ``_certify`` checks its kernel.
     """
     prep = prepare(r)
     validate_closure_witness(r, pplus)
@@ -486,7 +471,7 @@ def synthesize_subsequential(
         raise PreconditionError(
             "syntactic congruence has infinite index with respect to the closure"
         )
-    return _minimal(_subsequential_moves(prep, pplus)).machine()
+    return _certify(_minimal(_subsequential_moves(prep, pplus)), prep, "subsequential witness").machine()
 
 
 def _subsequential_moves(prep: Prepared, pplus: LetterTransducer) -> _Moves:
@@ -523,11 +508,8 @@ def _subsequential_moves(prep: Prepared, pplus: LetterTransducer) -> _Moves:
 
     if prep.prefix_closed and prep.own_congruence and pplus is prep.first_iterate[0]:
         return _walk(inputs, (0, 0), targets, coarse_final, tag)
-    r_diag, p_diag = prep.diagonal, closure.diagonal
-    return _worklist(
-        inputs, (0, 0), targets, coarse_final,
-        lambda q: q[0] in r_diag, lambda q: q[0] in r_diag and q[1] in p_diag, tag,
-    )
+    r_diag = prep.diagonal
+    return _worklist(inputs, (0, 0), targets, coarse_final, lambda q: q[0] in r_diag, tag)
 
 
 def eliminate_final_output(m: SubsequentialTransducer) -> SequentialTransducer:

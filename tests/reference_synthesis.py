@@ -17,8 +17,25 @@ from kernseq.automata import Alphabet, explore, refine
 from kernseq.errors import DimensionCapError, InternalInvariantError, PreconditionError
 from kernseq.machines import SequentialTransducer, SubsequentialTransducer
 from kernseq.relations import prepare
-from kernseq.synthesis import ENTRY_CAP, STATE_CAP, _partition
+from kernseq.synthesis import ENTRY_CAP, STATE_CAP
 from kernseq.transducers import diagonal_states, pair_dfa
+
+
+def reference_partition(related, what):
+    """Each item's least class member under a claimed equivalence, by all
+    pairs: ``related[x][y]`` is true when x relates to y. Raises unless the
+    claim is an equivalence."""
+    minima: list = []
+    least: list = []
+    for x, rx in enumerate(related):
+        m = next((m for m in minima if rx[m]), x)
+        least.append(m)
+        if m == x:
+            minima.append(x)
+    for x, rx in enumerate(related):
+        if list(rx) != [least[x] == m for m in least]:
+            raise InternalInvariantError(f"{what} is not an equivalence relation")
+    return least
 
 
 def reference_check_matrix(matrix, coarse_final, diag_ok):
@@ -38,8 +55,9 @@ def reference_worklist(letters, initial_entry, targets, coarse_final, fine_final
     the order they were interned, the discovery-ordered states as (matrix
     index, row) pairs, transitions keyed by (state id, input letter)
     valued ((output row, output letter), successor id), and the largest
-    dimension reached. Entries are cut once per input letter and each
-    matrix is checked cell by cell."""
+    dimension reached. Entries are cut once per input letter, each matrix
+    is checked cell by cell, and both groupings are verified: each is an
+    equivalence, and the fine one refines the coarse one."""
     width = len(letters)
     index: dict = {}
     matrices: list = []
@@ -77,8 +95,8 @@ def reference_worklist(letters, initial_entry, targets, coarse_final, fine_final
             for matrix_row in matrix
             for a in range(width)
         ]
-        coarse = _partition([b"".join(p[1] for p in line) for line in lines], "coarse grouping")
-        fine = _partition([b"".join(p[2] for p in line) for line in lines], "fine grouping")
+        coarse = reference_partition([b"".join(p[1] for p in line) for line in lines], "coarse grouping")
+        fine = reference_partition([b"".join(p[2] for p in line) for line in lines], "fine grouping")
         n = len(lines)
         if any(coarse[fine[x]] != coarse[x] for x in range(n)):
             raise InternalInvariantError("fine grouping does not refine coarse grouping")

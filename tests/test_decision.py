@@ -1040,9 +1040,9 @@ def _relation_first_lp(r, cap=DEFAULT_CLOSURE_CAP):
     """``decide_kerseq_lp`` with no supplied closure, checking the index
     against r before anything else on every relation: the order kept when
     the closure needs composition rounds."""
-    from kernseq.decision import Verdict, _body, _certify
+    from kernseq.decision import Verdict, _body
     from kernseq.relations import _finite_index
-    from kernseq.synthesis import _eliminated, _minimal, _subsequential_moves
+    from kernseq.synthesis import _certify, _eliminated, _minimal, _subsequential_moves
 
     prep = prepare(r)
     if not _finite_index(prep, r):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,7 +13,7 @@ from kernseq.errors import (
     PreconditionError,
 )
 from kernseq.machines import SequentialTransducer, SubsequentialTransducer
-from kernseq.transducers import LetterTransducer, diagonal_states, full_same_length, pair_dfa
+from kernseq.transducers import LetterTransducer, full_same_length
 from kernseq.oracle import (
     accepts_pair_backward,
     brute_index,
@@ -46,7 +47,12 @@ from kernseq.synthesis import (
     synthesize_subsequential,
     validate_closure_witness,
 )
-from reference_synthesis import reference_check_matrix, reference_machine, reference_worklist
+from reference_synthesis import (
+    reference_check_matrix,
+    reference_machine,
+    reference_partition,
+    reference_worklist,
+)
 from conftest import (
     AB,
     ABC,
@@ -646,74 +652,131 @@ _STAY = {
     ("d", ("b", "a")): "x",
     ("d", ("b", "b")): "d",
 }
-_SPLIT = {**_STAY, ("d", ("a", "b")): "p", ("d", ("b", "a")): "q"}
 _PAIRS = [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]  # by pair letter position
 
 
 @pytest.mark.parametrize(
-    "delta, coarse, fine, diag, message",
+    "coarse, fine, message",
     [
-        (_STAY, lambda q: q == "d", lambda q: True, lambda q: q == "d",
-         "fine grouping does not refine coarse grouping"),
-        (_SPLIT, lambda q: True, lambda q: q in ("d", "p"), lambda q: q == "d",
-         "fine grouping is not an equivalence relation"),
-        (_STAY, lambda q: q == "d", lambda q: True, lambda q: False,
-         "non-diagonal entry on its diagonal"),
-        (_STAY, lambda q: False, lambda q: True, lambda q: q == "d",
-         "non-accepting entry"),
+        (lambda q: q == "d", lambda q: False, "non-diagonal entry on its diagonal"),
+        (lambda q: False, lambda q: True, "non-accepting entry"),
     ],
-    ids=["not-refining", "not-equivalence", "off-diagonal", "non-accepting"],
+    ids=["off-diagonal", "non-accepting"],
 )
-def test_worklist_raises_on_a_broken_invariant(delta, coarse, fine, diag, message):
+def test_worklist_raises_on_a_broken_invariant(coarse, fine, message):
     with pytest.raises(InternalInvariantError, match=message):
-        _worklist(AB, "d", lambda q: [delta[(q, p)] for p in _PAIRS], coarse, fine, diag)
-
-
-def _reference_partition(related, what):
-    """The all-pairs check ``_partition`` replaced, kept as its reference."""
-    minima: list = []
-    least: list = []
-    for x, rx in enumerate(related):
-        m = next((m for m in minima if rx[m]), x)
-        least.append(m)
-        if m == x:
-            minima.append(x)
-    for x, rx in enumerate(related):
-        if rx != [least[x] == m for m in least]:
-            raise InternalInvariantError(f"{what} is not an equivalence relation")
-    return least
-
-
-def _random_tables(rng):
-    """Equivalences, each with one cell flipped, and arbitrary tables."""
-    for _ in range(300):
-        n = rng.randint(1, 40)
-        block = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
-        table = [[block[x] == block[y] for y in range(n)] for x in range(n)]
-        yield table
-        flipped = [row[:] for row in table]
-        x, y = rng.randrange(n), rng.randrange(n)
-        flipped[x][y] = not flipped[x][y]
-        yield flipped
-        yield [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+        _worklist(AB, "d", lambda q: [_STAY[(q, p)] for p in _PAIRS], coarse, fine)
 
 
 def test_partition_agrees_with_the_all_pairs_check():
     rng = random.Random(5)
-    raised = 0
-    for table in _random_tables(rng):
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        block = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        table = [[block[x] == block[y] for y in range(n)] for x in range(n)]
+        assert _partition([bytes(row) for row in table]) == reference_partition(table, "claim")
+
+
+def _rotated(targets):
+    """``targets`` with every row rotated by one pair letter."""
+
+    def rotated(entry):
+        row = list(targets(entry))
+        return row[1:] + row[:1]
+
+    return rotated
+
+
+# faults injected into ``_worklist``'s targets, coarse flag and fine flag
+_FAULTS = {
+    "fine-is-coarse": lambda targets, coarse, fine: (targets, coarse, coarse),
+    "fine-always-true": lambda targets, coarse, fine: (targets, coarse, lambda q: True),
+    "fine-always-false": lambda targets, coarse, fine: (targets, coarse, lambda q: False),
+    "coarse-always-false": lambda targets, coarse, fine: (targets, lambda q: False, fine),
+    "targets-rotated": lambda targets, coarse, fine: (_rotated(targets), coarse, fine),
+    "fine-third-cleared": lambda targets, coarse, fine: (
+        targets, coarse, lambda q: fine(q) and hash(q) % 3 != 0
+    ),
+}
+
+_EVERY_ENTRY = ("ll", "lp", "mealy", "subsequential")
+# per relation of the gate, the entry points whose witness ``_worklist`` builds
+_GATED = {
+    "agree-except-last-2": (lambda: build_agree_except_last(2), _EVERY_ENTRY),
+    "agree-except-last-3": (lambda: build_agree_except_last(3), _EVERY_ENTRY),
+    "mod-3": (lambda: build_mod_count(3), ("lp", "subsequential")),
+    "chain-1": (lambda: build_chain(1), ("lp", "subsequential")),
+}
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@pytest.mark.parametrize("name", _GATED)
+def test_a_faulted_matrix_construction_is_refused_or_certified(monkeypatch, name, fault):
+    # every call ends in InternalInvariantError or in machines whose kernel
+    # is the relation, within 5 s and never at a cap
+    build, entries = _GATED[name]
+    r = build()
+    pplus = decide_kerseq_lp(r).closure.closure  # the searched closure, built unfaulted
+
+    def lp():
+        verdict = decide_kerseq_lp(r)
+        return verdict.witness, verdict.subsequential
+
+    calls = {
+        "ll": lambda: (decide_kerseq_ll(r).witness,),
+        "lp": lp,
+        "mealy": lambda: (synthesize_mealy(r),),
+        "subsequential": lambda: (synthesize_subsequential(r, pplus),),
+    }
+    worklist = synthesis._worklist
+    faulted = []
+
+    def inject(inputs, initial_entry, targets, coarse_final, fine_final, tag=None):
+        faulted.append(fault)
+        return worklist(inputs, initial_entry, *_FAULTS[fault](targets, coarse_final, fine_final), tag)
+
+    monkeypatch.setattr(synthesis, "_worklist", inject)
+    for entry in entries:
+        del faulted[:]
+        start = time.perf_counter()
         try:
-            expected = _reference_partition(table, "claim")
+            machines = calls[entry]()
         except InternalInvariantError:
-            expected = None
-            raised += 1
-        try:
-            got = _partition([bytes(row) for row in table], "claim")
-        except InternalInvariantError as exc:
-            assert "claim is not an equivalence relation" in str(exc)
-            got = None
-        assert got == expected, table
-    assert 300 < raised < 900
+            machines = ()
+        assert time.perf_counter() - start < 5, entry
+        assert faulted, entry
+        # the matrix check stops a construction whose entries are not coarse-final
+        assert not (machines and fault == "coarse-always-false"), entry
+        for m in machines:
+            assert kernel_counterexample(m, r) is None, entry
+
+
+@pytest.mark.parametrize(
+    "build, synthesize",
+    [
+        (lambda: build_agree_except_last(3), lambda r, _pplus: synthesize_mealy(r)),
+        (lambda: build_mod_count(3), synthesize_subsequential),
+    ],
+    ids=["mealy", "subsequential"],
+)
+def test_the_synthesizers_certify_what_they_return(monkeypatch, build, synthesize):
+    r = build()
+    pplus = decide_kerseq_lp(r).closure.closure  # the searched closure
+    minimal = synthesis._minimal
+    flipped = []
+
+    def flip(t):
+        # the minimal table with the output code of state 0 on its first letter changed
+        t = minimal(t)
+        t.codes = [row[:] for row in t.codes]
+        t.codes[0][0] = (t.codes[0][0] + 1) % len(t.words)
+        flipped.append(t)
+        return t
+
+    monkeypatch.setattr(synthesis, "_minimal", flip)
+    with pytest.raises(InternalInvariantError, match="kernel differs from input"):
+        synthesize(r, pplus)
+    assert len(flipped) == 1
 
 
 def _walked_relations():
@@ -733,29 +796,20 @@ def _walked_relations():
 def _worklist_args(prep, inputs, initial_entry, targets, final, tag=None):
     """The arguments of the ``_worklist`` call that a ``_walk`` call on
     ``prep`` stands for: the Mealy construction's on a pair-DFA state, and
-    the subsequential one's on a pair of states, whose closure is the
-    first iterate ``prep.first_iterate[0]``."""
+    the subsequential one's on a pair of states."""
     r_diag = prep.diagonal
     if not isinstance(initial_entry, tuple):
-        return inputs, initial_entry, targets, final, r_diag.__contains__, r_diag.__contains__
-    p_diag = diagonal_states(pair_dfa(prep.first_iterate[0]))
-    return (
-        inputs,
-        initial_entry,
-        targets,
-        final,
-        lambda q: q[0] in r_diag,
-        lambda q: q[0] in r_diag and q[1] in p_diag,
-        tag,
-    )
+        return inputs, initial_entry, targets, final, r_diag.__contains__
+    return inputs, initial_entry, targets, final, lambda q: q[0] in r_diag, tag
 
 
-def _reference_built(inputs, initial_entry, targets, coarse_final, fine_final, diag_ok, tag=None):
+def _reference_built(inputs, initial_entry, targets, coarse_final, fine_final, tag=None):
     """The machine that ``reference_worklist`` and ``reference_machine``
-    build from the arguments of a ``_worklist`` call: with ``tag``, the
-    subsequential one whose final outputs ``tag`` gives the rows."""
+    build from the arguments of a ``_worklist`` call, checking each
+    diagonal by ``fine_final`` as ``_check_matrix`` does: with ``tag``,
+    the subsequential one whose final outputs ``tag`` gives the rows."""
     found = reference_worklist(
-        inputs.letters, initial_entry, targets, coarse_final, fine_final, diag_ok
+        inputs.letters, initial_entry, targets, coarse_final, fine_final, fine_final
     )
     matrices, order, _transitions, l_max = found
     if tag is None:
@@ -868,21 +922,20 @@ def test_a_supplied_closure_builds_what_the_searched_closure_builds(monkeypatch)
     [
         ((0, 2), (2, 0)),  # a non-accepting entry
         ((0, 1), (0, 3)),  # a bad diagonal entry
-        ((3, 1), (2, 0)),  # both, the diagonal one first in row-major order
         ((0, 2), (1, 3)),  # both, the non-accepting one first
     ],
-    ids=["non-accepting", "diagonal", "diagonal-first", "non-accepting-first"],
+    ids=["non-accepting", "diagonal", "non-accepting-first"],
 )
 def test_check_matrix_names_the_first_bad_cell_as_the_reference_does(matrix):
     def coarse_final(q):
         return q != 2
 
-    def diag_ok(q):
+    def fine_final(q):
         return q == 0
 
     with pytest.raises(InternalInvariantError) as expected:
-        reference_check_matrix(matrix, coarse_final, diag_ok)
+        reference_check_matrix(matrix, coarse_final, fine_final)
     with pytest.raises(InternalInvariantError) as got:
-        _check_matrix(matrix, coarse_final, diag_ok)
+        _check_matrix(matrix, coarse_final, fine_final)
     assert str(got.value) == str(expected.value)
-    _check_matrix(((0, 1), (1, 0)), coarse_final, diag_ok)
+    _check_matrix(((0, 1), (1, 0)), coarse_final, fine_final)
