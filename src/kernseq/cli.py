@@ -19,9 +19,10 @@ from . import __version__
 from .decision import (
     DEFAULT_CLOSURE_CAP,
     Outcome,
+    _certified_subsequential,
+    _final_output_free,
     analyze,
     decide_kerseq_ll,
-    decide_kerseq_lp,
 )
 from .errors import (
     DimensionCapError,
@@ -154,28 +155,32 @@ def _verdict_exit(outcome: Outcome) -> int:
 def _cmd_decide(args) -> int:
     relation = _load(args.file, LetterTransducer)
     if args.variant == "ll":
-        verdict = decide_kerseq_ll(relation)
-        machine = verdict.witness
+        found = decide_kerseq_ll(relation)
     else:
         pplus = _load(args.pplus, LetterTransducer) if args.pplus else None
-        verdict = decide_kerseq_lp(relation, closure=pplus, cap=args.closure_cap)
-        machine = verdict.witness if args.eliminate_final_output else verdict.subsequential
+        found = _certified_subsequential(relation, pplus, args.closure_cap)
+    if isinstance(found, tuple):  # lp's YES: only the machine that is written is built
+        table, prep, closure = found
+        table = _final_output_free(table, prep) if args.eliminate_final_output else table
+        outcome, reason, machine = Outcome.YES, None, table.machine() if args.output else None
+    else:
+        outcome, reason, closure, machine = found.outcome, found.reason, found.closure, found.witness
     written = None
-    if verdict.outcome is Outcome.YES and args.output:
+    if outcome is Outcome.YES and args.output:
         _write_machine(args.output, machine)
         written = args.output
     _emit(
         {
             "command": "decide",
             "variant": args.variant,
-            "outcome": verdict.outcome.value,
-            "reason": verdict.reason,
-            "closure": _closure_dict(verdict.closure),
+            "outcome": outcome.value,
+            "reason": reason,
+            "closure": _closure_dict(closure),
             "witness": written,
         },
         args.json,
     )
-    return _verdict_exit(verdict.outcome)
+    return _verdict_exit(outcome)
 
 
 def _cmd_closure(args) -> int:

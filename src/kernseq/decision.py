@@ -3,10 +3,10 @@
 The class-membership deciders chain the necessary conditions, each a
 stage of the relation's ``relations.Prepared`` value, and, on success,
 hand back a synthesized witness, built and checked exactly against the
-input on its integer move table (``synthesis._Moves``). An eliminated
-witness equal to the body of a subsequential stage with one
-final-output value has that stage's kernel, so one walk checks both.
-No decision enumerates words. A supplied closure is validated and its
+input on its integer move table (``synthesis._Moves``).
+``decide_kerseq_lp`` returns both its machines, each certified; ``decide
+lp`` builds and certifies the final-output-free one only when asked. No
+decision enumerates words. A supplied closure is validated and its
 index checked on every call. Of the two index checks,
 ``decide_kerseq_lp`` runs the one against the closure first when no
 composition round is needed to reach it, and the one against the
@@ -126,36 +126,9 @@ def decide_kerseq_ll(r: LetterTransducer) -> Verdict:
     return Verdict(Outcome.YES, witness=witness.machine())
 
 
-def decide_kerseq_lp(
-    r: LetterTransducer,
-    closure: LetterTransducer | None = None,
-    cap: int = DEFAULT_CLOSURE_CAP,
-) -> Verdict:
-    """Is r the kernel of some sequential machine (length-preserving case)?
-
-    The index checks run in this order. When the closure is reached with
-    no composition round (the flag of ``Prepared.first_iterate``: r is
-    prefix-closed, or its prefix closure is transitive, so the closure is
-    the first iterate at exponent 1) and none is supplied, the index
-    against that closure comes first. r lies inside the closure, so a
-    finite index against it is a finite index against r, and the index
-    against r is checked only when it is infinite, to report NO with the
-    closure when r passes and without it when r fails. Otherwise the
-    index against r comes first, before any closure work: relations that
-    fail it are decided without iterating, and the composition rounds,
-    whose cost nothing bounds, run only on relations that pass it.
-
-    The closure fixpoint is either validated from the caller or searched
-    up to ``cap`` (``Prepared.closure``); running out yields UNKNOWN,
-    never a wrong answer. YES verdicts carry the
-    final-output-free witness, Moore-minimal, with the subsequential
-    stage attached; ``synthesis._minimal`` merges the witness's states only
-    when the stage has more than one final-output value. The stage's
-    kernel is checked exactly against r, and the witness's by a walk of
-    its own unless the stage has one final-output value and the witness
-    equals its body.
-    Raises ``NotEquivalenceError`` unless r is an equivalence.
-    """
+def _certified_subsequential(r: LetterTransducer, closure, cap):
+    """``decide_kerseq_lp`` up to its certified, Moore-minimal subsequential
+    table: a NO or UNKNOWN verdict, or (table, ``Prepared``, searched closure)."""
     prep = prepare(r)
     closure_result = None
     if closure is None and cap >= 1 and prep.first_iterate[1]:
@@ -179,16 +152,53 @@ def decide_kerseq_lp(
     if not finite:
         return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=closure_result)
     sub = _certify(_minimal(_subsequential_moves(prep, pplus)), prep, "subsequential witness")
+    return sub, prep, closure_result
+
+
+def _final_output_free(sub, prep):
+    """The final-output-free table of a certified subsequential one, certified
+    unless, with one final-output value, it is the body of ``sub`` and has its kernel."""
     witness = _eliminated(sub)
     one_class = len(set(sub.tags)) == 1
     if not one_class:
         witness = _minimal(witness)
-    # with one final-output value, a witness equal to the body squares as sub did
     if not one_class or _body(witness) != _body(sub):
         _certify(witness, prep, "witness after final-output elimination")
-    return Verdict(
-        Outcome.YES, witness=witness.machine(), subsequential=sub.machine(), closure=closure_result
-    )
+    return witness
+
+
+def decide_kerseq_lp(
+    r: LetterTransducer,
+    closure: LetterTransducer | None = None,
+    cap: int = DEFAULT_CLOSURE_CAP,
+) -> Verdict:
+    """Is r the kernel of some sequential machine (length-preserving case)?
+
+    The index checks run in this order. When the closure is reached with
+    no composition round (the flag of ``Prepared.first_iterate``: r is
+    prefix-closed, or its prefix closure is transitive, so the closure is
+    the first iterate at exponent 1) and none is supplied, the index
+    against that closure comes first. r lies inside the closure, so a
+    finite index against it is a finite index against r, and the index
+    against r is checked only when it is infinite, to report NO with the
+    closure when r passes and without it when r fails. Otherwise the
+    index against r comes first, before any closure work: relations that
+    fail it are decided without iterating, and the composition rounds,
+    whose cost nothing bounds, run only on relations that pass it.
+
+    The closure fixpoint is either validated from the caller or searched
+    up to ``cap`` (``Prepared.closure``); running out yields UNKNOWN,
+    never a wrong answer. YES verdicts carry both machines, Moore-minimal
+    and certified: the final-output-free witness and the subsequential
+    stage it derives from. The CLI builds and certifies the witness only when asked.
+    Raises ``NotEquivalenceError`` unless r is an equivalence.
+    """
+    found = _certified_subsequential(r, closure, cap)
+    if isinstance(found, Verdict):
+        return found
+    sub, prep, searched = found
+    witness = _final_output_free(sub, prep).machine()
+    return Verdict(Outcome.YES, witness=witness, subsequential=sub.machine(), closure=searched)
 
 
 def analyze(

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from kernseq.cli import build_parser, main
-from kernseq.errors import DimensionCapError
+from kernseq.decision import decide_kerseq_lp
+from kernseq.errors import DimensionCapError, InternalInvariantError
 from kernseq.fileformat import parse, render
 from kernseq.oracle import accepts_pair_backward
 
@@ -13,8 +14,10 @@ from conftest import (
     build_a_parity,
     build_agree_except_last,
     build_c_singletons,
+    build_chain,
     build_chained_classes,
     build_last_a,
+    build_mod_count,
 )
 from kernseq.transducers import identity
 from conftest import AB
@@ -433,3 +436,83 @@ def test_entry_cap_below_the_witness_exits_five(capsys, monkeypatch, tmp_path):
     assert code == 5
     assert out == ""
     assert err.startswith("kernseq: resource exhausted") and err.count("\n") == 1
+
+
+# the relations of the ``files`` fixture and three families; (relation, closure cap)
+_LP_CASES = {
+    "last_a": (build_last_a, None),
+    "parity": (build_a_parity, None),
+    "c_singletons": (build_c_singletons, None),
+    "chain": (build_chained_classes, None),
+    "chain-cap-1": (build_chained_classes, 1),
+    "ident": (lambda: identity(AB), None),
+    **{f"mod-{k}": (lambda k=k: build_mod_count(k), None) for k in (2, 3, 4)},
+    **{f"agree-except-last-{k}": (lambda k=k: build_agree_except_last(k), None) for k in (1, 2, 3)},
+    **{f"chain-{k}": (lambda k=k: build_chain(k), None) for k in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", _LP_CASES)
+def test_decide_lp_writes_the_machines_of_the_library(capsys, tmp_path, name):
+    build, cap = _LP_CASES[name]
+    r = build()
+    verdict = decide_kerseq_lp(r) if cap is None else decide_kerseq_lp(r, cap=cap)
+    path = tmp_path / "r.t"
+    path.write_text(render(r))
+    options = [] if cap is None else ["--closure-cap", str(cap)]
+    out = tmp_path / "out.t"
+    reports = []
+    argv = ["decide", "lp", str(path), "-o", str(out), *options]
+    written = (([], verdict.subsequential), (["--eliminate-final-output"], verdict.witness))
+    for flag, machine in written:
+        code, payload, err = run_json(capsys, *argv, *flag)
+        assert err == ""
+        reports.append((code, payload))
+        if machine is None:  # NO or UNKNOWN
+            assert not out.exists()
+        else:
+            assert out.read_text() == render(machine)
+            out.unlink()
+    assert reports[0] == reports[1]
+    code, payload = reports[0]
+    assert code == {"YES": 0, "NO": 1, "UNKNOWN": 2}[verdict.outcome.value]
+    assert (payload["outcome"], payload["reason"]) == (verdict.outcome.value, verdict.reason)
+    assert payload["witness"] == (str(out) if verdict.witness else None)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build_a_parity, lambda: build_agree_except_last(2)],
+    ids=["parity", "agree-except-last-2"],
+)
+def test_a_broken_elimination_step_fails_only_where_it_runs(capsys, monkeypatch, tmp_path, build):
+    # parity has two final-output values, agree-except-last-2 one: both
+    # branches of the elimination step's certification
+    import kernseq.decision
+
+    r = build()
+    sub = render(decide_kerseq_lp(r).subsequential)
+    path, out = tmp_path / "r.t", tmp_path / "out.t"
+    path.write_text(render(r))
+    eliminated = kernseq.decision._eliminated
+
+    def flip(t):
+        # the eliminated table with the output code of state 0 on its first letter changed
+        t = eliminated(t)
+        t.codes = [row[:] for row in t.codes]
+        t.codes[0][0] = (t.codes[0][0] + 1) % len(t.words)
+        return t
+
+    monkeypatch.setattr(kernseq.decision, "_eliminated", flip)
+    for output in ([], ["-o", str(out)]):
+        code, stdout, err = run(
+            capsys, "decide", "lp", str(path), "--eliminate-final-output", *output
+        )
+        assert code == 4 and stdout == ""
+        assert err.startswith("kernseq: internal invariant breach") and err.count("\n") == 1
+        assert not out.exists()
+    with pytest.raises(InternalInvariantError, match="witness after final-output elimination"):
+        decide_kerseq_lp(r)
+    code, _payload, err = run_json(capsys, "decide", "lp", str(path), "-o", str(out))
+    assert code == 0 and err == ""
+    assert out.read_text() == sub
