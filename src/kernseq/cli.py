@@ -19,10 +19,10 @@ from . import __version__
 from .decision import (
     DEFAULT_CLOSURE_CAP,
     Outcome,
+    _certified_mealy,
     _certified_subsequential,
     _final_output_free,
     analyze,
-    decide_kerseq_ll,
 )
 from .errors import (
     DimensionCapError,
@@ -155,20 +155,19 @@ def _verdict_exit(outcome: Outcome) -> int:
 def _cmd_decide(args) -> int:
     relation = _load(args.file, LetterTransducer)
     if args.variant == "ll":
-        found = decide_kerseq_ll(relation)
+        found = _certified_mealy(relation)
     else:
         pplus = _load(args.pplus, LetterTransducer) if args.pplus else None
         found = _certified_subsequential(relation, pplus, args.closure_cap)
-    if isinstance(found, tuple):  # lp's YES: only the machine that is written is built
+    if isinstance(found, tuple):  # YES: only the machine that is written is built
         table, prep, closure = found
         table = _final_output_free(table, prep) if args.eliminate_final_output else table
-        outcome, reason, machine = Outcome.YES, None, table.machine() if args.output else None
+        outcome, reason = Outcome.YES, None
+        if args.output:
+            _write_machine(args.output, table.machine())
     else:
-        outcome, reason, closure, machine = found.outcome, found.reason, found.closure, found.witness
-    written = None
-    if outcome is Outcome.YES and args.output:
-        _write_machine(args.output, machine)
-        written = args.output
+        outcome, reason, closure = found.outcome, found.reason, found.closure
+    written = args.output if outcome is Outcome.YES else None
     _emit(
         {
             "command": "decide",
@@ -264,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("file")
     v.add_argument("-o", "--output", metavar="WITNESS")
     v.add_argument("--json", action="store_true")
+    v.set_defaults(eliminate_final_output=False)
     v = variants.add_parser("lp", help="subsequential witness")
     v.add_argument("file")
     _closure_options(v)

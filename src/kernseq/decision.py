@@ -4,13 +4,10 @@ The class-membership deciders chain the necessary conditions, each a
 stage of the relation's ``relations.Prepared`` value, and, on success,
 hand back a synthesized witness, built and checked exactly against the
 input on its integer move table (``synthesis._Moves``).
-``decide_kerseq_lp`` returns both its machines, each certified; ``decide
-lp`` builds and certifies the final-output-free one only when asked. No
-decision enumerates words. A supplied closure is validated and its
-index checked on every call. Of the two index checks,
-``decide_kerseq_lp`` runs the one against the closure first when no
-composition round is needed to reach it, and the one against the
-relation first otherwise.
+``decide_kerseq_lp`` returns both its machines, each certified; the CLI
+builds a machine only to write it. No decision enumerates words. The
+index checks of ``decide_kerseq_lp`` and ``analyze`` run in one order,
+``_closure_index``'s, which validates a supplied closure on every call.
 """
 
 from __future__ import annotations
@@ -71,6 +68,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """What ``analyze`` found. ``closure`` is the searched closure, None when
+    one was supplied or no search ran. ``index_wrt_closure`` is None when the
+    search did not converge, and INFINITE with no search when r's own index
+    is infinite and the closure needs composition rounds."""
+
     validation: RelationValidation
     length_preserving: bool
     prefix_closed: bool | None
@@ -110,6 +112,17 @@ def _body(table) -> tuple:
     return table.words, table.codes, table.targets, [tag is None for tag in table.tags]
 
 
+def _certified_mealy(r: LetterTransducer):
+    """``decide_kerseq_ll`` up to its certified, minimal table: a NO
+    verdict, or (table, ``Prepared``, None)."""
+    prep = prepare(r)
+    if not prep.prefix_closed:
+        return Verdict(Outcome.NO, reason=NOT_PREFIX_CLOSED)
+    if not prep.finite_index:
+        return Verdict(Outcome.NO, reason=INFINITE_INDEX)
+    return _certify(_minimal(_mealy_moves(prep)), prep, "synthesized machine"), prep, None
+
+
 def decide_kerseq_ll(r: LetterTransducer) -> Verdict:
     """Is r the kernel of some letter-to-letter sequential machine?
 
@@ -117,42 +130,48 @@ def decide_kerseq_ll(r: LetterTransducer) -> Verdict:
     carry a machine whose kernel has been checked equal to r exactly.
     Raises ``NotEquivalenceError`` unless r is an equivalence.
     """
-    prep = prepare(r)
-    if not prep.prefix_closed:
-        return Verdict(Outcome.NO, reason=NOT_PREFIX_CLOSED)
-    if not prep.finite_index:
-        return Verdict(Outcome.NO, reason=INFINITE_INDEX)
-    witness = _certify(_minimal(_mealy_moves(prep)), prep, "synthesized machine")
-    return Verdict(Outcome.YES, witness=witness.machine())
+    found = _certified_mealy(r)
+    return found if isinstance(found, Verdict) else Verdict(Outcome.YES, witness=found[0].machine())
+
+
+def _closure_index(prep, closure, cap):
+    """The closure stage of ``decide_kerseq_lp`` and ``analyze``: the searched
+    closure or None, the closure or None, and whether the congruence has
+    finite index against the closure (None when the search did not converge).
+
+    The index is monotone in its target and r lies inside every closure, so
+    a finite index against the closure is finite against r, and an infinite
+    one against r is infinite against the closure. A supplied closure is
+    validated (``validate_closure_witness``), and then only its index is
+    checked. When the closure needs composition rounds (the flag of
+    ``Prepared.first_iterate`` is false) or ``cap`` is below 1, r's index
+    comes first, and an infinite one ends the stage with no search and no
+    raise: only relations that pass it reach the rounds, whose cost nothing
+    bounds, or the refusal of a cap below 1. Otherwise the search
+    (``Prepared.closure``) comes first.
+    """
+    if closure is not None:
+        validate_closure_witness(prep.relation, closure)
+        return None, closure, _finite_index(prep, closure)
+    if (cap < 1 or not prep.first_iterate[1]) and not prep.finite_index:
+        return None, None, False
+    searched, finite = prep.closure(cap)
+    return searched, searched.closure, finite
 
 
 def _certified_subsequential(r: LetterTransducer, closure, cap):
     """``decide_kerseq_lp`` up to its certified, Moore-minimal subsequential
-    table: a NO or UNKNOWN verdict, or (table, ``Prepared``, searched closure)."""
+    table: a NO or UNKNOWN verdict, or (table, ``Prepared``, searched closure).
+    A NO carries the searched closure only when r's own index is finite."""
     prep = prepare(r)
-    closure_result = None
-    if closure is None and cap >= 1 and prep.first_iterate[1]:
-        closure_result, finite = prep.closure(cap)
-        if not finite and not prep.finite_index:
-            return Verdict(Outcome.NO, reason=INFINITE_INDEX)
-        pplus = closure_result.closure
-    else:
-        if not prep.finite_index:
-            return Verdict(Outcome.NO, reason=INFINITE_INDEX)
-        if closure is not None:
-            validate_closure_witness(r, closure)
-            pplus, finite = closure, _finite_index(prep, closure)
-        else:
-            closure_result, finite = prep.closure(cap)
-            if not closure_result.converged:
-                return Verdict(
-                    Outcome.UNKNOWN, reason=CLOSURE_CAP_EXHAUSTED, closure=closure_result
-                )
-            pplus = closure_result.closure
+    searched, pplus, finite = _closure_index(prep, closure, cap)
+    if finite is None:
+        return Verdict(Outcome.UNKNOWN, reason=CLOSURE_CAP_EXHAUSTED, closure=searched)
     if not finite:
-        return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=closure_result)
+        shown = searched if searched is not None and prep.finite_index else None
+        return Verdict(Outcome.NO, reason=INFINITE_INDEX, closure=shown)
     sub = _certify(_minimal(_subsequential_moves(prep, pplus)), prep, "subsequential witness")
-    return sub, prep, closure_result
+    return sub, prep, searched
 
 
 def _final_output_free(sub, prep):
@@ -174,23 +193,13 @@ def decide_kerseq_lp(
 ) -> Verdict:
     """Is r the kernel of some sequential machine (length-preserving case)?
 
-    The index checks run in this order. When the closure is reached with
-    no composition round (the flag of ``Prepared.first_iterate``: r is
-    prefix-closed, or its prefix closure is transitive, so the closure is
-    the first iterate at exponent 1) and none is supplied, the index
-    against that closure comes first. r lies inside the closure, so a
-    finite index against it is a finite index against r, and the index
-    against r is checked only when it is infinite, to report NO with the
-    closure when r passes and without it when r fails. Otherwise the
-    index against r comes first, before any closure work: relations that
-    fail it are decided without iterating, and the composition rounds,
-    whose cost nothing bounds, run only on relations that pass it.
-
     The closure fixpoint is either validated from the caller or searched
-    up to ``cap`` (``Prepared.closure``); running out yields UNKNOWN,
-    never a wrong answer. YES verdicts carry both machines, Moore-minimal
-    and certified: the final-output-free witness and the subsequential
-    stage it derives from. The CLI builds and certifies the witness only when asked.
+    up to ``cap``, in the order of ``_closure_index``; running out yields
+    UNKNOWN, never a wrong answer. A NO carries the searched closure only
+    when r's own index is finite. YES verdicts carry both machines,
+    Moore-minimal and certified: the final-output-free witness and the
+    subsequential stage it derives from. The CLI builds and certifies the
+    witness only when asked.
     Raises ``NotEquivalenceError`` unless r is an equivalence.
     """
     found = _certified_subsequential(r, closure, cap)
@@ -209,33 +218,22 @@ def analyze(
     """Collect all the structural verdicts for one relation.
 
     Fields past validation stay unset when the input is not an
-    equivalence relation; the closure-relative index stays unset unless
-    a fixpoint was found or supplied.
-
-    The closure and its index come first. r lies inside the closure, so
-    each r-image lies inside a closure image and meets no more
-    congruence classes: a finite index against the closure is a finite
-    index against r, and only otherwise is the index against r checked.
-    A prefix-closed r is its own searched closure, so both indices are
-    its ``Prepared.finite_index``.
+    equivalence relation. The closure and its index come from
+    ``_closure_index``, and the index against r is checked only when the
+    closure's is not finite.
     """
     try:
         prep = prepare(r)
     except NotEquivalenceError as exc:
         return AnalysisReport(exc.validation, True, None, None, None, None)
-    closure_result = None
-    if pplus is not None:
-        validate_closure_witness(r, pplus)
-        finite = _finite_index(prep, pplus)
-    else:
-        closure_result, finite = prep.closure(cap)
+    searched, _closure, finite = _closure_index(prep, pplus, cap)
     index_closure = None if finite is None else FINITE if finite else INFINITE
-    index_r = FINITE if index_closure == FINITE or prep.finite_index else INFINITE
+    index_r = FINITE if finite or prep.finite_index else INFINITE
     return AnalysisReport(
         validation=prep.validation,
         length_preserving=True,
         prefix_closed=prep.prefix_closed,
         index_wrt_relation=index_r,
-        closure=closure_result,
+        closure=searched,
         index_wrt_closure=index_closure,
     )

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from kernseq.cli import build_parser, main
-from kernseq.decision import decide_kerseq_lp
+from kernseq.decision import analyze, decide_kerseq_ll, decide_kerseq_lp
 from kernseq.errors import DimensionCapError, InternalInvariantError
 from kernseq.fileformat import parse, render
 from kernseq.oracle import accepts_pair_backward
@@ -256,6 +256,46 @@ def test_a_pplus_closure_that_is_not_symmetric_exits_three(files, capsys, tmp_pa
         assert "(('b',), ('a',))" in err
 
 
+def test_a_pplus_closure_is_validated_before_its_index_is_read(files, capsys, tmp_path):
+    from kernseq.errors import BadClosureWitnessError
+    from kernseq.synthesis import synthesize_subsequential
+
+    from conftest import ABC
+
+    # c_singletons relates ab to ba, which the identity does not: refused by
+    # every entry point, though the relation's own index is infinite
+    r, ident = build_c_singletons(), identity(ABC)
+    for call in (decide_kerseq_lp, analyze, synthesize_subsequential):
+        with pytest.raises(BadClosureWitnessError):
+            call(r, ident)
+    pplus = tmp_path / "ident-abc.t"
+    pplus.write_text(render(ident))
+    for command in (["decide", "lp"], ["analyze"]):
+        code, out, err = run(capsys, *command, files["c_singletons"], "--pplus", str(pplus))
+        assert code == 3 and out == ""
+        assert "error [BAD_CLOSURE_WITNESS]" in err
+
+
+def test_decide_ll_builds_a_machine_only_to_write_it(capsys, monkeypatch, tmp_path):
+    from kernseq import synthesis
+
+    built = []
+    machine = synthesis._Moves.machine
+
+    def counting(table):
+        built.append(table)
+        return machine(table)
+
+    monkeypatch.setattr(synthesis._Moves, "machine", counting)
+    path, out = tmp_path / "r.t", tmp_path / "out.t"
+    path.write_text(render(build_agree_except_last(2)))
+    code, payload, _ = run_json(capsys, "decide", "ll", str(path))
+    assert (code, payload["outcome"], payload["witness"]) == (0, "YES", None)
+    assert built == []
+    code, payload, _ = run_json(capsys, "decide", "ll", str(path), "-o", str(out))
+    assert (code, payload["witness"], len(built)) == (0, str(out), 1)
+
+
 def test_decide_lp_unknown_exit_two(files, capsys):
     code, payload, _ = run_json(
         capsys, "decide", "lp", files["chain"], "--closure-cap", "1"
@@ -390,7 +430,7 @@ def test_resource_exhaustion_exits_five_with_one_line(files, capsys, monkeypatch
     def exhaust(relation):
         raise exc
 
-    monkeypatch.setattr(kernseq.cli, "decide_kerseq_ll", exhaust)
+    monkeypatch.setattr(kernseq.cli, "_certified_mealy", exhaust)
     code, out, err = run(capsys, "decide", "ll", files["ident"])
     assert code == 5
     assert out == ""
@@ -478,6 +518,15 @@ def test_decide_lp_writes_the_machines_of_the_library(capsys, tmp_path, name):
     assert code == {"YES": 0, "NO": 1, "UNKNOWN": 2}[verdict.outcome.value]
     assert (payload["outcome"], payload["reason"]) == (verdict.outcome.value, verdict.reason)
     assert payload["witness"] == (str(out) if verdict.witness else None)
+    # decide ll writes the machine of the library too, on its one YES path
+    verdict = decide_kerseq_ll(r)
+    code, payload, err = run_json(capsys, "decide", "ll", str(path), "-o", str(out))
+    assert err == "" and code == {"YES": 0, "NO": 1}[verdict.outcome.value]
+    assert (payload["outcome"], payload["reason"]) == (verdict.outcome.value, verdict.reason)
+    if verdict.witness is None:
+        assert not out.exists() and payload["witness"] is None
+    else:
+        assert out.read_text() == render(verdict.witness) and payload["witness"] == str(out)
 
 
 @pytest.mark.parametrize(

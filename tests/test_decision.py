@@ -1036,6 +1036,36 @@ def test_decide_lp_checks_the_index_against_r_before_any_composition_round():
     ]
 
 
+def test_analyze_refuses_the_same_draws_before_any_composition_round(monkeypatch):
+    from kernseq import relations
+
+    from cosequential import REFUSED_BEFORE_ROUNDS, cosequential_suite
+
+    def compose(*args):
+        raise AssertionError("a composition round runs")
+
+    monkeypatch.setattr(relations, "compose", compose)
+    draws = cosequential_suite(max(REFUSED_BEFORE_ROUNDS) + 1)
+    for i in REFUSED_BEFORE_ROUNDS:
+        report = analyze(draws[i])
+        assert (report.index_wrt_relation, report.index_wrt_closure) == (INFINITE, INFINITE), i
+        assert report.closure is None, i
+        verdict = decide_kerseq_lp(draws[i])
+        assert (verdict.outcome, verdict.reason, verdict.closure) == (Outcome.NO, INFINITE_INDEX, None)
+
+
+def test_decide_lp_checks_only_the_index_of_a_supplied_closure(monkeypatch):
+    from kernseq import decision, relations
+
+    closure = prepare(build_agree_except_last(2)).closure(DEFAULT_CLOSURE_CAP)[0].closure
+    r = build_agree_except_last(2)
+    assert not prepare(r).own_congruence  # so r's own index would be a call of its own
+    checked = count_calls(monkeypatch, relations, "_finite_index")
+    assert decision._finite_index is relations._finite_index  # both bindings counted
+    assert decide_kerseq_lp(r, closure=closure).outcome is Outcome.YES
+    assert len(checked) == 1 and checked[0][1] is closure
+
+
 def _relation_first_lp(r, cap=DEFAULT_CLOSURE_CAP):
     """``decide_kerseq_lp`` with no supplied closure, checking the index
     against r before anything else on every relation: the order kept when
@@ -1651,7 +1681,7 @@ def _unbounded(defect):
     [
         pytest.param("D5", [{"UNKNOWN", "DIMENSION_CAP"}], marks=_unbounded("D5"), id="D5"),
         pytest.param("D6", [{"CONVERGED", "UNKNOWN", "DIMENSION_CAP"}], marks=_unbounded("D6"), id="D6"),
-        pytest.param("D7", [{"INFINITE", "DIMENSION_CAP"}] * 2, marks=_unbounded("D7"), id="D7"),
+        pytest.param("D7", [{"INFINITE", "DIMENSION_CAP"}] * 2, id="D7"),
         pytest.param("D8", [{"YES", "UNKNOWN", "DIMENSION_CAP"}], marks=_unbounded("D8"), id="D8"),
     ],
 )
