@@ -13,13 +13,15 @@ live states are stages kept on the automaton (``kept``).
 
 Product constructions number their states with ``explore``, breadth
 first in discovery order, and ``explored`` builds their automaton. The
-one subset construction is ``_subset_rows``: ``_subset_dfa`` runs it on
-bitsets of an automaton's states read from its transitions, with no
-table, into dense rows that the automaton keeps (``Nfa._subset``) and
-``determinize`` builds its automaton from; ``kernseq.relations.compose``
-runs it on sets of pairs of states. ``_quotient`` refines dense rows to
-the minimal complete DFA, which ``minimize`` returns and ``drop_sink``
-trims; ``_dfa`` builds the automaton of dense rows and keeps them for
+one breadth-first numbering into dense rows is ``_breadth_first``: the
+subset constructions run on it, ``_subset_dfa`` on bitsets of an
+automaton's states read from its transitions, with no table, into dense
+rows that the automaton keeps (``Nfa._subset``) and ``determinize``
+builds its automaton from, and ``kernseq.relations.compose`` on sets of
+pairs of states; so do the index product, the least representatives and
+the witness tables (its docstring names them). ``_quotient`` refines
+dense rows to the minimal complete DFA, which ``minimize`` returns;
+``_dfa`` builds the automaton of dense rows and keeps them for
 ``_dense``. Inclusion runs on the fly, by one breadth-first walk over
 pairs of a state of one automaton and a subset of the other's states,
 which never determinizes the other in full.
@@ -147,13 +149,6 @@ class Nfa:
         return _reach(self.finals, map(itemgetter(2, 0), self.transitions))
 
     @kept
-    def _rows(self) -> tuple[list, list]:
-        """The dense rows and finality, read once from the table: see ``_dense``."""
-        table, states = self._table, range(len(self.states))
-        rows = [[ts[0] if ts else -1 for ts in table[q]] for q in states]
-        return rows, [q in self.finals for q in states]
-
-    @kept
     def _subset(self) -> tuple[list, list]:
         """The subset construction as dense rows and finality (``_subset_dfa``),
         built on first use and kept: ``_determinized`` is their automaton."""
@@ -270,17 +265,6 @@ def trim(a: Nfa) -> Nfa:
     )
 
 
-def drop_sink(a: Nfa) -> Nfa:
-    """``trim(a)`` for a minimal complete DFA ``a``, such as ``minimize`` returns.
-
-    Every state of ``a`` is reachable and at most one is dead: the sink,
-    a non-final state whose every move loops back to it, which
-    ``_trim_dfa`` drops. When the sink is the initial state the language
-    is empty and so is the result.
-    """
-    return _trim_dfa(a.alphabet, *_dense(a))
-
-
 def _trim_dfa(alphabet: Alphabet, rows: list, finals: list) -> Nfa:
     """The trimmed DFA (``_trim_rows``) of a minimal complete DFA's rows and
     finality, kept as its subset construction (``Nfa._subset``): a trim DFA's
@@ -321,9 +305,8 @@ def _trim_rows(rows: list, finals: list) -> tuple[list, list]:
 
 
 def _dense(a: Nfa) -> tuple[list, list]:
-    """The rows and finality of a deterministic ``a`` with states 0..n-1,
-    ``rows[q][i]`` the target of q at letter position i or -1 for no move:
-    kept on ``a``, as ``_dfa`` keeps those it builds from."""
+    """The rows and finality of an automaton ``_dfa`` built, which it keeps:
+    ``rows[q][i]`` the target of q at letter position i or -1 for no move."""
     return a._rows
 
 
@@ -387,14 +370,14 @@ def determinize(a: Nfa) -> Nfa:
 
 
 def _subset_dfa(a: Nfa) -> tuple[list, list]:
-    """The dense rows and finality of ``a``'s subset construction: ``_subset_rows``
+    """The dense rows and finality of ``a``'s subset construction: ``_breadth_first``
     on integer bitsets of its states (``_join``), their rows read from its transitions."""
     bit = {q: 1 << k for k, q in enumerate(a.states)}
     index = a.alphabet._index
     joined = {b: [0] * len(index) for b in (0, *bit.values())}
     for src, letter, dst in a.transitions:
         joined[bit[src]][index[letter]] |= bit[dst]
-    sets, delta = _subset_rows(sum(map(bit.get, a.initials)), partial(_join, joined))
+    sets, delta = _breadth_first(sum(map(bit.get, a.initials)), partial(_join, joined))
     finals = sum(map(bit.get, a.finals))
     return delta, [bool(subset & finals) for subset in sets]
 
@@ -413,28 +396,41 @@ def _join(joined: dict, states: int) -> list:
     return row
 
 
-def _subset_rows(start, join: Callable) -> tuple[list, list]:
-    """The subset construction from the subset ``start`` as dense rows.
+def _breadth_first(start, successors: Callable) -> tuple[list, list]:
+    """Number the nodes reachable from ``start`` breadth first into dense rows.
 
-    ``join(s)`` lists the successor of a subset s per letter position,
-    the union of its elements' targets there, the empty subset being the
-    sink. Returns the subsets, numbered breadth first with positions in
-    order, and ``delta[n][i]``, the number of subset n's successor at
-    position i.
+    ``successors(node)`` lists the node's successor at each position, a
+    letter position say, and is called once per node, in the order of the
+    numbering. ``start`` is numbered 0 and every other node when it is
+    first listed, so a node listed twice is numbered once, and a node
+    listed as its own successor keeps its number: a construction may list
+    it for a missing move. Returns the nodes in that order and
+    ``delta[n][i]``, the number of node n's successor at position i.
+
+    The subset constructions (``_subset_dfa``, ``relations._composed``),
+    the index product and the least representatives
+    (``relations._index_rows``, ``relations._least_walk``), the matrix
+    construction (``synthesis._worklist``), Moore minimization
+    (``synthesis._minimal``) and final-output elimination
+    (``synthesis._eliminated``) are all numbered here. ``explore`` keeps
+    its own loop, because it builds edge lists, and ``synthesis._walk``
+    its own, because it charges ``ENTRY_CAP`` as each entry is first
+    numbered.
     """
-    sets = [start]
+    nodes = [start]
     ids = {start: 0}
+    number = ids.get
     delta = []
-    for subset in sets:  # sets grows while it is walked
-        targets = []
-        for succ in join(subset):
-            t = ids.get(succ)
+    for node in nodes:  # nodes grows while it is walked
+        row = []
+        for succ in successors(node):
+            t = number(succ)
             if t is None:
-                t = ids[succ] = len(sets)
-                sets.append(succ)
-            targets.append(t)
-        delta.append(targets)
-    return sets, delta
+                t = ids[succ] = len(nodes)
+                nodes.append(succ)
+            row.append(t)
+        delta.append(row)
+    return nodes, delta
 
 
 def _check_alphabets(a: Nfa, b: Nfa):
@@ -614,9 +610,9 @@ def _dfa(alphabet: Alphabet, rows: list, finals: list) -> Nfa:
 def minimize(a: Nfa) -> Nfa:
     """Minimal deterministic complete automaton for the same language.
 
-    ``_quotient`` of the dense rows of the input's subset construction,
-    whose states are all reachable and numbered breadth first. The
-    valuedness search relies on the result being deterministic, not only
-    on its language.
+    ``_quotient`` of the dense rows of the input's subset construction
+    (``Nfa._subset``), whose states are all reachable and numbered breadth
+    first. The valuedness search relies on the result being
+    deterministic, not only on its language.
     """
-    return _dfa(a.alphabet, *_quotient(*_dense(determinize(a))))
+    return _dfa(a.alphabet, *_quotient(*a._subset))

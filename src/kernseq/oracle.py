@@ -28,9 +28,6 @@ class EnumeratedRelation:
     bound: int
     pairs: frozenset[tuple[Word, Word]]
 
-    def image(self, u: Word) -> frozenset[Word]:
-        return frozenset(v for (x, v) in self.pairs if x == u)
-
     def as_map(self) -> dict[Word, set[Word]]:
         table: dict[Word, set[Word]] = {}
         for u, v in self.pairs:

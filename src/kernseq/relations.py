@@ -39,12 +39,12 @@ from .automata import (
     _EMPTY,
     Alphabet,
     Nfa,
+    _breadth_first,
     _coreach,
     _dfa,
     _join,
     _live_rows,
     _quotient,
-    _subset_rows,
     _trim_dfa,
     _trim_rows,
     _unchecked,
@@ -108,7 +108,7 @@ def _composed(r: LetterTransducer, s: LetterTransducer) -> tuple[list, list]:
     """The minimal complete DFA of the relation of ``compose(r, s)`` as the
     dense rows and finality ``automata._quotient`` returns.
 
-    ``automata._subset_rows`` runs on sets of (s-state, r-state) pairs,
+    ``automata._breadth_first`` numbers sets of (s-state, r-state) pairs,
     each coded as one integer. A pair's row at (x, z) joins, over the
     middle letters y, the moves of p1 on (x, y) with those of p2 on
     (y, z), once per pair. The start set holds the pairs of initial
@@ -144,7 +144,7 @@ def _composed(r: LetterTransducer, s: LetterTransducer) -> tuple[list, list]:
     accepting = {p1 * m + p2 - lo for p1 in s.nfa.finals for p2 in r.nfa.finals}
     start = frozenset(p1 * m + p2 - lo for p1 in s.nfa.initials for p2 in r.nfa.initials)
     sink = [[()] * width]  # the row of the empty set
-    sets, delta = _subset_rows(start, lambda pairs: map(_EMPTY.union, *([join(x) for x in pairs] or sink)))
+    sets, delta = _breadth_first(start, lambda pairs: map(_EMPTY.union, *([join(x) for x in pairs] or sink)))
     return _quotient(delta, [not pairs.isdisjoint(accepting) for pairs in sets])
 
 
@@ -625,52 +625,53 @@ def _least_walk(s, live: list, row_of: Callable, initials, finals, diagonal: boo
     a, as in the full walk, so the node reached is the same.
 
     Both sets of a node are integer bitsets over the live states, and a
-    set's moves per pair letter are joined once (``automata._join``) and kept. The
-    nodes are numbered breadth first, letter positions in order, with a
-    dense row each; the rows are then restricted to the nodes that reach
-    an accepting one (``automata._trim_rows``).
+    set's moves per pair letter are joined once (``automata._join``) and
+    kept. ``automata._breadth_first`` numbers the nodes, letter positions
+    in order, with a dense row each; the rows are then restricted to the
+    nodes that reach an accepting one (``automata._trim_rows``).
 
     The walk never yields a node whose ``equal`` lies within its
     ``smaller``: both sets then move on the same letters, every later
     ``equal`` stays inside its ``smaller``, and no such node accepts, so
-    the trimming would drop it and all it reaches. So the survivors are
-    found in the same order, the same automaton as without the pruning.
+    the trimming would drop it and all it reaches. Each such move goes to
+    one dead node, None, which only reaches itself and which the trimming
+    drops, so the survivors are found in the same order, the same
+    automaton as without the pruning.
     """
     bit = {q: 1 << k for k, q in enumerate(live)}  # a dead state has no bit
     width = len(s.output_alphabet)
     positions = len(s.input_alphabet) * width
-    blocks = [range(i, i + width) for i in range(0, positions, width)]  # per input letter
+    blocks = range(0, positions, width)  # per input letter, its first position
     # bitset -> its states' live targets joined, per pair-letter position
     joined = {0: [0] * positions}
     joined.update((bit[q], row_of(q, bit)) for q in live)
+    dead = [None] * (len(blocks) if diagonal else positions)
 
-    finals = sum(map(bit.get, finals, repeat(0)))
-    start = (sum(map(bit.get, initials, repeat(0))), 0)
-    nodes = [start]
-    ids = {start: 0}
-    rows = []
-    for equal, smaller in nodes:  # nodes grows while it is walked
+    def successors(node):
+        if node is None:
+            return dead
+        equal, smaller = node
         reach = joined.setdefault(equal, _join(joined, equal))  # sets recur across nodes
         beaten = joined.setdefault(smaller, _join(joined, smaller))
         row = []
-        for x, block in enumerate(blocks):
-            below = reduce(or_, [beaten[i] for i in block])
+        for x, lo in enumerate(blocks):
+            below = reduce(or_, beaten[lo : lo + width])
+            block = range(lo, lo + width)
             if diagonal:  # only the move on (x, x); the letters before x rank below it
-                below = reduce(or_, [reach[i] for i in block[:x]], below)
+                below = reduce(or_, reach[lo : lo + x], below)
                 block = block[x : x + 1]
             for i in block:
                 reached = reach[i]
                 if reached & ~below:
-                    node = (reached, below)
-                    t = ids.setdefault(node, len(nodes))
-                    if t == len(nodes):
-                        nodes.append(node)
-                    row.append(t)
+                    row.append((reached, below))
                     below |= reached
                 else:
-                    row.append(-1)
-        rows.append(row)
-    accepting = [bool(equal & finals) and not smaller & finals for equal, smaller in nodes]
+                    row.append(None)
+        return row
+
+    finals = sum(map(bit.get, finals, repeat(0)))
+    nodes, rows = _breadth_first((sum(map(bit.get, initials, repeat(0))), 0), successors)
+    accepting = [node is not None and bool(node[0] & finals) and not node[1] & finals for node in nodes]
     return _trim_rows(rows, accepting)
 
 
@@ -838,9 +839,10 @@ def _index_rows(prep: Prepared, target: LetterTransducer) -> tuple[list, list]:
     """The trimmed minimal DFA, as dense rows and finality, of the pairs
     (u, z) with u related to z by ``target`` and z least in its congruence
     class: ``target``'s complete pair DFA (its ``Prepared.rows``) and
-    ``prep.representatives`` read on the second track, one product walked
-    breadth first into ``automata._quotient``, a move the representatives
-    lack going to one sink.
+    ``prep.representatives`` read on the second track, one product
+    numbered by ``automata._breadth_first`` into ``automata._quotient``,
+    its nodes t * n + r, and a move the representatives lack going to one
+    sink, -1, which lists itself as its every successor.
 
     For a transitive target containing the congruence this is the
     relation of ``compose(min_lex_uniformizer(prep.congruence), target)``:
@@ -853,23 +855,15 @@ def _index_rows(prep: Prepared, target: LetterTransducer) -> tuple[list, list]:
     n, nz = len(reps), len(target.output_alphabet)
     width = len(target.input_alphabet) * nz
     second = [[row[i % nz] for i in range(width)] for row in reps]  # per pair-letter position
-    codes = [0]  # product nodes t * n + r, -1 for the sink
-    ids = {0: 0}
-    delta = []
-    for code in codes:  # codes grows while it is walked
-        targets = []
-        if code >= 0:
-            t, r = divmod(code, n)
-            for t2, r2 in zip(pairs[t], second[r]):
-                nxt = t2 * n + r2 if r2 >= 0 else -1
-                k = ids.get(nxt)
-                if k is None:
-                    k = ids[nxt] = len(codes)
-                    codes.append(nxt)
-                targets.append(k)
-        else:
-            targets = [ids[-1]] * width
-        delta.append(targets)
+    sink = [-1] * width
+
+    def successors(code):
+        if code < 0:
+            return sink
+        t, r = divmod(code, n)
+        return [t2 * n + r2 if r2 >= 0 else -1 for t2, r2 in zip(pairs[t], second[r])]
+
+    codes, delta = _breadth_first(0, successors)
     finals = [code >= 0 and accepting[code // n] and least[code % n] for code in codes]
     return _trim_rows(*_quotient(delta, finals))
 

@@ -43,7 +43,7 @@ from collections import deque
 from collections.abc import Mapping
 from functools import cache
 
-from .automata import Alphabet, Word, _reach, explored, inclusion_counterexample, refine
+from .automata import Alphabet, Word, _breadth_first, _reach, explored, inclusion_counterexample, refine
 from .errors import (
     AlphabetMismatchError,
     BadClosureWitnessError,
@@ -241,27 +241,23 @@ def _worklist(inputs, initial_entry, targets, coarse_final, fine_final, tag=None
             at = [divmod(y, width) for y in minima]  # (entry, letter) of each minimum
             target = intern(tuple(tuple(lines[x][j][0][b] for j, b in at) for x in minima))
             step.update((rep, (target, m)) for m, rep in enumerate(minima, start=1))
-        # per item: the code of its coarse class's least item, and its successor
-        return [(coarse[x], step[fine[x]]) for x in range(n)]
+        # per item, in two lists: the code of its coarse class's least item, and its successor
+        return coarse, [step[fine[x]] for x in range(n)]
 
-    start = (intern(((initial_entry,),)), 1)
-    number = {start: 0}  # (matrix index, row) -> its state
-    order = [start]
-    codes, moved = [], []
-    for mi, row in order:  # order grows while it is walked
+    codes = []
+
+    def successors(state):  # (matrix index, row)
         if len(codes) >= STATE_CAP:
             raise DimensionCapError("matrix state count exceeds safety cap")
-        if mi not in tables:
-            tables[mi] = moves(matrices[mi])
-        line = tables[mi][(row - 1) * width : row * width]
-        codes.append([code for code, _node in line])
-        to = []
-        for _code, node in line:
-            q = number.setdefault(node, len(order))
-            if q == len(order):
-                order.append(node)
-            to.append(q)
-        moved.append(to)
+        mi, row = state
+        table = tables.get(mi)
+        if table is None:
+            table = tables[mi] = moves(matrices[mi])
+        lo = (row - 1) * width
+        codes.append(table[0][lo : lo + width])
+        return table[1][lo : lo + width]
+
+    order, moved = _breadth_first((intern(((initial_entry,),)), 1), successors)
 
     def render(q):
         mi, row = order[q]
@@ -350,17 +346,8 @@ def _minimal(t: _Moves) -> _Moves:
     least: dict = {}  # block -> its least member
     for q in members:
         least.setdefault(block[q], q)
-    number = {block[0]: 0}  # block -> its state
-    kept = [least[block[0]]]  # per state, the member it keeps
-    targets = []
-    for q in kept:  # kept grows while it is walked
-        to = []
-        for b in map(block.__getitem__, t.targets[q]):
-            s = number.setdefault(b, len(kept))
-            if s == len(kept):
-                kept.append(least[b])
-            to.append(s)
-        targets.append(to)
+    found, targets = _breadth_first(block[0], lambda b: [block[q] for q in t.targets[least[b]]])
+    kept = [least[b] for b in found]  # per state, the member it keeps
     render = t.render
     return _Moves(
         t.inputs, t.outputs, t.words, [t.codes[q] for q in kept], targets,
@@ -543,11 +530,11 @@ def _eliminated(t: _Moves) -> _Moves:
     counts = [n if tag is None else klass[tag] for tag in t.tags]  # per body state, its class
     words, start = t.words, t.outputs.letters[0]
     first = {0: start}  # body state -> the letter it is first reached with
-    order = [(0, start if n > 1 else None)]  # per state: (body state, letter carried)
-    number = {order[0]: 0}
     index: dict = {}  # output word -> its code, when n > 1
-    codes, targets = [], []
-    for s, (p, c) in enumerate(order):  # order grows while it is walked
+    codes = []
+
+    def successors(state):  # (body state, letter carried)
+        p, c = state
         code_row, to = [], []
         for code, q in zip(t.codes[p], t.targets[p]):
             if code >= 0:
@@ -555,16 +542,14 @@ def _eliminated(t: _Moves) -> _Moves:
                 first.setdefault(q, b)
                 if n > 1:
                     code = index.setdefault((c,) * (n - counts[p]) + (b,) * counts[q], len(index))
-                node = (q, b if n > 1 else None)
-                q = number.setdefault(node, len(order))
-                if q == len(order):
-                    order.append(node)
+                to.append((q, b if n > 1 else None))
             else:
-                q = s
+                to.append(state)  # no move: the state itself
             code_row.append(code)
-            to.append(q)
         codes.append(code_row)
-        targets.append(to)
+        return to
+
+    order, targets = _breadth_first((0, start if n > 1 else None), successors)
     names = t.names
 
     def render(s):

@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 from kernseq.automata import (
     Alphabet,
     Nfa,
+    _breadth_first,
     _unchecked,
-    accessible_states,
-    coaccessible_states,
     determinize,
-    drop_sink,
     explore,
     inclusion_counterexample,
     includes,
@@ -100,6 +98,28 @@ def test_explore_numbers_in_discovery_order():
     assert nodes == ["s", "b", "a", "c"]
     assert expanded == nodes
     assert edges == [(0, "x", 1), (0, "y", 2), (1, "v", 3), (2, "z", 3), (2, "w", 0)]
+
+
+def test_breadth_first_numbers_each_node_once_as_first_listed():
+    graph = {
+        "s": ["b", "a", "b"],
+        "a": ["c", "a", "s"],
+        "b": ["c", "b", "b"],
+        "c": ["c", "c", "c"],
+    }
+    expanded = []
+
+    def successors(node):
+        expanded.append(node)
+        return graph[node]
+
+    nodes, delta = _breadth_first("s", successors)
+    # s is 0; b precedes a because s lists it first, and the repeated b is
+    # numbered once; c is numbered from b before a is expanded; a node
+    # listed as its own successor keeps its number
+    assert nodes == ["s", "b", "a", "c"]
+    assert expanded == nodes
+    assert delta == [[1, 2, 1], [3, 1, 1], [3, 2, 0], [3, 3, 3]]
 
 
 def test_determinize_idempotent_on_deterministic_input():
@@ -420,26 +440,6 @@ def test_constructions_number_their_states_as_the_per_letter_references():
         # on inputs already trim and numbered 0..n-1
         for b in (a, det, minimize(a), trim(a)):
             assert trim(b) == _reference_trim(b)
-
-
-def test_drop_sink_trims_a_minimal_dfa_as_trim_does():
-    rng = random.Random(15)
-    seen = dict.fromkeys(
-        ["no states", "empty language", "no sink", "unreachable", "dead", 2, 3], 0
-    )
-    for _ in range(2000):
-        a = Nfa(*_random_parts(rng))
-        minimal = minimize(a)
-        dropped = drop_sink(minimal)
-        assert dropped == trim(minimal)
-        seen["no states"] += not a.states
-        seen["empty language"] += bool(a.states) and not dropped.states
-        seen["no sink"] += len(dropped.states) == len(minimal.states)
-        seen["unreachable"] += accessible_states(a) != a.states
-        seen["dead"] += coaccessible_states(a) != a.states
-        if len(a.alphabet) in seen:
-            seen[len(a.alphabet)] += 1
-    assert all(seen.values()), seen
 
 
 def test_table_views_agree_with_the_transitions():

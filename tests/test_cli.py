@@ -319,6 +319,26 @@ def test_analyze_reports_and_exit_codes(files, capsys):
     assert payload["indexWrtPplus"] is None
 
 
+def test_analyze_of_a_relation_that_is_not_symmetric_exits_one(capsys, tmp_path):
+    one_way = tmp_path / "one-way.t"
+    one_way.write_text(
+        "kind letter-transducer\ninputs a b\noutputs a b\nstates 0 1\n"
+        "initials 0\nfinals 0 1\n0 a / a -> 0\n0 b / b -> 0\n0 a / b -> 1\n"
+    )
+    code, payload, _ = run_json(capsys, "analyze", str(one_way))
+    assert code == 1
+    assert payload["validation"] == {
+        "reflexive": True, "symmetric": False, "transitive": True, "equivalence": False
+    }
+    unset = ("prefixClosed", "indexWrtR", "closure", "indexWrtPplus")
+    assert [payload[key] for key in unset] == [None] * 4
+    code, text, _ = run(capsys, "analyze", str(one_way))
+    assert code == 1
+    lines = text.splitlines()
+    assert "validation.symmetric: False" in lines
+    assert all(f"{key}: None" in lines for key in unset)
+
+
 def test_text_and_json_reports_carry_identical_fields(files, capsys):
     code_t, text, _ = run(capsys, "analyze", files["parity"])
     code_j, payload, _ = run_json(capsys, "analyze", files["parity"])
@@ -374,6 +394,27 @@ def test_a_malformed_file_exits_three_with_one_line(capsys, tmp_path, data, mess
 def test_missing_file_exits_three(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/nothing.t")
     assert code == 3
+
+
+def test_a_witness_path_in_a_missing_directory_exits_three_with_one_line(files, capsys, tmp_path):
+    witness = tmp_path / "missing" / "dir" / "w.t"
+    code, out, err = run(capsys, "decide", "lp", files["parity"], "-o", str(witness))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("kernseq: error: ") and err.count("\n") == 1
+    assert str(witness) in err
+    assert not witness.parent.exists()
+
+
+def test_verify_of_a_machine_over_other_input_letters_exits_three(files, capsys, tmp_path):
+    machine = tmp_path / "over-x.t"
+    machine.write_text(
+        "kind sequential\ninputs x\noutputs x\nstates 0\ninitial 0\nfinals 0\n0 x / x -> 0\n"
+    )
+    code, out, err = run(capsys, "verify", files["ident"], str(machine))
+    assert code == 3
+    assert out == ""
+    assert err == "kernseq: error [ALPHABET_MISMATCH]: machine inputs and relation letters differ\n"
 
 
 def test_wrong_kind_input_exits_three(files, capsys, tmp_path):

@@ -459,11 +459,11 @@ def _whole_product_finitely_valued(rows: list, width: int) -> bool:
 
 def test_the_triple_pass_inside_square_components_matches_the_whole_product():
     from cosequential import INFINITE_BEFORE_ROUNDS, SLOW_CLOSURE, cosequential_suite
-    from kernseq.automata import _dense, drop_sink
+    from kernseq.automata import _dense, _trim_rows
     from kernseq.relations import _finitely_valued
 
     def valued(t, what):
-        rows, _finals = _dense(drop_sink(minimize(t.nfa)))
+        rows, _finals = _trim_rows(*_dense(minimize(t.nfa)))
         answer = _finitely_valued(rows, len(t.output_alphabet))
         assert answer is _whole_product_finitely_valued(rows, len(t.output_alphabet)), what
         return answer
@@ -785,7 +785,7 @@ def test_each_relation_object_is_validated_and_prepared_once(monkeypatch):
     walks = validation_walks(monkeypatch)
     builds = count_calls(monkeypatch, relations, "_least_walk")
     compositions = count_calls(monkeypatch, relations, "_composed")
-    subsets = count_calls(monkeypatch, automata, "_subset_rows")
+    subsets = count_calls(monkeypatch, automata, "_subset_dfa")
     searches = count_calls(monkeypatch, relations, "_rounds")
     validated = count_calls(monkeypatch, synthesis, "validate_closure_witness")
     checked = count_calls(monkeypatch, relations, "_finite_index")
@@ -1543,14 +1543,14 @@ _LARGE_CLOSURE_INDEX = """
 import random, resource, sys
 limit, m, against = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-from kernseq.automata import Alphabet, drop_sink, minimize
+from kernseq.automata import Alphabet, minimize, trim
 from kernseq.oracle import random_equivalence
 from kernseq.relations import _finitely_valued, _index_rows, prepare
 from kernseq.transducers import identity
 
 rng = random.Random(3)
 draws = [random_equivalence(rng, max_states=m) for _ in range(30)]
-sizes = [len(drop_sink(minimize(c.nfa)).states) for c in draws]
+sizes = [len(trim(minimize(c.nfa)).states) for c in draws]
 closure = draws[sizes.index(max(sizes))]
 finer = closure if against == "itself" else identity(Alphabet(("a", "b")))
 print(max(sizes), _finitely_valued(_index_rows(prepare(finer), closure)[0], 2))

@@ -10,7 +10,6 @@ from kernseq.automata import (
     _dfa,
     coaccessible_states,
     determinize,
-    drop_sink,
     explore,
     explored,
     inclusion_counterexample,
@@ -372,7 +371,7 @@ def test_compose_is_the_minimized_product_composition(monkeypatch):
 
     def check(r, s):
         got = compose(r, s)
-        assert got.nfa == drop_sink(minimize(reference_compose(r, s).nfa))
+        assert got.nfa == trim(minimize(reference_compose(r, s).nfa))
         assert (got.input_alphabet, got.output_alphabet) == (s.input_alphabet, r.output_alphabet)
         # the complete minimal DFA it keeps is its subset construction
         fresh = _dfa(got.nfa.alphabet, *automata._subset_dfa(got.nfa))
@@ -762,9 +761,9 @@ def _closure_by_rounds(p, cap):
     the axiom walk: every round composes, minimizes and compares, the
     first one too. A frozen reference; its preconditions are not checked.
     """
-    current = p.with_nfa(drop_sink(minimize(p.nfa)))
+    current = p.with_nfa(trim(minimize(p.nfa)))
     for k in range(1, cap + 1):
-        nxt = p.with_nfa(drop_sink(minimize(reference_compose(current, p).nfa)))
+        nxt = p.with_nfa(trim(minimize(reference_compose(current, p).nfa)))
         if includes(nxt.nfa, current.nfa):
             return current.nfa, k, True
         current = nxt
@@ -852,7 +851,7 @@ def test_each_relation_is_determinized_once(monkeypatch):
 
     r = build_last_a()
     assert determinize(r.nfa) is determinize(r.nfa)
-    built = count_calls(monkeypatch, automata, "_subset_rows")
+    built = count_calls(monkeypatch, automata, "_subset_dfa")
     r = build_last_a()
     prep = prepare(r)
     assert len(built) == 1
@@ -934,7 +933,7 @@ def test_the_rows_stages_equal_the_automaton_level_functions():
         # that of the others is compared in the next test
         iterate = prep.first_iterate[0]
         if prep.prefix_closed:
-            assert iterate.nfa == drop_sink(minimize(r.nfa)), i
+            assert iterate.nfa == trim(minimize(r.nfa)), i
         # the rows kept on the first iterate are its automaton's subset
         # construction, and the prefix closure's are ``rows`` with the live
         # states final
@@ -954,7 +953,7 @@ def test_the_first_iterate_is_the_prefix_closures_first_iterate():
     for i, r in enumerate(_fresh_relations()):
         p = prefix_closure(r)
         iterate, transitive = Prepared(r).first_iterate
-        assert iterate.nfa == drop_sink(minimize(p.nfa)), i
+        assert iterate.nfa == trim(minimize(p.nfa)), i
         assert transitive == transitive_closure(p, 1).converged, i
         d = determinize(p.nfa)
         reflexive, symmetric, _transitive = _axioms(*_dense(d), coaccessible_states(d), r.input_alphabet)
