@@ -4,8 +4,9 @@ Letters are any hashable values; in particular a letter may itself be a
 pair of letters, which is how transducers are represented elsewhere.
 State identifiers are opaque integers. Constructions return automata
 with fresh contiguous identifiers. ``Nfa(...)`` checks its parts where
-they enter from outside; the automata the package builds itself are
-right by construction and assembled through one unchecked path here.
+they enter from outside; the automata the package builds itself, and
+those of files that ``kernseq.fileformat.parse`` has checked, are
+assembled through one unchecked path here, ``_unchecked``.
 The product walks index an automaton's transitions once, on first use,
 in one table: per state, per letter position, its targets ascending;
 ``successors``, ``step`` and ``outgoing`` are views of it. It and the
@@ -110,9 +111,9 @@ class Nfa:
     ``transitions`` is a set of ``(source, letter, target)`` triples.
     Every endpoint must be a declared state and every letter must belong
     to the alphabet. The state set may be empty (empty language). The
-    constructor checks this where parts enter from outside: here, in
-    ``LetterTransducer.build`` and in ``fileformat.parse``. The package's
-    own constructions skip the check.
+    constructor checks this where parts enter from outside: here and in
+    ``LetterTransducer.build``. The package's own constructions, and
+    ``fileformat.parse`` after its own checks, skip it (``_unchecked``).
     """
 
     alphabet: Alphabet
@@ -207,7 +208,7 @@ def _freeze(a: Nfa, states, transitions, initials, finals) -> None:
 
 
 def _unchecked(alphabet: Alphabet, states, transitions, initials, finals) -> Nfa:
-    """An ``Nfa`` from parts that are right by construction, not checked again."""
+    """An ``Nfa`` from parts that are right by construction or already checked, not checked again."""
     a = object.__new__(Nfa)
     object.__setattr__(a, "alphabet", alphabet)
     _freeze(a, states, transitions, initials, finals)

@@ -6,6 +6,12 @@ fields. Exit codes: 0 yes/valid, 1 no, 2 unknown (closure cap), 3 input
 or format error, 4 internal invariant breach, 5 resource exhausted (out
 of memory, or a synthesized machine above the state cap or the budget of
 stored matrix entries).
+
+``main`` parses a call that starts with a subcommand's words (``decide
+ll``, ``verify``, ...) with that subcommand's own parser alone, which
+carries the defaults the nested parse would set; any other call goes to
+the full parser. Either way the namespace, exit code, usage line and
+message are those of ``build_parser().parse_args``.
 """
 
 from __future__ import annotations
@@ -31,12 +37,10 @@ from .errors import (
     KernseqError,
     NotLetterToLetterError,
 )
-from .fileformat import parse, render
-from .machines import SequentialTransducer, SubsequentialTransducer
+from .fileformat import KINDS, parse, render
 from .oracle import brute_kernel, default_bound, enumerate_relation
 from .relations import prefix_closure, transitive_closure, validate_relation
 from .synthesis import kernel_counterexample
-from .transducers import LetterTransducer
 
 SCHEMA_VERSION = 1
 
@@ -48,6 +52,10 @@ EXIT_INTERNAL = 4
 EXIT_RESOURCE = 5
 
 
+# the kinds of file each input takes
+_RELATION, _MACHINE = KINDS[:1], KINDS[1:]
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; 2 means UNKNOWN here, so remap."""
 
@@ -56,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _load(path: str, expect=None):
+def _load(path: str, kinds: tuple):
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -69,15 +77,9 @@ def _load(path: str, expect=None):
             f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}"
         ) from exc
     tfile = parse(text, source=path)
-    if expect is not None and not isinstance(tfile.machine, expect):
-        raise FormatError(f"{path}: expected a {_expect_name(expect)} file, got kind {tfile.kind}")
+    if tfile.kind not in kinds:
+        raise FormatError(f"{path}: expected a {' or '.join(kinds)} file, got kind {tfile.kind}")
     return tfile.machine
-
-
-def _expect_name(expect) -> str:
-    if expect is LetterTransducer:
-        return "letter-transducer"
-    return " or ".join(sorted(cls.__name__ for cls in expect)) if isinstance(expect, tuple) else expect.__name__
 
 
 def _write_machine(path: str, machine) -> None:
@@ -115,15 +117,15 @@ def _closure_dict(cr) -> dict | None:
 
 
 def _cmd_validate(args) -> int:
-    relation = _load(args.file, LetterTransducer)
+    relation = _load(args.file, _RELATION)
     v = validate_relation(relation)
     _emit({"command": "validate", **_validation_dict(v)}, args.json)
     return EXIT_YES if v.is_equivalence else EXIT_NO
 
 
 def _cmd_analyze(args) -> int:
-    relation = _load(args.file, LetterTransducer)
-    pplus = _load(args.pplus, LetterTransducer) if args.pplus else None
+    relation = _load(args.file, _RELATION)
+    pplus = _load(args.pplus, _RELATION) if args.pplus else None
     report = analyze(relation, pplus=pplus, cap=args.closure_cap)
     _emit(
         {
@@ -153,11 +155,11 @@ def _verdict_exit(outcome: Outcome) -> int:
 
 
 def _cmd_decide(args) -> int:
-    relation = _load(args.file, LetterTransducer)
+    relation = _load(args.file, _RELATION)
     if args.variant == "ll":
         found = _certified_mealy(relation)
     else:
-        pplus = _load(args.pplus, LetterTransducer) if args.pplus else None
+        pplus = _load(args.pplus, _RELATION) if args.pplus else None
         found = _certified_subsequential(relation, pplus, args.closure_cap)
     if isinstance(found, tuple):  # YES: only the machine that is written is built
         table, prep, closure = found
@@ -183,7 +185,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    relation = _load(args.file, LetterTransducer)
+    relation = _load(args.file, _RELATION)
     result = transitive_closure(prefix_closure(relation), cap=args.cap)
     written = None
     if result.converged:
@@ -202,8 +204,8 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    relation = _load(args.relation, LetterTransducer)
-    machine = _load(args.machine, (SequentialTransducer, SubsequentialTransducer))
+    relation = _load(args.relation, _RELATION)
+    machine = _load(args.machine, _MACHINE)
     # exact within the squaring budget of synthesis._kernel_counterexample, and
     # naming its shortlex-least disagreement; beyond it, enumerated up to a bound
     pair = bound = None
@@ -235,6 +237,9 @@ def _closure_options(p) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser. Its ``_leaves`` holds each subcommand's own parser
+    under the subcommand's words, with the ``command``, ``variant`` and
+    ``func`` that the nested parse sets as its defaults."""
     parser = _Parser(
         prog="kernseq",
         description=(
@@ -248,13 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check the equivalence-relation axioms")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(command="validate", func=_cmd_validate)
+    leaves = {("validate",): p}
 
     p = sub.add_parser("analyze", help="full structural report for a relation")
     p.add_argument("file")
     _closure_options(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(command="analyze", func=_cmd_analyze)
+    leaves[("analyze",)] = p
 
     p = sub.add_parser("decide", help="class membership with a synthesized witness")
     p.set_defaults(func=_cmd_decide)
@@ -263,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("file")
     v.add_argument("-o", "--output", metavar="WITNESS")
     v.add_argument("--json", action="store_true")
-    v.set_defaults(eliminate_final_output=False)
+    v.set_defaults(command="decide", variant="ll", func=_cmd_decide, eliminate_final_output=False)
+    leaves[("decide", "ll")] = v
     v = variants.add_parser("lp", help="subsequential witness")
     v.add_argument("file")
     _closure_options(v)
@@ -274,27 +282,50 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the final-output-free sequential witness instead",
     )
     v.add_argument("--json", action="store_true")
+    v.set_defaults(command="decide", variant="lp", func=_cmd_decide)
+    leaves[("decide", "lp")] = v
 
     p = sub.add_parser("closure", help="transitive closure of the prefix closure")
     p.add_argument("file")
     p.add_argument("--cap", type=int, required=True, metavar="N")
     p.add_argument("-o", "--output", required=True, metavar="OUT")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_closure)
+    p.set_defaults(command="closure", func=_cmd_closure)
+    leaves[("closure",)] = p
 
     p = sub.add_parser("verify", help="check a machine's kernel against a relation")
     p.add_argument("relation")
     p.add_argument("machine")
     p.add_argument("--max-len", type=int, metavar="L")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(command="verify", func=_cmd_verify)
+    leaves[("verify",)] = p
 
+    parser._leaves = leaves
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, at the cost of one parser: a call
+    that starts with a subcommand's words is parsed by that subcommand's own
+    parser, and its leftover words are refused by the full parser's
+    ``error`` in argparse's own words. Any other call, and one with a word
+    that the full parser would find ambiguous (``--=…`` could match both
+    ``--help`` and ``--version``), goes to the full parser."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = tuple(argv[:2] if argv[:1] == ["decide"] else argv[:1])
+    leaf = parser._leaves.get(words)
+    if leaf is None or any(word.startswith("--=") for word in argv):
+        return parser.parse_args(argv)
+    args, extras = leaf.parse_known_args(argv[len(words):])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
     try:
         return args.func(args)
     except InternalInvariantError as exc:

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Alphabet
+from .automata import Alphabet, _unchecked
 from .errors import FormatError
-from .machines import SequentialTransducer, SubsequentialTransducer
-from .transducers import LetterTransducer
+from .machines import SequentialTransducer, SubsequentialTransducer, _assembled
+from .transducers import LetterTransducer, pair_alphabet
 
 KINDS = ("letter-transducer", "sequential", "subsequential")
 RESERVED = {"/", "->", "-", "#"}
@@ -83,7 +83,8 @@ def parse(text: str, source: str = "<string>") -> TransducerFile:
     One pass splits each line once. A line that does not start with a
     header word is a transition, and its shape is checked there; then one
     loop looks every transition up in the declared sets. The machine is
-    built by its checked constructor.
+    assembled from the checked fields with no second check
+    (``automata._unchecked``, ``machines._assembled``).
     """
     header: dict = {}
     header_lines: dict = {}
@@ -159,10 +160,10 @@ def parse(text: str, source: str = "<string>") -> TransducerFile:
 
     inputs = Alphabet(header["inputs"])
     outputs = Alphabet(header["outputs"])
-    states = set(header["states"])
+    states = frozenset(header["states"])
     if len(states) != len(header["states"]):
         raise FormatError("states must be distinct", header_lines["states"])
-    finals = set(header["finals"])
+    finals = frozenset(header["finals"])
     for q in finals:
         if q not in states:
             raise FormatError(f"final state {q} is not declared", header_lines["finals"])
@@ -170,7 +171,7 @@ def parse(text: str, source: str = "<string>") -> TransducerFile:
     if kind == "letter-transducer":
         if "initials" not in header:
             raise FormatError("letter-transducer files use an initials line", None)
-        initials = set(header["initials"])
+        initials = frozenset(header["initials"])
         for q in initials:
             if q not in states:
                 raise FormatError(f"initial state {q} is not declared", header_lines["initials"])
@@ -211,18 +212,9 @@ def parse(text: str, source: str = "<string>") -> TransducerFile:
         raise FormatError("finalout only appears in subsequential files", finalouts[0][2])
 
     if kind == "letter-transducer":
-        machine: Machine = LetterTransducer.build(
-            inputs, outputs, states, triples, initials, finals
-        )
-        return TransducerFile(machine, kind, source)
-    base = SequentialTransducer(
-        input_alphabet=inputs,
-        output_alphabet=outputs,
-        states=states,
-        transitions=table,
-        initial=initial,
-        finals=finals,
-    )
+        nfa = _unchecked(pair_alphabet(inputs, outputs), states, triples, initials, finals)
+        return TransducerFile(LetterTransducer(inputs, outputs, nfa), kind, source)
+    base = _assembled(SequentialTransducer, inputs, outputs, states, table, initial, finals, None)
     if kind == "sequential":
         return TransducerFile(base, kind, source)
 
@@ -238,7 +230,7 @@ def parse(text: str, source: str = "<string>") -> TransducerFile:
     missing = finals - set(fo)
     if missing:
         raise FormatError(f"missing finalout for final states {sorted(missing)}", None)
-    return TransducerFile(SubsequentialTransducer(base, fo), kind, source)
+    return TransducerFile(_assembled(SubsequentialTransducer, base, fo), kind, source)
 
 
 def kind_of(machine: Machine) -> str:

@@ -5,11 +5,18 @@ These are the synthesis targets: a sequential transducer maps each
 machine is the letter-to-letter special case. A subsequential
 transducer additionally emits one final letter depending on the state
 where the input ends.
+
+The constructors check their parts where they enter from outside: a
+caller's own machine, or one that ``kernseq.fileformat.parse`` reads,
+whose fields it checks first itself, with line numbers. The machines
+the package assembles from parts that are right by construction or
+already checked (the witness tables of ``kernseq.synthesis`` and the
+files ``parse`` has checked) take one unchecked path, ``_assembled``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from .automata import Alphabet, Word, kept
@@ -108,3 +115,13 @@ class SubsequentialTransducer:
         if body is None:
             return None
         return body + (self.final_output[self.base.state_after(word)],)
+
+
+def _assembled(cls, *parts):
+    """A machine of ``cls`` from its fields in declaration order, given in
+    their final types (frozensets and dicts), not checked again: for parts
+    that are right by construction or already checked."""
+    machine = object.__new__(cls)
+    for f, part in zip(fields(cls), parts, strict=True):
+        object.__setattr__(machine, f.name, part)
+    return machine

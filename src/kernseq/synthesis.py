@@ -52,7 +52,7 @@ from .errors import (
     NotLetterToLetterError,
     PreconditionError,
 )
-from .machines import SequentialTransducer, SubsequentialTransducer
+from .machines import SequentialTransducer, SubsequentialTransducer, _assembled
 from .relations import Prepared, _axioms, _finite_index, _prepared, prefix_closure, prepare
 from .transducers import LetterTransducer, pair_alphabet
 
@@ -105,7 +105,8 @@ class _Moves:
     states breadth first, along the moves in letter order, and its
     ``names`` is None; on one read from a machine (``of``), ``names``
     lists the machine's states by number: the initial one, then the
-    others ascending. ``machine`` constructs the machine of a built table.
+    others ascending. ``machine`` assembles the machine of a built table,
+    unchecked (``kernseq.machines._assembled``): it is right by construction.
     """
 
     __slots__ = ("inputs", "outputs", "words", "codes", "targets", "tags", "sub", "render", "names")
@@ -138,21 +139,22 @@ class _Moves:
     def machine(self) -> SequentialTransducer | SubsequentialTransducer:
         letters, words, n = self.inputs.letters, self.words, len(self.codes)
         finals = [q for q, tag in enumerate(self.tags) if tag is not None]
-        body = SequentialTransducer(
-            input_alphabet=self.inputs,
-            output_alphabet=self.outputs,
-            states=frozenset(range(n)),
-            transitions={
+        body = _assembled(
+            SequentialTransducer,
+            self.inputs,
+            self.outputs,
+            frozenset(range(n)),
+            {
                 (q, a): (words[c], t) for q, (row, to) in enumerate(zip(self.codes, self.targets))
                 for a, c, t in zip(letters, row, to) if c >= 0
             },
-            initial=0,
-            finals=frozenset(finals),
-            provenance=None if self.render is None else _Provenance(self.render, n),
+            0,
+            frozenset(finals),
+            None if self.render is None else _Provenance(self.render, n),
         )
         if not self.sub:
             return body
-        return SubsequentialTransducer(base=body, final_output={q: self.tags[q] for q in finals})
+        return _assembled(SubsequentialTransducer, body, {q: self.tags[q] for q in finals})
 
 
 def _table(inputs: Alphabet, l_max, codes, targets, render, rows, tag) -> _Moves:

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import sys
 
 import pytest
 
 from kernseq.automata import Alphabet, Nfa
+from kernseq.machines import SequentialTransducer, SubsequentialTransducer
 from kernseq.transducers import LetterTransducer, full_same_length, identity
 
 AB = Alphabet(("a", "b"))
@@ -205,6 +207,35 @@ def words(letters, max_len):
 def nfa_language(nfa: Nfa, max_len: int) -> frozenset:
     """Word-by-word membership via direct frontier simulation."""
     return frozenset(w for w in words(nfa.alphabet.letters, max_len) if nfa.accepts(w))
+
+
+def checked_twin(machine):
+    """The machine that the checked constructors build from ``machine``'s
+    own fields: raises where a field breaks a constructor's check."""
+    if isinstance(machine, LetterTransducer):
+        nfa = machine.nfa
+        return LetterTransducer.build(
+            machine.input_alphabet, machine.output_alphabet,
+            nfa.states, nfa.transitions, nfa.initials, nfa.finals,
+        )
+    if isinstance(machine, SubsequentialTransducer):
+        return SubsequentialTransducer(checked_twin(machine.base), machine.final_output)
+    return SequentialTransducer(*(getattr(machine, f.name) for f in dataclasses.fields(machine)))
+
+
+def field_types(value):
+    """The type of a value and, for a dataclass, of each of its fields, in turn."""
+    if not dataclasses.is_dataclass(value):
+        return type(value)
+    return type(value), {f.name: field_types(getattr(value, f.name)) for f in dataclasses.fields(value)}
+
+
+def assert_as_if_checked(machine):
+    """``machine``, however it was assembled, is the one its checked
+    constructors build from its fields, field types included."""
+    twin = checked_twin(machine)
+    assert twin == machine
+    assert field_types(twin) == field_types(machine)
 
 
 def count_calls(monkeypatch, module, name):

@@ -45,7 +45,15 @@ from kernseq.synthesis import (
 from kernseq.transducers import LetterTransducer, pair_alphabet, pair_dfa
 
 from boolean_ops import relation_union
-from conftest import AB, ABC, build_agree_except_last, build_mod_count, words
+from conftest import (
+    AB,
+    ABC,
+    assert_as_if_checked,
+    build_agree_except_last,
+    build_chain,
+    build_mod_count,
+    words,
+)
 from test_verdicts import _relations
 
 
@@ -679,6 +687,23 @@ def test_the_public_stages_equal_the_frozen_stages_on_random_machines():
     assert "accepts nothing" in seen
 
 
+def test_witness_tables_assemble_what_the_checked_constructors_build():
+    """``_Moves.machine`` assembles a table's machine unchecked: on the
+    witnesses of the families of the benchmark, each is the machine the
+    checked constructors build from its fields, with the same field types."""
+    families = [build_mod_count(k) for k in (2, 3, 4, 5)]
+    families += [build_agree_except_last(k) for k in (1, 2, 3, 4, 5)]
+    families += [build_chain(k) for k in (1, 2)]
+    witnesses = []
+    for r in families:
+        lp = decide_kerseq_lp(r)
+        witnesses += [decide_kerseq_ll(r).witness, lp.witness, lp.subsequential]
+    witnesses = [m for m in witnesses if m is not None]
+    assert len(witnesses) == 2 * len(families) + 5  # decide ll says YES on agreement only
+    for m in witnesses:
+        assert_as_if_checked(m)
+
+
 def test_each_returned_machine_is_constructed_once(monkeypatch):
     built = []
     for cls in (SequentialTransducer, SubsequentialTransducer):
@@ -686,6 +711,11 @@ def test_each_returned_machine_is_constructed_once(monkeypatch):
         monkeypatch.setattr(
             cls, "__post_init__", lambda self, check=check: built.append(type(self)) or check(self)
         )
+    # and through the unchecked path that witness tables take
+    assembled = synthesis._assembled
+    monkeypatch.setattr(
+        synthesis, "_assembled", lambda cls, *parts: built.append(cls) or assembled(cls, *parts)
+    )
     one_class, two_classes = build_agree_except_last(3), build_mod_count(2)
     assert decide_kerseq_ll(one_class).outcome is Outcome.YES
     assert built == [SequentialTransducer]

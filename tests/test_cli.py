@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from kernseq.cli import build_parser, main
+from kernseq.cli import _parse, build_parser, main
 from kernseq.decision import analyze, decide_kerseq_ll, decide_kerseq_lp
 from kernseq.errors import DimensionCapError, InternalInvariantError
 from kernseq.fileformat import parse, render
@@ -424,6 +424,56 @@ def test_wrong_kind_input_exits_three(files, capsys, tmp_path):
     code, _, err = run(capsys, "validate", witness)
     assert code == 3
     assert "letter-transducer" in err
+
+
+def test_verify_names_the_file_kinds_it_takes(files, capsys):
+    code, out, err = run(capsys, "verify", files["ident"], files["ident"])
+    assert (code, out) == (3, "")
+    assert "expected a sequential or subsequential file, got kind letter-transducer" in err
+    assert "Transducer" not in err
+
+
+# argvs the dispatch of ``main`` must parse as the full parser does
+_PARITY = {
+    "validate": ["validate", "r.t", "--json"],
+    "analyze": ["analyze", "r.t", "--closure-cap", "3"],
+    "decide-ll": ["decide", "ll", "r.t", "-o", "w.t", "--json"],
+    "decide-lp": ["decide", "lp", "r.t", "--pplus", "p.t", "--eliminate-final-output"],
+    "closure": ["closure", "r.t", "--cap", "2", "-o", "c.t"],
+    "verify": ["verify", "r.t", "w.t", "--max-len", "4"],
+    "ll-pplus": ["decide", "ll", "r.t", "--pplus", "/nonexistent"],
+    "ll-closure-cap": ["decide", "ll", "r.t", "--closure-cap", "0"],
+    "ll-eliminate": ["decide", "ll", "r.t", "--eliminate-final-output"],
+    "lp-pplus-and-cap": ["decide", "lp", "r.t", "--pplus", "F", "--closure-cap", "3"],
+    **{
+        f"help-{'-'.join(words)}": [*words, "--help"]
+        for words in (["validate"], ["analyze"], ["decide", "ll"], ["decide", "lp"], ["closure"], ["verify"])
+    },
+    "h": ["-h"],
+    "version": ["--version"],
+    "empty": [],
+    "decide-alone": ["decide"],
+    "decide-xx": ["decide", "xx", "f"],
+    "option-before-variant": ["decide", "--json", "ll", "f"],
+    "trailing-word": ["decide", "ll", "f", "extra"],
+    "output-without-value": ["decide", "ll", "f", "-o"],
+    "abbreviated-closure": ["decide", "lp", "f", "--closure", "2"],
+    "abbreviated-json": ["verify", "r.t", "w.t", "--jso"],
+    # ambiguous to the full parser (--help or --version), not to the leaf's
+    "ambiguous-to-the-top": ["validate", "f", "--=x"],
+}
+
+
+@pytest.mark.parametrize("argv", _PARITY.values(), ids=_PARITY)
+def test_the_dispatch_parses_as_the_full_parser(capsys, argv):
+    def outcome(parse):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return result, *capsys.readouterr()
+
+    assert outcome(_parse) == outcome(build_parser().parse_args)
 
 
 def test_usage_error_exits_three(capsys):

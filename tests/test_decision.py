@@ -27,6 +27,7 @@ from kernseq.errors import (
     PreconditionError,
 )
 from kernseq.fileformat import render
+from kernseq.machines import SequentialTransducer, SubsequentialTransducer
 from kernseq.oracle import (
     brute_index,
     brute_kernel,
@@ -919,6 +920,23 @@ def test_only_automata_built_from_input_are_checked(monkeypatch):
     # the input was checked when it was built; every automaton derived
     # from it, validation and the closure's preconditions included, is not
     assert checked == []
+
+
+def test_no_machine_the_deciders_build_is_checked(monkeypatch):
+    checked = []
+    for cls in (SequentialTransducer, SubsequentialTransducer):
+        check = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, check=check: checked.append(self) or check(self)
+        )
+    for r in (build_agree_except_last(2), build_chain(2)):
+        ll, lp = decide_kerseq_ll(r), decide_kerseq_lp(r)
+        assert Outcome.YES in (ll.outcome, lp.outcome)
+        assert analyze(r).validation.is_equivalence
+    # every machine is assembled from a witness table, right by construction
+    assert checked == []
+    SequentialTransducer(AB, AB, {0}, {}, 0, {0})  # the spy sees a checked construction
+    assert len(checked) == 1
 
 
 def test_subset_refinement_and_trim_read_the_table_not_the_per_letter_lookups(monkeypatch):

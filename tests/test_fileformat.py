@@ -8,7 +8,7 @@ from kernseq.machines import SequentialTransducer, SubsequentialTransducer
 from kernseq.relations import validate_relation
 from kernseq.transducers import LetterTransducer, identity
 
-from conftest import AB
+from conftest import AB, assert_as_if_checked
 
 LETTERS = ("a", "b")
 
@@ -383,6 +383,15 @@ def test_a_state_id_is_read_in_any_spelling_of_ascii_digits():
     assert parse(text).machine == parse(BASES[SEQ]).machine
 
 
+# machines with a state that no transition touches: the initial one, not
+# final, of a letter transducer and of a sequential machine; a final one
+ISOLATED_INITIAL = (
+    LetterTransducer.build(AB, AB, {0, 1}, {(1, ("a", "a"), 1)}, {0}, {1}),
+    SequentialTransducer(AB, AB, {0, 1}, {(1, "a"): (("a",), 1)}, 0, {1}),
+)
+ISOLATED_FINAL = LetterTransducer.build(AB, AB, {0, 1}, {(0, ("a", "a"), 0)}, {0}, {0, 1})
+
+
 # the tokens a mutation writes beside the file's own: decimal digits that
 # are not ASCII, a number too long for ``int``, a negative number, a plain
 # letter and every reserved word
@@ -400,11 +409,30 @@ MUTANTS = ("²", "٠", LONG, "-1", "x", *sorted(RESERVED), "kind", *KINDS, "inpu
 )
 @example(machine=identity(AB), line=3, at=1, pick=0, edit="replace")  # states ²
 @example(machine=identity(AB), line=3, at=1, pick=2, edit="replace")  # a 5,000-digit state
+# a file that parses only under each check whose fault would reach the
+# machine: a state id dropped from the states line (one isolated from
+# the transitions, or not), the initial line commented out (pick 5 is
+# "#") or its state dropped, a second output letter (pick 4 is "x"), a
+# final state dropped from the finals line, a final output replaced by
+# an input letter or commented out
+@example(machine=ISOLATED_INITIAL[0], line=3, at=1, pick=0, edit="delete")
+@example(machine=ISOLATED_INITIAL[1], line=3, at=1, pick=0, edit="delete")
+@example(machine=ISOLATED_FINAL, line=3, at=2, pick=0, edit="delete")
+@example(machine=parse(BASES[SEQ]).machine, line=3, at=2, pick=5, edit="replace")
+@example(machine=parse(BASES[SEQ]).machine, line=4, at=0, pick=5, edit="replace")
+@example(machine=parse(BASES[SEQ]).machine, line=4, at=1, pick=0, edit="delete")
+@example(machine=parse(BASES[SUB]).machine, line=6, at=4, pick=4, edit="insert")
+@example(machine=parse(BASES[SUB]).machine, line=5, at=2, pick=0, edit="delete")
+@example(machine=parse(BASES[SUB]).machine, line=8, at=2, pick=24, edit="replace")
+@example(machine=parse(BASES[SUB]).machine, line=8, at=0, pick=5, edit="replace")
 def test_a_file_with_one_token_changed_parses_or_raises_a_format_error(machine, line, at, pick, edit):
     """Replacing, deleting or inserting one token of a rendered file gives a
     file that parses, into a machine that renders and parses back, or a
     ``FormatError``: never another exception. Line, position and token are
-    drawn as numbers taken modulo what the file offers."""
+    drawn as numbers taken modulo what the file offers. ``parse`` assembles
+    the machine unchecked, after its own checks: the machine of a file that
+    parses is the one the checked constructors build from its fields, with
+    the same field types, and they raise nothing."""
     lines = [tokens.split() for tokens in render(machine).splitlines()]
     tokens = lines[line % len(lines)]
     pool = MUTANTS + tuple(sorted({t for tokens in lines for t in tokens}))
@@ -421,3 +449,4 @@ def test_a_file_with_one_token_changed_parses_or_raises_a_format_error(machine, 
     except FormatError:
         return
     assert parse(render(parsed)).machine == parsed
+    assert_as_if_checked(parsed)
