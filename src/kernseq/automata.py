@@ -22,10 +22,10 @@ builds its automaton from, and ``kernseq.relations.compose`` on sets of
 pairs of states; so do the index product, the least representatives and
 the witness tables (its docstring names them). ``_quotient`` refines
 dense rows to the minimal complete DFA, which ``minimize`` returns;
-``_dfa`` builds the automaton of dense rows and keeps them for
-``_dense``. Inclusion runs on the fly, by one breadth-first walk over
-pairs of a state of one automaton and a subset of the other's states,
-which never determinizes the other in full.
+``_dfa`` builds the automaton of dense rows and keeps them (``_rows``).
+Inclusion runs on the fly, by one breadth-first walk over pairs of a
+state of one automaton and a subset of the other's states, which never
+determinizes the other in full.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here can be shared freely.
@@ -305,15 +305,11 @@ def _trim_rows(rows: list, finals: list) -> tuple[list, list]:
     return [[number[t] for t in rows[q]] for q in useful], [finals[q] for q in useful]
 
 
-def _dense(a: Nfa) -> tuple[list, list]:
-    """The rows and finality of an automaton ``_dfa`` built, which it keeps:
-    ``rows[q][i]`` the target of q at letter position i or -1 for no move."""
-    return a._rows
-
-
 def explore(starts: Iterable, successors: Callable) -> tuple[list, list]:
     """Number the nodes reachable from ``starts`` in breadth-first discovery order.
 
+    The product constructions (``explored``) and the length-collision
+    search (``synthesis._length_collision``) are numbered here.
     ``successors(node)`` yields ``(label, next)`` pairs and is called
     exactly once per node, in the order of the numbering. Returns the
     nodes in that order, a repeated start numbered once, and the edges
@@ -414,8 +410,9 @@ def _breadth_first(start, successors: Callable) -> tuple[list, list]:
     construction (``synthesis._worklist``), Moore minimization
     (``synthesis._minimal``) and final-output elimination
     (``synthesis._eliminated``) are all numbered here. ``explore`` keeps
-    its own loop, because it builds edge lists, and ``synthesis._walk``
-    its own, because it charges ``ENTRY_CAP`` as each entry is first
+    its own loop, because it builds edge lists, for the product
+    constructions and the length-collision search; ``synthesis._walk``
+    keeps its own, because it charges ``ENTRY_CAP`` as each entry is first
     numbered.
     """
     nodes = [start]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .automata import _dense, _trim_rows, includes, minimize
+from .automata import _quotient, _trim_rows, includes
 from .errors import NotEquivalenceError, NotFinerError
 from .machines import SequentialTransducer, SubsequentialTransducer
 from .relations import (
@@ -86,10 +86,11 @@ def is_finitely_valued(t: LetterTransducer) -> bool:
 
     Valuedness depends only on the relation, so
     ``relations._finitely_valued`` searches the trimmed rows of its
-    minimal pair DFA, whose blocks ``minimize`` numbers by the
-    shortlex-least words reaching them, whatever the input.
+    minimal pair DFA, the ``_quotient`` of its subset construction's rows
+    (``Nfa._subset``), whose blocks are numbered by the shortlex-least
+    words reaching them, whatever the input.
     """
-    return _finitely_valued(_trim_rows(*_dense(minimize(t.nfa)))[0], len(t.output_alphabet))
+    return _finitely_valued(_trim_rows(*_quotient(*t.nfa._subset))[0], len(t.output_alphabet))
 
 
 def index_is_finite(s: LetterTransducer, r: LetterTransducer) -> bool:

@@ -79,17 +79,14 @@ class NotLetterToLetterError(KernseqError):
 
 
 class FormatError(KernseqError):
-    """Parse or semantic error in a transducer file."""
+    """Parse or semantic error in a transducer file, at ``line`` when given."""
 
     code = "FORMAT"
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
-        where = ""
         if line is not None:
-            where = f"line {line}" + (f", column {column}" if column is not None else "")
-            message = f"{where}: {message}"
+            message = f"line {line}: {message}"
         super().__init__(message)
 
 

@@ -537,26 +537,22 @@ def transitive_closure(p: LetterTransducer, cap: int) -> ClosureResult:
     """Iterate q <- q after p until the language stabilizes.
 
     Requires p reflexive and symmetric so every iterate is too, checked by
-    the walks of ``_axioms`` on the minimal DFA of p's ``Prepared.rows``,
-    whose ``_trimmed`` automaton is the first iterate; the third walk
-    tells whether p is transitive, and so its own closure at exponent 1,
-    with no composition round. Otherwise ``_rounds`` iterates. Running
-    out of cap is a reportable outcome, not an error: in general the
-    fixpoint exponent is not computable, so the iteration must not
-    pretend otherwise.
+    p's ``Prepared.validation``, kept on p as for every relation; the first
+    iterate is the ``_trimmed`` minimal DFA of p's ``Prepared.rows``. When p
+    is transitive it is its own closure at exponent 1, with no composition
+    round. Otherwise ``_rounds`` iterates. Running out of cap is a
+    reportable outcome, not an error: in general the fixpoint exponent is
+    not computable, so the iteration must not pretend otherwise.
     """
     _require_cap(cap)
-    rows, finals = _quotient(*_prepared(p).rows)
-    reflexive, symmetric, transitive = (
-        _axioms(rows, finals, _live_rows(rows, finals), p.input_alphabet)
-        if p.same_alphabets() else (lambda: (),) * 3
-    )
-    if reflexive() is not None:
+    prep = _prepared(p)
+    v = prep.validation
+    if not v.is_reflexive:
         raise PreconditionError("transitive closure needs a reflexive relation")
-    if symmetric() is not None:
+    if not v.is_symmetric:
         raise PreconditionError("transitive closure needs a symmetric relation")
-    current = _trimmed(p.input_alphabet, p.output_alphabet, p.nfa.alphabet, rows, finals)
-    if transitive() is None:
+    current = _trimmed(p.input_alphabet, p.output_alphabet, p.nfa.alphabet, *_quotient(*prep.rows))
+    if v.is_transitive:
         return ClosureResult(closure=current, exponent=1, converged=True)
     return _rounds(current, p, cap)
 

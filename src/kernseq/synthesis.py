@@ -39,11 +39,13 @@ re-verified.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
 from functools import cache
+from itertools import compress
 
-from .automata import Alphabet, Word, _breadth_first, _reach, explored, inclusion_counterexample, refine
+from .automata import (
+    Alphabet, Word, _breadth_first, _live_rows, _reach, explore, explored, inclusion_counterexample, refine
+)
 from .errors import (
     AlphabetMismatchError,
     BadClosureWitnessError,
@@ -53,7 +55,7 @@ from .errors import (
     PreconditionError,
 )
 from .machines import SequentialTransducer, SubsequentialTransducer, _assembled
-from .relations import Prepared, _axioms, _finite_index, _prepared, prefix_closure, prepare
+from .relations import Prepared, _axioms, _finite_index, _prepared, _shortest, prefix_closure, prepare
 from .transducers import LetterTransducer, pair_alphabet
 
 # Largest number of matrix states a construction expands before it raises
@@ -705,58 +707,44 @@ def length_collision(m: SequentialTransducer) -> tuple[Word, Word] | None:
 
 
 def _live(t: _Moves) -> frozenset[int]:
-    """The states of a table that reach a final state."""
-    return _reach(
-        [q for q, tag in enumerate(t.tags) if tag is not None],
-        ((q, p) for p, row in enumerate(t.targets) for c, q in zip(t.codes[p], row) if c >= 0),
-    )
+    """The states of a table that reach a final state: a missing move targets
+    its own state, which adds no reachability."""
+    return _live_rows(t.targets, [tag is not None for tag in t.tags])
 
 
 def _length_collision(t: _Moves) -> tuple[Word, Word] | None:
-    """``length_collision`` on a table."""
+    """``length_collision`` on a table: the asynchronous pairs numbered by
+    ``explore``, those that reach acceptance found by ``_reach`` over the
+    reversed edges, and a tail to acceptance taken from ``_shortest``."""
     live = _live(t)  # no other states are explored
     moved = [
         [(a, t.words[c], q) for a, c, q in zip(t.inputs.letters, codes, row) if c >= 0 and q in live]
         for codes, row in zip(t.codes, t.targets)
     ]
-    start = (0, 0, (), 0)
-    moves: dict = {start: []}
-    todo = [start]
-    while todo:
-        node = todo.pop()
-        runs = (0, 1) if not node[2] else (1 - node[3],)
-        for run in runs:
+
+    def successors(node):
+        for run in (0, 1) if not node[2] else (1 - node[3],):
             for a, out, dst in moved[node[run]]:
                 extra = _ahead(node[2], node[3])
                 extra[run] += out
                 balance = _balance(*extra)
-                if balance is None:
-                    continue
-                states = [node[0], node[1]]
-                states[run] = dst
-                nxt = tuple(states) + balance
-                moves[node].append(((run, a), nxt))
-                if nxt not in moves:
-                    moves[nxt] = []
-                    todo.append(nxt)
+                if balance is not None:
+                    states = [node[0], node[1]]
+                    states[run] = dst
+                    yield (run, a), (*states, *balance)
 
-    def accepting(node):
-        return not node[2] and t.tags[node[0]] is not None and t.tags[node[1]] is not None
-
-    back: dict = {}
-    for node, out in moves.items():
-        for move, nxt in out:
-            back.setdefault(nxt, []).append((node, move))
-    toward = {node: None for node in moves if accepting(node)}  # first move to acceptance
-    todo = list(toward)
-    while todo:
-        node = todo.pop()
-        for prev, move in back.get(node, ()):
-            if prev not in toward:
-                toward[prev] = (move, node)
-                todo.append(prev)
-    if start not in toward:
+    nodes, edges = explore([(0, 0, (), 0)], successors)
+    tags = t.tags
+    accepting = [not pending and tags[p] is not None and tags[q] is not None for p, q, pending, _ in nodes]
+    useful = _reach(compress(range(len(nodes)), accepting), ((q, p) for p, _move, q in edges))
+    if 0 not in useful:
         return None
+    labels: list = [[] for _ in nodes]  # per node: its moves into nodes that reach acceptance
+    targets: list = [[] for _ in nodes]  # and where they lead
+    for p, move, q in edges:
+        if q in useful:
+            labels[p].append(move)
+            targets[p].append(q)
 
     def path_to(node):
         path = []
@@ -765,33 +753,25 @@ def _length_collision(t: _Moves) -> tuple[Word, Word] | None:
             path.append(move)
         return path[::-1]
 
-    def path_from(node):
-        path = []
-        while toward[node] is not None:
-            move, node = toward[node]
-            path.append(move)
-        return path
-
     def spell(path):
         return tuple(a for run, a in path if run == 0), tuple(a for run, a in path if run == 1)
 
-    potential = {start: 0}
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if accepting(node) and potential[node]:
+    potential = {0: 0}
+    parent = {0: None}
+    queue = [0]
+    for node in queue:  # the queue grows while it is walked
+        if accepting[node] and potential[node]:
             return spell(path_to(node))
-        for move, nxt in moves[node]:
-            if nxt not in toward:
-                continue
+        for move, nxt in zip(labels[node], targets[node]):
             weight = potential[node] + (1 if move[0] == 0 else -1)
             if nxt not in potential:
                 potential[nxt] = weight
                 parent[nxt] = (node, move)
                 queue.append(nxt)
             elif potential[nxt] != weight:
-                tail = path_from(nxt)
+                tail = list(_shortest(  # a shortest tail to acceptance
+                    nxt, lambda n: None if accepting[n] else targets[n], labels.__getitem__
+                ))
                 u, v = spell(path_to(node) + [move] + tail)
                 if len(u) == len(v):
                     u, v = spell(path_to(nxt) + tail)

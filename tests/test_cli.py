@@ -656,3 +656,65 @@ def test_a_broken_elimination_step_fails_only_where_it_runs(capsys, monkeypatch,
     code, _payload, err = run_json(capsys, "decide", "lp", str(path), "-o", str(out))
     assert code == 0 and err == ""
     assert out.read_text() == sub
+
+
+def _assert_internal_breach(capsys, *argv):
+    code, stdout, err = run(capsys, *argv)
+    assert code == 4 and stdout == ""
+    assert err.startswith("kernseq: internal invariant breach") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("variant", ["ll", "lp"])
+def test_the_certification_guard_reports_a_kernel_check_past_its_budget(
+    capsys, monkeypatch, tmp_path, variant
+):
+    # a kernel check that runs past its budget on a synthesized witness is a
+    # breach of the construction, never a verdict
+    import kernseq.synthesis
+    from kernseq.errors import NotLetterToLetterError
+
+    r = build_agree_except_last(2)  # YES for both deciders
+    path = tmp_path / "r.t"
+    path.write_text(render(r))
+    message = "squared machine exceeds the budget of 4 states and pending output letters"
+
+    def overrun(*_args):
+        raise NotLetterToLetterError(message)
+
+    monkeypatch.setattr(kernseq.synthesis, "_kernel_counterexample", overrun)
+    decide = {"ll": decide_kerseq_ll, "lp": decide_kerseq_lp}[variant]
+    with pytest.raises(InternalInvariantError, match=message) as raised:
+        decide(r)
+    assert isinstance(raised.value.__cause__, NotLetterToLetterError)
+    _assert_internal_breach(capsys, "decide", variant, str(path))
+
+
+def test_the_certification_guard_refuses_a_matrix_row_unrelated_to_itself(
+    capsys, monkeypatch, tmp_path
+):
+    # the subsequential construction tags each state by the first entry of
+    # its matrix row that the relation accepts; a row with none is a breach
+    import copy
+
+    import kernseq.decision
+
+    r = build_mod_count(3)
+    path = tmp_path / "r.t"
+    path.write_text(render(r))
+    ll = decide_kerseq_ll(r).outcome.value
+    construct = kernseq.decision._subsequential_moves
+
+    def unrelated(prep, pplus):
+        # the construction run on the relation's rows with no state final
+        faulty = copy.copy(prep)
+        rows, finals = prep.rows
+        vars(faulty)["rows"] = rows, [False] * len(finals)
+        return construct(faulty, pplus)
+
+    monkeypatch.setattr(kernseq.decision, "_subsequential_moves", unrelated)
+    with pytest.raises(InternalInvariantError, match="matrix row is not related to itself"):
+        decide_kerseq_lp(r)
+    _assert_internal_breach(capsys, "decide", "lp", str(path))
+    # decide ll builds no subsequential witness, and answers as before
+    code, _stdout, err = run(capsys, "decide", "ll", str(path))
+    assert code == {"YES": 0, "NO": 1}[ll] and err == ""

@@ -460,11 +460,11 @@ def _whole_product_finitely_valued(rows: list, width: int) -> bool:
 
 def test_the_triple_pass_inside_square_components_matches_the_whole_product():
     from cosequential import INFINITE_BEFORE_ROUNDS, SLOW_CLOSURE, cosequential_suite
-    from kernseq.automata import _dense, _trim_rows
+    from kernseq.automata import _trim_rows
     from kernseq.relations import _finitely_valued
 
     def valued(t, what):
-        rows, _finals = _trim_rows(*_dense(minimize(t.nfa)))
+        rows, _finals = _trim_rows(*minimize(t.nfa)._rows)
         answer = _finitely_valued(rows, len(t.output_alphabet))
         assert answer is _whole_product_finitely_valued(rows, len(t.output_alphabet)), what
         return answer

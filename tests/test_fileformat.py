@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kernseq.automata import Alphabet
-from kernseq.errors import FormatError
+from kernseq.automata import Alphabet, Nfa
+from kernseq.errors import AlphabetMismatchError, BoundTooLargeError, FormatError
 from kernseq.fileformat import KINDS, RESERVED, kind_of, parse, render
 from kernseq.machines import SequentialTransducer, SubsequentialTransducer
+from kernseq.oracle import enumerate_relation
 from kernseq.relations import validate_relation
-from kernseq.transducers import LetterTransducer, identity
+from kernseq.transducers import LetterTransducer, diagonal_states, identity, pair_dfa
 
 from conftest import AB, assert_as_if_checked
 
@@ -376,6 +377,66 @@ def test_every_format_error_names_its_message_and_line(base, old, new, message, 
         parse(text)
     assert err.value.line == line
     assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+def _sequential(**changes):
+    """A machine over a and b with one move, 0 a / x -> 1, changed by ``changes``."""
+    parts = dict(
+        input_alphabet=AB, output_alphabet=Alphabet(("x",)), states={0, 1},
+        transitions={(0, "a"): (("x",), 1)}, initial=0, finals={1},
+    )
+    return SequentialTransducer(**{**parts, **changes})
+
+
+# the checks of machines and relations built outside ``parse``, each with its message
+INPUT_CHECKS = {
+    "initial": (lambda: _sequential(initial=2), ValueError, "initial state must be declared"),
+    "finals": (lambda: _sequential(finals={2}), ValueError, "final states must be declared"),
+    "endpoint": (
+        lambda: _sequential(transitions={(0, "a"): (("x",), 2)}),
+        ValueError, "transition endpoint not declared: (0, 'a')",
+    ),
+    "input letter": (
+        lambda: _sequential(transitions={(0, "c"): (("x",), 1)}),
+        ValueError, "input letter not declared: 'c'",
+    ),
+    "output letter": (
+        lambda: _sequential(transitions={(0, "a"): (("y",), 1)}),
+        ValueError, "output letter not declared: 'y'",
+    ),
+    "word body": (
+        lambda: SubsequentialTransducer(_sequential(transitions={(0, "a"): ((), 1)}), {1: "x"}),
+        ValueError, "subsequential base must be letter-to-letter",
+    ),
+    "finalout states": (
+        lambda: SubsequentialTransducer(_sequential(), {0: "x"}),
+        ValueError, "final outputs must be defined exactly on final states",
+    ),
+    "finalout letter": (
+        lambda: SubsequentialTransducer(_sequential(), {1: "y"}),
+        ValueError, "final-output letter not declared: 'y'",
+    ),
+    "pair alphabet": (
+        lambda: LetterTransducer(AB, AB, Nfa(AB, {0}, set(), {0}, {0})),
+        ValueError, "underlying automaton must use the full pair alphabet",
+    ),
+    "diagonal": (
+        lambda: diagonal_states(pair_dfa(LetterTransducer.build(AB, ("x",), {0}, set(), {0}, {0}))),
+        AlphabetMismatchError, "diagonal states need equal input/output alphabets",
+    ),
+    "bound": (
+        lambda: enumerate_relation(identity(AB), -1), BoundTooLargeError, "bound must be nonnegative"
+    ),
+    "kind": (lambda: kind_of("a b"), TypeError, "not a machine: 'a b'"),
+}
+
+
+@pytest.mark.parametrize("check", INPUT_CHECKS)
+def test_each_input_check_refuses_with_its_message(check):
+    build, error, message = INPUT_CHECKS[check]
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_a_state_id_is_read_in_any_spelling_of_ascii_digits():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from kernseq.automata import (
     Nfa,
-    _dense,
     _dfa,
     coaccessible_states,
     determinize,
@@ -184,7 +183,7 @@ def test_validation_walks_agree_with_the_inclusion_definition():
             continue
         # each walk's counterexample is a pair r lacks, as short as the shortest
         d = determinize(r.nfa)
-        walks = [walk() for walk in _axioms(*_dense(d), coaccessible_states(d), r.input_alphabet)]
+        walks = [walk() for walk in _axioms(*d._rows, coaccessible_states(d), r.input_alphabet)]
         for ok, found, (required, shortest) in zip(holds, walks, _axioms_by_inclusion(r)):
             assert ok == (found is None) == (shortest is None), i
             if found is not None:
@@ -286,7 +285,7 @@ def test_integer_node_walks_equal_the_tuple_node_walks():
     found = [0, 0, 0]
     for i, r in enumerate(drawn):
         d = determinize(r.nfa)
-        got = [walk() for walk in _axioms(*_dense(d), coaccessible_states(d), r.input_alphabet)]
+        got = [walk() for walk in _axioms(*d._rows, coaccessible_states(d), r.input_alphabet)]
         assert got == _reference_axioms(d, r.input_alphabet), i
         for k, word in enumerate(got):
             found[k] += word is not None
@@ -920,8 +919,8 @@ def test_the_rows_stages_equal_the_automaton_level_functions():
     for i, r in enumerate(_fresh_relations()):
         prep = Prepared(r)
         d = determinize(r.nfa)
-        assert prep.rows == _dense(d), i
-        walks = _axioms(*_dense(d), coaccessible_states(d), r.input_alphabet)
+        assert prep.rows == d._rows, i
+        walks = _axioms(*d._rows, coaccessible_states(d), r.input_alphabet)
         v = prep.validation
         assert [v.is_reflexive, v.is_symmetric, v.is_transitive] == [
             walk() is None for walk in walks
@@ -956,7 +955,7 @@ def test_the_first_iterate_is_the_prefix_closures_first_iterate():
         assert iterate.nfa == trim(minimize(p.nfa)), i
         assert transitive == transitive_closure(p, 1).converged, i
         d = determinize(p.nfa)
-        reflexive, symmetric, _transitive = _axioms(*_dense(d), coaccessible_states(d), r.input_alphabet)
+        reflexive, symmetric, _transitive = _axioms(*d._rows, coaccessible_states(d), r.input_alphabet)
         assert reflexive() is None and symmetric() is None, i
 
 

@@ -556,6 +556,38 @@ def test_a_length_graded_machine_has_no_length_collision():
     assert seen >= {(True, True, True), (True, True, False), (False, True, False), (False, False, False)}
 
 
+def test_length_collision_finds_every_collision_that_enumeration_finds():
+    # an independent reference: the outputs of every accepted input up to
+    # length 6, read off the machine's transitions
+    rng = random.Random(2024)
+    found = returned = 0
+    for _ in range(2000):
+        m = graded_or_not(rng)
+        lengths = {}  # output -> the lengths of the inputs giving it
+        runs = [(m.initial, ())]  # per input of length k: its state and output
+        for k in range(7):
+            for q, out in runs:
+                if q in m.finals:
+                    lengths.setdefault(out, set()).add(k)
+            runs = [
+                (nxt[1], out + nxt[0])
+                for q, out in runs
+                for a in AB.letters
+                if (nxt := m.transitions.get((q, a))) is not None
+            ]
+        collides = any(len(ks) > 1 for ks in lengths.values())
+        pair = length_collision(m)
+        if collides:
+            assert pair is not None
+        if pair is not None:
+            u, v = pair
+            assert len(u) != len(v) and m.run(u) is not None and m.run(u) == m.run(v)
+        found += collides
+        returned += pair is not None
+    # the search also finds collisions longer than the enumeration reaches
+    assert 0 < found <= returned < 2000
+
+
 def test_eliminated_witnesses_are_length_graded(monkeypatch):
     from kernseq import synthesis
 
